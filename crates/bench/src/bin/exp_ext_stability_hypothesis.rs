@@ -84,7 +84,7 @@ fn main() {
         let norms = &mut grad_norms;
         trainer
             .model
-            .backward_with(&probe_mb, &trace, d_top, |level, d| {
+            .backward_with(&probe_mb, &trace, d_top, None, |level, d| {
                 if level == 1 {
                     for (v, n) in norms.iter_mut().enumerate() {
                         *n = d.row(v).iter().map(|&x| x * x).sum::<f32>().sqrt();

@@ -2,8 +2,8 @@
 //! # fgnn-bench
 //!
 //! Experiment harness for the FreshGNN reproduction: one binary per table
-//! or figure of the paper (see DESIGN.md §4 for the index), plus criterion
-//! microbenchmarks (`benches/`).
+//! or figure of the paper (see DESIGN.md §4 for the index). Wall-clock
+//! microbenchmarks live in the standalone `perf/` package (`./perf/run.sh`).
 //!
 //! Every binary accepts:
 //! * `--seed <u64>` (default 42) — master RNG seed;

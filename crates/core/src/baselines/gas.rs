@@ -335,7 +335,7 @@ impl<'t> GasStages<'_, '_> {
         let mut h_srcs = Vec::with_capacity(num_layers);
         ctx.stage(StageKind::Forward, counters, |engine, c| {
             for l in 0..num_layers {
-                let (h_dst, layer_ctx) = self.model.layers[l].forward(block, &h_src);
+                let (h_dst, layer_ctx) = self.model.layers[l].forward(block, &h_src, None);
                 // Push fresh cluster rows into history[l] (charged).
                 push_rows(&mut self.history[l], cluster, &h_dst, self.cfg.momentum);
                 let level_bytes = (n_cluster * self.dims[l + 1] * 4) as u64;
@@ -381,8 +381,8 @@ impl<'t> GasStages<'_, '_> {
             d.scatter_add_rows(&sel, &d_sel);
 
             self.model.zero_grad();
-            for l in (0..num_layers).rev() {
-                let d_src = self.model.layers[l].backward(block, &traces[l], &h_srcs[l], &d);
+            for l in (1..num_layers).rev() {
+                let d_src = self.model.layers[l].backward(block, &traces[l], &h_srcs[l], &d, None);
                 // Boundary rows are history constants: truncate to cluster rows.
                 d = Matrix::from_vec(
                     n_cluster,
@@ -390,6 +390,8 @@ impl<'t> GasStages<'_, '_> {
                     d_src.as_slice()[..n_cluster * self.dims[l]].to_vec(),
                 );
             }
+            // The input layer only owes its parameter gradients.
+            self.model.layers[0].backward_params(block, &traces[0], &h_srcs[0], &d, None);
             loss
         });
 

@@ -611,12 +611,15 @@ impl<'t> HeteroStages<'_, '_> {
         });
 
         // Forward with cache overrides on the target type (the policy
-        // post-processes each read; plain copy under the baseline).
+        // post-processes each read; plain copy under the baseline). The
+        // model skips the rows the pruner did not mark computed, forward and
+        // backward.
+        let computed = Some(&outcome.computed[..]);
         let trace = ctx.stage(StageKind::Forward, counters, |_engine, _c| {
             let cache = &*self.cache;
             let policy = self.policy;
             let cached = &outcome.cached;
-            self.model.forward_with(&mb, h0, |level, h| {
+            self.model.forward_with(&mb, h0, computed, |level, h| {
                 let b = level - 1;
                 if b < cached.len() {
                     for &(local, slot) in &cached[b] {
@@ -643,7 +646,7 @@ impl<'t> HeteroStages<'_, '_> {
             {
                 let cache_enabled = self.cfg.cache_enabled();
                 let inputs = &mut policy_inputs;
-                self.model.backward_with(&mb, &trace, d_logits, |level, d| {
+                let hook = |level: usize, d: &mut Vec<Matrix>| {
                     if !cache_enabled || level == num_levels {
                         return; // top level = seeds, never cached
                     }
@@ -654,7 +657,7 @@ impl<'t> HeteroStages<'_, '_> {
                         is_cached[local as usize] = true;
                     }
                     for v in 0..block.dst[target].len() {
-                        if !(outcome.computed[b][v] || is_cached[v]) {
+                        if !(outcome.computed[b][target][v] || is_cached[v]) {
                             continue;
                         }
                         let row = d[target].row(v);
@@ -672,7 +675,9 @@ impl<'t> HeteroStages<'_, '_> {
                             .iter_mut()
                             .for_each(|x| *x = 0.0);
                     }
-                });
+                };
+                self.model
+                    .backward_with(&mb, &trace, d_logits, computed, hook);
             }
             (loss, policy_inputs)
         });
@@ -719,8 +724,9 @@ impl<'t> HeteroStages<'_, '_> {
 pub struct HeteroPruneOutcome {
     /// Per block: `(local target-type dst index, slot)` cache reads.
     pub cached: Vec<Vec<(u32, u32)>>,
-    /// Per block: whether each target-type dst is computed.
-    pub computed: Vec<Vec<bool>>,
+    /// Per block, per node type: whether each dst is computed (reachable
+    /// from a seed and not cache-read). Dead or cached nodes are `false`.
+    pub computed: Vec<Vec<Vec<bool>>>,
     /// Per type: which input src nodes need feature loads.
     pub needed_input: Vec<Vec<bool>>,
 }
@@ -760,10 +766,10 @@ pub fn prune_hetero_with(
     let num_blocks = mb.blocks.len();
     let n_types = mb.blocks[0].dst.len();
     let mut cached: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_blocks];
-    let mut computed: Vec<Vec<bool>> = mb
+    let mut computed: Vec<Vec<Vec<bool>>> = mb
         .blocks
         .iter()
-        .map(|b| vec![false; b.dst[target].len()])
+        .map(|b| b.dst.iter().map(|d| vec![false; d.len()]).collect())
         .collect();
 
     // Top block: only target-type seeds are needed.
@@ -790,10 +796,8 @@ pub fn prune_hetero_with(
                 if let Some(slot) = cache.lookup_with(level, node, now, policy) {
                     cached[b].push((v as u32, slot));
                     is_cached[v] = true;
-                    continue;
                 }
             }
-            computed[b][v] = true;
         }
 
         // Per relation: prune dead/cached rows, expand live ones.
@@ -816,6 +820,7 @@ pub fn prune_hetero_with(
             for v in 0..mb.blocks[b].dst[t].len() {
                 let live = needed[t][v] && !(t == target && is_cached[v]);
                 if live {
+                    computed[b][t][v] = true;
                     needed_below[t][v] = true;
                 }
             }
@@ -973,7 +978,7 @@ mod tests {
         let out = prune_hetero(&mut mb, &rel_types, &mut cache, 0, 0);
         assert!(out.cached.iter().all(Vec::is_empty));
         // All target dst computed.
-        assert!(out.computed.last().unwrap().iter().all(|&c| c));
+        assert!(out.computed.last().unwrap()[0].iter().all(|&c| c));
         let edges_after = mb.blocks.iter().map(|b| b.num_edges()).sum::<usize>();
         assert_eq!(edges_before, edges_after, "nothing pruned without hits");
         // All target inputs needed.

@@ -30,7 +30,7 @@ pub fn estimation_error(
     levels_cached: &[Vec<(u32, u32)>],
 ) -> f32 {
     let exact = model.forward(mb, h0.clone());
-    let approx = model.forward_with(mb, h0.clone(), |level, h| {
+    let approx = model.forward_with(mb, h0.clone(), None, |level, h| {
         let b = level - 1;
         if b < levels_cached.len() {
             for &(local, slot) in &levels_cached[b] {

@@ -38,7 +38,7 @@ use fgnn_memsim::TrafficCounters;
 use fgnn_nn::loss::softmax_cross_entropy;
 use fgnn_nn::model::{Arch, Model};
 use fgnn_nn::Optimizer;
-use fgnn_tensor::Rng;
+use fgnn_tensor::{Matrix, Rng};
 use std::collections::BTreeSet;
 
 pub use crate::pipeline::EpochStats;
@@ -869,12 +869,14 @@ impl<'t> FreshGnnStages<'_, '_> {
 
         // 4. Forward, overriding cached rows between layers. The policy
         // post-processes each read (staleness weighting / history
-        // extrapolation); under the baseline it is a plain copy.
+        // extrapolation); under the baseline it is a plain copy. The model
+        // skips the rows the pruner did not mark computed, here and in 5.
+        let computed = Some(&outcome.computed[..]);
         let trace = ctx.stage(StageKind::Forward, counters, |_, _| {
             let cache = &*self.cache;
             let policy = self.policy;
             let cached = &outcome.cached;
-            self.model.forward_with(&mb, h0, |level, h| {
+            self.model.forward_with(&mb, h0, computed, |level, h| {
                 let b = level - 1;
                 if b < cached.len() {
                     for &(local, slot) in &cached[b] {
@@ -896,7 +898,7 @@ impl<'t> FreshGnnStages<'_, '_> {
             let cache_enabled = self.cfg.cache_enabled();
             let cache_top = self.cfg.cache_top_layer;
             let inputs = &mut policy_inputs;
-            self.model.backward_with(&mb, &trace, d_top, |level, d| {
+            let hook = |level: usize, d: &mut Matrix| {
                 if !cache_enabled {
                     return;
                 }
@@ -927,7 +929,8 @@ impl<'t> FreshGnnStages<'_, '_> {
                 for &(local, _) in &outcome.cached[b] {
                     d.row_mut(local as usize).iter_mut().for_each(|x| *x = 0.0);
                 }
-            });
+            };
+            self.model.backward_with(&mb, &trace, d_top, computed, hook);
             (loss, policy_inputs)
         });
 

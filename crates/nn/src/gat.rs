@@ -18,7 +18,7 @@
 //! through attention) at a fraction of the cost. Backward is checked
 //! against finite differences in `gradcheck` tests.
 
-use crate::layer::{Activation, Param};
+use crate::layer::{debug_assert_dead_rows_zero, Activation, Param};
 use fgnn_graph::Block;
 use fgnn_tensor::{activation::leaky_relu_grad, ops, softmax, Matrix, Rng};
 
@@ -42,6 +42,9 @@ pub struct GatLayer {
 /// Saved forward intermediates.
 pub struct GatCtx {
     wh: Matrix,
+    /// Src rows some live dst attends to (`None` = all): the rows of `wh`
+    /// that were computed and the only ones that can carry gradient.
+    live_src: Option<Vec<bool>>,
     /// Edge segments per dst (CSR offsets into `edge_src`).
     seg: Vec<usize>,
     /// Local src index per attention edge (self edge first in each segment).
@@ -75,12 +78,28 @@ impl GatLayer {
         self.weight.value.cols()
     }
 
-    /// Forward over a block. Returns `(h_dst, ctx)`.
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, GatCtx) {
+    /// Forward over a block. Returns `(h_dst, ctx)`; `W h_u` is computed
+    /// only for the src rows a `live` dst (`None` = all) attends to.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        live: Option<&[bool]>,
+    ) -> (Matrix, GatCtx) {
         debug_assert_eq!(h_src.rows(), block.num_src());
         let out_dim = self.out_dim();
         let n_dst = block.num_dst();
-        let wh = ops::matmul(h_src, &self.weight.value).expect("gat Wh");
+        let live_src = live.map(|live| {
+            let mut src = vec![false; block.num_src()];
+            for v in (0..n_dst).filter(|&v| live[v]) {
+                src[v] = true;
+                for &u in block.adj.neighbors(v) {
+                    src[u as usize] = true;
+                }
+            }
+            src
+        });
+        let wh = ops::matmul_rows(h_src, &self.weight.value, live_src.as_deref()).expect("gat Wh");
 
         // Per-node attention halves.
         let a_src = self.attn_src.value.row(0);
@@ -126,6 +145,7 @@ impl GatLayer {
 
         let ctx = GatCtx {
             wh,
+            live_src,
             seg,
             edge_src,
             raw,
@@ -137,15 +157,32 @@ impl GatLayer {
 
     /// Backward: accumulates parameter gradients, returns `d_h_src`.
     ///
-    /// `h_src` must be the same matrix passed to [`GatLayer::forward`]
-    /// (needed for the weight gradient `dW = h_srcᵀ · d_Wh`).
+    /// `h_src` and `live` must be what [`GatLayer::forward`] was given
+    /// (`h_src` for the weight gradient `dW = h_srcᵀ · d_Wh`).
     pub fn backward(
         &mut self,
         block: &Block,
         ctx: &GatCtx,
         h_src: &Matrix,
         d_out: &Matrix,
+        live: Option<&[bool]>,
     ) -> Matrix {
+        let d_wh = self.backward_params(block, ctx, h_src, d_out, live);
+        ops::matmul_a_bt_rows(&d_wh, &self.weight.value, ctx.live_src.as_deref()).expect("gat d_h")
+    }
+
+    /// The parameter half of [`GatLayer::backward`]: accumulates every
+    /// parameter gradient and returns `d_Wh`. All the input layer of a
+    /// training step needs. Rows of `d_out` that are not live must be zero.
+    pub fn backward_params(
+        &mut self,
+        block: &Block,
+        ctx: &GatCtx,
+        h_src: &Matrix,
+        d_out: &Matrix,
+        live: Option<&[bool]>,
+    ) -> Matrix {
+        debug_assert_dead_rows_zero(d_out, live);
         let n_dst = block.num_dst();
         let out_dim = self.out_dim();
         let mut dz = d_out.clone();
@@ -223,10 +260,9 @@ impl GatLayer {
             *g += d;
         }
 
-        // Into W and h_src.
-        let dw = ops::matmul_at_b(h_src, &d_wh).expect("gat dW");
+        let dw = ops::matmul_at_b_rows(h_src, &d_wh, ctx.live_src.as_deref()).expect("gat dW");
         ops::add_assign(&mut self.weight.grad, &dw).expect("gat dW acc");
-        ops::matmul_a_bt(&d_wh, &self.weight.value).expect("gat d_h")
+        d_wh
     }
 
     /// Mutable parameter references (stable order).
@@ -263,7 +299,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let layer = GatLayer::new(3, 4, Activation::None, &mut rng);
         let h = rng.normal_matrix(4, 3, 1.0);
-        let (out, ctx) = layer.forward(&block(), &h);
+        let (out, ctx) = layer.forward(&block(), &h, None);
         assert_eq!(out.shape(), (2, 4));
         // Per-destination attention sums to one (3 edges for dst 0, 2 for dst 1).
         let s0: f32 = ctx.alpha[ctx.seg[0]..ctx.seg[1]].iter().sum();
@@ -282,7 +318,7 @@ mod tests {
             adj: Csr2::from_neighbor_lists(&[vec![]]),
         };
         let h = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let (out, ctx) = layer.forward(&b, &h);
+        let (out, ctx) = layer.forward(&b, &h, None);
         assert_eq!(ctx.alpha, vec![1.0]);
         // out = W h + b exactly.
         let expected = ops::matmul(&h, &layer.weight.value).unwrap();
@@ -296,9 +332,9 @@ mod tests {
         let mut rng = Rng::new(3);
         let mut layer = GatLayer::new(3, 4, Activation::Relu, &mut rng);
         let h = rng.normal_matrix(4, 3, 1.0);
-        let (_, ctx) = layer.forward(&block(), &h);
+        let (_, ctx) = layer.forward(&block(), &h, None);
         let d_out = rng.normal_matrix(2, 4, 1.0);
-        let d_h = layer.backward(&block(), &ctx, &h, &d_out);
+        let d_h = layer.backward(&block(), &ctx, &h, &d_out, None);
         assert_eq!(d_h.shape(), (4, 3));
         assert!(layer.weight.grad.frobenius_norm() > 0.0);
         assert!(layer.attn_src.grad.frobenius_norm() > 0.0);

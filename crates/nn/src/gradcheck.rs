@@ -113,7 +113,7 @@ pub fn check_input_gradients(
     model.zero_grad();
     let trace = model.forward(mb, h0.clone());
     let (_, d_top) = softmax_cross_entropy(trace.h.last().unwrap(), labels);
-    let analytic = model.backward(mb, &trace, d_top);
+    let analytic = model.backward_input_grad(mb, &trace, d_top);
 
     let mut a_vec = Vec::new();
     let mut n_vec = Vec::new();

@@ -2,6 +2,7 @@
 //! block-aggregation kernels every GNN layer builds on.
 
 use fgnn_graph::Block;
+use fgnn_tensor::ops::is_live;
 use fgnn_tensor::{activation, Matrix};
 
 /// A trainable parameter: value plus accumulated gradient.
@@ -62,16 +63,31 @@ impl Activation {
     }
 }
 
+/// A dst row that is not live (`live` = the pruner's `computed` for this
+/// block, `None` = all live) is a constant to the layer: forward leaves it
+/// for the caller's hook to fill (cache reads) or for nobody (dead subtrees),
+/// and backward propagates nothing through it. This is the backward
+/// precondition that makes skipping such rows exact: a row that is not live
+/// carries no gradient (the trainer's detach hook zeroes cache-read
+/// rows; nothing computed references a dead one).
+#[inline]
+pub(crate) fn debug_assert_dead_rows_zero(d: &Matrix, live: Option<&[bool]>) {
+    debug_assert!(
+        (0..d.rows()).all(|v| is_live(live, v) || d.row(v).iter().all(|&x| x == 0.0)),
+        "gradient on a row that is not computed"
+    );
+}
+
 /// Mean aggregation including the self node: row `v` of the result is
 /// `(h_v + Σ_{u∈N(v)} h_u) / (deg(v)+1)` — the GCN aggregation over a
-/// sampled block (self-loop form of `Â`).
+/// sampled block (self-loop form of `Â`). Rows that are not live stay zero.
 ///
 /// Relies on the block invariant that destination `v`'s own previous-layer
 /// row is `h_src` row `v`.
-pub fn mean_agg_with_self(block: &Block, h_src: &Matrix) -> Matrix {
+pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>) -> Matrix {
     let dim = h_src.cols();
     let mut out = Matrix::zeros(block.num_dst(), dim);
-    for v in 0..block.num_dst() {
+    for v in (0..block.num_dst()).filter(|&v| is_live(live, v)) {
         let nbrs = block.adj.neighbors(v);
         let inv = 1.0 / (nbrs.len() + 1) as f32;
         let row = out.row_mut(v);
@@ -90,10 +106,15 @@ pub fn mean_agg_with_self(block: &Block, h_src: &Matrix) -> Matrix {
     out
 }
 
-/// Backward of [`mean_agg_with_self`]: scatter `d_agg` (rows = dst) into
-/// `d_h_src` (rows = src), accumulating.
-pub fn mean_agg_with_self_backward(block: &Block, d_agg: &Matrix, d_h_src: &mut Matrix) {
-    for v in 0..block.num_dst() {
+/// Backward of [`mean_agg_with_self`]: scatter the live rows of `d_agg`
+/// (rows = dst) into `d_h_src` (rows = src), accumulating.
+pub fn mean_agg_with_self_backward(
+    block: &Block,
+    d_agg: &Matrix,
+    d_h_src: &mut Matrix,
+    live: Option<&[bool]>,
+) {
+    for v in (0..block.num_dst()).filter(|&v| is_live(live, v)) {
         let nbrs = block.adj.neighbors(v);
         let inv = 1.0 / (nbrs.len() + 1) as f32;
         let g = d_agg.row(v);
@@ -112,44 +133,34 @@ pub fn mean_agg_with_self_backward(block: &Block, d_agg: &Matrix, d_h_src: &mut 
     }
 }
 
-/// Neighbor-only mean aggregation: row `v` is `mean_{u∈N(v)} h_u`, or zero
-/// when `v` has no (unpruned) neighbors — the GraphSAGE aggregator.
-pub fn mean_agg_neighbors(block: &Block, h_src: &Matrix) -> Matrix {
-    let dim = h_src.cols();
-    let mut out = Matrix::zeros(block.num_dst(), dim);
-    for v in 0..block.num_dst() {
-        let nbrs = block.adj.neighbors(v);
-        if nbrs.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / nbrs.len() as f32;
-        let row = out.row_mut(v);
-        for &u in nbrs {
-            for (x, &s) in row.iter_mut().zip(h_src.row(u as usize)) {
-                *x += s;
-            }
-        }
-        for x in row.iter_mut() {
-            *x *= inv;
+/// Neighbor-only mean `mean_{u∈nbrs} h_u` accumulated into `out`, which must
+/// arrive zeroed and stays zero when there are no (unpruned) neighbors — the
+/// GraphSAGE / R-SAGE aggregator, written straight into the caller's row.
+pub fn mean_neighbors_into(out: &mut [f32], nbrs: &[u32], h_src: &Matrix) {
+    if nbrs.is_empty() {
+        return;
+    }
+    let inv = 1.0 / nbrs.len() as f32;
+    for &u in nbrs {
+        for (x, &s) in out.iter_mut().zip(h_src.row(u as usize)) {
+            *x += s;
         }
     }
-    out
+    for x in out.iter_mut() {
+        *x *= inv;
+    }
 }
 
-/// Backward of [`mean_agg_neighbors`].
-pub fn mean_agg_neighbors_backward(block: &Block, d_agg: &Matrix, d_h_src: &mut Matrix) {
-    for v in 0..block.num_dst() {
-        let nbrs = block.adj.neighbors(v);
-        if nbrs.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / nbrs.len() as f32;
-        let g = d_agg.row(v);
-        for &u in nbrs {
-            let dst = d_h_src.row_mut(u as usize);
-            for (x, &gv) in dst.iter_mut().zip(g) {
-                *x += inv * gv;
-            }
+/// Backward of [`mean_neighbors_into`]: spread `g` over the neighbors' rows
+/// of `d_h_src`, accumulating.
+pub fn mean_neighbors_backward(g: &[f32], nbrs: &[u32], d_h_src: &mut Matrix) {
+    if nbrs.is_empty() {
+        return;
+    }
+    let inv = 1.0 / nbrs.len() as f32;
+    for &u in nbrs {
+        for (x, &gv) in d_h_src.row_mut(u as usize).iter_mut().zip(g) {
+            *x += inv * gv;
         }
     }
 }
@@ -172,7 +183,7 @@ mod tests {
     fn mean_with_self_averages_self_and_neighbors() {
         let b = block();
         let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
-        let agg = mean_agg_with_self(&b, &h);
+        let agg = mean_agg_with_self(&b, &h, None);
         // Node 0: (h0 + h2)/2 = (4, 1). Node 1: h1/1 = (4, 4).
         assert_eq!(agg.row(0), &[4.0, 1.0]);
         assert_eq!(agg.row(1), &[4.0, 4.0]);
@@ -183,17 +194,34 @@ mod tests {
         let b = block();
         let d_agg = Matrix::from_vec(2, 2, vec![2.0, 2.0, 6.0, 0.0]);
         let mut d_h = Matrix::zeros(3, 2);
-        mean_agg_with_self_backward(&b, &d_agg, &mut d_h);
+        mean_agg_with_self_backward(&b, &d_agg, &mut d_h, None);
         assert_eq!(d_h.row(0), &[1.0, 1.0]); // self share of node 0
         assert_eq!(d_h.row(1), &[6.0, 0.0]); // self share of node 1 (deg 0)
         assert_eq!(d_h.row(2), &[1.0, 1.0]); // neighbor share
     }
 
     #[test]
+    fn with_self_skips_rows_that_are_not_live() {
+        let b = block();
+        let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
+        let live = [true, false];
+        let agg = mean_agg_with_self(&b, &h, Some(&live));
+        assert_eq!(agg.row(0), &[4.0, 1.0]);
+        assert_eq!(agg.row(1), &[0.0, 0.0]);
+        let d_agg = Matrix::from_vec(2, 2, vec![2.0, 2.0, 6.0, 0.0]);
+        let mut d_h = Matrix::zeros(3, 2);
+        mean_agg_with_self_backward(&b, &d_agg, &mut d_h, Some(&live));
+        assert_eq!(d_h.row(1), &[0.0, 0.0], "no gradient through a dead row");
+    }
+
+    #[test]
     fn neighbor_mean_zero_for_isolated() {
         let b = block();
         let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
-        let agg = mean_agg_neighbors(&b, &h);
+        let mut agg = Matrix::zeros(2, 2);
+        for v in 0..2 {
+            mean_neighbors_into(agg.row_mut(v), b.adj.neighbors(v), &h);
+        }
         assert_eq!(agg.row(0), &[6.0, 2.0]);
         assert_eq!(agg.row(1), &[0.0, 0.0]);
     }
@@ -203,7 +231,9 @@ mod tests {
         let b = block();
         let d_agg = Matrix::from_vec(2, 2, vec![3.0, 1.0, 9.0, 9.0]);
         let mut d_h = Matrix::zeros(3, 2);
-        mean_agg_neighbors_backward(&b, &d_agg, &mut d_h);
+        for v in 0..2 {
+            mean_neighbors_backward(d_agg.row(v), b.adj.neighbors(v), &mut d_h);
+        }
         assert_eq!(d_h.row(0), &[0.0, 0.0]);
         assert_eq!(d_h.row(1), &[0.0, 0.0]);
         assert_eq!(d_h.row(2), &[3.0, 1.0]);

@@ -58,30 +58,65 @@ pub enum Ctx {
 }
 
 impl Layer {
-    /// Forward over a block.
-    pub fn forward(&self, block: &Block, h_src: &Matrix) -> (Matrix, Ctx) {
+    /// Forward over a block, computing only the `live` dst rows (`None` =
+    /// all); the others are left for the caller to fill or ignore.
+    pub fn forward(&self, block: &Block, h_src: &Matrix, live: Option<&[bool]>) -> (Matrix, Ctx) {
         match self {
             Layer::Gcn(l) => {
-                let (h, c) = l.forward(block, h_src);
+                let (h, c) = l.forward(block, h_src, live);
                 (h, Ctx::Gcn(c))
             }
             Layer::Sage(l) => {
-                let (h, c) = l.forward(block, h_src);
+                let (h, c) = l.forward(block, h_src, live);
                 (h, Ctx::Sage(c))
             }
             Layer::Gat(l) => {
-                let (h, c) = l.forward(block, h_src);
+                let (h, c) = l.forward(block, h_src, live);
                 (h, Ctx::Gat(c))
             }
         }
     }
 
     /// Backward over a block; accumulates parameter grads, returns `d_h_src`.
-    pub fn backward(&mut self, block: &Block, ctx: &Ctx, h_src: &Matrix, d_out: &Matrix) -> Matrix {
+    /// `live` must be what [`Layer::forward`] was given, and the rows of
+    /// `d_out` that are not live must be zero.
+    pub fn backward(
+        &mut self,
+        block: &Block,
+        ctx: &Ctx,
+        h_src: &Matrix,
+        d_out: &Matrix,
+        live: Option<&[bool]>,
+    ) -> Matrix {
         match (self, ctx) {
-            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward(block, c, d_out),
-            (Layer::Sage(l), Ctx::Sage(c)) => l.backward(block, c, d_out),
-            (Layer::Gat(l), Ctx::Gat(c)) => l.backward(block, c, h_src, d_out),
+            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward(block, c, d_out, live),
+            (Layer::Sage(l), Ctx::Sage(c)) => l.backward(block, c, d_out, live),
+            (Layer::Gat(l), Ctx::Gat(c)) => l.backward(block, c, h_src, d_out, live),
+            _ => panic!("layer/ctx architecture mismatch"),
+        }
+    }
+
+    /// [`Layer::backward`] without the gradient w.r.t. `h_src`: accumulates
+    /// parameter grads and stops, which is all a training step needs from its
+    /// input layer.
+    pub fn backward_params(
+        &mut self,
+        block: &Block,
+        ctx: &Ctx,
+        h_src: &Matrix,
+        d_out: &Matrix,
+        live: Option<&[bool]>,
+    ) {
+        match (self, ctx) {
+            (Layer::Gcn(l), Ctx::Gcn(c)) => {
+                l.backward_params(c, d_out, live);
+            }
+            (Layer::Sage(l), Ctx::Sage(c)) => {
+                l.backward_params(c, d_out, live);
+            }
+            (Layer::Gat(l), Ctx::Gat(c)) => {
+                l.backward_params(block, c, h_src, d_out, live);
+            }
             _ => panic!("layer/ctx architecture mismatch"),
         }
     }
@@ -152,18 +187,25 @@ impl Model {
         self.layers.len()
     }
 
-    /// Plain forward (no cache interaction).
+    /// Plain forward (no cache interaction, every row computed).
     pub fn forward(&self, mb: &MiniBatch, h0: Matrix) -> Trace {
-        self.forward_with(mb, h0, |_, _| {})
+        self.forward_with(mb, h0, None, |_, _| {})
     }
 
     /// Forward with a between-layer hook: after layer `l-1` produces
     /// `h[l]`, `hook(l, &mut h_l)` runs *before* `h[l]` feeds layer `l`.
     /// The FreshGNN trainer overrides cached nodes' rows here.
+    ///
+    /// `computed[b][v]` (the pruner's `PruneOutcome::computed`; `None` for
+    /// callers that do not prune) says which dst rows of block `b` the step
+    /// consumes: the others — cache-read rows the hook fills, and dead
+    /// subtrees nothing live references — are neither aggregated nor
+    /// transformed, and hold no meaningful value in `h[b+1]`.
     pub fn forward_with(
         &self,
         mb: &MiniBatch,
         h0: Matrix,
+        computed: Option<&[Vec<bool>]>,
         mut hook: impl FnMut(usize, &mut Matrix),
     ) -> Trace {
         assert_eq!(
@@ -175,7 +217,8 @@ impl Model {
         let mut ctx = Vec::with_capacity(self.num_layers());
         h.push(h0);
         for (l, layer) in self.layers.iter().enumerate() {
-            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l]);
+            let live = computed.map(|c| &c[l][..]);
+            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l], live);
             hook(l + 1, &mut out);
             h.push(out);
             ctx.push(c);
@@ -183,9 +226,9 @@ impl Model {
         Trace { h, ctx }
     }
 
-    /// Plain backward; returns the gradient w.r.t. `h[0]` (input features).
-    pub fn backward(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) -> Matrix {
-        self.backward_with(mb, trace, d_top, |_, _| {})
+    /// Plain backward: accumulates every parameter gradient.
+    pub fn backward(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) {
+        self.backward_with(mb, trace, d_top, None, |_, _| {})
     }
 
     /// Backward with a per-level gradient hook: `hook(l, &mut d)` fires
@@ -195,18 +238,48 @@ impl Model {
     ///
     /// The FreshGNN cache policy reads per-node gradient norms here and
     /// zeroes the rows of cache-read nodes (detach).
+    ///
+    /// `computed` must be what [`Model::forward_with`] was given. This is
+    /// the training path: it stops at the input layer's parameter gradients
+    /// and never forms the gradient w.r.t. `h[0]`, which no optimizer step
+    /// consumes ([`Model::backward_input_grad`] does).
     pub fn backward_with(
         &mut self,
         mb: &MiniBatch,
         trace: &Trace,
         d_top: Matrix,
+        computed: Option<&[Vec<bool>]>,
+        hook: impl FnMut(usize, &mut Matrix),
+    ) {
+        let d = self.backward_to_level_1(mb, trace, d_top, computed, hook);
+        let live = computed.map(|c| &c[0][..]);
+        self.layers[0].backward_params(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, live);
+    }
+
+    /// Plain backward that also returns the gradient w.r.t. `h[0]` (the raw
+    /// input features) — for gradient checking and probes, not training.
+    pub fn backward_input_grad(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) -> Matrix {
+        let d = self.backward_to_level_1(mb, trace, d_top, None, |_, _| {});
+        self.layers[0].backward(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, None)
+    }
+
+    /// Every layer above the input layer, hooks included: returns the
+    /// gradient w.r.t. `h[1]` as the level-1 hook left it.
+    fn backward_to_level_1(
+        &mut self,
+        mb: &MiniBatch,
+        trace: &Trace,
+        d_top: Matrix,
+        computed: Option<&[Vec<bool>]>,
         mut hook: impl FnMut(usize, &mut Matrix),
     ) -> Matrix {
         let mut d = d_top;
-        for l in (0..self.layers.len()).rev() {
+        for l in (1..self.layers.len()).rev() {
             hook(l + 1, &mut d);
-            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d);
+            let live = computed.map(|c| &c[l][..]);
+            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d, live);
         }
+        hook(1, &mut d);
         d
     }
 
@@ -288,14 +361,14 @@ mod tests {
         let trace = model.forward(&mb, h0);
         let d_top = Matrix::full(2, 3, 1.0);
         let mut levels = Vec::new();
-        model.backward_with(&mb, &trace, d_top, |l, _| levels.push(l));
+        model.backward_with(&mb, &trace, d_top, None, |l, _| levels.push(l));
         assert_eq!(levels, vec![2, 1]);
     }
 
     #[test]
     fn forward_hook_can_override_rows() {
         let (mb, h0, model) = toy_setup(Arch::Gcn);
-        let trace = model.forward_with(&mb, h0, |l, h| {
+        let trace = model.forward_with(&mb, h0, None, |l, h| {
             if l == 1 {
                 h.row_mut(0).iter_mut().for_each(|x| *x = 9.0);
             }

@@ -11,10 +11,13 @@
 //! — the R-GNN template of Schlichtkrull et al. with SAGE-style mean
 //! aggregation per relation, matching the paper's "R-GraphSAGE".
 
-use crate::layer::{Activation, Param};
+use crate::layer::{
+    debug_assert_dead_rows_zero, mean_neighbors_backward, mean_neighbors_into, Activation, Param,
+};
 use fgnn_graph::hetero::{HeteroBlock, HeteroGraph, HeteroMiniBatch};
 use fgnn_graph::Csr2;
-use fgnn_tensor::{ops, Matrix, Rng};
+use fgnn_tensor::ops::{self, is_live};
+use fgnn_tensor::{Matrix, Rng};
 
 /// One R-SAGE layer over all node types and relations.
 pub struct RSageLayer {
@@ -77,20 +80,23 @@ impl RSageLayer {
     }
 
     /// Forward over a typed block. `h_src[t]` has one row per src node of
-    /// type `t`. Returns per-type dst representations.
-    pub fn forward(&self, block: &HeteroBlock, h_src: &[Matrix]) -> (Vec<Matrix>, RSageCtx) {
+    /// type `t`. Returns per-type dst representations; only the dst rows
+    /// `live[t]` marks (`None` = all) are aggregated and transformed.
+    pub fn forward(
+        &self,
+        block: &HeteroBlock,
+        h_src: &[Matrix],
+        live: Option<&[Vec<bool>]>,
+    ) -> (Vec<Matrix>, RSageCtx) {
         let n_types = block.dst.len();
-        let out_dim = self.out_dim();
+        let live_of = |t: usize| live.map(|l| &l[t][..]);
 
         // Self term per type.
         let mut out: Vec<Matrix> = (0..n_types)
             .map(|t| {
-                let n_dst = block.dst[t].len();
-                if n_dst == 0 {
-                    return Matrix::zeros(0, out_dim);
-                }
-                let self_rows = h_src[t].gather_rows(&(0..n_dst).collect::<Vec<_>>());
-                let mut z = ops::matmul(&self_rows, &self.w_self[t].value).expect("rsage self");
+                let self_rows = self.self_rows(&h_src[t], block.dst[t].len(), live_of(t));
+                let mut z = ops::matmul_rows(&self_rows, &self.w_self[t].value, live_of(t))
+                    .expect("rsage self");
                 ops::add_bias(&mut z, self.bias[t].value.row(0));
                 z
             })
@@ -99,9 +105,10 @@ impl RSageLayer {
         // Relation terms.
         let mut rel_agg = Vec::with_capacity(self.rel_types.len());
         for (r, &(src_t, dst_t)) in self.rel_types.iter().enumerate() {
-            let agg = mean_agg_rel(&block.rel_adj[r], &h_src[src_t], self.in_dim);
+            let agg = self.mean_agg_rel(&block.rel_adj[r], &h_src[src_t], live_of(dst_t));
             if agg.rows() > 0 {
-                let z = ops::matmul(&agg, &self.w_rel[r].value).expect("rsage rel");
+                let z = ops::matmul_rows(&agg, &self.w_rel[r].value, live_of(dst_t))
+                    .expect("rsage rel");
                 ops::add_assign(&mut out[dst_t], &z).expect("rsage rel add");
             }
             rel_agg.push(agg);
@@ -118,37 +125,78 @@ impl RSageLayer {
     }
 
     /// Backward; accumulates parameter grads, returns per-type `d_h_src`.
+    /// `live` must be what [`RSageLayer::forward`] was given.
     pub fn backward(
         &mut self,
         block: &HeteroBlock,
         ctx: &RSageCtx,
         h_src: &[Matrix],
         d_out: &[Matrix],
+        live: Option<&[Vec<bool>]>,
+    ) -> Vec<Matrix> {
+        let dz = self.backward_params(block, ctx, h_src, d_out, live);
+        let live_of = |t: usize| live.map(|l| &l[t][..]);
+
+        let mut d_h_src: Vec<Matrix> = (0..block.dst.len())
+            .map(|t| Matrix::zeros(block.src[t].len(), self.in_dim))
+            .collect();
+
+        // Self path.
+        for (t, d_h) in d_h_src.iter_mut().enumerate() {
+            let d_self = ops::matmul_a_bt_rows(&dz[t], &self.w_self[t].value, live_of(t))
+                .expect("rsage d_self");
+            for v in (0..d_self.rows()).filter(|&v| is_live(live_of(t), v)) {
+                for (x, &g) in d_h.row_mut(v).iter_mut().zip(d_self.row(v)) {
+                    *x += g;
+                }
+            }
+        }
+
+        // Relation paths.
+        for (r, &(src_t, dst_t)) in self.rel_types.iter().enumerate() {
+            if ctx.rel_agg[r].rows() == 0 {
+                continue;
+            }
+            let d_agg = ops::matmul_a_bt_rows(&dz[dst_t], &self.w_rel[r].value, live_of(dst_t))
+                .expect("rsage d_agg");
+            let adj = &block.rel_adj[r];
+            for v in (0..adj.num_nodes()).filter(|&v| is_live(live_of(dst_t), v)) {
+                mean_neighbors_backward(d_agg.row(v), adj.neighbors(v), &mut d_h_src[src_t]);
+            }
+        }
+
+        d_h_src
+    }
+
+    /// The parameter half of [`RSageLayer::backward`]: accumulates every
+    /// `dW`/`db` and returns the per-type pre-activation gradients `dz`. All
+    /// the input layer of a training step needs. Rows of `d_out[t]` that are
+    /// not live must be zero.
+    pub fn backward_params(
+        &mut self,
+        block: &HeteroBlock,
+        ctx: &RSageCtx,
+        h_src: &[Matrix],
+        d_out: &[Matrix],
+        live: Option<&[Vec<bool>]>,
     ) -> Vec<Matrix> {
         let n_types = block.dst.len();
-        let in_dim = self.in_dim;
+        let live_of = |t: usize| live.map(|l| &l[t][..]);
 
         // Activation backward per type.
         let dz: Vec<Matrix> = (0..n_types)
             .map(|t| {
+                debug_assert_dead_rows_zero(&d_out[t], live_of(t));
                 let mut d = d_out[t].clone();
                 self.act.backward_inplace(&mut d, &ctx.out[t]);
                 d
             })
             .collect();
 
-        let mut d_h_src: Vec<Matrix> = (0..n_types)
-            .map(|t| Matrix::zeros(block.src[t].len(), in_dim))
-            .collect();
-
         // Self path.
         for t in 0..n_types {
-            let n_dst = block.dst[t].len();
-            if n_dst == 0 {
-                continue;
-            }
-            let self_rows = h_src[t].gather_rows(&(0..n_dst).collect::<Vec<_>>());
-            let dw = ops::matmul_at_b(&self_rows, &dz[t]).expect("rsage dW_self");
+            let self_rows = self.self_rows(&h_src[t], block.dst[t].len(), live_of(t));
+            let dw = ops::matmul_at_b_rows(&self_rows, &dz[t], live_of(t)).expect("rsage dW_self");
             ops::add_assign(&mut self.w_self[t].grad, &dw).expect("rsage dW_self acc");
             for (g, d) in self.bias[t]
                 .grad
@@ -158,28 +206,37 @@ impl RSageLayer {
             {
                 *g += d;
             }
-            let d_self = ops::matmul_a_bt(&dz[t], &self.w_self[t].value).expect("rsage d_self");
-            for v in 0..n_dst {
-                let dst = d_h_src[t].row_mut(v);
-                for (x, &g) in dst.iter_mut().zip(d_self.row(v)) {
-                    *x += g;
-                }
-            }
         }
 
         // Relation paths.
-        for (r, &(src_t, dst_t)) in self.rel_types.iter().enumerate() {
+        for (r, &(_, dst_t)) in self.rel_types.iter().enumerate() {
             let agg = &ctx.rel_agg[r];
             if agg.rows() == 0 {
                 continue;
             }
-            let dw = ops::matmul_at_b(agg, &dz[dst_t]).expect("rsage dW_rel");
+            let dw = ops::matmul_at_b_rows(agg, &dz[dst_t], live_of(dst_t)).expect("rsage dW_rel");
             ops::add_assign(&mut self.w_rel[r].grad, &dw).expect("rsage dW_rel acc");
-            let d_agg = ops::matmul_a_bt(&dz[dst_t], &self.w_rel[r].value).expect("rsage d_agg");
-            mean_agg_rel_backward(&block.rel_adj[r], &d_agg, &mut d_h_src[src_t]);
         }
+        dz
+    }
 
-        d_h_src
+    /// The first `n_dst` rows of `h` (a type's self rows: the src prefix),
+    /// live rows only — the others stay zero.
+    fn self_rows(&self, h: &Matrix, n_dst: usize, live: Option<&[bool]>) -> Matrix {
+        let mut out = Matrix::zeros(n_dst, self.in_dim);
+        for v in (0..n_dst).filter(|&v| is_live(live, v)) {
+            out.row_mut(v).copy_from_slice(h.row(v));
+        }
+        out
+    }
+
+    /// Mean aggregation over one relation's adjacency (rows = relation dst).
+    fn mean_agg_rel(&self, adj: &Csr2, h_src: &Matrix, live: Option<&[bool]>) -> Matrix {
+        let mut out = Matrix::zeros(adj.num_nodes(), self.in_dim);
+        for v in (0..adj.num_nodes()).filter(|&v| is_live(live, v)) {
+            mean_neighbors_into(out.row_mut(v), adj.neighbors(v), h_src);
+        }
+        out
     }
 
     /// Mutable parameter references (stable order).
@@ -189,46 +246,6 @@ impl RSageLayer {
             .chain(self.w_rel.iter_mut())
             .chain(self.bias.iter_mut())
             .collect()
-    }
-}
-
-/// Mean aggregation over one relation's adjacency (rows = relation dst).
-fn mean_agg_rel(adj: &Csr2, h_src: &Matrix, dim: usize) -> Matrix {
-    let mut out = Matrix::zeros(adj.num_nodes(), dim);
-    for v in 0..adj.num_nodes() {
-        let nbrs = adj.neighbors(v);
-        if nbrs.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / nbrs.len() as f32;
-        let row = out.row_mut(v);
-        for &u in nbrs {
-            for (x, &s) in row.iter_mut().zip(h_src.row(u as usize)) {
-                *x += s;
-            }
-        }
-        for x in row.iter_mut() {
-            *x *= inv;
-        }
-    }
-    out
-}
-
-/// Backward of [`mean_agg_rel`].
-fn mean_agg_rel_backward(adj: &Csr2, d_agg: &Matrix, d_h_src: &mut Matrix) {
-    for v in 0..adj.num_nodes() {
-        let nbrs = adj.neighbors(v);
-        if nbrs.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / nbrs.len() as f32;
-        let g = d_agg.row(v);
-        for &u in nbrs {
-            let dst = d_h_src.row_mut(u as usize);
-            for (x, &gv) in dst.iter_mut().zip(g) {
-                *x += inv * gv;
-            }
-        }
     }
 }
 
@@ -273,24 +290,28 @@ impl RSageModel {
     /// Forward over a typed mini-batch; `h0[t]` holds input features for
     /// the input block's src nodes of type `t`.
     pub fn forward(&self, mb: &HeteroMiniBatch, h0: Vec<Matrix>) -> RSageTrace {
-        self.forward_with(mb, h0, |_, _| {})
+        self.forward_with(mb, h0, None, |_, _| {})
     }
 
     /// Forward with a between-layer hook: `hook(level, &mut h_level)` runs
     /// on each level's per-type representations before they feed the next
     /// layer — the historical-cache override point, as in the homogeneous
-    /// [`crate::model::Model::forward_with`].
+    /// [`crate::model::Model::forward_with`]. `computed[b][t][v]` (`None`
+    /// for callers that do not prune) says which dst rows the step consumes;
+    /// the others are neither aggregated nor transformed.
     pub fn forward_with(
         &self,
         mb: &HeteroMiniBatch,
         h0: Vec<Matrix>,
+        computed: Option<&[Vec<Vec<bool>>]>,
         mut hook: impl FnMut(usize, &mut Vec<Matrix>),
     ) -> RSageTrace {
         assert_eq!(mb.blocks.len(), self.layers.len());
         let mut h = vec![h0];
         let mut ctx = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
-            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l]);
+            let live = computed.map(|c| &c[l][..]);
+            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l], live);
             hook(l + 1, &mut out);
             h.push(out);
             ctx.push(c);
@@ -305,20 +326,52 @@ impl RSageModel {
 
     /// Backward from `d_logits` on the target type.
     pub fn backward(&mut self, mb: &HeteroMiniBatch, trace: &RSageTrace, d_logits: Matrix) {
-        self.backward_with(mb, trace, d_logits, |_, _| {})
+        self.backward_with(mb, trace, d_logits, None, |_, _| {})
     }
 
     /// Backward with a per-level gradient hook: `hook(level, &mut d)`
     /// fires with the per-type gradients w.r.t. level `level` before they
     /// propagate through layer `level-1` — where the cache policy harvests
     /// gradient norms and detaches cache-read rows.
+    ///
+    /// `computed` must be what [`RSageModel::forward_with`] was given. This
+    /// is the training path: it stops at the input layer's parameter
+    /// gradients ([`RSageModel::backward_input_grad`] goes on to `h[0]`).
     pub fn backward_with(
         &mut self,
         mb: &HeteroMiniBatch,
         trace: &RSageTrace,
         d_logits: Matrix,
-        mut hook: impl FnMut(usize, &mut Vec<Matrix>),
+        computed: Option<&[Vec<Vec<bool>>]>,
+        hook: impl FnMut(usize, &mut Vec<Matrix>),
     ) {
+        let d = self.backward_to_level_1(mb, trace, d_logits, computed, hook);
+        let live = computed.map(|c| &c[0][..]);
+        self.layers[0].backward_params(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, live);
+    }
+
+    /// Plain backward that also returns the per-type gradients w.r.t. the
+    /// input features `h[0]` — for gradient checking, not training.
+    pub fn backward_input_grad(
+        &mut self,
+        mb: &HeteroMiniBatch,
+        trace: &RSageTrace,
+        d_logits: Matrix,
+    ) -> Vec<Matrix> {
+        let d = self.backward_to_level_1(mb, trace, d_logits, None, |_, _| {});
+        self.layers[0].backward(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, None)
+    }
+
+    /// Every layer above the input layer, hooks included: returns the
+    /// per-type gradients w.r.t. `h[1]` as the level-1 hook left them.
+    fn backward_to_level_1(
+        &mut self,
+        mb: &HeteroMiniBatch,
+        trace: &RSageTrace,
+        d_logits: Matrix,
+        computed: Option<&[Vec<Vec<bool>>]>,
+        mut hook: impl FnMut(usize, &mut Vec<Matrix>),
+    ) -> Vec<Matrix> {
         let n_types = mb.blocks[0].dst.len();
         let top = self.layers.len();
         let mut d: Vec<Matrix> = (0..n_types)
@@ -331,10 +384,13 @@ impl RSageModel {
                 }
             })
             .collect();
-        for l in (0..self.layers.len()).rev() {
+        for l in (1..self.layers.len()).rev() {
             hook(l + 1, &mut d);
-            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d);
+            let live = computed.map(|c| &c[l][..]);
+            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d, live);
         }
+        hook(1, &mut d);
+        d
     }
 
     /// Zero all parameter gradients.

@@ -3,32 +3,63 @@
 
 use crate::{Matrix, Result};
 
+fn shape_mismatch(a: &Matrix, b: &Matrix, op: &'static str) -> crate::TensorError {
+    crate::TensorError::ShapeMismatch {
+        lhs: a.shape(),
+        rhs: b.shape(),
+        op,
+    }
+}
+
+/// Whether `row` is switched on in a row mask; `None` means every row is.
+#[inline]
+pub fn is_live(live: Option<&[bool]>, row: usize) -> bool {
+    live.is_none_or(|l| l[row])
+}
+
 /// `C = A * B` (`m x k` times `k x n`).
 ///
-/// Blocked i-k-j loop: the inner loop is a contiguous AXPY over a row of `B`,
-/// which the compiler auto-vectorizes. This is the single hottest kernel in
-/// the workspace (every GNN layer is one or two of these), so it avoids all
-/// per-entry bounds checks by iterating slices.
+/// Unblocked i-k-j loop: the inner loop is a contiguous AXPY over a row of
+/// `B`, which the compiler auto-vectorizes. This is the single hottest kernel
+/// in the workspace (every GNN layer is one or two of these), so it avoids
+/// all per-entry bounds checks by iterating slices.
+///
+/// # Contract (shared by [`matmul_at_b`], [`matmul_a_bt`] and the `_rows` forms)
+///
+/// Every entry of `C` is bit-identical to the naive triple loop that starts
+/// its accumulator at `+0.0` and adds the products in ascending `p`, each
+/// product rounded before the add (no FMA, no reassociation, no blocking);
+/// the training path's byte-identical goldens rest on this. A term is
+/// skipped only where it is `±0.0` for finite operands — an entry of `A`
+/// that is zero, or a row the `live` mask switches off — which changes no
+/// bit because an accumulator that started at `+0.0` can never hold `-0.0`.
+///
+/// Non-finite operands: a skipped term contributes nothing, so `0·NaN` and
+/// `0·∞` yield no NaN where the zero is an entry of `A` or the row is masked;
+/// everywhere else NaN/∞ propagate as IEEE arithmetic has them. No caller
+/// relies on either: the NaN-injection hooks (`inject_nan_at`,
+/// `tests/chaos.rs`) overwrite a step's reported loss after its kernels have
+/// run, so no non-finite operand reaches a kernel on those paths.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    matmul_rows(a, b, None)
+}
+
+/// [`matmul`] over the rows of `A` that `live` marks (`None` = all): a row
+/// that is not live is left zero in `C`.
+pub fn matmul_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
     if a.cols() != b.rows() {
-        return Err(crate::TensorError::ShapeMismatch {
-            lhs: a.shape(),
-            rhs: b.shape(),
-            op: "matmul",
-        });
+        return Err(shape_mismatch(a, b, "matmul"));
     }
-    let (m, _k) = a.shape();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
+    let m = a.rows();
+    debug_assert!(live.is_none_or(|l| l.len() == m));
+    let mut c = Matrix::zeros(m, b.cols());
+    for i in (0..m).filter(|&i| is_live(live, i)) {
         let c_row = c.row_mut(i);
-        for (p, &a_ip) in a_row.iter().enumerate() {
+        for (p, &a_ip) in a.row(i).iter().enumerate() {
             if a_ip == 0.0 {
                 continue;
             }
-            let b_row = b.row(p);
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
+            for (c_v, &b_v) in c_row.iter_mut().zip(b.row(p)) {
                 *c_v += a_ip * b_v;
             }
         }
@@ -38,27 +69,27 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// `C = A^T * B` (`k x m`^T times `k x n` -> `m x n`).
 ///
-/// Used by weight gradients: `dW = H^T * dOut`.
+/// Used by weight gradients: `dW = H^T * dOut`. Bit-level contract and
+/// non-finite behaviour: see [`matmul`].
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    matmul_at_b_rows(a, b, None)
+}
+
+/// [`matmul_at_b`] contracting over the live rows of `A` and `B` only
+/// (`None` = all): exact whenever every skipped row of `B` is `±0.0`.
+pub fn matmul_at_b_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
     if a.rows() != b.rows() {
-        return Err(crate::TensorError::ShapeMismatch {
-            lhs: a.shape(),
-            rhs: b.shape(),
-            op: "matmul_at_b",
-        });
+        return Err(shape_mismatch(a, b, "matmul_at_b"));
     }
-    let m = a.cols();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for p in 0..a.rows() {
-        let a_row = a.row(p);
+    debug_assert!(live.is_none_or(|l| l.len() == a.rows()));
+    let mut c = Matrix::zeros(a.cols(), b.cols());
+    for p in (0..a.rows()).filter(|&p| is_live(live, p)) {
         let b_row = b.row(p);
-        for (i, &a_pi) in a_row.iter().enumerate() {
+        for (i, &a_pi) in a.row(p).iter().enumerate() {
             if a_pi == 0.0 {
                 continue;
             }
-            let c_row = c.row_mut(i);
-            for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
+            for (c_v, &b_v) in c.row_mut(i).iter_mut().zip(b_row) {
                 *c_v += a_pi * b_v;
             }
         }
@@ -68,31 +99,21 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// `C = A * B^T` (`m x k` times `n x k`^T -> `m x n`).
 ///
-/// Used by input gradients: `dH = dOut * W^T`.
+/// Used by input gradients: `dH = dOut * W^T`. `B` (a weight, small next to
+/// `A`) is transposed once so the work is [`matmul`]'s vectorized AXPY loop
+/// rather than one scalar dot product per entry. Bit-level contract and
+/// non-finite behaviour: see [`matmul`].
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    matmul_a_bt_rows(a, b, None)
+}
+
+/// [`matmul_a_bt`] over the live rows of `A` only (`None` = all): a row that
+/// is not live is left zero in `C`.
+pub fn matmul_a_bt_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
     if a.cols() != b.cols() {
-        return Err(crate::TensorError::ShapeMismatch {
-            lhs: a.shape(),
-            rhs: b.shape(),
-            op: "matmul_a_bt",
-        });
+        return Err(shape_mismatch(a, b, "matmul_a_bt"));
     }
-    let m = a.rows();
-    let n = b.rows();
-    let mut c = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let c_row = c.row_mut(i);
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *c_v = acc;
-        }
-    }
-    Ok(c)
+    matmul_rows(a, &b.transpose(), live)
 }
 
 /// `A += B`.
@@ -158,40 +179,6 @@ pub fn column_sums(a: &Matrix) -> Vec<f32> {
         }
     }
     out
-}
-
-/// Horizontally concatenate `[a | b]` row by row.
-///
-/// GraphSAGE's update is `W * concat(h_v, mean_agg)`; this builds the concat.
-pub fn hconcat(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(crate::TensorError::ShapeMismatch {
-            lhs: a.shape(),
-            rhs: b.shape(),
-            op: "hconcat",
-        });
-    }
-    let cols = a.cols() + b.cols();
-    let mut out = Matrix::zeros(a.rows(), cols);
-    for r in 0..a.rows() {
-        let dst = out.row_mut(r);
-        dst[..a.cols()].copy_from_slice(a.row(r));
-        dst[a.cols()..].copy_from_slice(b.row(r));
-    }
-    Ok(out)
-}
-
-/// Split a matrix column-wise at `at`: inverse of [`hconcat`].
-pub fn hsplit(m: &Matrix, at: usize) -> (Matrix, Matrix) {
-    assert!(at <= m.cols(), "hsplit: split point beyond columns");
-    let mut left = Matrix::zeros(m.rows(), at);
-    let mut right = Matrix::zeros(m.rows(), m.cols() - at);
-    for r in 0..m.rows() {
-        let src = m.row(r);
-        left.row_mut(r).copy_from_slice(&src[..at]);
-        right.row_mut(r).copy_from_slice(&src[at..]);
-    }
-    (left, right)
 }
 
 /// Per-row L2 norms.
@@ -269,17 +256,6 @@ mod tests {
         assert_eq!(a.row(2), &[1.0, -1.0]);
         let sums = column_sums(&a);
         assert_eq!(sums, vec![3.0, -3.0]);
-    }
-
-    #[test]
-    fn hconcat_hsplit_inverse() {
-        let a = Matrix::from_fn(3, 2, |r, c| (r + c) as f32);
-        let b = Matrix::from_fn(3, 4, |r, c| (r * c) as f32);
-        let cat = hconcat(&a, &b).unwrap();
-        assert_eq!(cat.shape(), (3, 6));
-        let (l, r) = hsplit(&cat, 2);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
     }
 
     #[test]

@@ -17,6 +17,18 @@ fi
 cargo build --release --workspace
 cargo test -q --workspace
 
+# The wall-clock benchmark is a workspace of its own (perf/) that compiles
+# against crates/*: its gate — fmt, clippy, its tests, a smoke run of every
+# workload with its correctness checks — runs here so that an API change
+# breaks CI, not the next benchmark run.
+./perf/ci.sh
+
+# Bit-level contracts of the hot path at the elevated case count: the three
+# matmuls (and their row-masked forms) against the naive triple loop, and
+# the training-path backward (no input gradient, computed rows only)
+# against the full unmasked pass, all compared with to_bits.
+FGNN_PROP_CASES=256 cargo test -q --test kernel_bits --test backward_equivalence
+
 # Property and observability-invariant suites again at a higher case count
 # (FGNN_PROP_CASES overrides the in-tree default of 64), and the committed
 # golden trace must carry the current export schema version.

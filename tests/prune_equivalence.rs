@@ -96,9 +96,15 @@ fn pruned_forward_matches_unpruned_forward_with_overrides() {
             }
         }
 
-        let t_pruned =
-            model.forward_with(&pruned, h0.clone(), override_hook(&outcome.cached, &cache));
-        let t_ref = model.forward_with(&mb, h0, override_hook(&outcome.cached, &cache));
+        // The pruned pass also skips the rows the pruner did not mark
+        // computed, as the trainer does; the reference computes every row.
+        let t_pruned = model.forward_with(
+            &pruned,
+            h0.clone(),
+            Some(&outcome.computed),
+            override_hook(&outcome.cached, &cache),
+        );
+        let t_ref = model.forward_with(&mb, h0, None, override_hook(&outcome.cached, &cache));
 
         let out_p = t_pruned.h.last().unwrap();
         let out_r = t_ref.h.last().unwrap();
