@@ -18,7 +18,6 @@
 //! (GraphFM-OB also corrects boundary estimates in-batch; we reproduce the
 //! momentum mechanism, which drives its accuracy behaviour at scale.)
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::obs::Obs;
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
 use fgnn_graph::partition::{partition_ldg, Partitioning};
@@ -145,66 +144,6 @@ impl GasTrainer {
     /// Completed epochs so far.
     pub fn epochs(&self) -> u32 {
         self.epoch
-    }
-
-    /// Capture the trainable state — model parameters, optimizer moments,
-    /// RNG, epoch cursor, traffic ledger. The `O(Lnd)` history is *not*
-    /// captured (it is exactly the storage GAS's design cannot bound, the
-    /// paper's point); [`GasTrainer::restore`] therefore always resumes
-    /// with zeroed histories and reports the degradation, mirroring the
-    /// main trainer's cold-cache semantics.
-    pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
-            arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: 0,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: None,
-            cache_degraded: false,
-        }
-    }
-
-    /// Restore from a checkpoint taken by an identically-configured GAS
-    /// trainer. Always returns `Ok(true)`: core state is exact but the
-    /// histories restart cold (see [`GasTrainer::checkpoint`]).
-    pub fn restore(
-        &mut self,
-        ckpt: &Checkpoint,
-        opt: &mut dyn Optimizer,
-    ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
-        }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.counters = ckpt.counters.clone();
-        for h in &mut self.history {
-            h.as_mut_slice().iter_mut().for_each(|x| *x = 0.0);
-        }
-        Ok(true)
     }
 
     /// The paper's OOM criterion: GAS must hold `O(Lnd)` history. Returns

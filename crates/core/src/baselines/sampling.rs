@@ -5,7 +5,6 @@
 //! biased/sparser aggregations — the accuracy-vs-footprint tradeoff the
 //! paper contrasts FreshGNN against (see `exp_ext_sampling_families`).
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::obs::Obs;
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
 use fgnn_graph::block::{Block, MiniBatch};
@@ -112,56 +111,6 @@ impl SamplingBaselineTrainer {
     /// Completed epochs so far.
     pub fn epochs(&self) -> u32 {
         self.epoch
-    }
-
-    /// Capture the full trainable state (lossless: no cross-epoch caches).
-    pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
-        Checkpoint {
-            arch: self.model.arch,
-            dims: self.dims.clone(),
-            params: self.model.export_parameters(),
-            optimizer: opt.export_state(),
-            rng_state: self.rng.state(),
-            epoch: self.epoch,
-            iter: 0,
-            counters: self.counters.clone(),
-            static_resident: Vec::new(),
-            cache: None,
-            cache_degraded: false,
-        }
-    }
-
-    /// Restore from a checkpoint. Returns `Ok(false)`: nothing degrades.
-    pub fn restore(
-        &mut self,
-        ckpt: &Checkpoint,
-        opt: &mut dyn Optimizer,
-    ) -> Result<bool, CheckpointError> {
-        if ckpt.arch != self.model.arch {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint arch {} vs trainer {}",
-                ckpt.arch, self.model.arch
-            )));
-        }
-        if ckpt.dims != self.dims {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint dims {:?} vs trainer {:?}",
-                ckpt.dims, self.dims
-            )));
-        }
-        if ckpt.params.len() != self.model.num_parameters() {
-            return Err(CheckpointError::ShapeMismatch(format!(
-                "checkpoint has {} parameters, model has {}",
-                ckpt.params.len(),
-                self.model.num_parameters()
-            )));
-        }
-        self.model.import_parameters(&ckpt.params);
-        opt.import_state(ckpt.optimizer.clone());
-        self.rng = Rng::from_state(ckpt.rng_state);
-        self.epoch = ckpt.epoch;
-        self.counters = ckpt.counters.clone();
-        Ok(false)
     }
 
     /// Train one epoch through the pipeline engine. Layer-wise iterates

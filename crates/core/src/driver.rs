@@ -1,0 +1,795 @@
+//! The FreshGNN epoch driver.
+//!
+//! Algorithm 1 is one algorithm: the §7.6 heterogeneous extension changes
+//! what a mini-batch *is* (typed blocks, a relational model) but not the
+//! machinery around the per-batch step. [`Driver`] is that machinery, once:
+//! the training state, the fault / breaker / NaN-injection / chaos knobs,
+//! `checkpoint` / `restore`, batch planning, the epoch loop (the numeric
+//! guard is an `Option`, not a second loop), the rollback state machine of
+//! [`Driver::train_epoch_resilient`], post-epoch bookkeeping and
+//! cache-metric publication.
+//!
+//! A [`Workload`] supplies what genuinely differs: construction, sampling,
+//! the prune → load → forward → backward → cache-update → optim step, the
+//! overlapped-epoch body, evaluation and the checkpoint `arch` tag.
+//! [`crate::Trainer`] and [`crate::hetero_trainer::HeteroTrainer`] are the
+//! two instantiations.
+
+use crate::cache::{CachePolicy, HistoricalCache, PolicyInput};
+use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::config::FreshGnnConfig;
+use crate::error::FgnnError;
+use crate::obs::{MetricClass, Metrics, Obs};
+use crate::pipeline::{BatchOutput, Engine, EpochStats, PipelineCtx, StallPolicy};
+use crate::resilience::{HealthState, NumericFault, NumericGuard, Supervisor};
+use crate::runtime::{ChaosPolicy, RuntimeConfig};
+use crate::sampler::SampleError;
+use fgnn_graph::sample::split_batches;
+use fgnn_graph::NodeId;
+use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
+use fgnn_memsim::presets::Machine;
+use fgnn_memsim::stage::{StageKind, StageTimings};
+use fgnn_memsim::topology::Topology;
+use fgnn_memsim::TrafficCounters;
+use fgnn_nn::model::Arch;
+use fgnn_nn::Optimizer;
+use fgnn_tensor::{Matrix, Rng};
+use std::collections::BTreeSet;
+
+/// What differs between the homogeneous and the heterogeneous instance of
+/// Algorithm 1. The value itself holds the workload's own state (sampler,
+/// static feature cache, relation types, …); everything shared lives in
+/// the [`Driver`].
+pub trait Workload: Sized {
+    /// The dataset trained on.
+    type Dataset;
+    /// The model under training.
+    type Model;
+    /// One sampled, not yet pruned mini-batch.
+    type Batch;
+
+    /// The `arch` tag a checkpoint of `model` carries.
+    fn arch(model: &Self::Model) -> Arch;
+    /// Total scalar parameter count of `model`.
+    fn num_parameters(model: &mut Self::Model) -> usize;
+    /// Flatten `model`'s parameters (checkpointing).
+    fn export_parameters(model: &mut Self::Model) -> Vec<f32>;
+    /// Inverse of [`Workload::export_parameters`].
+    fn import_parameters(model: &mut Self::Model, flat: &[f32]);
+
+    /// The labeled training nodes an epoch is split over.
+    fn train_nodes(ds: &Self::Dataset) -> &[NodeId];
+
+    /// Sample an un-pruned mini-batch for `seeds`.
+    fn sample(
+        &mut self,
+        ds: &Self::Dataset,
+        seeds: &[NodeId],
+        fanouts: &[usize],
+        rng: &mut Rng,
+    ) -> Self::Batch;
+
+    /// The RNG iteration `iter`'s cache update hands to a randomized
+    /// [`CachePolicy`]. Rollback and resume replay a batch exactly only if
+    /// this is a function of checkpointed state: either a fork of `main`
+    /// (the trainer stream, checkpointed) or of a constant and `iter`.
+    fn policy_rng(&self, main: &mut Rng, iter: u32) -> Rng;
+
+    /// Steps 2–7 of Algorithm 1 on an already-sampled batch: prune, load,
+    /// forward, backward, cache update, optimizer step. The driver has
+    /// already set the cache's bypass flag for this batch and advances the
+    /// iteration cursor afterwards.
+    fn step(
+        stages: &mut Stages<'_, Self>,
+        ds: &Self::Dataset,
+        ctx: &mut PipelineCtx<'_>,
+        counters: &mut TrafficCounters,
+        mb: Self::Batch,
+        policy_rng: &mut Rng,
+        opt: &mut dyn Optimizer,
+    ) -> BatchOutput;
+
+    /// One epoch over `batches` with sampling overlapped under training:
+    /// schedule the sampling on `runtime`, seeded per batch from
+    /// `batch_seed`, and feed `Stages::train_sampled` in batch order.
+    fn run_overlapped(
+        driver: &mut Driver<Self>,
+        ds: &Self::Dataset,
+        batches: Vec<Vec<NodeId>>,
+        opt: &mut dyn Optimizer,
+        runtime: &RuntimeConfig,
+        batch_seed: u64,
+    ) -> Result<EpochStats, SampleError>;
+
+    /// Accuracy of `model` on `nodes` under the shared evaluation protocol
+    /// (plain sampling, no cache reads).
+    fn accuracy(
+        model: &Self::Model,
+        ds: &Self::Dataset,
+        nodes: &[NodeId],
+        fanouts: &[usize],
+        batch_size: usize,
+        rng: &mut Rng,
+    ) -> f64;
+
+    /// Residency bitmap of the workload's static feature cache, for the
+    /// checkpoint (empty when it has none).
+    fn static_resident(&self) -> Vec<bool> {
+        Vec::new()
+    }
+
+    /// Restore what [`Workload::static_resident`] captured.
+    fn restore_static(&mut self, _resident: &[bool]) -> Result<(), CheckpointError> {
+        Ok(())
+    }
+
+    /// Publish workload-owned counters (`cache.static.*`) next to the
+    /// driver's `cache.hist.*`.
+    fn publish_metrics(&self, _metrics: &mut Metrics) {}
+}
+
+/// The FreshGNN trainer, generic over its [`Workload`] (with `p_grad = 0`
+/// also the vanilla neighbor-sampling baseline and, via `LoadMode`, the
+/// DGL/PyG/PyTorch-Direct traffic configurations).
+pub struct Driver<W: Workload> {
+    /// The GNN under training.
+    pub model: W::Model,
+    /// Hyper-parameters.
+    pub cfg: FreshGnnConfig,
+    /// The historical embedding cache.
+    pub cache: HistoricalCache,
+    /// The admission/read/refresh policy governing the cache, built from
+    /// `cfg.policy` at construction (DESIGN.md §11).
+    pub(crate) policy: Box<dyn CachePolicy>,
+    /// Cumulative traffic/time ledger.
+    pub counters: TrafficCounters,
+    /// Simulated machine.
+    pub machine: Machine,
+    /// Cumulative per-stage attribution of `counters` (not checkpointed:
+    /// a resumed run restarts attribution while the ledger stays exact).
+    pub timings: StageTimings,
+    /// Observability state: sim-clock spans plus the metrics registry,
+    /// fed by the pipeline engine, the caches and the async sampler. Not
+    /// checkpointed — telemetry restarts on resume.
+    pub obs: Obs,
+    pub(crate) workload: W,
+    dims: Vec<usize>,
+    pub(crate) iter: u32,
+    epoch: u32,
+    pub(crate) rng: Rng,
+    /// Interconnect fault schedule; threaded through the per-epoch engine
+    /// so the fault RNG stream continues across epochs.
+    faults: FaultState,
+    /// Iterations whose reported loss is forced to NaN (chaos-test hook
+    /// for the numeric-health guard). Entries are consumed when they fire.
+    nan_iters: BTreeSet<u32>,
+    /// Seeded adversarial scheduling on the overlapped epoch's runtime
+    /// (`None` in production; the schedule-fuzzing suite turns it on).
+    sampler_chaos: Option<ChaosPolicy>,
+    /// Set by a degraded restore; consumed into the next epoch's stats.
+    degraded_resume: bool,
+}
+
+/// The model/cache side of a [`Driver`], borrowed apart from the side the
+/// engine drives (`Shell`) for the duration of an epoch and handed to
+/// [`Workload::step`].
+pub struct Stages<'s, W: Workload> {
+    pub(crate) model: &'s mut W::Model,
+    pub(crate) cache: &'s mut HistoricalCache,
+    pub(crate) policy: &'s dyn CachePolicy,
+    pub(crate) workload: &'s mut W,
+    pub(crate) cfg: &'s FreshGnnConfig,
+    pub(crate) dims: &'s [usize],
+    pub(crate) machine: &'s Machine,
+    pub(crate) iter: &'s mut u32,
+    rng: &'s mut Rng,
+}
+
+/// The engine side of a [`Driver`]: what [`Engine::run_epoch`] threads
+/// through an epoch, plus the NaN-injection set the guarded loop consumes.
+pub(crate) struct Shell<'s> {
+    pub(crate) topo: &'s Topology,
+    pub(crate) faults: &'s mut FaultState,
+    pub(crate) counters: &'s mut TrafficCounters,
+    pub(crate) obs: &'s mut Obs,
+    nan_iters: &'s mut BTreeSet<u32>,
+}
+
+impl<W: Workload> Stages<'_, W> {
+    /// One full iteration of Algorithm 1, sampling included (sync path).
+    fn train_batch(
+        &mut self,
+        ds: &W::Dataset,
+        ctx: &mut PipelineCtx<'_>,
+        counters: &mut TrafficCounters,
+        seeds: &[NodeId],
+        opt: &mut dyn Optimizer,
+    ) -> BatchOutput {
+        // 1. Sample (measured CPU time).
+        let mb = ctx.stage(StageKind::Sample, counters, |_, _| {
+            let mut sample_rng = self.rng.fork();
+            self.workload
+                .sample(ds, seeds, &self.cfg.fanouts, &mut sample_rng)
+        });
+        self.train_sampled(ds, ctx, counters, mb, opt)
+    }
+
+    /// Steps 2–7 of Algorithm 1 on an already-sampled mini-batch (shared
+    /// by the synchronous and overlapped paths).
+    pub(crate) fn train_sampled(
+        &mut self,
+        ds: &W::Dataset,
+        ctx: &mut PipelineCtx<'_>,
+        counters: &mut TrafficCounters,
+        mb: W::Batch,
+        opt: &mut dyn Optimizer,
+    ) -> BatchOutput {
+        // Drawn whether or not any level has policy inputs, so the main
+        // RNG stream does not depend on the batch's content (bit-for-bit
+        // schedule stability).
+        let mut policy_rng = self.workload.policy_rng(self.rng, *self.iter);
+        // Degraded mode: with the circuit breaker open the interconnect is
+        // known bad, so stale cache reads are not worth trusting — bypass
+        // the ring cache for this batch (prune finds nothing, every needed
+        // row loads raw, no admissions).
+        let degraded = ctx.breaker_open();
+        self.cache.set_bypass(degraded);
+        let out = W::step(self, ds, ctx, counters, mb, &mut policy_rng, opt);
+        self.cache.set_bypass(false);
+        *self.iter += 1;
+        out.with_degraded(degraded)
+    }
+
+    /// Step 6, the cache update (Algorithm 1 line 20): each level's harvested
+    /// gradient norms become verdicts, applied against that level's fresh
+    /// embeddings `h(level)`. Levels that harvested nothing (level 0, an
+    /// uncached top level) are skipped.
+    pub(crate) fn update_cache<'h>(
+        &mut self,
+        policy_inputs: &[Vec<PolicyInput>],
+        policy_rng: &mut Rng,
+        h: impl Fn(usize) -> &'h Matrix,
+    ) {
+        let now = *self.iter;
+        for (level, inputs) in policy_inputs.iter().enumerate() {
+            if inputs.is_empty() {
+                continue;
+            }
+            let verdicts = self.policy.verdicts(inputs, self.cfg.p_grad, policy_rng);
+            self.cache.apply_verdicts(level, &verdicts, h(level), now);
+        }
+    }
+}
+
+/// The backward hook of one cached level: harvest the embedding-gradient
+/// norm of every in-batch destination in `dst` (computed fresh or read
+/// from the cache) as the policy's input, then detach — zero the cache-read
+/// rows of `d` so no gradient flows into their pruned subtrees.
+pub(crate) fn harvest_and_detach(
+    d: &mut Matrix,
+    dst: &[NodeId],
+    computed: &[bool],
+    cached: &[(u32, u32)],
+) -> Vec<PolicyInput> {
+    let mut is_cached = vec![false; dst.len()];
+    for &(local, _) in cached {
+        is_cached[local as usize] = true;
+    }
+    let mut inputs = Vec::new();
+    for (v, &node) in dst.iter().enumerate() {
+        if !(computed[v] || is_cached[v]) {
+            continue;
+        }
+        inputs.push(PolicyInput {
+            node,
+            local: v as u32,
+            grad_norm: d.row(v).iter().map(|&x| x * x).sum::<f32>().sqrt(),
+            was_cached: is_cached[v],
+        });
+    }
+    for &(local, _) in cached {
+        d.row_mut(local as usize).fill(0.0);
+    }
+    inputs
+}
+
+impl<W: Workload> Driver<W> {
+    /// Shared construction: layer dimensions `[in_dim, hidden.., classes]`
+    /// (depth = `cfg.fanouts.len()`), the seeded RNG, the model and
+    /// workload state `build` makes from them, and a cold cache over
+    /// `cache_nodes` nodes under `cfg`'s policy.
+    pub(crate) fn assemble(
+        cfg: FreshGnnConfig,
+        machine: Machine,
+        seed: u64,
+        cache_nodes: usize,
+        (in_dim, hidden, classes): (usize, usize, usize),
+        build: impl FnOnce(&FreshGnnConfig, &[usize], &mut Rng) -> (W::Model, W),
+    ) -> Self {
+        cfg.validate().expect("invalid config");
+        let mut rng = Rng::new(seed);
+        let num_layers = cfg.num_layers();
+        let mut dims = Vec::with_capacity(num_layers + 1);
+        dims.push(in_dim);
+        for _ in 1..num_layers {
+            dims.push(hidden);
+        }
+        dims.push(classes);
+        let (model, workload) = build(&cfg, &dims, &mut rng);
+
+        let policy = cfg.build_policy();
+        let mut cache = HistoricalCache::new(
+            cache_nodes,
+            &dims[1..],
+            cfg.t_stale,
+            cfg.cache_capacity,
+            cfg.cache_top_layer,
+            cfg.cache_enabled(),
+        );
+        if policy.wants_history() {
+            cache.enable_history();
+        }
+        Driver {
+            model,
+            cache,
+            policy,
+            counters: TrafficCounters::new(),
+            machine,
+            timings: StageTimings::new(),
+            obs: Obs::new(),
+            workload,
+            dims,
+            cfg,
+            iter: 0,
+            epoch: 0,
+            rng,
+            faults: FaultState::none(),
+            nan_iters: BTreeSet::new(),
+            sampler_chaos: None,
+            degraded_resume: false,
+        }
+    }
+
+    /// Inject interconnect faults: every subsequent epoch's transfers are
+    /// subjected to `plan` under `policy`. The plan's RNG stream persists
+    /// across epochs, so a full run is one deterministic fault schedule.
+    pub fn inject_faults(&mut self, plan: FaultPlan, policy: RetryPolicy) {
+        self.faults.inject(plan, policy);
+    }
+
+    /// Arm the interconnect circuit breaker under `policy`: repeated
+    /// budget-exhausted transfers trip it open, and while it is open the
+    /// pipeline runs batches in **degraded mode** (ring cache bypassed,
+    /// every needed row fetched raw) instead of burning retry time.
+    pub fn enable_breaker(&mut self, policy: BreakerPolicy) {
+        self.faults.arm_breaker(policy);
+    }
+
+    /// Force the loss reported at the given iterations to NaN (chaos-test
+    /// hook exercising the numeric-health guard and rollback path inside
+    /// [`Driver::train_epoch_resilient`]). Each entry fires once.
+    pub fn inject_nan_at(&mut self, iters: impl IntoIterator<Item = u32>) {
+        self.nan_iters.extend(iters);
+    }
+
+    /// Enable (or disable with `None`) seeded adversarial scheduling on
+    /// the work-stealing runtime under [`Driver::train_epoch_async`]:
+    /// forced steals, delayed pops and worker stalls, all drawn from the
+    /// policy's seed. Chaos perturbs only *where and when* batches are
+    /// sampled — the committed stream, losses and every `Exact` metric are
+    /// invariant to it (the schedule-fuzzing suite pins this).
+    pub fn set_sampler_chaos(&mut self, chaos: Option<ChaosPolicy>) {
+        self.sampler_chaos = chaos;
+    }
+
+    /// State of the interconnect circuit breaker, if one is armed.
+    pub fn breaker_state(&self) -> Option<BreakerState> {
+        self.faults.breaker_state()
+    }
+
+    /// Breaker lifetime statistics `(trips, fast_fails)`, if one is armed.
+    pub fn breaker_stats(&self) -> Option<(u64, u64)> {
+        self.faults
+            .breaker
+            .as_ref()
+            .map(|b| (b.trips, b.fast_fails))
+    }
+
+    /// Iterations executed so far.
+    pub fn iterations(&self) -> u32 {
+        self.iter
+    }
+
+    /// Completed epochs so far.
+    pub fn epochs(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Capture the full training state — model parameters, optimizer
+    /// moments, RNG, `(epoch, iteration)` cursor, traffic ledger and both
+    /// caches — as a [`Checkpoint`]. Restoring it (into this or a freshly
+    /// constructed identically-configured trainer) replays the exact
+    /// remaining batch stream.
+    pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
+        Checkpoint {
+            arch: W::arch(&self.model),
+            dims: self.dims.clone(),
+            params: W::export_parameters(&mut self.model),
+            optimizer: opt.export_state(),
+            rng_state: self.rng.state(),
+            epoch: self.epoch,
+            iter: self.iter,
+            counters: self.counters.clone(),
+            static_resident: self.workload.static_resident(),
+            cache: Some(self.cache.snapshot()),
+            cache_degraded: false,
+        }
+    }
+
+    /// Restore state from a checkpoint taken by an identically-configured
+    /// trainer (same dataset, arch, dims, config, optimizer type; a
+    /// workload whose [`Workload::policy_rng`] derives from the
+    /// construction seed — the heterogeneous one — also needs the same
+    /// seed to replay a randomized policy exactly).
+    ///
+    /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
+    /// historical-cache segment was missing, corrupt, or incompatible, and
+    /// training resumed with an empty (cold) cache — correct, just slower
+    /// to re-warm. The degradation is also recorded in the next epoch's
+    /// [`EpochStats::cache_degraded`]. Core-state mismatches are hard
+    /// [`CheckpointError::ShapeMismatch`] errors.
+    pub fn restore(
+        &mut self,
+        ckpt: &Checkpoint,
+        opt: &mut dyn Optimizer,
+    ) -> Result<bool, CheckpointError> {
+        let arch = W::arch(&self.model);
+        if ckpt.arch != arch {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "checkpoint arch {} vs trainer {arch}",
+                ckpt.arch
+            )));
+        }
+        if ckpt.dims != self.dims {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "checkpoint dims {:?} vs trainer {:?}",
+                ckpt.dims, self.dims
+            )));
+        }
+        let num_parameters = W::num_parameters(&mut self.model);
+        if ckpt.params.len() != num_parameters {
+            return Err(CheckpointError::ShapeMismatch(format!(
+                "checkpoint has {} parameters, model has {num_parameters}",
+                ckpt.params.len()
+            )));
+        }
+        self.workload.restore_static(&ckpt.static_resident)?;
+        W::import_parameters(&mut self.model, &ckpt.params);
+        opt.import_state(ckpt.optimizer.clone());
+        self.rng = Rng::from_state(ckpt.rng_state);
+        self.epoch = ckpt.epoch;
+        self.iter = ckpt.iter;
+        self.counters = ckpt.counters.clone();
+        let mut degraded = ckpt.cache_degraded;
+        let restored = match &ckpt.cache {
+            Some(snapshot) => self.cache.restore(snapshot.clone()).is_ok(),
+            None => false,
+        };
+        if !restored {
+            // Graceful degradation: resume correct but cold.
+            self.cache.clear();
+            degraded = true;
+        } else {
+            // The snapshot may have been taken from a cache that ran past
+            // the checkpoint's iteration cursor (rollback, or a grafted
+            // segment). Future-stamped entries would look forever fresh
+            // (`age = now - stamp` saturates at 0) and silently violate
+            // the t_stale bound — evict them now.
+            self.cache.evict_newer_than(ckpt.iter);
+        }
+        self.degraded_resume = degraded;
+        // Align the metric baseline with the restored cache counters, so
+        // per-epoch metric deltas after resume match a never-interrupted
+        // run (restored absolutes, not stale pre-restore ones).
+        self.sync_cache_metrics();
+        Ok(degraded)
+    }
+
+    /// Plan one epoch's batch schedule: fork the shuffle RNG (advancing
+    /// the trainer's RNG stream exactly as [`Driver::train_epoch`] does)
+    /// and split the training nodes into shuffled batches.
+    ///
+    /// `train_epoch` is exactly `plan_epoch_batches` +
+    /// [`Driver::train_on_batches`] over the result — the cluster
+    /// trainer uses the split form to step one batch per BSP round while
+    /// staying bit-identical to a whole-epoch call.
+    pub fn plan_epoch_batches(&mut self, ds: &W::Dataset) -> Vec<Vec<NodeId>> {
+        let mut shuffle_rng = self.rng.fork();
+        split_batches(
+            W::train_nodes(ds),
+            self.cfg.batch_size,
+            Some(&mut shuffle_rng),
+        )
+    }
+
+    /// Train one epoch: shuffle the training nodes, split into batches,
+    /// run Algorithm 1 on each.
+    pub fn train_epoch(&mut self, ds: &W::Dataset, opt: &mut dyn Optimizer) -> EpochStats {
+        let batches = self.plan_epoch_batches(ds);
+        self.train_on_batches(ds, &batches, opt)
+    }
+
+    /// Train on an explicit batch schedule (used by the Fig 17 experiment
+    /// to feed two trainers identical batches).
+    pub fn train_on_batches(
+        &mut self,
+        ds: &W::Dataset,
+        batches: &[Vec<NodeId>],
+        opt: &mut dyn Optimizer,
+    ) -> EpochStats {
+        self.run_batches(ds, batches, opt, None).0
+    }
+
+    /// Borrow the driver apart into the side the step works on and the
+    /// side the engine drives.
+    pub(crate) fn split(&mut self) -> (Stages<'_, W>, Shell<'_>) {
+        let stages = Stages {
+            model: &mut self.model,
+            cache: &mut self.cache,
+            policy: &*self.policy,
+            workload: &mut self.workload,
+            cfg: &self.cfg,
+            dims: &self.dims,
+            machine: &self.machine,
+            iter: &mut self.iter,
+            rng: &mut self.rng,
+        };
+        let shell = Shell {
+            topo: &self.machine.topology,
+            faults: &mut self.faults,
+            counters: &mut self.counters,
+            obs: &mut self.obs,
+            nan_iters: &mut self.nan_iters,
+        };
+        (stages, shell)
+    }
+
+    /// The synchronous epoch loop. With a `guard`, every batch loss (after
+    /// NaN injection) is fed through it; once it trips, the remaining
+    /// batches are skipped (no further parameter updates on a known-bad
+    /// trajectory) and the fault is returned alongside the partial epoch's
+    /// stats.
+    fn run_batches(
+        &mut self,
+        ds: &W::Dataset,
+        batches: &[Vec<NodeId>],
+        opt: &mut dyn Optimizer,
+        mut guard: Option<&mut NumericGuard>,
+    ) -> (EpochStats, Option<NumericFault>) {
+        let (mut stages, shell) = self.split();
+        let nan_iters = shell.nan_iters;
+        let mut fault: Option<NumericFault> = None;
+        let result = Engine::run_epoch(
+            shell.topo,
+            shell.faults,
+            shell.counters,
+            shell.obs,
+            StallPolicy::Free,
+            batches.iter().map(Ok::<_, std::convert::Infallible>),
+            |ctx, counters, seeds| {
+                if fault.is_some() {
+                    return None;
+                }
+                let it = *stages.iter;
+                let mut out = stages.train_batch(ds, ctx, counters, seeds, opt);
+                if let Some(guard) = guard.as_deref_mut() {
+                    // Unconsumed injections stay armed for later iterations.
+                    if nan_iters.remove(&it) {
+                        out.loss = f32::NAN;
+                    }
+                    if let Some(f) = guard.observe(it, out.loss) {
+                        fault = Some(f);
+                        // The faulty loss must not poison the epoch mean.
+                        return None;
+                    }
+                }
+                Some(out)
+            },
+        );
+        let Ok(mut stats) = result; // an in-memory schedule cannot fail
+        self.finish_epoch(&mut stats);
+        (stats, fault)
+    }
+
+    /// Train one epoch under the health supervisor: every batch loss is
+    /// fed through `sup`'s [`NumericGuard`], and a tripped guard (NaN/Inf
+    /// loss, or a loss spike past the z-score threshold) aborts the epoch,
+    /// rolls the trainer back to the supervisor's last-known-good baseline
+    /// checkpoint and replays it. The rollback restores the RNG, so the
+    /// replay walks the exact same batch schedule; restoring also evicts
+    /// ring-cache entries stamped after the baseline iteration, keeping
+    /// the `t_stale` bound intact across the rewind.
+    ///
+    /// State machine: a fault moves the supervisor `→ Degraded`, the
+    /// rollback `→ Recovering`, and the first clean epoch `→ Healthy`
+    /// (which also refreshes the baseline). If the circuit breaker is open
+    /// after a clean epoch the supervisor parks in `Degraded` instead and
+    /// the baseline is left alone.
+    ///
+    /// Errors with [`FgnnError::Numeric`] once `sup`'s rollback budget is
+    /// exhausted (a deterministic divergence replays identically, so
+    /// retrying forever would livelock).
+    pub fn train_epoch_resilient(
+        &mut self,
+        ds: &W::Dataset,
+        opt: &mut dyn Optimizer,
+        sup: &mut Supervisor,
+    ) -> Result<EpochStats, FgnnError> {
+        if !sup.has_baseline() {
+            sup.set_baseline(self.checkpoint(opt));
+        }
+        loop {
+            let batches = self.plan_epoch_batches(ds);
+            let (stats, fault) = self.run_batches(ds, &batches, opt, Some(&mut sup.guard));
+            let Some(fault) = fault else {
+                let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
+                let (state, cause) = if breaker_open || stats.degraded_batches > 0 {
+                    (HealthState::Degraded, "breaker-open")
+                } else {
+                    (HealthState::Healthy, "epoch-clean")
+                };
+                sup.transition(state, self.iter, self.epoch, cause, &mut self.obs);
+                if state == HealthState::Healthy {
+                    sup.set_baseline(self.checkpoint(opt));
+                }
+                return Ok(stats);
+            };
+            sup.transition(
+                HealthState::Degraded,
+                fault.iter(),
+                self.epoch,
+                fault.cause(),
+                &mut self.obs,
+            );
+            if !sup.can_roll_back() {
+                return Err(FgnnError::Numeric(format!(
+                    "rollback budget exhausted after {} rollbacks: {}",
+                    sup.rollbacks(),
+                    fault.cause()
+                )));
+            }
+            let ckpt = sup.baseline().cloned().ok_or_else(|| {
+                FgnnError::Numeric(format!("no baseline to roll back to: {}", fault.cause()))
+            })?;
+            self.restore(&ckpt, opt)?;
+            sup.record_rollback(&mut self.obs);
+            sup.transition(
+                HealthState::Recovering,
+                ckpt.iter,
+                self.epoch,
+                "rollback",
+                &mut self.obs,
+            );
+        }
+    }
+
+    /// Train one epoch with the **asynchronous pipeline** of §5: worker
+    /// threads sample un-pruned mini-batches ahead of time while this
+    /// thread prunes/loads/trains. Only the time the consumer actually
+    /// *stalls* waiting on the next batch is charged as sampling time —
+    /// with enough workers sampling fully overlaps training, which is the
+    /// paper's design goal.
+    ///
+    /// Deterministic: each batch's sampling RNG derives from the epoch's
+    /// batch seed and the batch index alone and batches are consumed in
+    /// index order, so losses, counters and every `Exact` metric are
+    /// byte-identical at any `num_threads` and across worker panics
+    /// recovered by re-sampling (`cfg.sampler_retries`). The stream differs
+    /// from [`Driver::train_epoch`]'s, which draws per-batch RNGs
+    /// sequentially from the trainer stream.
+    ///
+    /// Returns an error when a batch could not be produced even after
+    /// retries ([`SampleError::BatchPanicked`]) or the workers died
+    /// entirely ([`SampleError::WorkersLost`]) — a shortfall is never a
+    /// silent short epoch. Progress made before the failure (parameter
+    /// updates, cache admissions, counters) is kept; the caller decides
+    /// whether to retry the epoch or abort.
+    pub fn train_epoch_async(
+        &mut self,
+        ds: &W::Dataset,
+        opt: &mut dyn Optimizer,
+        num_threads: usize,
+        queue_capacity: usize,
+    ) -> Result<EpochStats, SampleError> {
+        let batches = self.plan_epoch_batches(ds);
+        self.train_on_batches_async(ds, &batches, opt, num_threads, queue_capacity)
+    }
+
+    /// Async-pipeline counterpart of [`Driver::train_on_batches`]: run the
+    /// overlapped sampler + pipeline over an explicit batch schedule.
+    /// `train_epoch_async` is [`Driver::plan_epoch_batches`] + this; the
+    /// cluster trainer calls it one batch per BSP round.
+    ///
+    /// Each call forks the trainer RNG once for the per-task batch seed,
+    /// so the same sequence of calls replays the same sampled stream.
+    pub fn train_on_batches_async(
+        &mut self,
+        ds: &W::Dataset,
+        batches: &[Vec<NodeId>],
+        opt: &mut dyn Optimizer,
+        num_threads: usize,
+        queue_capacity: usize,
+    ) -> Result<EpochStats, SampleError> {
+        let batch_seed = self.rng.fork().next_u64();
+        let runtime = RuntimeConfig {
+            workers: num_threads.max(1),
+            queue_capacity: queue_capacity.max(1),
+            max_retries: self.cfg.sampler_retries,
+            chaos: self.sampler_chaos,
+            ..RuntimeConfig::default()
+        };
+        let mut stats = W::run_overlapped(self, ds, batches.to_vec(), opt, &runtime, batch_seed)?;
+        self.finish_epoch(&mut stats);
+        Ok(stats)
+    }
+
+    /// Evaluate accuracy on `nodes` with plain sampling (no cache reads —
+    /// the paper reports accuracy from an uncached inference pass).
+    pub fn evaluate(&mut self, ds: &W::Dataset, nodes: &[NodeId], batch_size: usize) -> f64 {
+        let mut rng = self.rng.fork();
+        W::accuracy(
+            &self.model,
+            ds,
+            nodes,
+            &self.cfg.fanouts,
+            batch_size,
+            &mut rng,
+        )
+    }
+
+    /// Post-epoch bookkeeping shared by the sync and overlapped paths.
+    fn finish_epoch(&mut self, stats: &mut EpochStats) {
+        self.epoch += 1;
+        self.timings.merge(&stats.timings);
+        stats.cache_degraded = std::mem::take(&mut self.degraded_resume);
+        if stats.cache_degraded {
+            self.obs
+                .metrics
+                .counter_add("pipeline.cache_degraded_epochs", MetricClass::Exact, 1);
+        }
+        self.sync_cache_metrics();
+    }
+
+    /// Publish the caches' internal counters into the metrics registry.
+    /// Called after every epoch and after a restore (so that per-epoch
+    /// metric *deltas* line up between a fresh run and a resumed one —
+    /// the property `tests/checkpoint_resume.rs` pins).
+    fn sync_cache_metrics(&mut self) {
+        let stats = self.cache.stats();
+        let m = &mut self.obs.metrics;
+        let e = MetricClass::Exact;
+        m.counter_set("cache.hist.hits", e, stats.hits);
+        m.counter_set("cache.hist.misses", e, stats.misses);
+        m.counter_set("cache.hist.lookups", e, self.cache.lookups());
+        m.counter_set("cache.hist.admits", e, stats.admits);
+        m.counter_set("cache.hist.keeps", e, stats.keeps);
+        m.counter_set("cache.hist.grad_evictions", e, stats.grad_evictions);
+        m.counter_set("cache.hist.stale_evictions", e, stats.stale_evictions);
+        m.counter_set("cache.hist.overwrites", e, stats.overwrites);
+        m.counter_set(
+            "cache.policy.scheduled_refreshes",
+            e,
+            stats.scheduled_refreshes,
+        );
+        m.counter_set("cache.policy.weighted_reads", e, stats.weighted_reads);
+        m.counter_set("cache.policy.predicted_reads", e, stats.predicted_reads);
+        m.hist_set(
+            "cache.hist.hit_age_iters",
+            e,
+            self.cache.hit_age_histogram(),
+        );
+        m.gauge_set("cache.hist.resident_entries", e, self.cache.len() as f64);
+        m.gauge_set("cache.hist.bytes", e, self.cache.bytes() as f64);
+        self.workload.publish_metrics(m);
+    }
+}

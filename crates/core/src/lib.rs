@@ -32,13 +32,18 @@
 //! * [`obs`] — deterministic observability: a sim-clock span tracer plus
 //!   a metrics registry, fed by the pipeline, caches, sampler and
 //!   transfer engine, exported as JSONL / Chrome-trace JSON;
-//! * [`trainer`] — Algorithm 1: the mini-batch loop tying it together,
-//!   expressed as the full pipeline stage set;
+//! * [`driver`] — the one epoch driver around Algorithm 1's per-batch
+//!   step: training state, fault/breaker/NaN/chaos knobs, checkpoint and
+//!   restore, the (optionally guarded) epoch loop and the rollback state
+//!   machine, generic over a homogeneous or heterogeneous `Workload`;
+//! * [`trainer`] — Algorithm 1 on a homogeneous graph: the driver's
+//!   homogeneous workload, expressed as the full pipeline stage set;
 //! * [`baselines`] — neighbor sampling (DGL/PyG/PyTorch-Direct traffic
 //!   configurations), GAS, ClusterGCN, GraphFM;
 //! * [`multi_gpu`] — data-parallel training over simulated GPU topologies
 //!   (Fig 11);
-//! * [`hetero_trainer`] — the §7.6 R-GraphSAGE extension;
+//! * [`hetero_trainer`] — the §7.6 R-GraphSAGE extension: the driver's
+//!   heterogeneous workload;
 //! * [`serve`] — overload-robust online inference serving: seeded request
 //!   traces, admission control with load shedding, batching, and a
 //!   freshness-SLA degraded read path over the embedding cache;
@@ -63,6 +68,7 @@ pub mod chan;
 pub mod checkpoint;
 pub mod cluster;
 pub mod config;
+pub mod driver;
 pub mod error;
 pub mod hetero_trainer;
 pub mod loader;

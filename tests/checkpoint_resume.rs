@@ -3,12 +3,17 @@
 //! different construction seed, checkpoint round-tripped through disk)
 //! must produce bitwise-identical final parameters to the uninterrupted
 //! run — plus the corrupt-snapshot error paths and graceful cache
-//! degradation.
+//! degradation. The between-epochs, cache-eviction and shape-mismatch
+//! cases run over both workloads of the epoch driver.
 
+use freshgnn_repro::core::cache::PolicyKind;
 use freshgnn_repro::core::checkpoint::{Checkpoint, CheckpointError, MAGIC, VERSION};
+use freshgnn_repro::core::driver::{Driver, Workload};
+use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::export::metrics_jsonl;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
+use freshgnn_repro::graph::hetero::{mag_hetero, HeteroDataset};
 use freshgnn_repro::graph::sample::split_batches;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::presets::Machine;
@@ -35,6 +40,15 @@ fn new_trainer(ds: &Dataset, seed: u64) -> Trainer {
     Trainer::new(ds, Arch::Sage, 16, Machine::single_a100(), cfg(), seed)
 }
 
+fn tiny_hetero() -> HeteroDataset {
+    mag_hetero(400, 4, 8, 3)
+}
+
+fn new_hetero(ds: &HeteroDataset, policy: PolicyKind, seed: u64) -> HeteroTrainer {
+    let cfg = FreshGnnConfig { policy, ..cfg() };
+    HeteroTrainer::new(ds, 16, Machine::single_a100(), cfg, seed)
+}
+
 fn ckpt_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("fgnn_ckpt_integration");
     std::fs::create_dir_all(&dir).unwrap();
@@ -42,51 +56,87 @@ fn ckpt_dir() -> std::path::PathBuf {
 }
 
 /// The headline guarantee: kill after epoch 2 of 4, resume into a trainer
-/// built with a *different* seed, and the final parameters match the
+/// built with `resume_seed`, and the final parameters match the
 /// uninterrupted run bit for bit.
-#[test]
-fn kill_between_epochs_and_resume_is_bitwise_identical() {
-    let ds = tiny();
-
+fn assert_kill_between_epochs_resumes_bitwise<W: Workload>(
+    ds: &W::Dataset,
+    new_trainer: impl Fn(u64) -> Driver<W>,
+    resume_seed: u64,
+    file: &str,
+) {
     // Uninterrupted reference: 4 epochs.
-    let mut reference = new_trainer(&ds, 7);
+    let mut reference = new_trainer(7);
     let mut opt_ref = Adam::new(0.01);
     for _ in 0..4 {
-        reference.train_epoch(&ds, &mut opt_ref);
+        reference.train_epoch(ds, &mut opt_ref);
     }
-    let want = reference.model.export_parameters();
+    let want = W::export_parameters(&mut reference.model);
 
     // Interrupted run: 2 epochs, checkpoint through disk, "kill".
-    let path = ckpt_dir().join("between_epochs.ckpt");
+    let path = ckpt_dir().join(file);
     {
-        let mut first = new_trainer(&ds, 7);
+        let mut first = new_trainer(7);
         let mut opt = Adam::new(0.01);
-        first.train_epoch(&ds, &mut opt);
-        first.train_epoch(&ds, &mut opt);
+        first.train_epoch(ds, &mut opt);
+        first.train_epoch(ds, &mut opt);
         first.checkpoint(&opt).save(&path).expect("save");
         // `first` dropped here — nothing survives but the file.
     }
 
-    // Resume: differently-seeded trainer, fresh optimizer.
+    // Resume: fresh trainer, fresh optimizer.
     let ckpt = Checkpoint::load(&path).expect("load");
-    let mut resumed = new_trainer(&ds, 999);
+    let mut resumed = new_trainer(resume_seed);
     let mut opt = Adam::new(0.01);
     let degraded = resumed.restore(&ckpt, &mut opt).expect("restore");
     assert!(!degraded, "intact checkpoint must not degrade");
     assert_eq!(resumed.epochs(), 2);
     for _ in 0..2 {
-        resumed.train_epoch(&ds, &mut opt);
+        resumed.train_epoch(ds, &mut opt);
     }
 
-    let got = resumed.model.export_parameters();
+    let got = W::export_parameters(&mut resumed.model);
     assert_eq!(want.len(), got.len());
     let diffs = want
         .iter()
         .zip(&got)
         .filter(|(a, b)| a.to_bits() != b.to_bits())
         .count();
-    assert_eq!(diffs, 0, "{diffs} parameters differ after resume");
+    assert_eq!(diffs, 0, "{file}: {diffs} parameters differ after resume");
     std::fs::remove_file(&path).ok();
+}
+
+/// Both workloads, resumed into a *differently*-seeded trainer: the
+/// checkpoint alone carries the run.
+#[test]
+fn kill_between_epochs_and_resume_is_bitwise_identical() {
+    let ds = tiny();
+    assert_kill_between_epochs_resumes_bitwise(
+        &ds,
+        |seed| new_trainer(&ds, seed),
+        999,
+        "between_epochs.ckpt",
+    );
+    let hds = tiny_hetero();
+    assert_kill_between_epochs_resumes_bitwise(
+        &hds,
+        |seed| new_hetero(&hds, PolicyKind::Gradient, seed),
+        999,
+        "between_epochs_hetero.ckpt",
+    );
+}
+
+/// A randomized policy on the heterogeneous workload replays exactly too:
+/// its verdict stream is a function of `(seed, iteration)`, so the resumed
+/// trainer (same seed) draws what the uninterrupted run drew.
+#[test]
+fn hetero_random_policy_resume_is_bitwise_identical() {
+    let hds = tiny_hetero();
+    assert_kill_between_epochs_resumes_bitwise(
+        &hds,
+        |seed| new_hetero(&hds, PolicyKind::Random, seed),
+        7,
+        "between_epochs_hetero_random.ckpt",
+    );
 }
 
 /// Same guarantee mid-epoch: checkpoint after batch 4 of 8 (the caller
@@ -338,21 +388,22 @@ fn degraded_resume_stream_differs_only_in_degraded_counter() {
 /// A future-stamped entry would report `age = now - stamp = 0` forever and
 /// silently violate the `t_stale` bound — exactly the state a
 /// rollback-to-baseline would otherwise leave behind in a warm cache.
-#[test]
-fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
-    let ds = tiny();
-    let mut t = new_trainer(&ds, 15);
+fn assert_restore_evicts_future_stamped_entries<W: Workload>(
+    ds: &W::Dataset,
+    new_trainer: impl Fn(u64) -> Driver<W>,
+) {
+    let mut t = new_trainer(15);
     let mut opt = Adam::new(0.01);
-    t.train_epoch(&ds, &mut opt);
+    t.train_epoch(ds, &mut opt);
     let mut early = t.checkpoint(&opt); // iteration cursor at 1 epoch
-    t.train_epoch(&ds, &mut opt);
+    t.train_epoch(ds, &mut opt);
     let late = t.checkpoint(&opt); // cache stamped through epoch 2
 
     // Graft the ran-ahead cache onto the older checkpoint — the shape a
     // rollback restores: core state from the baseline, cache from a run
     // that continued past it.
     early.cache = late.cache.clone();
-    let mut grafted = new_trainer(&ds, 99);
+    let mut grafted = new_trainer(99);
     let mut o1 = Adam::new(0.01);
     grafted.restore(&early, &mut o1).expect("grafted restore");
 
@@ -364,7 +415,7 @@ fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
     );
     // …and the purge was real: a plain restore of the late checkpoint
     // holds strictly more live entries.
-    let mut full = new_trainer(&ds, 98);
+    let mut full = new_trainer(98);
     let mut o2 = Adam::new(0.01);
     full.restore(&late, &mut o2).expect("late restore");
     assert!(
@@ -373,6 +424,24 @@ fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
         grafted.cache.len(),
         full.cache.len()
     );
+}
+
+#[test]
+fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
+    let ds = tiny();
+    assert_restore_evicts_future_stamped_entries(&ds, |seed| new_trainer(&ds, seed));
+    let hds = tiny_hetero();
+    assert_restore_evicts_future_stamped_entries(&hds, |seed| {
+        new_hetero(&hds, PolicyKind::Gradient, seed)
+    });
+}
+
+fn assert_rejects<W: Workload>(mut wrong: Driver<W>, ckpt: &Checkpoint) {
+    let mut opt = Adam::new(0.01);
+    assert!(matches!(
+        wrong.restore(ckpt, &mut opt),
+        Err(CheckpointError::ShapeMismatch(_))
+    ));
 }
 
 /// A checkpoint from a differently-shaped trainer is rejected with
@@ -384,20 +453,30 @@ fn shape_mismatch_is_rejected() {
     let mut opt = Adam::new(0.01);
     t.train_epoch(&ds, &mut opt);
     let ckpt = t.checkpoint(&opt);
+    let machine = Machine::single_a100;
 
     // Different hidden width.
-    let mut wrong_width = Trainer::new(&ds, Arch::Sage, 32, Machine::single_a100(), cfg(), 1);
-    let mut opt2 = Adam::new(0.01);
-    assert!(matches!(
-        wrong_width.restore(&ckpt, &mut opt2),
-        Err(CheckpointError::ShapeMismatch(_))
-    ));
-
+    assert_rejects(
+        Trainer::new(&ds, Arch::Sage, 32, machine(), cfg(), 1),
+        &ckpt,
+    );
     // Different architecture.
-    let mut wrong_arch = Trainer::new(&ds, Arch::Gcn, 16, Machine::single_a100(), cfg(), 1);
-    let mut opt3 = Adam::new(0.01);
-    assert!(matches!(
-        wrong_arch.restore(&ckpt, &mut opt3),
-        Err(CheckpointError::ShapeMismatch(_))
-    ));
+    assert_rejects(Trainer::new(&ds, Arch::Gcn, 16, machine(), cfg(), 1), &ckpt);
+
+    let hds = tiny_hetero();
+    let mut h = new_hetero(&hds, PolicyKind::Gradient, 1);
+    let mut hopt = Adam::new(0.01);
+    h.train_epoch(&hds, &mut hopt);
+    let hckpt = h.checkpoint(&hopt);
+
+    // Different hidden width.
+    assert_rejects(HeteroTrainer::new(&hds, 32, machine(), cfg(), 1), &hckpt);
+    // A homogeneous checkpoint (same arch tag, other dims) into the
+    // relational model, and a GCN-tagged one.
+    assert_rejects(new_hetero(&hds, PolicyKind::Gradient, 1), &ckpt);
+    let mut gcn = Trainer::new(&ds, Arch::Gcn, 16, machine(), cfg(), 1);
+    assert_rejects(
+        new_hetero(&hds, PolicyKind::Gradient, 1),
+        &gcn.checkpoint(&opt),
+    );
 }

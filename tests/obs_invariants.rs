@@ -14,20 +14,24 @@
 //!    `hits + misses == lookups`, and the hit-age histogram has one
 //!    observation per hit.
 //!
-//! Checked against the FreshGNN sync trainer, GAS, ClusterGCN (every
-//! trainer runs through the same `pipeline::Engine`) and the async
-//! FreshGNN path (whose queue stalls add zero-duration sample spans).
+//! Checked against the FreshGNN sync trainer over both workloads, GAS,
+//! ClusterGCN (every trainer runs through the same `pipeline::Engine`) and
+//! the async FreshGNN path (whose queue stalls add zero-duration sample
+//! spans).
 
 mod common;
 
 use common::for_cases;
 use freshgnn_repro::core::baselines::{ClusterGcnTrainer, GasConfig, GasTrainer};
+use freshgnn_repro::core::driver::{Driver, Workload};
+use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::Span;
 use freshgnn_repro::core::serve::{
     generate_trace, serve_trace_jsonl, ServeConfig, ServeEngine, ServeReport,
 };
 use freshgnn_repro::core::{FreshGnnConfig, Obs, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
+use freshgnn_repro::graph::hetero::mag_hetero;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::memsim::stage::{StageKind, StageTimings};
@@ -109,7 +113,7 @@ fn check_span_invariants(obs: &Obs, timings: &StageTimings) {
 }
 
 /// The historical-cache metric reconciliation (FreshGNN trainers only).
-fn check_cache_metrics(t: &Trainer) {
+fn check_cache_metrics<W: Workload>(t: &Driver<W>) {
     let m = &t.obs.metrics;
     let hits = m.counter("cache.hist.hits").unwrap();
     let misses = m.counter("cache.hist.misses").unwrap();
@@ -120,11 +124,13 @@ fn check_cache_metrics(t: &Trainer) {
     let stats = t.cache.stats();
     assert_eq!(hits, stats.hits);
     assert_eq!(misses, stats.misses);
+    assert_eq!(m.counter("cache.hist.admits"), Some(stats.admits));
 }
 
 #[test]
 fn sync_trainer_spans_and_metrics_reconcile() {
     let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(8), 42);
+    let hetero_ds = mag_hetero(400, 4, 8, 3);
     for_cases("sync_trainer_spans_and_metrics_reconcile", |rng| {
         let cfg = FreshGnnConfig {
             p_grad: 0.5 + (rng.below(50) as f32) / 100.0,
@@ -138,7 +144,7 @@ fn sync_trainer_spans_and_metrics_reconcile() {
             Arch::Sage,
             8,
             Machine::single_a100(),
-            cfg,
+            cfg.clone(),
             rng.next_u64(),
         );
         let mut opt = Adam::new(0.01);
@@ -154,6 +160,15 @@ fn sync_trainer_spans_and_metrics_reconcile() {
             Some(epochs as u64)
         );
         assert_eq!(t.obs.metrics.counter("pipeline.batches"), Some(batches));
+
+        // The heterogeneous workload publishes through the same driver.
+        let mut h = HeteroTrainer::new(&hetero_ds, 8, Machine::single_a100(), cfg, rng.next_u64());
+        let mut opt = Adam::new(0.01);
+        for _ in 0..2 {
+            h.train_epoch(&hetero_ds, &mut opt);
+            check_cache_metrics(&h);
+        }
+        check_span_invariants(&h.obs, &h.timings);
     });
 }
 
