@@ -27,6 +27,7 @@ use fgnn_memsim::presets::Machine;
 use fgnn_memsim::stage::{StageKind, StageTimings};
 use fgnn_memsim::topology::Node;
 use fgnn_memsim::TrafficCounters;
+use fgnn_nn::layer::Scratch;
 use fgnn_nn::loss::softmax_cross_entropy;
 use fgnn_nn::model::{Arch, Model};
 use fgnn_nn::Optimizer;
@@ -274,7 +275,9 @@ impl<'t> GasStages<'_, '_> {
         let mut h_srcs = Vec::with_capacity(num_layers);
         ctx.stage(StageKind::Forward, counters, |engine, c| {
             for l in 0..num_layers {
-                let (h_dst, layer_ctx) = self.model.layers[l].forward(block, &h_src, None);
+                let mut h_dst = Matrix::default();
+                let mut layer_ctx = self.model.layers[l].new_ctx();
+                self.model.layers[l].forward(block, &h_src, None, &mut h_dst, &mut layer_ctx);
                 // Push fresh cluster rows into history[l] (charged).
                 push_rows(&mut self.history[l], cluster, &h_dst, self.cfg.momentum);
                 let level_bytes = (n_cluster * self.dims[l + 1] * 4) as u64;
@@ -320,8 +323,18 @@ impl<'t> GasStages<'_, '_> {
             d.scatter_add_rows(&sel, &d_sel);
 
             self.model.zero_grad();
+            let mut scratch = Scratch::default();
             for l in (1..num_layers).rev() {
-                let d_src = self.model.layers[l].backward(block, &traces[l], &h_srcs[l], &d, None);
+                let mut d_src = Matrix::default();
+                self.model.layers[l].backward(
+                    block,
+                    &traces[l],
+                    &h_srcs[l],
+                    &mut d,
+                    None,
+                    &mut scratch,
+                    &mut d_src,
+                );
                 // Boundary rows are history constants: truncate to cluster rows.
                 d = Matrix::from_vec(
                     n_cluster,
@@ -330,7 +343,13 @@ impl<'t> GasStages<'_, '_> {
                 );
             }
             // The input layer only owes its parameter gradients.
-            self.model.layers[0].backward_params(block, &traces[0], &h_srcs[0], &d, None);
+            self.model.layers[0].backward_params(
+                &traces[0],
+                &h_srcs[0],
+                &mut d,
+                None,
+                &mut scratch,
+            );
             loss
         });
 

@@ -47,6 +47,10 @@ pub trait Workload: Sized {
     type Model;
     /// One sampled, not yet pruned mini-batch.
     type Batch;
+    /// The model's forward state, reused from step to step.
+    type Trace: Default;
+    /// The model's backward buffers, reused from step to step.
+    type Grads: Default;
 
     /// The `arch` tag a checkpoint of `model` carries.
     fn arch(model: &Self::Model) -> Arch;
@@ -128,6 +132,37 @@ pub trait Workload: Sized {
     fn publish_metrics(&self, _metrics: &mut Metrics) {}
 }
 
+/// Every buffer a step fills that is worth keeping for the next one: the
+/// model's forward state (input features, per-layer outputs and contexts)
+/// and backward buffers, the seed labels, and the cache policy's inputs.
+/// The driver owns one for its lifetime; after the first epoch has seen the
+/// largest batch a step reshapes these instead of allocating.
+///
+/// Nothing here is state: every step overwrites what it reads, so a fresh
+/// workspace and a used one produce the same bits, and none of it is
+/// checkpointed.
+pub struct Workspace<W: Workload> {
+    pub(crate) trace: W::Trace,
+    pub(crate) grads: W::Grads,
+    pub(crate) labels: Vec<u16>,
+    /// Per level: the policy inputs the backward hook harvested.
+    pub(crate) policy_inputs: Vec<Vec<PolicyInput>>,
+    /// Scratch of [`harvest_and_detach`].
+    pub(crate) is_cached: Vec<bool>,
+}
+
+impl<W: Workload> Default for Workspace<W> {
+    fn default() -> Self {
+        Workspace {
+            trace: W::Trace::default(),
+            grads: W::Grads::default(),
+            labels: Vec::new(),
+            policy_inputs: Vec::new(),
+            is_cached: Vec::new(),
+        }
+    }
+}
+
 /// The FreshGNN trainer, generic over its [`Workload`] (with `p_grad = 0`
 /// also the vanilla neighbor-sampling baseline and, via `LoadMode`, the
 /// DGL/PyG/PyTorch-Direct traffic configurations).
@@ -153,6 +188,7 @@ pub struct Driver<W: Workload> {
     /// checkpointed — telemetry restarts on resume.
     pub obs: Obs,
     pub(crate) workload: W,
+    workspace: Workspace<W>,
     dims: Vec<usize>,
     pub(crate) iter: u32,
     epoch: u32,
@@ -178,6 +214,7 @@ pub struct Stages<'s, W: Workload> {
     pub(crate) cache: &'s mut HistoricalCache,
     pub(crate) policy: &'s dyn CachePolicy,
     pub(crate) workload: &'s mut W,
+    pub(crate) ws: &'s mut Workspace<W>,
     pub(crate) cfg: &'s FreshGnnConfig,
     pub(crate) dims: &'s [usize],
     pub(crate) machine: &'s Machine,
@@ -241,41 +278,51 @@ impl<W: Workload> Stages<'_, W> {
     }
 
     /// Step 6, the cache update (Algorithm 1 line 20): each level's harvested
-    /// gradient norms become verdicts, applied against that level's fresh
-    /// embeddings `h(level)`. Levels that harvested nothing (level 0, an
-    /// uncached top level) are skipped.
-    pub(crate) fn update_cache<'h>(
+    /// gradient norms (`ws.policy_inputs`) become verdicts, applied against
+    /// that level's fresh embeddings `h(trace, level)`. Levels that
+    /// harvested nothing (level 0, an uncached top level) are skipped.
+    pub(crate) fn update_cache(
         &mut self,
-        policy_inputs: &[Vec<PolicyInput>],
         policy_rng: &mut Rng,
-        h: impl Fn(usize) -> &'h Matrix,
+        h: impl Fn(&W::Trace, usize) -> &Matrix,
     ) {
         let now = *self.iter;
-        for (level, inputs) in policy_inputs.iter().enumerate() {
+        for (level, inputs) in self.ws.policy_inputs.iter().enumerate() {
             if inputs.is_empty() {
                 continue;
             }
             let verdicts = self.policy.verdicts(inputs, self.cfg.p_grad, policy_rng);
-            self.cache.apply_verdicts(level, &verdicts, h(level), now);
+            self.cache
+                .apply_verdicts(level, &verdicts, h(&self.ws.trace, level), now);
         }
     }
 }
 
-/// The backward hook of one cached level: harvest the embedding-gradient
-/// norm of every in-batch destination in `dst` (computed fresh or read
-/// from the cache) as the policy's input, then detach — zero the cache-read
-/// rows of `d` so no gradient flows into their pruned subtrees.
+/// Empty `policy_inputs` for a step over `num_levels` levels, keeping each
+/// level's allocation.
+pub(crate) fn reset_policy_inputs(policy_inputs: &mut Vec<Vec<PolicyInput>>, num_levels: usize) {
+    policy_inputs.resize_with(num_levels + 1, Vec::new);
+    policy_inputs.iter_mut().for_each(Vec::clear);
+}
+
+/// The backward hook of one cached level: harvest into `inputs` the
+/// embedding-gradient norm of every in-batch destination in `dst` (computed
+/// fresh or read from the cache) as the policy's input, then detach — zero
+/// the cache-read rows of `d` so no gradient flows into their pruned
+/// subtrees. `is_cached` is scratch.
 pub(crate) fn harvest_and_detach(
     d: &mut Matrix,
     dst: &[NodeId],
     computed: &[bool],
     cached: &[(u32, u32)],
-) -> Vec<PolicyInput> {
-    let mut is_cached = vec![false; dst.len()];
+    is_cached: &mut Vec<bool>,
+    inputs: &mut Vec<PolicyInput>,
+) {
+    is_cached.clear();
+    is_cached.resize(dst.len(), false);
     for &(local, _) in cached {
         is_cached[local as usize] = true;
     }
-    let mut inputs = Vec::new();
     for (v, &node) in dst.iter().enumerate() {
         if !(computed[v] || is_cached[v]) {
             continue;
@@ -290,7 +337,6 @@ pub(crate) fn harvest_and_detach(
     for &(local, _) in cached {
         d.row_mut(local as usize).fill(0.0);
     }
-    inputs
 }
 
 impl<W: Workload> Driver<W> {
@@ -338,6 +384,7 @@ impl<W: Workload> Driver<W> {
             timings: StageTimings::new(),
             obs: Obs::new(),
             workload,
+            workspace: Workspace::default(),
             dims,
             cfg,
             iter: 0,
@@ -538,6 +585,7 @@ impl<W: Workload> Driver<W> {
             cache: &mut self.cache,
             policy: &*self.policy,
             workload: &mut self.workload,
+            ws: &mut self.workspace,
             cfg: &self.cfg,
             dims: &self.dims,
             machine: &self.machine,
@@ -736,6 +784,11 @@ impl<W: Workload> Driver<W> {
     /// Evaluate accuracy on `nodes` with plain sampling (no cache reads —
     /// the paper reports accuracy from an uncached inference pass).
     pub fn evaluate(&mut self, ds: &W::Dataset, nodes: &[NodeId], batch_size: usize) -> f64 {
+        // Evaluation runs on buffers of its own, usually larger than a
+        // training step's: give the step's back first so the two do not add
+        // up in the heap's high-water mark. The next epoch's first batches
+        // re-grow them.
+        self.workspace = Workspace::default();
         let mut rng = self.rng.fork();
         W::accuracy(
             &self.model,

@@ -14,9 +14,9 @@
 //! too would be a straightforward extension; the paper's experiment only
 //! needs the target type, where gradient feedback exists every iteration.)
 
-use crate::cache::{CachePolicy, HistoricalCache, PolicyInput};
+use crate::cache::{CachePolicy, HistoricalCache};
 use crate::config::FreshGnnConfig;
-use crate::driver::{harvest_and_detach, Driver, Stages, Workload};
+use crate::driver::{harvest_and_detach, reset_policy_inputs, Driver, Stages, Workload, Workspace};
 use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
 use crate::runtime::RuntimeConfig;
 use crate::sampler::SampleError;
@@ -26,9 +26,9 @@ use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
 use fgnn_memsim::stage::StageKind;
 use fgnn_memsim::topology::Node;
 use fgnn_memsim::TrafficCounters;
-use fgnn_nn::loss::softmax_cross_entropy;
+use fgnn_nn::loss::softmax_cross_entropy_into;
 use fgnn_nn::model::Arch;
-use fgnn_nn::rsage::RSageModel;
+use fgnn_nn::rsage::{RSageGrads, RSageModel, RSageTrace};
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
 
@@ -85,6 +85,8 @@ impl Workload for Heterogeneous {
     type Dataset = HeteroDataset;
     type Model = RSageModel;
     type Batch = HeteroMiniBatch;
+    type Trace = RSageTrace;
+    type Grads = RSageGrads;
 
     /// R-GraphSAGE is the relational form of SAGE and has no own `Arch`
     /// variant.
@@ -153,16 +155,19 @@ impl Workload for Heterogeneous {
             )
         });
 
-        // Load per-type input features for surviving src nodes.
+        // Load per-type input features for surviving src nodes into the
+        // workspace's input matrices; a row that is not needed keeps whatever
+        // it held (the step reads no such row).
         let n_types = ds.graph.node_counts.len();
-        let h0 = ctx.stage(StageKind::Load, counters, |engine, c| {
-            let mut h0 = Vec::with_capacity(n_types);
+        ctx.stage(StageKind::Load, counters, |engine, c| {
+            let h0 = st.ws.trace.input_mut();
+            h0.resize_with(n_types, Matrix::default);
             let mut wire_bytes = 0u64;
             let mut saved_bytes = 0u64;
-            for t in 0..n_types {
+            for (t, m) in h0.iter_mut().enumerate() {
                 let row_bytes = (ds.features[t].cols() * 4) as u64;
                 let srcs = &mb.blocks[0].src[t];
-                let mut m = Matrix::zeros(srcs.len(), ds.features[t].cols());
+                m.resize(srcs.len(), ds.features[t].cols());
                 for (i, &g) in srcs.iter().enumerate() {
                     if outcome.needed_input[t][i] {
                         m.row_mut(i).copy_from_slice(ds.features[t].row(g as usize));
@@ -171,13 +176,11 @@ impl Workload for Heterogeneous {
                         saved_bytes += row_bytes;
                     }
                 }
-                h0.push(m);
             }
             if wire_bytes > 0 {
                 engine.one_sided_read(Node::Host, Node::Gpu(0), wire_bytes, c);
             }
             c.cache_hit_bytes += saved_bytes;
-            h0
         });
 
         // Forward with cache overrides on the target type (the policy
@@ -185,55 +188,64 @@ impl Workload for Heterogeneous {
         // model skips the rows the pruner did not mark computed, forward and
         // backward.
         let computed = Some(&outcome.computed[..]);
-        let trace = ctx.stage(StageKind::Forward, counters, |_engine, _c| {
+        ctx.stage(StageKind::Forward, counters, |_engine, _c| {
             let cache = &*st.cache;
             let policy = st.policy;
             let cached = &outcome.cached;
-            st.model.forward_with(&mb, h0, computed, |level, h| {
-                let b = level - 1;
-                if b < cached.len() {
-                    for &(local, slot) in &cached[b] {
-                        cache.read_into(
-                            level,
-                            slot,
-                            now,
-                            policy,
-                            h[target].row_mut(local as usize),
-                        );
+            st.model
+                .forward_into(&mb, &mut st.ws.trace, computed, |level, h| {
+                    let b = level - 1;
+                    if b < cached.len() {
+                        for &(local, slot) in &cached[b] {
+                            cache.read_into(
+                                level,
+                                slot,
+                                now,
+                                policy,
+                                h[target].row_mut(local as usize),
+                            );
+                        }
                     }
-                }
-            })
+                })
         });
 
         let num_levels = st.dims.len() - 1;
-        let (loss, policy_inputs) = ctx.stage(StageKind::Backward, counters, |_engine, _c| {
-            let logits = st.model.logits(&trace);
-            let labels: Vec<u16> = mb.seeds.iter().map(|&s| ds.labels[s as usize]).collect();
-            let (loss, d_logits) = softmax_cross_entropy(logits, &labels);
+        let loss = ctx.stage(StageKind::Backward, counters, |_engine, _c| {
+            let Workspace {
+                trace,
+                grads,
+                labels,
+                policy_inputs,
+                is_cached,
+            } = &mut *st.ws;
+            let logits = st.model.logits(trace);
+            labels.clear();
+            labels.extend(mb.seeds.iter().map(|&s| ds.labels[s as usize]));
+            let loss = softmax_cross_entropy_into(logits, labels, &mut grads.d_logits);
 
             st.model.zero_grad();
-            let mut policy_inputs: Vec<Vec<PolicyInput>> = vec![Vec::new(); num_levels + 1];
+            reset_policy_inputs(policy_inputs, num_levels);
             let cache_enabled = st.cfg.cache_enabled();
-            let inputs = &mut policy_inputs;
             let hook = |level: usize, d: &mut Vec<Matrix>| {
                 if !cache_enabled || level == num_levels {
                     return; // top level = seeds, never cached
                 }
                 let b = level - 1;
-                inputs[level] = harvest_and_detach(
+                harvest_and_detach(
                     &mut d[target],
                     &mb.blocks[b].dst[target],
                     &outcome.computed[b][target],
                     &outcome.cached[b],
+                    is_cached,
+                    &mut policy_inputs[level],
                 );
             };
-            st.model
-                .backward_with(&mb, &trace, d_logits, computed, hook);
-            (loss, policy_inputs)
+            st.model.backward_into(&mb, trace, grads, computed, hook);
+            loss
         });
 
         ctx.stage(StageKind::CacheUpdate, counters, |_engine, _c| {
-            st.update_cache(&policy_inputs, policy_rng, |level| &trace.h[level][target]);
+            st.update_cache(policy_rng, |trace, level| &trace.h[level][target]);
         });
 
         ctx.stage(StageKind::OptimStep, counters, |_engine, _c| {
@@ -409,7 +421,7 @@ pub fn prune_hetero_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::GradientPolicy;
+    use crate::cache::{GradientPolicy, PolicyInput};
     use fgnn_graph::hetero::mag_hetero;
     use fgnn_nn::Adam;
 

@@ -84,6 +84,26 @@ impl<'a> FeatureLoader<'a> {
         compute: Node,
         counters: &mut TrafficCounters,
     ) -> Result<Matrix, crate::error::FgnnError> {
+        let mut out = Matrix::zeros(nodes.len(), self.features.cols());
+        self.try_load_into(nodes, needed, engine, storage, compute, counters, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FeatureLoader::try_load`] into a reused buffer: `out` is reshaped to
+    /// one row per node and the needed rows overwritten. A row where
+    /// `needed` is false keeps whatever `out` held — the step reads no such
+    /// row — and moves no bytes.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_load_into(
+        &self,
+        nodes: &[NodeId],
+        needed: Option<&[bool]>,
+        engine: &mut TransferEngine,
+        storage: Node,
+        compute: Node,
+        counters: &mut TrafficCounters,
+        out: &mut Matrix,
+    ) -> Result<(), crate::error::FgnnError> {
         if let Some(mask) = needed {
             if mask.len() != nodes.len() {
                 return Err(crate::error::FgnnError::Load(format!(
@@ -99,8 +119,7 @@ impl<'a> FeatureLoader<'a> {
                 "node {bad} outside feature matrix with {num_rows} rows"
             )));
         }
-        let dim = self.features.cols();
-        let mut out = Matrix::zeros(nodes.len(), dim);
+        out.resize(nodes.len(), self.features.cols());
         let mut wire_rows: u64 = 0;
         let mut cached_rows: u64 = 0;
         for (i, &n) in nodes.iter().enumerate() {
@@ -129,7 +148,7 @@ impl<'a> FeatureLoader<'a> {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// For feature-partitioned multi-GPU training: bytes GPU `g` must pull

@@ -20,10 +20,10 @@
 //! 6. **update the cache**: bottom-`p_grad` gradient norms are admitted /
 //!    kept, the rest skipped / evicted; stale entries age out via the ring.
 
-use crate::cache::{PolicyInput, StaticFeatureCache};
+use crate::cache::StaticFeatureCache;
 use crate::checkpoint::CheckpointError;
 use crate::config::FreshGnnConfig;
-use crate::driver::{harvest_and_detach, Driver, Stages, Workload};
+use crate::driver::{harvest_and_detach, reset_policy_inputs, Driver, Stages, Workload, Workspace};
 use crate::loader::FeatureLoader;
 use crate::obs::{MetricClass, Metrics};
 use crate::pipeline::{BatchOutput, Engine, EvalHarness, PipelineCtx, StallPolicy};
@@ -37,8 +37,8 @@ use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
 use fgnn_memsim::stage::StageKind;
 use fgnn_memsim::topology::Node;
 use fgnn_memsim::TrafficCounters;
-use fgnn_nn::loss::softmax_cross_entropy;
-use fgnn_nn::model::{Arch, Model};
+use fgnn_nn::loss::softmax_cross_entropy_into;
+use fgnn_nn::model::{Arch, Grads, Model, Trace};
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
 
@@ -136,6 +136,8 @@ impl Workload for Homogeneous {
     type Dataset = Dataset;
     type Model = Model;
     type Batch = MiniBatch;
+    type Trace = Trace;
+    type Grads = Grads;
 
     fn arch(model: &Model) -> Arch {
         model.arch
@@ -191,9 +193,10 @@ impl Workload for Homogeneous {
             prune_with_cache_policy(&mut mb, st.cache, now, st.policy)
         });
 
-        // 3. Load surviving raw features (simulated transfer). The loader
-        // owns the static cache it consults, so lend it for the call.
-        let h0 = ctx.stage(StageKind::Load, counters, |engine, c| {
+        // 3. Load surviving raw features (simulated transfer) into the
+        // workspace's input matrix. The loader owns the static cache it
+        // consults, so lend it for the call.
+        ctx.stage(StageKind::Load, counters, |engine, c| {
             let static_cache = &mut st.workload.static_cache;
             let loader = FeatureLoader::new(
                 &ds.features,
@@ -201,21 +204,23 @@ impl Workload for Homogeneous {
                 std::mem::replace(static_cache, StaticFeatureCache::disabled(0)),
                 st.cfg.load_mode,
             );
-            let h0 = loader.load(
-                mb.input_nodes(),
-                Some(&outcome.needed_input),
-                engine,
-                Node::Host,
-                Node::Gpu(0),
-                c,
-            );
+            loader
+                .try_load_into(
+                    mb.input_nodes(),
+                    Some(&outcome.needed_input),
+                    engine,
+                    Node::Host,
+                    Node::Gpu(0),
+                    c,
+                    st.ws.trace.input_mut(),
+                )
+                .expect("feature load");
             *static_cache = loader.into_static_cache();
             // Cache-read embeddings and pruned subtrees save these bytes
             // (for the Fig 13 I/O-saving metric the baseline is "load
             // everything").
             let skipped = (mb.input_nodes().len() - outcome.num_inputs_needed()) as u64;
             c.cache_hit_bytes += skipped * ds.spec.feature_row_bytes() as u64;
-            h0
         });
 
         // 4. Forward, overriding cached rows between layers. The policy
@@ -223,51 +228,61 @@ impl Workload for Homogeneous {
         // extrapolation); under the baseline it is a plain copy. The model
         // skips the rows the pruner did not mark computed, here and in 5.
         let computed = Some(&outcome.computed[..]);
-        let trace = ctx.stage(StageKind::Forward, counters, |_, _| {
+        ctx.stage(StageKind::Forward, counters, |_, _| {
             let cache = &*st.cache;
             let policy = st.policy;
             let cached = &outcome.cached;
-            st.model.forward_with(&mb, h0, computed, |level, h| {
-                let b = level - 1;
-                if b < cached.len() {
-                    for &(local, slot) in &cached[b] {
-                        cache.read_into(level, slot, now, policy, h.row_mut(local as usize));
+            st.model
+                .forward_into(&mb, &mut st.ws.trace, computed, |level, h| {
+                    let b = level - 1;
+                    if b < cached.len() {
+                        for &(local, slot) in &cached[b] {
+                            cache.read_into(level, slot, now, policy, h.row_mut(local as usize));
+                        }
                     }
-                }
-            })
+                })
         });
 
         // 5. Loss + backward with gradient harvesting and detach.
         let num_levels = st.dims.len() - 1;
-        let (loss, policy_inputs) = ctx.stage(StageKind::Backward, counters, |_, _| {
+        let loss = ctx.stage(StageKind::Backward, counters, |_, _| {
+            let Workspace {
+                trace,
+                grads,
+                labels,
+                policy_inputs,
+                is_cached,
+            } = &mut *st.ws;
             let logits = trace.h.last().expect("at least one layer");
-            let labels: Vec<u16> = mb.seeds.iter().map(|&s| ds.labels[s as usize]).collect();
-            let (loss, d_top) = softmax_cross_entropy(logits, &labels);
+            labels.clear();
+            labels.extend(mb.seeds.iter().map(|&s| ds.labels[s as usize]));
+            let loss = softmax_cross_entropy_into(logits, labels, &mut grads.d_top);
 
             st.model.zero_grad();
-            let mut policy_inputs: Vec<Vec<PolicyInput>> = vec![Vec::new(); num_levels + 1];
+            reset_policy_inputs(policy_inputs, num_levels);
             let cache_enabled = st.cfg.cache_enabled();
             let cache_top = st.cfg.cache_top_layer;
-            let inputs = &mut policy_inputs;
             let hook = |level: usize, d: &mut Matrix| {
                 if !cache_enabled || (level == num_levels && !cache_top) {
                     return;
                 }
                 let b = level - 1;
-                inputs[level] = harvest_and_detach(
+                harvest_and_detach(
                     d,
                     &mb.blocks[b].dst_global,
                     &outcome.computed[b],
                     &outcome.cached[b],
+                    is_cached,
+                    &mut policy_inputs[level],
                 );
             };
-            st.model.backward_with(&mb, &trace, d_top, computed, hook);
-            (loss, policy_inputs)
+            st.model.backward_into(&mb, trace, grads, computed, hook);
+            loss
         });
 
         // 6. Cache update (Algorithm 1 line 20).
         ctx.stage(StageKind::CacheUpdate, counters, |_, _| {
-            st.update_cache(&policy_inputs, policy_rng, |level| &trace.h[level]);
+            st.update_cache(policy_rng, |trace, level| &trace.h[level]);
         });
 
         // 7. Optimizer step.

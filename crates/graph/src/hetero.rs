@@ -8,6 +8,7 @@
 //! applies unchanged: it caches the *target type*'s per-layer embeddings.
 
 use crate::mapper::NodeMapper;
+use crate::sample::sample_adjacency;
 use crate::{Csr, Csr2, NodeId};
 use fgnn_tensor::{Matrix, Rng};
 
@@ -80,6 +81,8 @@ pub struct HeteroMiniBatch {
 /// Fan-out sampler over typed relations.
 pub struct HeteroSampler {
     mappers: Vec<NodeMapper>,
+    /// Scratch for one destination's sampled neighbor positions.
+    picks: Vec<usize>,
 }
 
 impl HeteroSampler {
@@ -91,6 +94,7 @@ impl HeteroSampler {
                 .iter()
                 .map(|&n| NodeMapper::new(n))
                 .collect(),
+            picks: Vec::new(),
         }
     }
 
@@ -119,31 +123,24 @@ impl HeteroSampler {
                 }
             }
 
-            let mut rel_adj = Vec::with_capacity(graph.relations.len());
-            for rel in &graph.relations {
-                let dst_nodes = &dst[rel.dst_type];
-                let mut lists: Vec<Vec<NodeId>> = Vec::with_capacity(dst_nodes.len());
-                for &d in dst_nodes {
-                    let nbrs = rel.graph.neighbors(d);
-                    let mapper = &mut self.mappers[rel.src_type];
-                    let mut local = Vec::with_capacity(nbrs.len().min(fanout));
-                    if nbrs.len() <= fanout {
-                        for &u in nbrs {
-                            local.push(mapper.get_or_insert(u) as NodeId);
-                        }
-                    } else {
-                        for k in rng.sample_without_replacement(nbrs.len(), fanout) {
-                            local.push(mapper.get_or_insert(nbrs[k]) as NodeId);
-                        }
-                    }
-                    lists.push(local);
-                }
-                rel_adj.push(Csr2::from_neighbor_lists(&lists));
-            }
+            let rel_adj = graph
+                .relations
+                .iter()
+                .map(|rel| {
+                    sample_adjacency(
+                        &rel.graph,
+                        &dst[rel.dst_type],
+                        fanout,
+                        &mut self.mappers[rel.src_type],
+                        &mut self.picks,
+                        rng,
+                    )
+                })
+                .collect();
 
             let src: Vec<Vec<NodeId>> = self.mappers.iter().map(|m| m.globals().to_vec()).collect();
             blocks_rev.push(HeteroBlock {
-                dst: dst.clone(),
+                dst,
                 src: src.clone(),
                 rel_adj,
             });

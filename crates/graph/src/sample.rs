@@ -23,6 +23,8 @@ pub const FULL_NEIGHBORS: usize = usize::MAX;
 /// persistent node-ID mapping array on GPU.
 pub struct NeighborSampler {
     mapper: NodeMapper,
+    /// Scratch for one destination's sampled neighbor positions.
+    picks: Vec<usize>,
 }
 
 impl NeighborSampler {
@@ -30,6 +32,7 @@ impl NeighborSampler {
     pub fn new(num_nodes: usize) -> Self {
         NeighborSampler {
             mapper: NodeMapper::new(num_nodes),
+            picks: Vec::new(),
         }
     }
 
@@ -47,11 +50,9 @@ impl NeighborSampler {
     ) -> MiniBatch {
         assert!(!fanouts.is_empty(), "at least one layer required");
         let mut blocks_rev: Vec<Block> = Vec::with_capacity(fanouts.len());
-        let mut dst: Vec<NodeId> = seeds.to_vec();
-
         for &fanout in fanouts.iter().rev() {
-            let block = self.sample_one_layer(graph, &dst, fanout, rng);
-            dst = block.src_global.clone();
+            let dst = blocks_rev.last().map_or(seeds, |b| &b.src_global[..]);
+            let block = self.sample_one_layer(graph, dst, fanout, rng);
             blocks_rev.push(block);
         }
         blocks_rev.reverse();
@@ -76,32 +77,48 @@ impl NeighborSampler {
             self.mapper.get_or_insert(d);
         }
         debug_assert_eq!(self.mapper.len(), dst.len(), "duplicate seeds in dst");
-
-        let mut lists: Vec<Vec<NodeId>> = Vec::with_capacity(dst.len());
-        let mut scratch: Vec<usize> = Vec::new();
-        for &d in dst {
-            let nbrs = graph.neighbors(d);
-            let mut local = Vec::with_capacity(nbrs.len().min(fanout));
-            if nbrs.len() <= fanout {
-                for &u in nbrs {
-                    local.push(self.mapper.get_or_insert(u) as NodeId);
-                }
-            } else {
-                scratch.clear();
-                scratch.extend(rng.sample_without_replacement(nbrs.len(), fanout));
-                for &k in &scratch {
-                    local.push(self.mapper.get_or_insert(nbrs[k]) as NodeId);
-                }
-            }
-            lists.push(local);
-        }
-
+        let adj = sample_adjacency(graph, dst, fanout, &mut self.mapper, &mut self.picks, rng);
         Block {
             dst_global: dst.to_vec(),
             src_global: self.mapper.globals().to_vec(),
-            adj: Csr2::from_neighbor_lists(&lists),
+            adj,
         }
     }
+}
+
+/// Sample up to `fanout` in-neighbors of every node of `dst` in `graph`,
+/// writing their local IDs (assigned by `mapper`, which already holds the
+/// destinations) straight into the adjacency's flat index array: the block is
+/// built in place, three allocations whatever the node count. `picks` is
+/// scratch.
+pub(crate) fn sample_adjacency(
+    graph: &Csr,
+    dst: &[NodeId],
+    fanout: usize,
+    mapper: &mut NodeMapper,
+    picks: &mut Vec<usize>,
+    rng: &mut Rng,
+) -> Csr2 {
+    let edges = dst.iter().map(|&d| graph.degree(d).min(fanout)).sum();
+    let mut start = Vec::with_capacity(dst.len());
+    let mut end = Vec::with_capacity(dst.len());
+    let mut indices = Vec::with_capacity(edges);
+    for &d in dst {
+        let nbrs = graph.neighbors(d);
+        start.push(indices.len());
+        if nbrs.len() <= fanout {
+            indices.extend(nbrs.iter().map(|&u| mapper.get_or_insert(u) as NodeId));
+        } else {
+            rng.sample_without_replacement_into(nbrs.len(), fanout, picks);
+            indices.extend(
+                picks
+                    .iter()
+                    .map(|&k| mapper.get_or_insert(nbrs[k]) as NodeId),
+            );
+        }
+        end.push(indices.len());
+    }
+    Csr2::from_parts(start, end, indices)
 }
 
 /// Split `train_nodes` into mini-batches of `batch_size` after an optional

@@ -18,7 +18,7 @@
 //! through attention) at a fraction of the cost. Backward is checked
 //! against finite differences in `gradcheck` tests.
 
-use crate::layer::{debug_assert_dead_rows_zero, Activation, Param};
+use crate::layer::{debug_assert_dead_rows_zero, ActMask, Activation, Param, Scratch};
 use fgnn_graph::Block;
 use fgnn_tensor::{activation::leaky_relu_grad, ops, softmax, Matrix, Rng};
 
@@ -40,6 +40,7 @@ pub struct GatLayer {
 }
 
 /// Saved forward intermediates.
+#[derive(Clone, Debug, Default)]
 pub struct GatCtx {
     wh: Matrix,
     /// Src rows some live dst attends to (`None` = all): the rows of `wh`
@@ -53,7 +54,7 @@ pub struct GatCtx {
     raw: Vec<f32>,
     /// Post-softmax attention per edge.
     alpha: Vec<f32>,
-    out: Matrix,
+    mask: ActMask,
 }
 
 impl GatLayer {
@@ -78,18 +79,21 @@ impl GatLayer {
         self.weight.value.cols()
     }
 
-    /// Forward over a block. Returns `(h_dst, ctx)`; `W h_u` is computed
-    /// only for the src rows a `live` dst (`None` = all) attends to.
+    /// Forward over a block into `out` (reshaped to `num_dst x out_dim`,
+    /// every row written) and `ctx`; `W h_u` is computed only for the src
+    /// rows a `live` dst (`None` = all) attends to.
     pub fn forward(
         &self,
         block: &Block,
         h_src: &Matrix,
         live: Option<&[bool]>,
-    ) -> (Matrix, GatCtx) {
+        out: &mut Matrix,
+        ctx: &mut GatCtx,
+    ) {
         debug_assert_eq!(h_src.rows(), block.num_src());
         let out_dim = self.out_dim();
         let n_dst = block.num_dst();
-        let live_src = live.map(|live| {
+        ctx.live_src = live.map(|live| {
             let mut src = vec![false; block.num_src()];
             for v in (0..n_dst).filter(|&v| live[v]) {
                 src[v] = true;
@@ -99,7 +103,19 @@ impl GatLayer {
             }
             src
         });
-        let wh = ops::matmul_rows(h_src, &self.weight.value, live_src.as_deref()).expect("gat Wh");
+        // The attention below walks every dst row, so the rows of `wh` that
+        // are not computed must read as zero.
+        let GatCtx {
+            wh,
+            live_src,
+            seg,
+            edge_src,
+            raw,
+            alpha,
+            mask,
+        } = ctx;
+        wh.resize_zeroed(h_src.rows(), out_dim);
+        ops::matmul_rows_into(h_src, &self.weight.value, live_src.as_deref(), wh).expect("gat Wh");
 
         // Per-node attention halves.
         let a_src = self.attn_src.value.row(0);
@@ -107,8 +123,8 @@ impl GatLayer {
         let s_src: Vec<f32> = (0..wh.rows()).map(|u| dot(wh.row(u), a_src)).collect();
 
         // Build attention edge lists: self edge + sampled neighbors.
-        let mut seg = Vec::with_capacity(n_dst + 1);
-        let mut edge_src: Vec<u32> = Vec::new();
+        seg.clear();
+        edge_src.clear();
         seg.push(0);
         for v in 0..n_dst {
             edge_src.push(v as u32);
@@ -116,20 +132,21 @@ impl GatLayer {
             seg.push(edge_src.len());
         }
 
-        let mut raw = Vec::with_capacity(edge_src.len());
+        raw.clear();
         for v in 0..n_dst {
             let sv = dot(wh.row(v), a_dst);
             for &u in &edge_src[seg[v]..seg[v + 1]] {
                 raw.push(s_src[u as usize] + sv);
             }
         }
-        let mut alpha: Vec<f32> = raw
-            .iter()
-            .map(|&x| if x > 0.0 { x } else { LEAKY_SLOPE * x })
-            .collect();
-        softmax::segment_softmax_inplace(&mut alpha, &seg);
+        alpha.clear();
+        alpha.extend(
+            raw.iter()
+                .map(|&x| if x > 0.0 { x } else { LEAKY_SLOPE * x }),
+        );
+        softmax::segment_softmax_inplace(alpha, seg);
 
-        let mut out = Matrix::zeros(n_dst, out_dim);
+        out.resize_zeroed(n_dst, out_dim);
         for v in 0..n_dst {
             let row = out.row_mut(v);
             for e in seg[v]..seg[v + 1] {
@@ -140,67 +157,61 @@ impl GatLayer {
                 }
             }
         }
-        ops::add_bias(&mut out, self.bias.value.row(0));
-        self.act.forward_inplace(&mut out);
-
-        let ctx = GatCtx {
-            wh,
-            live_src,
-            seg,
-            edge_src,
-            raw,
-            alpha,
-            out: out.clone(),
-        };
-        (out, ctx)
+        ops::add_bias_rows(out, self.bias.value.row(0), None);
+        self.act.forward_rows(out, None, mask);
     }
 
-    /// Backward: accumulates parameter gradients, returns `d_h_src`.
+    /// Backward: accumulates parameter gradients and writes `d_h_src`
+    /// (reshaped to `num_src x in_dim`). `d_out` is consumed: it leaves as
+    /// the pre-activation gradient.
     ///
     /// `h_src` and `live` must be what [`GatLayer::forward`] was given
     /// (`h_src` for the weight gradient `dW = h_srcᵀ · d_Wh`).
     pub fn backward(
         &mut self,
-        block: &Block,
         ctx: &GatCtx,
         h_src: &Matrix,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         live: Option<&[bool]>,
-    ) -> Matrix {
-        let d_wh = self.backward_params(block, ctx, h_src, d_out, live);
-        ops::matmul_a_bt_rows(&d_wh, &self.weight.value, ctx.live_src.as_deref()).expect("gat d_h")
+        scratch: &mut Scratch,
+        d_h_src: &mut Matrix,
+    ) {
+        self.backward_params(ctx, h_src, d_out, live, &mut scratch.d_mid);
+        // Rows of `d_h_src` that are not live are zero, as its consumers
+        // expect of a gradient.
+        d_h_src.resize_zeroed(h_src.rows(), self.in_dim());
+        ops::matmul_a_bt_rows_into(
+            &scratch.d_mid,
+            &self.weight.value,
+            ctx.live_src.as_deref(),
+            &mut scratch.weight_t,
+            d_h_src,
+        )
+        .expect("gat d_h");
     }
 
-    /// The parameter half of [`GatLayer::backward`]: accumulates every
-    /// parameter gradient and returns `d_Wh`. All the input layer of a
+    /// The parameter half of [`GatLayer::backward`]: turns `d_out` into the
+    /// pre-activation gradient in place, accumulates every parameter
+    /// gradient and writes `d_Wh` into `d_wh`. All the input layer of a
     /// training step needs. Rows of `d_out` that are not live must be zero.
     pub fn backward_params(
         &mut self,
-        block: &Block,
         ctx: &GatCtx,
         h_src: &Matrix,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         live: Option<&[bool]>,
-    ) -> Matrix {
+        d_wh: &mut Matrix,
+    ) {
         debug_assert_dead_rows_zero(d_out, live);
-        let n_dst = block.num_dst();
+        let n_dst = d_out.rows();
         let out_dim = self.out_dim();
-        let mut dz = d_out.clone();
-        self.act.backward_inplace(&mut dz, &ctx.out);
-
-        for (g, d) in self
-            .bias
-            .grad
-            .row_mut(0)
-            .iter_mut()
-            .zip(ops::column_sums(&dz))
-        {
-            *g += d;
-        }
+        self.act.backward_rows(d_out, None, &ctx.mask);
+        let dz = &*d_out;
+        ops::column_sums_acc(dz, self.bias.grad.row_mut(0));
 
         // out[v] = Σ_e α_e wh[u_e]:
         //   d_alpha[e] = dz[v]·wh[u],  d_wh[u] += α_e dz[v].
-        let mut d_wh = Matrix::zeros(ctx.wh.rows(), out_dim);
+        d_wh.resize_zeroed(ctx.wh.rows(), out_dim);
         let mut d_alpha = vec![0.0f32; ctx.edge_src.len()];
         for v in 0..n_dst {
             let gv = dz.row(v);
@@ -260,9 +271,8 @@ impl GatLayer {
             *g += d;
         }
 
-        let dw = ops::matmul_at_b_rows(h_src, &d_wh, ctx.live_src.as_deref()).expect("gat dW");
-        ops::add_assign(&mut self.weight.grad, &dw).expect("gat dW acc");
-        d_wh
+        ops::matmul_at_b_rows_acc(h_src, d_wh, ctx.live_src.as_deref(), &mut self.weight.grad)
+            .expect("gat dW");
     }
 
     /// Mutable parameter references (stable order).
@@ -299,7 +309,8 @@ mod tests {
         let mut rng = Rng::new(1);
         let layer = GatLayer::new(3, 4, Activation::None, &mut rng);
         let h = rng.normal_matrix(4, 3, 1.0);
-        let (out, ctx) = layer.forward(&block(), &h, None);
+        let (mut out, mut ctx) = (Matrix::default(), GatCtx::default());
+        layer.forward(&block(), &h, None, &mut out, &mut ctx);
         assert_eq!(out.shape(), (2, 4));
         // Per-destination attention sums to one (3 edges for dst 0, 2 for dst 1).
         let s0: f32 = ctx.alpha[ctx.seg[0]..ctx.seg[1]].iter().sum();
@@ -318,7 +329,8 @@ mod tests {
             adj: Csr2::from_neighbor_lists(&[vec![]]),
         };
         let h = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let (out, ctx) = layer.forward(&b, &h, None);
+        let (mut out, mut ctx) = (Matrix::default(), GatCtx::default());
+        layer.forward(&b, &h, None, &mut out, &mut ctx);
         assert_eq!(ctx.alpha, vec![1.0]);
         // out = W h + b exactly.
         let expected = ops::matmul(&h, &layer.weight.value).unwrap();
@@ -332,9 +344,17 @@ mod tests {
         let mut rng = Rng::new(3);
         let mut layer = GatLayer::new(3, 4, Activation::Relu, &mut rng);
         let h = rng.normal_matrix(4, 3, 1.0);
-        let (_, ctx) = layer.forward(&block(), &h, None);
-        let d_out = rng.normal_matrix(2, 4, 1.0);
-        let d_h = layer.backward(&block(), &ctx, &h, &d_out, None);
+        let (mut out, mut ctx, mut d_h) = (Matrix::default(), GatCtx::default(), Matrix::default());
+        layer.forward(&block(), &h, None, &mut out, &mut ctx);
+        let mut d_out = rng.normal_matrix(2, 4, 1.0);
+        layer.backward(
+            &ctx,
+            &h,
+            &mut d_out,
+            None,
+            &mut Scratch::default(),
+            &mut d_h,
+        );
         assert_eq!(d_h.shape(), (4, 3));
         assert!(layer.weight.grad.frobenius_norm() > 0.0);
         assert!(layer.attn_src.grad.frobenius_norm() > 0.0);

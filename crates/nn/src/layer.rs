@@ -3,7 +3,7 @@
 
 use fgnn_graph::Block;
 use fgnn_tensor::ops::is_live;
-use fgnn_tensor::{activation, Matrix};
+use fgnn_tensor::Matrix;
 
 /// A trainable parameter: value plus accumulated gradient.
 #[derive(Clone, Debug)]
@@ -46,21 +46,74 @@ pub enum Activation {
     Relu,
 }
 
+/// Which entries of a layer's output its activation let through: one bit
+/// per entry, rows padded to whole words. What backward needs of the forward
+/// output, at a thirty-second of its size — and, unlike the output itself,
+/// untouched by whatever a forward hook later writes over the rows.
+#[derive(Clone, Debug, Default)]
+pub struct ActMask {
+    bits: Vec<u64>,
+    words_per_row: usize,
+}
+
+impl ActMask {
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words_per_row..][..self.words_per_row]
+    }
+}
+
 impl Activation {
-    /// Apply in place.
-    pub fn forward_inplace(self, m: &mut Matrix) {
-        if self == Activation::Relu {
-            activation::relu_inplace(m);
+    /// Apply to the live rows of `z` in place (`None` = all), recording in
+    /// `mask` what [`Activation::backward_rows`] needs. Rows that are not
+    /// live are left alone, in `z` and in `mask`.
+    pub fn forward_rows(self, z: &mut Matrix, live: Option<&[bool]>, mask: &mut ActMask) {
+        if self != Activation::Relu {
+            return;
+        }
+        let words = z.cols().div_ceil(64);
+        mask.words_per_row = words;
+        mask.bits.resize(z.rows() * words, 0);
+        for r in (0..z.rows()).filter(|&r| is_live(live, r)) {
+            let row_bits = &mut mask.bits[r * words..][..words];
+            for (word, chunk) in row_bits.iter_mut().zip(z.row_mut(r).chunks_mut(64)) {
+                *word = 0;
+                for (bit, x) in chunk.iter_mut().enumerate() {
+                    let passed = *x > 0.0;
+                    *word |= u64::from(passed) << bit;
+                    *x = if passed { *x } else { 0.0 };
+                }
+            }
         }
     }
 
-    /// Chain rule through the activation given the forward *output*;
-    /// modifies `grad` in place.
-    pub fn backward_inplace(self, grad: &mut Matrix, fwd_out: &Matrix) {
-        if self == Activation::Relu {
-            activation::relu_backward_inplace(grad, fwd_out);
+    /// Chain rule through the activation on the live rows of `grad`, in
+    /// place, given the `mask` the forward pass recorded with the same
+    /// `live`.
+    pub fn backward_rows(self, grad: &mut Matrix, live: Option<&[bool]>, mask: &ActMask) {
+        if self != Activation::Relu {
+            return;
+        }
+        for r in (0..grad.rows()).filter(|&r| is_live(live, r)) {
+            for (&word, chunk) in mask.row(r).iter().zip(grad.row_mut(r).chunks_mut(64)) {
+                for (bit, g) in chunk.iter_mut().enumerate() {
+                    if word >> bit & 1 == 0 {
+                        *g = 0.0;
+                    }
+                }
+            }
         }
     }
+}
+
+/// Backward-pass buffers one model's layers share (they run one at a time).
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    /// The gradient at the layer's interior seam: w.r.t. the aggregated
+    /// input of SAGE/GCN's dense transform (`d_cat`, `d_agg`), w.r.t. the
+    /// transformed rows GAT attends over (`d_Wh`).
+    pub(crate) d_mid: Matrix,
+    /// The transposed weight `matmul_a_bt` multiplies by.
+    pub(crate) weight_t: Matrix,
 }
 
 /// A dst row that is not live (`live` = the pruner's `computed` for this
@@ -78,22 +131,20 @@ pub(crate) fn debug_assert_dead_rows_zero(d: &Matrix, live: Option<&[bool]>) {
     );
 }
 
-/// Mean aggregation including the self node: row `v` of the result is
+/// Mean aggregation including the self node: row `v` of `out` becomes
 /// `(h_v + Σ_{u∈N(v)} h_u) / (deg(v)+1)` — the GCN aggregation over a
-/// sampled block (self-loop form of `Â`). Rows that are not live stay zero.
+/// sampled block (self-loop form of `Â`). `out` is reshaped to fit; rows
+/// that are not live keep whatever it held.
 ///
 /// Relies on the block invariant that destination `v`'s own previous-layer
 /// row is `h_src` row `v`.
-pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>) -> Matrix {
-    let dim = h_src.cols();
-    let mut out = Matrix::zeros(block.num_dst(), dim);
+pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
+    out.resize(block.num_dst(), h_src.cols());
     for v in (0..block.num_dst()).filter(|&v| is_live(live, v)) {
         let nbrs = block.adj.neighbors(v);
         let inv = 1.0 / (nbrs.len() + 1) as f32;
         let row = out.row_mut(v);
-        for (x, &s) in row.iter_mut().zip(h_src.row(v)) {
-            *x = s;
-        }
+        row.copy_from_slice(h_src.row(v));
         for &u in nbrs {
             for (x, &s) in row.iter_mut().zip(h_src.row(u as usize)) {
                 *x += s;
@@ -103,7 +154,6 @@ pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>) 
             *x *= inv;
         }
     }
-    out
 }
 
 /// Backward of [`mean_agg_with_self`]: scatter the live rows of `d_agg`
@@ -133,10 +183,11 @@ pub fn mean_agg_with_self_backward(
     }
 }
 
-/// Neighbor-only mean `mean_{u∈nbrs} h_u` accumulated into `out`, which must
-/// arrive zeroed and stays zero when there are no (unpruned) neighbors — the
-/// GraphSAGE / R-SAGE aggregator, written straight into the caller's row.
+/// Neighbor-only mean `mean_{u∈nbrs} h_u` written into `out` — zero when
+/// there are no (unpruned) neighbors. The GraphSAGE / R-SAGE aggregator,
+/// straight into the caller's row.
 pub fn mean_neighbors_into(out: &mut [f32], nbrs: &[u32], h_src: &Matrix) {
+    out.fill(0.0);
     if nbrs.is_empty() {
         return;
     }
@@ -183,7 +234,8 @@ mod tests {
     fn mean_with_self_averages_self_and_neighbors() {
         let b = block();
         let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
-        let agg = mean_agg_with_self(&b, &h, None);
+        let mut agg = Matrix::default();
+        mean_agg_with_self(&b, &h, None, &mut agg);
         // Node 0: (h0 + h2)/2 = (4, 1). Node 1: h1/1 = (4, 4).
         assert_eq!(agg.row(0), &[4.0, 1.0]);
         assert_eq!(agg.row(1), &[4.0, 4.0]);
@@ -205,9 +257,10 @@ mod tests {
         let b = block();
         let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
         let live = [true, false];
-        let agg = mean_agg_with_self(&b, &h, Some(&live));
+        let mut agg = Matrix::full(2, 2, 7.0);
+        mean_agg_with_self(&b, &h, Some(&live), &mut agg);
         assert_eq!(agg.row(0), &[4.0, 1.0]);
-        assert_eq!(agg.row(1), &[0.0, 0.0]);
+        assert_eq!(agg.row(1), &[7.0, 7.0], "a dead row is left alone");
         let d_agg = Matrix::from_vec(2, 2, vec![2.0, 2.0, 6.0, 0.0]);
         let mut d_h = Matrix::zeros(3, 2);
         mean_agg_with_self_backward(&b, &d_agg, &mut d_h, Some(&live));
@@ -218,7 +271,7 @@ mod tests {
     fn neighbor_mean_zero_for_isolated() {
         let b = block();
         let h = Matrix::from_vec(3, 2, vec![2.0, 0.0, 4.0, 4.0, 6.0, 2.0]);
-        let mut agg = Matrix::zeros(2, 2);
+        let mut agg = Matrix::full(2, 2, 7.0);
         for v in 0..2 {
             mean_neighbors_into(agg.row_mut(v), b.adj.neighbors(v), &h);
         }
@@ -251,15 +304,30 @@ mod tests {
 
     #[test]
     fn activation_relu_roundtrip() {
-        let mut m = Matrix::from_vec(1, 2, vec![-1.0, 2.0]);
-        Activation::Relu.forward_inplace(&mut m);
-        assert_eq!(m.as_slice(), &[0.0, 2.0]);
-        let mut g = Matrix::from_vec(1, 2, vec![5.0, 5.0]);
-        Activation::Relu.backward_inplace(&mut g, &m);
-        assert_eq!(g.as_slice(), &[0.0, 5.0]);
+        // 70 columns: the mask spans two words a row.
+        let mut m = Matrix::from_fn(3, 70, |r, c| if (r + c) % 3 == 0 { -1.0 } else { 2.0 });
+        let expect = m.map(|x| x.max(0.0));
+        let live = [true, false, true];
+        let mut mask = ActMask::default();
+        Activation::Relu.forward_rows(&mut m, Some(&live), &mut mask);
+        assert_eq!(m.row(0), expect.row(0));
+        assert_eq!(m.row(1)[0], 2.0, "a dead row is left alone");
+        assert_eq!(m.row(1)[2], -1.0, "a dead row is left alone");
+        assert_eq!(m.row(2), expect.row(2));
+        // Overwriting the output afterwards does not change the mask.
+        m.row_mut(0).fill(9.0);
+        let mut g = Matrix::full(3, 70, 5.0);
+        Activation::Relu.backward_rows(&mut g, Some(&live), &mask);
+        for r in [0, 2] {
+            for c in 0..70 {
+                let want = if expect.get(r, c) > 0.0 { 5.0 } else { 0.0 };
+                assert_eq!(g.get(r, c), want, "({r}, {c})");
+            }
+        }
+        assert!(g.row(1).iter().all(|&x| x == 5.0));
 
         let mut m2 = Matrix::from_vec(1, 2, vec![-1.0, 2.0]);
-        Activation::None.forward_inplace(&mut m2);
+        Activation::None.forward_rows(&mut m2, None, &mut mask);
         assert_eq!(m2.as_slice(), &[-1.0, 2.0]);
     }
 }

@@ -7,28 +7,39 @@ use fgnn_tensor::{softmax, Matrix};
 /// Returns `(loss, d_logits)` where `d_logits = (softmax(z) - onehot) / n`
 /// — the fused gradient, numerically stable via log-softmax.
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u16]) -> (f32, Matrix) {
+    let mut grad = Matrix::default();
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with `d_logits` written into a reused buffer
+/// (reshaped to fit, every entry overwritten); returns the loss.
+pub fn softmax_cross_entropy_into(logits: &Matrix, labels: &[u16], grad: &mut Matrix) -> f32 {
     assert_eq!(logits.rows(), labels.len(), "batch/label size mismatch");
     assert!(!labels.is_empty(), "empty batch");
     let n = logits.rows();
     let inv_n = 1.0 / n as f32;
 
-    let mut log_probs = logits.clone();
-    softmax::log_softmax_rows_inplace(&mut log_probs);
+    // `grad` holds the log-probabilities until the loss has read them.
+    grad.resize(n, logits.cols());
+    grad.as_mut_slice().copy_from_slice(logits.as_slice());
+    softmax::log_softmax_rows_inplace(grad);
 
     let mut loss = 0.0;
-    let mut grad = log_probs.clone();
-    grad.map_inplace(f32::exp); // softmax probabilities
     for (r, &y) in labels.iter().enumerate() {
         let y = y as usize;
         debug_assert!(y < logits.cols(), "label {y} out of range");
-        loss -= log_probs.get(r, y);
         let g = grad.row_mut(r);
+        loss -= g[y];
+        for x in g.iter_mut() {
+            *x = x.exp(); // softmax probabilities
+        }
         g[y] -= 1.0;
         for x in g.iter_mut() {
             *x *= inv_n;
         }
     }
-    (loss * inv_n, grad)
+    loss * inv_n
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use crate::gat::{GatCtx, GatLayer};
 use crate::gcn::{GcnCtx, GcnLayer};
-use crate::layer::{Activation, Param};
+use crate::layer::{Activation, Param, Scratch};
 use crate::sage::{SageCtx, SageLayer};
 use fgnn_graph::block::MiniBatch;
 use fgnn_graph::Block;
@@ -58,40 +58,54 @@ pub enum Ctx {
 }
 
 impl Layer {
-    /// Forward over a block, computing only the `live` dst rows (`None` =
-    /// all); the others are left for the caller to fill or ignore.
-    pub fn forward(&self, block: &Block, h_src: &Matrix, live: Option<&[bool]>) -> (Matrix, Ctx) {
+    /// An empty forward context of this layer's type, for
+    /// [`Layer::forward`] to fill.
+    pub fn new_ctx(&self) -> Ctx {
         match self {
-            Layer::Gcn(l) => {
-                let (h, c) = l.forward(block, h_src, live);
-                (h, Ctx::Gcn(c))
-            }
-            Layer::Sage(l) => {
-                let (h, c) = l.forward(block, h_src, live);
-                (h, Ctx::Sage(c))
-            }
-            Layer::Gat(l) => {
-                let (h, c) = l.forward(block, h_src, live);
-                (h, Ctx::Gat(c))
-            }
+            Layer::Gcn(_) => Ctx::Gcn(GcnCtx::default()),
+            Layer::Sage(_) => Ctx::Sage(SageCtx::default()),
+            Layer::Gat(_) => Ctx::Gat(GatCtx::default()),
         }
     }
 
-    /// Backward over a block; accumulates parameter grads, returns `d_h_src`.
-    /// `live` must be what [`Layer::forward`] was given, and the rows of
-    /// `d_out` that are not live must be zero.
+    /// Forward over a block into `out` and `ctx`, both reused across calls,
+    /// computing only the `live` dst rows (`None` = all); the others are
+    /// left for the caller to fill or ignore and hold whatever `out` held.
+    pub fn forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        live: Option<&[bool]>,
+        out: &mut Matrix,
+        ctx: &mut Ctx,
+    ) {
+        match (self, ctx) {
+            (Layer::Gcn(l), Ctx::Gcn(c)) => l.forward(block, h_src, live, out, c),
+            (Layer::Sage(l), Ctx::Sage(c)) => l.forward(block, h_src, live, out, c),
+            (Layer::Gat(l), Ctx::Gat(c)) => l.forward(block, h_src, live, out, c),
+            _ => panic!("layer/ctx architecture mismatch"),
+        }
+    }
+
+    /// Backward over a block: accumulates parameter grads and writes
+    /// `d_h_src`. `live` must be what [`Layer::forward`] was given, and the
+    /// rows of `d_out` that are not live must be zero; `d_out` is consumed
+    /// (it leaves as the pre-activation gradient).
+    #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &mut self,
         block: &Block,
         ctx: &Ctx,
         h_src: &Matrix,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         live: Option<&[bool]>,
-    ) -> Matrix {
+        scratch: &mut Scratch,
+        d_h_src: &mut Matrix,
+    ) {
         match (self, ctx) {
-            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward(block, c, d_out, live),
-            (Layer::Sage(l), Ctx::Sage(c)) => l.backward(block, c, d_out, live),
-            (Layer::Gat(l), Ctx::Gat(c)) => l.backward(block, c, h_src, d_out, live),
+            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward(block, c, d_out, live, scratch, d_h_src),
+            (Layer::Sage(l), Ctx::Sage(c)) => l.backward(block, c, d_out, live, scratch, d_h_src),
+            (Layer::Gat(l), Ctx::Gat(c)) => l.backward(c, h_src, d_out, live, scratch, d_h_src),
             _ => panic!("layer/ctx architecture mismatch"),
         }
     }
@@ -101,21 +115,17 @@ impl Layer {
     /// input layer.
     pub fn backward_params(
         &mut self,
-        block: &Block,
         ctx: &Ctx,
         h_src: &Matrix,
-        d_out: &Matrix,
+        d_out: &mut Matrix,
         live: Option<&[bool]>,
+        scratch: &mut Scratch,
     ) {
         match (self, ctx) {
-            (Layer::Gcn(l), Ctx::Gcn(c)) => {
-                l.backward_params(c, d_out, live);
-            }
-            (Layer::Sage(l), Ctx::Sage(c)) => {
-                l.backward_params(c, d_out, live);
-            }
+            (Layer::Gcn(l), Ctx::Gcn(c)) => l.backward_params(c, d_out, live),
+            (Layer::Sage(l), Ctx::Sage(c)) => l.backward_params(c, d_out, live),
             (Layer::Gat(l), Ctx::Gat(c)) => {
-                l.backward_params(block, c, h_src, d_out, live);
+                l.backward_params(c, h_src, d_out, live, &mut scratch.d_mid)
             }
             _ => panic!("layer/ctx architecture mismatch"),
         }
@@ -152,11 +162,42 @@ pub struct Model {
 /// Saved forward state: `h[0]` is the input feature matrix (src of block
 /// 0); `h[l]` for `l >= 1` is the (possibly cache-overridden) output of
 /// layer `l-1`, whose rows index block `l-1`'s dst set.
+///
+/// A `Trace` is also the forward half of a step's reusable workspace:
+/// [`Model::forward_into`] refills one in place, reshaping its matrices
+/// without reallocating once they have seen the largest batch. Rows a step
+/// does not compute then hold values of earlier steps, not zeros.
+#[derive(Default)]
 pub struct Trace {
     /// Per-level node representations.
     pub h: Vec<Matrix>,
     /// Per-layer forward contexts.
     pub ctx: Vec<Ctx>,
+}
+
+impl Trace {
+    /// The input feature matrix `h[0]`, for the caller to fill before
+    /// [`Model::forward_into`].
+    pub fn input_mut(&mut self) -> &mut Matrix {
+        if self.h.is_empty() {
+            self.h.push(Matrix::default());
+        }
+        &mut self.h[0]
+    }
+}
+
+/// The backward half of a step's reusable workspace: the gradient w.r.t.
+/// each level's representations plus the layers' shared scratch.
+#[derive(Default)]
+pub struct Grads {
+    /// The gradient w.r.t. the model output, for the caller to fill before
+    /// [`Model::backward_into`], which consumes it (the buffer trades places
+    /// with an internal one; its contents afterwards are unspecified).
+    pub d_top: Matrix,
+    /// `d[l]` is the gradient w.r.t. `h[l]`; `d[0]` is formed only by
+    /// [`Model::backward_input_grad`].
+    d: Vec<Matrix>,
+    scratch: Scratch,
 }
 
 impl Model {
@@ -192,38 +233,54 @@ impl Model {
         self.forward_with(mb, h0, None, |_, _| {})
     }
 
-    /// Forward with a between-layer hook: after layer `l-1` produces
-    /// `h[l]`, `hook(l, &mut h_l)` runs *before* `h[l]` feeds layer `l`.
-    /// The FreshGNN trainer overrides cached nodes' rows here.
+    /// [`Model::forward_into`] on a fresh [`Trace`] holding `h0`.
+    pub fn forward_with(
+        &self,
+        mb: &MiniBatch,
+        h0: Matrix,
+        computed: Option<&[Vec<bool>]>,
+        hook: impl FnMut(usize, &mut Matrix),
+    ) -> Trace {
+        let mut trace = Trace::default();
+        *trace.input_mut() = h0;
+        self.forward_into(mb, &mut trace, computed, hook);
+        trace
+    }
+
+    /// Forward from `trace.h[0]` (see [`Trace::input_mut`]), refilling the
+    /// rest of `trace` in place, with a between-layer hook: after layer `l-1`
+    /// produces `h[l]`, `hook(l, &mut h_l)` runs *before* `h[l]` feeds layer
+    /// `l`. The FreshGNN trainer overrides cached nodes' rows here.
     ///
     /// `computed[b][v]` (the pruner's `PruneOutcome::computed`; `None` for
     /// callers that do not prune) says which dst rows of block `b` the step
     /// consumes: the others — cache-read rows the hook fills, and dead
     /// subtrees nothing live references — are neither aggregated nor
     /// transformed, and hold no meaningful value in `h[b+1]`.
-    pub fn forward_with(
+    pub fn forward_into(
         &self,
         mb: &MiniBatch,
-        h0: Matrix,
+        trace: &mut Trace,
         computed: Option<&[Vec<bool>]>,
         mut hook: impl FnMut(usize, &mut Matrix),
-    ) -> Trace {
+    ) {
         assert_eq!(
             mb.num_layers(),
             self.num_layers(),
             "mini-batch depth != model depth"
         );
-        let mut h = Vec::with_capacity(self.num_layers() + 1);
-        let mut ctx = Vec::with_capacity(self.num_layers());
-        h.push(h0);
+        assert!(!trace.h.is_empty(), "trace holds no input features");
+        trace.h.resize_with(self.num_layers() + 1, Matrix::default);
+        for layer in &self.layers[trace.ctx.len()..] {
+            trace.ctx.push(layer.new_ctx());
+        }
         for (l, layer) in self.layers.iter().enumerate() {
             let live = computed.map(|c| &c[l][..]);
-            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l], live);
-            hook(l + 1, &mut out);
-            h.push(out);
-            ctx.push(c);
+            let (below, above) = trace.h.split_at_mut(l + 1);
+            let out = &mut above[0];
+            layer.forward(&mb.blocks[l], &below[l], live, out, &mut trace.ctx[l]);
+            hook(l + 1, out);
         }
-        Trace { h, ctx }
     }
 
     /// Plain backward: accumulates every parameter gradient.
@@ -231,18 +288,7 @@ impl Model {
         self.backward_with(mb, trace, d_top, None, |_, _| {})
     }
 
-    /// Backward with a per-level gradient hook: `hook(l, &mut d)` fires
-    /// with the gradient w.r.t. `h[l]` *before* it propagates through layer
-    /// `l-1`. Rows of `d` align with `h[l]`'s rows (block `l-1`'s dst set
-    /// extended to block `l`'s src set for `l < L`).
-    ///
-    /// The FreshGNN cache policy reads per-node gradient norms here and
-    /// zeroes the rows of cache-read nodes (detach).
-    ///
-    /// `computed` must be what [`Model::forward_with`] was given. This is
-    /// the training path: it stops at the input layer's parameter gradients
-    /// and never forms the gradient w.r.t. `h[0]`, which no optimizer step
-    /// consumes ([`Model::backward_input_grad`] does).
+    /// [`Model::backward_into`] on fresh [`Grads`] holding `d_top`.
     pub fn backward_with(
         &mut self,
         mb: &MiniBatch,
@@ -251,36 +297,96 @@ impl Model {
         computed: Option<&[Vec<bool>]>,
         hook: impl FnMut(usize, &mut Matrix),
     ) {
-        let d = self.backward_to_level_1(mb, trace, d_top, computed, hook);
+        let mut grads = Grads {
+            d_top,
+            ..Grads::default()
+        };
+        self.backward_into(mb, trace, &mut grads, computed, hook);
+    }
+
+    /// Backward from the output gradient `grads.d_top`, reusing `grads`'
+    /// buffers, with a per-level gradient hook: `hook(l, &mut d)` fires with
+    /// the gradient w.r.t. `h[l]` *before* it propagates through layer `l-1`.
+    /// Rows of `d` align with `h[l]`'s rows (block `l-1`'s dst set extended
+    /// to block `l`'s src set for `l < L`).
+    ///
+    /// The FreshGNN cache policy reads per-node gradient norms here and
+    /// zeroes the rows of cache-read nodes (detach).
+    ///
+    /// `computed` must be what the forward pass was given. This is the
+    /// training path: it stops at the input layer's parameter gradients
+    /// and never forms the gradient w.r.t. `h[0]`, which no optimizer step
+    /// consumes ([`Model::backward_input_grad`] does).
+    pub fn backward_into(
+        &mut self,
+        mb: &MiniBatch,
+        trace: &Trace,
+        grads: &mut Grads,
+        computed: Option<&[Vec<bool>]>,
+        hook: impl FnMut(usize, &mut Matrix),
+    ) {
+        self.backward_to_level_1(mb, trace, grads, computed, hook);
         let live = computed.map(|c| &c[0][..]);
-        self.layers[0].backward_params(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, live);
+        self.layers[0].backward_params(
+            &trace.ctx[0],
+            &trace.h[0],
+            &mut grads.d[1],
+            live,
+            &mut grads.scratch,
+        );
     }
 
     /// Plain backward that also returns the gradient w.r.t. `h[0]` (the raw
     /// input features) — for gradient checking and probes, not training.
     pub fn backward_input_grad(&mut self, mb: &MiniBatch, trace: &Trace, d_top: Matrix) -> Matrix {
-        let d = self.backward_to_level_1(mb, trace, d_top, None, |_, _| {});
-        self.layers[0].backward(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, None)
+        let mut grads = Grads {
+            d_top,
+            ..Grads::default()
+        };
+        self.backward_to_level_1(mb, trace, &mut grads, None, |_, _| {});
+        let (d_input, d) = grads.d.split_at_mut(1);
+        self.layers[0].backward(
+            &mb.blocks[0],
+            &trace.ctx[0],
+            &trace.h[0],
+            &mut d[0],
+            None,
+            &mut grads.scratch,
+            &mut d_input[0],
+        );
+        std::mem::take(&mut d_input[0])
     }
 
-    /// Every layer above the input layer, hooks included: returns the
-    /// gradient w.r.t. `h[1]` as the level-1 hook left it.
+    /// Every layer above the input layer, hooks included: leaves in
+    /// `grads.d[1]` the gradient w.r.t. `h[1]` as the level-1 hook left it.
     fn backward_to_level_1(
         &mut self,
         mb: &MiniBatch,
         trace: &Trace,
-        d_top: Matrix,
+        grads: &mut Grads,
         computed: Option<&[Vec<bool>]>,
         mut hook: impl FnMut(usize, &mut Matrix),
-    ) -> Matrix {
-        let mut d = d_top;
+    ) {
+        let Grads { d_top, d, scratch } = grads;
+        let top = self.layers.len();
+        d.resize_with(top + 1, Matrix::default);
+        std::mem::swap(d_top, &mut d[top]);
         for l in (1..self.layers.len()).rev() {
-            hook(l + 1, &mut d);
+            let (below, above) = d.split_at_mut(l + 1);
+            let d_out = &mut above[0];
+            hook(l + 1, d_out);
             let live = computed.map(|c| &c[l][..]);
-            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d, live);
+            self.layers[l].backward(
+                &mb.blocks[l],
+                &trace.ctx[l],
+                &trace.h[l],
+                d_out,
+                live,
+                scratch,
+                &mut below[l],
+            );
         }
-        hook(1, &mut d);
-        d
+        hook(1, &mut d[1]);
     }
 
     /// Zero all parameter gradients.

@@ -12,10 +12,10 @@
 //! aggregation per relation, matching the paper's "R-GraphSAGE".
 
 use crate::layer::{
-    debug_assert_dead_rows_zero, mean_neighbors_backward, mean_neighbors_into, Activation, Param,
+    debug_assert_dead_rows_zero, mean_neighbors_backward, mean_neighbors_into, ActMask, Activation,
+    Param, Scratch,
 };
 use fgnn_graph::hetero::{HeteroBlock, HeteroGraph, HeteroMiniBatch};
-use fgnn_graph::Csr2;
 use fgnn_tensor::ops::{self, is_live};
 use fgnn_tensor::{Matrix, Rng};
 
@@ -35,11 +35,17 @@ pub struct RSageLayer {
 }
 
 /// Saved forward state per layer.
+#[derive(Clone, Debug, Default)]
 pub struct RSageCtx {
+    /// Per type: the live self rows (the src prefix), as the self transform
+    /// and its weight gradient read them.
+    self_rows: Vec<Matrix>,
     /// Per-relation mean aggregation (rows = dst of the relation's dst type).
     rel_agg: Vec<Matrix>,
-    /// Pre-activation output per node type.
-    out: Vec<Matrix>,
+    /// Per type: which output entries the activation let through.
+    mask: Vec<ActMask>,
+    /// One relation's transformed aggregation, before it joins the output.
+    z_rel: Matrix,
 }
 
 impl RSageLayer {
@@ -79,74 +85,86 @@ impl RSageLayer {
         self.w_self[0].value.cols()
     }
 
-    /// Forward over a typed block. `h_src[t]` has one row per src node of
-    /// type `t`. Returns per-type dst representations; only the dst rows
-    /// `live[t]` marks (`None` = all) are aggregated and transformed.
+    /// Forward over a typed block into the per-type `out` and `ctx`, both
+    /// reused across calls. `h_src[t]` has one row per src node of type `t`.
+    /// Only the dst rows `live[t]` marks (`None` = all) are aggregated and
+    /// transformed; the others keep whatever the buffers held.
     pub fn forward(
         &self,
         block: &HeteroBlock,
         h_src: &[Matrix],
         live: Option<&[Vec<bool>]>,
-    ) -> (Vec<Matrix>, RSageCtx) {
+        out: &mut Vec<Matrix>,
+        ctx: &mut RSageCtx,
+    ) {
         let n_types = block.dst.len();
         let live_of = |t: usize| live.map(|l| &l[t][..]);
+        out.resize_with(n_types, Matrix::default);
+        ctx.self_rows.resize_with(n_types, Matrix::default);
+        ctx.mask.resize_with(n_types, ActMask::default);
+        ctx.rel_agg
+            .resize_with(self.rel_types.len(), Matrix::default);
 
-        // Self term per type.
-        let mut out: Vec<Matrix> = (0..n_types)
-            .map(|t| {
-                let self_rows = self.self_rows(&h_src[t], block.dst[t].len(), live_of(t));
-                let mut z = ops::matmul_rows(&self_rows, &self.w_self[t].value, live_of(t))
-                    .expect("rsage self");
-                ops::add_bias(&mut z, self.bias[t].value.row(0));
-                z
-            })
-            .collect();
+        // Self term per type: the first `n_dst` rows of `h` (the src prefix).
+        for (t, z) in out.iter_mut().enumerate() {
+            let self_rows = &mut ctx.self_rows[t];
+            self_rows.resize(block.dst[t].len(), self.in_dim);
+            for v in (0..self_rows.rows()).filter(|&v| is_live(live_of(t), v)) {
+                self_rows.row_mut(v).copy_from_slice(h_src[t].row(v));
+            }
+            ops::matmul_rows_into(self_rows, &self.w_self[t].value, live_of(t), z)
+                .expect("rsage self");
+            ops::add_bias_rows(z, self.bias[t].value.row(0), live_of(t));
+        }
 
         // Relation terms.
-        let mut rel_agg = Vec::with_capacity(self.rel_types.len());
         for (r, &(src_t, dst_t)) in self.rel_types.iter().enumerate() {
-            let agg = self.mean_agg_rel(&block.rel_adj[r], &h_src[src_t], live_of(dst_t));
-            if agg.rows() > 0 {
-                let z = ops::matmul_rows(&agg, &self.w_rel[r].value, live_of(dst_t))
-                    .expect("rsage rel");
-                ops::add_assign(&mut out[dst_t], &z).expect("rsage rel add");
+            let (adj, agg, live) = (&block.rel_adj[r], &mut ctx.rel_agg[r], live_of(dst_t));
+            agg.resize(adj.num_nodes(), self.in_dim);
+            for v in (0..adj.num_nodes()).filter(|&v| is_live(live, v)) {
+                mean_neighbors_into(agg.row_mut(v), adj.neighbors(v), &h_src[src_t]);
             }
-            rel_agg.push(agg);
+            if agg.rows() > 0 {
+                ops::matmul_rows_into(agg, &self.w_rel[r].value, live, &mut ctx.z_rel)
+                    .expect("rsage rel");
+                ops::add_assign_rows(&mut out[dst_t], &ctx.z_rel, live).expect("rsage rel add");
+            }
         }
 
-        for o in &mut out {
-            self.act.forward_inplace(o);
+        for (t, o) in out.iter_mut().enumerate() {
+            self.act.forward_rows(o, live_of(t), &mut ctx.mask[t]);
         }
-        let ctx = RSageCtx {
-            rel_agg,
-            out: out.clone(),
-        };
-        (out, ctx)
     }
 
-    /// Backward; accumulates parameter grads, returns per-type `d_h_src`.
-    /// `live` must be what [`RSageLayer::forward`] was given.
+    /// Backward; accumulates parameter grads and writes the per-type
+    /// `d_h_src`. `live` must be what [`RSageLayer::forward`] was given;
+    /// `d_out` is consumed (it leaves as the pre-activation gradients).
     pub fn backward(
         &mut self,
         block: &HeteroBlock,
         ctx: &RSageCtx,
-        h_src: &[Matrix],
-        d_out: &[Matrix],
+        d_out: &mut [Matrix],
         live: Option<&[Vec<bool>]>,
-    ) -> Vec<Matrix> {
-        let dz = self.backward_params(block, ctx, h_src, d_out, live);
+        scratch: &mut Scratch,
+        d_h_src: &mut Vec<Matrix>,
+    ) {
+        self.backward_params(ctx, d_out, live);
+        let dz = &*d_out;
         let live_of = |t: usize| live.map(|l| &l[t][..]);
+        let Scratch { d_mid, weight_t } = scratch;
 
-        let mut d_h_src: Vec<Matrix> = (0..block.dst.len())
-            .map(|t| Matrix::zeros(block.src[t].len(), self.in_dim))
-            .collect();
+        d_h_src.resize_with(block.dst.len(), Matrix::default);
+        for (t, d_h) in d_h_src.iter_mut().enumerate() {
+            d_h.resize_zeroed(block.src[t].len(), self.in_dim);
+        }
 
         // Self path.
         for (t, d_h) in d_h_src.iter_mut().enumerate() {
-            let d_self = ops::matmul_a_bt_rows(&dz[t], &self.w_self[t].value, live_of(t))
+            let w_self = &self.w_self[t].value;
+            ops::matmul_a_bt_rows_into(&dz[t], w_self, live_of(t), weight_t, d_mid)
                 .expect("rsage d_self");
-            for v in (0..d_self.rows()).filter(|&v| is_live(live_of(t), v)) {
-                for (x, &g) in d_h.row_mut(v).iter_mut().zip(d_self.row(v)) {
+            for v in (0..d_mid.rows()).filter(|&v| is_live(live_of(t), v)) {
+                for (x, &g) in d_h.row_mut(v).iter_mut().zip(d_mid.row(v)) {
                     *x += g;
                 }
             }
@@ -157,55 +175,36 @@ impl RSageLayer {
             if ctx.rel_agg[r].rows() == 0 {
                 continue;
             }
-            let d_agg = ops::matmul_a_bt_rows(&dz[dst_t], &self.w_rel[r].value, live_of(dst_t))
+            let w_rel = &self.w_rel[r].value;
+            ops::matmul_a_bt_rows_into(&dz[dst_t], w_rel, live_of(dst_t), weight_t, d_mid)
                 .expect("rsage d_agg");
             let adj = &block.rel_adj[r];
             for v in (0..adj.num_nodes()).filter(|&v| is_live(live_of(dst_t), v)) {
-                mean_neighbors_backward(d_agg.row(v), adj.neighbors(v), &mut d_h_src[src_t]);
+                mean_neighbors_backward(d_mid.row(v), adj.neighbors(v), &mut d_h_src[src_t]);
             }
         }
-
-        d_h_src
     }
 
-    /// The parameter half of [`RSageLayer::backward`]: accumulates every
-    /// `dW`/`db` and returns the per-type pre-activation gradients `dz`. All
-    /// the input layer of a training step needs. Rows of `d_out[t]` that are
-    /// not live must be zero.
+    /// The parameter half of [`RSageLayer::backward`]: turns every `d_out[t]`
+    /// into the pre-activation gradient in place and accumulates every
+    /// `dW`/`db` from them. All the input layer of a training step needs.
+    /// Rows of `d_out[t]` that are not live must be zero.
     pub fn backward_params(
         &mut self,
-        block: &HeteroBlock,
         ctx: &RSageCtx,
-        h_src: &[Matrix],
-        d_out: &[Matrix],
+        d_out: &mut [Matrix],
         live: Option<&[Vec<bool>]>,
-    ) -> Vec<Matrix> {
-        let n_types = block.dst.len();
+    ) {
         let live_of = |t: usize| live.map(|l| &l[t][..]);
 
-        // Activation backward per type.
-        let dz: Vec<Matrix> = (0..n_types)
-            .map(|t| {
-                debug_assert_dead_rows_zero(&d_out[t], live_of(t));
-                let mut d = d_out[t].clone();
-                self.act.backward_inplace(&mut d, &ctx.out[t]);
-                d
-            })
-            .collect();
-
-        // Self path.
-        for t in 0..n_types {
-            let self_rows = self.self_rows(&h_src[t], block.dst[t].len(), live_of(t));
-            let dw = ops::matmul_at_b_rows(&self_rows, &dz[t], live_of(t)).expect("rsage dW_self");
-            ops::add_assign(&mut self.w_self[t].grad, &dw).expect("rsage dW_self acc");
-            for (g, d) in self.bias[t]
-                .grad
-                .row_mut(0)
-                .iter_mut()
-                .zip(ops::column_sums(&dz[t]))
-            {
-                *g += d;
-            }
+        // Activation backward, then the self path, per type.
+        for (t, dz) in d_out.iter_mut().enumerate() {
+            debug_assert_dead_rows_zero(dz, live_of(t));
+            self.act.backward_rows(dz, live_of(t), &ctx.mask[t]);
+            let dw = &mut self.w_self[t].grad;
+            ops::matmul_at_b_rows_acc(&ctx.self_rows[t], dz, live_of(t), dw)
+                .expect("rsage dW_self");
+            ops::column_sums_acc(dz, self.bias[t].grad.row_mut(0));
         }
 
         // Relation paths.
@@ -214,29 +213,10 @@ impl RSageLayer {
             if agg.rows() == 0 {
                 continue;
             }
-            let dw = ops::matmul_at_b_rows(agg, &dz[dst_t], live_of(dst_t)).expect("rsage dW_rel");
-            ops::add_assign(&mut self.w_rel[r].grad, &dw).expect("rsage dW_rel acc");
+            let dw = &mut self.w_rel[r].grad;
+            ops::matmul_at_b_rows_acc(agg, &d_out[dst_t], live_of(dst_t), dw)
+                .expect("rsage dW_rel");
         }
-        dz
-    }
-
-    /// The first `n_dst` rows of `h` (a type's self rows: the src prefix),
-    /// live rows only — the others stay zero.
-    fn self_rows(&self, h: &Matrix, n_dst: usize, live: Option<&[bool]>) -> Matrix {
-        let mut out = Matrix::zeros(n_dst, self.in_dim);
-        for v in (0..n_dst).filter(|&v| is_live(live, v)) {
-            out.row_mut(v).copy_from_slice(h.row(v));
-        }
-        out
-    }
-
-    /// Mean aggregation over one relation's adjacency (rows = relation dst).
-    fn mean_agg_rel(&self, adj: &Csr2, h_src: &Matrix, live: Option<&[bool]>) -> Matrix {
-        let mut out = Matrix::zeros(adj.num_nodes(), self.in_dim);
-        for v in (0..adj.num_nodes()).filter(|&v| is_live(live, v)) {
-            mean_neighbors_into(out.row_mut(v), adj.neighbors(v), h_src);
-        }
-        out
     }
 
     /// Mutable parameter references (stable order).
@@ -257,12 +237,37 @@ pub struct RSageModel {
     pub target_type: usize,
 }
 
-/// Forward state of an R-SAGE pass.
+/// Forward state of an R-SAGE pass; like [`crate::model::Trace`], also the
+/// forward half of a step's reusable workspace.
+#[derive(Default)]
 pub struct RSageTrace {
     /// `h[l][t]`: representations of type `t` at level `l` (level 0 = input).
     pub h: Vec<Vec<Matrix>>,
     /// Per-layer contexts.
     pub ctx: Vec<RSageCtx>,
+}
+
+impl RSageTrace {
+    /// The per-type input features `h[0]`, for the caller to fill before
+    /// [`RSageModel::forward_into`].
+    pub fn input_mut(&mut self) -> &mut Vec<Matrix> {
+        if self.h.is_empty() {
+            self.h.push(Vec::new());
+        }
+        &mut self.h[0]
+    }
+}
+
+/// The backward half of a step's reusable workspace (see
+/// [`crate::model::Grads`]).
+#[derive(Default)]
+pub struct RSageGrads {
+    /// The gradient w.r.t. the target type's logits, for the caller to fill
+    /// before [`RSageModel::backward_into`], which consumes it.
+    pub d_logits: Matrix,
+    /// `d[l][t]` is the gradient w.r.t. `h[l][t]`.
+    d: Vec<Vec<Matrix>>,
+    scratch: Scratch,
 }
 
 impl RSageModel {
@@ -293,30 +298,46 @@ impl RSageModel {
         self.forward_with(mb, h0, None, |_, _| {})
     }
 
-    /// Forward with a between-layer hook: `hook(level, &mut h_level)` runs
-    /// on each level's per-type representations before they feed the next
-    /// layer — the historical-cache override point, as in the homogeneous
-    /// [`crate::model::Model::forward_with`]. `computed[b][t][v]` (`None`
-    /// for callers that do not prune) says which dst rows the step consumes;
-    /// the others are neither aggregated nor transformed.
+    /// [`RSageModel::forward_into`] on a fresh [`RSageTrace`] holding `h0`.
     pub fn forward_with(
         &self,
         mb: &HeteroMiniBatch,
         h0: Vec<Matrix>,
         computed: Option<&[Vec<Vec<bool>>]>,
-        mut hook: impl FnMut(usize, &mut Vec<Matrix>),
+        hook: impl FnMut(usize, &mut Vec<Matrix>),
     ) -> RSageTrace {
+        let mut trace = RSageTrace::default();
+        *trace.input_mut() = h0;
+        self.forward_into(mb, &mut trace, computed, hook);
+        trace
+    }
+
+    /// Forward from `trace.h[0]` (see [`RSageTrace::input_mut`]), refilling
+    /// the rest of `trace` in place, with a between-layer hook:
+    /// `hook(level, &mut h_level)` runs on each level's per-type
+    /// representations before they feed the next layer — the
+    /// historical-cache override point, as in the homogeneous
+    /// [`crate::model::Model::forward_into`]. `computed[b][t][v]` (`None`
+    /// for callers that do not prune) says which dst rows the step consumes;
+    /// the others are neither aggregated nor transformed.
+    pub fn forward_into(
+        &self,
+        mb: &HeteroMiniBatch,
+        trace: &mut RSageTrace,
+        computed: Option<&[Vec<Vec<bool>>]>,
+        mut hook: impl FnMut(usize, &mut Vec<Matrix>),
+    ) {
         assert_eq!(mb.blocks.len(), self.layers.len());
-        let mut h = vec![h0];
-        let mut ctx = Vec::with_capacity(self.layers.len());
+        assert!(!trace.h.is_empty(), "trace holds no input features");
+        trace.h.resize_with(self.layers.len() + 1, Vec::new);
+        trace.ctx.resize_with(self.layers.len(), RSageCtx::default);
         for (l, layer) in self.layers.iter().enumerate() {
             let live = computed.map(|c| &c[l][..]);
-            let (mut out, c) = layer.forward(&mb.blocks[l], &h[l], live);
-            hook(l + 1, &mut out);
-            h.push(out);
-            ctx.push(c);
+            let (below, above) = trace.h.split_at_mut(l + 1);
+            let out = &mut above[0];
+            layer.forward(&mb.blocks[l], &below[l], live, out, &mut trace.ctx[l]);
+            hook(l + 1, out);
         }
-        RSageTrace { h, ctx }
     }
 
     /// Logits for the seed nodes.
@@ -329,14 +350,8 @@ impl RSageModel {
         self.backward_with(mb, trace, d_logits, None, |_, _| {})
     }
 
-    /// Backward with a per-level gradient hook: `hook(level, &mut d)`
-    /// fires with the per-type gradients w.r.t. level `level` before they
-    /// propagate through layer `level-1` — where the cache policy harvests
-    /// gradient norms and detaches cache-read rows.
-    ///
-    /// `computed` must be what [`RSageModel::forward_with`] was given. This
-    /// is the training path: it stops at the input layer's parameter
-    /// gradients ([`RSageModel::backward_input_grad`] goes on to `h[0]`).
+    /// [`RSageModel::backward_into`] on fresh [`RSageGrads`] holding
+    /// `d_logits`.
     pub fn backward_with(
         &mut self,
         mb: &HeteroMiniBatch,
@@ -345,9 +360,33 @@ impl RSageModel {
         computed: Option<&[Vec<Vec<bool>>]>,
         hook: impl FnMut(usize, &mut Vec<Matrix>),
     ) {
-        let d = self.backward_to_level_1(mb, trace, d_logits, computed, hook);
+        let mut grads = RSageGrads {
+            d_logits,
+            ..RSageGrads::default()
+        };
+        self.backward_into(mb, trace, &mut grads, computed, hook);
+    }
+
+    /// Backward from `grads.d_logits`, reusing `grads`' buffers, with a
+    /// per-level gradient hook: `hook(level, &mut d)` fires with the
+    /// per-type gradients w.r.t. level `level` before they propagate through
+    /// layer `level-1` — where the cache policy harvests gradient norms and
+    /// detaches cache-read rows.
+    ///
+    /// `computed` must be what the forward pass was given. This is the
+    /// training path: it stops at the input layer's parameter gradients
+    /// ([`RSageModel::backward_input_grad`] goes on to `h[0]`).
+    pub fn backward_into(
+        &mut self,
+        mb: &HeteroMiniBatch,
+        trace: &RSageTrace,
+        grads: &mut RSageGrads,
+        computed: Option<&[Vec<Vec<bool>>]>,
+        hook: impl FnMut(usize, &mut Vec<Matrix>),
+    ) {
+        self.backward_to_level_1(mb, trace, grads, computed, hook);
         let live = computed.map(|c| &c[0][..]);
-        self.layers[0].backward_params(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, live);
+        self.layers[0].backward_params(&trace.ctx[0], &mut grads.d[1], live);
     }
 
     /// Plain backward that also returns the per-type gradients w.r.t. the
@@ -358,39 +397,65 @@ impl RSageModel {
         trace: &RSageTrace,
         d_logits: Matrix,
     ) -> Vec<Matrix> {
-        let d = self.backward_to_level_1(mb, trace, d_logits, None, |_, _| {});
-        self.layers[0].backward(&mb.blocks[0], &trace.ctx[0], &trace.h[0], &d, None)
+        let mut grads = RSageGrads {
+            d_logits,
+            ..RSageGrads::default()
+        };
+        self.backward_to_level_1(mb, trace, &mut grads, None, |_, _| {});
+        let (d_input, d) = grads.d.split_at_mut(1);
+        self.layers[0].backward(
+            &mb.blocks[0],
+            &trace.ctx[0],
+            &mut d[0],
+            None,
+            &mut grads.scratch,
+            &mut d_input[0],
+        );
+        std::mem::take(&mut d_input[0])
     }
 
-    /// Every layer above the input layer, hooks included: returns the
-    /// per-type gradients w.r.t. `h[1]` as the level-1 hook left them.
+    /// Every layer above the input layer, hooks included: leaves in
+    /// `grads.d[1]` the per-type gradients w.r.t. `h[1]` as the level-1 hook
+    /// left them.
     fn backward_to_level_1(
         &mut self,
         mb: &HeteroMiniBatch,
         trace: &RSageTrace,
-        d_logits: Matrix,
+        grads: &mut RSageGrads,
         computed: Option<&[Vec<Vec<bool>>]>,
         mut hook: impl FnMut(usize, &mut Vec<Matrix>),
-    ) -> Vec<Matrix> {
-        let n_types = mb.blocks[0].dst.len();
+    ) {
+        let RSageGrads {
+            d_logits,
+            d,
+            scratch,
+        } = grads;
         let top = self.layers.len();
-        let mut d: Vec<Matrix> = (0..n_types)
-            .map(|t| {
-                if t == self.target_type {
-                    d_logits.clone()
-                } else {
-                    let m = &trace.h[top][t];
-                    Matrix::zeros(m.rows(), m.cols())
-                }
-            })
-            .collect();
-        for l in (1..self.layers.len()).rev() {
-            hook(l + 1, &mut d);
-            let live = computed.map(|c| &c[l][..]);
-            d = self.layers[l].backward(&mb.blocks[l], &trace.ctx[l], &trace.h[l], &d, live);
+        d.resize_with(top + 1, Vec::new);
+        // Only the target type carries loss gradient at the top.
+        d[top].resize_with(trace.h[top].len(), Matrix::default);
+        for (t, (d_t, h_t)) in d[top].iter_mut().zip(&trace.h[top]).enumerate() {
+            if t == self.target_type {
+                std::mem::swap(d_logits, d_t);
+            } else {
+                d_t.resize_zeroed(h_t.rows(), h_t.cols());
+            }
         }
-        hook(1, &mut d);
-        d
+        for l in (1..top).rev() {
+            let (below, above) = d.split_at_mut(l + 1);
+            let d_out = &mut above[0];
+            hook(l + 1, d_out);
+            let live = computed.map(|c| &c[l][..]);
+            self.layers[l].backward(
+                &mb.blocks[l],
+                &trace.ctx[l],
+                d_out,
+                live,
+                scratch,
+                &mut below[l],
+            );
+        }
+        hook(1, &mut d[1]);
     }
 
     /// Zero all parameter gradients.

@@ -18,7 +18,12 @@
 //! * All randomness flows through the seedable [`rng::Rng`]
 //!   (xoshiro256++), so every experiment in the repo is reproducible from a
 //!   `--seed` flag. No global RNG, no `rand` dependency in hot paths.
-//! * No `unsafe`. Bounds checks are hoisted by slice-first loops.
+//! * One `unsafe` block, in `ops::dispatch`: the call into the AVX2-compiled
+//!   instance of the matmul tile body, guarded by
+//!   `is_x86_feature_detected!("avx2")` on the line before it. The callee is
+//!   safe Rust compiled with wider vectors; the only thing the block asserts
+//!   is that the CPU has them. Everything else is safe code whose bounds
+//!   checks are hoisted by slice-first loops.
 
 pub mod activation;
 pub mod matrix;

@@ -7,7 +7,7 @@ use crate::{Result, TensorError};
 /// One row per node embedding: `Matrix { rows: n_nodes, cols: dim }`. Rows
 /// are contiguous so cache fetch/store in `freshgnn` is a single
 /// `copy_from_slice`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     data: Vec<f32>,
     rows: usize,
@@ -136,6 +136,22 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
+    /// Reshape to `rows x cols` for reuse as an output buffer, allocating
+    /// only if the buffer has never been this large. Entries are
+    /// **unspecified** (whatever an earlier use left behind, or zero): the
+    /// caller overwrites every entry it later reads.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// [`Matrix::resize`] with every entry reset to zero.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.data.clear();
+        self.resize(rows, cols);
+    }
+
     /// Gather `indices` rows into a new matrix (one output row per index).
     ///
     /// This is the "fetch features for these node IDs" primitive: the data
@@ -163,14 +179,20 @@ impl Matrix {
 
     /// The transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The transpose written into `out`, which is reshaped to fit.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
         for r in 0..self.rows {
             let row = self.row(r);
             for (c, &v) in row.iter().enumerate() {
                 out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// Apply `f` to every entry in place.

@@ -19,27 +19,26 @@ pub fn is_live(live: Option<&[bool]>, row: usize) -> bool {
 
 /// `C = A * B` (`m x k` times `k x n`).
 ///
-/// Unblocked i-k-j loop: the inner loop is a contiguous AXPY over a row of
-/// `B`, which the compiler auto-vectorizes. This is the single hottest kernel
-/// in the workspace (every GNN layer is one or two of these), so it avoids
-/// all per-entry bounds checks by iterating slices.
+/// The single hottest kernel in the workspace (every GNN layer is one or two
+/// of these). All three products run on one register-tiled body, [`tile`]:
+/// a strip of up to [`STRIP`] columns of two output rows is held in vector
+/// registers across the whole contraction and stored once; column strips are
+/// outermost, so the `k x strip` panel of `B` stays in L1 while the rows of
+/// `A` stream past it.
 ///
-/// # Contract (shared by [`matmul_at_b`], [`matmul_a_bt`] and the `_rows` forms)
+/// # Contract (shared by [`matmul_at_b`], [`matmul_a_bt`] and the `_rows` / `_into` forms)
 ///
 /// Every entry of `C` is bit-identical to the naive triple loop that starts
 /// its accumulator at `+0.0` and adds the products in ascending `p`, each
-/// product rounded before the add (no FMA, no reassociation, no blocking);
-/// the training path's byte-identical goldens rest on this. A term is
-/// skipped only where it is `±0.0` for finite operands — an entry of `A`
-/// that is zero, or a row the `live` mask switches off — which changes no
-/// bit because an accumulator that started at `+0.0` can never hold `-0.0`.
+/// product rounded before the add (no FMA, no reassociation, no split
+/// accumulators); tiling changes which entries are in flight together, never
+/// the order of one entry's adds. The training path's byte-identical goldens
+/// rest on this. Only rows the `live` mask switches off are skipped.
 ///
-/// Non-finite operands: a skipped term contributes nothing, so `0·NaN` and
-/// `0·∞` yield no NaN where the zero is an entry of `A` or the row is masked;
-/// everywhere else NaN/∞ propagate as IEEE arithmetic has them. No caller
-/// relies on either: the NaN-injection hooks (`inject_nan_at`,
-/// `tests/chaos.rs`) overwrite a step's reported loss after its kernels have
-/// run, so no non-finite operand reaches a kernel on those paths.
+/// Non-finite operands propagate as IEEE arithmetic has them: `0 * NaN` and
+/// `0 * inf` in a live row are NaN in the output entry they feed. No caller
+/// relies on it: the NaN-injection hooks (`inject_nan_at`, `tests/chaos.rs`)
+/// overwrite a step's reported loss after its kernels have run.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     matmul_rows(a, b, None)
 }
@@ -47,30 +46,41 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// [`matmul`] over the rows of `A` that `live` marks (`None` = all): a row
 /// that is not live is left zero in `C`.
 pub fn matmul_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    matmul_rows_into(a, b, live, &mut c)?;
+    Ok(c)
+}
+
+/// [`matmul_rows`] into a reused buffer: `c` is reshaped to `m x n` and its
+/// live rows overwritten; a row that is not live keeps whatever `c` held.
+pub fn matmul_rows_into(
+    a: &Matrix,
+    b: &Matrix,
+    live: Option<&[bool]>,
+    c: &mut Matrix,
+) -> Result<()> {
     if a.cols() != b.rows() {
         return Err(shape_mismatch(a, b, "matmul"));
     }
-    let m = a.rows();
-    debug_assert!(live.is_none_or(|l| l.len() == m));
-    let mut c = Matrix::zeros(m, b.cols());
-    for i in (0..m).filter(|&i| is_live(live, i)) {
-        let c_row = c.row_mut(i);
-        for (p, &a_ip) in a.row(i).iter().enumerate() {
-            if a_ip == 0.0 {
-                continue;
-            }
-            for (c_v, &b_v) in c_row.iter_mut().zip(b.row(p)) {
-                *c_v += a_ip * b_v;
-            }
-        }
-    }
-    Ok(c)
+    debug_assert!(live.is_none_or(|l| l.len() == a.rows()));
+    c.resize(a.rows(), b.cols());
+    dispatch(Ab {
+        a: a.as_slice(),
+        k: a.cols(),
+        b: b.as_slice(),
+        n: b.cols(),
+        live,
+        c: c.as_mut_slice(),
+    });
+    Ok(())
 }
 
 /// `C = A^T * B` (`k x m`^T times `k x n` -> `m x n`).
 ///
-/// Used by weight gradients: `dW = H^T * dOut`. Bit-level contract and
-/// non-finite behaviour: see [`matmul`].
+/// Used by weight gradients: `dW = H^T * dOut`. The contraction runs in
+/// blocks of [`P_BLOCK`] rows, so a strip of `C` is loaded and stored once
+/// per block rather than once per product. Bit-level contract and non-finite
+/// behaviour: see [`matmul`].
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     matmul_at_b_rows(a, b, None)
 }
@@ -78,31 +88,45 @@ pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// [`matmul_at_b`] contracting over the live rows of `A` and `B` only
 /// (`None` = all): exact whenever every skipped row of `B` is `±0.0`.
 pub fn matmul_at_b_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
+    let mut c = Matrix::zeros(a.cols(), b.cols());
+    matmul_at_b_rows_acc(a, b, live, &mut c)?;
+    Ok(c)
+}
+
+/// `C += A^T * B` over the live rows: every entry of `c` (`m x n`) goes on
+/// from the value it holds, adding its products in ascending `p`. On a `c`
+/// of `+0.0` that is [`matmul_at_b_rows`]; a layer hands in its freshly
+/// zeroed `Param::grad`.
+pub fn matmul_at_b_rows_acc(
+    a: &Matrix,
+    b: &Matrix,
+    live: Option<&[bool]>,
+    c: &mut Matrix,
+) -> Result<()> {
     if a.rows() != b.rows() {
         return Err(shape_mismatch(a, b, "matmul_at_b"));
     }
-    debug_assert!(live.is_none_or(|l| l.len() == a.rows()));
-    let mut c = Matrix::zeros(a.cols(), b.cols());
-    for p in (0..a.rows()).filter(|&p| is_live(live, p)) {
-        let b_row = b.row(p);
-        for (i, &a_pi) in a.row(p).iter().enumerate() {
-            if a_pi == 0.0 {
-                continue;
-            }
-            for (c_v, &b_v) in c.row_mut(i).iter_mut().zip(b_row) {
-                *c_v += a_pi * b_v;
-            }
-        }
+    if c.shape() != (a.cols(), b.cols()) {
+        return Err(shape_mismatch(a, c, "matmul_at_b accumulator"));
     }
-    Ok(c)
+    debug_assert!(live.is_none_or(|l| l.len() == a.rows()));
+    dispatch(AtB {
+        a: a.as_slice(),
+        m: a.cols(),
+        b: b.as_slice(),
+        n: b.cols(),
+        live,
+        c: c.as_mut_slice(),
+    });
+    Ok(())
 }
 
 /// `C = A * B^T` (`m x k` times `n x k`^T -> `m x n`).
 ///
 /// Used by input gradients: `dH = dOut * W^T`. `B` (a weight, small next to
-/// `A`) is transposed once so the work is [`matmul`]'s vectorized AXPY loop
-/// rather than one scalar dot product per entry. Bit-level contract and
-/// non-finite behaviour: see [`matmul`].
+/// `A`) is transposed once so the work is [`matmul`]'s tile rather than one
+/// scalar dot product per entry. Bit-level contract and non-finite
+/// behaviour: see [`matmul`].
 pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     matmul_a_bt_rows(a, b, None)
 }
@@ -110,10 +134,244 @@ pub fn matmul_a_bt(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 /// [`matmul_a_bt`] over the live rows of `A` only (`None` = all): a row that
 /// is not live is left zero in `C`.
 pub fn matmul_a_bt_rows(a: &Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<Matrix> {
+    let mut c = Matrix::zeros(a.rows(), b.rows());
+    matmul_a_bt_rows_into(a, b, live, &mut Matrix::default(), &mut c)?;
+    Ok(c)
+}
+
+/// [`matmul_a_bt_rows`] into reused buffers: `bt` receives `B^T`, `c` is
+/// reshaped and its live rows overwritten as in [`matmul_rows_into`].
+pub fn matmul_a_bt_rows_into(
+    a: &Matrix,
+    b: &Matrix,
+    live: Option<&[bool]>,
+    bt: &mut Matrix,
+    c: &mut Matrix,
+) -> Result<()> {
     if a.cols() != b.cols() {
         return Err(shape_mismatch(a, b, "matmul_a_bt"));
     }
-    matmul_rows(a, &b.transpose(), live)
+    b.transpose_into(bt);
+    matmul_rows_into(a, bt, live, c)
+}
+
+/// Widest column strip a tile carries: with two rows in flight, eight AVX2
+/// vectors of accumulators (the baseline instance carries half of it).
+const STRIP: usize = 32;
+
+/// Rows of the contraction [`matmul_at_b`] runs between one load and one
+/// store of a strip of `C`.
+const P_BLOCK: usize = 64;
+
+/// Columns of `A` [`matmul_at_b`] packs at a time (one cache line of them).
+const A_GROUP: usize = 16;
+
+/// The one tile body: `acc[r][t] += a[r] * b[t]` for every term, in the
+/// order `terms` yields them. `acc` is an `R`-row, `w <= T`-column piece of
+/// `C` that the compiler keeps in vector registers when `w` is the constant
+/// `T`; a term is the `R` entries of `A` and the strip of one row of `B`
+/// that meet at one `p`. Each `acc[r][t]` sees only its own products, each
+/// rounded before its add, so the grouping into tiles never shows in a bit.
+#[inline(always)]
+fn tile<'b, const R: usize, const T: usize>(
+    acc: &mut [[f32; T]; R],
+    w: usize,
+    terms: impl Iterator<Item = ([f32; R], &'b [f32])>,
+) {
+    let w = w.min(T);
+    for (a, b) in terms {
+        let b = &b[..w];
+        for r in 0..R {
+            for t in 0..w {
+                acc[r][t] += a[r] * b[t];
+            }
+        }
+    }
+}
+
+/// A product laid out as column strips of `C`.
+trait Strips {
+    /// Columns of `C`.
+    fn n(&self) -> usize;
+    /// Compute columns `j0..j0 + w` of `C` (`w <= T`) through `T`-wide tiles.
+    fn strip<const T: usize>(&mut self, j0: usize, w: usize);
+}
+
+/// `C = A * B` on the live rows of `A` (`m x k`, `k x n`).
+struct Ab<'a> {
+    a: &'a [f32],
+    k: usize,
+    b: &'a [f32],
+    n: usize,
+    live: Option<&'a [bool]>,
+    c: &'a mut [f32],
+}
+
+impl Ab<'_> {
+    #[inline(always)]
+    fn rows<const R: usize, const T: usize>(&mut self, rows: [usize; R], j0: usize, w: usize) {
+        let (k, n) = (self.k, self.n);
+        let a_rows = rows.map(|i| &self.a[i * k..][..k]);
+        let mut acc = [[0.0f32; T]; R];
+        let b_rows = self.b.chunks_exact(n).enumerate();
+        tile(
+            &mut acc,
+            w,
+            b_rows.map(|(p, b_row)| (a_rows.map(|a_row| a_row[p]), &b_row[j0..])),
+        );
+        for (acc_row, i) in acc.iter().zip(rows) {
+            self.c[i * n + j0..][..w].copy_from_slice(&acc_row[..w]);
+        }
+    }
+}
+
+impl Strips for Ab<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    fn strip<const T: usize>(&mut self, j0: usize, w: usize) {
+        let live = self.live;
+        let mut rows = (0..self.c.len() / self.n).filter(|&i| is_live(live, i));
+        while let Some(i0) = rows.next() {
+            match rows.next() {
+                Some(i1) => self.rows::<2, T>([i0, i1], j0, w),
+                None => self.rows::<1, T>([i0], j0, w),
+            }
+        }
+    }
+}
+
+/// `C += A^T * B` over the live rows of `A` (`rows x m`) and `B` (`rows x n`).
+struct AtB<'a> {
+    a: &'a [f32],
+    m: usize,
+    b: &'a [f32],
+    n: usize,
+    live: Option<&'a [bool]>,
+    c: &'a mut [f32],
+}
+
+impl AtB<'_> {
+    /// `R` rows of `C` from `i0`, whose entries of `A` sit at `r0..r0 + R`
+    /// of each packed row of `a_pack`.
+    #[inline(always)]
+    fn rows<const R: usize, const T: usize>(
+        &mut self,
+        a_pack: &[[f32; A_GROUP]],
+        b_pack: &[[f32; T]],
+        r0: usize,
+        i0: usize,
+        j0: usize,
+        w: usize,
+    ) {
+        let n = self.n;
+        let mut acc = [[0.0f32; T]; R];
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row[..w].copy_from_slice(&self.c[(i0 + r) * n + j0..][..w]);
+        }
+        // `b_pack` is zero beyond `w`, so the tile runs at its full constant
+        // width; the columns past `w` are never stored.
+        let terms = a_pack.iter().zip(b_pack);
+        tile(
+            &mut acc,
+            T,
+            terms.map(|(a_p, b_p)| (std::array::from_fn(|r| a_p[r0 + r]), &b_p[..])),
+        );
+        for (r, acc_row) in acc.iter().enumerate() {
+            self.c[(i0 + r) * n + j0..][..w].copy_from_slice(&acc_row[..w]);
+        }
+    }
+}
+
+impl Strips for AtB<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    fn strip<const T: usize>(&mut self, j0: usize, w: usize) {
+        let (m, n, rows) = (self.m, self.n, self.b.len() / self.n);
+        // A block's live rows are packed once — the strip of `B` per block,
+        // `A_GROUP` columns of `A` at a time — so the tiles below read
+        // contiguous memory and run branch-free. (Read in place, a column
+        // of `A` is one cache line per row at a power-of-two stride.)
+        let mut block = [0usize; P_BLOCK];
+        let mut b_pack = [[0.0f32; T]; P_BLOCK];
+        let mut a_pack = [[0.0f32; A_GROUP]; P_BLOCK];
+        for p0 in (0..rows).step_by(P_BLOCK) {
+            let mut count = 0;
+            for p in (p0..rows.min(p0 + P_BLOCK)).filter(|&p| is_live(self.live, p)) {
+                b_pack[count][..w].copy_from_slice(&self.b[p * n + j0..][..w]);
+                block[count] = p;
+                count += 1;
+            }
+            for i0 in (0..m).step_by(A_GROUP) {
+                let g = A_GROUP.min(m - i0);
+                for (a_p, &p) in a_pack.iter_mut().zip(&block[..count]) {
+                    a_p[..g].copy_from_slice(&self.a[p * m + i0..][..g]);
+                }
+                let (a_pack, b_pack) = (&a_pack[..count], &b_pack[..count]);
+                let mut r = 0;
+                while r + 2 <= g {
+                    self.rows::<2, T>(a_pack, b_pack, r, i0 + r, j0, w);
+                    r += 2;
+                }
+                if r < g {
+                    self.rows::<1, T>(a_pack, b_pack, r, i0 + r, j0, w);
+                }
+            }
+        }
+    }
+}
+
+/// Cover the columns of `C` with strips: full `W`-wide ones, then the same
+/// body at 16 and 8 columns, then one runtime-width tail under 8.
+#[inline(always)]
+fn run<const W: usize>(mut op: impl Strips) {
+    let n = op.n();
+    let mut j0 = 0;
+    while n - j0 >= W {
+        op.strip::<W>(j0, W);
+        j0 += W;
+    }
+    if W > 16 && n - j0 >= 16 {
+        op.strip::<16>(j0, 16);
+        j0 += 16;
+    }
+    if n - j0 >= 8 {
+        op.strip::<8>(j0, 8);
+        j0 += 8;
+    }
+    if n > j0 {
+        op.strip::<8>(j0, n - j0);
+    }
+}
+
+/// [`run`] compiled for the crate's baseline target (16 SSE2 registers on
+/// x86-64: half-width strips).
+fn run_baseline(op: impl Strips) {
+    run::<{ STRIP / 2 }>(op)
+}
+
+/// [`run`] compiled with AVX2 enabled: the same source, eight-lane vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(op: impl Strips) {
+    run::<STRIP>(op)
+}
+
+/// Run `op` on the widest instance of the tile body this CPU has. The two
+/// instances are one source compiled twice and produce the same bits.
+fn dispatch(op: impl Strips) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `run_avx2` is safe code whose only requirement is that the
+        // CPU executes AVX2 instructions, which the line above has checked.
+        return unsafe { run_avx2(op) };
+    }
+    run_baseline(op)
 }
 
 /// `A += B`.
@@ -121,6 +379,17 @@ pub fn add_assign(a: &mut Matrix, b: &Matrix) -> Result<()> {
     a.check_same_shape(b, "add_assign")?;
     for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
         *x += y;
+    }
+    Ok(())
+}
+
+/// `A += B` on the live rows (`None` = all).
+pub fn add_assign_rows(a: &mut Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<()> {
+    a.check_same_shape(b, "add_assign_rows")?;
+    for r in (0..a.rows()).filter(|&r| is_live(live, r)) {
+        for (x, &y) in a.row_mut(r).iter_mut().zip(b.row(r)) {
+            *x += y;
+        }
     }
     Ok(())
 }
@@ -160,25 +429,26 @@ pub fn scale(a: &mut Matrix, alpha: f32) {
     a.as_mut_slice().iter_mut().for_each(|x| *x *= alpha);
 }
 
-/// Add a row vector `bias` (len = cols) to every row of `a`.
-pub fn add_bias(a: &mut Matrix, bias: &[f32]) {
-    assert_eq!(a.cols(), bias.len(), "add_bias: dim mismatch");
-    for r in 0..a.rows() {
+/// Add a row vector `bias` (len = cols) to every live row of `a` (`None` =
+/// all rows).
+pub fn add_bias_rows(a: &mut Matrix, bias: &[f32], live: Option<&[bool]>) {
+    assert_eq!(a.cols(), bias.len(), "add_bias_rows: dim mismatch");
+    for r in (0..a.rows()).filter(|&r| is_live(live, r)) {
         for (x, &b) in a.row_mut(r).iter_mut().zip(bias) {
             *x += b;
         }
     }
 }
 
-/// Column-wise sum of `a` (the bias gradient): returns a vector of len cols.
-pub fn column_sums(a: &Matrix) -> Vec<f32> {
-    let mut out = vec![0.0; a.cols()];
+/// `acc[c] += a[r][c]` for every row in ascending order (the bias gradient,
+/// summed straight into its accumulator).
+pub fn column_sums_acc(a: &Matrix, acc: &mut [f32]) {
+    assert_eq!(a.cols(), acc.len(), "column_sums_acc: dim mismatch");
     for r in 0..a.rows() {
-        for (o, &v) in out.iter_mut().zip(a.row(r)) {
+        for (o, &v) in acc.iter_mut().zip(a.row(r)) {
             *o += v;
         }
     }
-    out
 }
 
 /// Per-row L2 norms.
@@ -227,6 +497,76 @@ mod tests {
         }
     }
 
+    /// Both compiled instances of the tile body, on the same operands: the
+    /// dispatcher only ever runs one of them on a given machine, so this is
+    /// where the other one is exercised. Shapes cross every strip width (32,
+    /// 16, 8, tail), an odd row count and a `P_BLOCK` boundary.
+    #[test]
+    fn baseline_and_avx2_instances_agree_bit_for_bit() {
+        let mut rng = crate::Rng::new(7);
+        for (m, k, n) in [(5, 70, 61), (3, 9, 32), (66, 3, 7), (2, 130, 100)] {
+            let a = rng.normal_matrix(m, k, 1.0);
+            let b = rng.normal_matrix(k, n, 1.0);
+            let g = rng.normal_matrix(m, n, 1.0);
+            let live: Vec<bool> = (0..m).map(|_| rng.bernoulli(0.7)).collect();
+            let ab = |run: &dyn Fn(Ab)| {
+                let mut c = Matrix::zeros(m, n);
+                run(Ab {
+                    a: a.as_slice(),
+                    k,
+                    b: b.as_slice(),
+                    n,
+                    live: Some(&live),
+                    c: c.as_mut_slice(),
+                });
+                c
+            };
+            let atb = |run: &dyn Fn(AtB)| {
+                let mut c = Matrix::full(k, n, 0.5);
+                run(AtB {
+                    a: a.as_slice(),
+                    m: k,
+                    b: g.as_slice(),
+                    n,
+                    live: Some(&live),
+                    c: c.as_mut_slice(),
+                });
+                c
+            };
+            let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (base_ab, base_atb) = (ab(&|op| run_baseline(op)), atb(&|op| run_baseline(op)));
+            assert_eq!(bits(&base_ab), bits(&ab(&|op| dispatch(op))));
+            assert_eq!(bits(&base_atb), bits(&atb(&|op| dispatch(op))));
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was detected on the line above.
+                assert_eq!(bits(&base_ab), bits(&ab(&|op| unsafe { run_avx2(op) })));
+                // SAFETY: as above.
+                assert_eq!(bits(&base_atb), bits(&atb(&|op| unsafe { run_avx2(op) })));
+            }
+            // And both are the plain triple loop.
+            for (i, &live_i) in live.iter().enumerate() {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += a.get(i, p) * b.get(p, j);
+                    }
+                    let want = if live_i { acc } else { 0.0 };
+                    assert_eq!(base_ab.get(i, j).to_bits(), want.to_bits());
+                }
+            }
+            for i in 0..k {
+                for j in 0..n {
+                    let mut acc = 0.5f32;
+                    for p in (0..m).filter(|&p| live[p]) {
+                        acc += a.get(p, i) * g.get(p, j);
+                    }
+                    assert_eq!(base_atb.get(i, j).to_bits(), acc.to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn add_sub_axpy_roundtrip() {
         let mut a = m(1, 3, &[1.0, 2.0, 3.0]);
@@ -252,10 +592,13 @@ mod tests {
     #[test]
     fn bias_add_and_column_sums() {
         let mut a = Matrix::zeros(3, 2);
-        add_bias(&mut a, &[1.0, -1.0]);
+        add_bias_rows(&mut a, &[1.0, -1.0], None);
+        add_bias_rows(&mut a, &[1.0, 1.0], Some(&[false, true, false]));
+        assert_eq!(a.row(1), &[2.0, 0.0]);
         assert_eq!(a.row(2), &[1.0, -1.0]);
-        let sums = column_sums(&a);
-        assert_eq!(sums, vec![3.0, -3.0]);
+        let mut sums = [0.5, 0.0];
+        column_sums_acc(&a, &mut sums);
+        assert_eq!(sums, [4.5, -2.0]);
     }
 
     #[test]

@@ -108,27 +108,32 @@ impl Rng {
         }
     }
 
-    /// Sample `k` items without replacement from `0..n` (selection sampling
-    /// when `k` is a large fraction of `n`, otherwise rejection into a small
-    /// sorted probe set). Returned order is unspecified but deterministic.
+    /// Sample `k` items without replacement from `0..n` (a shuffled prefix
+    /// when `k` is a large fraction of `n`, otherwise Floyd's algorithm).
+    /// Returned order is unspecified but deterministic.
     pub fn sample_without_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.sample_without_replacement_into(n, k, &mut out);
+        out
+    }
+
+    /// [`Rng::sample_without_replacement`] into a reused buffer: `out` is
+    /// cleared and receives the `k` picks. The same draws in the same order
+    /// as the allocating form, so the two are interchangeable mid-stream.
+    pub fn sample_without_replacement_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} from {n} without replacement");
+        out.clear();
         if k * 3 >= n {
-            let mut all: Vec<usize> = (0..n).collect();
-            self.shuffle(&mut all);
-            all.truncate(k);
-            all
+            out.extend(0..n);
+            self.shuffle(out);
+            out.truncate(k);
         } else {
-            // Floyd's algorithm: O(k) expected.
-            let mut chosen = std::collections::HashSet::with_capacity(k * 2);
-            let mut out = Vec::with_capacity(k);
+            // Floyd's algorithm. `k` is a sampling fanout, so scanning the
+            // picks made so far beats hashing them.
             for j in n - k..n {
                 let t = self.below(j + 1);
-                let pick = if chosen.contains(&t) { j } else { t };
-                chosen.insert(pick);
-                out.push(pick);
+                out.push(if out.contains(&t) { j } else { t });
             }
-            out
         }
     }
 
@@ -227,7 +232,10 @@ mod tests {
     fn sample_without_replacement_unique_and_in_range() {
         let mut r = Rng::new(11);
         for &(n, k) in &[(10usize, 10usize), (100, 5), (50, 40), (1, 1), (5, 0)] {
+            let mut into = vec![7; 3];
+            r.clone().sample_without_replacement_into(n, k, &mut into);
             let s = r.sample_without_replacement(n, k);
+            assert_eq!(s, into, "the two forms draw alike");
             assert_eq!(s.len(), k);
             let set: std::collections::HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), k, "duplicates for n={n} k={k}");

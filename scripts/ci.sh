@@ -23,11 +23,16 @@ cargo test -q --workspace
 # breaks CI, not the next benchmark run.
 ./perf/ci.sh
 
-# Bit-level contracts of the hot path at the elevated case count: the three
-# matmuls (and their row-masked forms) against the naive triple loop, and
-# the training-path backward (no input gradient, computed rows only)
-# against the full unmasked pass, all compared with to_bits.
-FGNN_PROP_CASES=256 cargo test -q --test kernel_bits --test backward_equivalence
+# Bit-level contracts of the hot path at the elevated case count, in the
+# optimized build (the workspace run above covers the debug one): the three
+# matmuls (row-masked and reused-buffer forms, every tile edge) against the
+# naive triple loop, and the training-path backward (no input gradient,
+# computed rows only, a reused workspace) against the full unmasked pass on
+# fresh buffers, all compared with to_bits. With them the allocation budget
+# of a warmed-up step (tests/alloc_budget.rs: a counting allocator, a stated
+# bound per batch and per sampled block).
+FGNN_PROP_CASES=256 cargo test -q --release \
+    --test kernel_bits --test backward_equivalence --test alloc_budget
 
 # Property and observability-invariant suites again at a higher case count
 # (FGNN_PROP_CASES overrides the in-tree default of 64), and the committed

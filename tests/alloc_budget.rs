@@ -1,0 +1,186 @@
+//! "The step allocates nothing" as a gate, not a benchmark remark.
+//!
+//! A counting allocator local to this test binary: after a warm-up epoch has
+//! grown the driver's step workspace to the largest batch, a further epoch
+//! may allocate only a small, stated number of times per batch, and the
+//! sampler a stated constant per block, on a homogeneous and on a
+//! heterogeneous trainer. The bounds sit beside the values measured when
+//! they were written; they are counts, so they repeat exactly on one
+//! toolchain and have room for another's `Vec` growth policy, not for a
+//! per-node or per-layer-matrix allocation coming back (the parent of this
+//! test made ≈ 17 000 a batch on `train_fresh`).
+
+use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
+use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::graph::datasets::arxiv_spec;
+use freshgnn_repro::graph::hetero::{mag_hetero, HeteroSampler};
+use freshgnn_repro::graph::sample::{split_batches, NeighborSampler};
+use freshgnn_repro::graph::Dataset;
+use freshgnn_repro::memsim::presets::Machine;
+use freshgnn_repro::nn::model::Arch;
+use freshgnn_repro::nn::Adam;
+use freshgnn_repro::tensor::Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialised: first use allocates nothing, so the allocator may
+    // touch it. Per thread, so tests running side by side do not see each
+    // other (a synchronous epoch runs on the calling thread).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting allocation calls per thread.
+struct Counting;
+
+fn note() {
+    // An allocation made while the thread's locals are torn down goes
+    // uncounted.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations for `alloc` are `System`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` and `layout` come from this allocator, i.e. from
+        // `System`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocation calls this thread makes while `f` runs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+const FANOUTS: [usize; 3] = [5, 5, 5];
+const BATCH: usize = 64;
+
+/// Allocations of one sampled block: its two node lists and its adjacency's
+/// three arrays, whatever the node count. Measured: 5.
+const PER_BLOCK: u64 = 5;
+/// On top of the blocks, per sampled batch: the block list and the seed
+/// list. Measured: 2.
+const PER_SAMPLE: u64 = 2;
+
+/// Prune → load → forward → backward → cache update → optimizer step of one
+/// homogeneous batch after warm-up, with the batch's share of the epoch's own
+/// allocations (its seed list in the shuffled schedule, the epoch's stats).
+/// Measured: 53 — the prune outcome's masks and hit lists, one verdict list
+/// per cached level, the engine's per-stage span records, the optimizer's
+/// parameter list; none of them grows with the batch's node count.
+const STEP_HOMOGENEOUS: u64 = 80;
+/// The same on the heterogeneous trainer, whose masks are per node type.
+/// Measured: 77.
+const STEP_HETEROGENEOUS: u64 = 115;
+
+fn config() -> FreshGnnConfig {
+    FreshGnnConfig {
+        p_grad: 0.9,
+        t_stale: 50,
+        fanouts: FANOUTS.to_vec(),
+        batch_size: BATCH,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn neighbor_sampler_allocates_a_constant_per_block() {
+    let ds = Dataset::materialize(arxiv_spec(0.001).with_dim(16), 7);
+    let mut sampler = NeighborSampler::new(ds.num_nodes());
+    let mut rng = Rng::new(1);
+    let batches = split_batches(&ds.train_nodes, BATCH, Some(&mut rng));
+    assert!(batches.len() >= 4);
+    // The first sweep grows the sampler's own scratch (its node mapper's
+    // insertion list, one destination's picks) to the largest block.
+    for sweep in 0..2 {
+        let mut rng = Rng::new(2);
+        for seeds in &batches {
+            let (count, mb) = allocations(|| sampler.sample(&ds.graph, seeds, &FANOUTS, &mut rng));
+            assert!(mb.total_edges() > 4 * seeds.len(), "a real neighborhood");
+            if sweep == 1 {
+                assert_eq!(count, PER_BLOCK * FANOUTS.len() as u64 + PER_SAMPLE);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_homogeneous_step_allocates_a_small_constant_after_warm_up() {
+    let ds = Dataset::materialize(arxiv_spec(0.001).with_dim(16), 7);
+    let mut trainer = Trainer::new(&ds, Arch::Sage, 32, Machine::single_a100(), config(), 3);
+    let mut opt = Adam::new(0.01);
+    // Two epochs: the first grows the workspace (and the optimizer's
+    // moments), the second fills the cache so the third prunes against it.
+    trainer.train_epoch(&ds, &mut opt);
+    trainer.train_epoch(&ds, &mut opt);
+    let (count, stats) = allocations(|| trainer.train_epoch(&ds, &mut opt));
+    assert!(stats.cache_reads > 0, "the measured epoch reads the cache");
+    let batches = stats.batches as u64;
+    assert!(batches >= 4);
+    let sampling = PER_BLOCK * FANOUTS.len() as u64 + PER_SAMPLE;
+    let per_batch = count / batches;
+    assert!(
+        per_batch <= STEP_HOMOGENEOUS + sampling,
+        "{count} allocations over {batches} batches = {per_batch} a batch"
+    );
+}
+
+#[test]
+fn a_heterogeneous_step_allocates_a_small_constant_after_warm_up() {
+    let ds = mag_hetero(4000, 4, 8, 3);
+    let n_types = ds.graph.node_counts.len() as u64;
+    let n_rels = ds.graph.relations.len() as u64;
+
+    // The typed sampler: per block one adjacency (3 arrays) per relation, a
+    // src and a dst node list per type, and the three lists holding them; an
+    // empty list allocates nothing. Measured: 62 of the 76 this allows.
+    let mut sampler = HeteroSampler::new(&ds.graph);
+    let seeds = &ds.train_nodes[..BATCH];
+    let mut sample = || {
+        let mut rng = Rng::new(1);
+        allocations(|| sampler.sample(&ds.graph, ds.target_type, seeds, &FANOUTS, &mut rng)).0
+    };
+    sample(); // grows the sampler's scratch
+    let count = sample();
+    let per_block = 3 * n_rels + 2 * n_types + 3;
+    let sampling = per_block * FANOUTS.len() as u64 + 2 + PER_SAMPLE;
+    assert!(count <= sampling, "{count} > {sampling}");
+
+    let mut trainer = HeteroTrainer::new(&ds, 16, Machine::single_a100(), config(), 5);
+    let mut opt = Adam::new(0.01);
+    trainer.train_epoch(&ds, &mut opt);
+    trainer.train_epoch(&ds, &mut opt);
+    let (count, stats) = allocations(|| trainer.train_epoch(&ds, &mut opt));
+    let batches = stats.batches as u64;
+    assert!(batches >= 4);
+    let per_batch = count / batches;
+    assert!(
+        per_batch <= STEP_HETEROGENEOUS + sampling,
+        "{count} allocations over {batches} batches = {per_batch} a batch"
+    );
+}
