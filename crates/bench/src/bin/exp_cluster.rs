@@ -4,16 +4,13 @@
 //!
 //! Each cell partitions the graph with the LDG partitioner, runs BSP
 //! lock-step rounds with batched active-message halo reads, and reports
-//! two kinds of quantity:
-//!
-//! * **exact** — final-epoch cluster mean loss, H2D feature bytes,
-//!   inter-host NIC bytes, simulated seconds (slowest host's stream plus
-//!   NIC and retry time), degraded reads, and the worst staleness any
-//!   degraded read was served at. BSP rounds make every one a deterministic
-//!   function of the seed and the fault schedule; the `crash` schedule's
-//!   loss and H2D columns must match the `none` schedule bit for bit
-//!   (deterministic shard recovery);
-//! * **measured** — cell wall time, context only.
+//! exact quantities: final-epoch cluster mean loss, H2D feature bytes,
+//! inter-host NIC bytes, simulated seconds (slowest host's stream plus NIC
+//! and retry time), degraded reads, and the worst staleness any degraded
+//! read was served at. BSP rounds make every one a deterministic function
+//! of the seed and the fault schedule; the `crash` schedule's loss and H2D
+//! columns must match the `none` schedule bit for bit (deterministic shard
+//! recovery). Wall-clock is `perf/`'s `cluster` workload.
 //!
 //! `--bench-json <path>` writes the `fgnn-cluster-v1` document
 //! `scripts/bench_trajectory.sh` commits as `BENCH_cluster.json`. The
@@ -24,7 +21,7 @@
 //! [`ClusterTrainer`]: freshgnn::ClusterTrainer
 
 use fgnn_bench::trajectory::{cluster_sweep, ClusterSweepConfig};
-use fgnn_bench::{banner, fmt_bytes, fmt_secs, row, Args};
+use fgnn_bench::{banner, fmt_bytes, row, Args};
 use freshgnn::cluster::cluster_bench_json;
 
 fn main() {
@@ -57,7 +54,7 @@ fn main() {
         sw.epochs, sw.hosts, sw.schedules, sw.seed,
     );
 
-    let w = [12usize, 6, 9, 12, 10, 10, 12, 9, 9, 9];
+    let w = [12usize, 6, 9, 12, 10, 10, 12, 9, 9];
     row(
         &[
             &"dataset",
@@ -69,7 +66,6 @@ fn main() {
             &"simSeconds",
             &"degraded",
             &"maxStale",
-            &"wall",
         ],
         &w,
     );
@@ -86,7 +82,6 @@ fn main() {
                 &format!("{:.6}", r.sim_seconds),
                 &r.degraded_reads,
                 &r.max_staleness,
-                &fmt_secs(r.wall_seconds),
             ],
             &w,
         );

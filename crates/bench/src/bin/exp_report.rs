@@ -11,13 +11,10 @@
 //! (default ±5%) exists so a deliberate ≥10% regression always trips
 //! while genuine FP noise — there should be none — never does.
 //!
-//! The training baseline adds two structural gates on top of the drift
+//! The training baseline adds one structural gate on top of the drift
 //! comparison: every (dataset, worker-count) cell must reproduce the
-//! single-worker exact metrics *bit for bit* (the work-stealing runtime's
-//! determinism contract, zero tolerance), and — only on machines with ≥4
-//! usable cores — measured epoch wall time must not grow as workers are
-//! added 1→4 (printed as "skipped (N cores)" elsewhere, since wall time
-//! on a starved machine says nothing about the runtime).
+//! single-worker exact metrics *bit for bit* (the runtime's determinism
+//! contract, zero tolerance).
 //!
 //! The cluster baseline adds its own structural gate: for every
 //! (dataset, host-count) pair, the committed training quantities of the
@@ -39,8 +36,8 @@
 use fgnn_bench::trajectory::{
     cluster_sweep, compare_cluster, compare_policy, compare_serve, compare_train,
     fault_invariance_checks, policy_sweep, serve_dataset, serve_sweep, train_sweep,
-    wall_monotonicity_checks, worker_invariance_checks, ClusterSweepConfig, MetricCheck,
-    PolicySweepConfig, ServeSweepConfig, TrainSweepConfig, DEFAULT_TOLERANCE,
+    worker_invariance_checks, ClusterSweepConfig, MetricCheck, PolicySweepConfig, ServeSweepConfig,
+    TrainSweepConfig, DEFAULT_TOLERANCE,
 };
 use fgnn_bench::{banner, row, Args};
 use freshgnn::obs::{parse_json, JsonValue};
@@ -59,12 +56,10 @@ const SERVE_METRICS: [&str; 7] = [
 /// Metrics gated per policy-frontier row, in table order.
 const POLICY_METRICS: [&str; 4] = ["accuracy", "h2dBytes", "ioSaving", "hitRate"];
 
-/// Metrics gated per train-scaling row, in table order (`wallSeconds` and
-/// `steals` are in the document but measured, so never gated on drift).
+/// Metrics gated per train-scaling row, in table order.
 const TRAIN_METRICS: [&str; 3] = ["meanLoss", "h2dBytes", "simSeconds"];
 
-/// Metrics gated per cluster-sweep row, in table order (`wallSeconds` is
-/// in the document but measured, so never gated).
+/// Metrics gated per cluster-sweep row, in table order.
 const CLUSTER_METRICS: [&str; 6] = [
     "meanLoss",
     "h2dBytes",
@@ -73,11 +68,6 @@ const CLUSTER_METRICS: [&str; 6] = [
     "degradedReads",
     "maxStaleness",
 ];
-
-/// Allowed relative wall-time growth per worker-count step before the
-/// monotonicity gate trips; generous because wall time is measured, while
-/// a scheduler that stops scaling blows well past it.
-const WALL_SLACK: f64 = 0.25;
 
 fn load(path: &str) -> JsonValue {
     let text = std::fs::read_to_string(path)
@@ -371,13 +361,6 @@ fn main() {
     let policy_checks = compare_policy(&policy_base, &rows, tolerance);
     let mut train_checks = compare_train(&train_base, &train_rows, tolerance);
     train_checks.extend(worker_invariance_checks(&train_rows));
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let wall_checks = if cores >= 4 {
-        wall_monotonicity_checks(&train_rows, cores, WALL_SLACK)
-    } else {
-        Vec::new()
-    };
-    train_checks.extend(wall_checks);
     let mut cluster_checks = compare_cluster(&cluster_base, &cluster_rows, tolerance);
     cluster_checks.extend(fault_invariance_checks(&cluster_rows));
 
@@ -394,11 +377,8 @@ fn main() {
     print_trajectory(
         "train scaling trajectory (BENCH_train.json)",
         &train_checks,
-        &["simSeconds", "wallSeconds"],
+        &["simSeconds"],
     );
-    if cores < 4 {
-        println!("wall-time monotonicity: skipped ({cores} cores)");
-    }
     print_trajectory(
         "cluster trajectory (BENCH_cluster.json)",
         &cluster_checks,

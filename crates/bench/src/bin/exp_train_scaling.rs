@@ -1,28 +1,25 @@
-//! Extension: epoch wall time of the work-stealing training runtime
+//! Extension: worker-count invariance of the overlapped training epoch
 //! (DESIGN.md §13) at 1/2/4/8 workers on the four Fig 10 datasets.
 //!
 //! Each cell trains the FreshGNN configuration through
-//! [`Trainer::train_epoch_async`] — the async sampler and pipeline on the
-//! in-tree work-stealing pool — and reports two kinds of quantity:
-//!
-//! * **exact** — final-epoch mean loss, total H2D feature bytes, and the
-//!   simulated GPU-stream seconds (transfer + retry + compute). The
-//!   runtime commits batches in index order with per-task seeded RNG, so
-//!   these reproduce *bit for bit* at any worker count;
-//! * **measured** — cell wall time and steal counts, the schedule
-//!   artifacts the sweep exists to show: wall time should shrink 1→4
-//!   workers on a multi-core machine while the exact columns do not move.
+//! [`Trainer::train_epoch_async`] — sampling on the runtime pool, overlapped
+//! under training — and reports exact quantities only: final-epoch mean
+//! loss, total H2D feature bytes, and the simulated GPU-stream seconds
+//! (transfer + retry + compute). Batches are committed in index order with
+//! per-task seeded RNG, so these reproduce *bit for bit* at any worker
+//! count. What overlap and a second worker buy in wall-clock is measured by
+//! `perf/` (`sampler.overlapped_pass_s`), not here.
 //!
 //! `--bench-json <path>` writes the `fgnn-train-v1` document
 //! `scripts/bench_trajectory.sh` commits as `BENCH_train.json`. The sweep
 //! loop itself lives in [`fgnn_bench::trajectory`], shared with the
 //! `exp_report` gate (which additionally enforces the cross-worker
-//! bit-identity and the wall-time monotonicity claims).
+//! bit-identity).
 //!
 //! [`Trainer::train_epoch_async`]: freshgnn::Trainer::train_epoch_async
 
 use fgnn_bench::trajectory::{train_sweep, TrainSweepConfig};
-use fgnn_bench::{banner, fmt_bytes, fmt_secs, row, Args};
+use fgnn_bench::{banner, fmt_bytes, row, Args};
 use freshgnn::runtime::train_bench_json;
 
 fn main() {
@@ -48,7 +45,7 @@ fn main() {
 
     banner(
         "TrainScaling",
-        "Epoch wall time vs runtime workers (exact metrics invariant)",
+        "Overlapped epochs vs runtime workers (exact metrics invariant)",
     );
     println!(
         "{} epochs per cell, workers {:?}, seed {} ({} cores available)\n",
@@ -58,17 +55,9 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
 
-    let w = [12usize, 8, 12, 10, 13, 10, 8];
+    let w = [12usize, 8, 12, 10, 13];
     row(
-        &[
-            &"dataset",
-            &"workers",
-            &"meanLoss",
-            &"h2d",
-            &"simSeconds",
-            &"wall",
-            &"steals",
-        ],
+        &[&"dataset", &"workers", &"meanLoss", &"h2d", &"simSeconds"],
         &w,
     );
 
@@ -80,16 +69,13 @@ fn main() {
                 &format!("{:.6}", r.mean_loss),
                 &fmt_bytes(r.h2d_bytes),
                 &format!("{:.6}", r.sim_seconds),
-                &fmt_secs(r.wall_seconds),
-                &r.steals,
             ],
             &w,
         );
     });
 
     println!("\nscaling reading: meanLoss/h2d/simSeconds must be identical down");
-    println!("each dataset's column (the runtime's determinism contract); wall");
-    println!("time should fall as workers are added, up to the core count.");
+    println!("each dataset's column (the runtime's determinism contract).");
     if let Some(path) = bench_out {
         std::fs::write(&path, train_bench_json(sw.seed, &rows)).expect("write --bench-json");
         eprintln!("wrote train bench JSON to {path}");

@@ -17,12 +17,11 @@
 //! never does).
 //!
 //! [`train_sweep`] covers the third baseline, `BENCH_train.json`: the
-//! fig 10 datasets trained through the work-stealing runtime at 1/2/4/8
+//! fig 10 datasets trained through the overlapped epoch at 1/2/4/8
 //! workers. Its gate is stricter — [`worker_invariance_checks`] demands
 //! the exact metrics reproduce the single-worker row *bit for bit* at
-//! every worker count, and [`wall_monotonicity_checks`] asserts the
-//! measured wall time actually shrinks as workers are added (on machines
-//! with real parallelism).
+//! every worker count. (Wall-clock against worker count is `perf/`'s to
+//! measure, not this sweep's.)
 
 use fgnn_graph::datasets::{
     arxiv_spec, friendster_spec, mag240m_spec, papers100m_spec, twitter_spec, DatasetSpec,
@@ -273,9 +272,8 @@ pub fn policy_sweep(
 
 /// Knobs of the training worker-scaling sweep (`exp_train_scaling`
 /// defaults). The sweep runs [`Trainer::train_epoch_async`] — the
-/// work-stealing runtime under the async sampler — over the fig 10
-/// datasets at each worker count, proving the gated metrics are
-/// worker-count invariant while wall time shrinks.
+/// overlapped epoch — over the fig 10 datasets at each worker count,
+/// proving the gated metrics are worker-count invariant.
 #[derive(Clone, Debug)]
 pub struct TrainSweepConfig {
     /// Master seed (dataset materialization, model init, batch shuffles).
@@ -319,7 +317,6 @@ pub fn train_sweep(
             };
             let mut t = Trainer::new(&ds, Arch::Sage, 32, Machine::single_a100(), cfg, sw.seed);
             let mut opt = Adam::new(0.003);
-            let start = std::time::Instant::now();
             let mut mean_loss = 0.0;
             for _ in 0..sw.epochs {
                 let stats = t
@@ -327,7 +324,6 @@ pub fn train_sweep(
                     .expect("fault-free sweep epoch");
                 mean_loss = stats.mean_loss;
             }
-            let wall_seconds = start.elapsed().as_secs_f64();
             let c = &t.counters;
             let r = TrainScalingRow {
                 dataset: label.to_string(),
@@ -337,8 +333,6 @@ pub fn train_sweep(
                 // Exact GPU-stream time only: the measured sample/prune
                 // wall components would vary with the schedule.
                 sim_seconds: c.transfer_seconds + c.retry_seconds + c.compute_seconds,
-                wall_seconds,
-                steals: t.obs.metrics.counter("sampler.steals").unwrap_or(0),
             };
             on_row(&r);
             rows.push(r);
@@ -420,7 +414,6 @@ pub fn cluster_sweep(
                 let mut ct = ClusterTrainer::new(&ds, cfg, sw.seed).expect("valid sweep cluster");
                 ct.inject_cluster_faults(cluster_fault_plan(schedule, hosts))
                     .expect("valid sweep fault schedule");
-                let start = std::time::Instant::now();
                 let report = ct.train(sw.epochs).expect("fault schedules recover");
                 let r = ClusterBenchRow {
                     dataset: label.to_string(),
@@ -435,7 +428,6 @@ pub fn cluster_sweep(
                     sim_seconds: report.sim_seconds,
                     degraded_reads: report.ledger.degraded_reads,
                     max_staleness: report.ledger.max_staleness,
-                    wall_seconds: start.elapsed().as_secs_f64(),
                 };
                 on_row(&r);
                 rows.push(r);
@@ -587,10 +579,8 @@ pub fn compare_policy(
 }
 
 /// Compare a fresh training worker-scaling sweep against baseline rows
-/// parsed from `BENCH_train.json`, keyed by `dataset/w{N}`. Only the
-/// exact metrics are gated (`meanLoss`, `h2dBytes`, `simSeconds`);
-/// `wallSeconds` and `steals` are measured schedule artifacts and never
-/// enter the gate.
+/// parsed from `BENCH_train.json`, keyed by `dataset/w{N}`: `meanLoss`,
+/// `h2dBytes` and `simSeconds`, all exact.
 pub fn compare_train(
     baseline: &[(String, Vec<(&'static str, f64)>)],
     fresh: &[TrainScalingRow],
@@ -637,8 +627,7 @@ pub fn compare_train(
 /// metric is an exact simulated quantity and every one regresses upward:
 /// higher loss, more traffic, more simulated time, more degraded reads or
 /// worse staleness all mean the cluster got less efficient or less
-/// healthy under the same schedule. `wallSeconds` is measured and never
-/// gated.
+/// healthy under the same schedule.
 pub fn compare_cluster(
     baseline: &[(String, Vec<(&'static str, f64)>)],
     fresh: &[ClusterBenchRow],
@@ -751,40 +740,6 @@ pub fn worker_invariance_checks(fresh: &[TrainScalingRow]) -> Vec<MetricCheck> {
     checks
 }
 
-/// Wall-time monotonicity checks over a fresh training sweep: for each
-/// dataset, each step up in worker count (up to `max_workers`, the
-/// machine's usable parallelism) must not make the measured cell wall time
-/// worse than `slack` over the previous count. Callers should skip this
-/// entirely on machines without real parallelism — wall time is a
-/// measured quantity and only the multi-core claim is meaningful.
-pub fn wall_monotonicity_checks(
-    fresh: &[TrainScalingRow],
-    max_workers: usize,
-    slack: f64,
-) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    let mut datasets: Vec<&str> = fresh.iter().map(|r| r.dataset.as_str()).collect();
-    datasets.dedup();
-    for dataset in datasets {
-        let mut of_ds: Vec<&TrainScalingRow> = fresh
-            .iter()
-            .filter(|r| r.dataset == dataset && r.workers <= max_workers)
-            .collect();
-        of_ds.sort_by_key(|r| r.workers);
-        for pair in of_ds.windows(2) {
-            checks.push(MetricCheck {
-                label: format!("{}/w{}->w{}", dataset, pair[0].workers, pair[1].workers),
-                metric: "wallSeconds",
-                baseline: pair[0].wall_seconds,
-                fresh: pair[1].wall_seconds,
-                tolerance: slack,
-                higher_is_worse: true,
-            });
-        }
-    }
-    checks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,8 +797,6 @@ mod tests {
             mean_loss: 1.5,
             h2d_bytes: 4096,
             sim_seconds: 0.25,
-            wall_seconds: 1.0 / workers as f64,
-            steals: workers as u64,
         }
     }
 
@@ -897,7 +850,6 @@ mod tests {
             sim_seconds: 0.5,
             degraded_reads: if schedule == "none" { 0 } else { 7 },
             max_staleness: if schedule == "none" { 0 } else { 3 },
-            wall_seconds: 0.25,
         }
     }
 
@@ -959,25 +911,5 @@ mod tests {
             fault_invariance_checks(&rows).iter().any(|c| c.regressed()),
             "one ULP of loss drift in either direction breaks recovery invariance"
         );
-    }
-
-    #[test]
-    fn wall_monotonicity_respects_the_core_cap_and_slack() {
-        let rows = [
-            train_row("mag240m", 1),
-            train_row("mag240m", 2),
-            train_row("mag240m", 4),
-            train_row("mag240m", 8),
-        ];
-        // wall = 1/workers: strictly improving, nothing trips.
-        let checks = wall_monotonicity_checks(&rows, 4, 0.10);
-        assert_eq!(checks.len(), 2, "w8 exceeds the 4-core cap");
-        assert!(checks.iter().all(|c| !c.regressed()));
-        // A 2x wall blow-up at w4 trips even with slack.
-        let mut bad = rows.clone();
-        bad[2].wall_seconds = bad[1].wall_seconds * 2.0;
-        assert!(wall_monotonicity_checks(&bad, 4, 0.10)
-            .iter()
-            .any(|c| c.regressed()));
     }
 }

@@ -2,11 +2,10 @@
 //! `exp_cluster --bench-json` writes and `scripts/bench_trajectory.sh`
 //! commits as `BENCH_cluster.json`.
 //!
-//! Hand-rolled like the other exporters (zero registry dependencies). The
-//! gated fields are exact simulated quantities — BSP rounds make every
-//! one of them a deterministic function of the seed and the fault
-//! schedule, so `exp_report compare_cluster` can hold them to tight
-//! tolerances. `wallSeconds` is measured context only.
+//! Hand-rolled like the other exporters (zero registry dependencies).
+//! Every field is an exact simulated quantity — BSP rounds make each one a
+//! deterministic function of the seed and the fault schedule, so
+//! `exp_report compare_cluster` can hold them to tight tolerances.
 
 use crate::obs::export::{json_escape, json_f64};
 
@@ -40,8 +39,6 @@ pub struct ClusterBenchRow {
     /// Worst staleness (rounds) any degraded read was served at (exact;
     /// bounded by `t_stale`).
     pub max_staleness: u64,
-    /// Measured wall seconds for the whole cell (context only).
-    pub wall_seconds: f64,
 }
 
 /// Serialize the sweep as one deterministic JSON document. Row order is
@@ -60,7 +57,7 @@ pub fn cluster_bench_json(seed: u64, rows: &[ClusterBenchRow]) -> String {
         out.push_str(&format!(
             "{{\"dataset\":\"{}\",\"hosts\":{},\"schedule\":\"{}\",\"meanLoss\":{},\
              \"h2dBytes\":{},\"nicBytes\":{},\"simSeconds\":{},\"degradedReads\":{},\
-             \"maxStaleness\":{},\"wallSeconds\":{}}}",
+             \"maxStaleness\":{}}}",
             json_escape(&r.dataset),
             r.hosts,
             json_escape(&r.schedule),
@@ -70,7 +67,6 @@ pub fn cluster_bench_json(seed: u64, rows: &[ClusterBenchRow]) -> String {
             json_f64(r.sim_seconds),
             r.degraded_reads,
             r.max_staleness,
-            json_f64(r.wall_seconds),
         ));
     }
     out.push_str("]}\n");
@@ -92,7 +88,6 @@ mod tests {
             sim_seconds: 0.5,
             degraded_reads: 17,
             max_staleness: 3,
-            wall_seconds: 0.125,
         }
     }
 

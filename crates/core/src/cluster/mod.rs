@@ -30,7 +30,7 @@ mod trainer;
 
 pub use export::{cluster_bench_json, ClusterBenchRow, CLUSTER_SCHEMA_VERSION};
 pub use membership::{FailureDetector, HostStatus, MembershipTransition, MembershipView};
-pub use trainer::{ClusterReport, ClusterTrainer, RoundEngine, StalenessLedger};
+pub use trainer::{ClusterReport, ClusterTrainer, StalenessLedger};
 
 use crate::config::FreshGnnConfig;
 use fgnn_nn::model::Arch;

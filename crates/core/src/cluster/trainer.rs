@@ -44,20 +44,6 @@ fn host_seed(seed: u64, host: usize) -> u64 {
     seed ^ (host as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// How each host executes its one batch per round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundEngine {
-    /// Synchronous sampling + pipeline ([`Trainer::train_on_batches`]).
-    Sync,
-    /// Work-stealing async sampler ([`Trainer::train_on_batches_async`]).
-    Async {
-        /// Sampler worker threads per host.
-        workers: usize,
-        /// Bounded prefetch queue depth.
-        queue_capacity: usize,
-    },
-}
-
 /// Ledger of how remote reads were served, and how stale the degraded
 /// ones were allowed to get.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -157,7 +143,6 @@ pub struct ClusterTrainer {
     plan: ClusterFaultPlan,
     next_event: usize,
     retry: RetryPolicy,
-    engine: RoundEngine,
     round: u64,
     comms: TrafficCounters,
     ledger: StalenessLedger,
@@ -260,7 +245,6 @@ impl ClusterTrainer {
             plan: ClusterFaultPlan::none(),
             next_event: 0,
             retry: RetryPolicy::default(),
-            engine: RoundEngine::Sync,
             round: 0,
             comms: TrafficCounters::new(),
             ledger,
@@ -297,11 +281,6 @@ impl ClusterTrainer {
     /// (chaos hook for the numeric-recovery path).
     pub fn inject_nan_at(&mut self, host: usize, rounds: impl IntoIterator<Item = u64>) {
         self.shards[host].nan_rounds.extend(rounds);
-    }
-
-    /// Choose the per-round execution engine (default [`RoundEngine::Sync`]).
-    pub fn set_round_engine(&mut self, engine: RoundEngine) {
-        self.engine = engine;
     }
 
     /// Override the retry policy used against crashed-but-undetected hosts.
@@ -530,7 +509,7 @@ impl ClusterTrainer {
         }
         self.exchange_halo(h)?;
         let idx = self.shards[h].cursor;
-        let stats_loss = self.run_host_batch(h, idx)?;
+        let stats_loss = self.run_host_batch(h, idx);
         let observed = if self.shards[h].nan_rounds.remove(&self.round) {
             f64::NAN
         } else {
@@ -636,7 +615,7 @@ impl ClusterTrainer {
         }
         let replay_through = self.shards[h].cursor;
         for i in 0..=replay_through {
-            let loss = self.run_host_batch(h, i)?;
+            let loss = self.run_host_batch(h, i);
             self.shards[h].losses.push(loss);
         }
         self.shards[h].cursor = replay_through + 1;
@@ -644,21 +623,11 @@ impl ClusterTrainer {
     }
 
     /// Train exactly `batches[idx]` on host `h`, returning its loss.
-    fn run_host_batch(&mut self, h: usize, idx: usize) -> Result<f64, FgnnError> {
-        let engine = self.engine;
+    fn run_host_batch(&mut self, h: usize, idx: usize) -> f64 {
         let s = &mut self.shards[h];
-        let slice = &s.batches[idx..idx + 1];
-        let stats = match engine {
-            RoundEngine::Sync => s.trainer.train_on_batches(&s.ds, slice, &mut s.opt),
-            RoundEngine::Async {
-                workers,
-                queue_capacity,
-            } => s
-                .trainer
-                .train_on_batches_async(&s.ds, slice, &mut s.opt, workers, queue_capacity)
-                .map_err(FgnnError::Sample)?,
-        };
-        Ok(stats.mean_loss)
+        s.trainer
+            .train_on_batches(&s.ds, &s.batches[idx..idx + 1], &mut s.opt)
+            .mean_loss
     }
 
     /// Fetch the remote halo of host `h`'s next batch: the deduplicated

@@ -9,9 +9,10 @@
 //! [`Driver::train_epoch_resilient`], post-epoch bookkeeping and
 //! cache-metric publication.
 //!
-//! A [`Workload`] supplies what genuinely differs: construction, sampling,
-//! the prune → load → forward → backward → cache-update → optim step, the
-//! overlapped-epoch body, evaluation and the checkpoint `arch` tag.
+//! A [`Workload`] supplies what genuinely differs: construction, sampling
+//! (in line and on a worker thread of the overlapped epoch), the prune →
+//! load → forward → backward → cache-update → optim step, evaluation and
+//! the checkpoint `arch` tag.
 //! [`crate::Trainer`] and [`crate::hetero_trainer::HeteroTrainer`] are the
 //! two instantiations.
 
@@ -22,8 +23,8 @@ use crate::error::FgnnError;
 use crate::obs::{MetricClass, Metrics, Obs};
 use crate::pipeline::{BatchOutput, Engine, EpochStats, PipelineCtx, StallPolicy};
 use crate::resilience::{HealthState, NumericFault, NumericGuard, Supervisor};
-use crate::runtime::{ChaosPolicy, RuntimeConfig};
-use crate::sampler::SampleError;
+use crate::runtime::{task_rng, ChaosPolicy, RuntimeConfig};
+use crate::sampler::{FaultHook, SampleError};
 use fgnn_graph::sample::split_batches;
 use fgnn_graph::NodeId;
 use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
@@ -35,6 +36,7 @@ use fgnn_nn::model::Arch;
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// What differs between the homogeneous and the heterogeneous instance of
 /// Algorithm 1. The value itself holds the workload's own state (sampler,
@@ -46,7 +48,12 @@ pub trait Workload: Sized {
     /// The model under training.
     type Model;
     /// One sampled, not yet pruned mini-batch.
-    type Batch;
+    type Batch: Send + 'static;
+    /// What sampling reads of the dataset, owned: an overlapped epoch
+    /// copies it out once for its sampler workers to share.
+    type Graph: Send + Sync + 'static;
+    /// A sampler worker's scratch state.
+    type Sampler;
     /// The model's forward state, reused from step to step.
     type Trace: Default;
     /// The model's backward buffers, reused from step to step.
@@ -93,17 +100,20 @@ pub trait Workload: Sized {
         opt: &mut dyn Optimizer,
     ) -> BatchOutput;
 
-    /// One epoch over `batches` with sampling overlapped under training:
-    /// schedule the sampling on `runtime`, seeded per batch from
-    /// `batch_seed`, and feed `Stages::train_sampled` in batch order.
-    fn run_overlapped(
-        driver: &mut Driver<Self>,
-        ds: &Self::Dataset,
-        batches: Vec<Vec<NodeId>>,
-        opt: &mut dyn Optimizer,
-        runtime: &RuntimeConfig,
-        batch_seed: u64,
-    ) -> Result<EpochStats, SampleError>;
+    /// Copy what sampling reads out of `ds`.
+    fn graph(ds: &Self::Dataset) -> Self::Graph;
+
+    /// Build one sampler worker's state (again after a worker panic).
+    fn worker_sampler(graph: &Self::Graph) -> Self::Sampler;
+
+    /// [`Workload::sample`] on a sampler worker.
+    fn worker_sample(
+        sampler: &mut Self::Sampler,
+        graph: &Self::Graph,
+        seeds: &[NodeId],
+        fanouts: &[usize],
+        rng: &mut Rng,
+    ) -> Self::Batch;
 
     /// Accuracy of `model` on `nodes` under the shared evaluation protocol
     /// (plain sampling, no cache reads).
@@ -199,9 +209,12 @@ pub struct Driver<W: Workload> {
     /// Iterations whose reported loss is forced to NaN (chaos-test hook
     /// for the numeric-health guard). Entries are consumed when they fire.
     nan_iters: BTreeSet<u32>,
-    /// Seeded adversarial scheduling on the overlapped epoch's runtime
+    /// Seeded adversarial scheduling on the overlapped epoch's pool
     /// (`None` in production; the schedule-fuzzing suite turns it on).
     sampler_chaos: Option<ChaosPolicy>,
+    /// Test hook forwarded to the overlapped epoch's sampler workers
+    /// (fault injection).
+    sampler_fault_hook: Option<FaultHook>,
     /// Set by a degraded restore; consumed into the next epoch's stats.
     degraded_resume: bool,
 }
@@ -224,11 +237,11 @@ pub struct Stages<'s, W: Workload> {
 
 /// The engine side of a [`Driver`]: what [`Engine::run_epoch`] threads
 /// through an epoch, plus the NaN-injection set the guarded loop consumes.
-pub(crate) struct Shell<'s> {
-    pub(crate) topo: &'s Topology,
-    pub(crate) faults: &'s mut FaultState,
-    pub(crate) counters: &'s mut TrafficCounters,
-    pub(crate) obs: &'s mut Obs,
+struct Shell<'s> {
+    topo: &'s Topology,
+    faults: &'s mut FaultState,
+    counters: &'s mut TrafficCounters,
+    obs: &'s mut Obs,
     nan_iters: &'s mut BTreeSet<u32>,
 }
 
@@ -253,7 +266,7 @@ impl<W: Workload> Stages<'_, W> {
 
     /// Steps 2–7 of Algorithm 1 on an already-sampled mini-batch (shared
     /// by the synchronous and overlapped paths).
-    pub(crate) fn train_sampled(
+    fn train_sampled(
         &mut self,
         ds: &W::Dataset,
         ctx: &mut PipelineCtx<'_>,
@@ -393,6 +406,7 @@ impl<W: Workload> Driver<W> {
             faults: FaultState::none(),
             nan_iters: BTreeSet::new(),
             sampler_chaos: None,
+            sampler_fault_hook: None,
             degraded_resume: false,
         }
     }
@@ -420,13 +434,21 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Enable (or disable with `None`) seeded adversarial scheduling on
-    /// the work-stealing runtime under [`Driver::train_epoch_async`]:
-    /// forced steals, delayed pops and worker stalls, all drawn from the
-    /// policy's seed. Chaos perturbs only *where and when* batches are
-    /// sampled — the committed stream, losses and every `Exact` metric are
-    /// invariant to it (the schedule-fuzzing suite pins this).
+    /// the pool under [`Driver::train_epoch_async`]: delayed claims and
+    /// worker stalls, all drawn from the policy's seed. Chaos perturbs only
+    /// *where and when* batches are sampled — the committed stream, losses
+    /// and every `Exact` metric are invariant to it (the schedule-fuzzing
+    /// suite pins this).
     pub fn set_sampler_chaos(&mut self, chaos: Option<ChaosPolicy>) {
         self.sampler_chaos = chaos;
+    }
+
+    /// Install a hook invoked inside [`Driver::train_epoch_async`]'s
+    /// sampler workers before each batch attempt (`(batch_index, attempt)`)
+    /// — panics it raises exercise the worker-recovery path. Test-only in
+    /// spirit, but harmless live.
+    pub fn set_sampler_fault_hook(&mut self, hook: Option<FaultHook>) {
+        self.sampler_fault_hook = hook;
     }
 
     /// State of the interconnect circuit breaker, if one is armed.
@@ -579,7 +601,7 @@ impl<W: Workload> Driver<W> {
 
     /// Borrow the driver apart into the side the step works on and the
     /// side the engine drives.
-    pub(crate) fn split(&mut self) -> (Stages<'_, W>, Shell<'_>) {
+    fn split(&mut self) -> (Stages<'_, W>, Shell<'_>) {
         let stages = Stages {
             model: &mut self.model,
             cache: &mut self.cache,
@@ -723,18 +745,19 @@ impl<W: Workload> Driver<W> {
 
     /// Train one epoch with the **asynchronous pipeline** of §5: worker
     /// threads sample un-pruned mini-batches ahead of time while this
-    /// thread prunes/loads/trains. Only the time the consumer actually
-    /// *stalls* waiting on the next batch is charged as sampling time —
-    /// with enough workers sampling fully overlaps training, which is the
-    /// paper's design goal.
+    /// thread prunes/loads/trains ([`Engine::run_epoch_overlapped`]). Only
+    /// the time the consumer actually *stalls* waiting on the next batch is
+    /// charged as sampling time — with enough workers sampling fully
+    /// overlaps training, which is the paper's design goal.
     ///
     /// Deterministic: each batch's sampling RNG derives from the epoch's
-    /// batch seed and the batch index alone and batches are consumed in
-    /// index order, so losses, counters and every `Exact` metric are
-    /// byte-identical at any `num_threads` and across worker panics
-    /// recovered by re-sampling (`cfg.sampler_retries`). The stream differs
-    /// from [`Driver::train_epoch`]'s, which draws per-batch RNGs
-    /// sequentially from the trainer stream.
+    /// batch seed (one fork of the trainer RNG) and the batch index alone
+    /// and batches are consumed in index order, so losses, counters and
+    /// every `Exact` metric are byte-identical at any `num_threads` and
+    /// across worker panics recovered by re-sampling
+    /// (`cfg.sampler_retries`). The stream differs from
+    /// [`Driver::train_epoch`]'s, which draws per-batch RNGs sequentially
+    /// from the trainer stream.
     ///
     /// Returns an error when a batch could not be produced even after
     /// retries ([`SampleError::BatchPanicked`]) or the workers died
@@ -750,33 +773,42 @@ impl<W: Workload> Driver<W> {
         queue_capacity: usize,
     ) -> Result<EpochStats, SampleError> {
         let batches = self.plan_epoch_batches(ds);
-        self.train_on_batches_async(ds, &batches, opt, num_threads, queue_capacity)
-    }
-
-    /// Async-pipeline counterpart of [`Driver::train_on_batches`]: run the
-    /// overlapped sampler + pipeline over an explicit batch schedule.
-    /// `train_epoch_async` is [`Driver::plan_epoch_batches`] + this; the
-    /// cluster trainer calls it one batch per BSP round.
-    ///
-    /// Each call forks the trainer RNG once for the per-task batch seed,
-    /// so the same sequence of calls replays the same sampled stream.
-    pub fn train_on_batches_async(
-        &mut self,
-        ds: &W::Dataset,
-        batches: &[Vec<NodeId>],
-        opt: &mut dyn Optimizer,
-        num_threads: usize,
-        queue_capacity: usize,
-    ) -> Result<EpochStats, SampleError> {
         let batch_seed = self.rng.fork().next_u64();
         let runtime = RuntimeConfig {
-            workers: num_threads.max(1),
-            queue_capacity: queue_capacity.max(1),
+            workers: num_threads,
+            queue_capacity,
             max_retries: self.cfg.sampler_retries,
             chaos: self.sampler_chaos,
-            ..RuntimeConfig::default()
         };
-        let mut stats = W::run_overlapped(self, ds, batches.to_vec(), opt, &runtime, batch_seed)?;
+        // Worker threads cannot borrow `ds`; they share this, the epoch's
+        // one copy of the graph.
+        let graph = Arc::new(W::graph(ds));
+        let init = {
+            let graph = Arc::clone(&graph);
+            move || W::worker_sampler(&graph)
+        };
+        let fanouts = self.cfg.fanouts.clone();
+        let hook = self.sampler_fault_hook.clone();
+        let sample =
+            move |sampler: &mut W::Sampler, i: usize, seeds: &Vec<NodeId>, attempt: u32| {
+                if let Some(hook) = &hook {
+                    hook(i, attempt);
+                }
+                let mut rng = task_rng(batch_seed, i);
+                W::worker_sample(sampler, &graph, seeds, &fanouts, &mut rng)
+            };
+        let (mut stages, shell) = self.split();
+        let mut stats = Engine::run_epoch_overlapped::<_, _, _, SampleError>(
+            shell.topo,
+            shell.faults,
+            shell.counters,
+            shell.obs,
+            &runtime,
+            batches,
+            init,
+            sample,
+            |ctx, counters, mb| Some(stages.train_sampled(ds, ctx, counters, mb, opt)),
+        )?;
         self.finish_epoch(&mut stats);
         Ok(stats)
     }
@@ -844,5 +876,83 @@ impl<W: Workload> Driver<W> {
         m.gauge_set("cache.hist.resident_entries", e, self.cache.len() as f64);
         m.gauge_set("cache.hist.bytes", e, self.cache.bytes() as f64);
         self.workload.publish_metrics(m);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::hetero_trainer::HeteroTrainer;
+    use crate::obs::{MetricClass, Metrics};
+    use crate::{FreshGnnConfig, Trainer};
+    use fgnn_graph::datasets::arxiv_spec;
+    use fgnn_graph::hetero::mag_hetero;
+    use fgnn_graph::Dataset;
+    use fgnn_memsim::presets::Machine;
+    use fgnn_nn::model::Arch;
+    use fgnn_nn::Adam;
+
+    /// The `sampler.*` entries of a registry, as `(name, class)`.
+    fn sampler_names(m: &Metrics) -> Vec<(String, MetricClass)> {
+        m.iter()
+            .filter(|(name, _, _)| name.starts_with("sampler."))
+            .map(|(name, class, _)| (name.to_string(), class))
+            .collect()
+    }
+
+    /// One overlapped epoch reports under one name set whatever the
+    /// workload: `sampler.batches` (= batches trained) and
+    /// `sampler.resample_retries` are `Exact`, the per-worker, latency and
+    /// queue-depth entries `Measured`.
+    #[test]
+    fn overlapped_epochs_report_one_name_set_for_both_workloads() {
+        let cfg = FreshGnnConfig {
+            p_grad: 0.9,
+            t_stale: 50,
+            fanouts: vec![3, 3],
+            batch_size: 32,
+            ..Default::default()
+        };
+        let machine = Machine::single_a100();
+
+        let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(16), 42);
+        let mut homo = Trainer::new(&ds, Arch::Sage, 16, machine.clone(), cfg.clone(), 1);
+        let homo_stats = homo
+            .train_epoch_async(&ds, &mut Adam::new(0.01), 2, 4)
+            .unwrap();
+
+        let hds = mag_hetero(400, 4, 8, 3);
+        let mut hetero = HeteroTrainer::new(&hds, 16, machine, cfg, 1);
+        let hetero_stats = hetero
+            .train_epoch_async(&hds, &mut Adam::new(0.01), 2, 4)
+            .unwrap();
+
+        let names = sampler_names(&homo.obs.metrics);
+        assert_eq!(names, sampler_names(&hetero.obs.metrics));
+        let exact: Vec<&str> = names
+            .iter()
+            .filter(|(_, class)| *class == MetricClass::Exact)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert_eq!(exact, ["sampler.batches", "sampler.resample_retries"]);
+        for measured in [
+            "sampler.queue_depth",
+            "sampler.task_seconds",
+            "sampler.worker.0.tasks",
+            "sampler.worker.0.task_ns",
+            "sampler.worker.1.tasks",
+            "sampler.worker.1.task_ns",
+        ] {
+            assert!(
+                names.contains(&(measured.to_string(), MetricClass::Measured)),
+                "{measured} missing or not Measured: {names:?}"
+            );
+        }
+        for (t, stats) in [(&homo.obs, &homo_stats), (&hetero.obs, &hetero_stats)] {
+            assert!(stats.batches > 0);
+            assert_eq!(
+                t.metrics.counter("sampler.batches"),
+                Some(stats.batches as u64)
+            );
+        }
     }
 }

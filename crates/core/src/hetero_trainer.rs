@@ -17,10 +17,8 @@
 use crate::cache::{CachePolicy, HistoricalCache};
 use crate::config::FreshGnnConfig;
 use crate::driver::{harvest_and_detach, reset_policy_inputs, Driver, Stages, Workload, Workspace};
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
-use crate::runtime::RuntimeConfig;
-use crate::sampler::SampleError;
-use fgnn_graph::hetero::{HeteroDataset, HeteroMiniBatch, HeteroSampler};
+use crate::pipeline::{BatchOutput, EvalHarness, PipelineCtx};
+use fgnn_graph::hetero::{HeteroDataset, HeteroGraph, HeteroMiniBatch, HeteroSampler};
 use fgnn_graph::NodeId;
 use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
 use fgnn_memsim::stage::StageKind;
@@ -36,9 +34,8 @@ use fgnn_tensor::{Matrix, Rng};
 /// over the [`Heterogeneous`] workload.
 pub type HeteroTrainer = Driver<Heterogeneous>;
 
-/// Workload state of the heterogeneous trainer: an [`RSageModel`], typed
-/// sampling, and [`Engine::run_epoch_overlapped`] under the overlapped
-/// epoch.
+/// Workload state of the heterogeneous trainer: an [`RSageModel`] and
+/// typed sampling.
 pub struct Heterogeneous {
     sampler: HeteroSampler,
     /// `(src_type, dst_type)` per relation, in the graph's relation order.
@@ -85,6 +82,9 @@ impl Workload for Heterogeneous {
     type Dataset = HeteroDataset;
     type Model = RSageModel;
     type Batch = HeteroMiniBatch;
+    /// The typed graph and the target (labeled) node type.
+    type Graph = (HeteroGraph, usize);
+    type Sampler = HeteroSampler;
     type Trace = RSageTrace;
     type Grads = RSageGrads;
 
@@ -119,6 +119,24 @@ impl Workload for Heterogeneous {
     ) -> HeteroMiniBatch {
         self.sampler
             .sample(&ds.graph, ds.target_type, seeds, fanouts, rng)
+    }
+
+    fn graph(ds: &HeteroDataset) -> (HeteroGraph, usize) {
+        (ds.graph.clone(), ds.target_type)
+    }
+
+    fn worker_sampler((graph, _): &(HeteroGraph, usize)) -> HeteroSampler {
+        HeteroSampler::new(graph)
+    }
+
+    fn worker_sample(
+        sampler: &mut HeteroSampler,
+        (graph, target): &(HeteroGraph, usize),
+        seeds: &[NodeId],
+        fanouts: &[usize],
+        rng: &mut Rng,
+    ) -> HeteroMiniBatch {
+        sampler.sample(graph, *target, seeds, fanouts, rng)
     }
 
     /// A side stream that is a pure function of `(seed, iter)`: nothing to
@@ -268,43 +286,6 @@ impl Workload for Heterogeneous {
         });
 
         BatchOutput::loss_only(loss)
-    }
-
-    /// Typed sampling for every mini-batch is scheduled on the in-tree
-    /// work-stealing runtime ([`Engine::run_epoch_overlapped`]), so
-    /// sampling for future batches runs under the current batch's GPU
-    /// stages; a batch whose sampling task panicked on every attempt
-    /// surfaces as [`SampleError::BatchPanicked`].
-    fn run_overlapped(
-        driver: &mut Driver<Self>,
-        ds: &HeteroDataset,
-        batches: Vec<Vec<NodeId>>,
-        opt: &mut dyn Optimizer,
-        runtime: &RuntimeConfig,
-        batch_seed: u64,
-    ) -> Result<EpochStats, SampleError> {
-        let graph = std::sync::Arc::new(ds.graph.clone());
-        let init_graph = std::sync::Arc::clone(&graph);
-        let target = ds.target_type;
-        let fanouts = driver.cfg.fanouts.clone();
-        let (mut stages, shell) = driver.split();
-        Engine::run_epoch_overlapped::<_, _, _, SampleError>(
-            shell.topo,
-            shell.faults,
-            shell.counters,
-            shell.obs,
-            runtime,
-            batches,
-            move || HeteroSampler::new(&init_graph),
-            move |sampler: &mut HeteroSampler, i, seeds: &Vec<NodeId>, _attempt| {
-                // Per-batch RNG, recreated per attempt => schedule- and
-                // retry-independent output (same discipline as
-                // `AsyncSampler`).
-                let mut rng = Rng::new(batch_seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                sampler.sample(&graph, target, seeds, &fanouts, &mut rng)
-            },
-            |ctx, counters, mb| Some(stages.train_sampled(ds, ctx, counters, mb, opt)),
-        )
     }
 
     fn accuracy(

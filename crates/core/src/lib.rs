@@ -12,13 +12,13 @@
 //!   gradient-based admission/eviction criterion (`p_grad`) and a staleness
 //!   bound (`t_stale`), backfilled with a raw-feature cache of high-degree
 //!   nodes;
-//! * [`runtime`] — the in-tree work-stealing task runtime (per-worker
-//!   LIFO deques, global injector, token parkers) that executes sampling
-//!   and prestage work for different batches in parallel while the
-//!   in-order first-wins commit keeps every `Exact` output byte-identical
-//!   at any worker count;
+//! * [`runtime`] — the task pool under overlapped training: worker
+//!   threads claim a fixed task vector in index order from one atomic
+//!   cursor and execute sampling for different batches in parallel, while
+//!   in-order consumption keeps every `Exact` output byte-identical at any
+//!   worker count;
 //! * [`sampler`] — asynchronous multi-threaded CPU graph sampling with a
-//!   bounded task queue (§5), scheduled on the [`runtime`];
+//!   bounded task queue (§5), on the [`runtime`] pool;
 //! * [`prune`] — cache-aware subgraph pruning over CSR2 blocks: a cached
 //!   destination's aggregation is removed in O(1) and its multi-hop
 //!   subtree never gets computed or loaded (§5);
@@ -64,7 +64,6 @@
 
 pub mod baselines;
 pub mod cache;
-pub mod chan;
 pub mod checkpoint;
 pub mod cluster;
 pub mod config;
@@ -86,13 +85,13 @@ pub mod trainer;
 
 pub use cache::HistoricalCache;
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use cluster::{ClusterConfig, ClusterReport, ClusterTrainer, RoundEngine, StalenessLedger};
+pub use cluster::{ClusterConfig, ClusterReport, ClusterTrainer, StalenessLedger};
 pub use config::FreshGnnConfig;
 pub use error::FgnnError;
 pub use obs::Obs;
 pub use pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
 pub use resilience::{HealthState, Supervisor, SupervisorConfig};
-pub use runtime::{ChaosPolicy, OrderedCommit, Pool, RuntimeConfig};
+pub use runtime::{ChaosPolicy, InOrder, Pool, RuntimeConfig};
 pub use sampler::SampleError;
 pub use serve::{ServeConfig, ServeEngine, ServeReport};
 pub use trainer::Trainer;

@@ -110,10 +110,8 @@ impl Histogram {
     /// Quantiles over fixed buckets are conservative: the returned value is
     /// the inclusive upper edge of the bucket the quantile observation
     /// landed in, so it never under-reports. The overflow bucket
-    /// extrapolates to twice the last edge (the same convention the async
-    /// sampler's straggler-hedging deadline has always used, which now
-    /// delegates here), and a histogram with no finite edges reports
-    /// `f64::INFINITY`.
+    /// extrapolates to twice the last edge, and a histogram with no finite
+    /// edges reports `f64::INFINITY`.
     pub fn percentile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;

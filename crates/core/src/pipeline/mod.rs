@@ -38,7 +38,7 @@ pub mod eval;
 pub use eval::EvalHarness;
 
 use crate::obs::{MetricClass, Obs};
-use crate::runtime::{OrderedCommit, Pool, RuntimeConfig, RuntimeObsReport, TaskError};
+use crate::runtime::{InOrder, Pool, RuntimeConfig, TaskError};
 use fgnn_memsim::fault::FaultState;
 use fgnn_memsim::stage::{StageKind, StageTimings, NUM_STAGES};
 use fgnn_memsim::topology::Topology;
@@ -395,29 +395,28 @@ impl Engine {
         })
     }
 
-    /// Run one epoch with **cross-batch stage overlap**: the prestage work
-    /// for every unit — whatever `produce` does: sampling, pruning,
-    /// feature preparation — is scheduled on the in-tree work-stealing
+    /// Run one epoch with **cross-batch stage overlap** — the one
+    /// overlapped-epoch mechanism: the prestage work for every unit
+    /// (whatever `produce` does: sampling, feature preparation) runs on a
     /// [`Pool`] while this thread trains, so prestage for *future* batches
-    /// runs while the current batch is in its GPU stages. Results flow
-    /// through an [`OrderedCommit`] reorder buffer and are consumed
-    /// strictly in index order under [`StallPolicy::ChargeSample`], so the
-    /// committed unit stream — and with it every loss, `Exact` counter and
-    /// span — is byte-identical at any worker count and under any steal
-    /// schedule.
+    /// runs while the current batch is in its GPU stages. Results are
+    /// consumed strictly in index order ([`InOrder`]) under
+    /// [`StallPolicy::ChargeSample`], so the committed unit stream — and
+    /// with it every loss, `Exact` counter and span — is byte-identical at
+    /// any worker count and under any completion order.
     ///
     /// The determinism contract is the caller's to uphold inside
-    /// `produce`: derive all randomness from the task index alone (fork a
-    /// fresh RNG from `(seed, index)`), never from worker identity or
+    /// `produce`: derive all randomness from the task index alone
+    /// ([`crate::runtime::task_rng`]), never from worker identity or
     /// shared mutable state. `init` builds per-worker scratch, rebuilt
     /// after a panic; a unit that panics on every attempt surfaces as
     /// `E::from(TaskError::Panicked)`, dead workers as
     /// `E::from(TaskError::Lost)` — either aborts the epoch through the
     /// normal [`Engine::run_epoch`] error path, keeping progress made.
     ///
-    /// Scheduler telemetry (steals, parks, task latency, reorder-buffer
-    /// depth) is flushed into `obs` under `runtime.*` — `Measured`, never
-    /// `Exact`, because it genuinely varies run to run.
+    /// The pool's telemetry is flushed into `obs` under `sampler.*`
+    /// ([`InOrder::flush_obs`]) even for an errored epoch: it reflects the
+    /// work the pool actually did before the failure.
     #[allow(clippy::too_many_arguments)]
     pub fn run_epoch_overlapped<'t, T, S, P, E>(
         topo: &'t Topology,
@@ -435,81 +434,18 @@ impl Engine {
         P: Send + 'static,
         E: From<TaskError>,
     {
-        let pool: Pool<P> = Pool::spawn(cfg, tasks, init, produce);
-        let mut ordered: OrderedCommit<Result<P, TaskError>> = OrderedCommit::new(pool.total());
-        let units = std::iter::from_fn(|| loop {
-            if let Some((_, r)) = ordered.try_commit() {
-                return Some(r.map_err(E::from));
-            }
-            if ordered.is_done() {
-                return None;
-            }
-            match pool.recv() {
-                Ok((i, r)) => ordered.offer(i, r),
-                Err(_) => {
-                    // Workers died with results outstanding; abort the
-                    // stream so the epoch errors instead of hanging.
-                    let lost = TaskError::Lost {
-                        produced: ordered.committed(),
-                        total: ordered.total(),
-                    };
-                    ordered.abort();
-                    return Some(Err(E::from(lost)));
-                }
-            }
-        });
+        let mut units: InOrder<P, E> = InOrder::new(Pool::spawn(cfg, tasks, init, produce));
         let result = Engine::run_epoch(
             topo,
             faults,
             counters,
             obs,
             StallPolicy::ChargeSample,
-            units,
+            units.by_ref(),
             step,
         );
-        Self::flush_runtime_obs(obs, &pool.obs_report(), ordered.queue_depth());
+        units.flush_obs(&mut obs.metrics);
         result
-    }
-
-    /// Flush one pool run's scheduling counters into the metrics registry
-    /// under `runtime.*`. Retries are `Exact` (a panic is a property of
-    /// the task, not the schedule — the same contract
-    /// `sampler.resample_retries` already exports under); everything else
-    /// is a genuine schedule artifact and stays `Measured`.
-    fn flush_runtime_obs(obs: &mut Obs, r: &RuntimeObsReport, depth: &crate::obs::Histogram) {
-        let m = &mut obs.metrics;
-        m.counter_add("runtime.retries", MetricClass::Exact, r.retries);
-        m.counter_add("runtime.steals", MetricClass::Measured, r.steals);
-        m.counter_add(
-            "runtime.stolen_tasks",
-            MetricClass::Measured,
-            r.stolen_tasks,
-        );
-        m.counter_add("runtime.parks", MetricClass::Measured, r.parks);
-        for (w, (&t, &n)) in r.worker_tasks.iter().zip(&r.worker_task_nanos).enumerate() {
-            m.counter_add(
-                &format!("runtime.worker.{w}.tasks"),
-                MetricClass::Measured,
-                t,
-            );
-            m.counter_add(
-                &format!("runtime.worker.{w}.task_ns"),
-                MetricClass::Measured,
-                n,
-            );
-        }
-        let mut task_secs = m
-            .histogram("runtime.task_seconds")
-            .cloned()
-            .unwrap_or_default();
-        task_secs.merge(&r.task_seconds);
-        m.hist_set("runtime.task_seconds", MetricClass::Measured, task_secs);
-        let mut commit_depth = m
-            .histogram("runtime.commit_depth")
-            .cloned()
-            .unwrap_or_default();
-        commit_depth.merge(depth);
-        m.hist_set("runtime.commit_depth", MetricClass::Measured, commit_depth);
     }
 }
 

@@ -1,18 +1,16 @@
-//! Seeded schedule perturbation for the work-stealing runtime.
+//! Seeded schedule perturbation for the task pool.
 //!
-//! The determinism claim of this runtime is *schedule independence*: the
+//! The determinism claim of the runtime is *schedule independence*: the
 //! committed batch stream, Exact metrics and span trees are byte-identical
-//! no matter which worker runs which task in which order. A claim like
-//! that is only worth anything if tests can drive the scheduler through
-//! genuinely adversarial schedules, so [`ChaosPolicy`] injects three kinds
-//! of seeded misbehaviour *into the scheduling decisions only*:
+//! no matter which worker runs which task and in which order the results
+//! come back. A claim like that is only worth anything if tests can drive
+//! the pool through genuinely adversarial schedules, so [`ChaosPolicy`]
+//! injects two kinds of seeded misbehaviour *before a worker's claim only*:
 //!
-//! * **forced steals** — a worker steals from a victim even though its own
-//!   deque is non-empty, scrambling locality;
-//! * **delayed pops** — a worker sleeps briefly before taking its next
-//!   task, perturbing the race between owners and thieves;
-//! * **worker stalls** — a worker sleeps mid-loop, simulating an OS-level
-//!   preemption or a straggling core (the thing hedging exists for).
+//! * **delays** — a worker sleeps briefly before claiming its next task,
+//!   perturbing which worker gets which index;
+//! * **stalls** — a worker sleeps the full bound, simulating an OS-level
+//!   preemption or a straggling core, so later indexes overtake it.
 //!
 //! Task *results* are never touched: chaos changes who computes a batch
 //! and when, never what the batch contains. Each worker decides from its
@@ -22,20 +20,17 @@
 use fgnn_tensor::Rng;
 use std::time::Duration;
 
-/// Tunable probabilities for adversarial scheduling. All probabilities
-/// are evaluated once per scheduling decision.
+/// Tunable probabilities for adversarial scheduling, each evaluated once
+/// per claim.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosPolicy {
     /// Seed for the per-worker decision streams (worker `w` draws from
     /// `Rng::new(seed ^ w)`).
     pub seed: u64,
-    /// Probability that a worker steals from a victim before looking at
-    /// its own deque.
-    pub forced_steal_prob: f32,
-    /// Probability that a pop is preceded by a short random sleep.
-    pub delayed_pop_prob: f32,
+    /// Probability that a claim is preceded by a short random sleep.
+    pub delay_prob: f32,
     /// Probability that a worker stalls (sleeps `max_delay_micros`)
-    /// before its next scheduling decision.
+    /// before its next claim.
     pub stall_prob: f32,
     /// Upper bound on injected sleeps, in microseconds.
     pub max_delay_micros: u64,
@@ -43,13 +38,12 @@ pub struct ChaosPolicy {
 
 impl ChaosPolicy {
     /// An aggressive preset for the schedule-fuzzing suite: frequent
-    /// forced steals and delays, occasional full stalls, sleeps short
-    /// enough to keep 256-case property runs fast.
+    /// delays, occasional full stalls, sleeps short enough to keep
+    /// 256-case property runs fast.
     pub fn aggressive(seed: u64) -> Self {
         ChaosPolicy {
             seed,
-            forced_steal_prob: 0.5,
-            delayed_pop_prob: 0.3,
+            delay_prob: 0.3,
             stall_prob: 0.1,
             max_delay_micros: 200,
         }
@@ -71,28 +65,18 @@ impl ChaosRng {
         }
     }
 
-    /// Should this scheduling decision steal before popping locally?
-    pub(crate) fn force_steal(&mut self) -> bool {
-        self.policy.forced_steal_prob > 0.0 && self.rng.bernoulli(self.policy.forced_steal_prob)
-    }
-
-    /// Sleep to inject before the next pop, if any.
-    pub(crate) fn pop_delay(&mut self) -> Option<Duration> {
-        if self.policy.delayed_pop_prob > 0.0 && self.rng.bernoulli(self.policy.delayed_pop_prob) {
-            let us = self.rng.below(self.policy.max_delay_micros.max(1) as usize) as u64;
-            Some(Duration::from_micros(us))
-        } else {
-            None
-        }
-    }
-
-    /// Full-loop stall to inject, if any.
-    pub(crate) fn stall(&mut self) -> Option<Duration> {
+    /// How long to sleep before the next claim: a stall, a delay, both or
+    /// (zero) neither.
+    pub(crate) fn pause(&mut self) -> Duration {
+        let bound = self.policy.max_delay_micros.max(1);
+        let mut micros = 0;
         if self.policy.stall_prob > 0.0 && self.rng.bernoulli(self.policy.stall_prob) {
-            Some(Duration::from_micros(self.policy.max_delay_micros.max(1)))
-        } else {
-            None
+            micros += bound;
         }
+        if self.policy.delay_prob > 0.0 && self.rng.bernoulli(self.policy.delay_prob) {
+            micros += self.rng.below(bound as usize) as u64;
+        }
+        Duration::from_micros(micros)
     }
 }
 
@@ -105,15 +89,7 @@ mod tests {
         let policy = ChaosPolicy::aggressive(99);
         let decisions = |worker: u64| {
             let mut c = ChaosRng::new(policy, worker);
-            (0..64)
-                .map(|_| {
-                    (
-                        c.force_steal(),
-                        c.pop_delay().is_some(),
-                        c.stall().is_some(),
-                    )
-                })
-                .collect::<Vec<_>>()
+            (0..64).map(|_| c.pause()).collect::<Vec<_>>()
         };
         assert_eq!(decisions(0), decisions(0), "same worker → same stream");
         assert_ne!(decisions(0), decisions(1), "workers draw distinct streams");
@@ -123,26 +99,26 @@ mod tests {
     fn zero_probabilities_are_silent() {
         let policy = ChaosPolicy {
             seed: 1,
-            forced_steal_prob: 0.0,
-            delayed_pop_prob: 0.0,
+            delay_prob: 0.0,
             stall_prob: 0.0,
             max_delay_micros: 100,
         };
         let mut c = ChaosRng::new(policy, 0);
         for _ in 0..32 {
-            assert!(!c.force_steal());
-            assert!(c.pop_delay().is_none());
-            assert!(c.stall().is_none());
+            assert_eq!(c.pause(), Duration::ZERO);
         }
     }
 
     #[test]
-    fn delays_respect_the_bound() {
+    fn pauses_respect_the_bound() {
         let mut c = ChaosRng::new(ChaosPolicy::aggressive(7), 3);
+        let mut paused = 0;
         for _ in 0..256 {
-            if let Some(d) = c.pop_delay() {
-                assert!(d <= Duration::from_micros(200));
-            }
+            let d = c.pause();
+            // At most one stall (200 µs) plus one delay (< 200 µs).
+            assert!(d < Duration::from_micros(400));
+            paused += (d > Duration::ZERO) as u32;
         }
+        assert!(paused > 0, "an aggressive policy must pause sometimes");
     }
 }

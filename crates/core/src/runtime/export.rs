@@ -2,12 +2,10 @@
 //! `exp_train_scaling --bench-json` writes and
 //! `scripts/bench_trajectory.sh` commits as `BENCH_train.json`.
 //!
-//! Hand-rolled like the other exporters (zero registry dependencies). The
-//! gated fields (`meanLoss`, `h2dBytes`, `simSeconds`) are exact simulated
-//! quantities: the work-stealing runtime commits batches in index order, so
-//! they reproduce bit for bit from the same seed at *any* worker count.
-//! `wallSeconds` and `steals` are measured schedule artifacts, recorded as
-//! context only — `exp_report` never gates on them.
+//! Hand-rolled like the other exporters (zero registry dependencies).
+//! Every field is an exact simulated quantity: the overlapped epoch commits
+//! batches in index order, so the rows reproduce bit for bit from the same
+//! seed at *any* worker count. Wall-clock is `perf/`'s job.
 
 use crate::obs::export::{json_escape, json_f64};
 
@@ -32,12 +30,6 @@ pub struct TrainScalingRow {
     /// worker-count invariant — deliberately excludes the *measured*
     /// sample/prune wall components of the full ledger.
     pub sim_seconds: f64,
-    /// Measured wall seconds for the whole cell (context only; this is the
-    /// quantity the 1→4 worker sweep is expected to shrink).
-    pub wall_seconds: f64,
-    /// Work-stealing steal operations observed (context only; a schedule
-    /// artifact that varies run to run).
-    pub steals: u64,
 }
 
 /// Serialize the sweep as one deterministic JSON document. Row order is
@@ -54,14 +46,12 @@ pub fn train_bench_json(seed: u64, rows: &[TrainScalingRow]) -> String {
         }
         out.push_str(&format!(
             "{{\"dataset\":\"{}\",\"workers\":{},\"meanLoss\":{},\"h2dBytes\":{},\
-             \"simSeconds\":{},\"wallSeconds\":{},\"steals\":{}}}",
+             \"simSeconds\":{}}}",
             json_escape(&r.dataset),
             r.workers,
             json_f64(r.mean_loss),
             r.h2d_bytes,
             json_f64(r.sim_seconds),
-            json_f64(r.wall_seconds),
-            r.steals,
         ));
     }
     out.push_str("]}\n");
@@ -79,8 +69,6 @@ mod tests {
             mean_loss: 1.25,
             h2d_bytes: 4096,
             sim_seconds: 0.5,
-            wall_seconds: 0.125,
-            steals: 3,
         }
     }
 

@@ -1,53 +1,54 @@
-//! In-tree work-stealing task runtime (ROADMAP item 2, DESIGN.md §13).
+//! The task pool under overlapped training (DESIGN.md §13).
 //!
-//! The paper's pipeline wins come from overlapping CPU sampling, cache
-//! pruning and feature loading with GPU compute across *different*
-//! batches. This module supplies the execution substrate: a [`Pool`] of
-//! worker threads scheduling a fixed set of index-addressed tasks through
+//! The paper's §5 pipeline overlaps CPU sampling for *future* batches with
+//! the GPU stages of the current one. This module is the execution
+//! substrate, sized to that job: a [`Pool`] of worker threads runs a fixed,
+//! index-addressed task vector, handing indexes out in ascending order from
+//! one atomic cursor — the order the in-order consumer wants them in, so
+//! there is nothing to balance. A worker whose claim passes the end exits,
+//! and when the last one has, the bounded result channel
+//! (`std::sync::mpsc::sync_channel`, the paper's GPU-memory guard)
+//! disconnects: a drained pool ends its stream by itself.
 //!
-//! * a global FIFO [`injector::Injector`] that tasks enter in index order,
-//! * per-worker LIFO deques ([`deque::WorkerDeque`]) refilled from the
-//!   injector in ascending chunks, with thieves taking the *top half* of a
-//!   victim (the far-future indexes the consumer will not block on soon),
-//! * token [`parker::Parker`]s for idle/wake, with the lost-wakeup-free
-//!   protocol "make work visible, then unpark everyone",
-//! * per-worker panic recovery with bounded retries and state rebuild —
-//!   the fault model the `AsyncSampler` already proved out.
+//! Fault model: a panicking task is retried up to `max_retries` times on a
+//! rebuilt worker state, then reported as [`TaskError::Panicked`] *for its
+//! index*; dropping the pool stops claims and retry loops promptly.
 //!
-//! **Determinism contract.** The scheduler never decides *what* a task
-//! computes, only *where and when*: every task derives its RNG from
-//! `(seed, index)` alone, and consumers commit results through
-//! [`OrderedCommit`] (in-order, first-wins). Hence the committed stream,
-//! all `Exact` metrics and span trees are byte-identical at any worker
-//! count and under any schedule — including the seeded adversarial ones
-//! [`ChaosPolicy`] injects. Scheduling artifacts (steals, parks, latency,
-//! queue depth) are real and exported, but only ever as `Measured`.
+//! **Determinism contract.** The pool never decides *what* a task computes,
+//! only *where and when*: every task derives its RNG from `(seed, index)`
+//! alone ([`task_rng`]), and [`InOrder`] releases results strictly by index.
+//! Hence the committed stream, all `Exact` metrics and span trees are
+//! byte-identical at any worker count and under any completion order —
+//! including the seeded adversarial ones [`ChaosPolicy`] injects. Per-worker
+//! task counts, latency and queue depth are real and exported, but only
+//! ever as `Measured`.
 //!
-//! No registry dependencies: everything is `std::sync` primitives, per
-//! the offline tier-1 gate.
+//! No registry dependencies: everything is `std::sync`, per the offline
+//! tier-1 gate.
 
 pub mod chaos;
-pub mod deque;
 pub mod export;
-pub mod injector;
 pub mod ordered;
-pub mod parker;
 
 pub use chaos::ChaosPolicy;
 pub use export::{train_bench_json, TrainScalingRow};
-pub use ordered::OrderedCommit;
+pub use ordered::InOrder;
 
-use crate::chan::{bounded, Receiver, RecvError, RecvTimeoutError, Sender};
 use crate::obs::{Histogram, LATENCY_BUCKETS};
 use chaos::ChaosRng;
-use deque::WorkerDeque;
-use injector::Injector;
-use parker::Parker;
+use fgnn_tensor::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+
+/// The RNG of task `index` under `seed`: a function of the pair alone and
+/// rebuilt on every attempt, so a task's output depends neither on which
+/// worker ran it, nor when, nor on how often it was retried.
+pub fn task_rng(seed: u64, index: usize) -> Rng {
+    Rng::new(seed ^ (index as u64).wrapping_mul(0x9E37_79B9))
+}
 
 /// Pool construction parameters.
 #[derive(Clone, Debug)]
@@ -60,8 +61,6 @@ pub struct RuntimeConfig {
     /// Extra attempts after a task panics before reporting
     /// [`TaskError::Panicked`].
     pub max_retries: u32,
-    /// How many tasks a worker pulls from the injector per refill.
-    pub refill_chunk: usize,
     /// Seeded adversarial scheduling, for the fuzzing suite. `None` in
     /// production.
     pub chaos: Option<ChaosPolicy>,
@@ -73,7 +72,6 @@ impl Default for RuntimeConfig {
             workers: 1,
             queue_capacity: 4,
             max_retries: 2,
-            refill_chunk: 4,
             chaos: None,
         }
     }
@@ -89,9 +87,8 @@ pub enum TaskError {
         /// Total attempts made (1 + retries).
         attempts: u32,
     },
-    /// The pool's workers died before producing every result (defensive:
-    /// synthesized by consumers on channel disconnect, never sent by a
-    /// worker).
+    /// The pool's workers died before producing every result (synthesized
+    /// by [`InOrder`] on channel disconnect, never sent by a worker).
     Lost {
         /// Results committed before the loss was detected.
         produced: usize,
@@ -113,8 +110,9 @@ impl std::fmt::Display for TaskError {
     }
 }
 
-/// Scheduling/latency counters for one pool run. Every field is a
-/// wall-clock or schedule artifact: export as `Measured`, never `Exact`.
+/// Execution counters for one pool run. The per-worker and latency fields
+/// are wall-clock or schedule artifacts (`Measured`); `retries` is a
+/// property of the tasks, not the schedule (`Exact`).
 #[derive(Clone, Debug)]
 pub struct RuntimeObsReport {
     /// Successful task executions per worker.
@@ -125,23 +123,16 @@ pub struct RuntimeObsReport {
     pub task_seconds: Histogram,
     /// Extra attempts spent recovering from task panics.
     pub retries: u64,
-    /// Successful steal operations (each moves ≥ 1 task).
-    pub steals: u64,
-    /// Tasks moved by steals.
-    pub stolen_tasks: u64,
-    /// Idle episodes in which a worker parked.
-    pub parks: u64,
 }
 
-/// Shared scheduler state. Task payloads stay out of here (they live in
-/// an `Arc<Vec<T>>` inside the worker closures), so the scheduling core
-/// is monomorphization-free.
+/// State shared by the workers and the handle. Task payloads stay out of
+/// here (they live in an `Arc<Vec<T>>` inside the worker closures).
 struct Shared {
-    injector: Injector,
-    deques: Vec<WorkerDeque>,
-    parkers: Vec<Parker>,
+    /// Next unclaimed task index. `Relaxed` everywhere: the cursor hands
+    /// out indexes into a vector that was complete before any worker
+    /// started, so a claim publishes no other data.
+    cursor: AtomicUsize,
     shutdown: AtomicBool,
-    refill_chunk: usize,
     obs: PoolObs,
 }
 
@@ -150,9 +141,6 @@ struct PoolObs {
     task_nanos: Vec<AtomicU64>,
     latency_counts: Vec<AtomicU64>,
     retries: AtomicU64,
-    steals: AtomicU64,
-    stolen_tasks: AtomicU64,
-    parks: AtomicU64,
 }
 
 impl PoolObs {
@@ -164,9 +152,6 @@ impl PoolObs {
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             retries: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            stolen_tasks: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
         }
     }
 
@@ -181,94 +166,10 @@ impl PoolObs {
     }
 }
 
-impl Shared {
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Work any worker could go get right now. Movement windows (tasks in
-    /// a thief's hands between two locks) are invisible here — that is
-    /// fine, because every such move ends by making its surplus visible
-    /// and then unparking everyone.
-    fn has_visible_work(&self) -> bool {
-        !self.injector.is_empty() || self.deques.iter().any(|d| !d.is_empty())
-    }
-
-    /// Wake every worker. Called after any action that makes tasks
-    /// visible; tokens ensure a worker that was *about* to park re-checks
-    /// instead of sleeping (see `parker` module docs).
-    fn unpark_all(&self) {
-        for p in &self.parkers {
-            p.unpark();
-        }
-    }
-
-    /// Pick worker `w`'s next task: own deque, then an injector refill,
-    /// then stealing — with chaos optionally scrambling the order.
-    fn next_task(&self, w: usize, chaos: &mut Option<ChaosRng>) -> Option<usize> {
-        if let Some(c) = chaos.as_mut() {
-            if c.force_steal() {
-                if let Some(t) = self.steal_into(w) {
-                    return Some(t);
-                }
-            }
-            if let Some(d) = c.pop_delay() {
-                std::thread::sleep(d);
-            }
-        }
-        if let Some(t) = self.deques[w].pop_bottom() {
-            return Some(t);
-        }
-        let chunk = self.injector.pop_chunk(self.refill_chunk.max(1));
-        if !chunk.is_empty() {
-            let first = chunk[0];
-            // Reverse-seed the rest: owner pops ascending, thieves see the
-            // largest indexes at the top.
-            for &t in chunk[1..].iter().rev() {
-                self.deques[w].push_bottom(t);
-            }
-            if chunk.len() > 1 || !self.injector.is_empty() {
-                self.unpark_all();
-            }
-            return Some(first);
-        }
-        self.steal_into(w)
-    }
-
-    /// Steal the top half of the first non-empty victim clockwise from
-    /// `w`. Runs the nearest stolen index now; queues the rest. A forced
-    /// steal into a non-empty deque scrambles the owner's ascending order
-    /// — harmless, the ordered commit downstream re-sorts.
-    fn steal_into(&self, w: usize) -> Option<usize> {
-        let n = self.deques.len();
-        for off in 1..n {
-            let v = (w + off) % n;
-            let got = self.deques[v].steal_half();
-            if got.is_empty() {
-                continue;
-            }
-            self.obs.steals.fetch_add(1, Ordering::Relaxed);
-            self.obs
-                .stolen_tasks
-                .fetch_add(got.len() as u64, Ordering::Relaxed);
-            // `got` is top-to-bottom (descending index): execute the
-            // nearest-to-commit index, keep the far future stealable.
-            let task = *got.last().expect("non-empty steal");
-            for &t in &got[..got.len() - 1] {
-                self.deques[w].push_bottom(t);
-            }
-            if got.len() > 1 {
-                self.unpark_all();
-            }
-            return Some(task);
-        }
-        None
-    }
-}
-
 /// Handle to a running pool. Results arrive over a bounded channel as
-/// `(index, Result)`; consumers are expected to feed them through an
-/// [`OrderedCommit`]. Dropping the pool shuts it down promptly: workers
+/// `(index, Result)` in completion order; [`InOrder`] turns that into the
+/// index-ordered stream. Once every task has reported, the workers exit and
+/// [`Pool::recv`] errs. Dropping the pool shuts it down promptly: workers
 /// stop claiming tasks, abandon retry loops, and are joined.
 pub struct Pool<R> {
     /// `Some` while running; taken in `Drop` so blocked producers see a
@@ -281,11 +182,11 @@ pub struct Pool<R> {
 
 impl<R: Send + 'static> Pool<R> {
     /// Spawn `cfg.workers` threads executing `exec` over every task in
-    /// `tasks` exactly once (bar panic retries). `init` builds one
-    /// worker-local scratch state per worker, rebuilt after a panic (the
-    /// panic may have poisoned it). `exec` receives
-    /// `(state, index, &task, attempt)` and must derive any randomness
-    /// from `index` alone for the determinism contract to hold.
+    /// `tasks` exactly once (bar panic retries), claimed in ascending
+    /// index order. `init` builds one worker-local scratch state per
+    /// worker, rebuilt after a panic (the panic may have poisoned it).
+    /// `exec` receives `(state, index, &task, attempt)` and must derive any
+    /// randomness from `index` alone for the determinism contract to hold.
     pub fn spawn<T, S, I, E>(cfg: &RuntimeConfig, tasks: Vec<T>, init: I, exec: E) -> Pool<R>
     where
         T: Send + Sync + 'static,
@@ -295,18 +196,11 @@ impl<R: Send + 'static> Pool<R> {
         let workers = cfg.workers.max(1);
         let total = tasks.len();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            deques: (0..workers).map(|_| WorkerDeque::new()).collect(),
-            parkers: (0..workers).map(|_| Parker::new()).collect(),
+            cursor: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            refill_chunk: cfg.refill_chunk.max(1),
             obs: PoolObs::new(workers),
         });
-        // Seed every task before any worker starts, in index order.
-        for i in 0..total {
-            shared.injector.push(i);
-        }
-        let (tx, rx) = bounded(cfg.queue_capacity.max(1));
+        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
         let tasks = Arc::new(tasks);
         let init = Arc::new(init);
         let exec = Arc::new(exec);
@@ -340,27 +234,14 @@ impl<R> Pool<R> {
         self.total
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.shared.deques.len()
-    }
-
-    /// Block for the next completed result. Errs once all workers are
-    /// gone and the buffer is drained.
+    /// Block for the next completed result. Errs once every worker has
+    /// exited — all tasks reported, or the workers died — and the buffer
+    /// is drained.
     pub fn recv(&self) -> Result<(usize, Result<R, TaskError>), RecvError> {
         self.rx.as_ref().expect("pool running").recv()
     }
 
-    /// [`Pool::recv`] with a deadline (the straggler-detection primitive
-    /// hedging is built on).
-    pub fn recv_timeout(
-        &self,
-        dur: Duration,
-    ) -> Result<(usize, Result<R, TaskError>), RecvTimeoutError> {
-        self.rx.as_ref().expect("pool running").recv_timeout(dur)
-    }
-
-    /// Snapshot the scheduling counters (callable mid-run; individually
+    /// Snapshot the execution counters (callable mid-run; individually
     /// consistent, momentarily stale).
     pub fn obs_report(&self) -> RuntimeObsReport {
         let o = &self.shared.obs;
@@ -375,9 +256,6 @@ impl<R> Pool<R> {
             worker_task_nanos,
             task_seconds: Histogram::from_parts(&LATENCY_BUCKETS, &latency_counts, total_secs),
             retries: o.retries.load(Ordering::Relaxed),
-            steals: o.steals.load(Ordering::Relaxed),
-            stolen_tasks: o.stolen_tasks.load(Ordering::Relaxed),
-            parks: o.parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -385,11 +263,10 @@ impl<R> Pool<R> {
 impl<R> Drop for Pool<R> {
     fn drop(&mut self) {
         // Raise the flag (workers stop claiming and bail out of retry
-        // loops), wake every parked worker so it observes the flag,
-        // disconnect the channel so producers blocked in `send` error
-        // out, then join. Order matters — see AsyncSampler's Drop.
+        // loops), disconnect the channel so producers blocked in `send`
+        // error out, then join. In that order: joining first would wait on
+        // a producer blocked on a full queue nobody drains.
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.unpark_all();
         drop(self.rx.take());
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -404,50 +281,31 @@ fn worker_loop<T, S, R>(
     tasks: &[T],
     init: &(impl Fn() -> S + Sync),
     exec: &(impl Fn(&mut S, usize, &T, u32) -> R + Sync),
-    tx: &Sender<(usize, Result<R, TaskError>)>,
+    tx: &SyncSender<(usize, Result<R, TaskError>)>,
     mut chaos: Option<ChaosRng>,
     max_retries: u32,
 ) {
+    let stopping = || shared.shutdown.load(Ordering::Relaxed);
     let mut state = init();
-    loop {
-        if shared.stopping() {
+    while !stopping() {
+        if let Some(c) = chaos.as_mut() {
+            std::thread::sleep(c.pause());
+        }
+        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks.len() {
             return;
         }
-        if let Some(c) = chaos.as_mut() {
-            if let Some(d) = c.stall() {
-                std::thread::sleep(d);
-            }
-        }
-        let i = match shared.next_task(w, &mut chaos) {
-            Some(i) => i,
-            None => {
-                // Idle: park until someone makes work visible or shuts us
-                // down. Tokens set after the last visibility edge make the
-                // first park a no-op, so this re-check loop cannot miss
-                // work (the shrunk-model test exercises exactly this).
-                shared.obs.parks.fetch_add(1, Ordering::Relaxed);
-                loop {
-                    if shared.stopping() {
-                        return;
-                    }
-                    if shared.has_visible_work() {
-                        break;
-                    }
-                    shared.parkers[w].park();
-                }
-                continue;
-            }
-        };
         let mut produced = None;
         let mut attempts = 0;
         while attempts <= max_retries {
-            if shared.stopping() {
+            if stopping() {
                 return; // consumer gone mid-retry-loop
             }
             attempts += 1;
-            let attempt = attempts - 1;
             let t0 = std::time::Instant::now();
-            let out = catch_unwind(AssertUnwindSafe(|| exec(&mut state, i, &tasks[i], attempt)));
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                exec(&mut state, i, &tasks[i], attempts - 1)
+            }));
             shared.obs.record_attempt(w, t0.elapsed().as_nanos() as u64);
             match out {
                 Ok(r) => {
@@ -463,10 +321,7 @@ fn worker_loop<T, S, R>(
                 }
             }
         }
-        let msg = match produced {
-            Some(r) => Ok(r),
-            None => Err(TaskError::Panicked { index: i, attempts }),
-        };
+        let msg = produced.ok_or(TaskError::Panicked { index: i, attempts });
         if tx.send((i, msg)).is_err() {
             return; // consumer dropped
         }
@@ -477,83 +332,46 @@ fn worker_loop<T, S, R>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
-    fn drain<R>(pool: &Pool<R>) -> Vec<(usize, Result<R, TaskError>)> {
-        let mut oc = OrderedCommit::new(pool.total());
-        let mut out = Vec::new();
-        while !oc.is_done() {
-            let (i, r) = pool.recv().expect("workers alive");
-            oc.offer(i, r);
-            while let Some(x) = oc.try_commit() {
-                out.push(x);
-            }
-        }
-        out
+    /// The pool's results in index order, and its panic retries.
+    fn drain<R: Send + 'static>(pool: Pool<R>) -> (Vec<Result<R, TaskError>>, u64) {
+        let mut stream: InOrder<R> = InOrder::new(pool);
+        let out = stream.by_ref().collect();
+        let mut m = crate::obs::Metrics::new();
+        stream.flush_obs(&mut m);
+        (out, m.counter("sampler.resample_retries").unwrap())
     }
 
+    /// A drained pool ends its stream: every index arrives exactly once,
+    /// then the workers are gone and `recv` errs instead of blocking —
+    /// also when workers outnumber tasks (the surplus exit untouched) and
+    /// when there are no tasks at all.
     #[test]
-    fn every_task_runs_exactly_once_in_any_config() {
-        for workers in [1, 2, 4, 8] {
-            for chunk in [1, 3, 8] {
+    fn every_index_arrives_exactly_once_and_then_the_channel_disconnects() {
+        for workers in [1, 2, 8] {
+            for total in [0usize, 1, 37] {
                 let cfg = RuntimeConfig {
                     workers,
                     queue_capacity: 4,
-                    refill_chunk: chunk,
                     ..RuntimeConfig::default()
                 };
-                let pool =
-                    Pool::spawn(&cfg, (0..37u64).collect(), || (), |_, i, t, _| t + i as u64);
-                let got = drain(&pool);
-                assert_eq!(got.len(), 37);
-                for (i, r) in got {
+                let tasks: Vec<u64> = (0..total as u64).collect();
+                let pool = Pool::spawn(&cfg, tasks, || (), |_, i, t, _| t + i as u64);
+                assert_eq!(pool.total(), total);
+                let mut seen = vec![0u32; total];
+                while let Ok((i, r)) = pool.recv() {
                     assert_eq!(r.unwrap(), 2 * i as u64);
+                    seen[i] += 1;
                 }
+                assert!(seen.iter().all(|&n| n == 1), "{workers}w {total}t");
+                assert!(pool.recv().is_err(), "the stream stays ended");
                 let obs = pool.obs_report();
-                assert_eq!(obs.worker_tasks.iter().sum::<u64>(), 37);
-                assert_eq!(obs.task_seconds.count(), 37);
+                assert_eq!(obs.worker_tasks.len(), workers);
+                assert_eq!(obs.worker_tasks.iter().sum::<u64>(), total as u64);
+                assert_eq!(obs.task_seconds.count(), total as u64);
             }
         }
-    }
-
-    #[test]
-    fn blocked_owner_gets_robbed() {
-        // Worker A grabs the whole chunk and blocks inside task 0 until
-        // some *other* task has run — which can only happen if worker B
-        // steals from A's deque.
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let cfg = RuntimeConfig {
-            workers: 2,
-            queue_capacity: 8,
-            refill_chunk: 8,
-            ..RuntimeConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let pool = Pool::spawn(
-            &cfg,
-            vec![(); 8],
-            || (),
-            move |_, i, _, _| {
-                if i == 0 {
-                    while !f2.load(Ordering::Relaxed) {
-                        assert!(
-                            t0.elapsed() < Duration::from_secs(10),
-                            "steal never happened"
-                        );
-                        std::thread::yield_now();
-                    }
-                } else {
-                    f2.store(true, Ordering::Relaxed);
-                }
-                i
-            },
-        );
-        let got = drain(&pool);
-        assert_eq!(got.len(), 8);
-        let obs = pool.obs_report();
-        assert!(obs.steals >= 1, "victim's surplus must have been stolen");
-        assert!(obs.stolen_tasks >= 1);
     }
 
     #[test]
@@ -579,12 +397,11 @@ mod tests {
                 i
             },
         );
-        let got = drain(&pool);
+        let (got, retries) = drain(pool);
         assert_eq!(got.len(), 6);
-        assert!(got.iter().all(|(i, r)| *r.as_ref().unwrap() == *i));
+        assert!(got.iter().enumerate().all(|(i, r)| *r == Ok(i)));
         assert_eq!(hits.load(Ordering::Relaxed), 1);
-        let obs = pool.obs_report();
-        assert_eq!(obs.retries, 1);
+        assert_eq!(retries, 1);
         assert!(
             inits.load(Ordering::Relaxed) >= 3,
             "panic rebuilds the worker state beyond the 2 spawn-time inits"
@@ -609,15 +426,15 @@ mod tests {
                 i
             },
         );
-        let got = drain(&pool);
+        let (got, _) = drain(pool);
         assert_eq!(
-            got[3].1,
+            got[3],
             Err(TaskError::Panicked {
                 index: 3,
                 attempts: 2
             })
         );
-        assert_eq!(got.iter().filter(|(_, r)| r.is_ok()).count(), 4);
+        assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 4);
     }
 
     #[test]
@@ -654,35 +471,17 @@ mod tests {
     }
 
     #[test]
-    fn surplus_workers_park_and_shut_down_cleanly() {
-        let cfg = RuntimeConfig {
-            workers: 8,
-            refill_chunk: 8,
-            ..RuntimeConfig::default()
-        };
-        let pool = Pool::spawn(&cfg, vec![(); 3], || (), |_, i, _, _| i);
-        let got = drain(&pool);
-        assert_eq!(got.len(), 3);
-        // Give idle workers a moment to reach their parkers, then drop.
-        std::thread::sleep(Duration::from_millis(20));
-        let obs = pool.obs_report();
-        assert!(obs.parks >= 1, "surplus workers parked");
-        drop(pool);
-    }
-
-    #[test]
     fn chaos_scrambles_the_schedule_but_not_the_results() {
         let cfg = RuntimeConfig {
             workers: 4,
             queue_capacity: 4,
-            refill_chunk: 4,
             chaos: Some(ChaosPolicy::aggressive(7)),
             ..RuntimeConfig::default()
         };
         let pool = Pool::spawn(&cfg, (0..25u64).collect(), || (), |_, _, t, _| t * 3);
-        let got = drain(&pool);
+        let (got, _) = drain(pool);
         assert_eq!(got.len(), 25);
-        for (i, r) in got {
+        for (i, r) in got.into_iter().enumerate() {
             assert_eq!(r.unwrap(), 3 * i as u64);
         }
     }

@@ -1,213 +1,143 @@
-//! In-order first-wins commit: the determinism half of the runtime.
+//! In-order consumption of a pool: the determinism half of the runtime.
 //!
-//! Workers complete tasks in whatever order stealing, chaos and the OS
-//! produce. [`OrderedCommit`] is the reorder buffer that turns that
-//! free-for-all back into the canonical stream: results are `offer`ed by
-//! task index, buffered in a min-heap, and released strictly in index
-//! order by `try_commit`. The *first* result to arrive for an index wins;
-//! any later duplicate (a straggler whose batch was hedged inline, or a
-//! chaos-delayed copy) is counted and dropped. First-wins is structural:
-//! every offer carries an arrival stamp and ties on index resolve to the
-//! earliest offer, so the guarantee holds even for copies buffered before
-//! their index commits. In the runtime a duplicate is additionally
-//! bitwise-identical to the winner — same `(seed, index)` RNG — so
-//! resolution can never change the committed stream, only the `discards`
-//! counter (a `Measured` quantity).
+//! Workers complete tasks in whatever order chaos and the OS produce.
+//! [`InOrder`] is the consumer loop that turns that back into the canonical
+//! stream: results are buffered by task index and released strictly in
+//! index order, so what the consumer sees is identical at any worker count.
+//! Every index is claimed exactly once, so there is nothing to arbitrate —
+//! only to reorder.
 //!
-//! The observed reorder-buffer depth is folded into a queue-depth
-//! histogram at every commit, giving `obs` the backpressure signal the
-//! paper's bounded task queue is about.
+//! The reorder-buffer depth is folded into a queue-depth histogram at every
+//! release, giving `obs` the backpressure signal the paper's bounded task
+//! queue is about.
 
-use crate::obs::{Histogram, QUEUE_DEPTH_BUCKETS};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use super::{Pool, TaskError};
+use crate::obs::{Histogram, MetricClass, Metrics, QUEUE_DEPTH_BUCKETS};
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
-/// Reorder buffer releasing results in ascending index order, first-wins.
-#[derive(Debug)]
-pub struct OrderedCommit<R> {
-    heap: BinaryHeap<Slot<R>>,
+/// Iterator over a [`Pool`]'s results in ascending task-index order. A task
+/// that panicked on every attempt is an `Err` item *at its index* and the
+/// stream continues; workers that die with results outstanding end it with
+/// one [`TaskError::Lost`] — a shortfall is always an error, never a
+/// quietly short stream. `E` is the caller's error type.
+pub struct InOrder<R, E = TaskError> {
+    pool: Pool<R>,
+    /// Results that arrived ahead of their turn.
+    pending: BTreeMap<usize, Result<R, TaskError>>,
+    /// Items released so far — also the next index to release.
     next: usize,
-    total: usize,
-    /// Arrival stamp: ties on index resolve to the earliest offer, making
-    /// "first wins" hold even between copies buffered before their index
-    /// commits (a bare `BinaryHeap` leaves equal-key pop order
-    /// unspecified).
-    seq: u64,
-    discards: u64,
+    /// Reorder-buffer depth observed at each release.
     queue_depth: Histogram,
+    error: PhantomData<fn() -> E>,
 }
 
-struct Slot<R>(Reverse<(usize, u64)>, R);
-
-impl<R> PartialEq for Slot<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl<R> Eq for Slot<R> {}
-impl<R> PartialOrd for Slot<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R> Ord for Slot<R> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-impl<R> std::fmt::Debug for Slot<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Slot({})", self.0 .0 .0)
-    }
-}
-
-impl<R> OrderedCommit<R> {
-    /// A buffer expecting indexes `0..total`.
-    pub fn new(total: usize) -> Self {
-        OrderedCommit {
-            heap: BinaryHeap::new(),
+impl<R, E: From<TaskError>> InOrder<R, E> {
+    /// Consume `pool` in index order.
+    pub fn new(pool: Pool<R>) -> Self {
+        InOrder {
+            pool,
+            pending: BTreeMap::new(),
             next: 0,
-            total,
-            seq: 0,
-            discards: 0,
             queue_depth: Histogram::new(&QUEUE_DEPTH_BUCKETS),
+            error: PhantomData,
         }
     }
 
-    /// Offer a completed result. A result for an already-committed index
-    /// is discarded on the spot (first wins).
-    pub fn offer(&mut self, index: usize, result: R) {
-        if index < self.next {
-            self.discards += 1;
-            return;
-        }
-        self.heap.push(Slot(Reverse((index, self.seq)), result));
-        self.seq += 1;
-    }
-
-    /// Release the next in-order result, if it has arrived. Duplicate
-    /// buffered copies of an index that just committed are skimmed off
-    /// and counted here.
-    pub fn try_commit(&mut self) -> Option<(usize, R)> {
-        while let Some(Slot(Reverse((i, _)), _)) = self.heap.peek() {
-            if *i < self.next {
-                self.heap.pop();
-                self.discards += 1;
-                continue;
-            }
-            if *i > self.next {
-                return None;
-            }
-            let Slot(Reverse((i, _)), r) = self.heap.pop().expect("peeked");
-            self.next += 1;
-            self.queue_depth.observe(self.heap.len() as f64);
-            return Some((i, r));
-        }
-        None
-    }
-
-    /// Number of results committed so far (also the next expected index).
-    pub fn committed(&self) -> usize {
-        self.next
-    }
-
-    /// Total results this buffer expects.
+    /// Number of items this stream will yield in total.
     pub fn total(&self) -> usize {
-        self.total
+        self.pool.total()
     }
 
-    /// Whether every expected index has been committed.
-    pub fn is_done(&self) -> bool {
-        self.next >= self.total
+    /// Fold this run into the metrics registry under `sampler.*` (schema in
+    /// DESIGN.md §8); totals accumulate across epochs. Items released and
+    /// panic retries are properties of the tasks and `Exact`; per-worker
+    /// counts, latency and queue depth vary run to run and are `Measured`.
+    pub fn flush_obs(&self, m: &mut Metrics) {
+        let r = self.pool.obs_report();
+        m.counter_add("sampler.batches", MetricClass::Exact, self.next as u64);
+        m.counter_add("sampler.resample_retries", MetricClass::Exact, r.retries);
+        for (w, (&t, &n)) in r.worker_tasks.iter().zip(&r.worker_task_nanos).enumerate() {
+            m.counter_add(
+                &format!("sampler.worker.{w}.tasks"),
+                MetricClass::Measured,
+                t,
+            );
+            m.counter_add(
+                &format!("sampler.worker.{w}.task_ns"),
+                MetricClass::Measured,
+                n,
+            );
+        }
+        for (name, run) in [
+            ("sampler.task_seconds", &r.task_seconds),
+            ("sampler.queue_depth", &self.queue_depth),
+        ] {
+            let mut total = m.histogram(name).cloned().unwrap_or_default();
+            total.merge(run);
+            m.hist_set(name, MetricClass::Measured, total);
+        }
     }
+}
 
-    /// Abandon outstanding indexes (used when producers die): the buffer
-    /// reports done and further offers are discarded.
-    pub fn abort(&mut self) {
-        self.next = self.total;
-        self.heap.clear();
-    }
+impl<R, E: From<TaskError>> Iterator for InOrder<R, E> {
+    type Item = Result<R, E>;
 
-    /// Duplicates dropped by first-wins resolution. `Measured`.
-    pub fn discards(&self) -> u64 {
-        self.discards
-    }
-
-    /// Reorder-buffer depth observed at each commit. `Measured`.
-    pub fn queue_depth(&self) -> &Histogram {
-        &self.queue_depth
+    fn next(&mut self) -> Option<Self::Item> {
+        let total = self.pool.total();
+        if self.next >= total {
+            return None;
+        }
+        loop {
+            if let Some(item) = self.pending.remove(&self.next) {
+                self.next += 1;
+                self.queue_depth.observe(self.pending.len() as f64);
+                return Some(item.map_err(E::from));
+            }
+            match self.pool.recv() {
+                Ok((i, item)) => {
+                    self.pending.insert(i, item);
+                }
+                Err(_) => {
+                    // Every worker is gone with results outstanding: report
+                    // the shortfall once, then end.
+                    let lost = TaskError::Lost {
+                        produced: self.next,
+                        total,
+                    };
+                    self.next = total;
+                    self.pending.clear();
+                    return Some(Err(E::from(lost)));
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgnn_tensor::Rng;
+    use crate::runtime::RuntimeConfig;
 
     #[test]
-    fn commits_in_index_order_regardless_of_arrival_order() {
-        let mut oc = OrderedCommit::new(5);
-        for i in [3, 0, 4, 2, 1] {
-            oc.offer(i, i * 10);
+    fn dead_workers_end_the_stream_with_one_lost_error() {
+        let cfg = RuntimeConfig {
+            workers: 2,
+            ..RuntimeConfig::default()
+        };
+        // A panicking `init` is outside the per-task panic guard: both
+        // workers die before claiming anything.
+        fn no_state() {
+            panic!("worker state cannot be built")
         }
-        let mut got = Vec::new();
-        while let Some((i, v)) = oc.try_commit() {
-            got.push((i, v));
-        }
-        assert_eq!(got, vec![(0, 0), (1, 10), (2, 20), (3, 30), (4, 40)]);
-        assert!(oc.is_done());
-        assert_eq!(oc.queue_depth().count(), 5, "depth observed per commit");
-    }
-
-    #[test]
-    fn first_wins_discards_late_duplicates() {
-        let mut oc = OrderedCommit::new(2);
-        oc.offer(0, "winner");
-        assert_eq!(oc.try_commit(), Some((0, "winner")));
-        oc.offer(0, "late copy");
-        assert_eq!(oc.try_commit(), None, "late copy never surfaces");
-        assert_eq!(oc.discards(), 1);
-        // A buffered duplicate (offered before the index committed) is
-        // skimmed off by try_commit instead.
-        oc.offer(1, "a");
-        oc.offer(1, "b");
-        assert_eq!(oc.try_commit(), Some((1, "a")));
-        assert_eq!(oc.try_commit(), None);
-        assert_eq!(oc.discards(), 2);
-        assert!(oc.is_done());
-    }
-
-    #[test]
-    fn random_arrival_permutations_commit_identically() {
-        let mut rng = Rng::new(42);
-        for _ in 0..32 {
-            let n = 1 + rng.below(20);
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            let mut oc = OrderedCommit::new(n);
-            let mut got = Vec::new();
-            for &i in &order {
-                oc.offer(i, i);
-                while let Some((j, v)) = oc.try_commit() {
-                    assert_eq!(j, v);
-                    got.push(j);
-                }
-            }
-            assert_eq!(got, (0..n).collect::<Vec<_>>());
-            assert!(oc.is_done());
-        }
-    }
-
-    #[test]
-    fn abort_discards_the_outstanding_tail() {
-        let mut oc = OrderedCommit::new(4);
-        oc.offer(0, 0);
-        assert_eq!(oc.try_commit(), Some((0, 0)));
-        oc.abort();
-        assert!(oc.is_done());
-        oc.offer(2, 2);
-        assert_eq!(oc.try_commit(), None);
-        assert_eq!(oc.discards(), 1, "post-abort offers are discarded");
+        let pool: Pool<usize> = Pool::spawn(&cfg, vec![(); 4], no_state, |_, i, _, _| i);
+        let got: Vec<_> = InOrder::<usize>::new(pool).collect();
+        assert_eq!(
+            got,
+            vec![Err(TaskError::Lost {
+                produced: 0,
+                total: 4
+            })]
+        );
     }
 }

@@ -2,71 +2,37 @@
 //!
 //! The paper decouples *sampling* (cache-independent, runs ahead on CPU
 //! threads) from *pruning* (cache-dependent, on GPU). This module is the
-//! sampling half: a pool of worker threads produces un-pruned mini-batches
-//! into a **bounded task queue** ("to control the production of subgraphs
-//! and avoid overflowing the limited GPU memory"), using multithreading
-//! rather than DGL/PyG-style multiprocessing. Workers are scheduled by
-//! the in-tree work-stealing [`crate::runtime`] (per-worker LIFO deques,
-//! global injector, token parkers); this module is the sampling-specific
-//! policy on top: per-batch RNG, hedging, and the in-order commit.
+//! sampling half on a homogeneous graph: worker threads of a
+//! [`crate::runtime::Pool`] produce un-pruned mini-batches into a **bounded
+//! task queue** ("to control the production of subgraphs and avoid
+//! overflowing the limited GPU memory"), using multithreading rather than
+//! DGL/PyG-style multiprocessing, and [`AsyncSampler`] hands them to the
+//! consumer in batch order.
 //!
 //! Determinism: each mini-batch is sampled with an RNG seeded by
-//! `(seed, batch_index)`, and the consumer reorders completions by batch
-//! index, so the produced stream is identical regardless of thread count
-//! or scheduling — and regardless of how many times a batch had to be
-//! re-sampled after a panic, since every attempt recreates the same RNG.
+//! `(seed, batch_index)` ([`task_rng`]), and the consumer reorders
+//! completions by batch index, so the produced stream is identical
+//! regardless of thread count or scheduling — and regardless of how many
+//! times a batch had to be re-sampled after a panic, since every attempt
+//! recreates the same RNG.
 //!
 //! Fault model: a panic inside a worker is caught with `catch_unwind`; the
 //! batch is re-sampled up to `max_retries` additional times on a fresh
 //! sampler (panic may have poisoned its scratch state). If every attempt
 //! panics, an explicit [`SampleError::BatchPanicked`] is delivered *for
 //! that batch index* instead of silently truncating the epoch. If workers
-//! die without reporting (a defensive bound — `catch_unwind` should make
-//! this unreachable), the consumer yields [`SampleError::WorkersLost`]
+//! die without reporting, the consumer yields [`SampleError::WorkersLost`]
 //! rather than ending the iterator early, so a shortfall is always an
 //! error, never a quietly short epoch.
-//!
-//! Straggler hedging ([`AsyncSampler::with_hedging`]): the consumer derives
-//! a deadline from the observed task-latency histogram (p95 × multiplier,
-//! floored); when the next in-order batch overruns it, the consumer
-//! re-samples that batch *inline* with the same `(seed, batch_index)` RNG —
-//! a duplicate dispatch whose output is bitwise-identical to the
-//! straggler's, so first-wins resolution cannot change the stream. The
-//! straggler's late copy is discarded by index on arrival. Hedge counts are
-//! wall-clock artifacts and are exported `Measured`, never `Exact`.
 
-use crate::chan::RecvTimeoutError;
-use crate::obs::Histogram;
-use crate::runtime::{OrderedCommit, Pool, RuntimeConfig, TaskError};
+use crate::runtime::{task_rng, InOrder, Pool, RuntimeConfig, TaskError};
 use fgnn_graph::block::MiniBatch;
 use fgnn_graph::sample::NeighborSampler;
 use fgnn_graph::{Csr, NodeId};
-use fgnn_tensor::Rng;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default number of *re*-sample attempts after a worker panic.
 pub const DEFAULT_SAMPLER_RETRIES: u32 = 2;
-
-/// Straggler-hedging tunables for [`AsyncSampler::with_hedging`].
-#[derive(Clone, Copy, Debug)]
-pub struct HedgePolicy {
-    /// Floor on the straggler deadline in seconds — hedging never fires
-    /// faster than this, so warm-up noise cannot trigger it.
-    pub min_deadline: f64,
-    /// The deadline is this multiple of the observed p95 task latency
-    /// (when above the floor).
-    pub multiplier: f64,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        HedgePolicy {
-            min_deadline: 0.05,
-            multiplier: 4.0,
-        }
-    }
-}
 
 /// Why an epoch's batch stream could not be fully produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,7 +46,7 @@ pub enum SampleError {
         attempts: u32,
     },
     /// All workers disappeared after producing only `produced` of `total`
-    /// batches (defensive: should be unreachable with `catch_unwind`).
+    /// batches.
     WorkersLost {
         /// Batches delivered in order before the loss.
         produced: usize,
@@ -125,64 +91,13 @@ impl From<TaskError> for SampleError {
 /// exercises the recovery path deterministically.
 pub type FaultHook = Arc<dyn Fn(usize, u32) + Send + Sync>;
 
-/// Observability snapshot of one async sampling job (schema in DESIGN.md
-/// §8). Batch/retry counts are deterministic; the timing fields are
-/// wall-clock and belong to the `Measured` metric class.
-#[derive(Clone, Debug)]
-pub struct SamplerObsReport {
-    /// Mini-batches delivered in order to the consumer so far.
-    pub batches: u64,
-    /// Extra sampling attempts spent recovering from worker panics.
-    pub resample_retries: u64,
-    /// Successful sampling tasks per worker thread.
-    pub worker_tasks: Vec<u64>,
-    /// Wall-clock nanoseconds spent sampling, per worker thread.
-    pub worker_task_nanos: Vec<u64>,
-    /// Per-attempt sampling latency in seconds (wall-clock).
-    pub task_seconds: Histogram,
-    /// Reorder-queue depth observed at each in-order delivery.
-    pub queue_depth: Histogram,
-    /// Straggler batches re-dispatched inline by the consumer
-    /// (wall-clock-dependent — `Measured`, never `Exact`).
-    pub hedges: u64,
-    /// Late straggler duplicates discarded after their hedge won.
-    pub hedge_discards: u64,
-    /// Successful steal operations in the work-stealing pool (`Measured`).
-    pub steals: u64,
-    /// Tasks moved between workers by steals (`Measured`).
-    pub stolen_tasks: u64,
-    /// Idle episodes in which a pool worker parked (`Measured`).
-    pub parks: u64,
-}
-
-/// Handle to a running asynchronous sampling job. Iterate to drain the
+/// Handle to a running asynchronous sampling job: the in-order stream over
+/// a pool whose task `i` samples batch `i`. Iterate to drain the
 /// mini-batches in order; each item is a `Result` so batch-level failures
-/// surface instead of shortening the epoch.
-///
-/// Execution runs on the work-stealing [`Pool`]; this handle owns the
-/// consumer half: the in-order first-wins [`OrderedCommit`] and the
-/// straggler-hedging policy. Dropping the handle shuts the pool down
-/// promptly (workers stop claiming batches and bail out of retry loops).
-pub struct AsyncSampler {
-    pool: Pool<MiniBatch>,
-    /// In-order first-wins reorder buffer — the determinism half: the
-    /// committed stream is identical at any worker count and schedule.
-    ordered: OrderedCommit<Result<MiniBatch, SampleError>>,
-    /// Straggler hedging, off by default (see [`AsyncSampler::with_hedging`]).
-    hedge: Option<HedgePolicy>,
-    hedges: u64,
-    /// When the consumer started waiting for a given in-order index. The
-    /// straggler clock keeps ticking across out-of-order arrivals —
-    /// otherwise a healthy worker's steady stream would mask the straggler
-    /// forever.
-    wait_start: Option<(usize, std::time::Instant)>,
-    // Inputs retained so the consumer can hedge a straggler inline with
-    // the exact per-(seed, index) RNG the worker would have used.
-    graph: Arc<Csr>,
-    batches: Arc<Vec<Vec<NodeId>>>,
-    fanouts: Arc<Vec<usize>>,
-    seed: u64,
-}
+/// surface instead of shortening the epoch. Dropping the handle shuts the
+/// pool down promptly (workers stop claiming batches and bail out of retry
+/// loops).
+pub type AsyncSampler = InOrder<MiniBatch, SampleError>;
 
 impl AsyncSampler {
     /// Spawn `num_threads` workers sampling `batches` over `graph`, with
@@ -224,8 +139,8 @@ impl AsyncSampler {
         hook: Option<FaultHook>,
     ) -> AsyncSampler {
         let cfg = RuntimeConfig {
-            workers: num_threads.max(1),
-            queue_capacity: queue_capacity.max(1),
+            workers: num_threads,
+            queue_capacity,
             max_retries,
             ..RuntimeConfig::default()
         };
@@ -245,158 +160,23 @@ impl AsyncSampler {
         seed: u64,
         hook: Option<FaultHook>,
     ) -> AsyncSampler {
-        let total = batches.len();
-        let batches = Arc::new(batches);
-        let fanouts = Arc::new(fanouts);
-        let init = {
-            let graph = Arc::clone(&graph);
-            move || NeighborSampler::new(graph.num_nodes())
-        };
-        let exec = {
-            let graph = Arc::clone(&graph);
-            let batches = Arc::clone(&batches);
-            let fanouts = Arc::clone(&fanouts);
-            move |sampler: &mut NeighborSampler, i: usize, _t: &(), attempt: u32| {
+        let num_nodes = graph.num_nodes();
+        InOrder::new(Pool::spawn(
+            cfg,
+            batches,
+            move || NeighborSampler::new(num_nodes),
+            move |sampler: &mut NeighborSampler, i, seeds: &Vec<NodeId>, attempt| {
                 if let Some(h) = &hook {
                     h(i, attempt);
                 }
-                // Per-batch RNG, recreated per attempt => schedule- and
-                // retry-independent output.
-                let mut rng = Rng::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-                sampler.sample(&graph, &batches[i], &fanouts, &mut rng)
-            }
-        };
-        let pool = Pool::spawn(cfg, vec![(); total], init, exec);
-        AsyncSampler {
-            pool,
-            ordered: OrderedCommit::new(total),
-            hedge: None,
-            hedges: 0,
-            wait_start: None,
-            graph,
-            batches,
-            fanouts,
-            seed,
-        }
-    }
-
-    /// Enable straggler hedging under `policy`: when the next in-order
-    /// batch overruns the latency-derived deadline, the consumer
-    /// re-samples it inline (identical RNG ⇒ identical output; the late
-    /// worker copy is discarded on arrival). The fault hook is a
-    /// worker-side construct and does not run on the hedge path.
-    pub fn with_hedging(mut self, policy: HedgePolicy) -> Self {
-        self.hedge = Some(policy);
-        self
-    }
-
-    /// Number of batches this job will produce in total.
-    pub fn total(&self) -> usize {
-        self.pool.total()
-    }
-
-    /// Current straggler deadline: `max(min_deadline, p95 × multiplier)`
-    /// over the task-latency histogram observed so far.
-    fn hedge_deadline(&self, policy: &HedgePolicy) -> Duration {
-        let hist: Histogram = self.pool.obs_report().task_seconds;
-        let mut secs = policy.min_deadline;
-        if let Some(p95) = hist.percentile(0.95) {
-            secs = secs.max(p95 * policy.multiplier);
-        }
-        Duration::from_secs_f64(secs)
-    }
-
-    /// Duplicate-dispatch the straggling next-in-order batch on this
-    /// thread. Same `(seed, index)` RNG as the worker ⇒ bitwise-identical
-    /// output, so first-wins resolution cannot change the stream.
-    fn hedge_batch(&mut self) {
-        let i = self.ordered.committed();
-        let mut sampler = NeighborSampler::new(self.graph.num_nodes());
-        let mut rng = Rng::new(self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-        let mb = sampler.sample(&self.graph, &self.batches[i], &self.fanouts, &mut rng);
-        self.hedges += 1;
-        self.ordered.offer(i, Ok(mb));
-    }
-
-    /// Snapshot the job's observability counters (callable while workers
-    /// are still running; mid-flight values are momentarily stale but each
-    /// individual counter is consistent).
-    pub fn obs_report(&self) -> SamplerObsReport {
-        let rt = self.pool.obs_report();
-        SamplerObsReport {
-            batches: self.ordered.committed().min(self.pool.total()) as u64,
-            resample_retries: rt.retries,
-            worker_tasks: rt.worker_tasks,
-            worker_task_nanos: rt.worker_task_nanos,
-            task_seconds: rt.task_seconds,
-            queue_depth: self.ordered.queue_depth().clone(),
-            hedges: self.hedges,
-            hedge_discards: self.ordered.discards(),
-            steals: rt.steals,
-            stolen_tasks: rt.stolen_tasks,
-            parks: rt.parks,
-        }
-    }
-}
-
-impl Iterator for AsyncSampler {
-    type Item = Result<MiniBatch, SampleError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some((_, item)) = self.ordered.try_commit() {
-                self.wait_start = None;
-                return Some(item);
-            }
-            if self.ordered.is_done() {
-                return None;
-            }
-            let received = match self.hedge {
-                None => self.pool.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                Some(policy) => {
-                    // Anchor the deadline to when we *started* waiting for
-                    // this index, not to the last arrival.
-                    let awaiting = self.ordered.committed();
-                    let start = match self.wait_start {
-                        Some((i, t)) if i == awaiting => t,
-                        _ => {
-                            let t = std::time::Instant::now();
-                            self.wait_start = Some((awaiting, t));
-                            t
-                        }
-                    };
-                    let deadline = self.hedge_deadline(&policy);
-                    match deadline.checked_sub(start.elapsed()) {
-                        Some(remaining) => self.pool.recv_timeout(remaining),
-                        None => Err(RecvTimeoutError::Timeout), // already overdue
-                    }
-                }
-            };
-            match received {
-                Ok((i, Ok(mb))) => self.ordered.offer(i, Ok(mb)),
-                Ok((i, Err(e))) => self.ordered.offer(i, Err(e.into())),
-                Err(RecvTimeoutError::Timeout) => {
-                    // The next in-order batch is straggling: duplicate-
-                    // dispatch it inline; first-wins is trivially safe
-                    // because both copies are bitwise-identical.
-                    self.hedge_batch();
-                    self.wait_start = None;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Workers died without delivering everything: surface
-                    // the shortfall as an error exactly once, then end.
-                    let produced = self.ordered.committed();
-                    let total = self.ordered.total();
-                    self.ordered.abort();
-                    return Some(Err(SampleError::WorkersLost { produced, total }));
-                }
-            }
-        }
+                sampler.sample(&graph, seeds, &fanouts, &mut task_rng(seed, i))
+            },
+        ))
     }
 }
 
 /// Synchronous epoch sampling (single thread) — the DGL-style baseline for
-/// Fig 14(a) and the building block of the in-line training loop.
+/// Fig 14(a), and the reference stream [`AsyncSampler`] must reproduce.
 pub fn sample_epoch_sync(
     graph: &Csr,
     batches: &[Vec<NodeId>],
@@ -407,10 +187,7 @@ pub fn sample_epoch_sync(
     batches
         .iter()
         .enumerate()
-        .map(|(i, b)| {
-            let mut rng = Rng::new(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-            sampler.sample(graph, b, fanouts, &mut rng)
-        })
+        .map(|(i, b)| sampler.sample(graph, b, fanouts, &mut task_rng(seed, i)))
         .collect()
 }
 
@@ -419,7 +196,9 @@ mod tests {
     use super::*;
     use fgnn_graph::generate::{generate, GraphConfig};
     use fgnn_graph::sample::split_batches;
+    use fgnn_tensor::Rng;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     fn test_graph() -> Arc<Csr> {
         let cfg = GraphConfig {
@@ -526,73 +305,6 @@ mod tests {
             "drop took {:?} — workers kept retrying after shutdown",
             t0.elapsed()
         );
-    }
-
-    /// A straggling worker is hedged: the consumer re-samples the overdue
-    /// batch inline and the delivered stream is identical to the fault-free
-    /// sync stream (same per-(seed, index) RNG ⇒ first-wins is safe).
-    #[test]
-    fn hedging_covers_stragglers_without_changing_the_stream() {
-        let g = test_graph();
-        let bs = batches(240, 4); // 60 batches
-        let sync = sample_epoch_sync(&g, &bs, &[3, 3], 23);
-        let hook: FaultHook = Arc::new(|batch, _attempt| {
-            if batch == 2 {
-                // A straggler, not a failure: the worker eventually
-                // delivers, long after the hedge deadline.
-                std::thread::sleep(Duration::from_millis(150));
-            } else {
-                // Keep the epoch running past the straggler's wake-up so
-                // its late duplicate is observed (and discarded) before
-                // the stream ends.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        });
-        let mut sampler = AsyncSampler::spawn_with_recovery(
-            Arc::clone(&g),
-            bs,
-            vec![3, 3],
-            2,
-            4,
-            23,
-            2,
-            Some(hook),
-        )
-        .with_hedging(HedgePolicy {
-            min_deadline: 0.02,
-            multiplier: 4.0,
-        });
-        let mut out = Vec::new();
-        for r in sampler.by_ref() {
-            out.push(r.expect("hedging must not surface errors"));
-        }
-        assert_eq!(out.len(), sync.len());
-        for (x, y) in out.iter().zip(&sync) {
-            assert_eq!(x.seeds, y.seeds);
-            assert_eq!(x.blocks[0].src_global, y.blocks[0].src_global);
-        }
-        let rep = sampler.obs_report();
-        assert!(rep.hedges >= 1, "the straggler must have been hedged");
-        // The straggler's late duplicate lands well before the epoch ends
-        // (30 batches, 300 ms sleep) and must be discarded by index.
-        assert!(
-            rep.hedge_discards >= 1,
-            "late duplicate should be discarded"
-        );
-    }
-
-    /// Hedging disabled (the default) leaves the stream untouched and the
-    /// hedge counters at zero even with slow batches.
-    #[test]
-    fn no_hedging_means_no_hedge_counters() {
-        let g = test_graph();
-        let bs = batches(30, 6);
-        let mut sampler = AsyncSampler::spawn(Arc::clone(&g), bs, vec![3], 2, 2, 29);
-        let n = sampler.by_ref().filter(|r| r.is_ok()).count();
-        assert_eq!(n, 5);
-        let rep = sampler.obs_report();
-        assert_eq!(rep.hedges, 0);
-        assert_eq!(rep.hedge_discards, 0);
     }
 
     /// A transiently-panicking batch is retried and the epoch completes
@@ -715,17 +427,22 @@ mod tests {
             r.expect("transient fault must be recovered");
             delivered += 1;
         }
-        let rep = sampler.obs_report();
-        assert_eq!(rep.batches, delivered);
-        assert_eq!(rep.worker_tasks.iter().sum::<u64>(), 10);
-        assert_eq!(rep.resample_retries, 1);
+        let mut m = crate::obs::Metrics::new();
+        sampler.flush_obs(&mut m);
+        assert_eq!(m.counter("sampler.batches"), Some(delivered));
+        assert_eq!(m.counter("sampler.resample_retries"), Some(1));
+        let per_worker = |what: &str| -> u64 {
+            (0..3)
+                .map(|w| m.counter(&format!("sampler.worker.{w}.{what}")).unwrap())
+                .sum()
+        };
+        assert_eq!(per_worker("tasks"), 10);
+        assert!(per_worker("task_ns") > 0);
         assert_eq!(
-            rep.task_seconds.count(),
+            m.histogram("sampler.task_seconds").unwrap().count(),
             11,
             "10 successes + 1 panicked attempt, all timed"
         );
-        assert_eq!(rep.queue_depth.count(), 10);
-        assert_eq!(rep.worker_task_nanos.len(), 3);
-        assert!(rep.worker_task_nanos.iter().sum::<u64>() > 0);
+        assert_eq!(m.histogram("sampler.queue_depth").unwrap().count(), 10);
     }
 }

@@ -26,13 +26,11 @@ use crate::config::FreshGnnConfig;
 use crate::driver::{harvest_and_detach, reset_policy_inputs, Driver, Stages, Workload, Workspace};
 use crate::loader::FeatureLoader;
 use crate::obs::{MetricClass, Metrics};
-use crate::pipeline::{BatchOutput, Engine, EvalHarness, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, EvalHarness, PipelineCtx};
 use crate::prune::{prune_with_cache_policy, PruneOutcome};
-use crate::runtime::RuntimeConfig;
-use crate::sampler::{AsyncSampler, FaultHook, HedgePolicy, SampleError, SamplerObsReport};
 use fgnn_graph::block::MiniBatch;
 use fgnn_graph::sample::NeighborSampler;
-use fgnn_graph::{Dataset, NodeId};
+use fgnn_graph::{Csr, Dataset, NodeId};
 use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
 use fgnn_memsim::stage::StageKind;
 use fgnn_memsim::topology::Node;
@@ -49,16 +47,11 @@ pub use crate::pipeline::EpochStats;
 pub type Trainer = Driver<Homogeneous>;
 
 /// Workload state of the homogeneous trainer: a [`Model`] over one node
-/// type, neighbor sampling, a static raw-feature cache in front of the
-/// loader, and [`AsyncSampler`] (with its fault hook and hedging) under
-/// the overlapped epoch.
+/// type, neighbor sampling, and a static raw-feature cache in front of the
+/// loader.
 pub struct Homogeneous {
     static_cache: StaticFeatureCache,
     sampler: NeighborSampler,
-    /// Test hook forwarded to async sampler workers (fault injection).
-    sampler_fault_hook: Option<FaultHook>,
-    /// Straggler-hedging policy for the async sampler (off by default).
-    hedge: Option<HedgePolicy>,
 }
 
 impl Driver<Homogeneous> {
@@ -87,27 +80,10 @@ impl Driver<Homogeneous> {
                 let workload = Homogeneous {
                     static_cache,
                     sampler: NeighborSampler::new(ds.num_nodes()),
-                    sampler_fault_hook: None,
-                    hedge: None,
                 };
                 (Model::new(arch, dims, rng), workload)
             },
         )
-    }
-
-    /// Install a hook invoked inside async sampler workers before each
-    /// batch attempt (`(batch_index, attempt)`) — panics it raises exercise
-    /// the worker-recovery path. Test-only in spirit, but harmless live.
-    pub fn set_sampler_fault_hook(&mut self, hook: Option<FaultHook>) {
-        self.workload.sampler_fault_hook = hook;
-    }
-
-    /// Enable (or disable with `None`) straggler hedging on
-    /// [`Driver::train_epoch_async`]'s sampler: overdue batches are
-    /// re-dispatched inline with identical RNG, so hedging never changes
-    /// the delivered stream — only its latency.
-    pub fn set_hedge(&mut self, policy: Option<HedgePolicy>) {
-        self.workload.hedge = policy;
     }
 
     /// Fig 1 probe: sample a fresh mini-batch for `seeds`, determine which
@@ -136,6 +112,8 @@ impl Workload for Homogeneous {
     type Dataset = Dataset;
     type Model = Model;
     type Batch = MiniBatch;
+    type Graph = Csr;
+    type Sampler = NeighborSampler;
     type Trace = Trace;
     type Grads = Grads;
 
@@ -167,6 +145,24 @@ impl Workload for Homogeneous {
         rng: &mut Rng,
     ) -> MiniBatch {
         self.sampler.sample(&ds.graph, seeds, fanouts, rng)
+    }
+
+    fn graph(ds: &Dataset) -> Csr {
+        ds.graph.clone()
+    }
+
+    fn worker_sampler(graph: &Csr) -> NeighborSampler {
+        NeighborSampler::new(graph.num_nodes())
+    }
+
+    fn worker_sample(
+        sampler: &mut NeighborSampler,
+        graph: &Csr,
+        seeds: &[NodeId],
+        fanouts: &[usize],
+        rng: &mut Rng,
+    ) -> MiniBatch {
+        sampler.sample(graph, seeds, fanouts, rng)
     }
 
     /// One fork of the trainer stream per batch, which the checkpoint
@@ -308,45 +304,6 @@ impl Workload for Homogeneous {
         }
     }
 
-    /// Workers sample into [`AsyncSampler`]'s bounded queue; a batch whose
-    /// sampling panicked is re-sampled with the same `(seed, batch)` RNG,
-    /// and overdue batches are hedged inline when hedging is on.
-    fn run_overlapped(
-        driver: &mut Driver<Self>,
-        ds: &Dataset,
-        batches: Vec<Vec<NodeId>>,
-        opt: &mut dyn Optimizer,
-        runtime: &RuntimeConfig,
-        batch_seed: u64,
-    ) -> Result<EpochStats, SampleError> {
-        let mut stream = AsyncSampler::spawn_with_config(
-            std::sync::Arc::new(ds.graph.clone()),
-            batches,
-            driver.cfg.fanouts.clone(),
-            runtime,
-            batch_seed,
-            driver.workload.sampler_fault_hook.clone(),
-        );
-        if let Some(policy) = driver.workload.hedge {
-            stream = stream.with_hedging(policy);
-        }
-        let (mut stages, shell) = driver.split();
-        let result = Engine::run_epoch(
-            shell.topo,
-            shell.faults,
-            shell.counters,
-            shell.obs,
-            // Only queue stalls count as sampling time (async overlap).
-            StallPolicy::ChargeSample,
-            std::iter::from_fn(|| stream.next()),
-            |ctx, counters, mb| Some(stages.train_sampled(ds, ctx, counters, mb, opt)),
-        );
-        // Telemetry even for an errored epoch: the report reflects the
-        // work the pool actually did before the failure.
-        record_sampler_obs(&mut driver.obs.metrics, &stream.obs_report());
-        result
-    }
-
     fn accuracy(
         model: &Model,
         ds: &Dataset,
@@ -384,59 +341,6 @@ impl Workload for Homogeneous {
             self.static_cache.len() as f64,
         );
     }
-}
-
-/// Fold one async-sampling job's report into the metrics registry
-/// (totals accumulate across epochs; per-worker timings are
-/// wall-clock and therefore `Measured`).
-fn record_sampler_obs(m: &mut Metrics, r: &SamplerObsReport) {
-    m.counter_add("sampler.batches", MetricClass::Exact, r.batches);
-    m.counter_add(
-        "sampler.resample_retries",
-        MetricClass::Exact,
-        r.resample_retries,
-    );
-    // Hedge counts depend on wall-clock straggler timing: Measured,
-    // never part of the Exact rerun-identical stream.
-    m.counter_add("sampler.hedges", MetricClass::Measured, r.hedges);
-    m.counter_add(
-        "sampler.hedge_discards",
-        MetricClass::Measured,
-        r.hedge_discards,
-    );
-    // Work-stealing schedule artifacts: real, but never Exact — the
-    // same epoch steals differently every run.
-    m.counter_add("sampler.steals", MetricClass::Measured, r.steals);
-    m.counter_add(
-        "sampler.stolen_tasks",
-        MetricClass::Measured,
-        r.stolen_tasks,
-    );
-    m.counter_add("sampler.parks", MetricClass::Measured, r.parks);
-    for (w, (&t, &n)) in r.worker_tasks.iter().zip(&r.worker_task_nanos).enumerate() {
-        m.counter_add(
-            &format!("sampler.worker.{w}.tasks"),
-            MetricClass::Measured,
-            t,
-        );
-        m.counter_add(
-            &format!("sampler.worker.{w}.task_ns"),
-            MetricClass::Measured,
-            n,
-        );
-    }
-    let mut task_secs = m
-        .histogram("sampler.task_seconds")
-        .cloned()
-        .unwrap_or_default();
-    task_secs.merge(&r.task_seconds);
-    m.hist_set("sampler.task_seconds", MetricClass::Measured, task_secs);
-    let mut depth = m
-        .histogram("sampler.queue_depth")
-        .cloned()
-        .unwrap_or_default();
-    depth.merge(&r.queue_depth);
-    m.hist_set("sampler.queue_depth", MetricClass::Measured, depth);
 }
 
 /// FLOPs of one mini-batch forward+backward (≈3× forward, the usual

@@ -64,9 +64,8 @@ start=$SECONDS
 policy_wall=$((SECONDS - start))
 
 # Train worker-scaling: the fgnn-train-v1 document is also the exporter's
-# own output verbatim. Its gated fields (meanLoss/h2dBytes/simSeconds) are
-# exact and worker-count invariant; wallSeconds/steals inside it are
-# measured context that exp_report never gates on.
+# own output verbatim: meanLoss/h2dBytes/simSeconds, exact and worker-count
+# invariant, so it too reproduces bit for bit.
 start=$SECONDS
 ./target/release/exp_train_scaling --seed "$SEED" --bench-json "$TRAIN_OUT" > /dev/null
 train_wall=$((SECONDS - start))
@@ -74,8 +73,7 @@ train_wall=$((SECONDS - start))
 # Multi-host cluster sweep: the fgnn-cluster-v1 document is the exporter's
 # own output verbatim. Its gated fields (meanLoss/h2dBytes/nicBytes/
 # simSeconds/degradedReads/maxStaleness) are exact, and the crash
-# schedule's committed metrics match the fault-free schedule bit for bit;
-# wallSeconds inside it is measured context that exp_report never gates on.
+# schedule's committed metrics match the fault-free schedule bit for bit.
 start=$SECONDS
 ./target/release/exp_cluster --seed "$SEED" --bench-json "$CLUSTER_OUT" > /dev/null
 cluster_wall=$((SECONDS - start))

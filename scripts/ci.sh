@@ -46,8 +46,8 @@ grep -q '"schemaVersion":"fgnn-obs-v1"' tests/golden/sync_trainer_2epoch.trace.j
 grep -q '"schemaVersion":"fgnn-policy-v1"' BENCH_policy.json
 FGNN_PROP_CASES=256 cargo test -q --test policy_equivalence
 
-# Chaos suite at an elevated seed matrix: seeded fault storms, straggler
-# hedging and NaN-rollback across trainer families, byte-identical reruns.
+# Chaos suite at an elevated seed matrix: seeded fault storms, worker
+# panics and NaN-rollback across trainer families, byte-identical reruns.
 FGNN_PROP_CASES=256 cargo test -q --test chaos
 
 # Cluster chaos suite at the elevated case count: random crash/restart/NIC
@@ -58,10 +58,11 @@ FGNN_PROP_CASES=256 cargo test -q --test chaos
 FGNN_PROP_CASES=256 cargo test -q --test cluster
 grep -q '"schemaVersion":"fgnn-cluster-v1"' BENCH_cluster.json
 
-# Work-stealing runtime determinism suite at the elevated case count:
-# seeded adversarial schedules (forced steals, delayed pops, stalls) must
-# leave every Exact output byte-identical at any worker count, and the
-# committed worker-scaling baseline must carry the train export schema.
+# Runtime determinism suite at the elevated case count: seeded adversarial
+# schedules (delayed claims and worker stalls, at workers {1,2,4,8}) must
+# leave every Exact output byte-identical at any worker count, a drained
+# pool must end its result stream, and the committed worker-scaling
+# baseline must carry the train export schema.
 FGNN_PROP_CASES=256 cargo test -q --test runtime
 grep -q '"schemaVersion":"fgnn-train-v1"' BENCH_train.json
 

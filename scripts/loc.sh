@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The roadmap's "cost of the contract", measured: per crate (and for the
-# trainer files of the one-driver refactor) total lines, lines before the
-# first `#[cfg(test)]` of each file, and `pub fn` declarations in that
-# non-test part. Run from anywhere; pass a checkout root to measure another
+# trainer files of the one-driver refactor, and the files behind overlapped
+# training) total lines, lines before the first `#[cfg(test)]` of each file,
+# and `pub fn` declarations in that non-test part. Run from anywhere; pass a checkout root to measure another
 # tree (e.g. a clone of the parent commit).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -33,3 +33,6 @@ for f in "${trainer_files[@]}"; do
     row "core/$(basename "$f")" "$f"
 done
 row "core/driver+trainer+hetero_trainer" "${trainer_files[@]}"
+overlap_files=(crates/core/src/runtime/*.rs crates/core/src/sampler.rs)
+[ -f crates/core/src/chan.rs ] && overlap_files+=(crates/core/src/chan.rs)
+row "core/overlap" "${overlap_files[@]}"

@@ -11,7 +11,7 @@ use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::export::metrics_jsonl;
 use freshgnn_repro::core::resilience::{GuardConfig, HealthState, Supervisor, SupervisorConfig};
 use freshgnn_repro::core::runtime::ChaosPolicy;
-use freshgnn_repro::core::sampler::{FaultHook, HedgePolicy};
+use freshgnn_repro::core::sampler::FaultHook;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::hetero::mag_hetero;
@@ -265,43 +265,25 @@ fn chaos_reaction_is_byte_identical_across_reruns() {
     });
 }
 
-/// Every recovery mechanism at once, on the work-stealing runtime: a
-/// panicking sampler fault hook (worker recovery), straggler hedging
-/// (first-wins commit), an interconnect fault storm with the circuit
-/// breaker armed (degraded mode), and seeded adversarial scheduling —
-/// at workers {2, 4, 8}. The committed-stream quantities (loss bits,
-/// H2D traffic, cache stats, degraded-batch count, breaker trips) must
-/// match a 1-worker, chaos-free, hedge-free reference exactly: neither
-/// first-wins resolution nor t_stale admission is allowed to depend on
-/// the schedule.
-///
-/// Deliberately compared: committed-stream outputs only. The full Exact
-/// metric stream is pinned by the schedule-fuzzing suite for the
-/// no-hedge case; under hedging + panics, `sampler.resample_retries` is
-/// legitimately schedule-dependent (a hedge can finish the epoch before
-/// a worker claims the straggler's retry), so this test asserts on what
-/// the paper's determinism claim is actually about — the training
-/// outcome.
+/// Every recovery mechanism at once, on the overlapped epoch: a panicking
+/// sampler fault hook (worker recovery), an interconnect fault storm with
+/// the circuit breaker armed (degraded mode), and seeded adversarial
+/// scheduling — at workers {2, 4, 8}. The committed-stream quantities
+/// (loss bits, H2D traffic, cache stats, degraded-batch count, breaker
+/// trips) and the sampler's own `Exact` counters (`sampler.batches`,
+/// `sampler.resample_retries`) must match a 1-worker, chaos-free reference
+/// exactly: every batch index is claimed once and retried on the worker
+/// that claimed it, so nothing here — neither in-order release nor t_stale
+/// admission nor the retry count — is allowed to depend on the schedule.
 #[test]
-fn combined_chaos_hedging_and_breaker_match_the_single_worker_reference() {
+fn combined_chaos_and_breaker_match_the_single_worker_reference() {
     let ds = tiny();
     common::for_cases(
-        "combined_chaos_hedging_and_breaker_match_the_single_worker_reference",
+        "combined_chaos_and_breaker_match_the_single_worker_reference",
         |rng| {
             let seed = rng.next_u64();
             let fail_prob = [0.05, 0.3, 1.0][rng.below(3)];
             let workers = [2, 4, 8][rng.below(3)];
-            let hedge = match rng.below(3) {
-                0 => None,
-                1 => Some(HedgePolicy::default()),
-                // Hedge *everything*: the consumer re-samples every batch
-                // inline and every worker copy loses first-wins — the
-                // adversarial case for commit-order stability.
-                _ => Some(HedgePolicy {
-                    min_deadline: 0.0,
-                    multiplier: 0.0,
-                }),
-            };
             let chaos = ChaosPolicy::aggressive(rng.next_u64());
             // Panics on the first attempt of every third batch: recovery
             // is exercised on a fixed, schedule-independent set of tasks.
@@ -311,11 +293,10 @@ fn combined_chaos_hedging_and_breaker_match_the_single_worker_reference() {
                 }
             });
 
-            let run = |workers: usize, chaos: Option<ChaosPolicy>, hedge: Option<HedgePolicy>| {
+            let run = |workers: usize, chaos: Option<ChaosPolicy>| {
                 let mut t = new_trainer(&ds, seed);
                 t.set_sampler_fault_hook(Some(hook.clone()));
                 t.set_sampler_chaos(chaos);
-                t.set_hedge(hedge);
                 t.inject_faults(
                     FaultPlan::new(seed ^ 0xC4A5).with_fail_prob(fail_prob),
                     RetryPolicy {
@@ -330,7 +311,7 @@ fn combined_chaos_hedging_and_breaker_match_the_single_worker_reference() {
                 let mut opt = Adam::new(0.01);
                 let stats = t
                     .train_epoch_async(&ds, &mut opt, workers, 4)
-                    .expect("retries + hedging must absorb the injected panics");
+                    .expect("retries must absorb the injected panics");
                 (
                     stats.mean_loss.to_bits(),
                     stats.batches,
@@ -339,16 +320,18 @@ fn combined_chaos_hedging_and_breaker_match_the_single_worker_reference() {
                     t.cache.stats(),
                     t.breaker_stats(),
                     t.breaker_state(),
+                    t.obs.metrics.counter("sampler.batches"),
+                    t.obs.metrics.counter("sampler.resample_retries"),
                 )
             };
 
-            let reference = run(1, None, None);
-            let subject = run(workers, Some(chaos), hedge);
+            let reference = run(1, None);
+            assert_eq!(reference.7, Some(reference.1 as u64));
+            let subject = run(workers, Some(chaos));
             assert_eq!(
                 subject, reference,
                 "committed-stream outcome diverged from the 1-worker \
-                 reference (workers {workers}, fail_prob {fail_prob}, \
-                 hedge {hedge:?})"
+                 reference (workers {workers}, fail_prob {fail_prob})"
             );
         },
     );

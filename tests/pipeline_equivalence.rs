@@ -69,6 +69,10 @@ const HET_LOSSES: [u64; 2] = [0x3ffa643a90000000, 0x3ff7ea7e30000000];
 const HET_H2D: u64 = 24832;
 const HET_CACHE_HIT: u64 = 6464;
 const HET_ACC: u64 = 0x3fe38e38e38e38e4;
+// hetero overlapped epochs, captured at the parent of the one-overlap-path PR
+const HET_ASYNC_LOSSES: [u64; 3] = [0x3ffa0339b0000000, 0x3ff93a1f50000000, 0x3ff0cdf630000000];
+const HET_ASYNC_H2D: u64 = 34176;
+const HET_ASYNC_CACHE_HIT: u64 = 13568;
 
 fn cfg(p_grad: f32, t_stale: u32) -> FreshGnnConfig {
     FreshGnnConfig {
@@ -171,7 +175,7 @@ fn async_pipeline_matches_goldens() {
     assert_eq!(t.counters.host_to_gpu_bytes, ASYNC_H2D);
 }
 
-/// Regression pin for the PR 8 ULP-band blowout: on the work-stealing
+/// Regression pin for the PR 8 ULP-band blowout: on the multi-worker
 /// async pipeline the attribution gap stays within the 2-ULP
 /// delta-subtraction residual at every worker count, and the stream is
 /// golden-identical to the 1-worker (and pre-refactor) run — the
@@ -353,6 +357,31 @@ fn hetero_trainer_matches_goldens() {
     assert_eq!(t.counters.host_to_gpu_bytes, HET_H2D);
     assert_eq!(t.counters.cache_hit_bytes, HET_CACHE_HIT);
     assert_eq!(t.evaluate(&ds, &ds.test_nodes, 128).to_bits(), HET_ACC);
+}
+
+/// The heterogeneous overlapped epoch reproduces the stream its own
+/// (pre-unification) overlap mechanism produced, at every worker count.
+#[test]
+fn hetero_async_pipeline_matches_goldens() {
+    let ds = mag_hetero(400, 4, 8, 3);
+    let hcfg = FreshGnnConfig {
+        p_grad: 0.9,
+        t_stale: 50,
+        fanouts: vec![3, 3],
+        batch_size: 32,
+        ..Default::default()
+    };
+    for workers in [1, 2, 4, 8] {
+        let mut t = HeteroTrainer::new(&ds, 16, Machine::single_a100(), hcfg.clone(), 1);
+        let mut opt = Adam::new(0.01);
+        for &expect in &HET_ASYNC_LOSSES {
+            let stats = t.train_epoch_async(&ds, &mut opt, workers, 4).unwrap();
+            assert_eq!(stats.mean_loss.to_bits(), expect, "workers={workers}");
+            assert_attribution_complete(&stats);
+        }
+        assert_eq!(t.counters.host_to_gpu_bytes, HET_ASYNC_H2D);
+        assert_eq!(t.counters.cache_hit_bytes, HET_ASYNC_CACHE_HIT);
+    }
 }
 
 // --- StageTimings determinism ---

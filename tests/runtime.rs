@@ -1,30 +1,27 @@
-//! Schedule-fuzzing determinism suite for the work-stealing runtime
-//! (DESIGN.md §13), plus its shutdown/starvation lock-down.
+//! Schedule-fuzzing determinism suite for the task pool under overlapped
+//! training (DESIGN.md §13), plus its shutdown/drain lock-down.
 //!
 //! The runtime's contract is *schedule independence*: per-task RNG is
-//! derived from `(seed, task index)` alone and results pass through an
-//! in-order first-wins commit, so the committed stream, every
-//! `Exact`-class metric and the span tree are byte-identical at any
-//! worker count and under any schedule — including the seeded
-//! adversarial ones [`ChaosPolicy`] injects (forced steals, delayed
-//! pops, worker stalls). The suite drives exactly that matrix:
+//! derived from `(seed, task index)` alone and results are consumed in
+//! index order, so the committed stream, every `Exact`-class metric and
+//! the span tree are byte-identical at any worker count and under any
+//! completion order — including the seeded adversarial ones
+//! [`ChaosPolicy`] injects (delayed claims, worker stalls). The suite
+//! drives exactly that matrix:
 //!
 //! * fuzzed async sampling versus the single-thread sync reference;
 //! * fuzzed trainer epochs: Exact metric streams and Chrome span trees
 //!   across worker counts {1, 2, 4, 8};
-//! * [`OrderedCommit`] first-wins/in-order properties under random
-//!   arrival permutations with duplicates;
+//! * [`InOrder`] releases `0..n` under random completion permutations;
 //! * prompt mid-epoch `Drop`: workers join, no task left running;
-//! * injector-drain starvation: idle parking can never deadlock, proven
-//!   both live (repeated drain cycles) and by a hand-rolled exhaustive
-//!   interleaving search over a shrunk parker/injector token model — no
-//!   loom dependency — which also demonstrates it *catches* the classic
-//!   lost-wakeup bug when the protocol is deliberately broken.
+//! * drain: a pool whose workers outnumber its tasks (down to zero tasks)
+//!   ends its result stream by itself instead of leaving the consumer
+//!   blocked.
 
 mod common;
 
 use freshgnn_repro::core::obs::export::{chrome_trace, metrics_jsonl};
-use freshgnn_repro::core::runtime::{ChaosPolicy, OrderedCommit, Pool, RuntimeConfig, TaskError};
+use freshgnn_repro::core::runtime::{ChaosPolicy, InOrder, Pool, RuntimeConfig, TaskError};
 use freshgnn_repro::core::sampler::{sample_epoch_sync, AsyncSampler};
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::block::MiniBatch;
@@ -34,7 +31,7 @@ use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::nn::model::Arch;
 use freshgnn_repro::nn::Adam;
 use freshgnn_repro::tensor::Rng;
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,15 +75,14 @@ fn fingerprint(mb: &MiniBatch) -> u64 {
 fn random_chaos(rng: &mut Rng) -> ChaosPolicy {
     ChaosPolicy {
         seed: rng.next_u64(),
-        forced_steal_prob: [0.0, 0.5, 0.9][rng.below(3)],
-        delayed_pop_prob: [0.0, 0.3, 0.8][rng.below(3)],
+        delay_prob: [0.0, 0.3, 0.8][rng.below(3)],
         stall_prob: [0.0, 0.1][rng.below(2)],
         max_delay_micros: 1 + rng.below(50) as u64,
     }
 }
 
 /// Fuzzed schedules against the sync reference: for a matrix of seeded
-/// chaos policies × worker counts × queue/refill shapes, the async
+/// chaos policies × worker counts × queue capacities, the async
 /// sampler's committed batch stream is byte-identical to single-thread
 /// synchronous sampling — same order, same contents, down to the
 /// fingerprint of every adjacency row.
@@ -112,7 +108,6 @@ fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
             let cfg = RuntimeConfig {
                 workers: [2usize, 4, 8][rng.below(3)],
                 queue_capacity: 1 + rng.below(4),
-                refill_chunk: 1 + rng.below(4),
                 chaos: Some(random_chaos(rng)),
                 ..RuntimeConfig::default()
             };
@@ -178,43 +173,46 @@ fn fuzzed_trainer_epochs_have_identical_exact_streams_and_span_trees() {
     );
 }
 
-/// First-wins in-order commit under random arrival permutations with
-/// duplicate offers: the committed sequence is always `0..total` with
-/// the *first* offered payload per index, and every duplicate is counted
-/// as a discard.
+/// In-order release under random completion permutations: tasks are made
+/// to finish in a seeded random order (each spins until a shared turn
+/// counter reaches its rank; one worker per task, so none waits for a
+/// thread), and the stream still yields exactly `0..total`, each index
+/// with its own payload.
 #[test]
-fn ordered_commit_is_first_wins_and_in_order_under_any_arrival_order() {
+fn in_order_stream_commits_0_to_n_under_any_completion_order() {
     common::for_cases(
-        "ordered_commit_is_first_wins_and_in_order_under_any_arrival_order",
+        "in_order_stream_commits_0_to_n_under_any_completion_order",
         |rng| {
             let total = 1 + rng.below(24);
-            // Random arrival permutation via seeded Fisher-Yates.
-            let mut arrivals: Vec<usize> = (0..total).collect();
+            // rank[i] = position of task i in the completion order, a
+            // random permutation via seeded Fisher-Yates.
+            let mut rank: Vec<usize> = (0..total).collect();
             for i in (1..total).rev() {
-                arrivals.swap(i, rng.below(i + 1));
+                rank.swap(i, rng.below(i + 1));
             }
-            let dup_every = 1 + rng.below(4);
-
-            let mut ordered: OrderedCommit<u64> = OrderedCommit::new(total);
-            let mut committed = Vec::new();
-            let mut dups = 0u64;
-            for (k, &i) in arrivals.iter().enumerate() {
-                ordered.offer(i, (i as u64) << 8); // first copy: canonical
-                if k % dup_every == 0 {
-                    ordered.offer(i, u64::MAX); // late duplicate: must lose
-                    dups += 1;
-                }
-                while let Some((idx, v)) = ordered.try_commit() {
-                    committed.push((idx, v));
-                }
-            }
-            assert!(ordered.is_done());
-            let expect: Vec<(usize, u64)> = (0..total).map(|i| (i, (i as u64) << 8)).collect();
-            assert_eq!(
-                committed, expect,
-                "committed out of order or lost first-wins"
+            let cfg = RuntimeConfig {
+                workers: total,
+                queue_capacity: 1 + rng.below(total),
+                ..RuntimeConfig::default()
+            };
+            let turn = Arc::new(AtomicUsize::new(0));
+            let pool: Pool<u64> = Pool::spawn(
+                &cfg,
+                rank,
+                || (),
+                move |_, i, &rank, _| {
+                    while turn.load(Ordering::SeqCst) != rank {
+                        std::thread::yield_now();
+                    }
+                    turn.fetch_add(1, Ordering::SeqCst);
+                    (i as u64) << 8
+                },
             );
-            assert_eq!(ordered.discards(), dups, "every duplicate must be counted");
+            let committed: Vec<u64> = InOrder::<u64>::new(pool)
+                .map(|r| r.expect("no panics"))
+                .collect();
+            let expect: Vec<u64> = (0..total as u64).map(|i| i << 8).collect();
+            assert_eq!(committed, expect, "released out of order or lost an index");
         },
     );
 }
@@ -270,162 +268,29 @@ fn mid_epoch_drop_joins_all_workers_without_leaking_tasks() {
     assert!(after < 64, "shutdown should beat 64 slow tasks");
 }
 
-/// Starvation lock-down, live half: repeatedly drain pools where workers
-/// far outnumber tasks (most workers go idle and park while the injector
-/// empties), including the zero-task edge. A lost wakeup anywhere in the
-/// park/unpark protocol would hang either the drain or the join — the
-/// suite finishing is the assertion.
+/// Drain lock-down: repeatedly run pools where workers far outnumber
+/// tasks, including the zero-task edge. Every worker whose claim passes the
+/// end exits, so the result stream ends by itself: draining until `recv`
+/// errs terminates and sees each task exactly once. A worker that lingered
+/// would hang the drain — the suite finishing is the assertion.
 #[test]
 fn idle_workers_never_deadlock_when_the_injector_drains() {
     for round in 0..64u64 {
         let cfg = RuntimeConfig {
             workers: 8,
             queue_capacity: 4,
-            refill_chunk: 1, // maximal contention on the injector
             ..RuntimeConfig::default()
         };
         let tasks = (round % 3) as usize; // 0, 1, 2 tasks for 8 workers
         let pool: Pool<u64> =
             Pool::spawn(&cfg, vec![7u64; tasks], || (), |_, i, t, _| t + i as u64);
         let mut got = 0;
-        while got < tasks {
-            pool.recv().expect("workers alive").1.expect("no panics");
+        while let Ok((_, r)) = pool.recv() {
+            r.expect("no panics");
             got += 1;
         }
-        drop(pool); // joins 8 mostly-parked workers
+        assert_eq!(got, tasks);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shrunk-model exhaustive interleaving (hand-rolled, no loom).
-//
-// The pool's idle protocol in miniature: a producer makes work visible and
-// then unparks; a worker that finds nothing decides to park and re-checks a
-// token first. The model enumerates EVERY interleaving of those atomic
-// steps by depth-first search over explicit program counters, flagging any
-// reachable state where no step is enabled while work remains — i.e. a
-// worker asleep with an item it can never learn about. The real pool's
-// ordering ("make work visible, then unpark_all") has no such state; the
-// reversed ordering must be caught, which proves the model can see the bug
-// class it guards against.
-// ---------------------------------------------------------------------------
-
-/// One configuration of the shrunk model: `tokens[w]` is worker `w`'s
-/// parker token, `queued` the injector depth, `wpc`/`ppc` program
-/// counters (worker: 0 = scanning, 1 = committed to park; producer: index
-/// of its next atomic step; `u8::MAX` = finished).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct ModelState<const W: usize> {
-    queued: u8,
-    consumed: u8,
-    tokens: [bool; W],
-    wpc: [u8; W],
-    ppc: u8,
-}
-
-/// The producer's atomic steps, in protocol order. `Publish` increments
-/// `queued`; `UnparkAll` sets every token.
-#[derive(Clone, Copy)]
-enum ProducerStep {
-    Publish,
-    UnparkAll,
-}
-
-/// DFS over every interleaving; returns the set of deadlocks found, as
-/// `(queued, wpc)` evidence. `deadlock` means: producer finished, work
-/// still queued, and *no* worker step is enabled (every worker is
-/// committed to parking with a false token).
-fn search<const W: usize>(producer_program: &[ProducerStep; 2]) -> Vec<(u8, [u8; W])> {
-    use std::collections::HashSet;
-    let mut seen: HashSet<ModelState<W>> = HashSet::new();
-    let mut deadlocks = Vec::new();
-    let mut stack = vec![ModelState::<W> {
-        queued: 0,
-        consumed: 0,
-        tokens: [false; W],
-        wpc: [0; W],
-        ppc: 0,
-    }];
-    while let Some(s) = stack.pop() {
-        if !seen.insert(s) {
-            continue;
-        }
-        let mut enabled = 0;
-        // Producer step.
-        if (s.ppc as usize) < producer_program.len() {
-            enabled += 1;
-            let mut n = s;
-            match producer_program[s.ppc as usize] {
-                ProducerStep::Publish => n.queued += 1,
-                ProducerStep::UnparkAll => n.tokens = [true; W],
-            }
-            n.ppc += 1;
-            stack.push(n);
-        }
-        // Worker steps.
-        for w in 0..W {
-            match s.wpc[w] {
-                // Scanning: atomically observe the queue — non-empty
-                // claims an item, empty commits the worker to parking.
-                0 => {
-                    enabled += 1;
-                    let mut n = s;
-                    if n.queued > 0 {
-                        n.queued -= 1;
-                        n.consumed += 1;
-                    } else {
-                        n.wpc[w] = 1;
-                    }
-                    stack.push(n);
-                }
-                // Committed to park: enabled only with a token (the
-                // Condvar wait); consuming it returns to scanning.
-                1 if s.tokens[w] => {
-                    enabled += 1;
-                    let mut n = s;
-                    n.tokens[w] = false;
-                    n.wpc[w] = 0;
-                    stack.push(n);
-                }
-                _ => {}
-            }
-        }
-        if enabled == 0 && s.queued > 0 {
-            deadlocks.push((s.queued, s.wpc));
-        }
-    }
-    deadlocks
-}
-
-/// The real protocol — publish, *then* unpark — has no reachable state
-/// where a worker sleeps on visible work, under every interleaving with
-/// one and with two workers.
-#[test]
-fn shrunk_model_proves_the_publish_then_unpark_protocol_starvation_free() {
-    let correct = [ProducerStep::Publish, ProducerStep::UnparkAll];
-    assert_eq!(search::<1>(&correct), vec![], "1-worker deadlock");
-    assert_eq!(search::<2>(&correct), vec![], "2-worker deadlock");
-}
-
-/// Sanity check on the checker itself: with the ordering reversed —
-/// unpark first, publish after — the classic lost wakeup is reachable
-/// (worker consumes the early token, re-scans an empty queue, parks; the
-/// item is published into silence). The search must find it; a model
-/// that cannot see the bug proves nothing about the fix.
-#[test]
-fn shrunk_model_catches_the_unpark_before_publish_lost_wakeup() {
-    let broken = [ProducerStep::UnparkAll, ProducerStep::Publish];
-    let deadlocks = search::<1>(&broken);
-    assert!(
-        !deadlocks.is_empty(),
-        "the exhaustive search must reach the lost-wakeup state"
-    );
-    assert!(
-        deadlocks
-            .iter()
-            .all(|&(queued, wpc)| queued == 1 && wpc == [1]),
-        "deadlock evidence should be: one published item, worker asleep"
-    );
 }
 
 /// The surviving-panic path interacts correctly with shutdown: a pool
@@ -460,13 +325,7 @@ fn exhausted_retry_budgets_surface_per_task_instead_of_hanging() {
     }
     failures.sort_unstable();
     assert_eq!(failures, vec![0, 1, 2, 3, 4, 5]);
-    // Workers are now idle-parked (they hold their sender halves until the
-    // pool drops), so "no further results" must be asserted by deadline,
-    // not by disconnect.
-    assert!(
-        pool.recv_timeout(Duration::from_millis(200)).is_err(),
-        "all results delivered"
-    );
+    assert!(pool.recv().is_err(), "all results delivered");
     assert!(
         pool.obs_report().retries >= 6,
         "every task burned its retry"
