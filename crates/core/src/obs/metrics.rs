@@ -235,6 +235,20 @@ impl Metrics {
             .insert(name.to_string(), (class, MetricValue::Histogram(h)));
     }
 
+    /// Add an externally-accumulated histogram into `name`, creating it on
+    /// first use. An empty `h` records nothing, so a name nobody observed
+    /// stays absent — what per-observation [`Metrics::hist_observe`] calls
+    /// would have left.
+    pub fn hist_merge(&mut self, name: &str, class: MetricClass, h: Histogram) {
+        if h.count() == 0 {
+            return;
+        }
+        match self.map.get_mut(name) {
+            Some((_, MetricValue::Histogram(into))) => into.merge(&h),
+            _ => self.hist_set(name, class, h),
+        }
+    }
+
     /// Current value of the counter `name`.
     pub fn counter(&self, name: &str) -> Option<u64> {
         match self.map.get(name) {
@@ -389,6 +403,23 @@ mod tests {
         let h = d.histogram("h").unwrap();
         assert_eq!(h.counts(), &[0, 1]);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn hist_merge_equals_observing_one_by_one() {
+        let (mut merged, mut observed) = (Metrics::new(), Metrics::new());
+        merged.hist_merge("h", MetricClass::Exact, Histogram::new(&[1.0, 4.0]));
+        assert!(merged.is_empty(), "an empty histogram creates no name");
+        for round in [[0.0, 2.0], [3.0, 9.0]] {
+            let mut local = Histogram::new(&[1.0, 4.0]);
+            for v in round {
+                local.observe(v);
+                observed.hist_observe("h", MetricClass::Exact, &[1.0, 4.0], v);
+            }
+            merged.hist_merge("h", MetricClass::Exact, local);
+        }
+        assert_eq!(merged.histogram("h"), observed.histogram("h"));
+        assert_eq!(merged.histogram("h").unwrap().counts(), &[1, 2, 1]);
     }
 
     #[test]

@@ -321,10 +321,6 @@ impl SloMonitor {
     }
 
     fn evaluate(&mut self, now_ns: u64) {
-        let p99 =
-            self.sketch
-                .percentile(0.99)
-                .map_or(0, |v| if v.is_finite() { v as u64 } else { u64::MAX });
         for (i, rule) in self.cfg.rules.iter().enumerate() {
             let (long, short) = &self.windows[i];
             let burn_long = long.bad_fraction() / self.cfg.error_budget;
@@ -334,6 +330,15 @@ impl SloMonitor {
                 && burn_short > rule.burn;
             if firing != self.active[i] {
                 self.active[i] = firing;
+                // The window quantile merges every live slice, and only an
+                // edge reads it: formed here, not once per event.
+                let p99 = self.sketch.percentile(0.99).map_or(0, |v| {
+                    if v.is_finite() {
+                        v as u64
+                    } else {
+                        u64::MAX
+                    }
+                });
                 self.alerts.push(AlertEvent {
                     at_ns: now_ns,
                     rule: rule.label,
@@ -445,6 +450,127 @@ mod tests {
             m.alerts.is_empty(),
             "100% bad but below min_events: no page"
         );
+    }
+
+    /// `(now_ns, Some((latency_ns, bad)))` when served, `None` when shed.
+    type Event = (u64, Option<(u64, bool)>);
+
+    /// The monitor as it stood before the windowed p99 became lazy, kept as
+    /// the reference: the quantile is formed on every event, edge or not.
+    fn eager_alerts(cfg: &SloConfig, bounds: &[f64], events: &[Event]) -> Vec<AlertEvent> {
+        let mut windows: Vec<(EventWindow, EventWindow)> = cfg
+            .rules
+            .iter()
+            .map(|r| (EventWindow::new(r.long_ns), EventWindow::new(r.short_ns)))
+            .collect();
+        let mut active = vec![false; cfg.rules.len()];
+        let mut sketch = WindowedSketch::new(bounds, cfg.sketch_slice_ns, cfg.sketch_slices);
+        let mut alerts = Vec::new();
+        for &(now_ns, served) in events {
+            if let Some((latency_ns, _)) = served {
+                sketch.observe(now_ns, latency_ns as f64);
+            }
+            let bad = served.is_none_or(|(_, bad)| bad);
+            let p99 = match sketch.percentile(0.99) {
+                None => 0,
+                Some(v) if v.is_finite() => v as u64,
+                Some(_) => u64::MAX,
+            };
+            for (i, rule) in cfg.rules.iter().enumerate() {
+                let (long, short) = &mut windows[i];
+                long.record(now_ns, bad);
+                short.record(now_ns, bad);
+                let burn_long = long.bad_fraction() / cfg.error_budget;
+                let burn_short = short.bad_fraction() / cfg.error_budget;
+                let fired = long.total() >= cfg.min_events
+                    && burn_long > rule.burn
+                    && burn_short > rule.burn;
+                if fired != active[i] {
+                    active[i] = fired;
+                    alerts.push(AlertEvent {
+                        at_ns: now_ns,
+                        rule: rule.label,
+                        fired,
+                        burn_long,
+                        burn_short,
+                        windowed_p99_ns: p99,
+                    });
+                }
+            }
+        }
+        alerts
+    }
+
+    /// Property: over random rule sets and event streams that swing between
+    /// healthy and burning phases, the monitor's alert stream equals the
+    /// eager reference's field for field, `windowed_p99_ns` included.
+    /// `FGNN_PROP_CASES` scales the case count (`scripts/ci.sh` runs 256).
+    #[test]
+    fn lazy_p99_alerts_equal_the_eager_reference() {
+        let cases = std::env::var("FGNN_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64u64);
+        let mut edges = 0usize;
+        for case in 0..cases {
+            let mut rng = fgnn_tensor::Rng::new(0x0A1E_27ED ^ case.wrapping_mul(0x9E37_79B9));
+            let rules = ["a", "b", "c"][..1 + rng.below(3)]
+                .iter()
+                .map(|&label| {
+                    let short_ns = (1 + rng.below(20) as u64) * MS;
+                    BurnRule {
+                        label,
+                        long_ns: short_ns * (1 + rng.below(6) as u64),
+                        short_ns,
+                        burn: 1.0 + rng.below(5) as f64,
+                    }
+                })
+                .collect();
+            let cfg = SloConfig {
+                error_budget: [0.02, 0.05, 0.1][rng.below(3)],
+                rules,
+                min_events: rng.below(24) as u64,
+                sketch_slice_ns: (1 + rng.below(10) as u64) * MS,
+                sketch_slices: 1 + rng.below(8),
+            };
+            // No finite edge at all makes the quantile infinite: the
+            // `u64::MAX` arm of the conversion is part of the contract.
+            let bounds: &[f64] = if rng.below(8) == 0 {
+                &[]
+            } else {
+                &[1e5, 1e6, 1e7, 1e8]
+            };
+            let mut now_ns = 0u64;
+            let (mut p_bad, mut latency_scale) = (0.0f32, 1u64);
+            let events: Vec<Event> = (0..200 + rng.below(600))
+                .map(|n| {
+                    if n % 50 == 0 {
+                        p_bad = [0.0, 0.1, 0.6, 1.0][rng.below(4)];
+                        latency_scale = 1 << rng.below(30);
+                    }
+                    // Mostly sub-millisecond gaps, now and then one that
+                    // empties every window and the whole sketch.
+                    now_ns += match rng.below(40) {
+                        0 => rng.next_u64() % (400 * MS),
+                        _ => rng.next_u64() % MS,
+                    };
+                    let bad = rng.bernoulli(p_bad);
+                    let served = (latency_scale + rng.next_u64() % latency_scale, bad);
+                    (now_ns, (!bad || rng.below(2) == 0).then_some(served))
+                })
+                .collect();
+
+            let mut m = SloMonitor::new(cfg.clone(), bounds);
+            for &(t, served) in &events {
+                match served {
+                    Some((latency_ns, bad)) => m.record_served(t, latency_ns, bad),
+                    None => m.record_shed(t),
+                }
+            }
+            assert_eq!(m.alerts, eager_alerts(&cfg, bounds, &events), "case {case}");
+            edges += m.alerts.len();
+        }
+        assert!(edges as u64 >= cases, "the streams cross alert edges");
     }
 
     #[test]

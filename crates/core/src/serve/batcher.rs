@@ -64,10 +64,13 @@ impl Batcher {
         Some(t.max(cursor_ns))
     }
 
-    /// Pop the head batch (up to `max_batch` requests, arrival order).
-    pub fn take(&self, queue: &mut VecDeque<Request>) -> Vec<Request> {
+    /// Pop the head batch (up to `max_batch` requests, arrival order) into
+    /// `batch`, replacing what it held: the caller's one buffer serves
+    /// every batch of a run.
+    pub fn take(&self, queue: &mut VecDeque<Request>, batch: &mut Vec<Request>) {
         let n = queue.len().min(self.cfg.max_batch);
-        queue.drain(..n).collect()
+        batch.clear();
+        batch.extend(queue.drain(..n));
     }
 }
 
@@ -95,8 +98,9 @@ mod tests {
         });
         let mut q: VecDeque<Request> = [req(0, 10), req(1, 20)].into_iter().collect();
         assert_eq!(b.dispatch_at(&q, 500, 20), Some(500));
-        let batch = b.take(&mut q);
-        assert_eq!(batch.len(), 2);
+        let mut batch = vec![req(9, 0)];
+        b.take(&mut q, &mut batch);
+        assert_eq!(batch, [req(0, 10), req(1, 20)]);
         assert!(q.is_empty());
     }
 

@@ -28,7 +28,7 @@ use super::{ServeConfig, SERVE_AGE_BUCKETS_MS, SERVE_LATENCY_BUCKETS_NS, SERVE_Q
 use crate::cache::policy::Verdict;
 use crate::error::FgnnError;
 use crate::obs::window::{AlertEvent, SloMonitor};
-use crate::obs::{MetricClass, Obs, Tracer};
+use crate::obs::{Histogram, MetricClass, Obs, Tracer};
 use crate::resilience::HealthState;
 use fgnn_graph::sample::NeighborSampler;
 use fgnn_graph::{Dataset, NodeId};
@@ -36,8 +36,8 @@ use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, Ret
 use fgnn_memsim::presets::{dense_flops, Machine};
 use fgnn_memsim::transfer::SYNC_LATENCY;
 use fgnn_memsim::{Node, TrafficCounters, TransferEngine};
-use fgnn_nn::model::{Arch, Model};
-use fgnn_tensor::Rng;
+use fgnn_nn::model::{Arch, Model, Trace};
+use fgnn_tensor::{Matrix, Rng};
 use std::collections::VecDeque;
 
 /// Fixed per-request serving overhead (seconds): response framing and
@@ -50,9 +50,10 @@ const PER_REQUEST_OVERHEAD: f64 = 2e-6;
 const EXEMPLAR_STREAM: u64 = 0x0E8E_3F4A_52C3_D94B;
 
 /// Cost breakdown of one served batch: the exact simulated seconds of
-/// each pipeline stage, the wire bytes it charged, and per-request
-/// hit/verdict details — everything the request tracer needs to lay span
-/// boundaries without touching the service-time accumulation itself.
+/// each pipeline stage and the wire bytes it charged — what the request
+/// tracer needs to lay span boundaries without touching the service-time
+/// accumulation itself. The per-request hit ages stay behind in
+/// `ServeEngine::ages`, the miss verdicts in `EmbedStore::last_verdicts`.
 struct BatchOutcome {
     /// Total service seconds (the pre-existing accumulation, untouched).
     service_secs: f64,
@@ -70,10 +71,43 @@ struct BatchOutcome {
     compute_secs: f64,
     /// Host-to-GPU bytes charged to the ledger by this batch.
     wire_bytes: u64,
-    /// Per request, batch order: `Some(age_ms)` on a cache hit.
-    ages: Vec<Option<u32>>,
-    /// Admission verdicts for the batch's miss nodes (policy order).
-    verdicts: Vec<(fgnn_graph::NodeId, Verdict)>,
+}
+
+/// The recompute workspace, built once per engine: the sampler's O(|V|)
+/// node mapping and the forward trace, whose matrices stop reallocating
+/// once they have seen the largest miss batch.
+struct Recompute {
+    sampler: NeighborSampler,
+    trace: Trace,
+}
+
+impl Recompute {
+    /// Sample `nodes`' neighborhood, gather its raw features straight into
+    /// the trace's input and run `model` over it. Returns the input-row
+    /// count; row `i` of [`Recompute::embeddings`] is then `nodes[i]`'s.
+    fn run(
+        &mut self,
+        ds: &Dataset,
+        model: &Model,
+        fanouts: &[usize],
+        nodes: &[NodeId],
+        rng: &mut Rng,
+    ) -> usize {
+        let mb = self.sampler.sample(&ds.graph, nodes, fanouts, rng);
+        let inputs = mb.input_nodes();
+        let h0 = self.trace.input_mut();
+        h0.resize(inputs.len(), ds.features.cols());
+        for (row, &g) in inputs.iter().enumerate() {
+            h0.set_row(row, ds.features.row(g as usize));
+        }
+        model.forward_into(&mb, &mut self.trace, None, |_, _| {});
+        inputs.len()
+    }
+
+    /// The output level of the last [`Recompute::run`].
+    fn embeddings(&self) -> &Matrix {
+        self.trace.h.last().expect("model has layers")
+    }
 }
 
 /// Outcome summary of one serving run. All fields are exact (simulated)
@@ -151,6 +185,13 @@ pub struct ServeEngine<'a> {
     slo: SloMonitor,
     /// Requests whose span trees were emitted (exemplar count).
     exemplars: u64,
+    /// Miss-path workspace, shared by [`ServeEngine::warm`] and every batch.
+    recompute: Recompute,
+    /// The current batch's distinct miss nodes in first-request order
+    /// (at most `max_batch` of them, deduplicated by a scan of the list).
+    miss: Vec<NodeId>,
+    /// Per request of the current batch: `Some(age_ms)` on a cache hit.
+    ages: Vec<Option<u32>>,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -193,6 +234,12 @@ impl<'a> ServeEngine<'a> {
             req_tracer: Tracer::new(),
             slo,
             exemplars: 0,
+            recompute: Recompute {
+                sampler: NeighborSampler::new(ds.num_nodes()),
+                trace: Trace::default(),
+            },
+            miss: Vec::new(),
+            ages: Vec::new(),
         })
     }
 
@@ -232,6 +279,9 @@ impl<'a> ServeEngine<'a> {
     /// The model behind the serving engine (e.g. to import trained
     /// parameters before opening for traffic).
     pub fn model_mut(&mut self) -> &mut Model {
+        // The caller may install a model of another shape or architecture;
+        // the forward contexts kept for the old one must not outlive it.
+        self.recompute.trace = Trace::default();
         &mut self.model
     }
 
@@ -277,15 +327,11 @@ impl<'a> ServeEngine<'a> {
     /// time zero (no traffic is charged: warm-up is provisioning, not
     /// serving).
     pub fn warm(&mut self, nodes: &[NodeId]) {
-        let mut sampler = NeighborSampler::new(self.ds.num_nodes());
         let mut rng = Rng::new(self.cfg.seed ^ 0x5EED_4A3B_1C2D_3E4F);
-        let fanouts = self.cfg.fanouts.clone();
         for chunk in nodes.chunks(256) {
-            let mb = sampler.sample(&self.ds.graph, chunk, &fanouts, &mut rng);
-            let ids: Vec<usize> = mb.input_nodes().iter().map(|&g| g as usize).collect();
-            let h0 = self.ds.features.gather_rows(&ids);
-            let trace = self.model.forward(&mb, h0);
-            let out = trace.h.last().expect("model has layers");
+            self.recompute
+                .run(self.ds, &self.model, &self.cfg.fanouts, chunk, &mut rng);
+            let out = self.recompute.embeddings();
             self.store.warm(chunk, |i| out.row(i), 0);
         }
     }
@@ -330,7 +376,14 @@ impl<'a> ServeEngine<'a> {
         let mut est_service_ns = 0u64;
         let mut end_ns = 0u64;
         let mut batch_idx = 0u64;
-        let mut latencies_ns: Vec<u64> = Vec::new();
+        let mut batch: Vec<Request> = Vec::new();
+        // At most every offered request is served: sized once, never grown.
+        let mut latencies_ns: Vec<u64> = Vec::with_capacity(trace.len());
+        // Run-local like the counters below, merged into the registry with
+        // them: an observation is a bucket increment, not a name lookup.
+        let mut queue_depth = Histogram::new(&SERVE_QUEUE_BUCKETS);
+        let mut latency_hist = Histogram::new(&SERVE_LATENCY_BUCKETS_NS);
+        let mut served_age = Histogram::new(&SERVE_AGE_BUCKETS_MS);
         let mut served = 0u64;
         let mut degraded_served = 0u64;
         let mut degraded_batches = 0u64;
@@ -357,12 +410,7 @@ impl<'a> ServeEngine<'a> {
                     self.drain_served(&mut pending_served, cursor_ns);
                     adm.offer(trace[i], cursor_ns);
                     self.note_sheds(&adm, &mut shed_seen, cursor_ns);
-                    self.obs.metrics.hist_observe(
-                        "serve.queue.depth",
-                        MetricClass::Exact,
-                        &SERVE_QUEUE_BUCKETS,
-                        adm.queue.len() as f64,
-                    );
+                    queue_depth.observe(adm.queue.len() as f64);
                     i += 1;
                 }
                 (_, Some(d)) => {
@@ -372,7 +420,7 @@ impl<'a> ServeEngine<'a> {
                     // its deadline given the worst batch seen so far.
                     adm.shed_expired(cursor_ns + est_service_ns);
                     self.note_sheds(&adm, &mut shed_seen, cursor_ns);
-                    let batch = batcher.take(&mut adm.queue);
+                    batcher.take(&mut adm.queue, &mut batch);
                     if batch.is_empty() {
                         continue;
                     }
@@ -409,17 +457,13 @@ impl<'a> ServeEngine<'a> {
                     let b1 = (start_ns + round_ns(out.assembly_secs)).min(completion_ns);
                     let b2 = (start_ns + round_ns(cum_lookup)).clamp(b1, completion_ns);
                     let b3 = (start_ns + round_ns(cum_recompute)).clamp(b2, completion_ns);
-                    let vmap: std::collections::BTreeMap<NodeId, Verdict> =
-                        out.verdicts.iter().copied().collect();
                     for (j, r) in batch.iter().enumerate() {
                         let latency = completion_ns - r.arrival_ns;
                         latencies_ns.push(latency);
-                        self.obs.metrics.hist_observe(
-                            "serve.latency_ns",
-                            MetricClass::Exact,
-                            &SERVE_LATENCY_BUCKETS_NS,
-                            latency as f64,
-                        );
+                        latency_hist.observe(latency as f64);
+                        // A recomputed embedding is served at age 0.
+                        let age = self.ages[j];
+                        served_age.observe(age.unwrap_or(0) as f64);
                         let late = completion_ns > r.deadline_ns;
                         if late {
                             deadline_misses += 1;
@@ -427,10 +471,16 @@ impl<'a> ServeEngine<'a> {
                         pending_served.push_back((completion_ns, latency, late));
                         if self.is_exemplar(r.id) {
                             self.exemplars += 1;
-                            let age = out.ages[j];
+                            // Only a traced miss looks its verdict up, among
+                            // the batch's (at most `max_batch`) miss nodes.
                             let verdict = match age {
                                 Some(_) => None,
-                                None => vmap.get(&r.node).copied(),
+                                None => self
+                                    .store
+                                    .last_verdicts
+                                    .iter()
+                                    .find(|&&(node, _)| node == r.node)
+                                    .map(|&(_, v)| v),
                             };
                             self.emit_request_spans(
                                 r,
@@ -464,6 +514,14 @@ impl<'a> ServeEngine<'a> {
         // persist across runs, as in the training engine).
         self.faults.plan = transfer.take_fault_plan();
         self.faults.breaker = transfer.take_breaker();
+
+        // Before the overload return below: a wholly shed run still offered
+        // its requests, and its queue depths are telemetry as they were.
+        let m = &mut self.obs.metrics;
+        let e = MetricClass::Exact;
+        m.hist_merge("serve.queue.depth", e, queue_depth);
+        m.hist_merge("serve.latency_ns", e, latency_hist);
+        m.hist_merge("serve.served_age_ms", e, served_age);
 
         let offered = trace.len() as u64;
         if offered > 0 && served == 0 {
@@ -513,12 +571,10 @@ impl<'a> ServeEngine<'a> {
             } else {
                 0.0
             },
-            shed_log: adm.shed_log.clone(),
+            shed_log: adm.shed_log,
         };
 
         // Flush the run's Exact metrics into the registry.
-        let m = &mut self.obs.metrics;
-        let e = MetricClass::Exact;
         m.counter_set("serve.requests.offered", e, report.offered);
         m.counter_set("serve.requests.admitted", e, report.admitted);
         m.counter_set("serve.requests.served", e, report.served);
@@ -571,43 +627,34 @@ impl<'a> ServeEngine<'a> {
             self.store.note_request(r.node);
         }
         let mut hits = 0u64;
-        let mut ages: Vec<Option<u32>> = Vec::with_capacity(batch.len());
-        let mut miss_nodes: Vec<NodeId> = Vec::new();
-        let mut seen_miss = std::collections::BTreeSet::new();
+        self.ages.clear();
+        self.miss.clear();
         for r in batch {
-            match self.store.try_hit(r, now_ms, degraded) {
-                Some(age) => {
-                    hits += 1;
-                    ages.push(Some(age));
-                    self.obs.metrics.hist_observe(
-                        "serve.served_age_ms",
-                        MetricClass::Exact,
-                        &SERVE_AGE_BUCKETS_MS,
-                        age as f64,
-                    );
-                }
-                None => {
-                    ages.push(None);
-                    if seen_miss.insert(r.node) {
-                        miss_nodes.push(r.node);
-                    }
-                }
+            let age = self.store.try_hit(r, now_ms, degraded);
+            if age.is_some() {
+                hits += 1;
+            } else if !self.miss.contains(&r.node) {
+                self.miss.push(r.node);
             }
+            self.ages.push(age);
         }
+        let miss_nodes = &self.miss[..];
         let misses = (batch.len() as u64) - hits;
 
         let mut service = SYNC_LATENCY + batch.len() as f64 * PER_REQUEST_OVERHEAD;
         let mut fetch_secs = 0.0;
         let mut compute_secs = 0.0;
         let mut wire_bytes = 0u64;
-        let mut verdicts = Vec::new();
         if !miss_nodes.is_empty() {
-            let mut sampler = NeighborSampler::new(self.ds.num_nodes());
             let mut rng = Rng::new(self.cfg.seed ^ batch_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mb = sampler.sample(&self.ds.graph, &miss_nodes, &self.cfg.fanouts, &mut rng);
-            let ids: Vec<usize> = mb.input_nodes().iter().map(|&g| g as usize).collect();
-            let h0 = self.ds.features.gather_rows(&ids);
-            let bytes = (ids.len() * self.ds.spec.feature_row_bytes()) as u64;
+            let inputs = self.recompute.run(
+                self.ds,
+                &self.model,
+                &self.cfg.fanouts,
+                miss_nodes,
+                &mut rng,
+            );
+            let bytes = (inputs * self.ds.spec.feature_row_bytes()) as u64;
             // The requester blocks through retries and backoff, so fault
             // losses (`retry_seconds`) are service time here, unlike the
             // trainer's separate loss ledger.
@@ -619,28 +666,15 @@ impl<'a> ServeEngine<'a> {
             service += t_retry;
             fetch_secs = t_read + t_retry;
             wire_bytes = counters.host_to_gpu_bytes - h2d_before;
-            let trace = self.model.forward(&mb, h0);
-            let flops = dense_flops(
-                ids.len(),
-                self.ds.spec.feature_dim,
-                self.ds.spec.num_classes,
-            ) * self.cfg.fanouts.len() as f64;
+            let flops = dense_flops(inputs, self.ds.spec.feature_dim, self.ds.spec.num_classes)
+                * self.cfg.fanouts.len() as f64;
             let t_compute = self.machine.gpu.compute_seconds(flops);
             service += t_compute;
             compute_secs = t_compute;
-            let out = trace.h.last().expect("model has layers");
-            // Freshly computed embeddings are served at age 0; the hot
-            // fraction is admitted for future hits.
-            for _ in 0..miss_nodes.len() {
-                self.obs.metrics.hist_observe(
-                    "serve.served_age_ms",
-                    MetricClass::Exact,
-                    &SERVE_AGE_BUCKETS_MS,
-                    0.0,
-                );
-            }
-            self.store.admit_fresh(&miss_nodes, |i| out.row(i), now_ms);
-            verdicts = self.store.last_verdicts.clone();
+            // The hot fraction of the fresh embeddings is admitted for
+            // future hits; the verdicts stay in `store.last_verdicts`.
+            let out = self.recompute.embeddings();
+            self.store.admit_fresh(miss_nodes, |i| out.row(i), now_ms);
         }
         BatchOutcome {
             service_secs: service,
@@ -651,8 +685,6 @@ impl<'a> ServeEngine<'a> {
             fetch_secs,
             compute_secs,
             wire_bytes,
-            ages,
-            verdicts,
         }
     }
 
@@ -705,7 +737,7 @@ impl<'a> ServeEngine<'a> {
         t.begin("queue_wait", "serve_req", r.arrival_ns);
         t.end(start_ns);
         t.begin("batch_assembly", "serve_req", start_ns);
-        t.end_with(b1, vec![("size", out.ages.len() as u64)]);
+        t.end_with(b1, vec![("size", out.hits + out.misses)]);
         t.begin("embed_lookup", "serve_req", b1);
         let mut lookup_args = vec![("hit", age.is_some() as u64)];
         match (age, verdict) {

@@ -70,6 +70,9 @@ grep -q '"schemaVersion":"fgnn-train-v1"' BENCH_train.json
 # live exp_serve export must carry the fgnn-serve-v1 schema tag plus the
 # fgnn-serve-trace-v1 request-trace stream (exemplar spans + SLO alerts).
 FGNN_PROP_CASES=256 cargo test -q --test serve
+# The SLO monitor forms its windowed p99 only on alert edges; its alert
+# stream must equal an eager per-event reference's over random streams.
+FGNN_PROP_CASES=256 cargo test -q -p freshgnn --lib obs::window
 serve_out="$(mktemp)"
 trace_out="$(mktemp)"
 cargo run -q --release -p fgnn-bench --bin exp_serve -- \

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The roadmap's "cost of the contract", measured: per crate (and for the
-# trainer files of the one-driver refactor, and the files behind overlapped
-# training) total lines, lines before the first `#[cfg(test)]` of each file,
-# and `pub fn` declarations in that non-test part. Run from anywhere; pass a checkout root to measure another
-# tree (e.g. a clone of the parent commit).
+# trainer files of the one-driver refactor, the files behind overlapped
+# training, and the serving engine with the telemetry it feeds) total lines,
+# lines before the first `#[cfg(test)]` of each file, and `pub fn`
+# declarations in that non-test part. Run from anywhere; pass a checkout root
+# to measure another tree (e.g. a clone of the parent commit).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -36,3 +37,4 @@ row "core/driver+trainer+hetero_trainer" "${trainer_files[@]}"
 overlap_files=(crates/core/src/runtime/*.rs crates/core/src/sampler.rs)
 [ -f crates/core/src/chan.rs ] && overlap_files+=(crates/core/src/chan.rs)
 row "core/overlap" "${overlap_files[@]}"
+row "core/serve+obs" crates/core/src/serve/*.rs crates/core/src/obs/*.rs

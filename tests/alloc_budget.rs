@@ -9,9 +9,15 @@
 //! toolchain and have room for another's `Vec` growth policy, not for a
 //! per-node or per-layer-matrix allocation coming back (the parent of this
 //! test made ≈ 17 000 a batch on `train_fresh`).
+//!
+//! The serving engine is held to the same kind of budget: a replay that only
+//! hits the cache allocates per batch and nothing per request, and a batch
+//! that recomputes allocates what its sampled blocks take, in calls and in
+//! bytes, however many nodes the graph has.
 
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
-use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::core::serve::generate_trace;
+use freshgnn_repro::core::{FreshGnnConfig, ServeConfig, ServeEngine, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::hetero::{mag_hetero, HeteroSampler};
 use freshgnn_repro::graph::sample::{split_batches, NeighborSampler};
@@ -28,34 +34,37 @@ thread_local! {
     // touch it. Per thread, so tests running side by side do not see each
     // other (a synchronous epoch runs on the calling thread).
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    // Bytes asked for by those calls (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `System`, counting allocation calls per thread.
 struct Counting;
 
-fn note() {
+fn note(bytes: usize) {
     // An allocation made while the thread's locals are torn down goes
     // uncounted.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller's obligations for `alloc` are `System`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` and `layout` come from this allocator, i.e. from
         // `System`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -183,4 +192,91 @@ fn a_heterogeneous_step_allocates_a_small_constant_after_warm_up() {
         per_batch <= STEP_HETEROGENEOUS + sampling,
         "{count} allocations over {batches} batches = {per_batch} a batch"
     );
+}
+
+/// A serving configuration that turns nobody away and traces no exemplar
+/// (an exemplar's span tree is paid for per traced request, by design).
+fn serve_config(requests: usize, universe: usize) -> ServeConfig {
+    let mut cfg = ServeConfig {
+        fanouts: vec![5, 5],
+        ..Default::default()
+    };
+    cfg.trace.num_requests = requests;
+    cfg.trace.num_nodes = universe;
+    cfg.admission.rate_rps = 1e9;
+    cfg.admission.burst = 1e9;
+    cfg.telemetry.exemplar_every = 0;
+    cfg
+}
+
+/// Allocation calls and bytes of one `run` of `cfg`'s trace on a fresh
+/// engine over `ds`, whose cache is first warmed with the trace universe
+/// when `warm` is set, with the batches and cache misses it served.
+fn serve_run(ds: &Dataset, cfg: &ServeConfig, warm: bool) -> (u64, u64, u64, u64) {
+    let trace = generate_trace(&cfg.trace, cfg.seed);
+    let mut eng = ServeEngine::new(ds, 32, Machine::single_a100(), cfg.clone()).unwrap();
+    if warm {
+        eng.warm(&(0..cfg.trace.num_nodes as u32).collect::<Vec<_>>());
+    }
+    let bytes_before = BYTES.with(Cell::get);
+    let (calls, report) = allocations(|| eng.run(&trace).unwrap());
+    assert_eq!(report.served, trace.len() as u64, "nobody is turned away");
+    let batches = eng.obs.metrics.counter("serve.batches").unwrap();
+    let bytes = BYTES.with(Cell::get) - bytes_before;
+    (calls, bytes, batches, report.cache_misses)
+}
+
+/// A batch that only hits: its span's argument list, and its share of what
+/// grows with the run (span list, monitor windows, one latency-sketch slice
+/// per 12.5 simulated ms) and of the run's fixed cost (controller, transfer
+/// engine, the flush's ≈ 30 metric names). Measured: 505 calls over 188
+/// batches of 63 requests = 2.7 a batch (the parent of this test: 60 884,
+/// five a request).
+const SERVE_HIT_BATCH: u64 = 4;
+/// A batch that recomputes: the sampled blocks (`PER_BLOCK`, `PER_SAMPLE`),
+/// the admission policy's input, ranking and verdict lists, the span
+/// arguments. Measured: 24.1 calls a batch on both graphs, 4.2 kB on the
+/// 2 900-node one and 4.3 kB on the 23 200-node one (the parent of this
+/// test: 81.6 calls and 53.6 kB on the small graph — an 8-byte-a-node
+/// sampler mapping, a forward trace and a verdict map built per batch).
+const SERVE_MISS_BATCH: u64 = 32;
+const SERVE_MISS_BATCH_BYTES: u64 = 8_000;
+
+#[test]
+fn an_all_hit_replay_allocates_per_batch_and_nothing_per_request() {
+    let ds = Dataset::materialize(arxiv_spec(0.001).with_dim(16), 7);
+    let mut cfg = serve_config(12_000, 64);
+    cfg.freshness.cache_capacity = 64;
+    cfg.freshness.t_sla_ms = 1 << 30;
+    cfg.trace.budget_ms = (1 << 30, 1 << 30);
+    // Fifty arrivals inside one batching delay: every batch fills.
+    cfg.trace.rate_rps = 100_000.0;
+    cfg.batcher.max_batch = 64;
+    let (calls, _, batches, misses) = serve_run(&ds, &cfg, true);
+    assert_eq!(misses, 0, "the warmed universe never misses");
+    let per_batch = cfg.trace.num_requests as u64 / batches;
+    assert!(per_batch >= 8 * SERVE_HIT_BATCH, "{batches} batches");
+    assert!(
+        calls <= SERVE_HIT_BATCH * batches,
+        "{calls} allocations over {batches} batches of {per_batch} requests"
+    );
+}
+
+#[test]
+fn a_miss_batch_allocates_a_constant_whatever_the_graph_size() {
+    for scale in [0.001, 0.008] {
+        let ds = Dataset::materialize(arxiv_spec(scale).with_dim(16), 7);
+        let mut cfg = serve_config(4_000, 256);
+        // Nothing cached is ever fresh enough: every batch recomputes.
+        cfg.freshness.t_sla_ms = 0;
+        cfg.freshness.cache_capacity = 16;
+        cfg.batcher.max_batch = 16;
+        let (calls, bytes, batches, misses) = serve_run(&ds, &cfg, false);
+        assert!(batches >= 200 && misses >= 3_000, "{batches} {misses}");
+        assert!(
+            calls <= SERVE_MISS_BATCH * batches && bytes <= SERVE_MISS_BATCH_BYTES * batches,
+            "{} nodes: {calls} allocations, {bytes} bytes over {batches} batches",
+            ds.num_nodes()
+        );
+    }
 }

@@ -258,6 +258,68 @@ fn serve_jsonl_round_trips_field_for_field() {
     assert!(counters > 10, "the serve export carries the Exact counters");
 }
 
+/// The three histograms a run accumulates locally are *merged* into the
+/// registry: a second run on one engine adds to what the first left, a
+/// caller that took `obs` between runs starts from empty, and a name
+/// nothing was observed into is not created.
+#[test]
+fn run_histograms_accumulate_across_runs_and_restart_with_a_taken_obs() {
+    const NAMES: [&str; 3] = [
+        "serve.queue.depth",
+        "serve.latency_ns",
+        "serve.served_age_ms",
+    ];
+    let ds = tiny();
+    let cfg = base_cfg(19);
+    let first = generate_trace(&cfg.trace, cfg.seed);
+    // The SLO monitor's clock does not run backwards: the second replay
+    // arrives after the first has drained.
+    let second: Vec<_> = first
+        .iter()
+        .map(|r| {
+            let mut r = *r;
+            r.arrival_ns += 1_000_000_000;
+            r.deadline_ns += 1_000_000_000;
+            r
+        })
+        .collect();
+    let parts = |obs: &freshgnn_repro::core::Obs| {
+        NAMES.map(|name| {
+            let h = obs.metrics.histogram(name).expect(name);
+            (h.counts().to_vec(), h.sum())
+        })
+    };
+
+    let mut twice = engine(&ds, &cfg);
+    twice.run(&first).expect("first run serves");
+    let after_one = parts(&twice.obs);
+    twice.run(&second).expect("second run serves");
+
+    let mut taken = engine(&ds, &cfg);
+    taken.run(&first).expect("first run serves");
+    let run_one = parts(&std::mem::take(&mut taken.obs));
+    taken.run(&second).expect("second run serves");
+    let run_two = parts(&taken.obs);
+
+    assert_eq!(run_one, after_one, "same seed, same first run");
+    assert_ne!(run_two, run_one, "the second run meets a warm cache");
+    let both = parts(&twice.obs);
+    for (i, name) in NAMES.iter().enumerate() {
+        let (one, two) = (&run_one[i], &run_two[i]);
+        let summed: Vec<u64> = one.0.iter().zip(&two.0).map(|(a, b)| a + b).collect();
+        assert_eq!(both[i].0, summed, "{name}: bucket counts add up");
+        assert_eq!(both[i].1, one.1 + two.1, "{name}: sums add up");
+    }
+
+    let mut idle = engine(&ds, &cfg);
+    let report = idle.run(&[]).expect("nothing offered, nothing shed");
+    assert_eq!((report.offered, report.served), (0, 0));
+    assert_eq!(idle.obs.metrics.counter("serve.requests.offered"), Some(0));
+    for name in NAMES {
+        assert!(idle.obs.metrics.histogram(name).is_none(), "{name} exists");
+    }
+}
+
 /// Property: over random trace/admission/batcher/freshness knobs, the
 /// engine never serves an embedding past its staleness budget, accounts
 /// for every offered request, and respects the queue bound.
@@ -307,6 +369,13 @@ fn serving_invariants_hold_over_random_knobs() {
                 assert_eq!(report.sla_violations, 0, "staleness budget is inviolable");
                 assert!(report.max_queue_depth <= cfg.admission.queue_cap);
                 assert_eq!(report.shed_log.len() as u64, report.shed_total());
+                // One latency and one age observation per served request (a
+                // recompute is served at age 0 to *every* request that
+                // missed on the node), one depth observation per offer.
+                let count = |name| eng.obs.metrics.histogram(name).map_or(0, |h| h.count());
+                assert_eq!(count("serve.served_age_ms"), report.served);
+                assert_eq!(count("serve.latency_ns"), report.served);
+                assert_eq!(count("serve.queue.depth"), report.offered);
             }
             Err(freshgnn_repro::core::FgnnError::Overload(_)) => {
                 // Legal outcome: the knobs starved admission completely.
