@@ -20,9 +20,8 @@
 //!
 //! [`ClusterTrainer`]: freshgnn::ClusterTrainer
 
-use fgnn_bench::trajectory::{cluster_sweep, ClusterSweepConfig};
-use fgnn_bench::{banner, fmt_bytes, row, Args};
-use freshgnn::cluster::cluster_bench_json;
+use fgnn_bench::trajectory::{cluster_sweep, ClusterSuite, ClusterSweepConfig};
+use fgnn_bench::{banner, fmt_bytes, row, table, Args};
 
 fn main() {
     let args = Args::parse();
@@ -92,7 +91,8 @@ fn main() {
     println!("recovery replays the crashed shard back onto the fault-free");
     println!("trajectory. nic/degraded/maxStale record what the faults cost.");
     if let Some(path) = bench_out {
-        std::fs::write(&path, cluster_bench_json(sw.seed, &rows)).expect("write --bench-json");
+        std::fs::write(&path, table::write::<ClusterSuite>(sw.seed, &rows))
+            .expect("write --bench-json");
         eprintln!("wrote cluster bench JSON to {path}");
     }
 }

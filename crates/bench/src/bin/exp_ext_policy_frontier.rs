@@ -25,9 +25,9 @@
 //! reproducible from the same `--seed`). The sweep loop itself lives in
 //! [`fgnn_bench::trajectory`], shared with the `exp_report` gate.
 
-use fgnn_bench::trajectory::{policy_sweep, PolicySweepConfig};
-use fgnn_bench::{banner, fmt_bytes, row, Args};
-use freshgnn::cache::{policy_bench_json, PolicyKind};
+use fgnn_bench::trajectory::{policy_sweep, PolicySuite, PolicySweepConfig};
+use fgnn_bench::{banner, fmt_bytes, row, table, Args};
+use freshgnn::cache::PolicyKind;
 
 fn main() {
     let args = Args::parse();
@@ -83,7 +83,8 @@ fn main() {
     println!("hold (or improve) accuracy; the refresh schedules trade extra");
     println!("recompute/admit traffic for a lower worst-case served age.");
     if let Some(path) = bench_out {
-        std::fs::write(&path, policy_bench_json(sw.seed, &rows)).expect("write --bench-json");
+        std::fs::write(&path, table::write::<PolicySuite>(sw.seed, &rows))
+            .expect("write --bench-json");
         eprintln!("wrote policy bench JSON to {path}");
     }
 }

@@ -11,13 +11,13 @@
 //! tables and export byte-identical `fgnn-serve-v1` JSONL
 //! (`--serve-out <path>`) and `fgnn-serve-trace-v1` request-trace JSONL
 //! (`--trace-out <path>`: exemplar span trees + SLO alert edges).
-//! `--bench-json <path>` writes the compact trajectory summary
-//! `scripts/bench_trajectory.sh` commits (the sweep itself lives in
+//! `--bench-json <path>` writes the document `scripts/bench_trajectory.sh`
+//! commits as `BENCH_serve.json` (the sweep itself lives in
 //! [`fgnn_bench::trajectory`], shared with the `exp_report` gate).
 
-use fgnn_bench::trajectory::{serve_dataset, serve_sweep, ServeSweepConfig};
-use fgnn_bench::{banner, row, Args};
-use freshgnn::serve::bench_json;
+use fgnn_bench::trajectory::{serve_dataset, serve_sweep, ServeSuite, ServeSweepConfig};
+use fgnn_bench::{banner, row, table, Args};
+use freshgnn::serve::{serve_jsonl, serve_trace_jsonl};
 
 fn main() {
     let args = Args::parse();
@@ -31,7 +31,6 @@ fn main() {
         base_rate: args.get("rate", 4000.0),
         fail: args.get("fail", 0.3),
         exemplar_every: args.get("exemplar-every", ServeSweepConfig::default().exemplar_every),
-        render_exports: serve_out.is_some() || trace_out.is_some(),
     };
 
     banner(
@@ -56,8 +55,18 @@ fn main() {
         &widths,
     );
 
-    let cells = serve_sweep(&ds, &sw, |cell| {
+    // The exports are rendered per cell, while its engine is alive, and only
+    // when a flag asked for the bytes.
+    let (mut serve_doc, mut trace_doc) = (String::new(), String::new());
+    let cells = serve_sweep(&ds, &sw, |cell, eng| {
         let report = &cell.report;
+        if serve_out.is_some() {
+            serve_doc.push_str(&serve_jsonl(&cell.label, report, &eng.obs));
+        }
+        if trace_out.is_some() {
+            let (tracer, alerts) = (eng.request_tracer(), eng.alerts());
+            trace_doc.push_str(&serve_trace_jsonl(&cell.label, tracer, alerts));
+        }
         let hit_pct = if report.served > 0 {
             100.0 * report.cache_hits as f64 / report.served as f64
         } else {
@@ -82,19 +91,16 @@ fn main() {
 
     println!("\nshed breakdown is exported per cell; sla violations must be 0 in every mode");
     if let Some(path) = serve_out {
-        let doc: String = cells.iter().map(|c| c.serve_jsonl.as_str()).collect();
-        std::fs::write(&path, doc).expect("write --serve-out");
+        std::fs::write(&path, serve_doc).expect("write --serve-out");
         eprintln!("wrote serve JSONL to {path}");
     }
     if let Some(path) = trace_out {
-        let doc: String = cells.iter().map(|c| c.trace_jsonl.as_str()).collect();
-        std::fs::write(&path, doc).expect("write --trace-out");
+        std::fs::write(&path, trace_doc).expect("write --trace-out");
         eprintln!("wrote request-trace JSONL to {path}");
     }
     if let Some(path) = bench_out {
-        let refs: Vec<(String, &freshgnn::ServeReport)> =
-            cells.iter().map(|c| (c.label.clone(), &c.report)).collect();
-        std::fs::write(&path, bench_json(&refs)).expect("write --bench-json");
+        std::fs::write(&path, table::write::<ServeSuite>(sw.seed, &cells))
+            .expect("write --bench-json");
         eprintln!("wrote bench JSON to {path}");
     }
 }

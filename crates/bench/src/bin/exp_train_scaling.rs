@@ -18,9 +18,8 @@
 //!
 //! [`Trainer::train_epoch_async`]: freshgnn::Trainer::train_epoch_async
 
-use fgnn_bench::trajectory::{train_sweep, TrainSweepConfig};
-use fgnn_bench::{banner, fmt_bytes, row, Args};
-use freshgnn::runtime::train_bench_json;
+use fgnn_bench::trajectory::{train_sweep, TrainSuite, TrainSweepConfig};
+use fgnn_bench::{banner, fmt_bytes, row, table, Args};
 
 fn main() {
     let args = Args::parse();
@@ -77,7 +76,8 @@ fn main() {
     println!("\nscaling reading: meanLoss/h2d/simSeconds must be identical down");
     println!("each dataset's column (the runtime's determinism contract).");
     if let Some(path) = bench_out {
-        std::fs::write(&path, train_bench_json(sw.seed, &rows)).expect("write --bench-json");
+        std::fs::write(&path, table::write::<TrainSuite>(sw.seed, &rows))
+            .expect("write --bench-json");
         eprintln!("wrote train bench JSON to {path}");
     }
 }

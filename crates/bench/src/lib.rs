@@ -174,4 +174,5 @@ mod tests {
 }
 
 pub mod runners;
+pub mod table;
 pub mod trajectory;

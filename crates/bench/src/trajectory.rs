@@ -1,28 +1,19 @@
-//! The performance-trajectory sweeps and the regression gate behind them.
+//! The performance-trajectory sweeps behind the committed `BENCH_*.json`
+//! baselines, and the [`Suite`] table of each.
 //!
-//! `exp_serve` and `exp_ext_policy_frontier` used to own their sweep loops
-//! inline; `exp_report` needs to re-run *exactly* those loops to compare a
-//! fresh machine against the committed `BENCH_serve.json` /
-//! `BENCH_policy.json` baselines. This module is the single source of
-//! truth: the binaries call [`serve_sweep`] / [`policy_sweep`] for their
-//! tables, and the gate calls the same functions — same seeds, same cell
-//! order, same floating-point accumulation — so a clean tree reproduces
-//! the committed baselines bit for bit and any drift is a real behavior
-//! change, not harness skew.
-//!
-//! The comparison itself ([`compare_serve`], [`compare_policy`],
-//! [`compare_train`]) applies per-metric tolerances: exact simulated
-//! quantities get a tight relative band (they should be *equal*; the band
-//! exists so a deliberate regression of ≥10% always trips while FP-noise
-//! never does).
-//!
-//! [`train_sweep`] covers the third baseline, `BENCH_train.json`: the
-//! fig 10 datasets trained through the overlapped epoch at 1/2/4/8
-//! workers. Its gate is stricter — [`worker_invariance_checks`] demands
-//! the exact metrics reproduce the single-worker row *bit for bit* at
-//! every worker count. (Wall-clock against worker count is `perf/`'s to
-//! measure, not this sweep's.)
+//! `exp_serve`, `exp_ext_policy_frontier`, `exp_train_scaling` and
+//! `exp_cluster` print their tables from these loops and `exp_report`
+//! re-runs *exactly* the same loops — same seeds, same cell order, same
+//! floating-point accumulation — so a clean tree reproduces the committed
+//! files byte for byte and any drift is a real behavior change, not harness
+//! skew. Each sweep's row type carries a column table ([`crate::table`])
+//! from which the file's writer, reader, drift comparison and structural
+//! gate derive: worker-count invariance for the train sweep (the overlapped
+//! epoch's determinism contract), fault-schedule invariance for the cluster
+//! sweep (deterministic shard recovery). Wall-clock is `perf/`'s to measure.
 
+use crate::table::Role::{Context, HigherIsBetter, Key, LowerIsBetter};
+use crate::table::{Cell, Column, Invariance, Suite};
 use fgnn_graph::datasets::{
     arxiv_spec, friendster_spec, mag240m_spec, papers100m_spec, twitter_spec, DatasetSpec,
 };
@@ -32,12 +23,9 @@ use fgnn_memsim::presets::Machine;
 use fgnn_memsim::ClusterFaultPlan;
 use fgnn_nn::model::Arch;
 use fgnn_nn::Adam;
-use freshgnn::cache::{PolicyFrontierRow, PolicyKind};
-use freshgnn::cluster::ClusterBenchRow;
-use freshgnn::runtime::TrainScalingRow;
-use freshgnn::serve::{
-    generate_trace, serve_jsonl, serve_trace_jsonl, ServeConfig, ServeEngine, ServeReport,
-};
+use freshgnn::cache::PolicyKind;
+use freshgnn::obs::schema;
+use freshgnn::serve::{generate_trace, ServeConfig, ServeEngine, ServeReport};
 use freshgnn::{ClusterConfig, ClusterTrainer, FreshGnnConfig, Trainer};
 
 /// Knobs of the serving sweep (`exp_serve` defaults).
@@ -58,11 +46,6 @@ pub struct ServeSweepConfig {
     /// `1` traces everything); the default matches
     /// [`TelemetryConfig`](freshgnn::serve::TelemetryConfig).
     pub exemplar_every: u64,
-    /// Render the per-cell JSONL exports into [`ServeCell`]. Off by
-    /// default: the regression gate compares reports only, and the
-    /// binaries enable it exactly when an `--*-out` flag asks for the
-    /// bytes — so export rendering never taxes runs that discard it.
-    pub render_exports: bool,
 }
 
 impl Default for ServeSweepConfig {
@@ -74,23 +57,52 @@ impl Default for ServeSweepConfig {
             base_rate: 4000.0,
             fail: 0.3,
             exemplar_every: freshgnn::serve::TelemetryConfig::default().exemplar_every,
-            render_exports: false,
         }
     }
 }
 
-/// One served sweep cell: the run report plus its rendered exports.
+/// One served sweep cell.
 pub struct ServeCell {
     /// Cell label (`load=1x cap=16 none` style).
     pub label: String,
     /// The engine's run report.
     pub report: ServeReport,
-    /// Rendered `fgnn-serve-v1` JSONL for this cell (empty unless
-    /// [`ServeSweepConfig::render_exports`] is set).
-    pub serve_jsonl: String,
-    /// Rendered `fgnn-serve-trace-v1` JSONL (request spans + alerts;
-    /// empty unless [`ServeSweepConfig::render_exports`] is set).
-    pub trace_jsonl: String,
+}
+
+/// `BENCH_serve.json`: exact latency percentiles, throughput and shedding
+/// per load × cache × fault cell.
+pub struct ServeSuite;
+
+impl Suite for ServeSuite {
+    type Row = ServeCell;
+    const NAME: &'static str = "serve";
+    const SCHEMA: &'static str = schema::SERVE_V1;
+    const COLUMNS: &'static [Column<ServeCell>] = &[
+        Column::new("label", Key(0, ""), |c| Cell::Str(c.label.clone())),
+        Column::new("p50Ms", LowerIsBetter, |c| Cell::Float(c.report.p50_ms)),
+        Column::new("p95Ms", LowerIsBetter, |c| Cell::Float(c.report.p95_ms)),
+        Column::new("p99Ms", LowerIsBetter, |c| Cell::Float(c.report.p99_ms)),
+        Column::new("throughputRps", HigherIsBetter, |c| {
+            Cell::Float(c.report.throughput_rps)
+        }),
+        Column::new("shedFraction", LowerIsBetter, |c| {
+            Cell::Float(c.report.shed_fraction)
+        }),
+        Column::new("served", HigherIsBetter, |c| Cell::Int(c.report.served)),
+        Column::new("slaViolations", LowerIsBetter, |c| {
+            Cell::Int(c.report.sla_violations)
+        }),
+    ];
+    const INJECT: &'static str = "p99Ms";
+    const HEADLINE: &'static [&'static str] = &["p99Ms", "throughputRps"];
+
+    fn sweep(seed: u64) -> Vec<ServeCell> {
+        let sw = ServeSweepConfig {
+            seed,
+            ..ServeSweepConfig::default()
+        };
+        serve_sweep(&serve_dataset(&sw), &sw, |_, _| {})
+    }
 }
 
 /// The dataset the serving sweep runs over (factored out so the gate
@@ -100,11 +112,12 @@ pub fn serve_dataset(cfg: &ServeSweepConfig) -> Dataset {
 }
 
 /// Run the full load × cache × fault serving sweep. `on_cell` fires after
-/// each cell (the binaries print their table rows incrementally from it).
+/// each cell with the engine that served it (`exp_serve` prints its table
+/// row, and renders the cell's exports when a flag asked for them).
 pub fn serve_sweep(
     ds: &Dataset,
     sw: &ServeSweepConfig,
-    mut on_cell: impl FnMut(&ServeCell),
+    mut on_cell: impl FnMut(&ServeCell, &ServeEngine),
 ) -> Vec<ServeCell> {
     let mut cells = Vec::new();
     for &load in &[1.0f64, 2.0] {
@@ -150,26 +163,70 @@ pub fn serve_sweep(
 
                 let report = eng.run(&trace).expect("sweep run serves something");
                 let label = format!("load={load}x cap={cache} {fault}");
-                let (serve_doc, trace_doc) = if sw.render_exports {
-                    (
-                        serve_jsonl(&label, &report, &eng.obs),
-                        serve_trace_jsonl(&label, eng.request_tracer(), eng.alerts()),
-                    )
-                } else {
-                    (String::new(), String::new())
-                };
-                let cell = ServeCell {
-                    serve_jsonl: serve_doc,
-                    trace_jsonl: trace_doc,
-                    label,
-                    report,
-                };
-                on_cell(&cell);
+                let cell = ServeCell { label, report };
+                on_cell(&cell, &eng);
                 cells.push(cell);
             }
         }
     }
     cells
+}
+
+/// One point on the accuracy-vs-cache-traffic frontier: a (policy,
+/// dataset) cell of the sweep.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PolicyFrontierRow {
+    /// Policy name (the `PolicyKind` display form, e.g. `"gradient"`).
+    pub policy: String,
+    /// Dataset label (e.g. `"papers100m"`).
+    pub dataset: String,
+    /// Final test accuracy on the fixed config.
+    pub accuracy: f64,
+    /// Total host-to-device feature bytes moved over the run.
+    pub h2d_bytes: u64,
+    /// Fraction of feature I/O avoided versus the cache-off baseline.
+    pub io_saving: f64,
+    /// Historical-cache hit rate over the run.
+    pub hit_rate: f64,
+    /// Hits declined by the policy's refresh schedule (forced recomputes).
+    pub scheduled_refreshes: u64,
+    /// Reads extrapolated along update history.
+    pub predicted_reads: u64,
+    /// Reads scaled by a staleness weight.
+    pub weighted_reads: u64,
+}
+
+/// `BENCH_policy.json`: the staleness-policy frontier (exact counters and
+/// deterministic floats only); the row label is `dataset/policy`.
+pub struct PolicySuite;
+
+impl Suite for PolicySuite {
+    type Row = PolicyFrontierRow;
+    const NAME: &'static str = "policy";
+    const SCHEMA: &'static str = schema::POLICY_V1;
+    const COLUMNS: &'static [Column<PolicyFrontierRow>] = &[
+        Column::new("policy", Key(1, ""), |r| Cell::Str(r.policy.clone())),
+        Column::new("dataset", Key(0, ""), |r| Cell::Str(r.dataset.clone())),
+        Column::new("accuracy", HigherIsBetter, |r| Cell::Float(r.accuracy)),
+        Column::new("h2dBytes", LowerIsBetter, |r| Cell::Int(r.h2d_bytes)),
+        Column::new("ioSaving", HigherIsBetter, |r| Cell::Float(r.io_saving)),
+        Column::new("hitRate", HigherIsBetter, |r| Cell::Float(r.hit_rate)),
+        Column::new("scheduledRefreshes", Context, |r| {
+            Cell::Int(r.scheduled_refreshes)
+        }),
+        Column::new("predictedReads", Context, |r| Cell::Int(r.predicted_reads)),
+        Column::new("weightedReads", Context, |r| Cell::Int(r.weighted_reads)),
+    ];
+    const INJECT: &'static str = "h2dBytes";
+    const HEADLINE: &'static [&'static str] = &["h2dBytes", "ioSaving"];
+
+    fn sweep(seed: u64) -> Vec<PolicyFrontierRow> {
+        let sw = PolicySweepConfig {
+            seed,
+            ..PolicySweepConfig::default()
+        };
+        policy_sweep(&sw, |_| {})
+    }
 }
 
 /// Knobs of the policy-frontier sweep (`exp_ext_policy_frontier` defaults).
@@ -270,6 +327,54 @@ pub fn policy_sweep(
     rows
 }
 
+/// One cell of the training worker-scaling sweep: a (dataset, worker
+/// count) point of the fig 10 epoch-time experiment on the overlapped epoch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TrainScalingRow {
+    /// Dataset label (e.g. `"papers100m"`).
+    pub dataset: String,
+    /// Runtime worker threads the epochs ran with.
+    pub workers: usize,
+    /// Final-epoch mean mini-batch loss.
+    pub mean_loss: f64,
+    /// Total host-to-device feature bytes.
+    pub h2d_bytes: u64,
+    /// Simulated GPU-stream seconds: transfer + retry + compute, without
+    /// the *measured* sample/prune wall components of the full ledger.
+    pub sim_seconds: f64,
+}
+
+/// `BENCH_train.json`: every column is exact and must not depend on the
+/// worker count (batches commit in index order).
+pub struct TrainSuite;
+
+impl Suite for TrainSuite {
+    type Row = TrainScalingRow;
+    const NAME: &'static str = "train";
+    const SCHEMA: &'static str = schema::TRAIN_V1;
+    const COLUMNS: &'static [Column<TrainScalingRow>] = &[
+        Column::new("dataset", Key(0, ""), |r| Cell::Str(r.dataset.clone())),
+        Column::new("workers", Key(1, "w"), |r| Cell::Int(r.workers as u64)),
+        Column::new("meanLoss", LowerIsBetter, |r| Cell::Float(r.mean_loss)),
+        Column::new("h2dBytes", LowerIsBetter, |r| Cell::Int(r.h2d_bytes)),
+        Column::new("simSeconds", LowerIsBetter, |r| Cell::Float(r.sim_seconds)),
+    ];
+    const INJECT: &'static str = "simSeconds";
+    const HEADLINE: &'static [&'static str] = &["simSeconds"];
+    const INVARIANCE: Option<Invariance> = Some(Invariance {
+        same: &["dataset"],
+        columns: &["meanLoss", "h2dBytes", "simSeconds"],
+    });
+
+    fn sweep(seed: u64) -> Vec<TrainScalingRow> {
+        let sw = TrainSweepConfig {
+            seed,
+            ..TrainSweepConfig::default()
+        };
+        train_sweep(&sw, |_| {})
+    }
+}
+
 /// Knobs of the training worker-scaling sweep (`exp_train_scaling`
 /// defaults). The sweep runs [`Trainer::train_epoch_async`] — the
 /// overlapped epoch — over the fig 10 datasets at each worker count,
@@ -339,6 +444,74 @@ pub fn train_sweep(
         }
     }
     rows
+}
+
+/// One cell of the cluster sweep: a (dataset, host count, fault schedule)
+/// point. Every column is exact.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ClusterBenchRow {
+    /// Dataset label (e.g. `"papers100m"`).
+    pub dataset: String,
+    /// Hosts (= shards = failure domains) in the cluster.
+    pub hosts: usize,
+    /// Fault-schedule label (`"none"`, `"crash"`, …).
+    pub schedule: String,
+    /// Final-epoch cluster mean loss.
+    pub mean_loss: f64,
+    /// Total host-to-GPU feature bytes across hosts.
+    pub h2d_bytes: u64,
+    /// Inter-host NIC bytes moved, including recovery re-fetches.
+    pub nic_bytes: u64,
+    /// Simulated seconds: slowest host's pipeline stream + NIC + retry time.
+    pub sim_seconds: f64,
+    /// Halo entries served stale by a peer for a dead owner.
+    pub degraded_reads: u64,
+    /// Worst staleness (rounds) any degraded read was served at (bounded by
+    /// `t_stale`).
+    pub max_staleness: u64,
+}
+
+/// `BENCH_cluster.json`: every column regresses upward — higher loss, more
+/// traffic, more simulated time, more degraded reads or worse staleness all
+/// mean a less efficient or less healthy cluster under the same schedule.
+/// Recovery replays a crashed host onto the fault-free trajectory, so loss
+/// and H2D bytes must not depend on the schedule; NIC traffic and staleness
+/// are what the faults cost.
+pub struct ClusterSuite;
+
+impl Suite for ClusterSuite {
+    type Row = ClusterBenchRow;
+    const NAME: &'static str = "cluster";
+    const SCHEMA: &'static str = schema::CLUSTER_V1;
+    const COLUMNS: &'static [Column<ClusterBenchRow>] = &[
+        Column::new("dataset", Key(0, ""), |r| Cell::Str(r.dataset.clone())),
+        Column::new("hosts", Key(1, "h"), |r| Cell::Int(r.hosts as u64)),
+        Column::new("schedule", Key(2, ""), |r| Cell::Str(r.schedule.clone())),
+        Column::new("meanLoss", LowerIsBetter, |r| Cell::Float(r.mean_loss)),
+        Column::new("h2dBytes", LowerIsBetter, |r| Cell::Int(r.h2d_bytes)),
+        Column::new("nicBytes", LowerIsBetter, |r| Cell::Int(r.nic_bytes)),
+        Column::new("simSeconds", LowerIsBetter, |r| Cell::Float(r.sim_seconds)),
+        Column::new("degradedReads", LowerIsBetter, |r| {
+            Cell::Int(r.degraded_reads)
+        }),
+        Column::new("maxStaleness", LowerIsBetter, |r| {
+            Cell::Int(r.max_staleness)
+        }),
+    ];
+    const INJECT: &'static str = "nicBytes";
+    const HEADLINE: &'static [&'static str] = &["nicBytes", "maxStaleness"];
+    const INVARIANCE: Option<Invariance> = Some(Invariance {
+        same: &["dataset", "hosts"],
+        columns: &["meanLoss", "h2dBytes"],
+    });
+
+    fn sweep(seed: u64) -> Vec<ClusterBenchRow> {
+        let sw = ClusterSweepConfig {
+            seed,
+            ..ClusterSweepConfig::default()
+        };
+        cluster_sweep(&sw, |_| {})
+    }
 }
 
 /// Knobs of the multi-host cluster sweep (`exp_cluster` defaults). Each
@@ -435,481 +608,4 @@ pub fn cluster_sweep(
         }
     }
     rows
-}
-
-/// One metric comparison inside the regression gate.
-#[derive(Clone, Debug)]
-pub struct MetricCheck {
-    /// Which sweep row (serve-cell label or `dataset/policy`).
-    pub label: String,
-    /// Metric name as it appears in the baseline document.
-    pub metric: &'static str,
-    /// Committed baseline value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub fresh: f64,
-    /// Allowed relative drift before the gate trips.
-    pub tolerance: f64,
-    /// Whether a *higher* fresh value is the regression direction
-    /// (latency, traffic) — improvements never trip the gate.
-    pub higher_is_worse: bool,
-}
-
-impl MetricCheck {
-    /// Signed relative drift of fresh vs baseline (0 when both are 0).
-    pub fn drift(&self) -> f64 {
-        if self.baseline == 0.0 {
-            if self.fresh == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY * self.fresh.signum()
-            }
-        } else {
-            (self.fresh - self.baseline) / self.baseline.abs()
-        }
-    }
-
-    /// Whether this metric regressed past its tolerance.
-    pub fn regressed(&self) -> bool {
-        let d = self.drift();
-        let bad = if self.higher_is_worse { d } else { -d };
-        bad > self.tolerance
-    }
-
-    /// Whether fresh reproduces the baseline bit for bit.
-    pub fn bit_identical(&self) -> bool {
-        self.fresh.to_bits() == self.baseline.to_bits()
-    }
-}
-
-/// Default relative tolerance: exact quantities should match to the bit,
-/// but the band must sit clearly under the 10% injected-regression floor
-/// the CI gate proves against.
-pub const DEFAULT_TOLERANCE: f64 = 0.05;
-
-/// Compare a fresh serving sweep against baseline `(label, metric → value)`
-/// rows parsed from `BENCH_serve.json`. Produces one [`MetricCheck`] per
-/// gated metric per matched label; labels present in only one side are
-/// reported as a check against NaN (always a regression).
-pub fn compare_serve(
-    baseline: &[(String, Vec<(&'static str, f64)>)],
-    fresh: &[ServeCell],
-    tolerance: f64,
-) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    for (label, base_metrics) in baseline {
-        let Some(cell) = fresh.iter().find(|c| &c.label == label) else {
-            checks.push(MetricCheck {
-                label: label.clone(),
-                metric: "present",
-                baseline: 1.0,
-                fresh: 0.0,
-                tolerance,
-                higher_is_worse: false,
-            });
-            continue;
-        };
-        let r = &cell.report;
-        for &(metric, base) in base_metrics {
-            let (fresh_v, higher_is_worse) = match metric {
-                "p50Ms" => (r.p50_ms, true),
-                "p95Ms" => (r.p95_ms, true),
-                "p99Ms" => (r.p99_ms, true),
-                "throughputRps" => (r.throughput_rps, false),
-                "shedFraction" => (r.shed_fraction, true),
-                "served" => (r.served as f64, false),
-                "slaViolations" => (r.sla_violations as f64, true),
-                _ => continue,
-            };
-            checks.push(MetricCheck {
-                label: label.clone(),
-                metric,
-                baseline: base,
-                fresh: fresh_v,
-                tolerance,
-                higher_is_worse,
-            });
-        }
-    }
-    checks
-}
-
-/// Compare a fresh policy-frontier sweep against baseline rows parsed
-/// from `BENCH_policy.json`, keyed by `dataset/policy`.
-pub fn compare_policy(
-    baseline: &[(String, Vec<(&'static str, f64)>)],
-    fresh: &[PolicyFrontierRow],
-    tolerance: f64,
-) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    for (key, base_metrics) in baseline {
-        let found = fresh
-            .iter()
-            .find(|r| format!("{}/{}", r.dataset, r.policy) == *key);
-        let Some(r) = found else {
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric: "present",
-                baseline: 1.0,
-                fresh: 0.0,
-                tolerance,
-                higher_is_worse: false,
-            });
-            continue;
-        };
-        for &(metric, base) in base_metrics {
-            let (fresh_v, higher_is_worse) = match metric {
-                "accuracy" => (r.accuracy, false),
-                "h2dBytes" => (r.h2d_bytes as f64, true),
-                "ioSaving" => (r.io_saving, false),
-                "hitRate" => (r.hit_rate, false),
-                _ => continue,
-            };
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric,
-                baseline: base,
-                fresh: fresh_v,
-                tolerance,
-                higher_is_worse,
-            });
-        }
-    }
-    checks
-}
-
-/// Compare a fresh training worker-scaling sweep against baseline rows
-/// parsed from `BENCH_train.json`, keyed by `dataset/w{N}`: `meanLoss`,
-/// `h2dBytes` and `simSeconds`, all exact.
-pub fn compare_train(
-    baseline: &[(String, Vec<(&'static str, f64)>)],
-    fresh: &[TrainScalingRow],
-    tolerance: f64,
-) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    for (key, base_metrics) in baseline {
-        let found = fresh
-            .iter()
-            .find(|r| format!("{}/w{}", r.dataset, r.workers) == *key);
-        let Some(r) = found else {
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric: "present",
-                baseline: 1.0,
-                fresh: 0.0,
-                tolerance,
-                higher_is_worse: false,
-            });
-            continue;
-        };
-        for &(metric, base) in base_metrics {
-            let (fresh_v, higher_is_worse) = match metric {
-                "meanLoss" => (r.mean_loss, true),
-                "h2dBytes" => (r.h2d_bytes as f64, true),
-                "simSeconds" => (r.sim_seconds, true),
-                _ => continue,
-            };
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric,
-                baseline: base,
-                fresh: fresh_v,
-                tolerance,
-                higher_is_worse,
-            });
-        }
-    }
-    checks
-}
-
-/// Compare a fresh cluster sweep against baseline rows parsed from
-/// `BENCH_cluster.json`, keyed by `dataset/h{N}/{schedule}`. Every gated
-/// metric is an exact simulated quantity and every one regresses upward:
-/// higher loss, more traffic, more simulated time, more degraded reads or
-/// worse staleness all mean the cluster got less efficient or less
-/// healthy under the same schedule.
-pub fn compare_cluster(
-    baseline: &[(String, Vec<(&'static str, f64)>)],
-    fresh: &[ClusterBenchRow],
-    tolerance: f64,
-) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    for (key, base_metrics) in baseline {
-        let found = fresh
-            .iter()
-            .find(|r| format!("{}/h{}/{}", r.dataset, r.hosts, r.schedule) == *key);
-        let Some(r) = found else {
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric: "present",
-                baseline: 1.0,
-                fresh: 0.0,
-                tolerance,
-                higher_is_worse: false,
-            });
-            continue;
-        };
-        for &(metric, base) in base_metrics {
-            let fresh_v = match metric {
-                "meanLoss" => r.mean_loss,
-                "h2dBytes" => r.h2d_bytes as f64,
-                "nicBytes" => r.nic_bytes as f64,
-                "simSeconds" => r.sim_seconds,
-                "degradedReads" => r.degraded_reads as f64,
-                "maxStaleness" => r.max_staleness as f64,
-                _ => continue,
-            };
-            checks.push(MetricCheck {
-                label: key.clone(),
-                metric,
-                baseline: base,
-                fresh: fresh_v,
-                tolerance,
-                higher_is_worse: true,
-            });
-        }
-    }
-    checks
-}
-
-/// Fault-invariance checks over a fresh cluster sweep: for each (dataset,
-/// host count), the committed training quantities of every fault schedule
-/// must reproduce the `"none"` schedule bit for bit — deterministic shard
-/// recovery replays crashed hosts back onto the fault-free trajectory.
-/// Zero tolerance: one ULP of loss or one byte of H2D drift trips the
-/// gate. NIC traffic and staleness legitimately differ (that is what the
-/// faults cost), so only loss and H2D bytes are pinned.
-pub fn fault_invariance_checks(fresh: &[ClusterBenchRow]) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    for reference in fresh.iter().filter(|r| r.schedule == "none") {
-        for r in fresh.iter().filter(|r| {
-            r.dataset == reference.dataset && r.hosts == reference.hosts && r.schedule != "none"
-        }) {
-            for (metric, base, fresh_v) in [
-                ("meanLoss", reference.mean_loss, r.mean_loss),
-                ("h2dBytes", reference.h2d_bytes as f64, r.h2d_bytes as f64),
-            ] {
-                checks.push(MetricCheck {
-                    label: format!("{}/h{}/none={}", r.dataset, r.hosts, r.schedule),
-                    metric,
-                    baseline: base.min(fresh_v),
-                    fresh: base.max(fresh_v),
-                    tolerance: 0.0,
-                    higher_is_worse: true,
-                });
-            }
-        }
-    }
-    checks
-}
-
-/// Cross-worker invariance checks over a fresh training sweep: for each
-/// dataset, every gated metric at every worker count must reproduce the
-/// lowest-worker-count row bit for bit (the runtime's determinism
-/// contract). Each check stores the two values min/max-ordered with a
-/// zero tolerance, so *any* difference — either direction, even one ULP —
-/// trips [`MetricCheck::regressed`], and equality shows as `bit=`.
-pub fn worker_invariance_checks(fresh: &[TrainScalingRow]) -> Vec<MetricCheck> {
-    let mut checks = Vec::new();
-    let mut datasets: Vec<&str> = fresh.iter().map(|r| r.dataset.as_str()).collect();
-    datasets.dedup();
-    for dataset in datasets {
-        let mut of_ds: Vec<&TrainScalingRow> =
-            fresh.iter().filter(|r| r.dataset == dataset).collect();
-        of_ds.sort_by_key(|r| r.workers);
-        let Some((reference, rest)) = of_ds.split_first() else {
-            continue;
-        };
-        for r in rest {
-            for (metric, base, fresh_v) in [
-                ("meanLoss", reference.mean_loss, r.mean_loss),
-                ("h2dBytes", reference.h2d_bytes as f64, r.h2d_bytes as f64),
-                ("simSeconds", reference.sim_seconds, r.sim_seconds),
-            ] {
-                checks.push(MetricCheck {
-                    label: format!("{}/w{}=w{}", dataset, reference.workers, r.workers),
-                    metric,
-                    baseline: base.min(fresh_v),
-                    fresh: base.max(fresh_v),
-                    tolerance: 0.0,
-                    higher_is_worse: true,
-                });
-            }
-        }
-    }
-    checks
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn check(baseline: f64, fresh: f64, higher_is_worse: bool) -> MetricCheck {
-        MetricCheck {
-            label: "cell".into(),
-            metric: "p99Ms",
-            baseline,
-            fresh,
-            tolerance: DEFAULT_TOLERANCE,
-            higher_is_worse,
-        }
-    }
-
-    #[test]
-    fn regression_direction_respects_metric_polarity() {
-        // +10% latency: regression. −10% latency: improvement.
-        assert!(check(2.0, 2.2, true).regressed());
-        assert!(!check(2.0, 1.8, true).regressed());
-        // +10% throughput: improvement. −10% throughput: regression.
-        assert!(!check(4000.0, 4400.0, false).regressed());
-        assert!(check(4000.0, 3600.0, false).regressed());
-        // Inside the band: no trip either way.
-        assert!(!check(2.0, 2.04, true).regressed());
-        assert!(!check(2.0, 1.96, true).regressed());
-    }
-
-    #[test]
-    fn zero_baselines_trip_only_on_nonzero_fresh_regressions() {
-        assert!(!check(0.0, 0.0, true).regressed());
-        assert!(check(0.0, 1.0, true).regressed(), "0 → 1 violations trips");
-        assert!(!check(0.0, 1.0, false).regressed(), "improvement direction");
-    }
-
-    #[test]
-    fn bit_identity_is_exact() {
-        assert!(check(2.0816, 2.0816, true).bit_identical());
-        assert!(!check(2.0816, 2.0816 + f64::EPSILON * 4.0, true).bit_identical());
-    }
-
-    #[test]
-    fn compare_serve_flags_missing_labels() {
-        let baseline = vec![("load=9x cap=1 none".to_string(), vec![("p99Ms", 2.0)])];
-        let checks = compare_serve(&baseline, &[], DEFAULT_TOLERANCE);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].metric, "present");
-        assert!(checks[0].regressed());
-    }
-
-    fn train_row(dataset: &str, workers: usize) -> TrainScalingRow {
-        TrainScalingRow {
-            dataset: dataset.into(),
-            workers,
-            mean_loss: 1.5,
-            h2d_bytes: 4096,
-            sim_seconds: 0.25,
-        }
-    }
-
-    #[test]
-    fn compare_train_keys_rows_by_dataset_and_workers() {
-        let baseline = vec![
-            (
-                "papers100m/w2".to_string(),
-                vec![
-                    ("meanLoss", 1.5),
-                    ("h2dBytes", 4096.0),
-                    ("simSeconds", 0.25),
-                ],
-            ),
-            ("papers100m/w16".to_string(), vec![("meanLoss", 1.5)]),
-        ];
-        let fresh = [train_row("papers100m", 1), train_row("papers100m", 2)];
-        let checks = compare_train(&baseline, &fresh, DEFAULT_TOLERANCE);
-        assert_eq!(checks.len(), 4);
-        assert!(checks[..3].iter().all(|c| c.bit_identical()));
-        assert_eq!(checks[3].metric, "present");
-        assert!(checks[3].regressed(), "missing worker count trips the gate");
-    }
-
-    #[test]
-    fn worker_invariance_trips_on_one_ulp_either_direction() {
-        let mut up = [train_row("twitter", 1), train_row("twitter", 4)];
-        assert!(worker_invariance_checks(&up)
-            .iter()
-            .all(|c| c.bit_identical() && !c.regressed()));
-        up[1].mean_loss = f64::from_bits(up[1].mean_loss.to_bits() + 1);
-        assert!(worker_invariance_checks(&up).iter().any(|c| c.regressed()));
-        let mut down = [train_row("twitter", 1), train_row("twitter", 4)];
-        down[1].sim_seconds = f64::from_bits(down[1].sim_seconds.to_bits() - 1);
-        assert!(
-            worker_invariance_checks(&down)
-                .iter()
-                .any(|c| c.regressed()),
-            "a *smaller* value is still an invariance break"
-        );
-    }
-
-    fn cluster_row(dataset: &str, hosts: usize, schedule: &str) -> ClusterBenchRow {
-        ClusterBenchRow {
-            dataset: dataset.into(),
-            hosts,
-            schedule: schedule.into(),
-            mean_loss: 1.25,
-            h2d_bytes: 8192,
-            nic_bytes: if schedule == "none" { 512 } else { 1024 },
-            sim_seconds: 0.5,
-            degraded_reads: if schedule == "none" { 0 } else { 7 },
-            max_staleness: if schedule == "none" { 0 } else { 3 },
-        }
-    }
-
-    #[test]
-    fn compare_cluster_keys_rows_by_dataset_hosts_and_schedule() {
-        let baseline = vec![
-            (
-                "papers100m/h2/crash".to_string(),
-                vec![
-                    ("meanLoss", 1.25),
-                    ("nicBytes", 1024.0),
-                    ("degradedReads", 7.0),
-                    ("maxStaleness", 3.0),
-                ],
-            ),
-            ("papers100m/h8/none".to_string(), vec![("meanLoss", 1.25)]),
-        ];
-        let fresh = [
-            cluster_row("papers100m", 2, "none"),
-            cluster_row("papers100m", 2, "crash"),
-        ];
-        let checks = compare_cluster(&baseline, &fresh, DEFAULT_TOLERANCE);
-        assert_eq!(checks.len(), 5);
-        assert!(checks[..4].iter().all(|c| c.bit_identical()));
-        assert_eq!(checks[4].metric, "present");
-        assert!(checks[4].regressed(), "missing host count trips the gate");
-    }
-
-    #[test]
-    fn compare_cluster_trips_on_staleness_growth_only_upward() {
-        let baseline = vec![(
-            "twitter/h4/crash".to_string(),
-            vec![("maxStaleness", 3.0), ("nicBytes", 1024.0)],
-        )];
-        let mut fresh = [cluster_row("twitter", 4, "crash")];
-        fresh[0].max_staleness = 4; // +33%: budget erosion, must trip
-        fresh[0].nic_bytes = 512; // −50%: improvement, must not trip
-        let checks = compare_cluster(&baseline, &fresh, DEFAULT_TOLERANCE);
-        assert!(checks
-            .iter()
-            .any(|c| c.metric == "maxStaleness" && c.regressed()));
-        assert!(checks
-            .iter()
-            .all(|c| c.metric != "nicBytes" || !c.regressed()));
-    }
-
-    #[test]
-    fn fault_invariance_pins_crash_to_the_fault_free_row() {
-        let mut rows = [
-            cluster_row("mag240m", 2, "none"),
-            cluster_row("mag240m", 2, "crash"),
-            cluster_row("mag240m", 4, "none"),
-        ];
-        let checks = fault_invariance_checks(&rows);
-        assert_eq!(checks.len(), 2, "only the matching (dataset, hosts) pair");
-        assert!(checks.iter().all(|c| c.bit_identical() && !c.regressed()));
-        rows[1].mean_loss = f64::from_bits(rows[1].mean_loss.to_bits() - 1);
-        assert!(
-            fault_invariance_checks(&rows).iter().any(|c| c.regressed()),
-            "one ULP of loss drift in either direction breaks recovery invariance"
-        );
-    }
 }

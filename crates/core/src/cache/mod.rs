@@ -1,12 +1,10 @@
 //! The historical embedding cache (§4): per-layer ring buffers plus the
 //! pluggable gradient/staleness policy family (DESIGN.md §11).
 
-pub mod export;
 pub mod feature_cache;
 pub mod policy;
 pub mod ring;
 
-pub use export::{policy_bench_json, PolicyFrontierRow, POLICY_SCHEMA_VERSION};
 pub use feature_cache::StaticFeatureCache;
 pub use policy::{
     apply_policy, frequency_policy, gradient_policy, inverted_gradient_policy, CachePolicy,

@@ -24,11 +24,9 @@
 //! fault-free run bit for bit while the NIC/retry/recovery ledger records
 //! what the faults cost.
 
-mod export;
 mod membership;
 mod trainer;
 
-pub use export::{cluster_bench_json, ClusterBenchRow, CLUSTER_SCHEMA_VERSION};
 pub use membership::{FailureDetector, HostStatus, MembershipTransition, MembershipView};
 pub use trainer::{ClusterReport, ClusterTrainer, StalenessLedger};
 

@@ -169,15 +169,6 @@ pub fn profile_system_faulted(
     }
 }
 
-/// One point of the Fig 11 scaling curve.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// GPU count.
-    pub gpus: usize,
-    /// Simulated training throughput.
-    pub iters_per_sec: f64,
-}
-
 /// Project a measured profile onto `k` GPUs of `machine_of(k)` under the
 /// documented contention model. Returns iterations/second.
 pub fn project_throughput(profile: &IterationProfile, system: SystemKind, k: usize) -> f64 {
@@ -230,27 +221,6 @@ pub fn project_throughput(profile: &IterationProfile, system: SystemKind, k: usi
         f64::INFINITY
     };
     gpu_rate.min(sampler_rate)
-}
-
-/// Run the full Fig 11 experiment: profile each system once, project onto
-/// each GPU count.
-pub fn scaling_curve(
-    ds: &Dataset,
-    arch: Arch,
-    hidden: usize,
-    base: &FreshGnnConfig,
-    system: SystemKind,
-    gpu_counts: &[usize],
-    seed: u64,
-) -> Vec<ScalingPoint> {
-    let profile = profile_system(ds, arch, hidden, base, system, 2, seed);
-    gpu_counts
-        .iter()
-        .map(|&k| ScalingPoint {
-            gpus: k,
-            iters_per_sec: project_throughput(&profile, system, k),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -337,33 +307,6 @@ mod tests {
         let lab = project_throughput(&p, SystemKind::GnnLab, 4);
         let fresh = project_throughput(&p, SystemKind::FreshGnn, 4);
         assert!(lab < fresh, "GNNLab {lab} vs FreshGNN {fresh}");
-    }
-
-    #[test]
-    fn scaling_curve_has_requested_points() {
-        let ds = tiny();
-        let curve = scaling_curve(
-            &ds,
-            Arch::Sage,
-            16,
-            &base(),
-            SystemKind::FreshGnn,
-            &[1, 2, 4],
-            3,
-        );
-        assert_eq!(curve.len(), 3);
-        assert_eq!(
-            curve.iter().map(|p| p.gpus).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        assert!(curve.iter().all(|p| p.iters_per_sec > 0.0));
-        // Monotonicity is deliberately NOT asserted here: this curve is
-        // projected from a *measured* profile whose `sample_s` is host
-        // wall time, and on a toy model the all-reduce term can outweigh
-        // the tiny per-iter traffic — whether the flat sampler cap masks
-        // that dip depends on how fast the test machine samples.
-        // `freshgnn_scales_nearly_linearly` pins the scaling shape on a
-        // deterministic synthetic profile instead.
     }
 }
 

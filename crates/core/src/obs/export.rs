@@ -14,7 +14,7 @@ use super::span::{Span, Tracer};
 pub const SCHEMA_VERSION: &str = super::schema::OBS_V1;
 
 /// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -32,7 +32,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// Format an `f64` as a JSON number (Rust's `Display` for floats never
 /// emits exponents; non-finite values become `null`).
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -97,9 +97,15 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The exporters nest four
+/// levels at most; the cap turns hostile input (`[[[[…`) into a
+/// [`JsonError`] instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse one JSON document; trailing whitespace is allowed, trailing
@@ -108,6 +114,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -160,8 +167,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -170,6 +177,19 @@ impl<'a> Parser<'a> {
             Some(b) => Err(self.err(format!("unexpected byte '{}'", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -293,9 +313,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err(format!("bad number '{text}'")))
+        match text.parse::<f64>() {
+            // `1e999` parses to infinity, which no exporter can have written.
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            _ => Err(self.err(format!("bad number '{text}'"))),
+        }
     }
 }
 
@@ -345,6 +367,27 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"open").is_err());
         assert!(e.to_string().contains("byte 5"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let e = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        let e = parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH * 5, "{e}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok(), "the cap itself is accepted");
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}[]]", "[],".repeat(4 * MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn numbers_that_overflow_f64_are_rejected() {
+        let e = parse("{\"a\":1e999}").unwrap_err();
+        assert_eq!(e.at, 10, "{e}");
+        assert!(parse("[-1e999]").is_err());
+        assert_eq!(parse("[1e308]").unwrap().as_array().unwrap().len(), 1);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! cooldown.
 
 use crate::checkpoint::Checkpoint;
-use crate::obs::window::AlertEvent;
 use crate::obs::{MetricClass, Obs};
 use std::collections::VecDeque;
 use std::fmt;
@@ -244,10 +243,6 @@ pub struct Supervisor {
     transitions: Vec<Transition>,
     rollbacks: u32,
     baseline: Option<Checkpoint>,
-    /// SLO alert edges observed via [`Supervisor::observe_alert`].
-    alerts_observed: u64,
-    /// The most recent observed alert edge.
-    last_alert: Option<AlertEvent>,
 }
 
 impl Supervisor {
@@ -259,40 +254,8 @@ impl Supervisor {
             transitions: Vec::new(),
             rollbacks: 0,
             baseline: None,
-            alerts_observed: 0,
-            last_alert: None,
             cfg,
         }
-    }
-
-    /// Consume one SLO alert edge from the serving monitor
-    /// ([`crate::obs::SloMonitor`]): the alert is recorded as supervisor
-    /// *state* (a counter, a last-alert slot and the Exact
-    /// `resilience.slo.alerts_observed` / `resilience.slo.firing`
-    /// metrics) — it never transitions the health state machine by
-    /// itself. Operators (or future policies) read the state; default
-    /// behavior is unchanged by design (DESIGN.md §12).
-    pub fn observe_alert(&mut self, alert: &AlertEvent, obs: &mut Obs) {
-        self.alerts_observed += 1;
-        let firing = alert.fired;
-        self.last_alert = Some(alert.clone());
-        obs.metrics
-            .counter_add("resilience.slo.alerts_observed", MetricClass::Exact, 1);
-        obs.metrics.gauge_set(
-            "resilience.slo.firing",
-            MetricClass::Exact,
-            firing as u64 as f64,
-        );
-    }
-
-    /// Alert edges observed so far.
-    pub fn alerts_observed(&self) -> u64 {
-        self.alerts_observed
-    }
-
-    /// The most recent observed alert edge.
-    pub fn last_alert(&self) -> Option<&AlertEvent> {
-        self.last_alert.as_ref()
     }
 
     /// Current health state.
@@ -517,41 +480,6 @@ mod tests {
         assert!(doc.contains("\"kind\":\"resilience\""));
         assert!(doc.contains("\"cause\":\"non-finite-loss@5\""));
         assert_eq!(doc.lines().count(), 2);
-    }
-
-    #[test]
-    fn observed_alerts_are_state_not_behavior() {
-        let mut sup = Supervisor::default();
-        let mut obs = Obs::new();
-        let alert = AlertEvent {
-            at_ns: 1_000_000,
-            rule: "fast-burn",
-            fired: true,
-            burn_long: 8.0,
-            burn_short: 9.5,
-            windowed_p99_ns: 2_500_000,
-        };
-        sup.observe_alert(&alert, &mut obs);
-        assert_eq!(sup.alerts_observed(), 1);
-        assert_eq!(sup.last_alert(), Some(&alert));
-        assert_eq!(
-            sup.state(),
-            HealthState::Healthy,
-            "alerts never transition the state machine by themselves"
-        );
-        assert!(sup.transitions().is_empty());
-        assert_eq!(
-            obs.metrics.counter("resilience.slo.alerts_observed"),
-            Some(1)
-        );
-        assert_eq!(obs.metrics.gauge("resilience.slo.firing"), Some(1.0));
-        let resolve = AlertEvent {
-            fired: false,
-            ..alert
-        };
-        sup.observe_alert(&resolve, &mut obs);
-        assert_eq!(obs.metrics.gauge("resilience.slo.firing"), Some(0.0));
-        assert_eq!(sup.alerts_observed(), 2);
     }
 
     #[test]

@@ -27,11 +27,9 @@
 //! tier-1 gate.
 
 pub mod chaos;
-pub mod export;
 pub mod ordered;
 
 pub use chaos::ChaosPolicy;
-pub use export::{train_bench_json, TrainScalingRow};
 pub use ordered::InOrder;
 
 use crate::obs::{Histogram, LATENCY_BUCKETS};

@@ -1,5 +1,5 @@
-//! Schema-tagged serving exports: a `fgnn-serve-v1` JSONL stream and a
-//! compact benchmark-trajectory JSON blob.
+//! Schema-tagged serving exports: the `fgnn-serve-v1` JSONL stream and the
+//! `fgnn-serve-trace-v1` request trace.
 //!
 //! Like the obs exporters (DESIGN.md §8), everything is hand-rolled JSON
 //! — no serde, zero registry dependencies — and deterministic: the stream
@@ -122,35 +122,6 @@ pub fn serve_jsonl(section: &str, report: &ServeReport, obs: &Obs) -> String {
     out
 }
 
-/// Render one `(label, report)` sweep as a benchmark-trajectory JSON
-/// object (the payload `scripts/bench_trajectory.sh` commits as
-/// `BENCH_serve.json`). Latency percentiles are in milliseconds.
-pub fn bench_json(runs: &[(String, &ServeReport)]) -> String {
-    let entries: Vec<String> = runs
-        .iter()
-        .map(|(label, r)| {
-            format!(
-                concat!(
-                    "    {{\"label\":\"{}\",\"p50Ms\":{},\"p95Ms\":{},\"p99Ms\":{}",
-                    ",\"throughputRps\":{},\"shedFraction\":{},\"served\":{},\"slaViolations\":{}}}"
-                ),
-                json_escape(label),
-                json_f64(r.p50_ms),
-                json_f64(r.p95_ms),
-                json_f64(r.p99_ms),
-                json_f64(r.throughput_rps),
-                json_f64(r.shed_fraction),
-                r.served,
-                r.sla_violations,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schemaVersion\":\"{SERVE_SCHEMA_VERSION}\",\n  \"kind\":\"bench\",\n  \"runs\":[\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::admission::ShedReason;
@@ -237,16 +208,5 @@ mod tests {
         let doc = serve_chrome_trace(&[("serve", &t)]);
         assert!(doc.contains("fgnn-serve-trace-v1"));
         assert!(doc.contains("\"name\":\"request\""));
-    }
-
-    #[test]
-    fn bench_json_lists_runs_in_order() {
-        let r = report();
-        let doc = bench_json(&[("load=1x".to_string(), &r), ("load=2x".to_string(), &r)]);
-        assert!(doc.contains("\"schemaVersion\":\"fgnn-serve-v1\""));
-        let a = doc.find("load=1x").unwrap();
-        let b = doc.find("load=2x").unwrap();
-        assert!(a < b);
-        assert!(doc.contains("\"shedFraction\":0.3"));
     }
 }

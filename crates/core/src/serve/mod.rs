@@ -26,7 +26,7 @@
 //!   the `fgnn-memsim` interconnect (bounded retry/backoff, circuit
 //!   breaker and all), so same-seed runs are byte-identical;
 //! * [`export`] — the schema-tagged `fgnn-serve-v1` JSONL export and the
-//!   `BENCH_serve.json` performance-trajectory summary.
+//!   `fgnn-serve-trace-v1` request trace.
 //!
 //! Degraded serving is principled, not best-effort: when the transfer
 //! [`CircuitBreaker`](fgnn_memsim::CircuitBreaker) is open or the
@@ -48,7 +48,7 @@ pub use admission::{AdmissionConfig, AdmissionController, ShedReason, TokenBucke
 pub use batcher::{Batcher, BatcherConfig};
 pub use engine::{ServeEngine, ServeReport};
 pub use export::{
-    bench_json, serve_chrome_trace, serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION,
+    serve_chrome_trace, serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION,
     SERVE_TRACE_SCHEMA_VERSION,
 };
 pub use freshness::{EmbedStore, FreshnessConfig};

@@ -40,10 +40,8 @@ FGNN_PROP_CASES=256 cargo test -q --release \
 FGNN_PROP_CASES=256 cargo test -q --test property_tests --test obs_invariants
 grep -q '"schemaVersion":"fgnn-obs-v1"' tests/golden/sync_trainer_2epoch.trace.json
 
-# The committed policy-frontier baseline (scripts/bench_trajectory.sh) must
-# carry the current policy export schema, and the policy-equivalence suite
-# pins the trait refactor to the pre-trait behavior.
-grep -q '"schemaVersion":"fgnn-policy-v1"' BENCH_policy.json
+# The policy-equivalence suite pins the trait refactor to the pre-trait
+# behavior.
 FGNN_PROP_CASES=256 cargo test -q --test policy_equivalence
 
 # Chaos suite at an elevated seed matrix: seeded fault storms, worker
@@ -53,18 +51,14 @@ FGNN_PROP_CASES=256 cargo test -q --test chaos
 # Cluster chaos suite at the elevated case count: random crash/restart/NIC
 # schedules must leave the committed training quantities byte-identical to
 # the fault-free run (deterministic shard recovery), degraded reads must
-# respect the t_stale budget, and the committed cluster baseline must
-# carry the cluster export schema.
+# respect the t_stale budget.
 FGNN_PROP_CASES=256 cargo test -q --test cluster
-grep -q '"schemaVersion":"fgnn-cluster-v1"' BENCH_cluster.json
 
 # Runtime determinism suite at the elevated case count: seeded adversarial
 # schedules (delayed claims and worker stalls, at workers {1,2,4,8}) must
-# leave every Exact output byte-identical at any worker count, a drained
-# pool must end its result stream, and the committed worker-scaling
-# baseline must carry the train export schema.
+# leave every Exact output byte-identical at any worker count, and a
+# drained pool must end its result stream.
 FGNN_PROP_CASES=256 cargo test -q --test runtime
-grep -q '"schemaVersion":"fgnn-train-v1"' BENCH_train.json
 
 # Serving acceptance + property suite at the elevated case count, and a
 # live exp_serve export must carry the fgnn-serve-v1 schema tag plus the
@@ -83,12 +77,20 @@ grep -q '"schemaVersion":"fgnn-serve-trace-v1"' "$trace_out"
 grep -q '"kind":"alert"' "$trace_out"
 rm -f "$serve_out" "$trace_out"
 
-# Performance-trajectory gate: the committed BENCH_serve.json /
-# BENCH_policy.json / BENCH_train.json / BENCH_cluster.json baselines
-# must reproduce from their recorded seeds (the train baseline
-# additionally bit-identically across worker counts, the cluster baseline
-# bit-identically between fault-free and crash schedules), and an
-# injected 10% regression must trip the gate (nonzero exit).
+# Performance-trajectory gate. Each sweep binary must write its committed
+# BENCH_*.json byte for byte (scripts/bench_trajectory.sh --bless is the
+# same loop writing in place); exp_report must reproduce every gated value
+# from the recorded seeds (the train baseline additionally bit-identically
+# across worker counts, the cluster baseline bit-identically between
+# fault-free and crash schedules), and an injected 10% regression must trip
+# the gate (nonzero exit).
+bench_out="$(mktemp)"
+for sweep in exp_serve:serve exp_ext_policy_frontier:policy \
+    exp_train_scaling:train exp_cluster:cluster; do
+    "./target/release/${sweep%%:*}" --bench-json "$bench_out" > /dev/null
+    cmp "$bench_out" "BENCH_${sweep##*:}.json"
+done
+rm -f "$bench_out"
 cargo run -q --release -p fgnn-bench --bin exp_report -- --check > /dev/null
 if cargo run -q --release -p fgnn-bench --bin exp_report -- \
     --check --inject-regression 0.10 > /dev/null 2>&1; then

@@ -10,9 +10,7 @@
 
 mod common;
 
-use freshgnn_repro::core::cluster::{
-    cluster_bench_json, ClusterBenchRow, ClusterConfig, ClusterTrainer, HostStatus,
-};
+use freshgnn_repro::core::cluster::{ClusterConfig, ClusterTrainer, HostStatus};
 use freshgnn_repro::core::{FgnnError, FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
@@ -401,40 +399,4 @@ fn invalid_cluster_fault_plans_are_rejected() {
         .unwrap_err();
     let msg = format!("{err:?}");
     assert!(msg.contains("restart"), "unhelpful error: {msg}");
-}
-
-/// The exporter round-trips a real sweep row and is schema-stamped.
-#[test]
-fn cluster_export_reflects_a_real_run() {
-    let ds = tiny();
-    let mut ct = ClusterTrainer::new(&ds, cluster_cfg(2), 37).unwrap();
-    ct.inject_cluster_faults(ClusterFaultPlan::none().with_crash(2, 1).with_restart(4, 1))
-        .unwrap();
-    let report = ct.train(1).unwrap();
-
-    let row = ClusterBenchRow {
-        dataset: "arxiv".into(),
-        hosts: 2,
-        schedule: "crash".into(),
-        mean_loss: report.epoch_losses[0],
-        h2d_bytes: report.h2d_bytes,
-        nic_bytes: report.comms.nic_bytes,
-        sim_seconds: report.sim_seconds,
-        degraded_reads: report.ledger.degraded_reads,
-        max_staleness: report.ledger.max_staleness,
-    };
-    let doc = cluster_bench_json(37, &[row]);
-    assert!(doc.contains("\"schemaVersion\":\"fgnn-cluster-v1\""));
-    assert!(doc.contains("\"hosts\":2"));
-    let parsed = freshgnn_repro::core::obs::parse_json(&doc).expect("valid JSON");
-    let rows = parsed.get("rows").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(
-        rows[0]
-            .get("meanLoss")
-            .and_then(|v| v.as_f64())
-            .unwrap()
-            .to_bits(),
-        report.epoch_losses[0].to_bits()
-    );
 }
