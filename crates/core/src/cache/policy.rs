@@ -403,25 +403,34 @@ impl CachePolicy for CoarseRefreshPolicy {
 
 /// Apply the `p_grad` criterion to one layer's nodes.
 ///
-/// Returns `(node, local, verdict)` triples. Deterministic: ties on the
-/// norm are broken by node ID.
+/// Returns `(node, local, verdict)` triples in rank order. Deterministic:
+/// ties on the norm are broken by node ID. Panics on a NaN norm. Each node
+/// appears at most once (training levels are a block's distinct
+/// destinations, serving a de-duplicated miss list), so no two inputs
+/// share a rank key and the unstable sort has a single answer.
 pub fn gradient_policy(inputs: &[PolicyInput], p_grad: f32) -> Vec<(PolicyInput, Verdict)> {
     if inputs.is_empty() {
         return Vec::new();
     }
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        inputs[a]
-            .grad_norm
-            .partial_cmp(&inputs[b].grad_norm)
-            .expect("NaN gradient norm")
-            .then(inputs[a].node.cmp(&inputs[b].node))
-    });
+    assert!(
+        !inputs.iter().any(|x| x.grad_norm.is_nan()),
+        "NaN gradient norm"
+    );
+    let mut order: Vec<(u64, u32)> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| (rank_key(x.grad_norm, x.node), i as u32))
+        .collect();
+    order.sort_unstable_by_key(|&(key, _)| key);
+    debug_assert!(
+        order.windows(2).all(|w| w[0].0 < w[1].0),
+        "a node ranked twice with one norm"
+    );
     // Bottom p_grad fraction is stable.
     let n_stable = ((inputs.len() as f64) * p_grad as f64).round() as usize;
     let mut out = Vec::with_capacity(inputs.len());
-    for (rank, &i) in order.iter().enumerate() {
-        let x = inputs[i];
+    for (rank, &(_, i)) in order.iter().enumerate() {
+        let x = inputs[i as usize];
         let stable = rank < n_stable;
         let verdict = match (stable, x.was_cached) {
             (true, false) => Verdict::Admit,
@@ -432,6 +441,23 @@ pub fn gradient_policy(inputs: &[PolicyInput], p_grad: f32) -> Vec<(PolicyInput,
         out.push((x, verdict));
     }
     out
+}
+
+/// `(norm, node)` packed so that integer order is `partial_cmp` on the
+/// norm, then node ID: the norm's bits made order-preserving (negatives
+/// flipped, positives offset past them) in the high word, the node in the
+/// low one. `-0.0` becomes `+0.0` first, because `partial_cmp` calls the
+/// two equal and leaves the node to decide. Panics on NaN, which has no
+/// place in the order.
+fn rank_key(norm: f32, node: NodeId) -> u64 {
+    assert!(!norm.is_nan(), "NaN gradient norm");
+    let bits = if norm == 0.0 { 0 } else { norm.to_bits() };
+    let ordered = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(ordered) << 32 | u64::from(node)
 }
 
 /// The shared inverted-score combinator: run [`gradient_policy`] with the

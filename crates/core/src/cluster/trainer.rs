@@ -283,11 +283,6 @@ impl ClusterTrainer {
         self.shards[host].nan_rounds.extend(rounds);
     }
 
-    /// Override the retry policy used against crashed-but-undetected hosts.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// Borrow host `h`'s trainer (tests compare against single-host runs).
     pub fn trainer(&self, h: usize) -> &Trainer {
         &self.shards[h].trainer

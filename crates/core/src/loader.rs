@@ -41,11 +41,6 @@ impl<'a> FeatureLoader<'a> {
         }
     }
 
-    /// Rows held by the static feature cache.
-    pub fn static_cache_len(&self) -> usize {
-        self.static_cache.len()
-    }
-
     /// Recover the static cache (the trainer lends it per epoch).
     pub fn into_static_cache(self) -> StaticFeatureCache {
         self.static_cache

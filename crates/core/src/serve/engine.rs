@@ -10,8 +10,7 @@
 //! decision and metric is a pure function of the seed and two same-seed
 //! runs are byte-identical.
 //!
-//! **Degraded mode** engages when the transfer breaker is open or the
-//! supervisor's health state says so ([`HealthState::is_degraded`]): the
+//! **Degraded mode** engages when the transfer breaker is open: the
 //! store widens cache hits from the tight operator SLA to each request's
 //! own staleness budget, so admitted requests complete from cache instead
 //! of queueing behind a broken interconnect. Deadline shedding looks
@@ -29,7 +28,6 @@ use crate::cache::policy::Verdict;
 use crate::error::FgnnError;
 use crate::obs::window::{AlertEvent, SloMonitor};
 use crate::obs::{Histogram, MetricClass, Obs, Tracer};
-use crate::resilience::HealthState;
 use fgnn_graph::sample::NeighborSampler;
 use fgnn_graph::{Dataset, NodeId};
 use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
@@ -172,7 +170,6 @@ pub struct ServeEngine<'a> {
     cfg: ServeConfig,
     store: EmbedStore,
     faults: FaultState,
-    health: HealthState,
     /// Observability state (sim clock, per-batch spans, `Exact` metrics).
     pub obs: Obs,
     /// Exemplar request-span stream (separate from `obs.tracer`, which
@@ -229,7 +226,6 @@ impl<'a> ServeEngine<'a> {
             cfg,
             store,
             faults: FaultState::none(),
-            health: HealthState::Healthy,
             obs: Obs::new(),
             req_tracer: Tracer::new(),
             slo,
@@ -310,12 +306,6 @@ impl<'a> ServeEngine<'a> {
     /// Current breaker state, if one is armed.
     pub fn breaker_state(&self) -> Option<BreakerState> {
         self.faults.breaker_state()
-    }
-
-    /// Feed the supervisor's health verdict into the serving engine;
-    /// degraded or recovering health engages the SLA-relaxed read path.
-    pub fn set_health(&mut self, health: HealthState) {
-        self.health = health;
     }
 
     /// The embedding store (cache counters, SLA bookkeeping).
@@ -425,7 +415,7 @@ impl<'a> ServeEngine<'a> {
                         continue;
                     }
                     let start_ns = cursor_ns;
-                    let degraded = transfer.breaker_open() || self.health.is_degraded();
+                    let degraded = transfer.breaker_open();
                     let out = self.serve_batch(
                         &batch,
                         start_ns,

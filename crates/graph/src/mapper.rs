@@ -8,14 +8,14 @@
 
 use crate::NodeId;
 
-/// Sentinel for "not mapped".
-const UNMAPPED: u32 = u32::MAX;
-
 /// O(1) global→local mapper with generation-based reset.
 #[derive(Clone, Debug)]
 pub struct NodeMapper {
-    local: Vec<u32>,
-    stamp: Vec<u32>,
+    /// `(stamp, local)` per global ID, side by side so a lookup touches one
+    /// cache line. `local` is meaningful only while `stamp == generation`,
+    /// so a zero-initialised table (stamp 0, never a live generation) needs
+    /// no sentinel written.
+    slots: Vec<(u32, u32)>,
     generation: u32,
     /// Global IDs in insertion (= local) order for the current generation.
     order: Vec<NodeId>,
@@ -25,8 +25,7 @@ impl NodeMapper {
     /// A mapper covering global IDs `0..capacity`.
     pub fn new(capacity: usize) -> Self {
         NodeMapper {
-            local: vec![UNMAPPED; capacity],
-            stamp: vec![0; capacity],
+            slots: vec![(0, 0); capacity],
             generation: 1,
             order: Vec::new(),
         }
@@ -36,8 +35,9 @@ impl NodeMapper {
     pub fn reset(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            // Extremely rare wrap: do the full clear to stay correct.
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+            // Extremely rare wrap: do the full clear so no stamp written
+            // before it can alias a generation after it.
+            self.slots.fill((0, 0));
             self.generation = 1;
         }
         self.order.clear();
@@ -47,13 +47,12 @@ impl NodeMapper {
     /// local ID.
     #[inline]
     pub fn get_or_insert(&mut self, global: NodeId) -> u32 {
-        let g = global as usize;
-        if self.stamp[g] == self.generation {
-            self.local[g]
+        let slot = &mut self.slots[global as usize];
+        if slot.0 == self.generation {
+            slot.1
         } else {
             let l = self.order.len() as u32;
-            self.stamp[g] = self.generation;
-            self.local[g] = l;
+            *slot = (self.generation, l);
             self.order.push(global);
             l
         }
@@ -62,12 +61,15 @@ impl NodeMapper {
     /// Look up `global` without inserting.
     #[inline]
     pub fn get(&self, global: NodeId) -> Option<u32> {
-        let g = global as usize;
-        if self.stamp[g] == self.generation {
-            Some(self.local[g])
-        } else {
-            None
-        }
+        let (stamp, local) = self.slots[global as usize];
+        (stamp == self.generation).then_some(local)
+    }
+
+    /// Start loading `global`'s slot into cache ahead of a lookup (a hint:
+    /// no mapping changes).
+    #[inline]
+    pub fn prefetch(&self, global: NodeId) {
+        fgnn_tensor::prefetch(&self.slots, global as usize);
     }
 
     /// Number of mapped nodes this generation.
@@ -132,5 +134,38 @@ mod tests {
             assert_eq!(m.get_or_insert(g), 0);
             assert_eq!(m.len(), 1);
         }
+    }
+
+    #[test]
+    fn generation_wrap_clears_every_stamp() {
+        let mut m = NodeMapper::new(6);
+        // Stamped at generation 1, then untouched through 2^32 − 3 resets:
+        // without the full clear it would alias generation 1 after the wrap.
+        m.get_or_insert(5);
+        m.generation = u32::MAX - 1;
+        m.order.clear();
+        assert_eq!(m.get(5), None);
+        assert_eq!(m.get_or_insert(1), 0);
+        assert_eq!(m.get(1), Some(0));
+        m.reset(); // u32::MAX
+        assert_eq!(m.get(1), None);
+        assert_eq!(m.get_or_insert(2), 0);
+        assert_eq!(m.get_or_insert(4), 1);
+        m.reset(); // wraps: full clear, generation 1
+        assert_eq!(m.generation, 1);
+        assert!(m.slots.iter().all(|&slot| slot == (0, 0)), "{:?}", m.slots);
+        assert!(m.is_empty());
+        for g in 0..6 {
+            assert_eq!(
+                m.get(g),
+                None,
+                "stale stamp on {g} aliases the new generation"
+            );
+        }
+        assert_eq!(m.get_or_insert(4), 0);
+        assert_eq!(m.get_or_insert(5), 1);
+        assert_eq!(m.get_or_insert(4), 0);
+        assert_eq!((m.get(4), m.get(5), m.get(1)), (Some(0), Some(1), None));
+        assert_eq!(m.globals(), &[4, 5]);
     }
 }

@@ -86,11 +86,31 @@ impl NeighborSampler {
     }
 }
 
+/// How far ahead phase 1 of [`sample_adjacency`] prefetches a destination's
+/// `indptr` entry, and (nearer, since it reads that entry) its neighbour
+/// list: up to `NEIGHBOR_LINES` cache lines from the head, which holds every
+/// pick of all but the highest-degree nodes.
+const INDPTR_AHEAD: usize = 8;
+const NEIGHBORS_AHEAD: usize = 4;
+const NEIGHBOR_LINES: usize = 16;
+/// Node IDs in a 64-byte cache line.
+const IDS_PER_LINE: usize = 64 / std::mem::size_of::<NodeId>();
+/// How far ahead phase 2 prefetches a picked node's mapper slot.
+const MAPPER_AHEAD: usize = 16;
+
 /// Sample up to `fanout` in-neighbors of every node of `dst` in `graph`,
 /// writing their local IDs (assigned by `mapper`, which already holds the
 /// destinations) straight into the adjacency's flat index array: the block is
 /// built in place, three allocations whatever the node count. `picks` is
 /// scratch.
+///
+/// Two phases, so that each sampled edge waits on memory once: phase 1
+/// draws the picks and writes their *global* IDs into the index array,
+/// prefetching upcoming destinations' offsets and neighbour lists; phase 2
+/// rewrites every entry in place to its local ID, prefetching the mapper
+/// slot a few entries ahead. The RNG draws and the `get_or_insert` calls
+/// are those of one interleaved pass, in the same order, so the local IDs
+/// are too.
 pub(crate) fn sample_adjacency(
     graph: &Csr,
     dst: &[NodeId],
@@ -103,20 +123,37 @@ pub(crate) fn sample_adjacency(
     let mut start = Vec::with_capacity(dst.len());
     let mut end = Vec::with_capacity(dst.len());
     let mut indices = Vec::with_capacity(edges);
-    for &d in dst {
+    let (indptr, all_nbrs) = (graph.indptr(), graph.indices());
+    for (i, &d) in dst.iter().enumerate() {
+        if let Some(&ahead) = dst.get(i + INDPTR_AHEAD) {
+            fgnn_tensor::prefetch(indptr, ahead as usize);
+        }
+        if let Some(&ahead) = dst.get(i + NEIGHBORS_AHEAD) {
+            let lo = indptr[ahead as usize];
+            let hi = indptr[ahead as usize + 1].min(lo + NEIGHBOR_LINES * IDS_PER_LINE);
+            for p in (lo..hi).step_by(IDS_PER_LINE) {
+                fgnn_tensor::prefetch(all_nbrs, p);
+            }
+            // An unaligned list's tail can sit one line past the last step.
+            if hi > lo {
+                fgnn_tensor::prefetch(all_nbrs, hi - 1);
+            }
+        }
         let nbrs = graph.neighbors(d);
         start.push(indices.len());
         if nbrs.len() <= fanout {
-            indices.extend(nbrs.iter().map(|&u| mapper.get_or_insert(u) as NodeId));
+            indices.extend_from_slice(nbrs);
         } else {
             rng.sample_without_replacement_into(nbrs.len(), fanout, picks);
-            indices.extend(
-                picks
-                    .iter()
-                    .map(|&k| mapper.get_or_insert(nbrs[k]) as NodeId),
-            );
+            indices.extend(picks.iter().map(|&k| nbrs[k]));
         }
         end.push(indices.len());
+    }
+    for i in 0..indices.len() {
+        if let Some(&ahead) = indices.get(i + MAPPER_AHEAD) {
+            mapper.prefetch(ahead);
+        }
+        indices[i] = mapper.get_or_insert(indices[i]);
     }
     Csr2::from_parts(start, end, indices)
 }

@@ -18,12 +18,18 @@
 //! * All randomness flows through the seedable [`rng::Rng`]
 //!   (xoshiro256++), so every experiment in the repo is reproducible from a
 //!   `--seed` flag. No global RNG, no `rand` dependency in hot paths.
-//! * One `unsafe` block, in `ops::dispatch`: the call into the AVX2-compiled
-//!   instance of the matmul tile body, guarded by
-//!   `is_x86_feature_detected!("avx2")` on the line before it. The callee is
-//!   safe Rust compiled with wider vectors; the only thing the block asserts
-//!   is that the CPU has them. Everything else is safe code whose bounds
-//!   checks are hoisted by slice-first loops.
+//! * Two `unsafe` blocks, the workspace's only ones outside tests
+//!   (`scripts/ci.sh` holds the count):
+//!   - `ops::dispatch`: the call into the AVX2-compiled instance of the
+//!     matmul tile body, guarded by `is_x86_feature_detected!("avx2")` on the
+//!     line before it. The callee is safe Rust compiled with wider vectors;
+//!     the only thing the block asserts is that the CPU has them.
+//!   - [`prefetch`]: one `_mm_prefetch` of an in-bounds element. A prefetch
+//!     is a hint — it cannot fault and changes no value — so the block
+//!     asserts nothing a caller could break.
+//!
+//!   Everything else is safe code whose bounds checks are hoisted by
+//!   slice-first loops.
 
 pub mod activation;
 pub mod matrix;
@@ -34,6 +40,24 @@ pub mod stats;
 
 pub use matrix::Matrix;
 pub use rng::Rng;
+
+/// Ask the CPU to start pulling `slice[i]`'s cache line into L1 while the
+/// caller works on something else — for loops whose next few addresses
+/// are known but would otherwise each be a dependent miss. A hint only:
+/// nothing happens when `i` is out of range or the target is not x86-64,
+/// and no value anywhere changes either way.
+#[inline(always)]
+pub fn prefetch<T>(slice: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(x) = slice.get(i) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `_mm_prefetch` never faults, whatever the address, and
+        // writes nothing; the pointer is in bounds besides.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((x as *const T).cast::<i8>()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slice, i);
+}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

@@ -14,6 +14,33 @@ if grep -Eq 'source = "(registry|git)' Cargo.lock; then
     exit 1
 fi
 
+# Outside test code the workspace's `unsafe` is two audited blocks in
+# fgnn-tensor (its crate doc says why each is sound): the AVX2 call in
+# `ops::dispatch` and the `_mm_prefetch` in `prefetch`. Any other `unsafe`
+# under crates/*/src fails here. Items behind `#[cfg(test)]` are skipped by
+# brace depth, and `//` comment lines are not code.
+unsafe_sites="$(find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip {
+        n = gsub(/\{/, "{"); m = gsub(/\}/, "}"); depth += n - m
+        if (n) opened = 1
+        if ((opened && depth <= 0) || (!opened && /;[[:space:]]*$/)) skip = 0
+        next
+    }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print FILENAME ": " $0 }
+')"
+unaudited="$(printf '%s\n' "$unsafe_sites" | grep -v \
+    -e '^crates/tensor/src/ops\.rs: *return unsafe { run_avx2(op) };$' \
+    -e '^crates/tensor/src/lib\.rs: *unsafe { _mm_prefetch::<_MM_HINT_T0>(' |
+    grep . || true)"
+if [ -n "$unaudited" ] || [ "$(printf '%s\n' "$unsafe_sites" | grep -c .)" -ne 2 ]; then
+    echo "ci: unsafe outside the two audited sites in fgnn-tensor:" >&2
+    printf '%s\n' "$unsafe_sites" >&2
+    exit 1
+fi
+
 cargo build --release --workspace
 cargo test -q --workspace
 

@@ -11,14 +11,19 @@
 mod common;
 
 use common::for_cases;
-use freshgnn_repro::core::cache::{gradient_policy, PolicyInput, PolicyKind, RingCache, Verdict};
+use freshgnn_repro::core::cache::{
+    gradient_policy, inverted_gradient_policy, PolicyInput, PolicyKind, RingCache, Verdict,
+};
 use freshgnn_repro::core::HistoricalCache;
-use freshgnn_repro::graph::sample::{split_batches, NeighborSampler};
-use freshgnn_repro::graph::{Csr, Csr2};
+use freshgnn_repro::graph::hetero::{HeteroGraph, HeteroSampler, Relation};
+use freshgnn_repro::graph::mapper::NodeMapper;
+use freshgnn_repro::graph::sample::{split_batches, NeighborSampler, FULL_NEIGHBORS};
+use freshgnn_repro::graph::{Csr, Csr2, NodeId};
 use freshgnn_repro::memsim::alltoall::{multi_round_alltoall, naive_alltoall, one_sided_alltoall};
 use freshgnn_repro::memsim::{Node, Topology};
 use freshgnn_repro::tensor::Matrix;
 use freshgnn_repro::tensor::{stats, Rng};
+use std::cell::Cell;
 
 fn random_edges(rng: &mut Rng, num_nodes: u32, max_edges: usize) -> Vec<(u32, u32)> {
     let n = rng.below(max_edges.max(1)) + 1;
@@ -406,4 +411,349 @@ fn alltoall_schedules_are_sane() {
         let o1 = one_sided_alltoall(&topo, &d1);
         assert!(o1 <= n1, "one-sided {o1} worse than two-sided naive {n1}");
     });
+}
+
+/// Today's one-pass `sample_adjacency` from before the two-phase
+/// prefetching rewrite, verbatim: the reference the samplers must equal.
+fn one_pass_adjacency(
+    graph: &Csr,
+    dst: &[NodeId],
+    fanout: usize,
+    mapper: &mut NodeMapper,
+    picks: &mut Vec<usize>,
+    rng: &mut Rng,
+) -> Csr2 {
+    let edges = dst.iter().map(|&d| graph.degree(d).min(fanout)).sum();
+    let mut start = Vec::with_capacity(dst.len());
+    let mut end = Vec::with_capacity(dst.len());
+    let mut indices = Vec::with_capacity(edges);
+    for &d in dst {
+        let nbrs = graph.neighbors(d);
+        start.push(indices.len());
+        if nbrs.len() <= fanout {
+            indices.extend(nbrs.iter().map(|&u| mapper.get_or_insert(u) as NodeId));
+        } else {
+            rng.sample_without_replacement_into(nbrs.len(), fanout, picks);
+            indices.extend(
+                picks
+                    .iter()
+                    .map(|&k| mapper.get_or_insert(nbrs[k]) as NodeId),
+            );
+        }
+        end.push(indices.len());
+    }
+    Csr2::from_parts(start, end, indices)
+}
+
+/// In-neighbour lists for `n_dst` destinations drawn from `0..n_src` with
+/// repeats (multi-edges, self-loops), each degree picked against `fanout`
+/// so that every sampler path occurs: isolated, under, equal to and over
+/// the fanout in both `sample_without_replacement_into` branches (shuffle
+/// up to `3 · fanout`, Floyd beyond).
+fn fanout_graph(rng: &mut Rng, n_dst: usize, n_src: usize, fanout: usize) -> Csr {
+    let mut indptr = vec![0];
+    let mut indices = Vec::new();
+    for _ in 0..n_dst {
+        let degree = match rng.below(5) {
+            0 => 0,
+            1 => rng.below(fanout),
+            2 => fanout,
+            3 => fanout + 1 + rng.below(2 * fanout),
+            _ => 3 * fanout + 1 + rng.below(20),
+        };
+        indices.extend((0..degree).map(|_| rng.below(n_src) as NodeId));
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(indptr, indices)
+}
+
+/// Per layer, the base fanout or (one time in four) `FULL_NEIGHBORS`.
+fn layer_fanouts(rng: &mut Rng, fanout: usize) -> Vec<usize> {
+    (0..rng.below(3) + 1)
+        .map(|_| {
+            if rng.below(4) == 0 {
+                FULL_NEIGHBORS
+            } else {
+                fanout
+            }
+        })
+        .collect()
+}
+
+/// Record which sampler paths `fanout` takes over `dst`: an isolated node,
+/// degree == fanout, the shuffle branch, Floyd's branch, `FULL_NEIGHBORS`
+/// on a node with neighbours.
+fn note_paths(seen: &Cell<[bool; 5]>, g: &Csr, dst: &[NodeId], fanout: usize) {
+    let mut s = seen.get();
+    for &d in dst {
+        let deg = g.degree(d);
+        s[0] |= deg == 0;
+        s[1] |= deg == fanout;
+        s[2] |= deg > fanout && deg <= fanout.saturating_mul(3);
+        s[3] |= deg > fanout.saturating_mul(3);
+        s[4] |= fanout == FULL_NEIGHBORS && deg > 0;
+    }
+    seen.set(s);
+}
+
+/// The two-phase prefetching sampler builds exactly the one-pass
+/// reference's blocks — `dst_global`, `src_global`, adjacency — from the
+/// same RNG draws, on every path (see [`fanout_graph`]) and for
+/// destination lists shorter than each prefetch distance. One sampler
+/// serves two batches, so the second runs over the first's mapper stamps.
+#[test]
+fn two_phase_sampler_equals_the_one_pass_reference() {
+    let seen = Cell::new([false; 5]);
+    for_cases("two_phase_sampler_equals_the_one_pass_reference", |rng| {
+        let n = rng.below(60) + 2;
+        let f = rng.below(6) + 1;
+        let g = fanout_graph(rng, n, n, f);
+        let mut sampler = NeighborSampler::new(n);
+        let mut mapper = NodeMapper::new(n);
+        let mut picks = Vec::new();
+        for _ in 0..2 {
+            let mut seeds: Vec<NodeId> = (0..n as NodeId).collect();
+            rng.shuffle(&mut seeds);
+            seeds.truncate(rng.below(n.min(24)) + 1);
+            let fanouts = layer_fanouts(rng, f);
+            let seed = rng.next_u64();
+            let (mut a, mut b) = (Rng::new(seed), Rng::new(seed));
+            let mb = sampler.sample(&g, &seeds, &fanouts, &mut a);
+            // `NeighborSampler::sample` around the reference.
+            let mut want: Vec<(Vec<NodeId>, Vec<NodeId>, Csr2)> = Vec::new();
+            for &fanout in fanouts.iter().rev() {
+                let dst = want.last().map_or(seeds.clone(), |blk| blk.1.clone());
+                mapper.reset();
+                for &d in &dst {
+                    mapper.get_or_insert(d);
+                }
+                let adj = one_pass_adjacency(&g, &dst, fanout, &mut mapper, &mut picks, &mut b);
+                note_paths(&seen, &g, &dst, fanout);
+                want.push((dst, mapper.globals().to_vec(), adj));
+            }
+            want.reverse();
+            assert_eq!(a.state(), b.state(), "the same draws");
+            assert_eq!(mb.blocks.len(), want.len());
+            for (block, (dst, src, adj)) in mb.blocks.iter().zip(&want) {
+                assert_eq!(&block.dst_global, dst);
+                assert_eq!(&block.src_global, src);
+                assert_eq!(&block.adj, adj);
+            }
+        }
+    });
+    assert_eq!(seen.get(), [true; 5], "every sampler path was taken");
+}
+
+/// The heterogeneous sampler shares the two-phase construction and equals
+/// the one-pass reference over random typed graphs (relations between any
+/// two types, a type with itself included).
+#[test]
+fn two_phase_hetero_sampler_equals_the_one_pass_reference() {
+    for_cases(
+        "two_phase_hetero_sampler_equals_the_one_pass_reference",
+        |rng| {
+            let n_types = rng.below(3) + 1;
+            let node_counts: Vec<usize> = (0..n_types).map(|_| rng.below(40) + 1).collect();
+            let f = rng.below(5) + 1;
+            let relations: Vec<Relation> = (0..rng.below(4) + 1)
+                .map(|_| {
+                    let (src_type, dst_type) = (rng.below(n_types), rng.below(n_types));
+                    let n_dst = node_counts[dst_type];
+                    Relation {
+                        name: "rel",
+                        src_type,
+                        dst_type,
+                        graph: fanout_graph(rng, n_dst, node_counts[src_type], f),
+                    }
+                })
+                .collect();
+            let graph = HeteroGraph {
+                type_names: vec!["type"; n_types],
+                node_counts,
+                relations,
+            };
+            let target = rng.below(n_types);
+            let mut seeds: Vec<NodeId> = (0..graph.node_counts[target] as NodeId).collect();
+            rng.shuffle(&mut seeds);
+            seeds.truncate(rng.below(seeds.len().min(12)) + 1);
+            let fanouts = layer_fanouts(rng, f);
+            let seed = rng.next_u64();
+            let (mut a, mut b) = (Rng::new(seed), Rng::new(seed));
+            let mb = HeteroSampler::new(&graph).sample(&graph, target, &seeds, &fanouts, &mut a);
+            // `HeteroSampler::sample` around the reference.
+            let mut mappers: Vec<NodeMapper> = graph
+                .node_counts
+                .iter()
+                .map(|&n| NodeMapper::new(n))
+                .collect();
+            let mut picks = Vec::new();
+            let mut dst: Vec<Vec<NodeId>> = vec![Vec::new(); n_types];
+            dst[target] = seeds.clone();
+            let mut want = Vec::new();
+            for &fanout in fanouts.iter().rev() {
+                for (t, mapper) in mappers.iter_mut().enumerate() {
+                    mapper.reset();
+                    for &d in &dst[t] {
+                        mapper.get_or_insert(d);
+                    }
+                }
+                let rel_adj: Vec<Csr2> = graph
+                    .relations
+                    .iter()
+                    .map(|rel| {
+                        one_pass_adjacency(
+                            &rel.graph,
+                            &dst[rel.dst_type],
+                            fanout,
+                            &mut mappers[rel.src_type],
+                            &mut picks,
+                            &mut b,
+                        )
+                    })
+                    .collect();
+                let src: Vec<Vec<NodeId>> = mappers.iter().map(|m| m.globals().to_vec()).collect();
+                want.push((dst, src.clone(), rel_adj));
+                dst = src;
+            }
+            want.reverse();
+            assert_eq!(a.state(), b.state(), "the same draws");
+            assert_eq!(mb.blocks.len(), want.len());
+            for (block, (dst, src, rel_adj)) in mb.blocks.iter().zip(&want) {
+                assert_eq!(&block.dst, dst);
+                assert_eq!(&block.src, src);
+                assert_eq!(&block.rel_adj, rel_adj);
+            }
+        },
+    );
+}
+
+/// Today's comparator ranking from before the packed-key sort, verbatim:
+/// the reference `gradient_policy` must equal position by position.
+fn comparator_gradient_policy(inputs: &[PolicyInput], p_grad: f32) -> Vec<(PolicyInput, Verdict)> {
+    if inputs.is_empty() {
+        return Vec::new();
+    }
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        inputs[a]
+            .grad_norm
+            .partial_cmp(&inputs[b].grad_norm)
+            .expect("NaN gradient norm")
+            .then(inputs[a].node.cmp(&inputs[b].node))
+    });
+    // Bottom p_grad fraction is stable.
+    let n_stable = ((inputs.len() as f64) * p_grad as f64).round() as usize;
+    let mut out = Vec::with_capacity(inputs.len());
+    for (rank, &i) in order.iter().enumerate() {
+        let x = inputs[i];
+        let stable = rank < n_stable;
+        let verdict = match (stable, x.was_cached) {
+            (true, false) => Verdict::Admit,
+            (true, true) => Verdict::Keep,
+            (false, true) => Verdict::Evict,
+            (false, false) => Verdict::Skip,
+        };
+        out.push((x, verdict));
+    }
+    out
+}
+
+/// Today's inverted combinator, over the comparator reference.
+fn comparator_inverted_policy(inputs: &[PolicyInput], p: f32) -> Vec<(PolicyInput, Verdict)> {
+    let flipped: Vec<PolicyInput> = inputs
+        .iter()
+        .map(|x| PolicyInput {
+            grad_norm: -x.grad_norm,
+            ..*x
+        })
+        .collect();
+    comparator_gradient_policy(&flipped, p)
+        .into_iter()
+        .map(|(x, v)| {
+            (
+                PolicyInput {
+                    grad_norm: -x.grad_norm,
+                    ..x
+                },
+                v,
+            )
+        })
+        .collect()
+}
+
+/// A norm that is often hard to rank: signed zeros, subnormals, infinities,
+/// the extremes, or one of two values shared by many nodes.
+fn awkward_norm(rng: &mut Rng) -> f32 {
+    const AWKWARD: [f32; 10] = [
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x007F_FFFF),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN_POSITIVE,
+        1.0,
+        2.5,
+    ];
+    match rng.below(3) {
+        0 => rng.uniform_range(-10.0, 10.0),
+        1 => AWKWARD[rng.below(AWKWARD.len())],
+        _ => -AWKWARD[rng.below(AWKWARD.len())],
+    }
+}
+
+/// The packed-key rank equals the comparator sort at every position — node,
+/// local, norm bits, verdict — for both directions, on tied norms, signed
+/// zeros (a `+0.0` norm is `-0.0` inside `inverted_gradient_policy`),
+/// subnormals and infinities, with node IDs spread over all of `u32`.
+#[test]
+fn packed_key_rank_equals_the_comparator_sort() {
+    for_cases("packed_key_rank_equals_the_comparator_sort", |rng| {
+        let n = rng.below(48);
+        // An odd stride is a bijection mod 2^32: distinct nodes.
+        let stride = rng.next_u64() as u32 | 1;
+        let offset = rng.next_u64() as u32;
+        let inputs: Vec<PolicyInput> = (0..n as u32)
+            .map(|i| PolicyInput {
+                node: i.wrapping_mul(stride).wrapping_add(offset),
+                local: rng.below(1000) as u32,
+                grad_norm: awkward_norm(rng),
+                was_cached: rng.below(2) == 1,
+            })
+            .collect();
+        let p = [0.0, 1.0, rng.uniform()][rng.below(3)];
+        let pairs = [
+            (
+                gradient_policy(&inputs, p),
+                comparator_gradient_policy(&inputs, p),
+            ),
+            (
+                inverted_gradient_policy(&inputs, p),
+                comparator_inverted_policy(&inputs, p),
+            ),
+        ];
+        for (got, want) in pairs {
+            assert_eq!(got.len(), want.len());
+            for (rank, ((x, v), (y, w))) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (x.node, x.local, x.grad_norm.to_bits(), x.was_cached, v),
+                    (y.node, y.local, y.grad_norm.to_bits(), y.was_cached, w),
+                    "rank {rank}"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+#[should_panic(expected = "NaN gradient norm")]
+fn a_nan_norm_still_panics() {
+    let input = |node, grad_norm| PolicyInput {
+        node,
+        local: node,
+        grad_norm,
+        was_cached: false,
+    };
+    gradient_policy(&[input(0, 1.0), input(1, f32::NAN)], 0.5);
 }
