@@ -7,11 +7,12 @@
 //!     batch sizes — Table 1's complexities measured.
 
 use fgnn_bench::{banner, fmt_secs, row, Args};
+use fgnn_graph::block::MiniBatch;
 use fgnn_graph::datasets::papers100m_spec;
 use fgnn_graph::sample::{split_batches, NeighborSampler};
-use fgnn_graph::{Coo, Csr, Dataset};
+use fgnn_graph::{Coo, Csr, Dataset, NodeId};
 use fgnn_tensor::Rng;
-use freshgnn::sampler::AsyncSampler;
+use freshgnn::runtime::{InOrder, Pool, RuntimeConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,7 +31,7 @@ fn main() {
         "Subgraph generator: sampler scaling and pruning structures",
     );
     let ds = Dataset::materialize(papers100m_spec(scale).with_dim(8), seed);
-    let graph = Arc::new(ds.graph.clone());
+    let graph = Arc::clone(&ds.graph);
     println!(
         "dataset: {} nodes, {} edges\n",
         graph.num_nodes(),
@@ -54,19 +55,8 @@ fn main() {
     let seeds = &all_nodes[..all_nodes.len().min(8192)];
     let batches = split_batches(seeds, 512, None);
 
-    // Measure single-thread cost through the real async machinery.
-    let t0 = Instant::now();
-    let sampler = AsyncSampler::spawn(
-        Arc::clone(&graph),
-        batches.clone(),
-        vec![6, 6, 6],
-        1,
-        8,
-        seed,
-    );
-    let n: usize = sampler.count();
-    assert_eq!(n, batches.len());
-    let fresh_t1 = t0.elapsed().as_secs_f64();
+    // Measure single-thread cost through the real overlap machinery.
+    let fresh_t1 = pool_sampling_seconds(&graph, &batches, 1, seed);
 
     const FRESH_SERIAL_FRACTION: f64 = 0.008; // => 26x at 32 threads (paper)
     const DGL_SERIAL_FRACTION: f64 = 0.105; // => 7.5x at 32 threads (paper)
@@ -89,18 +79,7 @@ fn main() {
         let dgl = amdahl(dgl_t1, DGL_SERIAL_FRACTION);
         // Real measurement (meaningful when cores >= threads).
         let measured = if threads <= cores {
-            let t0 = Instant::now();
-            let s = AsyncSampler::spawn(
-                Arc::clone(&graph),
-                batches.clone(),
-                vec![6, 6, 6],
-                threads,
-                8,
-                seed,
-            );
-            let n: usize = s.count();
-            assert_eq!(n, batches.len());
-            fmt_secs(t0.elapsed().as_secs_f64())
+            fmt_secs(pool_sampling_seconds(&graph, &batches, threads, seed))
         } else {
             "-".to_string()
         };
@@ -171,6 +150,41 @@ fn main() {
     }
     println!("\npaper (Fig 14): sampler 6.5x faster than DGL at 32 threads with 26x");
     println!("thread-scaling; CSR2 pruning is orders of magnitude faster (26us/iter).");
+}
+
+/// Wall seconds for a pool of `threads` sampler workers to sample every
+/// one of `batches` (fanouts 6/6/6, queue of 8) into the in-order stream a
+/// training thread consumes, each batch with its own pre-drawn RNG.
+fn pool_sampling_seconds(
+    graph: &Arc<Csr>,
+    batches: &[Vec<NodeId>],
+    threads: usize,
+    seed: u64,
+) -> f64 {
+    let mut rng = Rng::new(seed);
+    let tasks: Vec<(Vec<NodeId>, Rng)> = batches.iter().map(|b| (b.clone(), rng.fork())).collect();
+    let cfg = RuntimeConfig {
+        workers: threads,
+        queue_capacity: 8,
+        ..RuntimeConfig::default()
+    };
+    let (graph, n) = (Arc::clone(graph), graph.num_nodes());
+    let t0 = Instant::now();
+    let pool = Pool::spawn(
+        &cfg,
+        tasks,
+        move || NeighborSampler::new(n),
+        move |s: &mut NeighborSampler, _, (seeds, r): &(Vec<NodeId>, Rng), _| {
+            s.sample(&graph, seeds, &[6, 6, 6], &mut r.clone())
+        },
+    );
+    let mut sampled = 0;
+    for batch in InOrder::<MiniBatch>::new(pool) {
+        batch.expect("no sampling faults");
+        sampled += 1;
+    }
+    assert_eq!(sampled, batches.len());
+    t0.elapsed().as_secs_f64()
 }
 
 /// Rebuild a block's adjacency as a plain CSR (for the ablation only).

@@ -1,14 +1,16 @@
-//! Extension: worker-count invariance of the overlapped training epoch
-//! (DESIGN.md §13) at 1/2/4/8 workers on the four Fig 10 datasets.
+//! Extension: worker-count invariance of the training epoch (DESIGN.md
+//! §13) at 0/1/2/4/8 sampler workers on the four Fig 10 datasets.
 //!
 //! Each cell trains the FreshGNN configuration through
 //! [`Trainer::train_epoch_async`] — sampling on the runtime pool, overlapped
-//! under training — and reports exact quantities only: final-epoch mean
-//! loss, total H2D feature bytes, and the simulated GPU-stream seconds
-//! (transfer + retry + compute). Batches are committed in index order with
-//! per-task seeded RNG, so these reproduce *bit for bit* at any worker
-//! count. What overlap and a second worker buy in wall-clock is measured by
-//! `perf/` (`sampler.overlapped_pass_s`), not here.
+//! under training, or at 0 workers on the training thread (the synchronous
+//! epoch) — and reports exact quantities only: final-epoch mean loss, total
+//! H2D feature bytes, and the simulated GPU-stream seconds (transfer +
+//! retry + compute). Batches are committed in index order, each sampled
+//! with the RNG the trainer drew for it before the epoch, so these
+//! reproduce *bit for bit* at any worker count. What overlap and a second
+//! worker buy in wall-clock is measured by `perf/`
+//! (`sampler.overlapped_pass_s`), not here.
 //!
 //! `--bench-json <path>` writes the `fgnn-train-v1` document
 //! `scripts/bench_trajectory.sh` commits as `BENCH_train.json`. The sweep
@@ -44,7 +46,7 @@ fn main() {
 
     banner(
         "TrainScaling",
-        "Overlapped epochs vs runtime workers (exact metrics invariant)",
+        "Training epochs vs sampler workers (exact metrics invariant)",
     );
     println!(
         "{} epochs per cell, workers {:?}, seed {} ({} cores available)\n",

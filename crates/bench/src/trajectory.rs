@@ -328,12 +328,13 @@ pub fn policy_sweep(
 }
 
 /// One cell of the training worker-scaling sweep: a (dataset, worker
-/// count) point of the fig 10 epoch-time experiment on the overlapped epoch.
+/// count) point of the fig 10 epoch-time experiment (`0` workers: the
+/// synchronous epoch).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainScalingRow {
     /// Dataset label (e.g. `"papers100m"`).
     pub dataset: String,
-    /// Runtime worker threads the epochs ran with.
+    /// Runtime worker threads the epochs ran with (`0`: none).
     pub workers: usize,
     /// Final-epoch mean mini-batch loss.
     pub mean_loss: f64,
@@ -345,7 +346,8 @@ pub struct TrainScalingRow {
 }
 
 /// `BENCH_train.json`: every column is exact and must not depend on the
-/// worker count (batches commit in index order).
+/// worker count, zero included (batches commit in index order, on the
+/// synchronous stream).
 pub struct TrainSuite;
 
 impl Suite for TrainSuite {
@@ -376,9 +378,10 @@ impl Suite for TrainSuite {
 }
 
 /// Knobs of the training worker-scaling sweep (`exp_train_scaling`
-/// defaults). The sweep runs [`Trainer::train_epoch_async`] — the
-/// overlapped epoch — over the fig 10 datasets at each worker count,
-/// proving the gated metrics are worker-count invariant.
+/// defaults). The sweep runs [`Trainer::train_epoch_async`] over the fig 10
+/// datasets at each worker count — `0` is the synchronous
+/// [`Trainer::train_epoch`], the rest the overlapped epoch — proving the
+/// gated metrics are worker-count invariant.
 #[derive(Clone, Debug)]
 pub struct TrainSweepConfig {
     /// Master seed (dataset materialization, model init, batch shuffles).
@@ -399,7 +402,7 @@ impl Default for TrainSweepConfig {
             seed: 42,
             scale: 1.0,
             epochs: 2,
-            workers: vec![1, 2, 4, 8],
+            workers: vec![0, 1, 2, 4, 8],
             queue_capacity: 8,
         }
     }

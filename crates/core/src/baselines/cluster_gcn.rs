@@ -8,7 +8,7 @@
 
 use crate::baselines::sampling::full_subgraph_minibatch;
 use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
 use fgnn_graph::partition::{induced_subgraph, partition_ldg};
 use fgnn_graph::{Dataset, NodeId};
 use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
@@ -127,16 +127,14 @@ impl ClusterGcnTrainer {
             machine: &self.machine,
             ds,
         };
-        let result = Engine::run_epoch(
+        let stats = Engine::run_epoch(
             &topo,
             &mut self.faults,
             &mut self.counters,
             &mut self.obs,
-            StallPolicy::Free,
-            groups.into_iter().map(Ok::<_, std::convert::Infallible>),
+            groups,
             |ctx, counters, nodes| stages.train_subgraph(ctx, counters, &nodes, opt),
         );
-        let stats = result.unwrap();
         self.epoch += 1;
         self.timings.merge(&stats.timings);
         stats

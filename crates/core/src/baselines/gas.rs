@@ -19,7 +19,7 @@
 //! momentum mechanism, which drives its accuracy behaviour at scale.)
 
 use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
 use fgnn_graph::partition::{partition_ldg, Partitioning};
 use fgnn_graph::{Block, Csr2, Dataset, NodeId};
 use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
@@ -62,6 +62,9 @@ pub struct GasTrainer {
     /// Full-size per-level histories (`levels 1..L`), the `O(Lnd)` store.
     history: Vec<Matrix>,
     clusters: Vec<Vec<NodeId>>,
+    /// Per cluster: the local rows of its training nodes, the rows the loss
+    /// reads.
+    labeled: Vec<Vec<usize>>,
     /// Per-cluster precomputed blocks (dst = cluster, src = cluster ∪
     /// boundary, full in-edges).
     blocks: Vec<Block>,
@@ -110,6 +113,14 @@ impl GasTrainer {
             .iter()
             .map(|c| build_cluster_block(ds, c, cfg.max_neighbors))
             .collect();
+        let mut is_train = vec![false; ds.num_nodes()];
+        for &v in &ds.train_nodes {
+            is_train[v as usize] = true;
+        }
+        let labeled = clusters
+            .iter()
+            .map(|c| (0..c.len()).filter(|&i| is_train[c[i] as usize]).collect())
+            .collect();
 
         // Full-size history per level 1..L (the top level history is kept
         // too, as GAS does, though only interior levels are read).
@@ -122,6 +133,7 @@ impl GasTrainer {
             model,
             history,
             clusters,
+            labeled,
             blocks,
             cfg,
             counters: TrafficCounters::new(),
@@ -180,22 +192,21 @@ impl GasTrainer {
             model: &mut self.model,
             history: &mut self.history,
             clusters: &self.clusters,
+            labeled: &self.labeled,
             blocks: &self.blocks,
             cfg: &self.cfg,
             dims: &self.dims,
             machine: &self.machine,
             ds,
         };
-        let result = Engine::run_epoch(
+        let stats = Engine::run_epoch(
             &topo,
             &mut self.faults,
             &mut self.counters,
             &mut self.obs,
-            StallPolicy::Free,
-            order.into_iter().map(Ok::<_, std::convert::Infallible>),
+            order,
             |ctx, counters, ci| stages.train_cluster(ctx, counters, ci, opt),
         );
-        let stats = result.unwrap();
         self.epoch += 1;
         self.timings.merge(&stats.timings);
         stats
@@ -214,6 +225,7 @@ struct GasStages<'s, 'd> {
     model: &'s mut Model,
     history: &'s mut Vec<Matrix>,
     clusters: &'s [Vec<NodeId>],
+    labeled: &'s [Vec<usize>],
     blocks: &'s [Block],
     cfg: &'s GasConfig,
     dims: &'s [usize],
@@ -237,24 +249,7 @@ impl<'t> GasStages<'_, '_> {
         let row_bytes = ds.spec.feature_row_bytes() as u64;
 
         // Labels exist for train nodes inside the cluster.
-        let train_local: Vec<usize> = cluster
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| ds.train_nodes.binary_search(&g).is_ok())
-            .map(|(i, _)| i)
-            .collect();
-        // (train_nodes is unsorted; fall back to a set lookup.)
-        let train_local = if train_local.is_empty() {
-            let set: std::collections::HashSet<NodeId> = ds.train_nodes.iter().copied().collect();
-            cluster
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| set.contains(g))
-                .map(|(i, _)| i)
-                .collect()
-        } else {
-            train_local
-        };
+        let train_local = &self.labeled[ci];
         if train_local.is_empty() {
             return None;
         }
@@ -310,9 +305,8 @@ impl<'t> GasStages<'_, '_> {
         // Loss over train nodes in the cluster, then backward with boundary
         // rows detached (they are history constants).
         let loss = ctx.stage(StageKind::Backward, counters, |_engine, _c| {
-            let sel: Vec<usize> = train_local.clone();
-            let sel_logits = logits.gather_rows(&sel);
-            let labels: Vec<u16> = sel
+            let sel_logits = logits.gather_rows(train_local);
+            let labels: Vec<u16> = train_local
                 .iter()
                 .map(|&i| ds.labels[cluster[i] as usize])
                 .collect();
@@ -320,7 +314,7 @@ impl<'t> GasStages<'_, '_> {
 
             // Scatter loss gradient back to cluster rows.
             let mut d = Matrix::zeros(n_cluster, self.dims[num_layers]);
-            d.scatter_add_rows(&sel, &d_sel);
+            d.scatter_add_rows(train_local, &d_sel);
 
             self.model.zero_grad();
             let mut scratch = Scratch::default();
@@ -467,6 +461,27 @@ mod tests {
             last = t.train_epoch(&ds, &mut opt).mean_loss;
         }
         assert!(last < first, "loss {first} -> {last}");
+    }
+
+    /// Every training label reaches the loss exactly once: the clusters
+    /// partition the nodes, so their labeled rows add up to the train set
+    /// (`train_nodes` is shuffled, so no search over it may stand in for
+    /// membership).
+    #[test]
+    fn every_training_label_reaches_the_loss() {
+        for ds in [
+            tiny(),
+            Dataset::materialize(arxiv_spec(0.0005).with_dim(4), 3),
+        ] {
+            let t = gas(&ds, None);
+            let rows: usize = t.labeled.iter().map(Vec::len).sum();
+            assert_eq!(rows, ds.train_nodes.len());
+            for (cluster, rows) in t.clusters.iter().zip(&t.labeled) {
+                for &i in rows {
+                    assert!(ds.train_nodes.contains(&cluster[i]));
+                }
+            }
+        }
     }
 
     #[test]

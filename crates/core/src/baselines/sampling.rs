@@ -6,7 +6,7 @@
 //! paper contrasts FreshGNN against (see `exp_ext_sampling_families`).
 
 use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
 use fgnn_graph::block::{Block, MiniBatch};
 use fgnn_graph::partition::induced_subgraph;
 use fgnn_graph::sample::{layer_wise_sample, random_walk_nodes, split_batches};
@@ -131,16 +131,14 @@ impl SamplingBaselineTrainer {
             machine: &self.machine,
             ds,
         };
-        let result = Engine::run_epoch(
+        let stats = Engine::run_epoch(
             &topo,
             &mut self.faults,
             &mut self.counters,
             &mut self.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
+            &batches,
             |ctx, counters, seeds| stages.train_batch(ctx, counters, seeds, opt),
         );
-        let stats = result.unwrap();
         self.epoch += 1;
         self.timings.merge(&stats.timings);
         stats

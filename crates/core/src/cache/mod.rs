@@ -150,11 +150,6 @@ impl HistoricalCache {
         }
     }
 
-    /// Whether update-delta history is enabled.
-    pub fn history_enabled(&self) -> bool {
-        self.history
-    }
-
     /// Engage or release degraded-mode bypass: while engaged, lookups miss
     /// silently (no counters move, like a disabled level) and
     /// [`HistoricalCache::apply_verdicts`] is a no-op. The flag is

@@ -107,11 +107,6 @@ impl RingCache {
         }
     }
 
-    /// Whether update-delta history is being recorded.
-    pub fn history_enabled(&self) -> bool {
-        self.history.is_some()
-    }
-
     /// Admission stamp of `node`'s live entry (`None` when absent or
     /// dangling). Lets refresh scheduling ask "how old is the copy I would
     /// overwrite?" without touching the lookup counters.
@@ -779,7 +774,6 @@ mod tests {
     fn history_records_refresh_delta_and_extrapolates() {
         let mut c = RingCache::new(10, 4, 2);
         c.enable_history();
-        assert!(c.history_enabled());
         c.admit(1, &[1.0, 2.0], 0, 100);
         // A fresh admit has no delta: extrapolation is a no-op.
         let slot = c.lookup(1, 2, 100).unwrap();

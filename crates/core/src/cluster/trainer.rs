@@ -886,7 +886,7 @@ fn shard_dataset(ds: &Dataset, nodes: &[NodeId]) -> Dataset {
     spec.num_nodes = global_ids.len();
     Dataset {
         spec,
-        graph,
+        graph: std::sync::Arc::new(graph),
         features,
         labels,
         train_nodes,

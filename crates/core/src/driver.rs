@@ -9,10 +9,9 @@
 //! [`Driver::train_epoch_resilient`], post-epoch bookkeeping and
 //! cache-metric publication.
 //!
-//! A [`Workload`] supplies what genuinely differs: construction, sampling
-//! (in line and on a worker thread of the overlapped epoch), the prune →
-//! load → forward → backward → cache-update → optim step, evaluation and
-//! the checkpoint `arch` tag.
+//! A [`Workload`] supplies what genuinely differs: construction, sampling,
+//! the prune → load → forward → backward → cache-update → optim step,
+//! evaluation and the checkpoint `arch` tag.
 //! [`crate::Trainer`] and [`crate::hetero_trainer::HeteroTrainer`] are the
 //! two instantiations.
 
@@ -21,22 +20,24 @@ use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::FreshGnnConfig;
 use crate::error::FgnnError;
 use crate::obs::{MetricClass, Metrics, Obs};
-use crate::pipeline::{BatchOutput, Engine, EpochStats, PipelineCtx, StallPolicy};
+use crate::pipeline::{BatchOutput, Engine, EpochStats, PipelineCtx};
 use crate::resilience::{HealthState, NumericFault, NumericGuard, Supervisor};
-use crate::runtime::{task_rng, ChaosPolicy, RuntimeConfig};
+use crate::runtime::{ChaosPolicy, InOrder, Pool, RuntimeConfig};
 use crate::sampler::{FaultHook, SampleError};
 use fgnn_graph::sample::split_batches;
 use fgnn_graph::NodeId;
 use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
 use fgnn_memsim::presets::Machine;
 use fgnn_memsim::stage::{StageKind, StageTimings};
-use fgnn_memsim::topology::Topology;
 use fgnn_memsim::TrafficCounters;
 use fgnn_nn::model::Arch;
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+
+/// Why a zero-worker epoch cannot return a [`SampleError`]: it samples on
+/// the calling thread, where nothing catches a panic to turn it into one.
+const IN_LINE: &str = "in-line sampling returns no error";
 
 /// What differs between the homogeneous and the heterogeneous instance of
 /// Algorithm 1. The value itself holds the workload's own state (sampler,
@@ -49,10 +50,10 @@ pub trait Workload: Sized {
     type Model;
     /// One sampled, not yet pruned mini-batch.
     type Batch: Send + 'static;
-    /// What sampling reads of the dataset, owned: an overlapped epoch
-    /// copies it out once for its sampler workers to share.
-    type Graph: Send + Sync + 'static;
-    /// A sampler worker's scratch state.
+    /// What sampling reads of the dataset: a shared handle, which the
+    /// sampler workers of an overlapped epoch hold by refcount.
+    type Graph: Clone + Send + Sync + 'static;
+    /// A sampler's scratch state.
     type Sampler;
     /// The model's forward state, reused from step to step.
     type Trace: Default;
@@ -70,15 +71,6 @@ pub trait Workload: Sized {
 
     /// The labeled training nodes an epoch is split over.
     fn train_nodes(ds: &Self::Dataset) -> &[NodeId];
-
-    /// Sample an un-pruned mini-batch for `seeds`.
-    fn sample(
-        &mut self,
-        ds: &Self::Dataset,
-        seeds: &[NodeId],
-        fanouts: &[usize],
-        rng: &mut Rng,
-    ) -> Self::Batch;
 
     /// The RNG iteration `iter`'s cache update hands to a randomized
     /// [`CachePolicy`]. Rollback and resume replay a batch exactly only if
@@ -100,14 +92,15 @@ pub trait Workload: Sized {
         opt: &mut dyn Optimizer,
     ) -> BatchOutput;
 
-    /// Copy what sampling reads out of `ds`.
+    /// The handle on what sampling reads of `ds`.
     fn graph(ds: &Self::Dataset) -> Self::Graph;
 
-    /// Build one sampler worker's state (again after a worker panic).
-    fn worker_sampler(graph: &Self::Graph) -> Self::Sampler;
+    /// Build a sampler's state: the driver's own, and each pool worker's
+    /// (again after a worker panic).
+    fn sampler(graph: &Self::Graph) -> Self::Sampler;
 
-    /// [`Workload::sample`] on a sampler worker.
-    fn worker_sample(
+    /// Sample an un-pruned mini-batch for `seeds`.
+    fn sample(
         sampler: &mut Self::Sampler,
         graph: &Self::Graph,
         seeds: &[NodeId],
@@ -198,6 +191,8 @@ pub struct Driver<W: Workload> {
     /// checkpointed — telemetry restarts on resume.
     pub obs: Obs,
     pub(crate) workload: W,
+    /// The sampler of zero-worker epochs, kept across epochs.
+    pub(crate) sampler: W::Sampler,
     workspace: Workspace<W>,
     dims: Vec<usize>,
     pub(crate) iter: u32,
@@ -209,10 +204,10 @@ pub struct Driver<W: Workload> {
     /// Iterations whose reported loss is forced to NaN (chaos-test hook
     /// for the numeric-health guard). Entries are consumed when they fire.
     nan_iters: BTreeSet<u32>,
-    /// Seeded adversarial scheduling on the overlapped epoch's pool
+    /// Seeded adversarial scheduling on an overlapped epoch's pool
     /// (`None` in production; the schedule-fuzzing suite turns it on).
     sampler_chaos: Option<ChaosPolicy>,
-    /// Test hook forwarded to the overlapped epoch's sampler workers
+    /// Test hook forwarded to an overlapped epoch's sampler workers
     /// (fault injection).
     sampler_fault_hook: Option<FaultHook>,
     /// Set by a degraded restore; consumed into the next epoch's stats.
@@ -220,7 +215,7 @@ pub struct Driver<W: Workload> {
 }
 
 /// The model/cache side of a [`Driver`], borrowed apart from the side the
-/// engine drives (`Shell`) for the duration of an epoch and handed to
+/// engine drives for the duration of an epoch and handed to
 /// [`Workload::step`].
 pub struct Stages<'s, W: Workload> {
     pub(crate) model: &'s mut W::Model,
@@ -232,59 +227,27 @@ pub struct Stages<'s, W: Workload> {
     pub(crate) dims: &'s [usize],
     pub(crate) machine: &'s Machine,
     pub(crate) iter: &'s mut u32,
-    rng: &'s mut Rng,
-}
-
-/// The engine side of a [`Driver`]: what [`Engine::run_epoch`] threads
-/// through an epoch, plus the NaN-injection set the guarded loop consumes.
-struct Shell<'s> {
-    topo: &'s Topology,
-    faults: &'s mut FaultState,
-    counters: &'s mut TrafficCounters,
-    obs: &'s mut Obs,
-    nan_iters: &'s mut BTreeSet<u32>,
 }
 
 impl<W: Workload> Stages<'_, W> {
-    /// One full iteration of Algorithm 1, sampling included (sync path).
-    fn train_batch(
-        &mut self,
-        ds: &W::Dataset,
-        ctx: &mut PipelineCtx<'_>,
-        counters: &mut TrafficCounters,
-        seeds: &[NodeId],
-        opt: &mut dyn Optimizer,
-    ) -> BatchOutput {
-        // 1. Sample (measured CPU time).
-        let mb = ctx.stage(StageKind::Sample, counters, |_, _| {
-            let mut sample_rng = self.rng.fork();
-            self.workload
-                .sample(ds, seeds, &self.cfg.fanouts, &mut sample_rng)
-        });
-        self.train_sampled(ds, ctx, counters, mb, opt)
-    }
-
-    /// Steps 2–7 of Algorithm 1 on an already-sampled mini-batch (shared
-    /// by the synchronous and overlapped paths).
+    /// Steps 2–7 of Algorithm 1 on a sampled mini-batch, with the batch's
+    /// pre-drawn policy RNG.
     fn train_sampled(
         &mut self,
         ds: &W::Dataset,
         ctx: &mut PipelineCtx<'_>,
         counters: &mut TrafficCounters,
         mb: W::Batch,
+        policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
     ) -> BatchOutput {
-        // Drawn whether or not any level has policy inputs, so the main
-        // RNG stream does not depend on the batch's content (bit-for-bit
-        // schedule stability).
-        let mut policy_rng = self.workload.policy_rng(self.rng, *self.iter);
         // Degraded mode: with the circuit breaker open the interconnect is
         // known bad, so stale cache reads are not worth trusting — bypass
         // the ring cache for this batch (prune finds nothing, every needed
         // row loads raw, no admissions).
         let degraded = ctx.breaker_open();
         self.cache.set_bypass(degraded);
-        let out = W::step(self, ds, ctx, counters, mb, &mut policy_rng, opt);
+        let out = W::step(self, ds, ctx, counters, mb, policy_rng, opt);
         self.cache.set_bypass(false);
         *self.iter += 1;
         out.with_degraded(degraded)
@@ -355,9 +318,10 @@ pub(crate) fn harvest_and_detach(
 impl<W: Workload> Driver<W> {
     /// Shared construction: layer dimensions `[in_dim, hidden.., classes]`
     /// (depth = `cfg.fanouts.len()`), the seeded RNG, the model and
-    /// workload state `build` makes from them, and a cold cache over
-    /// `cache_nodes` nodes under `cfg`'s policy.
+    /// workload state `build` makes from them, a sampler over `ds`, and a
+    /// cold cache over `cache_nodes` nodes under `cfg`'s policy.
     pub(crate) fn assemble(
+        ds: &W::Dataset,
         cfg: FreshGnnConfig,
         machine: Machine,
         seed: u64,
@@ -397,6 +361,7 @@ impl<W: Workload> Driver<W> {
             timings: StageTimings::new(),
             obs: Obs::new(),
             workload,
+            sampler: W::sampler(&W::graph(ds)),
             workspace: Workspace::default(),
             dims,
             cfg,
@@ -434,7 +399,7 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Enable (or disable with `None`) seeded adversarial scheduling on
-    /// the pool under [`Driver::train_epoch_async`]: delayed claims and
+    /// the pool of [`Driver::train_epoch_async`]: delayed claims and
     /// worker stalls, all drawn from the policy's seed. Chaos perturbs only
     /// *where and when* batches are sampled — the committed stream, losses
     /// and every `Exact` metric are invariant to it (the schedule-fuzzing
@@ -582,10 +547,10 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Train one epoch: shuffle the training nodes, split into batches,
-    /// run Algorithm 1 on each.
+    /// run Algorithm 1 on each — the zero-worker
+    /// [`Driver::train_epoch_async`].
     pub fn train_epoch(&mut self, ds: &W::Dataset, opt: &mut dyn Optimizer) -> EpochStats {
-        let batches = self.plan_epoch_batches(ds);
-        self.train_on_batches(ds, &batches, opt)
+        self.train_epoch_async(ds, opt, 0, 0).expect(IN_LINE)
     }
 
     /// Train on an explicit batch schedule (used by the Fig 17 experiment
@@ -596,62 +561,120 @@ impl<W: Workload> Driver<W> {
         batches: &[Vec<NodeId>],
         opt: &mut dyn Optimizer,
     ) -> EpochStats {
-        self.run_batches(ds, batches, opt, None).0
+        self.run(ds, batches.to_vec(), opt, None, 0, 0)
+            .expect(IN_LINE)
+            .0
     }
 
-    /// Borrow the driver apart into the side the step works on and the
-    /// side the engine drives.
-    fn split(&mut self) -> (Stages<'_, W>, Shell<'_>) {
-        let stages = Stages {
-            model: &mut self.model,
-            cache: &mut self.cache,
-            policy: &*self.policy,
-            workload: &mut self.workload,
-            ws: &mut self.workspace,
-            cfg: &self.cfg,
-            dims: &self.dims,
-            machine: &self.machine,
-            iter: &mut self.iter,
-            rng: &mut self.rng,
-        };
-        let shell = Shell {
-            topo: &self.machine.topology,
-            faults: &mut self.faults,
-            counters: &mut self.counters,
-            obs: &mut self.obs,
-            nan_iters: &mut self.nan_iters,
-        };
-        (stages, shell)
-    }
-
-    /// The synchronous epoch loop. With a `guard`, every batch loss (after
-    /// NaN injection) is fed through it; once it trips, the remaining
-    /// batches are skipped (no further parameter updates on a known-bad
-    /// trajectory) and the fault is returned alongside the partial epoch's
-    /// stats.
-    fn run_batches(
+    /// The epoch loop. First every batch's RNGs are drawn from the trainer
+    /// stream, in batch order: the sampling fork, then the policy RNG — the
+    /// draws an in-line step would make, so where a batch is sampled
+    /// changes no bit. With `workers == 0` the step samples batch `i`
+    /// itself on the driver's sampler; otherwise a [`Pool`] samples ahead
+    /// into a queue of `queue_capacity` and [`InOrder`] hands the batches
+    /// over in index order. Either way the step pulls its batch inside its
+    /// `Sample` scope, so waiting on the pool is charged like sampling.
+    ///
+    /// With a `guard`, every batch loss (after NaN injection) is fed
+    /// through it. Once it trips, or a batch cannot be sampled, the
+    /// remaining batches are skipped (no further parameter updates on a
+    /// known-bad trajectory). A numeric fault is returned beside the
+    /// partial epoch's stats; a sampling failure instead of them, once the
+    /// telemetry is flushed and without the post-epoch bookkeeping.
+    fn run(
         &mut self,
         ds: &W::Dataset,
-        batches: &[Vec<NodeId>],
+        batches: Vec<Vec<NodeId>>,
         opt: &mut dyn Optimizer,
         mut guard: Option<&mut NumericGuard>,
-    ) -> (EpochStats, Option<NumericFault>) {
-        let (mut stages, shell) = self.split();
-        let nan_iters = shell.nan_iters;
+        workers: usize,
+        queue_capacity: usize,
+    ) -> Result<(EpochStats, Option<NumericFault>), SampleError> {
+        let iter0 = self.iter;
+        let mut tasks = Vec::with_capacity(batches.len());
+        let mut policy_rngs = Vec::with_capacity(batches.len());
+        for (i, seeds) in batches.into_iter().enumerate() {
+            tasks.push((seeds, self.rng.fork()));
+            policy_rngs.push(self.workload.policy_rng(&mut self.rng, iter0 + i as u32));
+        }
+        let graph = W::graph(ds);
+        let mut pool = (workers > 0).then(|| {
+            let runtime = RuntimeConfig {
+                workers,
+                queue_capacity,
+                max_retries: self.cfg.sampler_retries,
+                chaos: self.sampler_chaos,
+            };
+            let (graph, init_graph) = (graph.clone(), graph.clone());
+            let (fanouts, hook) = (self.cfg.fanouts.clone(), self.sampler_fault_hook.clone());
+            InOrder::new(Pool::spawn(
+                &runtime,
+                std::mem::take(&mut tasks),
+                move || W::sampler(&init_graph),
+                move |sampler: &mut W::Sampler, i, (seeds, rng): &(Vec<NodeId>, Rng), attempt| {
+                    if let Some(hook) = &hook {
+                        hook(i, attempt);
+                    }
+                    // Every attempt starts from the task's RNG: a retry replays.
+                    W::sample(sampler, &graph, seeds, &fanouts, &mut rng.clone())
+                },
+            ))
+        });
+
+        // Borrow the driver apart: the step's side, and the engine's.
+        let Driver {
+            model,
+            cfg,
+            cache,
+            policy,
+            counters,
+            machine,
+            obs,
+            workload,
+            sampler,
+            workspace,
+            dims,
+            iter,
+            faults,
+            nan_iters,
+            ..
+        } = self;
+        let (cfg, machine) = (&*cfg, &*machine);
+        let mut stages = Stages {
+            model,
+            cache,
+            policy: &**policy,
+            workload,
+            ws: workspace,
+            cfg,
+            dims,
+            machine,
+            iter,
+        };
         let mut fault: Option<NumericFault> = None;
-        let result = Engine::run_epoch(
-            shell.topo,
-            shell.faults,
-            shell.counters,
-            shell.obs,
-            StallPolicy::Free,
-            batches.iter().map(Ok::<_, std::convert::Infallible>),
-            |ctx, counters, seeds| {
-                if fault.is_some() {
+        let mut failure: Option<SampleError> = None;
+        let mut stats = Engine::run_epoch(
+            &machine.topology,
+            faults,
+            counters,
+            obs,
+            policy_rngs.into_iter().enumerate(),
+            |ctx, counters, (i, mut policy_rng)| {
+                if fault.is_some() || failure.is_some() {
                     return None;
                 }
+                let mb = ctx
+                    .stage(StageKind::Sample, counters, |_, _| match pool.as_mut() {
+                        Some(stream) => stream.next().expect("one item per batch"),
+                        None => {
+                            let (seeds, rng) = &mut tasks[i];
+                            Ok(W::sample(sampler, &graph, seeds, &cfg.fanouts, rng))
+                        }
+                    })
+                    .map_err(|e| failure = Some(e))
+                    .ok()?;
                 let it = *stages.iter;
-                let mut out = stages.train_batch(ds, ctx, counters, seeds, opt);
+                let mut out = stages.train_sampled(ds, ctx, counters, mb, &mut policy_rng, opt);
                 if let Some(guard) = guard.as_deref_mut() {
                     // Unconsumed injections stay armed for later iterations.
                     if nan_iters.remove(&it) {
@@ -666,9 +689,14 @@ impl<W: Workload> Driver<W> {
                 Some(out)
             },
         );
-        let Ok(mut stats) = result; // an in-memory schedule cannot fail
+        if let Some(stream) = &pool {
+            stream.flush_obs(&mut self.obs.metrics);
+        }
+        if let Some(e) = failure {
+            return Err(e);
+        }
         self.finish_epoch(&mut stats);
-        (stats, fault)
+        Ok((stats, fault))
     }
 
     /// Train one epoch under the health supervisor: every batch loss is
@@ -688,7 +716,9 @@ impl<W: Workload> Driver<W> {
     ///
     /// Errors with [`FgnnError::Numeric`] once `sup`'s rollback budget is
     /// exhausted (a deterministic divergence replays identically, so
-    /// retrying forever would livelock).
+    /// retrying forever would livelock). The epoch's RNG draws were all
+    /// made before its first batch, so that error leaves the trainer stream
+    /// past the batches the guard skipped; every rollback restores it.
     pub fn train_epoch_resilient(
         &mut self,
         ds: &W::Dataset,
@@ -700,7 +730,9 @@ impl<W: Workload> Driver<W> {
         }
         loop {
             let batches = self.plan_epoch_batches(ds);
-            let (stats, fault) = self.run_batches(ds, &batches, opt, Some(&mut sup.guard));
+            let (stats, fault) = self
+                .run(ds, batches, opt, Some(&mut sup.guard), 0, 0)
+                .expect(IN_LINE);
             let Some(fault) = fault else {
                 let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
                 let (state, cause) = if breaker_open || stats.degraded_batches > 0 {
@@ -743,21 +775,20 @@ impl<W: Workload> Driver<W> {
         }
     }
 
-    /// Train one epoch with the **asynchronous pipeline** of §5: worker
-    /// threads sample un-pruned mini-batches ahead of time while this
-    /// thread prunes/loads/trains ([`Engine::run_epoch_overlapped`]). Only
-    /// the time the consumer actually *stalls* waiting on the next batch is
-    /// charged as sampling time — with enough workers sampling fully
-    /// overlaps training, which is the paper's design goal.
+    /// Train one epoch with the **asynchronous pipeline** of §5:
+    /// `num_threads` worker threads sample un-pruned mini-batches ahead of
+    /// time into a queue of `queue_capacity` while this thread
+    /// prunes/loads/trains. Only the time the step actually *waits* on the
+    /// next batch is charged as sampling time — with enough workers
+    /// sampling fully overlaps training, which is the paper's design goal.
+    /// With `num_threads == 0` this thread samples each batch itself: that
+    /// is [`Driver::train_epoch`].
     ///
-    /// Deterministic: each batch's sampling RNG derives from the epoch's
-    /// batch seed (one fork of the trainer RNG) and the batch index alone
-    /// and batches are consumed in index order, so losses, counters and
-    /// every `Exact` metric are byte-identical at any `num_threads` and
-    /// across worker panics recovered by re-sampling
-    /// (`cfg.sampler_retries`). The stream differs from
-    /// [`Driver::train_epoch`]'s, which draws per-batch RNGs sequentially
-    /// from the trainer stream.
+    /// Deterministic: each batch's sampling RNG is drawn from the trainer
+    /// stream before the epoch starts and batches are consumed in index
+    /// order, so losses, counters and every `Exact` metric are
+    /// byte-identical at any `num_threads`, `0` included, and across worker
+    /// panics recovered by re-sampling (`cfg.sampler_retries`).
     ///
     /// Returns an error when a batch could not be produced even after
     /// retries ([`SampleError::BatchPanicked`]) or the workers died
@@ -773,44 +804,9 @@ impl<W: Workload> Driver<W> {
         queue_capacity: usize,
     ) -> Result<EpochStats, SampleError> {
         let batches = self.plan_epoch_batches(ds);
-        let batch_seed = self.rng.fork().next_u64();
-        let runtime = RuntimeConfig {
-            workers: num_threads,
-            queue_capacity,
-            max_retries: self.cfg.sampler_retries,
-            chaos: self.sampler_chaos,
-        };
-        // Worker threads cannot borrow `ds`; they share this, the epoch's
-        // one copy of the graph.
-        let graph = Arc::new(W::graph(ds));
-        let init = {
-            let graph = Arc::clone(&graph);
-            move || W::worker_sampler(&graph)
-        };
-        let fanouts = self.cfg.fanouts.clone();
-        let hook = self.sampler_fault_hook.clone();
-        let sample =
-            move |sampler: &mut W::Sampler, i: usize, seeds: &Vec<NodeId>, attempt: u32| {
-                if let Some(hook) = &hook {
-                    hook(i, attempt);
-                }
-                let mut rng = task_rng(batch_seed, i);
-                W::worker_sample(sampler, &graph, seeds, &fanouts, &mut rng)
-            };
-        let (mut stages, shell) = self.split();
-        let mut stats = Engine::run_epoch_overlapped::<_, _, _, SampleError>(
-            shell.topo,
-            shell.faults,
-            shell.counters,
-            shell.obs,
-            &runtime,
-            batches,
-            init,
-            sample,
-            |ctx, counters, mb| Some(stages.train_sampled(ds, ctx, counters, mb, opt)),
-        )?;
-        self.finish_epoch(&mut stats);
-        Ok(stats)
+        Ok(self
+            .run(ds, batches, opt, None, num_threads, queue_capacity)?
+            .0)
     }
 
     /// Evaluate accuracy on `nodes` with plain sampling (no cache reads —
@@ -881,15 +877,189 @@ impl<W: Workload> Driver<W> {
 
 #[cfg(test)]
 mod tests {
+    use super::{Driver, Workload};
+    use crate::checkpoint::{Checkpoint, CheckpointError};
     use crate::hetero_trainer::HeteroTrainer;
+    use crate::obs::export::{chrome_trace, metrics_jsonl};
     use crate::obs::{MetricClass, Metrics};
+    use crate::resilience::Supervisor;
     use crate::{FreshGnnConfig, Trainer};
     use fgnn_graph::datasets::arxiv_spec;
     use fgnn_graph::hetero::mag_hetero;
     use fgnn_graph::Dataset;
+    use fgnn_memsim::fault::{BreakerPolicy, FaultPlan, RetryPolicy};
     use fgnn_memsim::presets::Machine;
+    use fgnn_memsim::TrafficCounters;
     use fgnn_nn::model::Arch;
     use fgnn_nn::Adam;
+
+    /// The knob settings of the worker-count matrix.
+    #[derive(Clone, Copy, Debug)]
+    enum Knobs {
+        /// FreshGNN with its cache on.
+        Cache,
+        /// `p_grad = 0`: the cache never admits (neighbor sampling).
+        NoCache,
+        /// 10 % of transfer attempts fail, no retries, and the breaker
+        /// trips on the first failure.
+        Faults,
+        /// An injected NaN that `train_epoch_resilient` rolls back.
+        NanRollback,
+    }
+
+    const KNOBS: [Knobs; 4] = [
+        Knobs::Cache,
+        Knobs::NoCache,
+        Knobs::Faults,
+        Knobs::NanRollback,
+    ];
+
+    fn knob_config(knobs: Knobs) -> FreshGnnConfig {
+        FreshGnnConfig {
+            p_grad: if matches!(knobs, Knobs::NoCache) {
+                0.0
+            } else {
+                0.9
+            },
+            t_stale: 50,
+            fanouts: vec![3, 3],
+            batch_size: 16,
+            ..Default::default()
+        }
+    }
+
+    /// Everything a run commits, as comparable values: loss bits per epoch,
+    /// the ledger without its measured seconds, the cache statistics, the
+    /// `Exact` metric stream without the `sampler.*` entries only a pool
+    /// reports, and the Chrome trace.
+    type Committed = (Vec<u64>, String, String, String, String);
+
+    /// Train `t` under `knobs`: two epochs sampled by `workers` pool
+    /// threads (`0`: the synchronous epoch), after two resilient epochs
+    /// that roll an injected NaN back when the knobs ask for it.
+    fn committed<W: Workload>(
+        mut t: Driver<W>,
+        ds: &W::Dataset,
+        knobs: Knobs,
+        workers: usize,
+    ) -> Committed {
+        if matches!(knobs, Knobs::Faults) {
+            let retry = RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            };
+            t.inject_faults(FaultPlan::new(99).with_fail_prob(0.10), retry);
+            t.enable_breaker(BreakerPolicy {
+                failure_threshold: 1,
+                cooldown: 4,
+            });
+        }
+        let mut opt = Adam::new(0.01);
+        let mut losses = Vec::new();
+        if matches!(knobs, Knobs::NanRollback) {
+            let mut sup = Supervisor::default();
+            for _ in 0..2 {
+                t.inject_nan_at([t.iterations() + 1]);
+                let stats = t.train_epoch_resilient(ds, &mut opt, &mut sup).unwrap();
+                losses.push(stats.mean_loss.to_bits());
+            }
+            assert_eq!(sup.rollbacks(), 2);
+        }
+        for _ in 0..2 {
+            let stats = t.train_epoch_async(ds, &mut opt, workers, 2).unwrap();
+            losses.push(stats.mean_loss.to_bits());
+        }
+        if matches!(knobs, Knobs::Faults) {
+            assert!(t.breaker_stats().unwrap().0 > 0, "the breaker must trip");
+        }
+        let mut ledger = t.counters.clone();
+        (ledger.sample_seconds, ledger.prune_seconds) = (0.0, 0.0);
+        let metrics: String = metrics_jsonl("t", &t.obs.metrics, false)
+            .lines()
+            .filter(|line| !line.contains("\"name\":\"sampler."))
+            .collect();
+        (
+            losses,
+            format!("{ledger:?}"),
+            format!("{:?}", t.cache.stats()),
+            metrics,
+            chrome_trace(&[("t", &t.obs.tracer)]),
+        )
+    }
+
+    /// {homogeneous, heterogeneous} × {cache on, `p_grad` 0, faults with
+    /// a breaker, NaN rollback}: one and two sampler workers commit exactly
+    /// what the synchronous epoch commits.
+    #[test]
+    fn every_knob_commits_the_same_run_at_zero_one_and_two_workers() {
+        let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(8), 5);
+        let hds = mag_hetero(400, 4, 8, 3);
+        let machine = Machine::single_a100();
+        for knobs in KNOBS {
+            let homo = |workers| {
+                let t = Trainer::new(&ds, Arch::Sage, 8, machine.clone(), knob_config(knobs), 3);
+                committed(t, &ds, knobs, workers)
+            };
+            let hetero = |workers| {
+                let t = HeteroTrainer::new(&hds, 8, machine.clone(), knob_config(knobs), 3);
+                committed(t, &hds, knobs, workers)
+            };
+            let (homo0, hetero0) = (homo(0), hetero(0));
+            for workers in [1, 2] {
+                assert_eq!(
+                    homo(workers),
+                    homo0,
+                    "homogeneous {knobs:?} at {workers} workers"
+                );
+                assert_eq!(
+                    hetero(workers),
+                    hetero0,
+                    "heterogeneous {knobs:?} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    /// A checkpoint whose shape does not fit the trainer is refused before
+    /// anything is imported: the trainer then trains on exactly as a twin
+    /// that never saw the restore.
+    #[test]
+    fn restore_refuses_a_mismatched_shape_and_leaves_the_trainer_trainable() {
+        let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(8), 6);
+        let cfg = knob_config(Knobs::Cache);
+        let new = || Trainer::new(&ds, Arch::Sage, 8, Machine::single_a100(), cfg.clone(), 4);
+        let (mut t, mut twin) = (new(), new());
+        let (mut opt, mut twin_opt) = (Adam::new(0.01), Adam::new(0.01));
+        t.train_epoch(&ds, &mut opt);
+        twin.train_epoch(&ds, &mut twin_opt);
+        let good = t.checkpoint(&opt);
+        type Corrupt = fn(&mut Checkpoint);
+        let bad: [(&str, Corrupt); 4] = [
+            ("arch", |c| c.arch = Arch::Gcn),
+            ("dims", |c| c.dims[1] += 1),
+            ("parameter count", |c| {
+                c.params.pop();
+            }),
+            ("static cache", |c| c.static_resident.push(false)),
+        ];
+        for (what, corrupt) in bad {
+            let mut ckpt = good.clone();
+            corrupt(&mut ckpt);
+            let err = t.restore(&ckpt, &mut opt).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::ShapeMismatch(_)),
+                "{what}: {err}"
+            );
+        }
+        let loss = t.train_epoch(&ds, &mut opt).mean_loss;
+        assert_eq!(
+            loss.to_bits(),
+            twin.train_epoch(&ds, &mut twin_opt).mean_loss.to_bits()
+        );
+        assert_eq!(t.model.export_parameters(), twin.model.export_parameters());
+        let ledger = |c: &TrafficCounters| (c.host_to_gpu_bytes, c.transfer_seconds.to_bits());
+        assert_eq!(ledger(&t.counters), ledger(&twin.counters));
+    }
 
     /// The `sampler.*` entries of a registry, as `(name, class)`.
     fn sampler_names(m: &Metrics) -> Vec<(String, MetricClass)> {

@@ -29,15 +29,15 @@ use fgnn_nn::model::Arch;
 use fgnn_nn::rsage::{RSageGrads, RSageModel, RSageTrace};
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 /// R-GraphSAGE trainer over a [`HeteroDataset`]: the epoch [`Driver`]
 /// over the [`Heterogeneous`] workload.
 pub type HeteroTrainer = Driver<Heterogeneous>;
 
-/// Workload state of the heterogeneous trainer: an [`RSageModel`] and
-/// typed sampling.
+/// Workload state of the heterogeneous trainer: an [`RSageModel`] over
+/// typed relations.
 pub struct Heterogeneous {
-    sampler: HeteroSampler,
     /// `(src_type, dst_type)` per relation, in the graph's relation order.
     rel_types: Vec<(usize, usize)>,
     /// Seed of the randomized-policy side stream (see
@@ -56,6 +56,7 @@ impl Driver<Heterogeneous> {
     ) -> Self {
         let target = ds.target_type;
         Driver::assemble(
+            ds,
             cfg,
             machine,
             seed,
@@ -63,7 +64,6 @@ impl Driver<Heterogeneous> {
             (ds.features[target].cols(), hidden, ds.num_classes),
             |_, dims, rng| {
                 let workload = Heterogeneous {
-                    sampler: HeteroSampler::new(&ds.graph),
                     rel_types: ds
                         .graph
                         .relations
@@ -83,7 +83,7 @@ impl Workload for Heterogeneous {
     type Model = RSageModel;
     type Batch = HeteroMiniBatch;
     /// The typed graph and the target (labeled) node type.
-    type Graph = (HeteroGraph, usize);
+    type Graph = (Arc<HeteroGraph>, usize);
     type Sampler = HeteroSampler;
     type Trace = RSageTrace;
     type Grads = RSageGrads;
@@ -110,28 +110,17 @@ impl Workload for Heterogeneous {
         &ds.train_nodes
     }
 
-    fn sample(
-        &mut self,
-        ds: &HeteroDataset,
-        seeds: &[NodeId],
-        fanouts: &[usize],
-        rng: &mut Rng,
-    ) -> HeteroMiniBatch {
-        self.sampler
-            .sample(&ds.graph, ds.target_type, seeds, fanouts, rng)
+    fn graph(ds: &HeteroDataset) -> (Arc<HeteroGraph>, usize) {
+        (Arc::clone(&ds.graph), ds.target_type)
     }
 
-    fn graph(ds: &HeteroDataset) -> (HeteroGraph, usize) {
-        (ds.graph.clone(), ds.target_type)
-    }
-
-    fn worker_sampler((graph, _): &(HeteroGraph, usize)) -> HeteroSampler {
+    fn sampler((graph, _): &(Arc<HeteroGraph>, usize)) -> HeteroSampler {
         HeteroSampler::new(graph)
     }
 
-    fn worker_sample(
+    fn sample(
         sampler: &mut HeteroSampler,
-        (graph, target): &(HeteroGraph, usize),
+        (graph, target): &(Arc<HeteroGraph>, usize),
         seeds: &[NodeId],
         fanouts: &[usize],
         rng: &mut Rng,

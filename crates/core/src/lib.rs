@@ -17,8 +17,9 @@
 //!   cursor and execute sampling for different batches in parallel, while
 //!   in-order consumption keeps every `Exact` output byte-identical at any
 //!   worker count;
-//! * [`sampler`] — asynchronous multi-threaded CPU graph sampling with a
-//!   bounded task queue (§5), on the [`runtime`] pool;
+//! * [`sampler`] — how asynchronous multi-threaded CPU graph sampling (§5)
+//!   on the [`runtime`] pool fails: batch-level errors, never a short
+//!   epoch, and the fault-injection hook;
 //! * [`prune`] — cache-aware subgraph pruning over CSR2 blocks: a cached
 //!   destination's aggregation is removed in O(1) and its multi-hop
 //!   subtree never gets computed or loaded (§5);
@@ -89,7 +90,7 @@ pub use cluster::{ClusterConfig, ClusterReport, ClusterTrainer, StalenessLedger}
 pub use config::FreshGnnConfig;
 pub use error::FgnnError;
 pub use obs::Obs;
-pub use pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx, StallPolicy};
+pub use pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
 pub use resilience::{HealthState, Supervisor, SupervisorConfig};
 pub use runtime::{ChaosPolicy, InOrder, Pool, RuntimeConfig};
 pub use sampler::SampleError;

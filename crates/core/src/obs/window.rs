@@ -101,11 +101,6 @@ impl EventWindow {
             self.bad as f64 / self.events.len() as f64
         }
     }
-
-    /// Events per second over the window span.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.events.len() as f64 / (self.window_ns as f64 * 1e-9)
-    }
 }
 
 /// A sliding quantile sketch: fixed time slices, one fixed-bucket
@@ -379,7 +374,6 @@ mod tests {
         w.record(11 * MS, false);
         assert_eq!((w.total(), w.bad()), (2, 0));
         assert_eq!(w.bad_fraction(), 0.0);
-        assert!((w.rate_per_sec() - 200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod eval;
 pub use eval::EvalHarness;
 
 use crate::obs::{MetricClass, Obs};
-use crate::runtime::{InOrder, Pool, RuntimeConfig, TaskError};
 use fgnn_memsim::fault::FaultState;
 use fgnn_memsim::stage::{StageKind, StageTimings, NUM_STAGES};
 use fgnn_memsim::topology::Topology;
@@ -99,19 +98,6 @@ impl BatchOutput {
         self.degraded = degraded;
         self
     }
-}
-
-/// How the engine accounts the time spent pulling the next unit from the
-/// stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StallPolicy {
-    /// The stream is an in-memory schedule; pulling is free (synchronous
-    /// trainers, which time their `Sample` stage inside the step).
-    Free,
-    /// The stream is fed by the asynchronous sampler; time the consumer
-    /// spends *stalled* waiting on the queue is charged as `Sample` time
-    /// (§5: with enough workers, sampling fully overlaps training).
-    ChargeSample,
 }
 
 /// Per-epoch pipeline context handed to the step function: the transfer
@@ -182,20 +168,17 @@ impl<'t> PipelineCtx<'t> {
 pub struct Engine;
 
 impl Engine {
-    /// Run one epoch: pull units (mini-batch seeds, sampled batches,
-    /// cluster indices, …) from `units` and run `step` on each inside a
-    /// [`PipelineCtx`].
+    /// Run one epoch: run `step` on each of `units` (mini-batch indexes,
+    /// cluster indices, …) inside a [`PipelineCtx`].
     ///
     /// * `faults` lends its plan and breaker to the epoch's
     ///   [`TransferEngine`]; both are restored (the plan with its advanced
-    ///   RNG stream, the breaker with its trip state) before returning —
-    ///   even on error — so fault schedules and breaker behavior stay
-    ///   deterministic across epochs.
+    ///   RNG stream, the breaker with its trip state) before returning, so
+    ///   fault schedules and breaker behavior stay deterministic across
+    ///   epochs.
     /// * A `step` returning `None` contributes neither loss nor count
-    ///   (e.g. a cluster without training nodes).
-    /// * A unit yielding `Err` aborts the epoch and returns the error;
-    ///   progress already made (parameter updates, counters, cache
-    ///   admissions) is kept, mirroring the async sampler contract.
+    ///   (e.g. a cluster without training nodes, or a batch after the
+    ///   caller decided to abort the epoch).
     ///
     /// The returned [`EpochStats`] carries the epoch's counter delta and
     /// [`StageTimings`]; `cache_degraded` is left `false` for the caller
@@ -203,17 +186,15 @@ impl Engine {
     ///
     /// `obs` is taken for the duration of the epoch and restored — with
     /// the epoch/batch/stage span tree appended and the per-stage and
-    /// per-link metrics flushed — before returning, even on error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_epoch<'t, U, E>(
+    /// per-link metrics flushed — before returning.
+    pub fn run_epoch<'t, U>(
         topo: &'t Topology,
         faults: &mut FaultState,
         counters: &mut TrafficCounters,
         obs: &mut Obs,
-        stall_policy: StallPolicy,
-        mut units: impl Iterator<Item = Result<U, E>>,
+        units: impl IntoIterator<Item = U>,
         mut step: impl FnMut(&mut PipelineCtx<'t>, &mut TrafficCounters, U) -> Option<BatchOutput>,
-    ) -> Result<EpochStats, E> {
+    ) -> EpochStats {
         let before = counters.clone();
         let mut transfer = match faults.plan.take() {
             Some(plan) => TransferEngine::with_faults(topo, plan, faults.policy),
@@ -235,64 +216,37 @@ impl Engine {
         let mut cache_reads = 0u64;
         let mut computed_nodes = 0u64;
         let mut degraded_batches = 0u64;
-        let mut failure: Option<E> = None;
-        loop {
-            let t0 = Instant::now();
-            let Some(item) = units.next() else { break };
-            if stall_policy == StallPolicy::ChargeSample {
-                // Only the consumer's queue stall counts as sampling time.
-                let stall = t0.elapsed().as_secs_f64();
-                let stall_before = counters.clone();
-                counters.sample_seconds += stall;
-                let mut delta = counters.clone();
-                delta.subtract(&stall_before);
-                ctx.timings.record(StageKind::Sample, stall, &delta);
-                ctx.timings.extend_span(&stall_before, counters);
-                // Measured time never advances the sim clock: the stall
-                // leaves a zero-duration sample span under the epoch.
-                let now = ctx.obs.clock.now_ns();
-                ctx.obs.tracer.begin(StageKind::Sample.name(), "stage", now);
-                ctx.obs.tracer.end(now);
-            }
-            match item {
-                Ok(unit) => {
-                    ctx.obs
-                        .tracer
-                        .begin("batch", "pipeline", ctx.obs.clock.now_ns());
-                    let out = step(&mut ctx, counters, unit);
-                    let now = ctx.obs.clock.now_ns();
-                    match out {
-                        Some(out) => {
-                            ctx.obs.tracer.end_with(
-                                now,
-                                vec![
-                                    ("cache_reads", out.cache_reads),
-                                    ("computed_nodes", out.computed_nodes),
-                                ],
-                            );
-                            total_loss += out.loss as f64;
-                            batches += 1;
-                            cache_reads += out.cache_reads;
-                            computed_nodes += out.computed_nodes;
-                            degraded_batches += out.degraded as u64;
-                        }
-                        None => ctx.obs.tracer.end(now),
-                    }
+        for unit in units {
+            ctx.obs
+                .tracer
+                .begin("batch", "pipeline", ctx.obs.clock.now_ns());
+            let out = step(&mut ctx, counters, unit);
+            let now = ctx.obs.clock.now_ns();
+            match out {
+                Some(out) => {
+                    ctx.obs.tracer.end_with(
+                        now,
+                        vec![
+                            ("cache_reads", out.cache_reads),
+                            ("computed_nodes", out.computed_nodes),
+                        ],
+                    );
+                    total_loss += out.loss as f64;
+                    batches += 1;
+                    cache_reads += out.cache_reads;
+                    computed_nodes += out.computed_nodes;
+                    degraded_batches += out.degraded as u64;
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
+                None => ctx.obs.tracer.end(now),
             }
         }
         // Thread the fault plan (and its advanced RNG) and the breaker
-        // (and its trip state) back out before any return — an errored
-        // epoch must leave the trainer usable.
+        // (and its trip state) back out: the next epoch continues both.
         faults.plan = ctx.transfer.take_fault_plan();
         faults.breaker = ctx.transfer.take_breaker();
 
-        // Close the epoch span and flush epoch-level metrics, even for an
-        // errored epoch: the telemetry reflects the work actually done.
+        // Close the epoch span and flush epoch-level metrics, also for an
+        // epoch the step aborted: the telemetry reflects the work done.
         ctx.obs
             .tracer
             .end_with(ctx.obs.clock.now_ns(), vec![("batches", batches as u64)]);
@@ -377,13 +331,10 @@ impl Engine {
             }
         }
         *obs = ctx.obs;
-        if let Some(e) = failure {
-            return Err(e);
-        }
 
         let mut delta = counters.clone();
         delta.subtract(&before);
-        Ok(EpochStats {
+        EpochStats {
             mean_loss: total_loss / batches.max(1) as f64,
             batches,
             counters: delta,
@@ -392,60 +343,7 @@ impl Engine {
             computed_nodes,
             cache_degraded: false,
             degraded_batches,
-        })
-    }
-
-    /// Run one epoch with **cross-batch stage overlap** — the one
-    /// overlapped-epoch mechanism: the prestage work for every unit
-    /// (whatever `produce` does: sampling, feature preparation) runs on a
-    /// [`Pool`] while this thread trains, so prestage for *future* batches
-    /// runs while the current batch is in its GPU stages. Results are
-    /// consumed strictly in index order ([`InOrder`]) under
-    /// [`StallPolicy::ChargeSample`], so the committed unit stream — and
-    /// with it every loss, `Exact` counter and span — is byte-identical at
-    /// any worker count and under any completion order.
-    ///
-    /// The determinism contract is the caller's to uphold inside
-    /// `produce`: derive all randomness from the task index alone
-    /// ([`crate::runtime::task_rng`]), never from worker identity or
-    /// shared mutable state. `init` builds per-worker scratch, rebuilt
-    /// after a panic; a unit that panics on every attempt surfaces as
-    /// `E::from(TaskError::Panicked)`, dead workers as
-    /// `E::from(TaskError::Lost)` — either aborts the epoch through the
-    /// normal [`Engine::run_epoch`] error path, keeping progress made.
-    ///
-    /// The pool's telemetry is flushed into `obs` under `sampler.*`
-    /// ([`InOrder::flush_obs`]) even for an errored epoch: it reflects the
-    /// work the pool actually did before the failure.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_epoch_overlapped<'t, T, S, P, E>(
-        topo: &'t Topology,
-        faults: &mut FaultState,
-        counters: &mut TrafficCounters,
-        obs: &mut Obs,
-        cfg: &RuntimeConfig,
-        tasks: Vec<T>,
-        init: impl Fn() -> S + Send + Sync + 'static,
-        produce: impl Fn(&mut S, usize, &T, u32) -> P + Send + Sync + 'static,
-        step: impl FnMut(&mut PipelineCtx<'t>, &mut TrafficCounters, P) -> Option<BatchOutput>,
-    ) -> Result<EpochStats, E>
-    where
-        T: Send + Sync + 'static,
-        P: Send + 'static,
-        E: From<TaskError>,
-    {
-        let mut units: InOrder<P, E> = InOrder::new(Pool::spawn(cfg, tasks, init, produce));
-        let result = Engine::run_epoch(
-            topo,
-            faults,
-            counters,
-            obs,
-            StallPolicy::ChargeSample,
-            units.by_ref(),
-            step,
-        );
-        units.flush_obs(&mut obs.metrics);
-        result
+        }
     }
 }
 
@@ -454,7 +352,6 @@ mod tests {
     use super::*;
     use fgnn_memsim::fault::FaultPlan;
     use fgnn_memsim::topology::Node;
-    use std::convert::Infallible;
 
     fn topo() -> Topology {
         Topology::pcie_tree(1, 1, 16e9)
@@ -470,8 +367,7 @@ mod tests {
             &mut faults,
             &mut counters,
             &mut Obs::new(),
-            StallPolicy::Free,
-            (0..3).map(Ok::<u64, Infallible>),
+            0..3u64,
             |ctx, counters, bytes_k| {
                 ctx.stage(StageKind::Load, counters, |eng, c| {
                     eng.one_sided_read(Node::Host, Node::Gpu(0), 1000 * (bytes_k + 1), c);
@@ -481,8 +377,7 @@ mod tests {
                 });
                 Some(BatchOutput::loss_only(1.0))
             },
-        )
-        .unwrap();
+        );
         assert_eq!(stats.batches, 3);
         assert!((stats.mean_loss - 1.0).abs() < 1e-12);
         assert_eq!(stats.timings.wire_bytes(StageKind::Load), 6000);
@@ -509,36 +404,11 @@ mod tests {
             &mut faults,
             &mut counters,
             &mut Obs::new(),
-            StallPolicy::Free,
-            (0..4).map(Ok::<usize, Infallible>),
+            0..4usize,
             |_, _, i| (i % 2 == 0).then(|| BatchOutput::loss_only(2.0)),
-        )
-        .unwrap();
+        );
         assert_eq!(stats.batches, 2);
         assert!((stats.mean_loss - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unit_error_aborts_and_surfaces() {
-        let topo = topo();
-        let mut counters = TrafficCounters::new();
-        let mut faults = FaultState::none();
-        let mut steps = 0;
-        let err = Engine::run_epoch(
-            &topo,
-            &mut faults,
-            &mut counters,
-            &mut Obs::new(),
-            StallPolicy::Free,
-            vec![Ok(1), Err("boom"), Ok(2)].into_iter(),
-            |_, _, _| {
-                steps += 1;
-                Some(BatchOutput::loss_only(0.0))
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, "boom");
-        assert_eq!(steps, 1, "units after the failure must not run");
     }
 
     #[test]
@@ -550,111 +420,19 @@ mod tests {
             FaultPlan::new(7).with_fail_prob(0.5),
             fgnn_memsim::RetryPolicy::default(),
         );
-        let _ = Engine::run_epoch(
+        Engine::run_epoch(
             &topo,
             &mut faults,
             &mut counters,
             &mut Obs::new(),
-            StallPolicy::Free,
-            (0..2).map(Ok::<u64, Infallible>),
+            0..2u64,
             |ctx, counters, _| {
                 ctx.stage(StageKind::Load, counters, |eng, c| {
                     eng.one_sided_read(Node::Host, Node::Gpu(0), 4096, c);
                 });
                 Some(BatchOutput::loss_only(0.0))
             },
-        )
-        .unwrap();
-        assert!(faults.plan.is_some(), "plan must survive the epoch");
-    }
-
-    #[test]
-    fn overlapped_epoch_is_invariant_across_worker_counts() {
-        let topo = topo();
-        let run = |workers: usize| {
-            let mut counters = TrafficCounters::new();
-            let mut faults = FaultState::none();
-            let cfg = RuntimeConfig {
-                workers,
-                queue_capacity: 4,
-                ..RuntimeConfig::default()
-            };
-            Engine::run_epoch_overlapped::<u64, (), u64, TaskError>(
-                &topo,
-                &mut faults,
-                &mut counters,
-                &mut Obs::new(),
-                &cfg,
-                (0..16u64).collect(),
-                || (),
-                |_, i, t, _| t * 10 + i as u64, // index-derived, worker-free
-                |ctx, counters, unit| {
-                    ctx.stage(StageKind::Load, counters, |eng, c| {
-                        eng.one_sided_read(Node::Host, Node::Gpu(0), 64 * (unit + 1), c);
-                    });
-                    Some(BatchOutput::loss_only(unit as f32))
-                },
-            )
-            .unwrap()
-        };
-        let reference = run(1);
-        for workers in [2, 4, 8] {
-            let stats = run(workers);
-            assert_eq!(
-                stats.mean_loss.to_bits(),
-                reference.mean_loss.to_bits(),
-                "workers={workers}"
-            );
-            assert_eq!(stats.batches, reference.batches);
-            assert_eq!(
-                stats.counters.host_to_gpu_bytes,
-                reference.counters.host_to_gpu_bytes
-            );
-            assert_eq!(
-                stats.counters.transfer_seconds.to_bits(),
-                reference.counters.transfer_seconds.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn overlapped_epoch_surfaces_persistent_prestage_panics() {
-        let topo = topo();
-        let mut counters = TrafficCounters::new();
-        let mut faults = FaultState::none();
-        let cfg = RuntimeConfig {
-            workers: 2,
-            max_retries: 1,
-            ..RuntimeConfig::default()
-        };
-        let mut stepped = 0usize;
-        let err = Engine::run_epoch_overlapped::<(), (), usize, TaskError>(
-            &topo,
-            &mut faults,
-            &mut counters,
-            &mut Obs::new(),
-            &cfg,
-            vec![(); 6],
-            || (),
-            |_, i, _, _| {
-                if i == 3 {
-                    panic!("poisoned unit");
-                }
-                i
-            },
-            |_, _, _| {
-                stepped += 1;
-                Some(BatchOutput::loss_only(0.0))
-            },
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            TaskError::Panicked {
-                index: 3,
-                attempts: 2
-            }
         );
-        assert_eq!(stepped, 3, "units before the failure trained; none after");
+        assert!(faults.plan.is_some(), "plan must survive the epoch");
     }
 }

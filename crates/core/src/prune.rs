@@ -9,7 +9,7 @@
 //! effect is why the paper's I/O saving exceeds the raw cache hit rate
 //! (§7.4).
 
-use crate::cache::{CachePolicy, GradientPolicy, HistoricalCache};
+use crate::cache::{CachePolicy, HistoricalCache};
 use fgnn_graph::block::MiniBatch;
 
 /// What the pruner decided for one mini-batch.
@@ -34,13 +34,6 @@ impl PruneOutcome {
     pub fn num_inputs_needed(&self) -> usize {
         self.needed_input.iter().filter(|&&b| b).count()
     }
-}
-
-/// Prune `mb` in place against `cache` at iteration `now` under the
-/// baseline policy (no refresh schedule) — see
-/// [`prune_with_cache_policy`].
-pub fn prune_with_cache(mb: &mut MiniBatch, cache: &mut HistoricalCache, now: u32) -> PruneOutcome {
-    prune_with_cache_policy(mb, cache, now, &GradientPolicy)
 }
 
 /// Prune `mb` in place against `cache` at iteration `now`, routing every
@@ -119,7 +112,7 @@ pub fn prune_with_cache_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{PolicyInput, Verdict};
+    use crate::cache::{GradientPolicy, PolicyInput, Verdict};
     use fgnn_graph::sample::NeighborSampler;
     use fgnn_graph::Csr;
     use fgnn_tensor::{Matrix, Rng};
@@ -141,7 +134,7 @@ mod tests {
         let mut mb = sample_path();
         let edges_before = mb.total_edges();
         let mut cache = empty_cache(&[4, 4]);
-        let out = prune_with_cache(&mut mb, &mut cache, 0);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &GradientPolicy);
         assert_eq!(out.pruned_nodes, 0);
         assert_eq!(out.pruned_edges, 0);
         assert_eq!(mb.total_edges(), edges_before);
@@ -170,7 +163,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache(&mut mb, &mut cache, 1);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
         // Node 1 at block 0 must be cache-read, not computed.
         let b0 = &mb.blocks[0];
         let local_1 = b0.dst_global.iter().position(|&g| g == 1).unwrap();
@@ -211,7 +204,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache(&mut mb, &mut cache, 1);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
         let top = out.computed.last().unwrap();
         assert!(top.iter().all(|&c| c), "all seeds computed");
         assert!(out.cached.last().unwrap().is_empty());
@@ -243,7 +236,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache(&mut mb, &mut cache, 1);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
         // One cache hit, but many input loads avoided.
         assert_eq!(out.cached[0].len(), 1);
         let needed = out.num_inputs_needed();
@@ -257,7 +250,7 @@ mod tests {
     fn disabled_cache_prunes_nothing() {
         let mut mb = sample_path();
         let mut cache = HistoricalCache::new(16, &[4, 4], 0, 8, false, false);
-        let out = prune_with_cache(&mut mb, &mut cache, 0);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &GradientPolicy);
         assert_eq!(out.pruned_nodes, 0);
         assert!(out.cached.iter().all(Vec::is_empty));
     }

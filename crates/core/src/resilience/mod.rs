@@ -61,15 +61,6 @@ impl HealthState {
             HealthState::Recovering => "recovering",
         }
     }
-
-    /// Whether service should run in its degraded mode. Both `Degraded`
-    /// and `Recovering` qualify: while an epoch replays from the rollback
-    /// baseline the runtime is no healthier than it was when the fault
-    /// hit, so the serving engine keeps its SLA-relaxed read path on
-    /// until the supervisor returns to `Healthy`.
-    pub fn is_degraded(self) -> bool {
-        !matches!(self, HealthState::Healthy)
-    }
 }
 
 impl fmt::Display for HealthState {

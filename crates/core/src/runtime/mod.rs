@@ -15,8 +15,9 @@
 //! index*; dropping the pool stops claims and retry loops promptly.
 //!
 //! **Determinism contract.** The pool never decides *what* a task computes,
-//! only *where and when*: every task derives its RNG from `(seed, index)`
-//! alone ([`task_rng`]), and [`InOrder`] releases results strictly by index.
+//! only *where and when*: every task carries the RNG it samples with, drawn
+//! before the pool started and copied afresh for each attempt, and
+//! [`InOrder`] releases results strictly by index.
 //! Hence the committed stream, all `Exact` metrics and span trees are
 //! byte-identical at any worker count and under any completion order —
 //! including the seeded adversarial ones [`ChaosPolicy`] injects. Per-worker
@@ -34,19 +35,11 @@ pub use ordered::InOrder;
 
 use crate::obs::{Histogram, LATENCY_BUCKETS};
 use chaos::ChaosRng;
-use fgnn_tensor::Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// The RNG of task `index` under `seed`: a function of the pair alone and
-/// rebuilt on every attempt, so a task's output depends neither on which
-/// worker ran it, nor when, nor on how often it was retried.
-pub fn task_rng(seed: u64, index: usize) -> Rng {
-    Rng::new(seed ^ (index as u64).wrapping_mul(0x9E37_79B9))
-}
 
 /// Pool construction parameters.
 #[derive(Clone, Debug)]
@@ -184,7 +177,8 @@ impl<R: Send + 'static> Pool<R> {
     /// index order. `init` builds one worker-local scratch state per
     /// worker, rebuilt after a panic (the panic may have poisoned it).
     /// `exec` receives `(state, index, &task, attempt)` and must derive any
-    /// randomness from `index` alone for the determinism contract to hold.
+    /// randomness from the task alone, the same on every attempt, for the
+    /// determinism contract to hold.
     pub fn spawn<T, S, I, E>(cfg: &RuntimeConfig, tasks: Vec<T>, init: I, exec: E) -> Pool<R>
     where
         T: Send + Sync + 'static,
@@ -332,13 +326,23 @@ mod tests {
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
 
-    /// The pool's results in index order, and its panic retries.
-    fn drain<R: Send + 'static>(pool: Pool<R>) -> (Vec<Result<R, TaskError>>, u64) {
+    /// The pool's results in index order, and what its flush reports:
+    /// panic retries, timed attempts and queue-depth observations.
+    fn drain<R: Send + 'static>(pool: Pool<R>) -> (Vec<Result<R, TaskError>>, [u64; 3]) {
         let mut stream: InOrder<R> = InOrder::new(pool);
         let out = stream.by_ref().collect();
         let mut m = crate::obs::Metrics::new();
         stream.flush_obs(&mut m);
-        (out, m.counter("sampler.resample_retries").unwrap())
+        let count = |name: &str| m.histogram(name).unwrap().count();
+        let retries = m.counter("sampler.resample_retries").unwrap();
+        (
+            out,
+            [
+                retries,
+                count("sampler.task_seconds"),
+                count("sampler.queue_depth"),
+            ],
+        )
     }
 
     /// A drained pool ends its stream: every index arrives exactly once,
@@ -395,11 +399,13 @@ mod tests {
                 i
             },
         );
-        let (got, retries) = drain(pool);
+        let (got, obs) = drain(pool);
         assert_eq!(got.len(), 6);
         assert!(got.iter().enumerate().all(|(i, r)| *r == Ok(i)));
         assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(retries, 1);
+        // One retry; the panicked attempt is timed too; one depth
+        // observation per release.
+        assert_eq!(obs, [1, 7, 6]);
         assert!(
             inits.load(Ordering::Relaxed) >= 3,
             "panic rebuilds the worker state beyond the 2 spawn-time inits"
@@ -466,6 +472,34 @@ mod tests {
             "no worker survived the drop"
         );
         assert!(after < 100, "drop preempted the run");
+    }
+
+    /// The shutdown flag is checked between attempts: a drop never waits
+    /// out a retry budget.
+    #[test]
+    fn drop_cuts_retry_loops_short() {
+        let cfg = RuntimeConfig {
+            workers: 2,
+            queue_capacity: 2,
+            max_retries: 1000, // ~5 s per task if the loop ran to the end
+            ..RuntimeConfig::default()
+        };
+        let pool = Pool::spawn(
+            &cfg,
+            vec![(); 20],
+            || (),
+            |_, i, _, _| {
+                if i >= 2 {
+                    std::thread::sleep(Duration::from_millis(5));
+                    panic!("persistent fault with a slow attempt");
+                }
+                i
+            },
+        );
+        let _ = pool.recv().unwrap();
+        let t0 = std::time::Instant::now();
+        drop(pool);
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
     }
 
     #[test]

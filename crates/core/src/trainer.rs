@@ -39,6 +39,7 @@ use fgnn_nn::loss::softmax_cross_entropy_into;
 use fgnn_nn::model::{Arch, Grads, Model, Trace};
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 pub use crate::pipeline::EpochStats;
 
@@ -51,7 +52,6 @@ pub type Trainer = Driver<Homogeneous>;
 /// loader.
 pub struct Homogeneous {
     static_cache: StaticFeatureCache,
-    sampler: NeighborSampler,
 }
 
 impl Driver<Homogeneous> {
@@ -66,6 +66,7 @@ impl Driver<Homogeneous> {
         seed: u64,
     ) -> Self {
         Driver::assemble(
+            ds,
             cfg,
             machine,
             seed,
@@ -77,11 +78,7 @@ impl Driver<Homogeneous> {
                 } else {
                     StaticFeatureCache::disabled(ds.num_nodes())
                 };
-                let workload = Homogeneous {
-                    static_cache,
-                    sampler: NeighborSampler::new(ds.num_nodes()),
-                };
-                (Model::new(arch, dims, rng), workload)
+                (Model::new(arch, dims, rng), Homogeneous { static_cache })
             },
         )
     }
@@ -94,7 +91,6 @@ impl Driver<Homogeneous> {
     pub fn probe_estimation_error(&mut self, ds: &Dataset, seeds: &[NodeId]) -> f32 {
         let mut rng = self.rng.fork();
         let mb = self
-            .workload
             .sampler
             .sample(&ds.graph, seeds, &self.cfg.fanouts, &mut rng);
         // Prune a clone to learn the cache-served set; keep `mb` un-pruned
@@ -112,7 +108,7 @@ impl Workload for Homogeneous {
     type Dataset = Dataset;
     type Model = Model;
     type Batch = MiniBatch;
-    type Graph = Csr;
+    type Graph = Arc<Csr>;
     type Sampler = NeighborSampler;
     type Trace = Trace;
     type Grads = Grads;
@@ -137,27 +133,17 @@ impl Workload for Homogeneous {
         &ds.train_nodes
     }
 
-    fn sample(
-        &mut self,
-        ds: &Dataset,
-        seeds: &[NodeId],
-        fanouts: &[usize],
-        rng: &mut Rng,
-    ) -> MiniBatch {
-        self.sampler.sample(&ds.graph, seeds, fanouts, rng)
+    fn graph(ds: &Dataset) -> Arc<Csr> {
+        Arc::clone(&ds.graph)
     }
 
-    fn graph(ds: &Dataset) -> Csr {
-        ds.graph.clone()
-    }
-
-    fn worker_sampler(graph: &Csr) -> NeighborSampler {
+    fn sampler(graph: &Arc<Csr>) -> NeighborSampler {
         NeighborSampler::new(graph.num_nodes())
     }
 
-    fn worker_sample(
+    fn sample(
         sampler: &mut NeighborSampler,
-        graph: &Csr,
+        graph: &Arc<Csr>,
         seeds: &[NodeId],
         fanouts: &[usize],
         rng: &mut Rng,

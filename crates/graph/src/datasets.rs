@@ -19,6 +19,7 @@
 use crate::generate::{generate, planted_features, GraphConfig};
 use crate::{Csr, NodeId};
 use fgnn_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 /// Static description of a dataset before materialization.
 #[derive(Clone, Debug)]
@@ -165,13 +166,15 @@ fn scaled(original: usize, scale: f64) -> usize {
 /// A fully materialized dataset.
 ///
 /// `Clone` is cheap enough at benchmark scales and lets the cluster
-/// sharder hand each host an owned copy (H=1 keeps the full dataset).
+/// sharder hand each host an owned copy (H=1 keeps the full dataset); the
+/// graph is shared, not copied.
 #[derive(Clone)]
 pub struct Dataset {
     /// The spec this dataset was built from.
     pub spec: DatasetSpec,
-    /// Symmetric adjacency.
-    pub graph: Csr,
+    /// Symmetric adjacency, shared: sampler workers of an overlapped epoch
+    /// hold it by refcount.
+    pub graph: Arc<Csr>,
     /// `|V| x dim` node features (held as f32; traffic uses
     /// [`DatasetSpec::feature_scalar_bytes`]).
     pub features: Matrix,
@@ -222,7 +225,7 @@ impl Dataset {
 
         Dataset {
             spec,
-            graph: gen.graph,
+            graph: Arc::new(gen.graph),
             features: signal.features,
             labels: signal.labels,
             train_nodes,

@@ -11,6 +11,7 @@ use crate::mapper::NodeMapper;
 use crate::sample::sample_adjacency;
 use crate::{Csr, Csr2, NodeId};
 use fgnn_tensor::{Matrix, Rng};
+use std::sync::Arc;
 
 /// A typed relation: edges from `src_type` nodes to `dst_type` nodes.
 #[derive(Clone, Debug)]
@@ -157,8 +158,9 @@ impl HeteroSampler {
 
 /// A materialized heterogeneous dataset (MAG-like).
 pub struct HeteroDataset {
-    /// The typed graph.
-    pub graph: HeteroGraph,
+    /// The typed graph, shared: sampler workers of an overlapped epoch hold
+    /// it by refcount.
+    pub graph: Arc<HeteroGraph>,
     /// Features per node type.
     pub features: Vec<Matrix>,
     /// Labels for the target type (papers).
@@ -270,11 +272,11 @@ pub fn mag_hetero(num_papers: usize, num_classes: usize, dim: usize, seed: u64) 
     let test_nodes = ids[n_train..].to_vec();
 
     HeteroDataset {
-        graph: HeteroGraph {
+        graph: Arc::new(HeteroGraph {
             type_names: vec!["paper", "author", "institution"],
             node_counts: vec![num_papers, num_authors, num_insts],
             relations,
-        },
+        }),
         features: vec![signal.features, author_sig.features, inst_feats],
         labels: signal.labels,
         target_type: 0,

@@ -5,16 +5,19 @@
 
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::multi_gpu::{profile_system, profile_system_faulted, SystemKind};
-use freshgnn_repro::core::sampler::{AsyncSampler, FaultHook, SampleError};
+use freshgnn_repro::core::runtime::{InOrder, Pool, RuntimeConfig};
+use freshgnn_repro::core::sampler::{FaultHook, SampleError};
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
+use freshgnn_repro::graph::block::MiniBatch;
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::hetero::mag_hetero;
-use freshgnn_repro::graph::sample::split_batches;
-use freshgnn_repro::graph::Dataset;
+use freshgnn_repro::graph::sample::{split_batches, NeighborSampler};
+use freshgnn_repro::graph::{Dataset, NodeId};
 use freshgnn_repro::memsim::fault::{BreakerPolicy, FaultPlan, RetryPolicy};
 use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::nn::model::Arch;
 use freshgnn_repro::nn::Adam;
+use freshgnn_repro::tensor::Rng;
 use std::sync::Arc;
 
 fn tiny() -> Dataset {
@@ -175,6 +178,11 @@ fn persistent_panic_is_an_error_not_a_short_epoch() {
         }
         other => panic!("unexpected error {other:?}"),
     }
+    assert_eq!(
+        t.iterations(),
+        2,
+        "batches before the failure trained; none after"
+    );
     let epochs_before = t.epochs();
 
     // Trainer is still usable once the fault clears.
@@ -186,25 +194,36 @@ fn persistent_panic_is_an_error_not_a_short_epoch() {
     assert!(stats.batches > 0);
 }
 
-/// Direct AsyncSampler check of the old silent-truncation bug: when all
-/// workers die, the stream must end with WorkersLost, not a quiet `None`.
+/// Direct check on a sampling pool of the old silent-truncation bug: when
+/// all workers die, the stream must end with WorkersLost, not a quiet
+/// `None`.
 #[test]
 fn dead_workers_surface_as_an_error() {
     let ds = tiny();
-    let graph = Arc::new(ds.graph.clone());
     let batches = split_batches(&ds.train_nodes, 16, None);
     let total = batches.len();
     assert!(total > 2);
-    // Zero retries + hook that always panics from batch 1 on: every worker
-    // eventually dies on an unrecoverable batch.
-    let hook: FaultHook = Arc::new(|batch, _| {
-        if batch >= 1 {
-            panic!("unrecoverable");
-        }
-    });
-    let stream =
-        AsyncSampler::spawn_with_recovery(graph, batches, vec![4, 4], 2, 4, 7, 0, Some(hook));
-    let results: Vec<Result<_, _>> = stream.collect();
+    // Zero retries + a task that always panics from batch 1 on: every
+    // worker eventually dies on an unrecoverable batch.
+    let cfg = RuntimeConfig {
+        workers: 2,
+        queue_capacity: 4,
+        max_retries: 0,
+        ..RuntimeConfig::default()
+    };
+    let (graph, n) = (Arc::clone(&ds.graph), ds.num_nodes());
+    let pool = Pool::spawn(
+        &cfg,
+        batches,
+        move || NeighborSampler::new(n),
+        move |sampler: &mut NeighborSampler, i, seeds: &Vec<NodeId>, _| {
+            if i >= 1 {
+                panic!("unrecoverable");
+            }
+            sampler.sample(&graph, seeds, &[4, 4], &mut Rng::new(7))
+        },
+    );
+    let results: Vec<Result<MiniBatch, SampleError>> = InOrder::new(pool).collect();
     assert!(results.len() <= total, "never more items than batches");
     let errors = results.iter().filter(|r| r.is_err()).count();
     assert!(errors > 0, "worker death must produce an error item");

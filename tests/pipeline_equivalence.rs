@@ -42,19 +42,19 @@ const NS2S_LOSSES: [u64; 2] = [0x4010bf3dc6666666, 0x40102902accccccd];
 const NS2S_H2D: u64 = 114752;
 const NS2S_IDX: u64 = 7172;
 
-const ASYNC_LOSSES: [u64; 3] = [0x4011a2c480000000, 0x400e96f77999999a, 0x400c533c93333333];
-const ASYNC_H2D: u64 = 67136;
-
 const FAULT_LOSSES: [u64; 2] = [0x4011ddb35999999a, 0x400fb4592ccccccd];
 const FAULT_RETRIES: u64 = 1;
 const FAULT_FAILED: u64 = 0;
 const FAULT_RETRY_S: u64 = 0x3f53d03f3dbd9672;
 
-const GAS_LOSSES: [u64; 2] = [0x4010e26774000000, 0x401047105a000000];
+// Re-baselined when GAS stopped dropping labels (it looked them up by
+// binary search in the shuffled `train_nodes`); loads and pushes do not
+// depend on labels, so H2D and the transfer count kept their values.
+const GAS_LOSSES: [u64; 2] = [0x4010d556cc000000, 0x401046f0ba000000];
 const GAS_H2D: u64 = 360896;
 const GAS_NTR: u64 = 64;
-const GAS_ACC: u64 = 0x3f9cb5d4ef40991f;
-const GFM_LOSS: u64 = 0x4010daf290000000;
+const GAS_ACC: u64 = 0x3fa323e34a2b10bf;
+const GFM_LOSS: u64 = 0x4010ceca78000000;
 
 const CG_LOSSES: [u64; 2] = [0x4010ef45c0000000, 0x40107df838000000];
 const CG_H2D: u64 = 24576;
@@ -69,10 +69,9 @@ const HET_LOSSES: [u64; 2] = [0x3ffa643a90000000, 0x3ff7ea7e30000000];
 const HET_H2D: u64 = 24832;
 const HET_CACHE_HIT: u64 = 6464;
 const HET_ACC: u64 = 0x3fe38e38e38e38e4;
-// hetero overlapped epochs, captured at the parent of the one-overlap-path PR
-const HET_ASYNC_LOSSES: [u64; 3] = [0x3ffa0339b0000000, 0x3ff93a1f50000000, 0x3ff0cdf630000000];
-const HET_ASYNC_H2D: u64 = 34176;
-const HET_ASYNC_CACHE_HIT: u64 = 13568;
+
+/// Worker counts the overlapped epoch is held to the synchronous one at.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn cfg(p_grad: f32, t_stale: u32) -> FreshGnnConfig {
     FreshGnnConfig {
@@ -155,6 +154,25 @@ fn two_sided_ns_baseline_matches_goldens() {
     assert_eq!(t.counters.index_bytes, NS2S_IDX);
 }
 
+/// Three epochs of SAGE-16 under `(p_grad, t_stale) = (0.9, 30)`, seed
+/// 21, through `train_epoch_async` at `workers` (`0` is `train_epoch`):
+/// the loss bits and the simulated part of the traffic ledger, with every
+/// epoch's attribution checked on the way.
+fn sage16_run(ds: &Dataset, workers: usize) -> (Vec<u64>, String) {
+    let mut t = Trainer::new(ds, Arch::Sage, 16, Machine::single_a100(), cfg(0.9, 30), 21);
+    let mut opt = Adam::new(0.01);
+    let losses = (0..3)
+        .map(|_| {
+            let stats = t.train_epoch_async(ds, &mut opt, workers, 4).unwrap();
+            assert_attribution_complete(&stats);
+            stats.mean_loss.to_bits()
+        })
+        .collect();
+    (losses, format!("{:?}", sim_only(&t.counters)))
+}
+
+/// The overlapped epoch trains the synchronous stream: at every worker
+/// count its losses and traffic ledger are `train_epoch`'s, bit for bit.
 #[test]
 fn async_pipeline_matches_goldens() {
     let ds = arxiv16();
@@ -167,38 +185,26 @@ fn async_pipeline_matches_goldens() {
         21,
     );
     let mut opt = Adam::new(0.01);
-    for &expect in &ASYNC_LOSSES {
-        let stats = t.train_epoch_async(&ds, &mut opt, 2, 4).unwrap();
-        assert_eq!(stats.mean_loss.to_bits(), expect);
-        assert_attribution_complete(&stats);
+    let losses: Vec<u64> = (0..3)
+        .map(|_| t.train_epoch(&ds, &mut opt).mean_loss.to_bits())
+        .collect();
+    let reference = (losses, format!("{:?}", sim_only(&t.counters)));
+    for workers in WORKERS {
+        assert_eq!(sage16_run(&ds, workers), reference, "workers={workers}");
     }
-    assert_eq!(t.counters.host_to_gpu_bytes, ASYNC_H2D);
 }
 
 /// Regression pin for the PR 8 ULP-band blowout: on the multi-worker
 /// async pipeline the attribution gap stays within the 2-ULP
 /// delta-subtraction residual at every worker count, and the stream is
-/// golden-identical to the 1-worker (and pre-refactor) run — the
-/// scheduler moves work between threads, never into the numbers.
+/// the zero-worker (synchronous) one — the scheduler moves work between
+/// threads, never into the numbers.
 #[test]
 fn attribution_band_is_tight_on_the_async_pipeline() {
     let ds = arxiv16();
-    for workers in [1, 2, 4, 8] {
-        let mut t = Trainer::new(
-            &ds,
-            Arch::Sage,
-            16,
-            Machine::single_a100(),
-            cfg(0.9, 30),
-            21,
-        );
-        let mut opt = Adam::new(0.01);
-        for &expect in &ASYNC_LOSSES {
-            let stats = t.train_epoch_async(&ds, &mut opt, workers, 4).unwrap();
-            assert_eq!(stats.mean_loss.to_bits(), expect, "workers={workers}");
-            assert_attribution_complete(&stats);
-        }
-        assert_eq!(t.counters.host_to_gpu_bytes, ASYNC_H2D, "workers={workers}");
+    let reference = sage16_run(&ds, 0);
+    for workers in WORKERS {
+        assert_eq!(sage16_run(&ds, workers), reference, "workers={workers}");
     }
 }
 
@@ -359,8 +365,9 @@ fn hetero_trainer_matches_goldens() {
     assert_eq!(t.evaluate(&ds, &ds.test_nodes, 128).to_bits(), HET_ACC);
 }
 
-/// The heterogeneous overlapped epoch reproduces the stream its own
-/// (pre-unification) overlap mechanism produced, at every worker count.
+/// The heterogeneous overlapped epoch trains the synchronous stream too:
+/// three epochs at every worker count reproduce `train_epoch`'s losses,
+/// H2D and cache-hit bytes.
 #[test]
 fn hetero_async_pipeline_matches_goldens() {
     let ds = mag_hetero(400, 4, 8, 3);
@@ -371,16 +378,22 @@ fn hetero_async_pipeline_matches_goldens() {
         batch_size: 32,
         ..Default::default()
     };
-    for workers in [1, 2, 4, 8] {
+    let run = |workers: usize| {
         let mut t = HeteroTrainer::new(&ds, 16, Machine::single_a100(), hcfg.clone(), 1);
         let mut opt = Adam::new(0.01);
-        for &expect in &HET_ASYNC_LOSSES {
-            let stats = t.train_epoch_async(&ds, &mut opt, workers, 4).unwrap();
-            assert_eq!(stats.mean_loss.to_bits(), expect, "workers={workers}");
-            assert_attribution_complete(&stats);
-        }
-        assert_eq!(t.counters.host_to_gpu_bytes, HET_ASYNC_H2D);
-        assert_eq!(t.counters.cache_hit_bytes, HET_ASYNC_CACHE_HIT);
+        let losses: Vec<u64> = (0..3)
+            .map(|_| {
+                let stats = t.train_epoch_async(&ds, &mut opt, workers, 4).unwrap();
+                assert_attribution_complete(&stats);
+                stats.mean_loss.to_bits()
+            })
+            .collect();
+        (losses, format!("{:?}", sim_only(&t.counters)))
+    };
+    let reference = run(0);
+    assert_eq!(reference.0[..2], HET_LOSSES, "the synchronous goldens");
+    for workers in WORKERS {
+        assert_eq!(run(workers), reference, "workers={workers}");
     }
 }
 

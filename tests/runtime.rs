@@ -1,17 +1,17 @@
 //! Schedule-fuzzing determinism suite for the task pool under overlapped
 //! training (DESIGN.md §13), plus its shutdown/drain lock-down.
 //!
-//! The runtime's contract is *schedule independence*: per-task RNG is
-//! derived from `(seed, task index)` alone and results are consumed in
-//! index order, so the committed stream, every `Exact`-class metric and
+//! The runtime's contract is *schedule independence*: every task carries
+//! its own pre-drawn RNG and results are consumed in index order, so the
+//! committed stream, every `Exact`-class metric and
 //! the span tree are byte-identical at any worker count and under any
 //! completion order — including the seeded adversarial ones
 //! [`ChaosPolicy`] injects (delayed claims, worker stalls). The suite
 //! drives exactly that matrix:
 //!
-//! * fuzzed async sampling versus the single-thread sync reference;
+//! * fuzzed pool sampling versus a single-thread sampling loop;
 //! * fuzzed trainer epochs: Exact metric streams and Chrome span trees
-//!   across worker counts {1, 2, 4, 8};
+//!   across worker counts {0, 1, 2, 4, 8};
 //! * [`InOrder`] releases `0..n` under random completion permutations;
 //! * prompt mid-epoch `Drop`: workers join, no task left running;
 //! * drain: a pool whose workers outnumber its tasks (down to zero tasks)
@@ -22,10 +22,10 @@ mod common;
 
 use freshgnn_repro::core::obs::export::{chrome_trace, metrics_jsonl};
 use freshgnn_repro::core::runtime::{ChaosPolicy, InOrder, Pool, RuntimeConfig, TaskError};
-use freshgnn_repro::core::sampler::{sample_epoch_sync, AsyncSampler};
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::block::MiniBatch;
 use freshgnn_repro::graph::datasets::arxiv_spec;
+use freshgnn_repro::graph::sample::NeighborSampler;
 use freshgnn_repro::graph::{Dataset, NodeId};
 use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::nn::model::Arch;
@@ -82,10 +82,11 @@ fn random_chaos(rng: &mut Rng) -> ChaosPolicy {
 }
 
 /// Fuzzed schedules against the sync reference: for a matrix of seeded
-/// chaos policies × worker counts × queue capacities, the async
-/// sampler's committed batch stream is byte-identical to single-thread
-/// synchronous sampling — same order, same contents, down to the
-/// fingerprint of every adjacency row.
+/// chaos policies × worker counts × queue capacities, a pool sampling
+/// batches whose tasks carry pre-drawn RNGs (as the driver's do) commits a
+/// stream byte-identical to sampling them one after another on one thread
+/// — same order, same contents, down to the fingerprint of every
+/// adjacency row.
 #[test]
 fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
     let ds = tiny();
@@ -93,16 +94,20 @@ fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
     common::for_cases(
         "fuzzed_schedules_commit_the_sync_batch_stream_byte_identically",
         |rng| {
-            let seed = rng.next_u64();
+            let mut stream = Rng::new(rng.next_u64());
             let batch_size = [16usize, 32, 48][rng.below(3)];
-            let batches: Vec<Vec<NodeId>> = ds
+            let tasks: Vec<(Vec<NodeId>, Rng)> = ds
                 .train_nodes
                 .chunks(batch_size)
-                .map(|c| c.to_vec())
+                .map(|c| (c.to_vec(), stream.fork()))
                 .collect();
-            let reference: Vec<u64> = sample_epoch_sync(&ds.graph, &batches, &fanouts, seed)
+            // The synchronous reference: one sampler, the batches in order.
+            let mut sampler = NeighborSampler::new(ds.num_nodes());
+            let reference: Vec<u64> = tasks
                 .iter()
-                .map(fingerprint)
+                .map(|(seeds, r)| {
+                    fingerprint(&sampler.sample(&ds.graph, seeds, &fanouts, &mut r.clone()))
+                })
                 .collect();
 
             let cfg = RuntimeConfig {
@@ -111,15 +116,16 @@ fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
                 chaos: Some(random_chaos(rng)),
                 ..RuntimeConfig::default()
             };
-            let stream = AsyncSampler::spawn_with_config(
-                Arc::new(ds.graph.clone()),
-                batches,
-                fanouts.clone(),
+            let (graph, fanouts, n) = (Arc::clone(&ds.graph), fanouts.clone(), ds.num_nodes());
+            let pool: Pool<MiniBatch> = Pool::spawn(
                 &cfg,
-                seed,
-                None,
+                tasks,
+                move || NeighborSampler::new(n),
+                move |s: &mut NeighborSampler, _, (seeds, r): &(Vec<NodeId>, Rng), _| {
+                    s.sample(&graph, seeds, &fanouts, &mut r.clone())
+                },
             );
-            let got: Vec<u64> = stream
+            let got: Vec<u64> = InOrder::<MiniBatch>::new(pool)
                 .map(|r| fingerprint(&r.expect("fault-free sampling")))
                 .collect();
             assert_eq!(got, reference, "committed stream diverged from sync");
@@ -130,7 +136,9 @@ fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
 /// Fuzzed trainer epochs: a single-worker chaos-free run is the
 /// reference; a multi-worker run under an aggressive random schedule
 /// must reproduce its loss bits, traffic ledger, the full Exact-class
-/// metric stream and the Chrome span tree byte for byte.
+/// metric stream and the Chrome span tree byte for byte, and the
+/// zero-worker (synchronous) epoch all of them but the `sampler.*` metrics
+/// only a pool reports.
 #[test]
 fn fuzzed_trainer_epochs_have_identical_exact_streams_and_span_trees() {
     let ds = tiny();
@@ -169,6 +177,14 @@ fn fuzzed_trainer_epochs_have_identical_exact_streams_and_span_trees() {
             assert_eq!(chaotic.1, reference.1, "H2D traffic diverged");
             assert_eq!(chaotic.2, reference.2, "Exact metric stream diverged");
             assert_eq!(chaotic.3, reference.3, "span tree diverged");
+            let sync = run(0, None);
+            assert_eq!(
+                (sync.0, sync.1),
+                (reference.0, reference.1),
+                "sync diverged"
+            );
+            assert_eq!(sync.2, common::without_sampler(&reference.2));
+            assert_eq!(sync.3, reference.3, "sync span tree diverged");
         },
     );
 }
