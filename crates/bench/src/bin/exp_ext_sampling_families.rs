@@ -85,7 +85,7 @@ fn main() {
             &ds,
             Arch::Sage,
             64,
-            2,
+            vec![6, 6],
             128,
             kind,
             Machine::single_a100(),
@@ -96,10 +96,10 @@ fn main() {
         for e in 0..epochs {
             t.train_epoch(&ds, &mut opt);
             if e % 10 == 9 {
-                best = best.max(t.evaluate(&ds, eval_nodes, &[6, 6]));
+                best = best.max(t.evaluate(&ds, eval_nodes, 256));
             }
         }
-        best = best.max(t.evaluate(&ds, eval_nodes, &[6, 6]));
+        best = best.max(t.evaluate(&ds, eval_nodes, 256));
         row(
             &[
                 &name,

@@ -159,7 +159,7 @@ fn main() {
                 &ds,
                 Arch::Sage,
                 64,
-                3,
+                vec![6, 6, 6],
                 Machine::single_a100(),
                 GasConfig {
                     num_parts: (ds.num_nodes() / 128).clamp(2, 64),
@@ -183,7 +183,7 @@ fn main() {
                 &ds,
                 Arch::Sage,
                 64,
-                3,
+                vec![6, 6, 6],
                 (ds.num_nodes() / 128).clamp(2, 64),
                 2,
                 Machine::single_a100(),

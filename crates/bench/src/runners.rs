@@ -8,6 +8,7 @@ use fgnn_memsim::stage::StageTimings;
 use fgnn_nn::model::Arch;
 use fgnn_nn::Adam;
 use freshgnn::baselines::{ClusterGcnTrainer, GasConfig, GasTrainer};
+use freshgnn::driver::{Driver, Workload};
 use freshgnn::{FreshGnnConfig, Obs, Trainer};
 
 /// A training method under comparison.
@@ -98,7 +99,7 @@ pub fn run_method(ds: &Dataset, method: Method, spec: &RunSpec, seed: u64) -> Ve
 
 /// Like [`run_method`], additionally returning the run's cumulative
 /// per-stage time/traffic attribution and its observability state (spans
-/// plus metrics — every method trains through `freshgnn::Engine`, so
+/// plus metrics — every method trains through `freshgnn::Driver`, so
 /// both are populated uniformly; see `--trace-out` / `--metrics-out`).
 pub fn run_method_timed(
     ds: &Dataset,
@@ -107,96 +108,66 @@ pub fn run_method_timed(
     seed: u64,
 ) -> (Vec<f64>, StageTimings, Obs) {
     let machine = Machine::single_a100();
-    let mut opt = Adam::new(spec.lr);
-    let mut curve = Vec::new();
-    let mut timings = StageTimings::new();
-    let eval_nodes: &[u32] = &ds.test_nodes[..ds.test_nodes.len().min(2000)];
-    let epochs_for = |steps_per_epoch: usize| -> usize {
-        spec.target_steps.div_ceil(steps_per_epoch.max(1)).max(1)
-    };
-    let obs = match method {
+    let (arch, hidden, fanouts) = (spec.arch, spec.hidden, spec.fanouts.clone());
+    // GAS and ClusterGCN take one step per cluster (group).
+    let num_parts = (ds.num_nodes() / spec.batch_size.max(1)).clamp(2, 64);
+    match method {
         Method::NeighborSampling | Method::FreshGnn => {
             let cfg = if method == Method::FreshGnn {
                 FreshGnnConfig {
                     p_grad: spec.p_grad,
                     t_stale: spec.t_stale,
-                    fanouts: spec.fanouts.clone(),
+                    fanouts,
                     batch_size: spec.batch_size,
                     ..Default::default()
                 }
             } else {
-                FreshGnnConfig::neighbor_sampling(spec.fanouts.clone(), spec.batch_size)
+                FreshGnnConfig::neighbor_sampling(fanouts, spec.batch_size)
             };
             let steps_per_epoch = ds.train_nodes.len().div_ceil(spec.batch_size);
-            let epochs = epochs_for(steps_per_epoch);
-            let eval_every = (epochs / 24).max(1);
-            let mut t = Trainer::new(ds, spec.arch, spec.hidden, machine, cfg, seed);
-            for e in 0..epochs {
-                let stats = t.train_epoch(ds, &mut opt);
-                timings.merge(&stats.timings);
-                if e % eval_every == 0 || e + 1 == epochs {
-                    curve.push(t.evaluate(ds, eval_nodes, 256));
-                }
-            }
-            std::mem::take(&mut t.obs)
+            let t = Trainer::new(ds, arch, hidden, machine, cfg, seed);
+            train_curve(ds, t, steps_per_epoch, spec)
         }
         Method::Gas | Method::GraphFm => {
-            let momentum = if method == Method::GraphFm {
-                Some(0.3)
-            } else {
-                None
+            let cfg = GasConfig {
+                num_parts,
+                max_neighbors: 64,
+                momentum: (method == Method::GraphFm).then_some(0.3),
             };
-            let num_parts = (ds.num_nodes() / spec.batch_size.max(1)).clamp(2, 64);
-            let mut t = GasTrainer::new(
-                ds,
-                spec.arch,
-                spec.hidden,
-                spec.fanouts.len(),
-                machine,
-                GasConfig {
-                    num_parts,
-                    max_neighbors: 64,
-                    momentum,
-                },
-                seed,
-            );
-            let epochs = epochs_for(num_parts);
-            let eval_every = (epochs / 24).max(1);
-            for e in 0..epochs {
-                let stats = t.train_epoch(ds, &mut opt);
-                timings.merge(&stats.timings);
-                if e % eval_every == 0 || e + 1 == epochs {
-                    curve.push(t.evaluate(ds, eval_nodes, &spec.fanouts));
-                }
-            }
-            std::mem::take(&mut t.obs)
+            let t = GasTrainer::new(ds, arch, hidden, fanouts, machine, cfg, seed);
+            train_curve(ds, t, num_parts, spec)
         }
         Method::ClusterGcn => {
-            let num_parts = (ds.num_nodes() / spec.batch_size.max(1)).clamp(2, 64);
             let q = 2;
-            let mut t = ClusterGcnTrainer::new(
-                ds,
-                spec.arch,
-                spec.hidden,
-                spec.fanouts.len(),
-                num_parts,
-                q,
-                machine,
-                seed,
-            );
-            let epochs = epochs_for(num_parts.div_ceil(q));
-            let eval_every = (epochs / 24).max(1);
-            for e in 0..epochs {
-                let stats = t.train_epoch(ds, &mut opt);
-                timings.merge(&stats.timings);
-                if e % eval_every == 0 || e + 1 == epochs {
-                    curve.push(t.evaluate(ds, eval_nodes, &spec.fanouts));
-                }
-            }
-            std::mem::take(&mut t.obs)
+            let t = ClusterGcnTrainer::new(ds, arch, hidden, fanouts, num_parts, q, machine, seed);
+            train_curve(ds, t, num_parts.div_ceil(q), spec)
         }
-    };
-    (curve, timings, obs)
+    }
+}
+
+/// Train `t` for the whole epochs of `steps_per_epoch` that reach
+/// `spec.target_steps`, evaluating about 24 times along the way and after
+/// the last epoch.
+fn train_curve<W: Workload<Dataset = Dataset>>(
+    ds: &Dataset,
+    mut t: Driver<W>,
+    steps_per_epoch: usize,
+    spec: &RunSpec,
+) -> (Vec<f64>, StageTimings, Obs) {
+    let mut opt = Adam::new(spec.lr);
+    let eval_nodes = &ds.test_nodes[..ds.test_nodes.len().min(2000)];
+    let epochs = spec.target_steps.div_ceil(steps_per_epoch.max(1)).max(1);
+    let eval_every = (epochs / 24).max(1);
+    let mut curve = Vec::new();
+    let mut timings = StageTimings::new();
+    for e in 0..epochs {
+        let stats = t.train_epoch(ds, &mut opt);
+        timings.merge(&stats.timings);
+        if e % eval_every == 0 || e + 1 == epochs {
+            curve.push(t.evaluate(ds, eval_nodes, 256));
+        }
+    }
+    (curve, timings, std::mem::take(&mut t.obs))
 }
 
 /// Best (max) accuracy of a curve — the paper reports converged accuracy.

@@ -1,4 +1,5 @@
-//! ClusterGCN (Chiang et al., KDD'19).
+//! ClusterGCN (Chiang et al., KDD'19) — the [`ClusterGcn`] workload of the
+//! shared [`Driver`].
 //!
 //! The graph is partitioned once; each training step merges `q` random
 //! partitions, takes the *induced* subgraph (cross-partition edges are
@@ -6,256 +7,166 @@
 //! sparse-label graphs, Table 3) and runs full-graph-style training on it:
 //! every node of the subgraph is present at every layer.
 
-use crate::baselines::sampling::full_subgraph_minibatch;
-use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
-use fgnn_graph::partition::{induced_subgraph, partition_ldg};
-use fgnn_graph::{Dataset, NodeId};
-use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
-use fgnn_memsim::presets::Machine;
-use fgnn_memsim::stage::{StageKind, StageTimings};
-use fgnn_memsim::topology::Node;
+use crate::baselines::sampling::{subgraph_batch, train_subgraph, SubgraphBatch};
+use crate::config::FreshGnnConfig;
+use crate::driver::{Driver, Stages, Workload};
+use crate::pipeline::{BatchOutput, EvalHarness, PipelineCtx};
+use fgnn_graph::{Csr, Dataset, NodeId};
+use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
 use fgnn_memsim::TrafficCounters;
-use fgnn_nn::loss::softmax_cross_entropy;
 use fgnn_nn::model::{Arch, Model};
 use fgnn_nn::Optimizer;
-use fgnn_tensor::{Matrix, Rng};
-use std::collections::HashSet;
+use fgnn_tensor::Rng;
+use std::sync::Arc;
 
-/// ClusterGCN trainer.
-pub struct ClusterGcnTrainer {
-    /// The GNN under training.
-    pub model: Model,
-    clusters: Vec<Vec<NodeId>>,
-    /// Clusters merged per batch (the paper's `q`).
-    pub clusters_per_batch: usize,
-    /// Traffic ledger.
-    pub counters: TrafficCounters,
-    /// Cumulative per-stage attribution of `counters` (not checkpointed).
-    pub timings: StageTimings,
-    /// Observability state: sim-clock spans plus metrics, fed by the
-    /// pipeline engine (not checkpointed).
-    pub obs: Obs,
-    machine: Machine,
-    dims: Vec<usize>,
-    train_set: HashSet<NodeId>,
-    epoch: u32,
-    rng: Rng,
-    faults: FaultState,
+/// ClusterGCN trainer: the epoch [`Driver`] over the [`ClusterGcn`]
+/// workload.
+pub type ClusterGcnTrainer = Driver<ClusterGcn>;
+
+/// Workload state of ClusterGCN: an epoch shuffles the cluster ids and
+/// merges `q` per batch, drawing nothing else from the trainer stream. The
+/// partition is construction state, so resuming a checkpoint needs the
+/// seed that drew it. The state is also its own sampling handle: every
+/// field is shared by refcount with an overlapped epoch's workers.
+#[derive(Clone)]
+pub struct ClusterGcn {
+    graph: Arc<Csr>,
+    /// The partition's non-empty clusters.
+    clusters: Arc<[Vec<NodeId>]>,
+    /// `0..clusters.len()`, the units an epoch is split over.
+    cluster_ids: Arc<[NodeId]>,
+    is_train: Arc<[bool]>,
+    num_layers: usize,
 }
 
-impl ClusterGcnTrainer {
-    /// Partition `ds` into `num_parts` and build the trainer.
+impl Driver<ClusterGcn> {
+    /// Partition `ds` into `num_parts` and build the trainer: an `arch`
+    /// model with `hidden` units per hidden layer and one layer per entry
+    /// of `fanouts` (also the evaluation fanouts), `clusters_per_batch`
+    /// (the paper's `q`) clusters merged per batch.
     // The parameter list mirrors the baseline's natural knobs; a builder
-    // would add noise for a single call site.
+    // would add noise for a handful of call sites.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         ds: &Dataset,
         arch: Arch,
         hidden: usize,
-        num_layers: usize,
+        fanouts: Vec<usize>,
         num_parts: usize,
         clusters_per_batch: usize,
         machine: Machine,
         seed: u64,
     ) -> Self {
-        let mut rng = Rng::new(seed);
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
-        let model = Model::new(arch, &dims, &mut rng);
-        let parts = partition_ldg(&ds.graph, num_parts, &mut rng);
-        let clusters = parts
-            .clusters()
-            .into_iter()
-            .filter(|c| !c.is_empty())
-            .collect();
-        ClusterGcnTrainer {
-            model,
-            clusters,
-            clusters_per_batch: clusters_per_batch.max(1),
-            counters: TrafficCounters::new(),
-            timings: StageTimings::new(),
-            obs: Obs::new(),
-            machine,
-            dims,
-            train_set: ds.train_nodes.iter().copied().collect(),
-            epoch: 0,
-            rng,
-            faults: FaultState::none(),
-        }
-    }
-
-    /// Inject interconnect faults (same contract as
-    /// [`crate::Trainer::inject_faults`]).
-    pub fn inject_faults(&mut self, plan: FaultPlan, policy: RetryPolicy) {
-        self.faults.inject(plan, policy);
-    }
-
-    /// Completed epochs so far.
-    pub fn epochs(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Train one epoch through the pipeline engine: shuffle clusters, merge
-    /// groups of `q`, train each. The induced-subgraph construction is
-    /// ClusterGCN's `Sample` stage; it has no `Prune`/`CacheUpdate`.
-    pub fn train_epoch(&mut self, ds: &Dataset, opt: &mut dyn Optimizer) -> EpochStats {
-        let mut order: Vec<usize> = (0..self.clusters.len()).collect();
-        let mut shuffle_rng = self.rng.fork();
-        shuffle_rng.shuffle(&mut order);
-        let groups: Vec<Vec<NodeId>> = order
-            .chunks(self.clusters_per_batch)
-            .map(|group| {
-                let mut nodes: Vec<NodeId> = group
-                    .iter()
-                    .flat_map(|&ci| self.clusters[ci].iter().copied())
-                    .collect();
-                nodes.sort_unstable();
-                nodes
-            })
-            .collect();
-
-        let topo = self.machine.topology.clone();
-        let mut stages = ClusterGcnStages {
-            model: &mut self.model,
-            dims: &self.dims,
-            train_set: &self.train_set,
-            machine: &self.machine,
-            ds,
-        };
-        let stats = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            groups,
-            |ctx, counters, nodes| stages.train_subgraph(ctx, counters, &nodes, opt),
-        );
-        self.epoch += 1;
-        self.timings.merge(&stats.timings);
-        stats
-    }
-
-    /// Shared accuracy protocol (plain neighbor sampling).
-    pub fn evaluate(&mut self, ds: &Dataset, nodes: &[NodeId], fanouts: &[usize]) -> f64 {
-        let mut rng = self.rng.fork();
-        EvalHarness::accuracy(&self.model, ds, nodes, fanouts, 256, &mut rng)
+        let num_layers = fanouts.len();
+        let cfg = FreshGnnConfig::neighbor_sampling(fanouts, clusters_per_batch.max(1));
+        Driver::with_model(ds, arch, hidden, machine, cfg, seed, |_, _, rng| {
+            let clusters = super::clusters(ds, num_parts, rng);
+            ClusterGcn {
+                graph: Arc::clone(&ds.graph),
+                cluster_ids: (0..clusters.len() as NodeId).collect(),
+                clusters: clusters.into(),
+                is_train: super::train_mask(ds).into(),
+                num_layers,
+            }
+        })
     }
 }
 
-/// Disjoint borrows of [`ClusterGcnTrainer`] fields for the per-group step.
-struct ClusterGcnStages<'s, 'd> {
-    model: &'s mut Model,
-    dims: &'s [usize],
-    train_set: &'s HashSet<NodeId>,
-    machine: &'s Machine,
-    ds: &'d Dataset,
-}
+impl Workload for ClusterGcn {
+    type Dataset = Dataset;
+    type Model = Model;
+    /// `None` when the merged clusters hold no labeled node.
+    type Batch = Option<SubgraphBatch>;
+    type Graph = ClusterGcn;
+    type Sampler = ();
+    type Trace = ();
+    type Grads = ();
 
-impl<'t> ClusterGcnStages<'_, '_> {
-    fn train_subgraph(
-        &mut self,
-        ctx: &mut PipelineCtx<'t>,
+    fn units<'a>(&'a self, _: &'a Dataset) -> &'a [NodeId] {
+        &self.cluster_ids
+    }
+
+    /// Sampling a batch only merges clusters, and there is no cache policy
+    /// to feed: nothing is drawn.
+    fn batch_rngs(&self, _main: &mut Rng, _iter: u32) -> (Rng, Rng) {
+        (Rng::new(0), Rng::new(0))
+    }
+
+    fn step(
+        st: &mut Stages<'_, Self>,
+        ds: &Dataset,
+        ctx: &mut PipelineCtx<'_>,
         counters: &mut TrafficCounters,
-        nodes: &[NodeId],
+        batch: Option<SubgraphBatch>,
+        _policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
     ) -> Option<BatchOutput> {
-        let ds = self.ds;
-        let train_local: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| self.train_set.contains(g))
-            .map(|(i, _)| i)
-            .collect();
-        if train_local.is_empty() {
-            return None;
-        }
-
-        let mb = ctx.stage(StageKind::Sample, counters, |_engine, _c| {
-            let (sub, map) = induced_subgraph(&ds.graph, nodes);
-            full_subgraph_minibatch(&sub, &map, self.dims.len() - 1)
-        });
-
-        // Load the subgraph's features (every node, every epoch — the
-        // ClusterGCN traffic profile).
-        let h0 = ctx.stage(StageKind::Load, counters, |engine, c| {
-            let ids: Vec<usize> = nodes.iter().map(|&g| g as usize).collect();
-            let h0 = ds.features.gather_rows(&ids);
-            engine.one_sided_read(
-                Node::Host,
-                Node::Gpu(0),
-                (nodes.len() * ds.spec.feature_row_bytes()) as u64,
-                c,
-            );
-            h0
-        });
-
-        let trace = ctx.stage(StageKind::Forward, counters, |_engine, _c| {
-            self.model.forward(&mb, h0)
-        });
-
-        let loss = ctx.stage(StageKind::Backward, counters, |_engine, _c| {
-            let logits = trace.h.last().unwrap();
-            let sel_logits = logits.gather_rows(&train_local);
-            let labels: Vec<u16> = train_local
-                .iter()
-                .map(|&i| ds.labels[nodes[i] as usize])
-                .collect();
-            let (loss, d_sel) = softmax_cross_entropy(&sel_logits, &labels);
-            let mut d_top = Matrix::zeros(nodes.len(), self.dims[self.dims.len() - 1]);
-            d_top.scatter_add_rows(&train_local, &d_sel);
-
-            self.model.zero_grad();
-            self.model.backward(&mb, &trace, d_top);
-            loss
-        });
-
-        ctx.stage(StageKind::OptimStep, counters, |_engine, _c| {
-            let mut params = self.model.params_mut();
-            opt.step(&mut params);
-        });
-
-        let edges = mb.total_edges();
+        let batch = batch?;
+        let (dims, mb) = (st.dims, &batch.mb);
+        let widen = if st.model.arch == Arch::Sage { 2 } else { 1 };
         let flops = 3.0
-            * (fgnn_memsim::presets::aggregation_flops(edges, self.dims[0])
-                + (0..self.dims.len() - 1)
-                    .map(|l| {
-                        fgnn_memsim::presets::dense_flops(
-                            nodes.len(),
-                            if self.model.arch == Arch::Sage {
-                                2 * self.dims[l]
-                            } else {
-                                self.dims[l]
-                            },
-                            self.dims[l + 1],
-                        )
-                    })
+            * (aggregation_flops(mb.total_edges(), dims[0])
+                + (0..dims.len() - 1)
+                    .map(|l| dense_flops(mb.seeds.len(), widen * dims[l], dims[l + 1]))
                     .sum::<f64>());
-        ctx.stage(StageKind::Backward, counters, |_engine, c| {
-            c.compute_seconds += self.machine.gpu.compute_seconds(flops);
-        });
-        Some(BatchOutput::loss_only(loss))
+        Some(train_subgraph(st, ds, ctx, counters, batch, flops, opt))
+    }
+
+    fn graph(&self, _: &Dataset) -> ClusterGcn {
+        self.clone()
+    }
+
+    fn sampler(_: &ClusterGcn) {}
+
+    /// The subgraph induced by the merged clusters `seeds`.
+    fn sample(
+        _: &mut (),
+        g: &ClusterGcn,
+        seeds: &[NodeId],
+        _: &[usize],
+        _: &mut Rng,
+    ) -> Option<SubgraphBatch> {
+        let mut nodes: Vec<NodeId> = seeds
+            .iter()
+            .flat_map(|&ci| g.clusters[ci as usize].iter().copied())
+            .collect();
+        nodes.sort_unstable();
+        subgraph_batch(&g.graph, &nodes, &g.is_train, g.num_layers)
+    }
+
+    fn accuracy(
+        model: &Model,
+        ds: &Dataset,
+        nodes: &[NodeId],
+        fanouts: &[usize],
+        batch_size: usize,
+        rng: &mut Rng,
+    ) -> f64 {
+        EvalHarness::accuracy(model, ds, nodes, fanouts, batch_size, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::sampling::full_subgraph_minibatch;
     use fgnn_graph::datasets::arxiv_spec;
+    use fgnn_graph::partition::induced_subgraph;
     use fgnn_nn::Adam;
 
     fn tiny() -> Dataset {
         Dataset::materialize(arxiv_spec(0.0).with_dim(12), 9)
     }
 
+    fn cluster_gcn(ds: &Dataset, num_parts: usize, seed: u64) -> ClusterGcnTrainer {
+        let machine = Machine::single_a100();
+        ClusterGcnTrainer::new(ds, Arch::Gcn, 16, vec![4, 4], num_parts, 2, machine, seed)
+    }
+
     #[test]
     fn cluster_gcn_trains() {
         let ds = tiny();
-        let mut t = ClusterGcnTrainer::new(&ds, Arch::Gcn, 16, 2, 8, 2, Machine::single_a100(), 1);
+        let mut t = cluster_gcn(&ds, 8, 1);
         let mut opt = Adam::new(0.01);
         let first = t.train_epoch(&ds, &mut opt).mean_loss;
         let mut last = first;
@@ -280,12 +191,12 @@ mod tests {
     #[test]
     fn accuracy_above_random_after_training() {
         let ds = tiny();
-        let mut t = ClusterGcnTrainer::new(&ds, Arch::Gcn, 16, 2, 6, 2, Machine::single_a100(), 2);
+        let mut t = cluster_gcn(&ds, 6, 2);
         let mut opt = Adam::new(0.01);
         for _ in 0..15 {
             t.train_epoch(&ds, &mut opt);
         }
-        let acc = t.evaluate(&ds, &ds.test_nodes, &[4, 4]);
+        let acc = t.evaluate(&ds, &ds.test_nodes, 256);
         assert!(acc > 0.08, "accuracy {acc}");
     }
 }

@@ -18,13 +18,12 @@
 //! (GraphFM-OB also corrects boundary estimates in-batch; we reproduce the
 //! momentum mechanism, which drives its accuracy behaviour at scale.)
 
-use crate::obs::Obs;
-use crate::pipeline::{BatchOutput, Engine, EpochStats, EvalHarness, PipelineCtx};
-use fgnn_graph::partition::{partition_ldg, Partitioning};
+use crate::config::FreshGnnConfig;
+use crate::driver::{Driver, Stages, Workload};
+use crate::pipeline::{BatchOutput, EvalHarness, PipelineCtx};
 use fgnn_graph::{Block, Csr2, Dataset, NodeId};
-use fgnn_memsim::fault::{FaultPlan, FaultState, RetryPolicy};
-use fgnn_memsim::presets::Machine;
-use fgnn_memsim::stage::{StageKind, StageTimings};
+use fgnn_memsim::presets::{aggregation_flops, dense_flops, Machine};
+use fgnn_memsim::stage::StageKind;
 use fgnn_memsim::topology::Node;
 use fgnn_memsim::TrafficCounters;
 use fgnn_nn::layer::Scratch;
@@ -55,12 +54,23 @@ impl Default for GasConfig {
     }
 }
 
-/// GAS trainer state.
-pub struct GasTrainer {
-    /// The GNN under training.
-    pub model: Model,
+/// GAS / GraphFM trainer: the epoch [`Driver`] over the [`Gas`] workload.
+pub type GasTrainer = Driver<Gas>;
+
+/// Workload state of GAS: the partition with its precomputed cluster
+/// blocks, and the histories. An epoch shuffles the cluster ids and trains
+/// one cluster per batch, drawing nothing else from the trainer stream;
+/// sampling only names the cluster. GAS skips the `Prune`/`CacheUpdate`
+/// stages: its "cache" (the history) is written inside `Forward`, which is
+/// exactly the design difference the per-stage ledger makes visible.
+///
+/// A checkpoint does not capture the `O(Lnd)` histories, so a resumed GAS
+/// run restarts them at zero and does not replay the uninterrupted one.
+pub struct Gas {
     /// Full-size per-level histories (`levels 1..L`), the `O(Lnd)` store.
     history: Vec<Matrix>,
+    /// `0..clusters.len()`, the units an epoch is split over.
+    cluster_ids: Vec<NodeId>,
     clusters: Vec<Vec<NodeId>>,
     /// Per cluster: the local rows of its training nodes, the rows the loss
     /// reads.
@@ -68,188 +78,98 @@ pub struct GasTrainer {
     /// Per-cluster precomputed blocks (dst = cluster, src = cluster ∪
     /// boundary, full in-edges).
     blocks: Vec<Block>,
-    cfg: GasConfig,
-    /// Traffic ledger (history pulls/pushes + feature loads).
-    pub counters: TrafficCounters,
-    /// Cumulative per-stage attribution of `counters` (not checkpointed).
-    pub timings: StageTimings,
-    /// Observability state: sim-clock spans plus metrics, fed by the
-    /// pipeline engine (not checkpointed).
-    pub obs: Obs,
-    machine: Machine,
-    dims: Vec<usize>,
-    epoch: u32,
-    rng: Rng,
-    faults: FaultState,
+    momentum: Option<f32>,
 }
 
-impl GasTrainer {
-    /// Build GAS over `ds` with an `arch` model of `hidden` width.
+impl Driver<Gas> {
+    /// Build GAS over `ds`: an `arch` model with `hidden` units per hidden
+    /// layer and one layer per entry of `fanouts` (also the evaluation
+    /// fanouts), over `cfg.num_parts` LDG clusters.
     pub fn new(
         ds: &Dataset,
         arch: Arch,
         hidden: usize,
-        num_layers: usize,
+        fanouts: Vec<usize>,
         machine: Machine,
         cfg: GasConfig,
         seed: u64,
     ) -> Self {
-        let mut rng = Rng::new(seed);
-        let mut dims = Vec::with_capacity(num_layers + 1);
-        dims.push(ds.spec.feature_dim);
-        for _ in 1..num_layers {
-            dims.push(hidden);
-        }
-        dims.push(ds.spec.num_classes);
-        let model = Model::new(arch, &dims, &mut rng);
+        let ns = FreshGnnConfig::neighbor_sampling(fanouts, 1);
+        Driver::with_model(ds, arch, hidden, machine, ns, seed, |_, dims, rng| {
+            let clusters = super::clusters(ds, cfg.num_parts, rng);
+            let blocks = clusters
+                .iter()
+                .map(|c| build_cluster_block(ds, c, cfg.max_neighbors))
+                .collect();
+            let is_train = super::train_mask(ds);
+            let labeled = clusters
+                .iter()
+                .map(|c| (0..c.len()).filter(|&i| is_train[c[i] as usize]).collect())
+                .collect();
+            // Full-size history per level 1..L (the top level history is
+            // kept too, as GAS does, though only interior levels are read).
+            let history = dims[1..]
+                .iter()
+                .map(|&d| Matrix::zeros(ds.num_nodes(), d))
+                .collect();
+            Gas {
+                history,
+                cluster_ids: (0..clusters.len() as NodeId).collect(),
+                clusters,
+                labeled,
+                blocks,
+                momentum: cfg.momentum,
+            }
+        })
+    }
+}
 
-        let parts: Partitioning = partition_ldg(&ds.graph, cfg.num_parts, &mut rng);
-        let clusters: Vec<Vec<NodeId>> = parts
-            .clusters()
-            .into_iter()
-            .filter(|c| !c.is_empty())
-            .collect();
-        let blocks = clusters
-            .iter()
-            .map(|c| build_cluster_block(ds, c, cfg.max_neighbors))
-            .collect();
-        let mut is_train = vec![false; ds.num_nodes()];
-        for &v in &ds.train_nodes {
-            is_train[v as usize] = true;
-        }
-        let labeled = clusters
-            .iter()
-            .map(|c| (0..c.len()).filter(|&i| is_train[c[i] as usize]).collect())
-            .collect();
+impl Workload for Gas {
+    type Dataset = Dataset;
+    type Model = Model;
+    /// The cluster index.
+    type Batch = usize;
+    type Graph = ();
+    type Sampler = ();
+    type Trace = ();
+    type Grads = ();
 
-        // Full-size history per level 1..L (the top level history is kept
-        // too, as GAS does, though only interior levels are read).
-        let history = dims[1..]
-            .iter()
-            .map(|&d| Matrix::zeros(ds.num_nodes(), d))
-            .collect();
+    fn units<'a>(&'a self, _: &'a Dataset) -> &'a [NodeId] {
+        &self.cluster_ids
+    }
 
-        GasTrainer {
-            model,
+    /// A batch is a precomputed cluster, and there is no cache policy to
+    /// feed: nothing is drawn.
+    fn batch_rngs(&self, _main: &mut Rng, _iter: u32) -> (Rng, Rng) {
+        (Rng::new(0), Rng::new(0))
+    }
+
+    fn step(
+        st: &mut Stages<'_, Self>,
+        ds: &Dataset,
+        ctx: &mut PipelineCtx<'_>,
+        counters: &mut TrafficCounters,
+        ci: usize,
+        _policy_rng: &mut Rng,
+        opt: &mut dyn Optimizer,
+    ) -> Option<BatchOutput> {
+        let Gas {
             history,
             clusters,
             labeled,
             blocks,
-            cfg,
-            counters: TrafficCounters::new(),
-            timings: StageTimings::new(),
-            obs: Obs::new(),
-            machine,
-            dims,
-            epoch: 0,
-            rng,
-            faults: FaultState::none(),
-        }
-    }
-
-    /// Inject interconnect faults: every subsequent epoch's transfers are
-    /// subjected to `plan` under `policy` (same contract as
-    /// [`crate::Trainer::inject_faults`]).
-    pub fn inject_faults(&mut self, plan: FaultPlan, policy: RetryPolicy) {
-        self.faults.inject(plan, policy);
-    }
-
-    /// Completed epochs so far.
-    pub fn epochs(&self) -> u32 {
-        self.epoch
-    }
-
-    /// The paper's OOM criterion: GAS must hold `O(Lnd)` history. Returns
-    /// the history bytes for a *paper-scale* node count so experiments can
-    /// report OOM exactly where Table 3 does.
-    pub fn history_bytes_at_scale(&self, num_nodes: usize) -> u64 {
-        self.dims[1..]
-            .iter()
-            .map(|&d| num_nodes as u64 * d as u64 * 4)
-            .sum()
-    }
-
-    /// Resident history bytes at the current (scaled) size.
-    pub fn history_bytes(&self) -> u64 {
-        self.history
-            .iter()
-            .map(|m| (m.rows() * m.cols() * 4) as u64)
-            .sum()
-    }
-
-    /// Train one epoch (= one pass over all clusters, shuffled) through the
-    /// pipeline engine. GAS skips the `Sample`/`Prune`/`CacheUpdate` stages:
-    /// its work units are precomputed cluster blocks and its "cache" (the
-    /// history) is written inside `Forward`, which is exactly the design
-    /// difference the per-stage ledger makes visible.
-    pub fn train_epoch(&mut self, ds: &Dataset, opt: &mut dyn Optimizer) -> EpochStats {
-        let mut order: Vec<usize> = (0..self.clusters.len()).collect();
-        let mut shuffle_rng = self.rng.fork();
-        shuffle_rng.shuffle(&mut order);
-
-        let topo = self.machine.topology.clone();
-        let mut stages = GasStages {
-            model: &mut self.model,
-            history: &mut self.history,
-            clusters: &self.clusters,
-            labeled: &self.labeled,
-            blocks: &self.blocks,
-            cfg: &self.cfg,
-            dims: &self.dims,
-            machine: &self.machine,
-            ds,
-        };
-        let stats = Engine::run_epoch(
-            &topo,
-            &mut self.faults,
-            &mut self.counters,
-            &mut self.obs,
-            order,
-            |ctx, counters, ci| stages.train_cluster(ctx, counters, ci, opt),
-        );
-        self.epoch += 1;
-        self.timings.merge(&stats.timings);
-        stats
-    }
-
-    /// Shared accuracy protocol (plain neighbor sampling).
-    pub fn evaluate(&mut self, ds: &Dataset, nodes: &[NodeId], fanouts: &[usize]) -> f64 {
-        let mut rng = self.rng.fork();
-        EvalHarness::accuracy(&self.model, ds, nodes, fanouts, 256, &mut rng)
-    }
-}
-
-/// Disjoint borrows of [`GasTrainer`] fields used by the per-cluster step,
-/// leaving `fault_plan`/`counters` free for [`Engine::run_epoch`].
-struct GasStages<'s, 'd> {
-    model: &'s mut Model,
-    history: &'s mut Vec<Matrix>,
-    clusters: &'s [Vec<NodeId>],
-    labeled: &'s [Vec<usize>],
-    blocks: &'s [Block],
-    cfg: &'s GasConfig,
-    dims: &'s [usize],
-    machine: &'s Machine,
-    ds: &'d Dataset,
-}
-
-impl<'t> GasStages<'_, '_> {
-    fn train_cluster(
-        &mut self,
-        ctx: &mut PipelineCtx<'t>,
-        counters: &mut TrafficCounters,
-        ci: usize,
-        opt: &mut dyn Optimizer,
-    ) -> Option<BatchOutput> {
-        let ds = self.ds;
-        let cluster = &self.clusters[ci];
-        let block = &self.blocks[ci];
+            momentum,
+            ..
+        } = &mut *st.workload;
+        let (model, dims) = (&mut *st.model, st.dims);
+        let cluster = &clusters[ci];
+        let block = &blocks[ci];
         let n_cluster = cluster.len();
         let n_src = block.num_src();
         let row_bytes = ds.spec.feature_row_bytes() as u64;
 
         // Labels exist for train nodes inside the cluster.
-        let train_local = &self.labeled[ci];
+        let train_local = &labeled[ci];
         if train_local.is_empty() {
             return None;
         }
@@ -265,17 +185,17 @@ impl<'t> GasStages<'_, '_> {
         // Forward through all layers on the same block. History pushes and
         // boundary pulls are charged here: in GAS they are inseparable from
         // the forward pass.
-        let num_layers = self.model.layers.len();
+        let num_layers = model.layers.len();
         let mut traces = Vec::with_capacity(num_layers);
         let mut h_srcs = Vec::with_capacity(num_layers);
         ctx.stage(StageKind::Forward, counters, |engine, c| {
             for l in 0..num_layers {
                 let mut h_dst = Matrix::default();
-                let mut layer_ctx = self.model.layers[l].new_ctx();
-                self.model.layers[l].forward(block, &h_src, None, &mut h_dst, &mut layer_ctx);
+                let mut layer_ctx = model.layers[l].new_ctx();
+                model.layers[l].forward(block, &h_src, None, &mut h_dst, &mut layer_ctx);
                 // Push fresh cluster rows into history[l] (charged).
-                push_rows(&mut self.history[l], cluster, &h_dst, self.cfg.momentum);
-                let level_bytes = (n_cluster * self.dims[l + 1] * 4) as u64;
+                push_rows(&mut history[l], cluster, &h_dst, *momentum);
+                let level_bytes = (n_cluster * dims[l + 1] * 4) as u64;
                 engine.one_sided_read(Node::Gpu(0), Node::Host, level_bytes, c);
 
                 h_srcs.push(h_src.clone());
@@ -284,15 +204,15 @@ impl<'t> GasStages<'_, '_> {
                 if l + 1 < num_layers {
                     // Next layer's src: fresh cluster rows + history boundary.
                     let boundary = &block.src_global[n_cluster..];
-                    let mut next = Matrix::zeros(n_src, self.dims[l + 1]);
-                    next.as_mut_slice()[..n_cluster * self.dims[l + 1]]
+                    let mut next = Matrix::zeros(n_src, dims[l + 1]);
+                    next.as_mut_slice()[..n_cluster * dims[l + 1]]
                         .copy_from_slice(h_dst.as_slice());
                     for (o, &g) in boundary.iter().enumerate() {
                         next.row_mut(n_cluster + o)
-                            .copy_from_slice(self.history[l].row(g as usize));
+                            .copy_from_slice(history[l].row(g as usize));
                     }
                     // Pull boundary history (charged).
-                    let pull = (boundary.len() * self.dims[l + 1] * 4) as u64;
+                    let pull = (boundary.len() * dims[l + 1] * 4) as u64;
                     engine.one_sided_read(Node::Host, Node::Gpu(0), pull, c);
                     h_src = next;
                 } else {
@@ -313,14 +233,14 @@ impl<'t> GasStages<'_, '_> {
             let (loss, d_sel) = softmax_cross_entropy(&sel_logits, &labels);
 
             // Scatter loss gradient back to cluster rows.
-            let mut d = Matrix::zeros(n_cluster, self.dims[num_layers]);
+            let mut d = Matrix::zeros(n_cluster, dims[num_layers]);
             d.scatter_add_rows(train_local, &d_sel);
 
-            self.model.zero_grad();
+            model.zero_grad();
             let mut scratch = Scratch::default();
             for l in (1..num_layers).rev() {
                 let mut d_src = Matrix::default();
-                self.model.layers[l].backward(
+                model.layers[l].backward(
                     block,
                     &traces[l],
                     &h_srcs[l],
@@ -332,47 +252,52 @@ impl<'t> GasStages<'_, '_> {
                 // Boundary rows are history constants: truncate to cluster rows.
                 d = Matrix::from_vec(
                     n_cluster,
-                    self.dims[l],
-                    d_src.as_slice()[..n_cluster * self.dims[l]].to_vec(),
+                    dims[l],
+                    d_src.as_slice()[..n_cluster * dims[l]].to_vec(),
                 );
             }
             // The input layer only owes its parameter gradients.
-            self.model.layers[0].backward_params(
-                &traces[0],
-                &h_srcs[0],
-                &mut d,
-                None,
-                &mut scratch,
-            );
+            model.layers[0].backward_params(&traces[0], &h_srcs[0], &mut d, None, &mut scratch);
             loss
         });
 
         ctx.stage(StageKind::OptimStep, counters, |_engine, _c| {
-            let mut params = self.model.params_mut();
-            opt.step(&mut params);
+            opt.step(&mut model.params_mut());
         });
 
         // Simulated compute, attributed to the backward/forward pass.
+        let widen = if model.arch == Arch::Sage { 2 } else { 1 };
         let flops = 3.0
             * (0..num_layers)
                 .map(|l| {
-                    fgnn_memsim::presets::aggregation_flops(block.num_edges(), self.dims[l])
-                        + fgnn_memsim::presets::dense_flops(
-                            n_cluster,
-                            if self.model.arch == Arch::Sage {
-                                2 * self.dims[l]
-                            } else {
-                                self.dims[l]
-                            },
-                            self.dims[l + 1],
-                        )
+                    aggregation_flops(block.num_edges(), dims[l])
+                        + dense_flops(n_cluster, widen * dims[l], dims[l + 1])
                 })
                 .sum::<f64>();
         ctx.stage(StageKind::Backward, counters, |_engine, c| {
-            c.compute_seconds += self.machine.gpu.compute_seconds(flops);
+            c.compute_seconds += st.machine.gpu.compute_seconds(flops);
         });
 
         Some(BatchOutput::loss_only(loss))
+    }
+
+    fn graph(&self, _: &Dataset) {}
+
+    fn sampler(_: &()) {}
+
+    fn sample(_: &mut (), _: &(), seeds: &[NodeId], _: &[usize], _: &mut Rng) -> usize {
+        seeds[0] as usize
+    }
+
+    fn accuracy(
+        model: &Model,
+        ds: &Dataset,
+        nodes: &[NodeId],
+        fanouts: &[usize],
+        batch_size: usize,
+        rng: &mut Rng,
+    ) -> f64 {
+        EvalHarness::accuracy(model, ds, nodes, fanouts, batch_size, rng)
     }
 }
 
@@ -439,7 +364,7 @@ mod tests {
             ds,
             Arch::Gcn,
             16,
-            2,
+            vec![4, 4],
             Machine::single_a100(),
             GasConfig {
                 num_parts: 8,
@@ -474,9 +399,10 @@ mod tests {
             Dataset::materialize(arxiv_spec(0.0005).with_dim(4), 3),
         ] {
             let t = gas(&ds, None);
-            let rows: usize = t.labeled.iter().map(Vec::len).sum();
+            let gas = &t.workload;
+            let rows: usize = gas.labeled.iter().map(Vec::len).sum();
             assert_eq!(rows, ds.train_nodes.len());
-            for (cluster, rows) in t.clusters.iter().zip(&t.labeled) {
+            for (cluster, rows) in gas.clusters.iter().zip(&gas.labeled) {
                 for &i in rows {
                     assert!(ds.train_nodes.contains(&cluster[i]));
                 }
@@ -489,14 +415,13 @@ mod tests {
         let ds = tiny();
         let t = gas(&ds, None);
         // 2 layers: history levels of dims 16 and 64 (classes).
-        let expect = (ds.num_nodes() * (16 + 64) * 4) as u64;
-        assert_eq!(t.history_bytes(), expect);
-        // Paper-scale accounting for the OOM rows of Table 3/Fig 10.
-        let at_mag = t.history_bytes_at_scale(244_200_000);
-        assert!(
-            at_mag > 70_000_000_000,
-            "MAG240M history would need {at_mag} bytes"
-        );
+        let shapes: Vec<_> = t
+            .workload
+            .history
+            .iter()
+            .map(|m| (m.rows(), m.cols()))
+            .collect();
+        assert_eq!(shapes, [(ds.num_nodes(), 16), (ds.num_nodes(), 64)]);
     }
 
     #[test]
@@ -516,7 +441,7 @@ mod tests {
         let mut opt = Adam::new(0.01);
         t.train_epoch(&ds, &mut opt);
         // History must be nonzero after one epoch.
-        assert!(t.history[0].frobenius_norm() > 0.0);
+        assert!(t.workload.history[0].frobenius_norm() > 0.0);
     }
 
     #[test]
@@ -527,7 +452,7 @@ mod tests {
         for _ in 0..15 {
             t.train_epoch(&ds, &mut opt);
         }
-        let acc = t.evaluate(&ds, &ds.test_nodes, &[4, 4]);
+        let acc = t.evaluate(&ds, &ds.test_nodes, 256);
         assert!(acc > 0.08, "accuracy {acc}");
     }
 }

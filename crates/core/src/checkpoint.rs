@@ -276,12 +276,16 @@ impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
+    /// The next `n` bytes. A length field read from corrupt bytes may be
+    /// anything, so the end is computed with checked arithmetic.
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(CheckpointError::Truncated)?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
     fn u8(&mut self) -> Result<u8, CheckpointError> {
@@ -300,12 +304,13 @@ impl<'a> Reader<'a> {
     /// a corrupt length cannot trigger a huge allocation.
     fn checked_len(&self, n: u64, elem_bytes: usize) -> Result<usize, CheckpointError> {
         let n = n as usize;
-        if n.checked_mul(elem_bytes)
-            .is_none_or(|total| self.pos + total > self.bytes.len())
+        match n
+            .checked_mul(elem_bytes)
+            .and_then(|t| t.checked_add(self.pos))
         {
-            return Err(CheckpointError::Truncated);
+            Some(end) if end <= self.bytes.len() => Ok(n),
+            _ => Err(CheckpointError::Truncated),
         }
-        Ok(n)
     }
     fn f32_slice(&mut self) -> Result<Vec<f32>, CheckpointError> {
         let n = self.u64()?;
@@ -341,11 +346,7 @@ impl<'a> Reader<'a> {
     }
     fn bools(&mut self) -> Result<Vec<bool>, CheckpointError> {
         let n = self.u64()? as usize;
-        let nbytes = n.div_ceil(8);
-        if self.pos + nbytes > self.bytes.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let raw = self.take(nbytes)?;
+        let raw = self.take(n.div_ceil(8))?;
         Ok((0..n).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect())
     }
 }
@@ -692,6 +693,18 @@ mod tests {
         let d = Checkpoint::load(&path).expect("load");
         assert_eq!(d.params, c.params);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A core segment length of `u64::MAX` (bytes 12..20) is truncation,
+    /// not an overflowing `pos + len`.
+    #[test]
+    fn huge_segment_length_is_truncation() {
+        let mut bytes = sample_checkpoint().to_bytes();
+        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(CheckpointError::Truncated)
+        ));
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! [`Driver::train_epoch_resilient`], post-epoch bookkeeping and
 //! cache-metric publication.
 //!
-//! A [`Workload`] supplies what genuinely differs: construction, sampling,
-//! the prune → load → forward → backward → cache-update → optim step,
-//! evaluation and the checkpoint `arch` tag.
-//! [`crate::Trainer`] and [`crate::hetero_trainer::HeteroTrainer`] are the
-//! two instantiations.
+//! A [`Workload`] supplies what genuinely differs: construction, what an
+//! epoch is split over, each batch's RNGs, sampling, the prune → load →
+//! forward → backward → cache-update → optim step and evaluation; the model
+//! brings its checkpoint `arch` tag and flat parameters
+//! ([`fgnn_nn::Parameters`]). [`crate::Trainer`],
+//! [`crate::hetero_trainer::HeteroTrainer`] and the cache-less
+//! [`crate::baselines`] (GAS/GraphFM, ClusterGCN, layer- and graph-wise
+//! sampling) are its instantiations.
 
 use crate::cache::{CachePolicy, HistoricalCache, PolicyInput};
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -30,8 +33,7 @@ use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, Ret
 use fgnn_memsim::presets::Machine;
 use fgnn_memsim::stage::{StageKind, StageTimings};
 use fgnn_memsim::TrafficCounters;
-use fgnn_nn::model::Arch;
-use fgnn_nn::Optimizer;
+use fgnn_nn::{Optimizer, Parameters};
 use fgnn_tensor::{Matrix, Rng};
 use std::collections::BTreeSet;
 
@@ -39,19 +41,20 @@ use std::collections::BTreeSet;
 /// the calling thread, where nothing catches a panic to turn it into one.
 const IN_LINE: &str = "in-line sampling returns no error";
 
-/// What differs between the homogeneous and the heterogeneous instance of
-/// Algorithm 1. The value itself holds the workload's own state (sampler,
-/// static feature cache, relation types, …); everything shared lives in
-/// the [`Driver`].
+/// What differs between the trainers on the driver: the homogeneous and
+/// heterogeneous instances of Algorithm 1 and the cache-less baselines. The
+/// value itself holds the workload's own state (static feature cache,
+/// relation types, a partition, GAS's histories, …); everything shared
+/// lives in the [`Driver`].
 pub trait Workload: Sized {
     /// The dataset trained on.
     type Dataset;
     /// The model under training.
-    type Model;
+    type Model: Parameters;
     /// One sampled, not yet pruned mini-batch.
     type Batch: Send + 'static;
-    /// What sampling reads of the dataset: a shared handle, which the
-    /// sampler workers of an overlapped epoch hold by refcount.
+    /// What sampling reads: a shared handle, which the sampler workers of
+    /// an overlapped epoch hold by refcount.
     type Graph: Clone + Send + Sync + 'static;
     /// A sampler's scratch state.
     type Sampler;
@@ -60,28 +63,23 @@ pub trait Workload: Sized {
     /// The model's backward buffers, reused from step to step.
     type Grads: Default;
 
-    /// The `arch` tag a checkpoint of `model` carries.
-    fn arch(model: &Self::Model) -> Arch;
-    /// Total scalar parameter count of `model`.
-    fn num_parameters(model: &mut Self::Model) -> usize;
-    /// Flatten `model`'s parameters (checkpointing).
-    fn export_parameters(model: &mut Self::Model) -> Vec<f32>;
-    /// Inverse of [`Workload::export_parameters`].
-    fn import_parameters(model: &mut Self::Model, flat: &[f32]);
+    /// What an epoch shuffles and splits into batches of `cfg.batch_size`:
+    /// the labeled training nodes, or cluster ids for a workload that
+    /// batches by graph partition.
+    fn units<'a>(&'a self, ds: &'a Self::Dataset) -> &'a [NodeId];
 
-    /// The labeled training nodes an epoch is split over.
-    fn train_nodes(ds: &Self::Dataset) -> &[NodeId];
-
-    /// The RNG iteration `iter`'s cache update hands to a randomized
-    /// [`CachePolicy`]. Rollback and resume replay a batch exactly only if
-    /// this is a function of checkpointed state: either a fork of `main`
-    /// (the trainer stream, checkpointed) or of a constant and `iter`.
-    fn policy_rng(&self, main: &mut Rng, iter: u32) -> Rng;
+    /// Batch `iter`'s RNGs, drawn from the trainer stream `main` before
+    /// the epoch: the one its sampling consumes, then the one its cache
+    /// update hands to a randomized [`CachePolicy`]. Rollback and resume
+    /// replay a batch exactly only if both are functions of checkpointed
+    /// state: forks of `main` (checkpointed), or of constants and `iter`.
+    fn batch_rngs(&self, main: &mut Rng, iter: u32) -> (Rng, Rng);
 
     /// Steps 2–7 of Algorithm 1 on an already-sampled batch: prune, load,
     /// forward, backward, cache update, optimizer step. The driver has
     /// already set the cache's bypass flag for this batch and advances the
-    /// iteration cursor afterwards.
+    /// iteration cursor afterwards. `None` skips a batch that has nothing
+    /// to train on: it contributes neither loss nor count.
     fn step(
         stages: &mut Stages<'_, Self>,
         ds: &Self::Dataset,
@@ -90,10 +88,10 @@ pub trait Workload: Sized {
         mb: Self::Batch,
         policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
-    ) -> BatchOutput;
+    ) -> Option<BatchOutput>;
 
     /// The handle on what sampling reads of `ds`.
-    fn graph(ds: &Self::Dataset) -> Self::Graph;
+    fn graph(&self, ds: &Self::Dataset) -> Self::Graph;
 
     /// Build a sampler's state: the driver's own, and each pool worker's
     /// (again after a worker panic).
@@ -240,7 +238,7 @@ impl<W: Workload> Stages<'_, W> {
         mb: W::Batch,
         policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
-    ) -> BatchOutput {
+    ) -> Option<BatchOutput> {
         // Degraded mode: with the circuit breaker open the interconnect is
         // known bad, so stale cache reads are not worth trusting — bypass
         // the ring cache for this batch (prune finds nothing, every needed
@@ -250,7 +248,7 @@ impl<W: Workload> Stages<'_, W> {
         let out = W::step(self, ds, ctx, counters, mb, policy_rng, opt);
         self.cache.set_bypass(false);
         *self.iter += 1;
-        out.with_degraded(degraded)
+        out.map(|out| out.with_degraded(degraded))
     }
 
     /// Step 6, the cache update (Algorithm 1 line 20): each level's harvested
@@ -339,6 +337,7 @@ impl<W: Workload> Driver<W> {
         }
         dims.push(classes);
         let (model, workload) = build(&cfg, &dims, &mut rng);
+        let sampler = W::sampler(&workload.graph(ds));
 
         let policy = cfg.build_policy();
         let mut cache = HistoricalCache::new(
@@ -361,7 +360,7 @@ impl<W: Workload> Driver<W> {
             timings: StageTimings::new(),
             obs: Obs::new(),
             workload,
-            sampler: W::sampler(&W::graph(ds)),
+            sampler,
             workspace: Workspace::default(),
             dims,
             cfg,
@@ -446,9 +445,9 @@ impl<W: Workload> Driver<W> {
     /// remaining batch stream.
     pub fn checkpoint(&mut self, opt: &dyn Optimizer) -> Checkpoint {
         Checkpoint {
-            arch: W::arch(&self.model),
+            arch: self.model.arch(),
             dims: self.dims.clone(),
-            params: W::export_parameters(&mut self.model),
+            params: self.model.export_parameters(),
             optimizer: opt.export_state(),
             rng_state: self.rng.state(),
             epoch: self.epoch,
@@ -461,10 +460,10 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Restore state from a checkpoint taken by an identically-configured
-    /// trainer (same dataset, arch, dims, config, optimizer type; a
-    /// workload whose [`Workload::policy_rng`] derives from the
-    /// construction seed — the heterogeneous one — also needs the same
-    /// seed to replay a randomized policy exactly).
+    /// trainer (same dataset, arch, dims, config, optimizer type). A
+    /// workload whose construction draws state from the seed (a partition)
+    /// or whose [`Workload::batch_rngs`] derive from it (the heterogeneous
+    /// policy stream) also needs the same seed to replay exactly.
     ///
     /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
     /// historical-cache segment was missing, corrupt, or incompatible, and
@@ -477,7 +476,7 @@ impl<W: Workload> Driver<W> {
         ckpt: &Checkpoint,
         opt: &mut dyn Optimizer,
     ) -> Result<bool, CheckpointError> {
-        let arch = W::arch(&self.model);
+        let arch = self.model.arch();
         if ckpt.arch != arch {
             return Err(CheckpointError::ShapeMismatch(format!(
                 "checkpoint arch {} vs trainer {arch}",
@@ -490,7 +489,7 @@ impl<W: Workload> Driver<W> {
                 ckpt.dims, self.dims
             )));
         }
-        let num_parameters = W::num_parameters(&mut self.model);
+        let num_parameters = self.model.num_parameters();
         if ckpt.params.len() != num_parameters {
             return Err(CheckpointError::ShapeMismatch(format!(
                 "checkpoint has {} parameters, model has {num_parameters}",
@@ -498,7 +497,7 @@ impl<W: Workload> Driver<W> {
             )));
         }
         self.workload.restore_static(&ckpt.static_resident)?;
-        W::import_parameters(&mut self.model, &ckpt.params);
+        self.model.import_parameters(&ckpt.params);
         opt.import_state(ckpt.optimizer.clone());
         self.rng = Rng::from_state(ckpt.rng_state);
         self.epoch = ckpt.epoch;
@@ -531,7 +530,7 @@ impl<W: Workload> Driver<W> {
 
     /// Plan one epoch's batch schedule: fork the shuffle RNG (advancing
     /// the trainer's RNG stream exactly as [`Driver::train_epoch`] does)
-    /// and split the training nodes into shuffled batches.
+    /// and split the workload's [`Workload::units`] into shuffled batches.
     ///
     /// `train_epoch` is exactly `plan_epoch_batches` +
     /// [`Driver::train_on_batches`] over the result — the cluster
@@ -540,7 +539,7 @@ impl<W: Workload> Driver<W> {
     pub fn plan_epoch_batches(&mut self, ds: &W::Dataset) -> Vec<Vec<NodeId>> {
         let mut shuffle_rng = self.rng.fork();
         split_batches(
-            W::train_nodes(ds),
+            self.workload.units(ds),
             self.cfg.batch_size,
             Some(&mut shuffle_rng),
         )
@@ -566,10 +565,10 @@ impl<W: Workload> Driver<W> {
             .0
     }
 
-    /// The epoch loop. First every batch's RNGs are drawn from the trainer
-    /// stream, in batch order: the sampling fork, then the policy RNG — the
-    /// draws an in-line step would make, so where a batch is sampled
-    /// changes no bit. With `workers == 0` the step samples batch `i`
+    /// The epoch loop. First every batch's [`Workload::batch_rngs`] are
+    /// drawn from the trainer stream, in batch order — the draws an in-line
+    /// step would make, so where a batch is sampled changes no bit. With
+    /// `workers == 0` the step samples batch `i`
     /// itself on the driver's sampler; otherwise a [`Pool`] samples ahead
     /// into a queue of `queue_capacity` and [`InOrder`] hands the batches
     /// over in index order. Either way the step pulls its batch inside its
@@ -594,10 +593,12 @@ impl<W: Workload> Driver<W> {
         let mut tasks = Vec::with_capacity(batches.len());
         let mut policy_rngs = Vec::with_capacity(batches.len());
         for (i, seeds) in batches.into_iter().enumerate() {
-            tasks.push((seeds, self.rng.fork()));
-            policy_rngs.push(self.workload.policy_rng(&mut self.rng, iter0 + i as u32));
+            let (sample_rng, policy_rng) =
+                self.workload.batch_rngs(&mut self.rng, iter0 + i as u32);
+            tasks.push((seeds, sample_rng));
+            policy_rngs.push(policy_rng);
         }
-        let graph = W::graph(ds);
+        let graph = self.workload.graph(ds);
         let mut pool = (workers > 0).then(|| {
             let runtime = RuntimeConfig {
                 workers,
@@ -674,7 +675,7 @@ impl<W: Workload> Driver<W> {
                     .map_err(|e| failure = Some(e))
                     .ok()?;
                 let it = *stages.iter;
-                let mut out = stages.train_sampled(ds, ctx, counters, mb, &mut policy_rng, opt);
+                let mut out = stages.train_sampled(ds, ctx, counters, mb, &mut policy_rng, opt)?;
                 if let Some(guard) = guard.as_deref_mut() {
                     // Unconsumed injections stay armed for later iterations.
                     if nan_iters.remove(&it) {
@@ -878,6 +879,9 @@ impl<W: Workload> Driver<W> {
 #[cfg(test)]
 mod tests {
     use super::{Driver, Workload};
+    use crate::baselines::{
+        ClusterGcnTrainer, GasConfig, GasTrainer, SamplingBaselineTrainer, SamplingKind,
+    };
     use crate::checkpoint::{Checkpoint, CheckpointError};
     use crate::hetero_trainer::HeteroTrainer;
     use crate::obs::export::{chrome_trace, metrics_jsonl};
@@ -987,35 +991,71 @@ mod tests {
         )
     }
 
+    /// `run` at one and two sampler workers commits what it commits at zero.
+    fn assert_worker_count_invariant(what: &str, run: impl Fn(usize) -> Committed) {
+        let reference = run(0);
+        for workers in [1, 2] {
+            assert_eq!(run(workers), reference, "{what} at {workers} workers");
+        }
+    }
+
     /// {homogeneous, heterogeneous} × {cache on, `p_grad` 0, faults with
-    /// a breaker, NaN rollback}: one and two sampler workers commit exactly
-    /// what the synchronous epoch commits.
+    /// a breaker, NaN rollback}, and the four cache-less baselines under
+    /// all but the cache: one and two sampler workers commit exactly what
+    /// the synchronous epoch commits.
     #[test]
     fn every_knob_commits_the_same_run_at_zero_one_and_two_workers() {
         let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(8), 5);
         let hds = mag_hetero(400, 4, 8, 3);
-        let machine = Machine::single_a100();
+        let machine = Machine::single_a100;
         for knobs in KNOBS {
-            let homo = |workers| {
-                let t = Trainer::new(&ds, Arch::Sage, 8, machine.clone(), knob_config(knobs), 3);
-                committed(t, &ds, knobs, workers)
-            };
-            let hetero = |workers| {
-                let t = HeteroTrainer::new(&hds, 8, machine.clone(), knob_config(knobs), 3);
-                committed(t, &hds, knobs, workers)
-            };
-            let (homo0, hetero0) = (homo(0), hetero(0));
-            for workers in [1, 2] {
-                assert_eq!(
-                    homo(workers),
-                    homo0,
-                    "homogeneous {knobs:?} at {workers} workers"
-                );
-                assert_eq!(
-                    hetero(workers),
-                    hetero0,
-                    "heterogeneous {knobs:?} at {workers} workers"
-                );
+            let cfg = knob_config(knobs);
+            assert_worker_count_invariant(&format!("homogeneous {knobs:?}"), |w| {
+                let t = Trainer::new(&ds, Arch::Sage, 8, machine(), cfg.clone(), 3);
+                committed(t, &ds, knobs, w)
+            });
+            assert_worker_count_invariant(&format!("heterogeneous {knobs:?}"), |w| {
+                let t = HeteroTrainer::new(&hds, 8, machine(), cfg.clone(), 3);
+                committed(t, &hds, knobs, w)
+            });
+        }
+        let fanouts = || vec![3, 3];
+        for knobs in [Knobs::NoCache, Knobs::Faults, Knobs::NanRollback] {
+            assert_worker_count_invariant(&format!("GraphFM {knobs:?}"), |w| {
+                let cfg = GasConfig {
+                    num_parts: 8,
+                    max_neighbors: 8,
+                    momentum: Some(0.3),
+                };
+                let t = GasTrainer::new(&ds, Arch::Sage, 8, fanouts(), machine(), cfg, 3);
+                committed(t, &ds, knobs, w)
+            });
+            assert_worker_count_invariant(&format!("ClusterGCN {knobs:?}"), |w| {
+                let t = ClusterGcnTrainer::new(&ds, Arch::Gcn, 8, fanouts(), 16, 2, machine(), 3);
+                committed(t, &ds, knobs, w)
+            });
+            for kind in [
+                SamplingKind::LayerWise {
+                    layer_sizes: vec![16, 16],
+                },
+                SamplingKind::GraphWise {
+                    roots: 8,
+                    walk_length: 3,
+                },
+            ] {
+                assert_worker_count_invariant(&format!("{kind:?} {knobs:?}"), |w| {
+                    let t = SamplingBaselineTrainer::new(
+                        &ds,
+                        Arch::Sage,
+                        8,
+                        fanouts(),
+                        16,
+                        kind.clone(),
+                        machine(),
+                        3,
+                    );
+                    committed(t, &ds, knobs, w)
+                });
             }
         }
     }

@@ -25,7 +25,6 @@ use fgnn_memsim::stage::StageKind;
 use fgnn_memsim::topology::Node;
 use fgnn_memsim::TrafficCounters;
 use fgnn_nn::loss::softmax_cross_entropy_into;
-use fgnn_nn::model::Arch;
 use fgnn_nn::rsage::{RSageGrads, RSageModel, RSageTrace};
 use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
@@ -41,7 +40,7 @@ pub struct Heterogeneous {
     /// `(src_type, dst_type)` per relation, in the graph's relation order.
     rel_types: Vec<(usize, usize)>,
     /// Seed of the randomized-policy side stream (see
-    /// [`Heterogeneous::policy_rng`]).
+    /// [`Heterogeneous::batch_rngs`]).
     policy_seed: u64,
 }
 
@@ -88,29 +87,11 @@ impl Workload for Heterogeneous {
     type Trace = RSageTrace;
     type Grads = RSageGrads;
 
-    /// R-GraphSAGE is the relational form of SAGE and has no own `Arch`
-    /// variant.
-    fn arch(_: &RSageModel) -> Arch {
-        Arch::Sage
-    }
-
-    fn num_parameters(model: &mut RSageModel) -> usize {
-        model.num_parameters()
-    }
-
-    fn export_parameters(model: &mut RSageModel) -> Vec<f32> {
-        model.export_parameters()
-    }
-
-    fn import_parameters(model: &mut RSageModel, flat: &[f32]) {
-        model.import_parameters(flat);
-    }
-
-    fn train_nodes(ds: &HeteroDataset) -> &[NodeId] {
+    fn units<'a>(&'a self, ds: &'a HeteroDataset) -> &'a [NodeId] {
         &ds.train_nodes
     }
 
-    fn graph(ds: &HeteroDataset) -> (Arc<HeteroGraph>, usize) {
+    fn graph(&self, ds: &HeteroDataset) -> (Arc<HeteroGraph>, usize) {
         (Arc::clone(&ds.graph), ds.target_type)
     }
 
@@ -128,14 +109,15 @@ impl Workload for Heterogeneous {
         sampler.sample(graph, *target, seeds, fanouts, rng)
     }
 
-    /// A side stream that is a pure function of `(seed, iter)`: nothing to
+    /// One fork of the trainer stream for sampling. The policy's is a side
+    /// stream that is a pure function of `(seed, iter)`: nothing to
     /// checkpoint or rewind, so a rollback or resume replays a randomized
     /// policy's verdicts exactly. Deliberately *not* forked from the main
     /// RNG: the historical hetero trainer never consumed randomness in its
     /// cache update, and forking per batch would shift the batch schedule
     /// pinned by the equivalence goldens.
-    fn policy_rng(&self, _main: &mut Rng, iter: u32) -> Rng {
-        Rng::new(self.policy_seed ^ u64::from(iter))
+    fn batch_rngs(&self, main: &mut Rng, iter: u32) -> (Rng, Rng) {
+        (main.fork(), Rng::new(self.policy_seed ^ u64::from(iter)))
     }
 
     fn step(
@@ -146,7 +128,7 @@ impl Workload for Heterogeneous {
         mut mb: HeteroMiniBatch,
         policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
-    ) -> BatchOutput {
+    ) -> Option<BatchOutput> {
         let target = ds.target_type;
         let now = *st.iter;
 
@@ -274,7 +256,7 @@ impl Workload for Heterogeneous {
             c.compute_seconds += st.machine.gpu.compute_seconds(3.0 * flops);
         });
 
-        BatchOutput::loss_only(loss)
+        Some(BatchOutput::loss_only(loss))
     }
 
     fn accuracy(

@@ -26,7 +26,7 @@ use fgnn_graph::Dataset;
 use fgnn_memsim::fault::{BreakerPolicy, FaultPlan, RetryPolicy};
 use fgnn_memsim::presets::{Machine, GB};
 use fgnn_nn::model::Arch;
-use fgnn_nn::Adam;
+use fgnn_nn::{Adam, Parameters};
 
 /// Which system's traffic profile to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -44,8 +44,8 @@ pub const QUEUE_DEPTH_BUCKETS: [f64; 6] = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0];
 pub const LATENCY_BUCKETS: [f64; 8] = [1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2];
 
 /// Per-trainer observability state: one clock, one span stream, one
-/// metrics registry. Threaded explicitly (`&mut Obs`) through
-/// [`crate::pipeline::Engine::run_epoch`] — no globals, no locks.
+/// metrics registry. Threaded explicitly (`&mut Obs`) through the pipeline
+/// engine's epoch ([`crate::pipeline::Engine`]) — no globals, no locks.
 #[derive(Clone, Debug, Default)]
 pub struct Obs {
     /// Deterministic timestamp source for [`Obs::tracer`].

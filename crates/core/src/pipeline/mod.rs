@@ -5,12 +5,15 @@
 //! in this crate (the FreshGNN [`crate::Trainer`], the hetero trainer, the
 //! GAS/ClusterGCN/sampling baselines, and the multi-GPU profiles built on
 //! top of them) is an instance of it with some stages specialized or
-//! absent. This module is the single implementation of that shape:
+//! absent: a [`crate::driver::Workload`] of the one epoch driver,
+//! [`crate::driver::Driver`], whose epoch loop is this engine's only
+//! caller. This module is the single implementation of that shape:
 //!
-//! * [`Engine::run_epoch`] owns the epoch skeleton every trainer used to
-//!   duplicate: build the [`TransferEngine`] from the trainer's optional
-//!   [`FaultPlan`] (threading the plan's RNG stream back out afterwards so
-//!   a run is one deterministic fault schedule), drive the unit stream,
+//! * [`Engine::run_epoch`] owns the epoch skeleton: build the
+//!   [`TransferEngine`] from the trainer's optional
+//!   [`FaultPlan`](fgnn_memsim::fault::FaultPlan)
+//!   (threading the plan's RNG stream back out afterwards so a run is one
+//!   deterministic fault schedule), drive the unit stream,
 //!   accumulate losses in the exact `total += loss as f64` order, and
 //!   assemble the [`EpochStats`] — counter delta, per-stage
 //!   [`StageTimings`], mean loss.

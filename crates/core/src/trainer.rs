@@ -54,6 +54,35 @@ pub struct Homogeneous {
     static_cache: StaticFeatureCache,
 }
 
+impl<W: Workload<Dataset = Dataset, Model = Model>> Driver<W> {
+    /// [`Driver::assemble`] over a homogeneous [`Dataset`]: an `arch` model
+    /// with `hidden` units per hidden layer (depth = `cfg.fanouts.len()`),
+    /// then the workload state `build` makes from the config, the layer
+    /// dimensions and the seeded RNG.
+    pub(crate) fn with_model(
+        ds: &Dataset,
+        arch: Arch,
+        hidden: usize,
+        machine: Machine,
+        cfg: FreshGnnConfig,
+        seed: u64,
+        build: impl FnOnce(&FreshGnnConfig, &[usize], &mut Rng) -> W,
+    ) -> Self {
+        Driver::assemble(
+            ds,
+            cfg,
+            machine,
+            seed,
+            ds.num_nodes(),
+            (ds.spec.feature_dim, hidden, ds.spec.num_classes),
+            |cfg, dims, rng| {
+                let model = Model::new(arch, dims, rng);
+                (model, build(cfg, dims, rng))
+            },
+        )
+    }
+}
+
 impl Driver<Homogeneous> {
     /// Build a trainer for `ds`: an `arch` model with `hidden` units per
     /// hidden layer (depth = `cfg.fanouts.len()`), on `machine`.
@@ -65,22 +94,14 @@ impl Driver<Homogeneous> {
         cfg: FreshGnnConfig,
         seed: u64,
     ) -> Self {
-        Driver::assemble(
-            ds,
-            cfg,
-            machine,
-            seed,
-            ds.num_nodes(),
-            (ds.spec.feature_dim, hidden, ds.spec.num_classes),
-            |cfg, dims, rng| {
-                let static_cache = if cfg.feature_cache_rows > 0 {
-                    StaticFeatureCache::by_degree(&ds.graph, cfg.feature_cache_rows)
-                } else {
-                    StaticFeatureCache::disabled(ds.num_nodes())
-                };
-                (Model::new(arch, dims, rng), Homogeneous { static_cache })
-            },
-        )
+        Driver::with_model(ds, arch, hidden, machine, cfg, seed, |cfg, _, _| {
+            let static_cache = if cfg.feature_cache_rows > 0 {
+                StaticFeatureCache::by_degree(&ds.graph, cfg.feature_cache_rows)
+            } else {
+                StaticFeatureCache::disabled(ds.num_nodes())
+            };
+            Homogeneous { static_cache }
+        })
     }
 
     /// Fig 1 probe: sample a fresh mini-batch for `seeds`, determine which
@@ -113,27 +134,11 @@ impl Workload for Homogeneous {
     type Trace = Trace;
     type Grads = Grads;
 
-    fn arch(model: &Model) -> Arch {
-        model.arch
-    }
-
-    fn num_parameters(model: &mut Model) -> usize {
-        model.num_parameters()
-    }
-
-    fn export_parameters(model: &mut Model) -> Vec<f32> {
-        model.export_parameters()
-    }
-
-    fn import_parameters(model: &mut Model, flat: &[f32]) {
-        model.import_parameters(flat);
-    }
-
-    fn train_nodes(ds: &Dataset) -> &[NodeId] {
+    fn units<'a>(&'a self, ds: &'a Dataset) -> &'a [NodeId] {
         &ds.train_nodes
     }
 
-    fn graph(ds: &Dataset) -> Arc<Csr> {
+    fn graph(&self, ds: &Dataset) -> Arc<Csr> {
         Arc::clone(&ds.graph)
     }
 
@@ -151,10 +156,10 @@ impl Workload for Homogeneous {
         sampler.sample(graph, seeds, fanouts, rng)
     }
 
-    /// One fork of the trainer stream per batch, which the checkpoint
+    /// Two forks of the trainer stream per batch, which the checkpoint
     /// captures.
-    fn policy_rng(&self, main: &mut Rng, _iter: u32) -> Rng {
-        main.fork()
+    fn batch_rngs(&self, main: &mut Rng, _iter: u32) -> (Rng, Rng) {
+        (main.fork(), main.fork())
     }
 
     fn step(
@@ -165,7 +170,7 @@ impl Workload for Homogeneous {
         mut mb: MiniBatch,
         policy_rng: &mut Rng,
         opt: &mut dyn Optimizer,
-    ) -> BatchOutput {
+    ) -> Option<BatchOutput> {
         let now = *st.iter;
 
         // 2. Prune against the cache (measured). The policy's refresh
@@ -282,12 +287,12 @@ impl Workload for Homogeneous {
             c.compute_seconds += st.machine.gpu.compute_seconds(flops);
         });
 
-        BatchOutput {
+        Some(BatchOutput {
             loss,
             cache_reads: outcome.cached.iter().map(Vec::len).sum::<usize>() as u64,
             computed_nodes: outcome.computed.iter().flatten().filter(|&&c| c).count() as u64,
             degraded: false,
-        }
+        })
     }
 
     fn accuracy(

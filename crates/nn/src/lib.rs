@@ -34,5 +34,5 @@ pub mod rsage;
 pub mod sage;
 
 pub use layer::{Activation, Param};
-pub use model::{Arch, Model};
+pub use model::{Arch, Model, Parameters};
 pub use optim::{Adam, Optimizer, OptimizerState, Sgd};

@@ -37,6 +37,44 @@ impl std::fmt::Display for Arch {
     }
 }
 
+/// What a training driver and its checkpoints need of a model besides its
+/// forward and backward passes: an architecture tag and one flat parameter
+/// vector, in [`Parameters::params_mut`] order.
+pub trait Parameters {
+    /// The `arch` tag a checkpoint of this model carries.
+    fn arch(&self) -> Arch;
+
+    /// All parameters in a stable order (for the optimizer).
+    fn params_mut(&mut self) -> Vec<&mut Param>;
+
+    /// Total scalar parameter count.
+    fn num_parameters(&mut self) -> usize {
+        self.params_mut().iter().map(|p| p.len()).sum()
+    }
+
+    /// Flatten all parameters into one vector (checkpointing).
+    fn export_parameters(&mut self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.num_parameters());
+        for p in self.params_mut() {
+            out.extend_from_slice(p.value.as_slice());
+        }
+        out
+    }
+
+    /// Restore parameters exported by [`Parameters::export_parameters`]
+    /// from a model of the same shape. Panics on length mismatch.
+    fn import_parameters(&mut self, flat: &[f32]) {
+        let expected = self.num_parameters();
+        assert_eq!(flat.len(), expected, "checkpoint has wrong parameter count");
+        let mut off = 0;
+        for p in self.params_mut() {
+            let n = p.len();
+            p.value.as_mut_slice().copy_from_slice(&flat[off..off + n]);
+            off += n;
+        }
+    }
+}
+
 /// A single layer of any supported architecture.
 pub enum Layer {
     /// GCN layer.
@@ -406,31 +444,24 @@ impl Model {
             .collect()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
-    }
-
-    /// Flatten all parameters into one vector (checkpointing).
+    /// [`Parameters::export_parameters`], callable without the trait.
     pub fn export_parameters(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        for p in self.params_mut() {
-            out.extend_from_slice(p.value.as_slice());
-        }
-        out
+        Parameters::export_parameters(self)
     }
 
-    /// Restore parameters exported by [`Model::export_parameters`] from a
-    /// model with the same architecture. Panics on length mismatch.
+    /// [`Parameters::import_parameters`], callable without the trait.
     pub fn import_parameters(&mut self, flat: &[f32]) {
-        let expected = self.num_parameters();
-        assert_eq!(flat.len(), expected, "checkpoint has wrong parameter count");
-        let mut off = 0;
-        for p in self.params_mut() {
-            let n = p.len();
-            p.value.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
+        Parameters::import_parameters(self, flat);
+    }
+}
+
+impl Parameters for Model {
+    fn arch(&self) -> Arch {
+        self.arch
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Model::params_mut(self)
     }
 }
 

@@ -15,6 +15,7 @@ use crate::layer::{
     debug_assert_dead_rows_zero, mean_neighbors_backward, mean_neighbors_into, ActMask, Activation,
     Param, Scratch,
 };
+use crate::model::{Arch, Parameters};
 use fgnn_graph::hetero::{HeteroBlock, HeteroGraph, HeteroMiniBatch};
 use fgnn_tensor::ops::{self, is_live};
 use fgnn_tensor::{Matrix, Rng};
@@ -474,32 +475,17 @@ impl RSageModel {
             .flat_map(|l| l.params_mut())
             .collect()
     }
+}
 
-    /// Total scalar parameter count.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
+impl Parameters for RSageModel {
+    /// R-GraphSAGE is the relational form of SAGE and has no own `Arch`
+    /// variant.
+    fn arch(&self) -> Arch {
+        Arch::Sage
     }
 
-    /// Flatten all parameters into one vector (checkpointing).
-    pub fn export_parameters(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        for p in self.params_mut() {
-            out.extend_from_slice(p.value.as_slice());
-        }
-        out
-    }
-
-    /// Restore parameters exported by [`RSageModel::export_parameters`]
-    /// from a model of the same shape. Panics on length mismatch.
-    pub fn import_parameters(&mut self, flat: &[f32]) {
-        let expected = self.num_parameters();
-        assert_eq!(flat.len(), expected, "checkpoint has wrong parameter count");
-        let mut off = 0;
-        for p in self.params_mut() {
-            let n = p.len();
-            p.value.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        RSageModel::params_mut(self)
     }
 }
 

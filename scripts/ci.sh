@@ -61,10 +61,12 @@ cargo test -q --workspace
 FGNN_PROP_CASES=256 cargo test -q --release \
     --test kernel_bits --test backward_equivalence --test alloc_budget
 
-# Property and observability-invariant suites again at a higher case count
-# (FGNN_PROP_CASES overrides the in-tree default of 64), and the committed
-# golden trace must carry the current export schema version.
-FGNN_PROP_CASES=256 cargo test -q --test property_tests --test obs_invariants
+# Property, decoder no-panic and observability-invariant suites again at a
+# higher case count (FGNN_PROP_CASES overrides the in-tree default of 64),
+# and the committed golden trace must carry the current export schema
+# version.
+FGNN_PROP_CASES=256 cargo test -q --test property_tests --test decoder_fuzz \
+    --test obs_invariants
 grep -q '"schemaVersion":"fgnn-obs-v1"' tests/golden/sync_trainer_2epoch.trace.json
 
 # The policy-equivalence suite pins the trait refactor to the pre-trait

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The roadmap's "cost of the contract", measured: per crate (and for the
-# trainer files of the one-driver refactor, the files behind overlapped
-# training, the serving engine with the telemetry it feeds, and the baseline
-# sweeps with their table and gate) total lines,
+# trainer files of the one-driver refactor, the baseline trainers on that
+# driver, the files behind overlapped training, the serving engine with the
+# telemetry it feeds, and the baseline sweeps with their table and gate)
+# total lines,
 # lines before the first `#[cfg(test)]` of each file, and `pub fn`
 # declarations in that non-test part. Run from anywhere; pass a checkout root
 # to measure another tree (e.g. a clone of the parent commit).
@@ -35,6 +36,7 @@ for f in "${trainer_files[@]}"; do
     row "core/$(basename "$f")" "$f"
 done
 row "core/driver+trainer+hetero_trainer" "${trainer_files[@]}"
+row "core/baselines" crates/core/src/baselines/*.rs
 row "core/overlap" crates/core/src/runtime/*.rs crates/core/src/sampler.rs
 row "core/serve+obs" crates/core/src/serve/*.rs crates/core/src/obs/*.rs
 gate_files=(crates/bench/src/trajectory.rs crates/bench/src/bin/exp_report.rs)

@@ -4,8 +4,10 @@
 //! must produce bitwise-identical final parameters to the uninterrupted
 //! run — plus the corrupt-snapshot error paths and graceful cache
 //! degradation. The between-epochs, cache-eviction and shape-mismatch
-//! cases run over both workloads of the epoch driver.
+//! cases run over both FreshGNN workloads of the epoch driver, and the
+//! between-epochs case over the checkpointable baselines too.
 
+use freshgnn_repro::core::baselines::{ClusterGcnTrainer, SamplingBaselineTrainer, SamplingKind};
 use freshgnn_repro::core::cache::PolicyKind;
 use freshgnn_repro::core::checkpoint::{Checkpoint, CheckpointError, MAGIC, VERSION};
 use freshgnn_repro::core::driver::{Driver, Workload};
@@ -18,7 +20,7 @@ use freshgnn_repro::graph::sample::split_batches;
 use freshgnn_repro::graph::Dataset;
 use freshgnn_repro::memsim::presets::Machine;
 use freshgnn_repro::nn::model::Arch;
-use freshgnn_repro::nn::Adam;
+use freshgnn_repro::nn::{Adam, Parameters};
 use freshgnn_repro::tensor::Rng;
 
 fn tiny() -> Dataset {
@@ -70,7 +72,7 @@ fn assert_kill_between_epochs_resumes_bitwise<W: Workload>(
     for _ in 0..4 {
         reference.train_epoch(ds, &mut opt_ref);
     }
-    let want = W::export_parameters(&mut reference.model);
+    let want = reference.model.export_parameters();
 
     // Interrupted run: 2 epochs, checkpoint through disk, "kill".
     let path = ckpt_dir().join(file);
@@ -94,7 +96,7 @@ fn assert_kill_between_epochs_resumes_bitwise<W: Workload>(
         resumed.train_epoch(ds, &mut opt);
     }
 
-    let got = W::export_parameters(&mut resumed.model);
+    let got = resumed.model.export_parameters();
     assert_eq!(want.len(), got.len());
     let diffs = want
         .iter()
@@ -123,6 +125,56 @@ fn kill_between_epochs_and_resume_is_bitwise_identical() {
         999,
         "between_epochs_hetero.ckpt",
     );
+}
+
+/// The cache-less baselines resume through the same driver. ClusterGCN's
+/// partition is construction state, so it resumes into a trainer of the
+/// same seed; the sampling families carry everything in the checkpoint.
+/// (GAS is left out: its `O(Lnd)` histories are not checkpointed.)
+#[test]
+fn baselines_kill_between_epochs_and_resume_bitwise() {
+    let ds = tiny();
+    let machine = Machine::single_a100;
+    assert_kill_between_epochs_resumes_bitwise(
+        &ds,
+        |seed| ClusterGcnTrainer::new(&ds, Arch::Gcn, 16, vec![4, 4], 8, 2, machine(), seed),
+        7,
+        "between_epochs_cluster_gcn.ckpt",
+    );
+    for (kind, file) in [
+        (
+            SamplingKind::LayerWise {
+                layer_sizes: vec![32, 32],
+            },
+            "between_epochs_layer_wise.ckpt",
+        ),
+        (
+            SamplingKind::GraphWise {
+                roots: 8,
+                walk_length: 3,
+            },
+            "between_epochs_graph_wise.ckpt",
+        ),
+    ] {
+        assert_kill_between_epochs_resumes_bitwise(
+            &ds,
+            |seed| {
+                let kind = kind.clone();
+                SamplingBaselineTrainer::new(
+                    &ds,
+                    Arch::Sage,
+                    16,
+                    vec![4, 4],
+                    32,
+                    kind,
+                    machine(),
+                    seed,
+                )
+            },
+            999,
+            file,
+        );
+    }
 }
 
 /// A randomized policy on the heterogeneous workload replays exactly too:

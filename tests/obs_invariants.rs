@@ -179,7 +179,7 @@ fn gas_trainer_spans_reconcile() {
             &ds,
             Arch::Sage,
             8,
-            2,
+            vec![3, 3],
             Machine::single_a100(),
             cfg,
             rng.next_u64(),
@@ -201,7 +201,7 @@ fn cluster_gcn_trainer_spans_reconcile() {
             &ds,
             Arch::Sage,
             8,
-            2,
+            vec![3, 3],
             num_parts,
             q,
             Machine::single_a100(),

@@ -246,7 +246,7 @@ fn gas_and_graphfm_match_goldens() {
         &ds,
         Arch::Gcn,
         16,
-        2,
+        vec![4, 4],
         Machine::single_a100(),
         gas_cfg(None),
         1,
@@ -264,13 +264,13 @@ fn gas_and_graphfm_match_goldens() {
     }
     assert_eq!(g.counters.host_to_gpu_bytes, GAS_H2D);
     assert_eq!(g.counters.num_transfers, GAS_NTR);
-    assert_eq!(g.evaluate(&ds, &ds.test_nodes, &[4, 4]).to_bits(), GAS_ACC);
+    assert_eq!(g.evaluate(&ds, &ds.test_nodes, 256).to_bits(), GAS_ACC);
 
     let mut gf = GasTrainer::new(
         &ds,
         Arch::Gcn,
         16,
-        2,
+        vec![4, 4],
         Machine::single_a100(),
         gas_cfg(Some(0.5)),
         1,
@@ -282,7 +282,16 @@ fn gas_and_graphfm_match_goldens() {
 #[test]
 fn cluster_gcn_matches_goldens() {
     let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(12), 9);
-    let mut t = ClusterGcnTrainer::new(&ds, Arch::Gcn, 16, 2, 8, 2, Machine::single_a100(), 1);
+    let mut t = ClusterGcnTrainer::new(
+        &ds,
+        Arch::Gcn,
+        16,
+        vec![4, 4],
+        8,
+        2,
+        Machine::single_a100(),
+        1,
+    );
     let mut opt = Adam::new(0.01);
     for &expect in &CG_LOSSES {
         let stats = t.train_epoch(&ds, &mut opt);
@@ -295,7 +304,7 @@ fn cluster_gcn_matches_goldens() {
         );
     }
     assert_eq!(t.counters.host_to_gpu_bytes, CG_H2D);
-    assert_eq!(t.evaluate(&ds, &ds.test_nodes, &[4, 4]).to_bits(), CG_ACC);
+    assert_eq!(t.evaluate(&ds, &ds.test_nodes, 256).to_bits(), CG_ACC);
 }
 
 #[test]
@@ -305,7 +314,7 @@ fn sampling_families_match_goldens() {
         &ds,
         Arch::Gcn,
         16,
-        2,
+        vec![4, 4],
         64,
         SamplingKind::LayerWise {
             layer_sizes: vec![64, 64],
@@ -325,7 +334,7 @@ fn sampling_families_match_goldens() {
         &ds,
         Arch::Sage,
         16,
-        2,
+        vec![4, 4],
         64,
         SamplingKind::GraphWise {
             roots: 16,
