@@ -269,10 +269,14 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits (`from_str_radix` would
+                            // also take a sign: `\u+041`).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &h| {
+                                    Some(code << 4 | char::from(h).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // The exporters only escape control chars, so
                             // surrogate pairs never occur in our streams.
@@ -315,10 +319,42 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         match text.parse::<f64>() {
             // `1e999` parses to infinity, which no exporter can have written.
-            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(n) if n.is_finite() && is_json_number(text.as_bytes()) => Ok(JsonValue::Number(n)),
             _ => Err(self.err(format!("bad number '{text}'"))),
         }
     }
+}
+
+/// Whether `text` is a number by JSON's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — stricter than
+/// `f64::from_str`, which also takes `1.`, `01` and `-.5`.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |s: &[u8]| s.iter().take_while(|b| b.is_ascii_digit()).count();
+    let s = text.strip_prefix(b"-").unwrap_or(text);
+    let int = digits(s);
+    if int == 0 || (int > 1 && s[0] == b'0') {
+        return false;
+    }
+    let mut s = &s[int..];
+    if let Some(frac) = s.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        s = &frac[n..];
+    }
+    if let Some(exp) = s.strip_prefix(b"e").or_else(|| s.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or_else(|| exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        s = &exp[n..];
+    }
+    s.is_empty()
 }
 
 #[cfg(test)]
@@ -388,6 +424,31 @@ mod tests {
         assert_eq!(e.at, 10, "{e}");
         assert!(parse("[-1e999]").is_err());
         assert_eq!(parse("[1e308]").unwrap().as_array().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits_not_a_signed_number() {
+        assert!(parse("\"\\u+041\"").is_err());
+        assert!(parse("\"\\u-041\"").is_err());
+        assert_eq!(parse("\"\\u0041\"").unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar_not_f64_from_str() {
+        // No trailing point, leading zero or bare fraction.
+        for bad in ["1.", "01", "-.5", "-", "1e", "1e+", "-01", "1.e3", "00"] {
+            let e = parse(&format!("[{bad}]")).unwrap_err();
+            assert_eq!(e.at, 1 + bad.len(), "{bad}: {e}");
+        }
+        assert!(parse("[.5]").is_err());
+        for (good, want) in [
+            ("-0", 0.0),
+            ("0.5e-3", 0.5e-3),
+            ("1E+2", 100.0),
+            ("10", 10.0),
+        ] {
+            assert_eq!(parse(good).unwrap().as_f64(), Some(want), "{good}");
+        }
     }
 
     #[test]

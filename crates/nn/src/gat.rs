@@ -20,7 +20,7 @@
 
 use crate::layer::{debug_assert_dead_rows_zero, ActMask, Activation, Param, Scratch};
 use fgnn_graph::Block;
-use fgnn_tensor::{activation::leaky_relu_grad, ops, softmax, Matrix, Rng};
+use fgnn_tensor::{ops, softmax, Matrix, Rng};
 
 const LEAKY_SLOPE: f32 = 0.2;
 
@@ -283,6 +283,15 @@ impl GatLayer {
             &mut self.attn_dst,
             &mut self.bias,
         ]
+    }
+}
+
+/// LeakyReLU derivative evaluated at the forward *input*.
+fn leaky_relu_grad(x: f32, alpha: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else {
+        alpha
     }
 }
 

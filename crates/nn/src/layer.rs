@@ -62,10 +62,18 @@ impl ActMask {
     }
 }
 
+/// `x` where `keep` is 1, `+0.0` where it is 0: an AND with all-ones or
+/// all-zeros bits, so the loops below have no data-dependent branch.
+#[inline(always)]
+fn keep_or_zero(x: f32, keep: u32) -> f32 {
+    f32::from_bits(x.to_bits() & 0u32.wrapping_sub(keep))
+}
+
 impl Activation {
     /// Apply to the live rows of `z` in place (`None` = all), recording in
     /// `mask` what [`Activation::backward_rows`] needs. Rows that are not
-    /// live are left alone, in `z` and in `mask`.
+    /// live are left alone, in `z` and in `mask`. An entry passes when it is
+    /// `> 0.0`; every other one (`-0.0` and NaN included) becomes `+0.0`.
     pub fn forward_rows(self, z: &mut Matrix, live: Option<&[bool]>, mask: &mut ActMask) {
         if self != Activation::Relu {
             return;
@@ -76,19 +84,20 @@ impl Activation {
         for r in (0..z.rows()).filter(|&r| is_live(live, r)) {
             let row_bits = &mut mask.bits[r * words..][..words];
             for (word, chunk) in row_bits.iter_mut().zip(z.row_mut(r).chunks_mut(64)) {
-                *word = 0;
+                let mut bits = 0u64;
                 for (bit, x) in chunk.iter_mut().enumerate() {
                     let passed = *x > 0.0;
-                    *word |= u64::from(passed) << bit;
-                    *x = if passed { *x } else { 0.0 };
+                    bits |= u64::from(passed) << bit;
+                    *x = keep_or_zero(*x, u32::from(passed));
                 }
+                *word = bits;
             }
         }
     }
 
     /// Chain rule through the activation on the live rows of `grad`, in
     /// place, given the `mask` the forward pass recorded with the same
-    /// `live`.
+    /// `live`: a gradient whose entry did not pass becomes `+0.0`.
     pub fn backward_rows(self, grad: &mut Matrix, live: Option<&[bool]>, mask: &ActMask) {
         if self != Activation::Relu {
             return;
@@ -96,9 +105,7 @@ impl Activation {
         for r in (0..grad.rows()).filter(|&r| is_live(live, r)) {
             for (&word, chunk) in mask.row(r).iter().zip(grad.row_mut(r).chunks_mut(64)) {
                 for (bit, g) in chunk.iter_mut().enumerate() {
-                    if word >> bit & 1 == 0 {
-                        *g = 0.0;
-                    }
+                    *g = keep_or_zero(*g, (word >> bit) as u32 & 1);
                 }
             }
         }
@@ -329,5 +336,89 @@ mod tests {
         let mut m2 = Matrix::from_vec(1, 2, vec![-1.0, 2.0]);
         Activation::None.forward_rows(&mut m2, None, &mut mask);
         assert_eq!(m2.as_slice(), &[-1.0, 2.0]);
+    }
+
+    /// The per-element, branching ReLU forward that the branch-free loop
+    /// replaced, kept as its reference.
+    fn relu_forward_reference(z: &mut Matrix, live: Option<&[bool]>, mask: &mut ActMask) {
+        let words = z.cols().div_ceil(64);
+        mask.words_per_row = words;
+        mask.bits.resize(z.rows() * words, 0);
+        for r in (0..z.rows()).filter(|&r| is_live(live, r)) {
+            let row_bits = &mut mask.bits[r * words..][..words];
+            for (word, chunk) in row_bits.iter_mut().zip(z.row_mut(r).chunks_mut(64)) {
+                *word = 0;
+                for (bit, x) in chunk.iter_mut().enumerate() {
+                    let passed = *x > 0.0;
+                    *word |= u64::from(passed) << bit;
+                    *x = if passed { *x } else { 0.0 };
+                }
+            }
+        }
+    }
+
+    /// The branching ReLU backward, kept as the reference for its
+    /// branch-free replacement.
+    fn relu_backward_reference(grad: &mut Matrix, live: Option<&[bool]>, mask: &ActMask) {
+        for r in (0..grad.rows()).filter(|&r| is_live(live, r)) {
+            for (&word, chunk) in mask.row(r).iter().zip(grad.row_mut(r).chunks_mut(64)) {
+                for (bit, g) in chunk.iter_mut().enumerate() {
+                    if word >> bit & 1 == 0 {
+                        *g = 0.0;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_relu_matches_the_branching_reference_bit_for_bit() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 3.0,
+        ];
+        let mut rng = fgnn_tensor::Rng::new(29);
+        let entry = |rng: &mut fgnn_tensor::Rng| match rng.below(3) {
+            0 => specials[rng.below(specials.len())],
+            _ => rng.normal(),
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cols in [1, 63, 64, 65, 70, 172] {
+            let rows = 7;
+            for all_live in [true, false] {
+                let live: Vec<bool> = (0..rows).map(|_| rng.bernoulli(0.6)).collect();
+                let live = (!all_live).then_some(&live[..]);
+                // Both masks start from an earlier batch's, so rows that are
+                // not live must keep its words in each.
+                let mut prior = ActMask::default();
+                let mut z0 = Matrix::from_fn(rows, cols, |_, _| entry(&mut rng));
+                relu_forward_reference(&mut z0, None, &mut prior);
+                let (mut got_mask, mut want_mask) = (prior.clone(), prior);
+
+                let z = Matrix::from_fn(rows, cols, |_, _| entry(&mut rng));
+                let (mut got, mut want) = (z.clone(), z);
+                Activation::Relu.forward_rows(&mut got, live, &mut got_mask);
+                relu_forward_reference(&mut want, live, &mut want_mask);
+                assert_eq!(bits(&got), bits(&want), "forward, {cols} columns");
+                assert_eq!(got_mask.bits, want_mask.bits, "mask, {cols} columns");
+
+                // A hook overwrites output rows before backward runs.
+                got.row_mut(0).fill(f32::NAN);
+                got.row_mut(rows - 1).fill(-1.0);
+                let g = Matrix::from_fn(rows, cols, |_, _| entry(&mut rng));
+                let (mut got_g, mut want_g) = (g.clone(), g);
+                Activation::Relu.backward_rows(&mut got_g, live, &got_mask);
+                relu_backward_reference(&mut want_g, live, &want_mask);
+                assert_eq!(bits(&got_g), bits(&want_g), "backward, {cols} columns");
+            }
+        }
     }
 }

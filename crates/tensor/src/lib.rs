@@ -20,10 +20,12 @@
 //!   `--seed` flag. No global RNG, no `rand` dependency in hot paths.
 //! * Two `unsafe` blocks, the workspace's only ones outside tests
 //!   (`scripts/ci.sh` holds the count):
-//!   - `ops::dispatch`: the call into the AVX2-compiled instance of the
-//!     matmul tile body, guarded by `is_x86_feature_detected!("avx2")` on the
-//!     line before it. The callee is safe Rust compiled with wider vectors;
-//!     the only thing the block asserts is that the CPU has them.
+//!   - `ops::dispatch`: the call into the AVX-512F- or AVX2-compiled
+//!     instance of the matmul tile body (the first takes four rows a tile,
+//!     the second and the baseline two), chosen after
+//!     `is_x86_feature_detected!` has checked the feature of each. The
+//!     callee is safe Rust compiled with wider vectors; the only thing the
+//!     block asserts is that the CPU has them.
 //!   - [`prefetch`]: one `_mm_prefetch` of an in-bounds element. A prefetch
 //!     is a hint — it cannot fault and changes no value — so the block
 //!     asserts nothing a caller could break.
@@ -31,7 +33,6 @@
 //!   Everything else is safe code whose bounds checks are hoisted by
 //!   slice-first loops.
 
-pub mod activation;
 pub mod matrix;
 pub mod ops;
 pub mod rng;

@@ -21,10 +21,10 @@ pub fn is_live(live: Option<&[bool]>, row: usize) -> bool {
 ///
 /// The single hottest kernel in the workspace (every GNN layer is one or two
 /// of these). All three products run on one register-tiled body, [`tile`]:
-/// a strip of up to [`STRIP`] columns of two output rows is held in vector
-/// registers across the whole contraction and stored once; column strips are
-/// outermost, so the `k x strip` panel of `B` stays in L1 while the rows of
-/// `A` stream past it.
+/// a strip of up to [`STRIP`] columns of two or four output rows is held in
+/// vector registers across the whole contraction and stored once; column
+/// strips are outermost, so the `k x strip` panel of `B` stays in L1 while
+/// the rows of `A` stream past it.
 ///
 /// # Contract (shared by [`matmul_at_b`], [`matmul_a_bt`] and the `_rows` / `_into` forms)
 ///
@@ -155,9 +155,10 @@ pub fn matmul_a_bt_rows_into(
     matmul_rows_into(a, bt, live, c)
 }
 
-/// Widest column strip a tile carries: with two rows in flight, eight AVX2
-/// vectors of accumulators (the baseline instance carries half of it).
-const STRIP: usize = 32;
+/// Widest column strip a tile carries: with four rows in flight, sixteen
+/// AVX-512 vectors of accumulators. The AVX2 instance carries half of it and
+/// the baseline a quarter, each with two rows: they have sixteen registers.
+const STRIP: usize = 64;
 
 /// Rows of the contraction [`matmul_at_b`] runs between one load and one
 /// store of a strip of `C`.
@@ -193,8 +194,9 @@ fn tile<'b, const R: usize, const T: usize>(
 trait Strips {
     /// Columns of `C`.
     fn n(&self) -> usize;
-    /// Compute columns `j0..j0 + w` of `C` (`w <= T`) through `T`-wide tiles.
-    fn strip<const T: usize>(&mut self, j0: usize, w: usize);
+    /// Compute columns `j0..j0 + w` of `C` (`w <= T`) through `T`-wide tiles
+    /// of `R` rows (the last few rows in tiles of two and one).
+    fn strip<const T: usize, const R: usize>(&mut self, j0: usize, w: usize);
 }
 
 /// `C = A * B` on the live rows of `A` (`m x k`, `k x n`).
@@ -231,14 +233,24 @@ impl Strips for Ab<'_> {
     }
 
     #[inline(always)]
-    fn strip<const T: usize>(&mut self, j0: usize, w: usize) {
+    fn strip<const T: usize, const R: usize>(&mut self, j0: usize, w: usize) {
         let live = self.live;
         let mut rows = (0..self.c.len() / self.n).filter(|&i| is_live(live, i));
-        while let Some(i0) = rows.next() {
-            match rows.next() {
-                Some(i1) => self.rows::<2, T>([i0, i1], j0, w),
-                None => self.rows::<1, T>([i0], j0, w),
+        loop {
+            // `zip` asks `group` first, so no live row is drawn and dropped.
+            let mut group = [0; R];
+            let count = group.iter_mut().zip(&mut rows).map(|(g, i)| *g = i).count();
+            if count < R {
+                let mut pairs = group[..count].chunks_exact(2);
+                for pair in &mut pairs {
+                    self.rows::<2, T>([pair[0], pair[1]], j0, w);
+                }
+                if let &[i] = pairs.remainder() {
+                    self.rows::<1, T>([i], j0, w);
+                }
+                return;
             }
+            self.rows::<R, T>(group, j0, w);
         }
     }
 }
@@ -291,7 +303,7 @@ impl Strips for AtB<'_> {
     }
 
     #[inline(always)]
-    fn strip<const T: usize>(&mut self, j0: usize, w: usize) {
+    fn strip<const T: usize, const R: usize>(&mut self, j0: usize, w: usize) {
         let (m, n, rows) = (self.m, self.n, self.b.len() / self.n);
         // A block's live rows are packed once — the strip of `B` per block,
         // `A_GROUP` columns of `A` at a time — so the tiles below read
@@ -314,7 +326,11 @@ impl Strips for AtB<'_> {
                 }
                 let (a_pack, b_pack) = (&a_pack[..count], &b_pack[..count]);
                 let mut r = 0;
-                while r + 2 <= g {
+                while r + R <= g {
+                    self.rows::<R, T>(a_pack, b_pack, r, i0 + r, j0, w);
+                    r += R;
+                }
+                if R > 2 && r + 2 <= g {
                     self.rows::<2, T>(a_pack, b_pack, r, i0 + r, j0, w);
                     r += 2;
                 }
@@ -326,50 +342,73 @@ impl Strips for AtB<'_> {
     }
 }
 
-/// Cover the columns of `C` with strips: full `W`-wide ones, then the same
-/// body at 16 and 8 columns, then one runtime-width tail under 8.
+/// Cover the columns of `C` with strips of `R`-row tiles: full `W`-wide
+/// ones, then the same body at 32, 16 and 8 columns, then one runtime-width
+/// tail under 8.
 #[inline(always)]
-fn run<const W: usize>(mut op: impl Strips) {
+fn run<const W: usize, const R: usize>(mut op: impl Strips) {
     let n = op.n();
     let mut j0 = 0;
     while n - j0 >= W {
-        op.strip::<W>(j0, W);
+        op.strip::<W, R>(j0, W);
         j0 += W;
     }
+    if W > 32 && n - j0 >= 32 {
+        op.strip::<32, R>(j0, 32);
+        j0 += 32;
+    }
     if W > 16 && n - j0 >= 16 {
-        op.strip::<16>(j0, 16);
+        op.strip::<16, R>(j0, 16);
         j0 += 16;
     }
     if n - j0 >= 8 {
-        op.strip::<8>(j0, 8);
+        op.strip::<8, R>(j0, 8);
         j0 += 8;
     }
     if n > j0 {
-        op.strip::<8>(j0, n - j0);
+        op.strip::<8, R>(j0, n - j0);
     }
 }
 
 /// [`run`] compiled for the crate's baseline target (16 SSE2 registers on
-/// x86-64: half-width strips).
+/// x86-64: quarter-width strips of two rows).
 fn run_baseline(op: impl Strips) {
-    run::<{ STRIP / 2 }>(op)
+    run::<{ STRIP / 4 }, 2>(op)
 }
 
-/// [`run`] compiled with AVX2 enabled: the same source, eight-lane vectors.
+/// [`run`] compiled with AVX2 enabled: the same source, eight-lane vectors,
+/// half-width strips of two rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2(op: impl Strips) {
-    run::<STRIP>(op)
+    run::<{ STRIP / 2 }, 2>(op)
 }
 
-/// Run `op` on the widest instance of the tile body this CPU has. The two
-/// instances are one source compiled twice and produce the same bits.
+/// [`run`] compiled with AVX-512F enabled: sixteen-lane vectors and 32
+/// registers, so full strips of four rows — each load of `B` feeds four
+/// rows, and each pass over a `k x STRIP` panel of `B` (often more than L1
+/// holds) serves four rows of `A`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512(op: impl Strips) {
+    run::<STRIP, 4>(op)
+}
+
+/// Run `op` on the widest instance of the tile body this CPU has. The three
+/// instances are one source compiled three times and produce the same bits.
 fn dispatch(op: impl Strips) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `run_avx2` is safe code whose only requirement is that the
-        // CPU executes AVX2 instructions, which the line above has checked.
-        return unsafe { run_avx2(op) };
+    {
+        use std::arch::is_x86_feature_detected as has;
+        let avx512 = has!("avx512f");
+        if avx512 || has!("avx2") {
+            let instance = if avx512 { run_avx512 } else { run_avx2 };
+            // SAFETY: both callees are safe code whose only requirement is
+            // that the CPU executes the instructions their `target_feature`
+            // enables; `instance` is `run_avx512` only when `has!("avx512f")`
+            // held and `run_avx2` only when `has!("avx2")` did.
+            return unsafe { instance(op) };
+        }
     }
     run_baseline(op)
 }
@@ -497,18 +536,32 @@ mod tests {
         }
     }
 
-    /// Both compiled instances of the tile body, on the same operands: the
-    /// dispatcher only ever runs one of them on a given machine, so this is
-    /// where the other one is exercised. Shapes cross every strip width (32,
-    /// 16, 8, tail), an odd row count and a `P_BLOCK` boundary.
+    /// The three compiled instances of the tile body, on the same operands:
+    /// the dispatcher only ever runs one of them on a given machine, so this
+    /// is where the others are exercised (each wide one where the CPU has
+    /// it).
+    /// Shapes cross every strip width (64, 32, 16, 8, tail) and a `P_BLOCK`
+    /// boundary; with every row live, `m` = 8..=11 gives `A·B` live-row
+    /// counts ≡ 0, 1, 2, 3 (mod 4), and `k` does the same for the rows of
+    /// `Aᵀ·B` left over by its groups of 16.
     #[test]
-    fn baseline_and_avx2_instances_agree_bit_for_bit() {
+    fn all_three_instances_agree_bit_for_bit() {
         let mut rng = crate::Rng::new(7);
-        for (m, k, n) in [(5, 70, 61), (3, 9, 32), (66, 3, 7), (2, 130, 100)] {
+        let shapes = [
+            (5, 70, 61),
+            (3, 9, 32),
+            (66, 3, 7),
+            (2, 130, 100),
+            (8, 13, 125),
+            (9, 7, 125),
+            (10, 31, 189),
+            (11, 64, 64),
+        ];
+        for ((m, k, n), all_live) in shapes.into_iter().flat_map(|s| [(s, false), (s, true)]) {
             let a = rng.normal_matrix(m, k, 1.0);
             let b = rng.normal_matrix(k, n, 1.0);
             let g = rng.normal_matrix(m, n, 1.0);
-            let live: Vec<bool> = (0..m).map(|_| rng.bernoulli(0.7)).collect();
+            let live: Vec<bool> = (0..m).map(|_| all_live || rng.bernoulli(0.7)).collect();
             let ab = |run: &dyn Fn(Ab)| {
                 let mut c = Matrix::zeros(m, n);
                 run(Ab {
@@ -544,7 +597,14 @@ mod tests {
                 // SAFETY: as above.
                 assert_eq!(bits(&base_atb), bits(&atb(&|op| unsafe { run_avx2(op) })));
             }
-            // And both are the plain triple loop.
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: AVX-512F was detected on the line above.
+                assert_eq!(bits(&base_ab), bits(&ab(&|op| unsafe { run_avx512(op) })));
+                // SAFETY: as above.
+                assert_eq!(bits(&base_atb), bits(&atb(&|op| unsafe { run_avx512(op) })));
+            }
+            // And all of them are the plain triple loop.
             for (i, &live_i) in live.iter().enumerate() {
                 for j in 0..n {
                     let mut acc = 0.0f32;

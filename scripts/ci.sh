@@ -15,8 +15,9 @@ if grep -Eq 'source = "(registry|git)' Cargo.lock; then
 fi
 
 # Outside test code the workspace's `unsafe` is two audited blocks in
-# fgnn-tensor (its crate doc says why each is sound): the AVX2 call in
-# `ops::dispatch` and the `_mm_prefetch` in `prefetch`. Any other `unsafe`
+# fgnn-tensor (its crate doc says why each is sound): the call in
+# `ops::dispatch` into the AVX-512F or AVX2 instance its feature checks
+# chose, and the `_mm_prefetch` in `prefetch`. Any other `unsafe`
 # under crates/*/src fails here. Items behind `#[cfg(test)]` are skipped by
 # brace depth, and `//` comment lines are not code.
 unsafe_sites="$(find crates/*/src -name '*.rs' | sort | xargs awk '
@@ -32,7 +33,7 @@ unsafe_sites="$(find crates/*/src -name '*.rs' | sort | xargs awk '
     /(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)/ { print FILENAME ": " $0 }
 ')"
 unaudited="$(printf '%s\n' "$unsafe_sites" | grep -v \
-    -e '^crates/tensor/src/ops\.rs: *return unsafe { run_avx2(op) };$' \
+    -e '^crates/tensor/src/ops\.rs: *return unsafe { instance(op) };$' \
     -e '^crates/tensor/src/lib\.rs: *unsafe { _mm_prefetch::<_MM_HINT_T0>(' |
     grep . || true)"
 if [ -n "$unaudited" ] || [ "$(printf '%s\n' "$unsafe_sites" | grep -c .)" -ne 2 ]; then

@@ -3,15 +3,21 @@
 //! in-tree property harness (`FGNN_PROP_CASES` seeded cases; `scripts/ci.sh`
 //! runs 256).
 //!
-//! Target: `Checkpoint::from_bytes`, on random bytes, every prefix of a
-//! real checkpoint, single bit flips, and length fields rewritten to huge
-//! values with the FNV-1a checksums recomputed, so that the inner decoders
-//! see them rather than the checksum guard.
+//! Targets:
+//! - `Checkpoint::from_bytes`, on random bytes, every prefix of a real
+//!   checkpoint, single bit flips, and length fields rewritten to huge
+//!   values with the FNV-1a checksums recomputed, so that the inner decoders
+//!   see them rather than the checksum guard.
+//! - `obs::parse_json` (the reader behind `exp_report`'s baselines and the
+//!   serve round-trip), on random bytes, every prefix of a real exported
+//!   document and that document with single bytes flipped. Bytes that are
+//!   not UTF-8 reach it as `from_utf8_lossy` has them, since it takes `&str`.
 
 mod common;
 
 use common::for_cases;
 use freshgnn_repro::core::checkpoint::{Checkpoint, MAGIC, VERSION};
+use freshgnn_repro::core::obs::parse_json;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
@@ -163,5 +169,58 @@ fn huge_length_fields_never_panic() {
         bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
         reseal(&mut bytes);
         decode(&bytes, || format!("{huge:#x} written at byte {at}"));
+    });
+}
+
+/// A real exported document: the committed two-epoch Chrome trace.
+const JSON_DOC: &str = include_str!("golden/sync_trainer_2epoch.trace.json");
+
+/// Parse `bytes`; a panic fails the test, naming the input. Returns whether
+/// the parse succeeded.
+fn parse(bytes: &[u8], what: impl Fn() -> String) -> bool {
+    let text = String::from_utf8_lossy(bytes);
+    let outcome = catch_unwind(AssertUnwindSafe(|| parse_json(&text).is_ok()));
+    outcome.unwrap_or_else(|_| panic!("parse_json panicked on {}", what()))
+}
+
+#[test]
+fn json_random_bytes_never_panic() {
+    // Half the inputs draw from JSON's own alphabet, so they get past the
+    // first byte and into strings, escapes, numbers and nesting.
+    const ALPHABET: &[u8] = b"{}[]\",:\\/ \n-+.0123456789eEutrfalsn";
+    for_cases("json_random_bytes_never_panic", |rng| {
+        let json_like = rng.below(2) == 0;
+        let bytes: Vec<u8> = (0..rng.below(512))
+            .map(|_| {
+                if json_like {
+                    ALPHABET[rng.below(ALPHABET.len())]
+                } else {
+                    rng.below(256) as u8
+                }
+            })
+            .collect();
+        parse(&bytes, || format!("random bytes {bytes:?}"));
+    });
+}
+
+#[test]
+fn every_prefix_of_an_exported_json_document_is_an_error_not_a_panic() {
+    let complete = JSON_DOC.trim_end().len();
+    for n in 0..=JSON_DOC.len() {
+        let ok = parse(&JSON_DOC.as_bytes()[..n], || format!("the {n}-byte prefix"));
+        // A truncated document is an error, never a shorter value.
+        assert_eq!(ok, n >= complete, "the {n}-byte prefix");
+    }
+}
+
+#[test]
+fn json_single_byte_flips_never_panic() {
+    for_cases("json_single_byte_flips_never_panic", |rng| {
+        let mut bytes = JSON_DOC.as_bytes().to_vec();
+        let at = rng.below(bytes.len());
+        bytes[at] ^= 1 + rng.below(255) as u8;
+        parse(&bytes, || {
+            format!("byte {at} flipped to {:#04x}", bytes[at])
+        });
     });
 }

@@ -6,8 +6,9 @@
 //! from the kernels they check.
 //!
 //! Inputs cover what the kernels special-case or could get wrong: empty and
-//! 1×1 shapes, every edge the tiling has — a strip width ±1 (8, 16, 32),
-//! two strips plus a tail, an odd row count, the `Aᵀ·B` contraction block
+//! 1×1 shapes, every edge the tiling has — a strip width ±1 (8, 16, 32, 64),
+//! every strip width at once plus a tail, live-row counts on each side of a
+//! four-row tile, an odd row count, the `Aᵀ·B` contraction block
 //! (64) ±1 and twice over — whole zero rows, scattered `+0.0` / `-0.0`
 //! entries and denormals; plus the reused-buffer forms on dirty buffers and
 //! the one non-finite case the contract names.
@@ -158,12 +159,16 @@ fn matmul_at_b_matches_the_naive_loop_bit_for_bit() {
 }
 
 /// All three products at one `(m, k, n)` (for `Aᵀ·B`: `k` rows contracted,
-/// `m x n` out), masked forms included.
-fn check_all_products(rng: &mut Rng, m: usize, k: usize, n: usize) {
+/// `m x n` out), masked forms included, under row masks drawn by `mask`.
+fn check_all_products(
+    rng: &mut Rng,
+    (m, k, n): (usize, usize, usize),
+    mask: fn(&mut Rng, usize) -> Vec<bool>,
+) {
     let what = format!("{m}x{k}x{n}");
     let a = random_matrix(rng, m, k);
     let b = random_matrix(rng, k, n);
-    let live = random_mask(rng, m);
+    let live = mask(rng, m);
     let want = naive(m, k, n, |i, p| a.get(i, p), |p, j| b.get(p, j));
     let got = ops::matmul_rows(&a, &b, Some(&live)).unwrap();
     assert_bits_eq(
@@ -177,7 +182,7 @@ fn check_all_products(rng: &mut Rng, m: usize, k: usize, n: usize) {
     assert_bits_eq(&got, &keep_live_rows(&want, &live), &format!("a_bt {what}"));
 
     let at = random_matrix(rng, k, m);
-    let live = random_mask(rng, k);
+    let live = mask(rng, k);
     let want = naive(
         m,
         k,
@@ -194,12 +199,29 @@ fn every_edge_dimension_in_every_role() {
     let mut rng = Rng::new(0x5eed);
     for &d in &DIMS {
         let (s, t) = (dim(&mut rng).min(17), dim(&mut rng).min(17));
-        check_all_products(&mut rng, d, s, t);
-        check_all_products(&mut rng, s, d, t);
-        check_all_products(&mut rng, s, t, d);
+        check_all_products(&mut rng, (d, s, t), random_mask);
+        check_all_products(&mut rng, (s, d, t), random_mask);
+        check_all_products(&mut rng, (s, t, d), random_mask);
     }
     // Every role large at once, off every boundary.
-    check_all_products(&mut rng, 67, 131, 75);
+    check_all_products(&mut rng, (67, 131, 75), random_mask);
+}
+
+/// How each compiled instance covers `C` (`ops::run`): column strips of 64,
+/// 32, 16 and 8, then a tail, each one a tile of four (AVX-512) or two rows
+/// at a time. With every row live, `m` = 8..=11 leaves 0, 1, 2 and 3 rows
+/// past the last four-row tile (`Aᵀ·B` tiles its `m` output rows the same
+/// way), and the widths cross every strip: 125 = 64+32+16+8+5, 189 =
+/// 2·64+32+16+8+5, 63 = 32+16+8+7 and 100 = 64+32+4.
+#[test]
+fn every_strip_width_and_four_row_remainder() {
+    let mut rng = Rng::new(0x512);
+    for n in [125, 189, 63, 100] {
+        for m in 8..12 {
+            check_all_products(&mut rng, (m, 23, n), |_, len| vec![true; len]);
+            check_all_products(&mut rng, (m + 4, 23, n), random_mask);
+        }
+    }
 }
 
 /// The reused-buffer forms on dirty buffers of another shape: live rows come
