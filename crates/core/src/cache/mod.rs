@@ -169,11 +169,6 @@ impl HistoricalCache {
         level >= 1 && level <= self.levels.len() && self.levels[level - 1].is_some()
     }
 
-    /// Staleness bound in effect.
-    pub fn t_stale(&self) -> u32 {
-        self.t_stale
-    }
-
     /// Look up `node` at `level` for iteration `now` under the baseline
     /// refresh schedule (none) — see [`HistoricalCache::lookup_with`].
     pub fn lookup(&mut self, level: usize, node: NodeId, now: u32) -> Option<u32> {

@@ -17,12 +17,14 @@
 //! routing actually uses, so both the crashed-but-undetected window
 //! (bounded retries, then fallback) and the declared-dead window
 //! (degraded peer serving under the `t_stale` budget) are modelled.
-//! Recovery restores the host from its epoch-start checkpoint — evicting
-//! cache entries newer than the recovery point, exactly the rollback
-//! semantics of [`crate::Trainer::restore`] — and replays, so the
-//! committed training quantities of any crash/restart schedule match the
-//! fault-free run bit for bit while the NIC/retry/recovery ledger records
-//! what the faults cost.
+//! Each host trains its round's batch through its trainer's guarded epoch
+//! loop, so a NaN armed with [`crate::Trainer::inject_nan_at`] or a loss
+//! spike takes the driver's one rollback arm. Recovery — from a crash or a
+//! guard trip — restores the host's epoch-start baseline through the
+//! driver, evicting cache entries newer than the recovery point, and
+//! replays, so the committed training quantities of any crash/restart
+//! schedule match the fault-free run bit for bit while the
+//! NIC/retry/recovery ledger records what the faults cost.
 
 mod membership;
 mod trainer;

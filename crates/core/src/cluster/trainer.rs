@@ -2,21 +2,24 @@
 //!
 //! Hosts advance in lock-step **rounds**; every round each live host
 //! fetches the remote halo of its next mini-batch (one batched active
-//! message per destination), trains that one batch, and feeds the loss to
-//! its numeric guard. Fault events ([`ClusterFaultPlan`]) fire at absolute
-//! rounds *before* the round's work; the heartbeat detector ticks right
-//! after, so routing always uses the view the schedule deterministically
-//! produces.
+//! message per destination) and trains that one batch through its
+//! trainer's guarded epoch loop. Fault events ([`ClusterFaultPlan`]) fire
+//! at absolute rounds *before* the round's work; the heartbeat detector
+//! ticks right after, so routing always uses the view the schedule
+//! deterministically produces.
 //!
-//! **Recovery invariant:** a restarted host restores its epoch-start
-//! baseline checkpoint (rewinding RNG/model/optimizer and evicting cache
-//! entries newer than the recovery point) and re-executes its epoch one
-//! batch per round. A NaN-guard trip rolls back the same baseline but
-//! replays the already-completed prefix *inside* the round without
-//! re-charging comms (the halo bytes were already paid for). Either way
-//! the committed training quantities — losses, parameters, H2D bytes,
-//! cache hit counters — end bit-identical to the fault-free run; only the
-//! cluster comms/retry ledger records what the faults cost.
+//! **Recovery invariant:** each host's [`Supervisor`] holds its epoch-start
+//! baseline, and every restore of it goes through the host's driver. A
+//! restarted host restores the baseline (rewinding RNG/model/optimizer and
+//! evicting cache entries newer than the recovery point) and re-executes
+//! its epoch one batch per round. A guard trip — a NaN armed with
+//! [`crate::Trainer::inject_nan_at`], or a loss spike — takes the driver's
+//! rollback arm to the same baseline, then replays the already-completed
+//! prefix *inside* the round without re-charging comms (the halo bytes were
+//! already paid for). Either way the committed training quantities —
+//! losses, parameters, H2D bytes, cache hit counters — end bit-identical to
+//! the fault-free run; only the cluster comms/retry ledger records what the
+//! faults cost.
 
 use std::collections::BTreeSet;
 
@@ -70,6 +73,8 @@ struct HostShard {
     global_ids: Vec<NodeId>,
     trainer: Trainer,
     opt: Adam,
+    /// Numeric guard, rollback budget and the epoch-start baseline that
+    /// crash and NaN recovery restore.
     sup: Supervisor,
     /// Current epoch's batch schedule (local IDs).
     batches: Vec<Vec<NodeId>>,
@@ -85,13 +90,9 @@ struct HostShard {
     alive: bool,
     /// This host's NIC health (Down exactly while crashed).
     nic: LinkHealth,
-    /// Epoch-start checkpoint; restore target for crash and NaN recovery.
-    baseline: Option<Checkpoint>,
     /// Round the baseline was taken — staleness zero-point for peers
     /// serving this host's shard while it is dead.
     baseline_round: u64,
-    /// Rounds whose observed loss is forced to NaN (chaos hook).
-    nan_rounds: BTreeSet<u64>,
 }
 
 /// Outcome of a whole cluster run ([`ClusterTrainer::train`]).
@@ -155,26 +156,10 @@ pub struct ClusterTrainer {
 }
 
 impl ClusterTrainer {
-    /// Build a cluster over `ds` on the default A100 topology.
+    /// Build a cluster over `ds` on the A100 topology `cfg` shapes.
     pub fn new(ds: &Dataset, cfg: ClusterConfig, seed: u64) -> Result<Self, FgnnError> {
-        let topo = ClusterTopology::a100_cluster(cfg.num_hosts.max(1), cfg.gpus_per_host.max(1));
-        Self::with_topology(ds, cfg, topo, seed)
-    }
-
-    /// Build a cluster with an explicit [`ClusterTopology`].
-    pub fn with_topology(
-        ds: &Dataset,
-        cfg: ClusterConfig,
-        topo: ClusterTopology,
-        seed: u64,
-    ) -> Result<Self, FgnnError> {
         cfg.validate().map_err(FgnnError::Config)?;
-        if topo.num_hosts != cfg.num_hosts {
-            return Err(FgnnError::Config(format!(
-                "topology has {} hosts but config wants {}",
-                topo.num_hosts, cfg.num_hosts
-            )));
-        }
+        let topo = ClusterTopology::a100_cluster(cfg.num_hosts, cfg.gpus_per_host);
         let h = cfg.num_hosts;
         let n = ds.num_nodes();
         let (assignment, host_nodes): (Vec<u32>, Vec<Vec<NodeId>>) = if h == 1 {
@@ -223,9 +208,7 @@ impl ClusterTrainer {
                 epoch_id: 0,
                 alive: true,
                 nic: LinkHealth::Up,
-                baseline: None,
                 baseline_round: 0,
-                nan_rounds: BTreeSet::new(),
             });
         }
         let detector =
@@ -277,18 +260,13 @@ impl ClusterTrainer {
         Ok(())
     }
 
-    /// Force `host`'s observed loss to NaN at the given absolute rounds
-    /// (chaos hook for the numeric-recovery path).
-    pub fn inject_nan_at(&mut self, host: usize, rounds: impl IntoIterator<Item = u64>) {
-        self.shards[host].nan_rounds.extend(rounds);
-    }
-
     /// Borrow host `h`'s trainer (tests compare against single-host runs).
     pub fn trainer(&self, h: usize) -> &Trainer {
         &self.shards[h].trainer
     }
 
-    /// Mutably borrow host `h`'s trainer (per-host fault injection).
+    /// Mutably borrow host `h`'s trainer (per-host fault and NaN
+    /// injection).
     pub fn trainer_mut(&mut self, h: usize) -> &mut Trainer {
         &mut self.shards[h].trainer
     }
@@ -315,19 +293,9 @@ impl ClusterTrainer {
         self.detector.log()
     }
 
-    /// The remote-read staleness ledger.
-    pub fn ledger(&self) -> &StalenessLedger {
-        &self.ledger
-    }
-
     /// The cluster comms ledger (NIC traffic, retries).
     pub fn comms(&self) -> &TrafficCounters {
         &self.comms
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// Cluster-level observability (spans + Exact metrics).
@@ -460,29 +428,23 @@ impl ClusterTrainer {
         Ok(())
     }
 
-    /// Shard recovery: restore the epoch-start baseline (rewinds RNG /
-    /// model / optimizer, evicts cache entries newer than the recovery
-    /// point) and restart the epoch plan from batch 0. Re-executed rounds
-    /// re-charge comms — recovery cost is visible in the NIC ledger while
-    /// the committed training quantities stay fault-free-identical.
+    /// Shard recovery: restore the epoch-start baseline through the driver
+    /// (rewinds RNG / model / optimizer, evicts cache entries newer than
+    /// the recovery point) and restart the epoch plan from batch 0.
+    /// Re-executed rounds re-charge comms — recovery cost is visible in the
+    /// NIC ledger while the committed training quantities stay
+    /// fault-free-identical.
     fn restart_host(&mut self, h: usize) -> Result<(), FgnnError> {
         let s = &mut self.shards[h];
-        let baseline = s
-            .baseline
-            .clone()
-            .expect("host restarted before its first epoch began");
-        s.trainer
-            .restore(&baseline, &mut s.opt)
-            .map_err(FgnnError::Checkpoint)?;
+        let iter = s.trainer.restore_baseline(&mut s.opt, &s.sup)?;
         s.batches = s.trainer.plan_epoch_batches(&s.ds);
         s.cursor = 0;
         s.losses.clear();
         s.sup.guard.reset();
-        let (iter, epoch) = (s.trainer.iterations(), s.epoch_id);
         s.sup.transition(
             HealthState::Recovering,
             iter,
-            epoch,
+            s.epoch_id,
             "host-restart",
             &mut s.trainer.obs,
         );
@@ -490,7 +452,7 @@ impl ClusterTrainer {
     }
 
     /// One host's share of one round: catch up on epoch bookkeeping, then
-    /// fetch the halo and train exactly one batch.
+    /// fetch the halo and train exactly one batch under the host's guard.
     fn step_host(&mut self, h: usize, target: u32) -> Result<(), FgnnError> {
         if !self.shards[h].alive {
             return Ok(());
@@ -503,27 +465,19 @@ impl ClusterTrainer {
             self.begin_host_epoch(h);
         }
         self.exchange_halo(h)?;
-        let idx = self.shards[h].cursor;
-        let stats_loss = self.run_host_batch(h, idx);
-        let observed = if self.shards[h].nan_rounds.remove(&self.round) {
-            f64::NAN
-        } else {
-            stats_loss
-        };
-        let fault = {
-            let s = &mut self.shards[h];
-            let iter = s.trainer.iterations();
-            s.sup.guard.observe(iter, observed as f32)
-        };
+        let s = &mut self.shards[h];
+        let batch = s.batches[s.cursor..=s.cursor].to_vec();
+        let (stats, fault) = s
+            .trainer
+            .train_guarded(&s.ds, batch, &mut s.opt, &mut s.sup);
         match fault {
-            Some(f) => self.numeric_rollback(h, f)?,
+            Some(fault) => self.numeric_rollback(h, fault),
             None => {
-                let s = &mut self.shards[h];
-                s.losses.push(stats_loss);
+                s.losses.push(stats.mean_loss);
                 s.cursor += 1;
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Close out host `h`'s finished epoch plan. Idempotent per epoch —
@@ -540,16 +494,13 @@ impl ClusterTrainer {
             s.losses.iter().sum::<f64>() / s.losses.len() as f64
         };
         s.epoch_means.push(mean);
-        if s.sup.state() != HealthState::Healthy {
-            let (iter, epoch) = (s.trainer.iterations(), s.epoch_id);
-            s.sup.transition(
-                HealthState::Healthy,
-                iter,
-                epoch,
-                "epoch-complete",
-                &mut s.trainer.obs,
-            );
-        }
+        s.sup.transition(
+            HealthState::Healthy,
+            s.trainer.iterations(),
+            s.epoch_id,
+            "epoch-complete",
+            &mut s.trainer.obs,
+        );
     }
 
     /// Start host `h`'s next epoch: checkpoint the recovery baseline and
@@ -558,71 +509,38 @@ impl ClusterTrainer {
         let round = self.round;
         let s = &mut self.shards[h];
         s.epoch_id += 1;
-        let ckpt = s.trainer.checkpoint(&s.opt);
-        s.baseline = Some(ckpt);
+        s.sup.set_baseline(s.trainer.checkpoint(&s.opt));
         s.baseline_round = round;
         s.batches = s.trainer.plan_epoch_batches(&s.ds);
         s.cursor = 0;
         s.losses.clear();
     }
 
-    /// NaN-guard recovery: roll back to the epoch baseline and replay the
-    /// completed prefix *plus* the faulted batch inside this round. The
-    /// replay is local — comms for those batches were already charged —
-    /// so only training compute is redone.
+    /// Guard-trip recovery: the driver's rollback arm restores the epoch
+    /// baseline, then the completed prefix *plus* the faulted batch replay
+    /// inside this round, unguarded. The replay is local — comms for those
+    /// batches were already charged — so only training compute is redone.
     fn numeric_rollback(&mut self, h: usize, fault: NumericFault) -> Result<(), FgnnError> {
         let round = self.round;
-        {
-            let s = &mut self.shards[h];
-            let (iter, epoch) = (s.trainer.iterations(), s.epoch_id);
-            s.sup.transition(
-                HealthState::Degraded,
-                iter,
-                epoch,
-                fault.cause(),
-                &mut s.trainer.obs,
-            );
-            if !s.sup.can_roll_back() {
-                return Err(FgnnError::Numeric(format!(
-                    "host {h} exhausted its rollback budget at round {round}: {}",
-                    fault.cause()
-                )));
-            }
-            let baseline = s
-                .baseline
-                .clone()
-                .expect("numeric fault before the first epoch began");
-            s.trainer
-                .restore(&baseline, &mut s.opt)
-                .map_err(FgnnError::Checkpoint)?;
-            s.sup.record_rollback(&mut s.trainer.obs);
-            s.batches = s.trainer.plan_epoch_batches(&s.ds);
-            s.losses.clear();
-            s.sup.guard.reset();
-            let iter = s.trainer.iterations();
-            s.sup.transition(
-                HealthState::Recovering,
-                iter,
-                epoch,
-                "numeric-rollback",
-                &mut s.trainer.obs,
-            );
-        }
-        let replay_through = self.shards[h].cursor;
-        for i in 0..=replay_through {
-            let loss = self.run_host_batch(h, i);
-            self.shards[h].losses.push(loss);
-        }
-        self.shards[h].cursor = replay_through + 1;
-        Ok(())
-    }
-
-    /// Train exactly `batches[idx]` on host `h`, returning its loss.
-    fn run_host_batch(&mut self, h: usize, idx: usize) -> f64 {
         let s = &mut self.shards[h];
         s.trainer
-            .train_on_batches(&s.ds, &s.batches[idx..idx + 1], &mut s.opt)
-            .mean_loss
+            .roll_back(&mut s.opt, &mut s.sup, fault)
+            .map_err(|e| match e {
+                FgnnError::Numeric(why) => {
+                    FgnnError::Numeric(format!("host {h} at round {round}: {why}"))
+                }
+                e => e,
+            })?;
+        s.batches = s.trainer.plan_epoch_batches(&s.ds);
+        s.losses.clear();
+        for i in 0..=s.cursor {
+            let stats = s
+                .trainer
+                .train_on_batches(&s.ds, &s.batches[i..=i], &mut s.opt);
+            s.losses.push(stats.mean_loss);
+        }
+        s.cursor += 1;
+        Ok(())
     }
 
     /// Fetch the remote halo of host `h`'s next batch: the deduplicated

@@ -391,8 +391,9 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Force the loss reported at the given iterations to NaN (chaos-test
-    /// hook exercising the numeric-health guard and rollback path inside
-    /// [`Driver::train_epoch_resilient`]). Each entry fires once.
+    /// hook exercising the numeric-health guard and rollback path of
+    /// [`Driver::train_epoch_resilient`] and of a cluster host's rounds).
+    /// Each entry fires once, and only in a guarded epoch.
     pub fn inject_nan_at(&mut self, iters: impl IntoIterator<Item = u32>) {
         self.nan_iters.extend(iters);
     }
@@ -702,12 +703,10 @@ impl<W: Workload> Driver<W> {
 
     /// Train one epoch under the health supervisor: every batch loss is
     /// fed through `sup`'s [`NumericGuard`], and a tripped guard (NaN/Inf
-    /// loss, or a loss spike past the z-score threshold) aborts the epoch,
-    /// rolls the trainer back to the supervisor's last-known-good baseline
-    /// checkpoint and replays it. The rollback restores the RNG, so the
-    /// replay walks the exact same batch schedule; restoring also evicts
-    /// ring-cache entries stamped after the baseline iteration, keeping
-    /// the `t_stale` bound intact across the rewind.
+    /// loss, or a loss spike past the z-score threshold) aborts the epoch
+    /// and [`Driver::roll_back`]s to the supervisor's last-known-good
+    /// baseline, then replays the epoch. The rollback restores the RNG, so
+    /// the replay walks the exact same batch schedule.
     ///
     /// State machine: a fault moves the supervisor `→ Degraded`, the
     /// rollback `→ Recovering`, and the first clean epoch `→ Healthy`
@@ -716,10 +715,9 @@ impl<W: Workload> Driver<W> {
     /// the baseline is left alone.
     ///
     /// Errors with [`FgnnError::Numeric`] once `sup`'s rollback budget is
-    /// exhausted (a deterministic divergence replays identically, so
-    /// retrying forever would livelock). The epoch's RNG draws were all
-    /// made before its first batch, so that error leaves the trainer stream
-    /// past the batches the guard skipped; every rollback restores it.
+    /// exhausted. The epoch's RNG draws were all made before its first
+    /// batch, so that error leaves the trainer stream past the batches the
+    /// guard skipped; every rollback restores it.
     pub fn train_epoch_resilient(
         &mut self,
         ds: &W::Dataset,
@@ -731,9 +729,7 @@ impl<W: Workload> Driver<W> {
         }
         loop {
             let batches = self.plan_epoch_batches(ds);
-            let (stats, fault) = self
-                .run(ds, batches, opt, Some(&mut sup.guard), 0, 0)
-                .expect(IN_LINE);
+            let (stats, fault) = self.train_guarded(ds, batches, opt, sup);
             let Some(fault) = fault else {
                 let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
                 let (state, cause) = if breaker_open || stats.degraded_batches > 0 {
@@ -747,33 +743,81 @@ impl<W: Workload> Driver<W> {
                 }
                 return Ok(stats);
             };
-            sup.transition(
-                HealthState::Degraded,
-                fault.iter(),
-                self.epoch,
-                fault.cause(),
-                &mut self.obs,
-            );
-            if !sup.can_roll_back() {
-                return Err(FgnnError::Numeric(format!(
-                    "rollback budget exhausted after {} rollbacks: {}",
-                    sup.rollbacks(),
-                    fault.cause()
-                )));
-            }
-            let ckpt = sup.baseline().cloned().ok_or_else(|| {
-                FgnnError::Numeric(format!("no baseline to roll back to: {}", fault.cause()))
-            })?;
-            self.restore(&ckpt, opt)?;
-            sup.record_rollback(&mut self.obs);
-            sup.transition(
-                HealthState::Recovering,
-                ckpt.iter,
-                self.epoch,
-                "rollback",
-                &mut self.obs,
-            );
+            self.roll_back(opt, sup, fault)?;
         }
+    }
+
+    /// Train `batches` with every batch loss (after NaN injection) fed
+    /// through `sup`'s guard: the guarded epoch of
+    /// [`Driver::train_epoch_resilient`], and a cluster host's round on a
+    /// schedule it plans itself. A tripped guard skips the rest of
+    /// `batches` and comes back beside the partial stats.
+    pub(crate) fn train_guarded(
+        &mut self,
+        ds: &W::Dataset,
+        batches: Vec<Vec<NodeId>>,
+        opt: &mut dyn Optimizer,
+        sup: &mut Supervisor,
+    ) -> (EpochStats, Option<NumericFault>) {
+        self.run(ds, batches, opt, Some(&mut sup.guard), 0, 0)
+            .expect(IN_LINE)
+    }
+
+    /// The answer to a tripped guard: move `sup` to `Degraded`, check its
+    /// rollback budget, restore its baseline, count the rollback (which
+    /// starts the guard's loss history afresh) and move to `Recovering`.
+    /// The caller replays from the baseline.
+    ///
+    /// Errors with [`FgnnError::Numeric`] once the budget is exhausted: a
+    /// deterministic divergence replays identically, so retrying forever
+    /// would livelock.
+    pub(crate) fn roll_back(
+        &mut self,
+        opt: &mut dyn Optimizer,
+        sup: &mut Supervisor,
+        fault: NumericFault,
+    ) -> Result<(), FgnnError> {
+        sup.transition(
+            HealthState::Degraded,
+            fault.iter(),
+            self.epoch,
+            fault.cause(),
+            &mut self.obs,
+        );
+        if !sup.can_roll_back() {
+            return Err(FgnnError::Numeric(format!(
+                "rollback budget exhausted after {} rollbacks: {}",
+                sup.rollbacks(),
+                fault.cause()
+            )));
+        }
+        let iter = self.restore_baseline(opt, sup)?;
+        sup.record_rollback(&mut self.obs);
+        sup.transition(
+            HealthState::Recovering,
+            iter,
+            self.epoch,
+            "rollback",
+            &mut self.obs,
+        );
+        Ok(())
+    }
+
+    /// Restore `sup`'s last-known-good baseline and return its iteration:
+    /// the restore half of [`Driver::roll_back`], and the restore of a
+    /// cluster host's crash-restart. The restore evicts ring-cache entries
+    /// stamped after that iteration, so the `t_stale` bound survives the
+    /// rewind.
+    pub(crate) fn restore_baseline(
+        &mut self,
+        opt: &mut dyn Optimizer,
+        sup: &Supervisor,
+    ) -> Result<u32, FgnnError> {
+        let ckpt = sup
+            .baseline()
+            .ok_or_else(|| FgnnError::Numeric("no baseline to restore".into()))?;
+        self.restore(ckpt, opt)?;
+        Ok(ckpt.iter)
     }
 
     /// Train one epoch with the **asynchronous pipeline** of §5:

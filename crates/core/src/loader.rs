@@ -42,7 +42,7 @@ impl<'a> FeatureLoader<'a> {
     }
 
     /// Recover the static cache (the trainer lends it per epoch).
-    pub fn into_static_cache(self) -> StaticFeatureCache {
+    pub(crate) fn into_static_cache(self) -> StaticFeatureCache {
         self.static_cache
     }
 

@@ -50,11 +50,6 @@ impl EventWindow {
         }
     }
 
-    /// The window span (nanoseconds).
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
     /// Record one event at `now_ns` and evict everything that fell out of
     /// the window.
     pub fn record(&mut self, now_ns: u64, is_bad: bool) {
@@ -124,11 +119,6 @@ impl WindowedSketch {
             num_slices: num_slices.max(1),
             slices: VecDeque::new(),
         }
-    }
-
-    /// Window span (nanoseconds).
-    pub fn window_ns(&self) -> u64 {
-        self.slice_ns * self.num_slices as u64
     }
 
     /// Record one observation at `now_ns`.
@@ -349,11 +339,6 @@ impl SloMonitor {
     /// Rules currently in the fired state.
     pub fn active_count(&self) -> u64 {
         self.active.iter().filter(|&&a| a).count() as u64
-    }
-
-    /// The windowed latency sketch (for live p50/p95/p99 readouts).
-    pub fn sketch(&self) -> &WindowedSketch {
-        &self.sketch
     }
 }
 

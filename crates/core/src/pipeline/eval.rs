@@ -51,7 +51,7 @@ impl EvalHarness {
 
     /// Heterogeneous analogue: accuracy of an R-GraphSAGE model on
     /// target-type `nodes` with plain typed sampling.
-    pub fn accuracy_hetero(
+    pub(crate) fn accuracy_hetero(
         model: &RSageModel,
         ds: &HeteroDataset,
         nodes: &[NodeId],

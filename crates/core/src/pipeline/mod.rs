@@ -97,7 +97,7 @@ impl BatchOutput {
     }
 
     /// Mark this batch as having run in degraded mode.
-    pub fn with_degraded(mut self, degraded: bool) -> Self {
+    pub(crate) fn with_degraded(mut self, degraded: bool) -> Self {
         self.degraded = degraded;
         self
     }

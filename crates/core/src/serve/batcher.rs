@@ -40,11 +40,6 @@ impl Batcher {
         Batcher { cfg }
     }
 
-    /// Configured batch-size cap.
-    pub fn max_batch(&self) -> usize {
-        self.cfg.max_batch
-    }
-
     /// Earliest sim time the head batch should dispatch, or `None` for an
     /// empty queue: immediately once full (`server_free_ns` gating), else
     /// when the oldest member's delay budget runs out. Never earlier than

@@ -244,11 +244,6 @@ impl<'a> ServeEngine<'a> {
         &self.req_tracer
     }
 
-    /// The SLO monitor: windowed latency sketch and burn-rate state.
-    pub fn slo(&self) -> &SloMonitor {
-        &self.slo
-    }
-
     /// Alert fire/resolve edges emitted so far, in sim-time order.
     pub fn alerts(&self) -> &[AlertEvent] {
         &self.slo.alerts

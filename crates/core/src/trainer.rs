@@ -337,7 +337,12 @@ impl Workload for Homogeneous {
 /// FLOPs of one mini-batch forward+backward (≈3× forward, the usual
 /// estimate): aggregation over live edges plus dense transforms for
 /// computed destinations.
-pub fn batch_flops(mb: &MiniBatch, outcome: &PruneOutcome, dims: &[usize], arch: Arch) -> f64 {
+pub(crate) fn batch_flops(
+    mb: &MiniBatch,
+    outcome: &PruneOutcome,
+    dims: &[usize],
+    arch: Arch,
+) -> f64 {
     let mut fwd = 0.0;
     for (b, block) in mb.blocks.iter().enumerate() {
         let in_dim = dims[b];

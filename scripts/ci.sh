@@ -6,6 +6,26 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 
+# CHANGES.md stays a record a reader can scan: an entry (a top-level `- `
+# item and its continuation lines) is at most 3 kB. Tables, raw runs and
+# size dumps belong in results/prNN_*.txt, linked from the entry.
+oversized="$(LC_ALL=C awk '
+    function check() {
+        if (bytes > 3000) {
+            name = match(head, /PR [0-9]+/) ? substr(head, RSTART, RLENGTH) : head
+            printf "%s: %d bytes\n", name, bytes
+        }
+    }
+    /^- / { check(); head = $0; bytes = 0 }
+    { bytes += length($0) + 1 }
+    END { check() }
+' CHANGES.md)"
+if [ -n "$oversized" ]; then
+    echo "ci: CHANGES.md entries over 3 kB (move the detail to results/):" >&2
+    printf '%s\n' "$oversized" >&2
+    exit 1
+fi
+
 # The repo must stay fully offline-buildable: every crate in the lockfile
 # is a workspace member, never a registry (or git) download.
 if grep -Eq 'source = "(registry|git)' Cargo.lock; then

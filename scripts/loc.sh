@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The roadmap's "cost of the contract", measured: per crate (and for the
 # trainer files of the one-driver refactor, the baseline trainers on that
-# driver, the files behind overlapped training, the serving engine with the
-# telemetry it feeds, and the baseline sweeps with their table and gate)
+# driver, the cluster trainer and its module, the files behind overlapped
+# training, the serving engine with the telemetry it feeds, and the baseline
+# sweeps with their table and gate)
 # total lines,
 # lines before the first `#[cfg(test)]` of each file, and `pub fn`
 # declarations in that non-test part. Run from anywhere; pass a checkout root
@@ -37,6 +38,8 @@ for f in "${trainer_files[@]}"; do
 done
 row "core/driver+trainer+hetero_trainer" "${trainer_files[@]}"
 row "core/baselines" crates/core/src/baselines/*.rs
+row "core/cluster/trainer.rs" crates/core/src/cluster/trainer.rs
+row "core/cluster" crates/core/src/cluster/*.rs
 row "core/overlap" crates/core/src/runtime/*.rs crates/core/src/sampler.rs
 row "core/serve+obs" crates/core/src/serve/*.rs crates/core/src/obs/*.rs
 gate_files=(crates/bench/src/trajectory.rs crates/bench/src/bin/exp_report.rs)

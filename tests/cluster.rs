@@ -11,6 +11,7 @@
 mod common;
 
 use freshgnn_repro::core::cluster::{ClusterConfig, ClusterTrainer, HostStatus};
+use freshgnn_repro::core::resilience::{GuardConfig, Supervisor, SupervisorConfig};
 use freshgnn_repro::core::{FgnnError, FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
@@ -331,7 +332,7 @@ fn chaos_matrix_pins_committed_quantities_to_the_reference() {
             }
         }
         if nan {
-            ct.inject_nan_at(0, [2]);
+            ct.trainer_mut(0).inject_nan_at([1]);
         }
         let report = ct
             .train(1)
@@ -349,6 +350,83 @@ fn chaos_matrix_pins_committed_quantities_to_the_reference() {
             "cell {mask:03b} broke the staleness budget"
         );
     }
+}
+
+/// A NaN on a 1-host cluster takes the driver's rollback arm: the cluster
+/// commits exactly what `train_epoch_resilient` commits for the same NaN,
+/// and each side rolls back once.
+#[test]
+fn one_host_cluster_with_a_nan_matches_the_resilient_single_host_run() {
+    let ds = tiny();
+    let (seed, epochs, nan_iter) = (7, 2, 5);
+    let cfg = cluster_cfg(1);
+
+    let mut ct = ClusterTrainer::new(&ds, cfg.clone(), seed).unwrap();
+    ct.trainer_mut(0).inject_nan_at([nan_iter]);
+    let report = ct.train(epochs).unwrap();
+
+    let machine = ct.trainer(0).machine.clone();
+    let mut single = Trainer::new(&ds, cfg.arch, cfg.hidden, machine, cfg.train.clone(), seed);
+    single.inject_nan_at([nan_iter]);
+    let mut opt = Adam::new(cfg.lr);
+    let mut sup = Supervisor::new(SupervisorConfig {
+        max_rollbacks: cfg.max_rollbacks,
+        guard: GuardConfig::default(),
+    });
+    let single_losses: Vec<u64> = (0..epochs)
+        .map(|_| {
+            let stats = single.train_epoch_resilient(&ds, &mut opt, &mut sup);
+            stats.unwrap().mean_loss.to_bits()
+        })
+        .collect();
+
+    let rollbacks = |t: &Trainer| t.obs.metrics.counter("resilience.rollbacks");
+    assert_eq!(sup.rollbacks(), 1);
+    assert_eq!(rollbacks(&single), Some(1));
+    assert_eq!(rollbacks(ct.trainer(0)), Some(1));
+    let cluster_losses: Vec<u64> = report.per_host_losses[0]
+        .iter()
+        .map(|l| l.to_bits())
+        .collect();
+    assert_eq!(cluster_losses, single_losses);
+    let mut cluster_ckpt = ct.checkpoint_host(0);
+    let mut single_ckpt = single.checkpoint(&opt);
+    normalize(&mut cluster_ckpt);
+    normalize(&mut single_ckpt);
+    assert_eq!(cluster_ckpt.to_bytes(), single_ckpt.to_bytes());
+}
+
+/// The NaN hook of a host's trainer fires inside the cluster's rounds and
+/// rolls back that host only.
+#[test]
+fn a_nan_armed_on_a_host_trainer_fires() {
+    let ds = tiny();
+    let mut ct = ClusterTrainer::new(&ds, cluster_cfg(2), 37).unwrap();
+    ct.trainer_mut(0).inject_nan_at([1]);
+    ct.train(1).unwrap();
+    let rollbacks = |h: usize| ct.trainer(h).obs.metrics.counter("resilience.rollbacks");
+    assert_eq!(rollbacks(0), Some(1));
+    assert_eq!(rollbacks(1), None);
+}
+
+/// A host that keeps tripping its guard past the rollback budget stops the
+/// cluster with a numeric error naming the host and the round.
+#[test]
+fn exhausting_a_host_rollback_budget_names_the_host_and_round() {
+    let ds = tiny();
+    let mut cfg = cluster_cfg(2);
+    cfg.max_rollbacks = 1;
+    let mut ct = ClusterTrainer::new(&ds, cfg, 41).unwrap();
+    // Iteration 1 (round 2) rolls back; iteration 2 (round 3) has no
+    // budget left.
+    ct.trainer_mut(1).inject_nan_at([1, 2]);
+    let err = ct.train(1).unwrap_err();
+    let FgnnError::Numeric(why) = &err else {
+        panic!("expected a numeric error, got {err:?}");
+    };
+    assert!(why.starts_with("host 1 at round 3: "), "{why}");
+    assert!(why.contains("rollback budget exhausted"), "{why}");
+    assert_eq!(err.to_string().matches("numeric-health error").count(), 1);
 }
 
 /// NIC degradation slows comms without touching committed quantities.
