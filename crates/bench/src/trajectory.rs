@@ -379,8 +379,8 @@ impl Suite for TrainSuite {
 
 /// Knobs of the training worker-scaling sweep (`exp_train_scaling`
 /// defaults). The sweep runs [`Trainer::train_epoch_async`] over the fig 10
-/// datasets at each worker count — `0` is the synchronous
-/// [`Trainer::train_epoch`], the rest the overlapped epoch — proving the
+/// datasets at each worker count — `0` samples on the training thread, the
+/// rest overlap sampling with training — proving the
 /// gated metrics are worker-count invariant.
 #[derive(Clone, Debug)]
 pub struct TrainSweepConfig {

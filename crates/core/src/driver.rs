@@ -37,9 +37,21 @@ use fgnn_nn::{Optimizer, Parameters};
 use fgnn_tensor::{Matrix, Rng};
 use std::collections::BTreeSet;
 
-/// Why a zero-worker epoch cannot return a [`SampleError`]: it samples on
-/// the calling thread, where nothing catches a panic to turn it into one.
-const IN_LINE: &str = "in-line sampling returns no error";
+/// How far ahead of the step a default epoch's sampler worker may run: one
+/// finished batch in the queue. Deeper queues were no faster and cost more
+/// resident memory.
+const SAMPLE_AHEAD: usize = 1;
+
+/// Sampler workers of a default epoch over `batches` batches: one, sampling
+/// a batch ahead on a second core, when the epoch has a batch to sample
+/// ahead and the machine a core to do it on (`available_parallelism`
+/// honours CPU affinity); otherwise none, and the step samples in line.
+/// Where a batch is sampled changes no committed bit, so this is the
+/// machine's choice, not an option.
+fn default_workers(batches: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    usize::from(batches > 1 && cores > 1)
+}
 
 /// What differs between the trainers on the driver: the homogeneous and
 /// heterogeneous instances of Algorithm 1 and the cache-less baselines. The
@@ -189,7 +201,7 @@ pub struct Driver<W: Workload> {
     /// checkpointed — telemetry restarts on resume.
     pub obs: Obs,
     pub(crate) workload: W,
-    /// The sampler of zero-worker epochs, kept across epochs.
+    /// The sampler of in-line epochs, kept across epochs.
     pub(crate) sampler: W::Sampler,
     workspace: Workspace<W>,
     dims: Vec<usize>,
@@ -547,23 +559,45 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Train one epoch: shuffle the training nodes, split into batches,
-    /// run Algorithm 1 on each — the zero-worker
-    /// [`Driver::train_epoch_async`].
+    /// run Algorithm 1 on each. On a machine with a second core, one pool
+    /// worker samples a batch ahead while this thread trains; otherwise
+    /// this thread samples each batch itself. Either way the epoch commits
+    /// what [`Driver::train_epoch_async`] commits at any worker count.
+    ///
+    /// Panics when a batch cannot be sampled: a sampler panic unwinds
+    /// through here in line, and comes back from the pool, after its
+    /// retries, as the [`SampleError`] this panics with.
     pub fn train_epoch(&mut self, ds: &W::Dataset, opt: &mut dyn Optimizer) -> EpochStats {
-        self.train_epoch_async(ds, opt, 0, 0).expect(IN_LINE)
+        let batches = self.plan_epoch_batches(ds);
+        self.run_default(ds, batches, opt, None).0
     }
 
     /// Train on an explicit batch schedule (used by the Fig 17 experiment
-    /// to feed two trainers identical batches).
+    /// to feed two trainers identical batches), sampled as
+    /// [`Driver::train_epoch`] samples.
     pub fn train_on_batches(
         &mut self,
         ds: &W::Dataset,
         batches: &[Vec<NodeId>],
         opt: &mut dyn Optimizer,
     ) -> EpochStats {
-        self.run(ds, batches.to_vec(), opt, None, 0, 0)
-            .expect(IN_LINE)
-            .0
+        self.run_default(ds, batches.to_vec(), opt, None).0
+    }
+
+    /// [`Driver::run`] at the machine's worker count ([`default_workers`]),
+    /// a batch ahead: the epoch of `train_epoch`, `train_on_batches` and
+    /// the guarded epochs. A batch the pool could not sample panics with
+    /// its [`SampleError`], as an in-line sampler panic would.
+    fn run_default(
+        &mut self,
+        ds: &W::Dataset,
+        batches: Vec<Vec<NodeId>>,
+        opt: &mut dyn Optimizer,
+        guard: Option<&mut NumericGuard>,
+    ) -> (EpochStats, Option<NumericFault>) {
+        let workers = default_workers(batches.len());
+        self.run(ds, batches, opt, guard, workers, SAMPLE_AHEAD)
+            .unwrap_or_else(|e| panic!("sampling failed: {e}"))
     }
 
     /// The epoch loop. First every batch's [`Workload::batch_rngs`] are
@@ -655,6 +689,7 @@ impl<W: Workload> Driver<W> {
         };
         let mut fault: Option<NumericFault> = None;
         let mut failure: Option<SampleError> = None;
+        let mut sampled_in_line = 0u64;
         let mut stats = Engine::run_epoch(
             &machine.topology,
             faults,
@@ -669,6 +704,7 @@ impl<W: Workload> Driver<W> {
                     .stage(StageKind::Sample, counters, |_, _| match pool.as_mut() {
                         Some(stream) => stream.next().expect("one item per batch"),
                         None => {
+                            sampled_in_line += 1;
                             let (seeds, rng) = &mut tasks[i];
                             Ok(W::sample(sampler, &graph, seeds, &cfg.fanouts, rng))
                         }
@@ -691,8 +727,15 @@ impl<W: Workload> Driver<W> {
                 Some(out)
             },
         );
-        if let Some(stream) = &pool {
-            stream.flush_obs(&mut self.obs.metrics);
+        let m = &mut self.obs.metrics;
+        match &pool {
+            Some(stream) => stream.flush_obs(m),
+            // The pool's `Exact` counters, so that the metric stream does
+            // not show where the batches were sampled.
+            None => {
+                m.counter_add("sampler.batches", MetricClass::Exact, sampled_in_line);
+                m.counter_add("sampler.resample_retries", MetricClass::Exact, 0);
+            }
         }
         if let Some(e) = failure {
             return Err(e);
@@ -759,8 +802,7 @@ impl<W: Workload> Driver<W> {
         opt: &mut dyn Optimizer,
         sup: &mut Supervisor,
     ) -> (EpochStats, Option<NumericFault>) {
-        self.run(ds, batches, opt, Some(&mut sup.guard), 0, 0)
-            .expect(IN_LINE)
+        self.run_default(ds, batches, opt, Some(&mut sup.guard))
     }
 
     /// The answer to a tripped guard: move `sup` to `Degraded`, check its
@@ -826,8 +868,9 @@ impl<W: Workload> Driver<W> {
     /// prunes/loads/trains. Only the time the step actually *waits* on the
     /// next batch is charged as sampling time — with enough workers
     /// sampling fully overlaps training, which is the paper's design goal.
-    /// With `num_threads == 0` this thread samples each batch itself: that
-    /// is [`Driver::train_epoch`].
+    /// With `num_threads == 0` this thread samples each batch itself, as
+    /// [`Driver::train_epoch`] does on one core; on two it is
+    /// `train_epoch_async(ds, opt, 1, 1)`.
     ///
     /// Deterministic: each batch's sampling RNG is drawn from the trainer
     /// stream before the epoch starts and batches are consumed in index
@@ -978,18 +1021,18 @@ mod tests {
 
     /// Everything a run commits, as comparable values: loss bits per epoch,
     /// the ledger without its measured seconds, the cache statistics, the
-    /// `Exact` metric stream without the `sampler.*` entries only a pool
-    /// reports, and the Chrome trace.
+    /// `Exact` metric stream and the Chrome trace.
     type Committed = (Vec<u64>, String, String, String, String);
 
     /// Train `t` under `knobs`: two epochs sampled by `workers` pool
-    /// threads (`0`: the synchronous epoch), after two resilient epochs
-    /// that roll an injected NaN back when the knobs ask for it.
+    /// threads (`Some(0)`: in line; `None`: the machine's choice, that is
+    /// `train_epoch`), after two resilient epochs that roll an injected NaN
+    /// back when the knobs ask for it.
     fn committed<W: Workload>(
         mut t: Driver<W>,
         ds: &W::Dataset,
         knobs: Knobs,
-        workers: usize,
+        workers: Option<usize>,
     ) -> Committed {
         if matches!(knobs, Knobs::Faults) {
             let retry = RetryPolicy {
@@ -1014,7 +1057,10 @@ mod tests {
             assert_eq!(sup.rollbacks(), 2);
         }
         for _ in 0..2 {
-            let stats = t.train_epoch_async(ds, &mut opt, workers, 2).unwrap();
+            let stats = match workers {
+                Some(w) => t.train_epoch_async(ds, &mut opt, w, 2).unwrap(),
+                None => t.train_epoch(ds, &mut opt),
+            };
             losses.push(stats.mean_loss.to_bits());
         }
         if matches!(knobs, Knobs::Faults) {
@@ -1022,24 +1068,21 @@ mod tests {
         }
         let mut ledger = t.counters.clone();
         (ledger.sample_seconds, ledger.prune_seconds) = (0.0, 0.0);
-        let metrics: String = metrics_jsonl("t", &t.obs.metrics, false)
-            .lines()
-            .filter(|line| !line.contains("\"name\":\"sampler."))
-            .collect();
         (
             losses,
             format!("{ledger:?}"),
             format!("{:?}", t.cache.stats()),
-            metrics,
+            metrics_jsonl("t", &t.obs.metrics, false),
             chrome_trace(&[("t", &t.obs.tracer)]),
         )
     }
 
-    /// `run` at one and two sampler workers commits what it commits at zero.
-    fn assert_worker_count_invariant(what: &str, run: impl Fn(usize) -> Committed) {
-        let reference = run(0);
-        for workers in [1, 2] {
-            assert_eq!(run(workers), reference, "{what} at {workers} workers");
+    /// `run` at one and two sampler workers, and at the machine's choice,
+    /// commits what it commits at zero.
+    fn assert_worker_count_invariant(what: &str, run: impl Fn(Option<usize>) -> Committed) {
+        let reference = run(Some(0));
+        for workers in [Some(1), Some(2), None] {
+            assert_eq!(run(workers), reference, "{what} at {workers:?} workers");
         }
     }
 
@@ -1156,7 +1199,8 @@ mod tests {
     /// One overlapped epoch reports under one name set whatever the
     /// workload: `sampler.batches` (= batches trained) and
     /// `sampler.resample_retries` are `Exact`, the per-worker, latency and
-    /// queue-depth entries `Measured`.
+    /// queue-depth entries `Measured`. An in-line epoch reports the same
+    /// `Exact` pair and nothing else.
     #[test]
     fn overlapped_epochs_report_one_name_set_for_both_workloads() {
         let cfg = FreshGnnConfig {
@@ -1173,6 +1217,10 @@ mod tests {
         let homo_stats = homo
             .train_epoch_async(&ds, &mut Adam::new(0.01), 2, 4)
             .unwrap();
+        let mut in_line = Trainer::new(&ds, Arch::Sage, 16, machine.clone(), cfg.clone(), 1);
+        let in_line_stats = in_line
+            .train_epoch_async(&ds, &mut Adam::new(0.01), 0, 0)
+            .unwrap();
 
         let hds = mag_hetero(400, 4, 8, 3);
         let mut hetero = HeteroTrainer::new(&hds, 16, machine, cfg, 1);
@@ -1188,6 +1236,11 @@ mod tests {
             .map(|(name, _)| name.as_str())
             .collect();
         assert_eq!(exact, ["sampler.batches", "sampler.resample_retries"]);
+        let in_line_names: Vec<(String, MetricClass)> = exact
+            .iter()
+            .map(|name| (name.to_string(), MetricClass::Exact))
+            .collect();
+        assert_eq!(sampler_names(&in_line.obs.metrics), in_line_names);
         for measured in [
             "sampler.queue_depth",
             "sampler.task_seconds",
@@ -1201,7 +1254,11 @@ mod tests {
                 "{measured} missing or not Measured: {names:?}"
             );
         }
-        for (t, stats) in [(&homo.obs, &homo_stats), (&hetero.obs, &hetero_stats)] {
+        for (t, stats) in [
+            (&homo.obs, &homo_stats),
+            (&hetero.obs, &hetero_stats),
+            (&in_line.obs, &in_line_stats),
+        ] {
             assert!(stats.batches > 0);
             assert_eq!(
                 t.metrics.counter("sampler.batches"),

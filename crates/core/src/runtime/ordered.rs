@@ -53,6 +53,7 @@ impl<R, E: From<TaskError>> InOrder<R, E> {
     /// DESIGN.md §8); totals accumulate across epochs. Items released and
     /// panic retries are properties of the tasks and `Exact`; per-worker
     /// counts, latency and queue depth vary run to run and are `Measured`.
+    /// An in-line epoch publishes the two `Exact` counters itself.
     pub fn flush_obs(&self, m: &mut Metrics) {
         let r = self.pool.obs_report();
         m.counter_add("sampler.batches", MetricClass::Exact, self.next as u64);

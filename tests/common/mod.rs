@@ -31,13 +31,3 @@ pub fn for_cases(test_name: &str, body: impl Fn(&mut Rng)) {
         }
     }
 }
-
-/// A metrics JSONL stream without its `sampler.*` lines, which only an
-/// overlapped epoch's pool reports: what a zero-worker epoch must match.
-pub fn without_sampler(jsonl: &str) -> String {
-    jsonl
-        .lines()
-        .filter(|line| !line.contains("\"name\":\"sampler."))
-        .map(|line| format!("{line}\n"))
-        .collect()
-}

@@ -229,12 +229,17 @@ fn async_trainer_spans_and_sampler_metrics_reconcile() {
     };
     let mut t = Trainer::new(&ds, Arch::Sage, 8, Machine::single_a100(), cfg, 7);
     let mut opt = Adam::new(0.01);
-    let mut batches = 0u64;
-    for _ in 0..2 {
-        batches += t
-            .train_epoch_async(&ds, &mut opt, 2, 4)
+    let (mut batches, mut pooled) = (0u64, 0u64);
+    // The last epoch samples in line: it counts its batches as a pool would.
+    for workers in [2, 2, 0] {
+        let n = t
+            .train_epoch_async(&ds, &mut opt, workers, 4)
             .expect("no faults injected")
             .batches as u64;
+        batches += n;
+        if workers > 0 {
+            pooled += n;
+        }
     }
     check_span_invariants(&t.obs, &t.timings);
     check_cache_metrics(&t);
@@ -242,9 +247,9 @@ fn async_trainer_spans_and_sampler_metrics_reconcile() {
     assert_eq!(m.counter("sampler.batches"), Some(batches));
     assert_eq!(m.counter("sampler.resample_retries"), Some(0));
     let depth = m.histogram("sampler.queue_depth").unwrap();
-    assert_eq!(depth.count(), batches, "one depth sample per delivery");
+    assert_eq!(depth.count(), pooled, "one depth sample per delivery");
     let lat = m.histogram("sampler.task_seconds").unwrap();
-    assert_eq!(lat.count(), batches, "one timed attempt per batch");
+    assert_eq!(lat.count(), pooled, "one timed attempt per batch");
     // Every batch waited on the queue inside its own sample stage.
     let sample_spans = t
         .obs

@@ -136,9 +136,8 @@ fn fuzzed_schedules_commit_the_sync_batch_stream_byte_identically() {
 /// Fuzzed trainer epochs: a single-worker chaos-free run is the
 /// reference; a multi-worker run under an aggressive random schedule
 /// must reproduce its loss bits, traffic ledger, the full Exact-class
-/// metric stream and the Chrome span tree byte for byte, and the
-/// zero-worker (synchronous) epoch all of them but the `sampler.*` metrics
-/// only a pool reports.
+/// metric stream and the Chrome span tree byte for byte, and so must the
+/// zero-worker (in-line) epoch.
 #[test]
 fn fuzzed_trainer_epochs_have_identical_exact_streams_and_span_trees() {
     let ds = tiny();
@@ -183,7 +182,7 @@ fn fuzzed_trainer_epochs_have_identical_exact_streams_and_span_trees() {
                 (reference.0, reference.1),
                 "sync diverged"
             );
-            assert_eq!(sync.2, common::without_sampler(&reference.2));
+            assert_eq!(sync.2, reference.2, "sync Exact metric stream diverged");
             assert_eq!(sync.3, reference.3, "sync span tree diverged");
         },
     );
