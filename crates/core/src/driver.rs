@@ -43,14 +43,16 @@ use std::collections::BTreeSet;
 const SAMPLE_AHEAD: usize = 1;
 
 /// Sampler workers of a default epoch over `batches` batches: one, sampling
-/// a batch ahead on a second core, when the epoch has a batch to sample
-/// ahead and the machine a core to do it on (`available_parallelism`
-/// honours CPU affinity); otherwise none, and the step samples in line.
-/// Where a batch is sampled changes no committed bit, so this is the
-/// machine's choice, not an option.
+/// a batch ahead, when the epoch has a batch to sample ahead; otherwise
+/// none, and the step samples in line. Not an option, and not the
+/// machine's either: where a batch is sampled changes no committed bit,
+/// and on one CPU, where the worker only time-shares with the step, the
+/// pool measured no slower than in line. Pinned to one core of a 2-core
+/// Xeon, 10 alternating `perf` pairs each: `train_sampling` `pass_s`
+/// 1.91 s in line, 1.95 s pooled (5 of 10 to the pool, spread 0.35 s);
+/// `train_fresh` 0.61 s and 0.55 s (6 of 10).
 fn default_workers(batches: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    usize::from(batches > 1 && cores > 1)
+    usize::from(batches > 1)
 }
 
 /// What differs between the trainers on the driver: the homogeneous and
@@ -410,8 +412,10 @@ impl<W: Workload> Driver<W> {
         self.nan_iters.extend(iters);
     }
 
-    /// Enable (or disable with `None`) seeded adversarial scheduling on
-    /// the pool of [`Driver::train_epoch_async`]: delayed claims and
+    /// Enable (or disable with `None`) seeded adversarial scheduling
+    /// wherever a pool samples: [`Driver::train_epoch_async`] at a nonzero
+    /// worker count, and every multi-batch default epoch
+    /// ([`Driver::train_epoch`]): delayed claims and
     /// worker stalls, all drawn from the policy's seed. Chaos perturbs only
     /// *where and when* batches are sampled — the committed stream, losses
     /// and every `Exact` metric are invariant to it (the schedule-fuzzing
@@ -420,10 +424,13 @@ impl<W: Workload> Driver<W> {
         self.sampler_chaos = chaos;
     }
 
-    /// Install a hook invoked inside [`Driver::train_epoch_async`]'s
-    /// sampler workers before each batch attempt (`(batch_index, attempt)`)
-    /// — panics it raises exercise the worker-recovery path. Test-only in
-    /// spirit, but harmless live.
+    /// Install a hook invoked inside the sampler workers of every pool
+    /// that samples — [`Driver::train_epoch_async`] at a nonzero worker
+    /// count, and every multi-batch default epoch ([`Driver::train_epoch`])
+    /// — before each batch attempt (`(batch_index, attempt)`); panics it
+    /// raises exercise the worker-recovery path and count as
+    /// `sampler.resample_retries`. An in-line epoch (zero workers, or one
+    /// batch) never calls it. Test-only in spirit, but harmless live.
     pub fn set_sampler_fault_hook(&mut self, hook: Option<FaultHook>) {
         self.sampler_fault_hook = hook;
     }
@@ -559,9 +566,9 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Train one epoch: shuffle the training nodes, split into batches,
-    /// run Algorithm 1 on each. On a machine with a second core, one pool
-    /// worker samples a batch ahead while this thread trains; otherwise
-    /// this thread samples each batch itself. Either way the epoch commits
+    /// run Algorithm 1 on each. One pool worker samples a batch ahead
+    /// while this thread trains; an epoch of one batch is sampled by this
+    /// thread itself. Either way the epoch commits
     /// what [`Driver::train_epoch_async`] commits at any worker count.
     ///
     /// Panics when a batch cannot be sampled: a sampler panic unwinds
@@ -569,7 +576,7 @@ impl<W: Workload> Driver<W> {
     /// retries, as the [`SampleError`] this panics with.
     pub fn train_epoch(&mut self, ds: &W::Dataset, opt: &mut dyn Optimizer) -> EpochStats {
         let batches = self.plan_epoch_batches(ds);
-        self.run_default(ds, batches, opt, None).0
+        self.run_ahead(ds, batches, opt, None, None).0
     }
 
     /// Train on an explicit batch schedule (used by the Fig 17 experiment
@@ -581,21 +588,23 @@ impl<W: Workload> Driver<W> {
         batches: &[Vec<NodeId>],
         opt: &mut dyn Optimizer,
     ) -> EpochStats {
-        self.run_default(ds, batches.to_vec(), opt, None).0
+        self.run_ahead(ds, batches.to_vec(), opt, None, None).0
     }
 
-    /// [`Driver::run`] at the machine's worker count ([`default_workers`]),
-    /// a batch ahead: the epoch of `train_epoch`, `train_on_batches` and
-    /// the guarded epochs. A batch the pool could not sample panics with
-    /// its [`SampleError`], as an in-line sampler panic would.
-    fn run_default(
+    /// [`Driver::run`] at `workers` sampler workers (`None`: the default
+    /// count, [`default_workers`]), a batch ahead: the epoch of
+    /// `train_epoch`, `train_on_batches` and the guarded epochs. A batch
+    /// the pool could not sample panics with its [`SampleError`], as an
+    /// in-line sampler panic would.
+    fn run_ahead(
         &mut self,
         ds: &W::Dataset,
         batches: Vec<Vec<NodeId>>,
         opt: &mut dyn Optimizer,
         guard: Option<&mut NumericGuard>,
+        workers: Option<usize>,
     ) -> (EpochStats, Option<NumericFault>) {
-        let workers = default_workers(batches.len());
+        let workers = workers.unwrap_or_else(|| default_workers(batches.len()));
         self.run(ds, batches, opt, guard, workers, SAMPLE_AHEAD)
             .unwrap_or_else(|e| panic!("sampling failed: {e}"))
     }
@@ -767,12 +776,26 @@ impl<W: Workload> Driver<W> {
         opt: &mut dyn Optimizer,
         sup: &mut Supervisor,
     ) -> Result<EpochStats, FgnnError> {
+        self.resilient_epoch(ds, opt, sup, None)
+    }
+
+    /// [`Driver::train_epoch_resilient`] with its attempts sampled by
+    /// `workers` pool threads (`None`: the default count), so that the
+    /// worker matrix can hold pooled guarded epochs to in-line ones.
+    fn resilient_epoch(
+        &mut self,
+        ds: &W::Dataset,
+        opt: &mut dyn Optimizer,
+        sup: &mut Supervisor,
+        workers: Option<usize>,
+    ) -> Result<EpochStats, FgnnError> {
         if !sup.has_baseline() {
             sup.set_baseline(self.checkpoint(opt));
         }
         loop {
             let batches = self.plan_epoch_batches(ds);
-            let (stats, fault) = self.train_guarded(ds, batches, opt, sup);
+            let guard = Some(&mut sup.guard);
+            let (stats, fault) = self.run_ahead(ds, batches, opt, guard, workers);
             let Some(fault) = fault else {
                 let breaker_open = matches!(self.faults.breaker_state(), Some(BreakerState::Open));
                 let (state, cause) = if breaker_open || stats.degraded_batches > 0 {
@@ -791,8 +814,8 @@ impl<W: Workload> Driver<W> {
     }
 
     /// Train `batches` with every batch loss (after NaN injection) fed
-    /// through `sup`'s guard: the guarded epoch of
-    /// [`Driver::train_epoch_resilient`], and a cluster host's round on a
+    /// through `sup`'s guard, as each attempt of
+    /// [`Driver::train_epoch_resilient`] is: a cluster host's round, on a
     /// schedule it plans itself. A tripped guard skips the rest of
     /// `batches` and comes back beside the partial stats.
     pub(crate) fn train_guarded(
@@ -802,7 +825,7 @@ impl<W: Workload> Driver<W> {
         opt: &mut dyn Optimizer,
         sup: &mut Supervisor,
     ) -> (EpochStats, Option<NumericFault>) {
-        self.run_default(ds, batches, opt, Some(&mut sup.guard))
+        self.run_ahead(ds, batches, opt, Some(&mut sup.guard), None)
     }
 
     /// The answer to a tripped guard: move `sup` to `Degraded`, check its
@@ -869,8 +892,8 @@ impl<W: Workload> Driver<W> {
     /// next batch is charged as sampling time — with enough workers
     /// sampling fully overlaps training, which is the paper's design goal.
     /// With `num_threads == 0` this thread samples each batch itself, as
-    /// [`Driver::train_epoch`] does on one core; on two it is
-    /// `train_epoch_async(ds, opt, 1, 1)`.
+    /// [`Driver::train_epoch`] does for an epoch of one batch; over more,
+    /// `train_epoch` is `train_epoch_async(ds, opt, 1, 1)`.
     ///
     /// Deterministic: each batch's sampling RNG is drawn from the trainer
     /// stream before the epoch starts and batches are consumed in index
@@ -1025,9 +1048,9 @@ mod tests {
     type Committed = (Vec<u64>, String, String, String, String);
 
     /// Train `t` under `knobs`: two epochs sampled by `workers` pool
-    /// threads (`Some(0)`: in line; `None`: the machine's choice, that is
-    /// `train_epoch`), after two resilient epochs that roll an injected NaN
-    /// back when the knobs ask for it.
+    /// threads (`Some(0)`: in line; `None`: the default, that is
+    /// `train_epoch`), after two resilient epochs, sampled by as many,
+    /// that roll an injected NaN back when the knobs ask for it.
     fn committed<W: Workload>(
         mut t: Driver<W>,
         ds: &W::Dataset,
@@ -1051,7 +1074,7 @@ mod tests {
             let mut sup = Supervisor::default();
             for _ in 0..2 {
                 t.inject_nan_at([t.iterations() + 1]);
-                let stats = t.train_epoch_resilient(ds, &mut opt, &mut sup).unwrap();
+                let stats = t.resilient_epoch(ds, &mut opt, &mut sup, workers).unwrap();
                 losses.push(stats.mean_loss.to_bits());
             }
             assert_eq!(sup.rollbacks(), 2);
@@ -1077,7 +1100,7 @@ mod tests {
         )
     }
 
-    /// `run` at one and two sampler workers, and at the machine's choice,
+    /// `run` at one and two sampler workers, and at the default count,
     /// commits what it commits at zero.
     fn assert_worker_count_invariant(what: &str, run: impl Fn(Option<usize>) -> Committed) {
         let reference = run(Some(0));

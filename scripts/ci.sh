@@ -65,17 +65,6 @@ fi
 cargo build --release --workspace
 cargo test -q --workspace
 
-# A default epoch samples on a pool worker when the machine has a second
-# core and in line when it has one; `available_parallelism` honours CPU
-# affinity, so pinned to one CPU the driver's worker matrix and the
-# pipeline goldens exercise the in-line side too.
-if command -v taskset > /dev/null; then
-    taskset -c 0 cargo test -q -p freshgnn --lib driver::tests::every_knob
-    taskset -c 0 cargo test -q --test pipeline_equivalence
-else
-    echo "ci: taskset not found; skipping the one-CPU run of the worker matrix"
-fi
-
 # The wall-clock benchmark is a workspace of its own (perf/) that compiles
 # against crates/*: its gate — fmt, clippy, its tests, a smoke run of every
 # workload with its correctness checks — runs here so that an API change

@@ -160,20 +160,19 @@ fn a_homogeneous_step_allocates_a_small_constant_after_warm_up() {
     );
 }
 
-/// What a default epoch may allocate on the calling thread beyond the
-/// in-line epoch's count, once per epoch: on a machine with a second core
-/// its sampling moves to a pool worker, and the calling thread pays for the
-/// pool (thread spawn, channel, shared state) and the flush of its
-/// `sampler.*` metrics instead. Measured on two cores: 1 370 against
-/// 1 758 in line over 25 batches (sampling's 17 a batch leave, the pool's
-/// own ≈ 37 come in); pinned to one CPU: 1 762 against 1 758.
-const POOL_EPOCH: u64 = 64;
+/// What a default epoch's calling thread allocates, once per epoch, for the
+/// pool its sampling moved to: thread spawn, channel, shared state and the
+/// flush of the pool's `sampler.*` metrics. Measured: 35 (1 368 calls
+/// against 1 758 in line over 25 batches, less sampling's 17 a batch), on
+/// two cores and pinned to one alike.
+const POOL_EPOCH: u64 = 48;
 
 /// The per-thread counter above sees only the calling thread, so the step
 /// tests pin sampling there (`train_epoch_async(.., 0, 0)`); this holds the
-/// default `train_epoch` to the in-line count plus a per-epoch constant.
+/// default `train_epoch`, whose sampling runs on a pool worker, to the
+/// in-line count less sampling's share plus the pool's per-epoch constant.
 #[test]
-fn a_default_epoch_allocates_at_most_the_in_line_epoch_and_a_constant() {
+fn a_default_epoch_allocates_the_in_line_epoch_less_sampling_and_a_constant() {
     let ds = Dataset::materialize(arxiv_spec(0.001).with_dim(16), 7);
     let new = || Trainer::new(&ds, Arch::Sage, 32, Machine::single_a100(), config(), 3);
     let (mut in_line, mut default) = (new(), new());
@@ -185,9 +184,10 @@ fn a_default_epoch_allocates_at_most_the_in_line_epoch_and_a_constant() {
     let (expected, a) = allocations(|| in_line.train_epoch_async(&ds, &mut opt_a, 0, 0).unwrap());
     let (count, b) = allocations(|| default.train_epoch(&ds, &mut opt_b));
     assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
+    let sampling = (PER_BLOCK * FANOUTS.len() as u64 + PER_SAMPLE) * b.batches as u64;
     assert!(
-        count <= expected + POOL_EPOCH,
-        "default {count} vs in line {expected} over {} batches",
+        count + sampling <= expected + POOL_EPOCH,
+        "default {count} vs in line {expected} less {sampling} sampling over {} batches",
         b.batches
     );
 }
