@@ -142,6 +142,31 @@ impl FailureDetector {
         }
     }
 
+    /// Stand in for the ticks of rounds `from + 1 ..= to` while the view
+    /// is settled — every host in `alive` Alive, every other host Dead —
+    /// so those ticks would only move the live hosts' last beat. Returns
+    /// false, and changes nothing, when the view is not settled.
+    pub(crate) fn skip_settled(&mut self, from: u64, to: u64, alive: &[bool]) -> bool {
+        let settled = alive.iter().zip(&self.view.status).all(|(&up, &status)| {
+            let expect = if up {
+                HostStatus::Alive
+            } else {
+                HostStatus::Dead
+            };
+            status == expect
+        });
+        if !settled {
+            return false;
+        }
+        let beat = to - to % self.heartbeat_every;
+        if beat > from {
+            for (last, _) in self.last_beat.iter_mut().zip(alive).filter(|(_, &up)| up) {
+                *last = beat;
+            }
+        }
+        true
+    }
+
     /// The current view.
     pub fn view(&self) -> &MembershipView {
         &self.view
@@ -194,5 +219,31 @@ mod tests {
         assert_eq!(d.view().status[0], HostStatus::Suspect);
         d.tick(4, &alive); // 2 missed beats
         assert_eq!(d.view().status[0], HostStatus::Dead);
+    }
+
+    #[test]
+    fn a_settled_skip_equals_ticking_every_round() {
+        for heartbeat_every in 1..4 {
+            for to in 5..15 {
+                let alive = [true, false, true];
+                let mut ticked = FailureDetector::new(3, heartbeat_every, 1, 2);
+                for round in 1..=4 {
+                    ticked.tick(round, &alive);
+                }
+                let mut skipped = ticked.clone();
+                let settled = skipped.view().status[1] == HostStatus::Dead;
+                assert_eq!(skipped.skip_settled(4, to, &alive), settled);
+                for round in 5..=to {
+                    ticked.tick(round, &alive);
+                }
+                if settled {
+                    assert_eq!(format!("{skipped:?}"), format!("{ticked:?}"));
+                }
+                // A host still walking toward Dead keeps the view unsettled.
+                let mut fresh = FailureDetector::new(3, heartbeat_every, 1, 8);
+                fresh.tick(1, &alive);
+                assert!(!fresh.skip_settled(1, to, &alive));
+            }
+        }
     }
 }

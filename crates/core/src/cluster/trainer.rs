@@ -1,12 +1,12 @@
 //! The partitioned BSP cluster trainer (DESIGN.md §14).
 //!
-//! Hosts advance in lock-step **rounds**; every round each live host
-//! fetches the remote halo of its next mini-batch (one batched active
-//! message per destination) and trains that one batch through its
-//! trainer's guarded epoch loop. Fault events ([`ClusterFaultPlan`]) fire
-//! at absolute rounds *before* the round's work; the heartbeat detector
-//! ticks right after, so routing always uses the view the schedule
-//! deterministically produces.
+//! Hosts advance in lock-step **rounds**. Fault events
+//! ([`ClusterFaultPlan`]) fire at absolute rounds *before* the round's
+//! work and the heartbeat detector ticks right after, so routing uses the
+//! view the schedule deterministically produces. Then, host by host, each
+//! live host fetches the remote halo of its next mini-batch (one batched
+//! active message per destination); last, the live hosts train that batch
+//! at once, one per core, each through its trainer's guarded epoch loop.
 //!
 //! **Recovery invariant:** each host's [`Supervisor`] holds its epoch-start
 //! baseline, and every restore of it goes through the host's driver. A
@@ -21,7 +21,9 @@
 //! the fault-free run; only the cluster comms/retry ledger records what the
 //! faults cost.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::resume_unwind;
+use std::sync::{Mutex, PoisonError};
 
 use super::membership::{FailureDetector, HostStatus, MembershipTransition, MembershipView};
 use super::ClusterConfig;
@@ -95,6 +97,86 @@ struct HostShard {
     baseline_round: u64,
 }
 
+impl HostShard {
+    /// Whether the host has trained every batch of epoch `target`.
+    fn done(&self, target: u32) -> bool {
+        self.epoch_id >= target && self.cursor >= self.batches.len()
+    }
+
+    /// Host `h`'s share of `round` that touches its shard alone, so a
+    /// round's hosts run it at once: train the cursor's batch under the
+    /// host's guard, and roll back on a trip.
+    fn train_round(&mut self, h: usize, round: u64) -> Result<(), FgnnError> {
+        let batch = self.batches[self.cursor..=self.cursor].to_vec();
+        let (stats, fault) =
+            self.trainer
+                .train_guarded(&self.ds, batch, &mut self.opt, &mut self.sup);
+        if let Some(fault) = fault {
+            return self.roll_back(h, round, fault);
+        }
+        self.losses.push(stats.mean_loss);
+        self.cursor += 1;
+        Ok(())
+    }
+
+    /// Guard-trip recovery: the driver's rollback arm restores the epoch
+    /// baseline, then the completed prefix *plus* the faulted batch replay
+    /// inside this round, unguarded. The replay is local — comms for those
+    /// batches were already charged — so only training compute is redone.
+    fn roll_back(&mut self, h: usize, round: u64, fault: NumericFault) -> Result<(), FgnnError> {
+        self.trainer
+            .roll_back(&mut self.opt, &mut self.sup, fault)
+            .map_err(|e| match e {
+                FgnnError::Numeric(why) => {
+                    FgnnError::Numeric(format!("host {h} at round {round}: {why}"))
+                }
+                e => e,
+            })?;
+        self.batches = self.trainer.plan_epoch_batches(&self.ds);
+        self.losses.clear();
+        for i in 0..=self.cursor {
+            let stats =
+                self.trainer
+                    .train_on_batches(&self.ds, &self.batches[i..=i], &mut self.opt);
+            self.losses.push(stats.mean_loss);
+        }
+        self.cursor += 1;
+        Ok(())
+    }
+}
+
+/// Train one round's `ready` hosts at once on the calling thread and up to
+/// `threads - 1` scoped helpers. Each thread starts on its own contiguous
+/// share, so a host keeps its core, then takes any host still untaken: a
+/// thread the machine stalls trains fewer hosts instead of holding up the
+/// round. Hosts share no mutable state, so no bit depends on which thread
+/// trained which. Every ready host trains; the first error in host order
+/// is returned, and a helper's panic reaches the caller.
+fn train_hosts(
+    shards: &mut [HostShard],
+    ready: &[bool],
+    round: u64,
+    threads: usize,
+) -> Result<(), FgnnError> {
+    let hosts = shards.iter_mut().enumerate().filter(|(h, _)| ready[*h]);
+    let own: Vec<_> = hosts.map(|host| Mutex::new(Some(host))).collect();
+    let (n, threads) = (own.len(), threads.clamp(1, own.len().max(1)));
+    let take = |i: usize| own[i].lock().unwrap_or_else(PoisonError::into_inner).take();
+    let work = |t: usize| -> Vec<_> {
+        let order = (0..n).map(|i| (t * n / threads + i) % n);
+        let train = |(h, s): (usize, &mut HostShard)| (h, s.train_round(h, round));
+        order.filter_map(take).map(train).collect()
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || work(t))).collect();
+        let mut done: BTreeMap<_, _> = work(0).into_iter().collect();
+        for t in spawned {
+            done.extend(t.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done.into_values().try_for_each(|r| r)
+    })
+}
+
 /// Outcome of a whole cluster run ([`ClusterTrainer::train`]).
 #[derive(Clone, Debug)]
 pub struct ClusterReport {
@@ -162,13 +244,11 @@ impl ClusterTrainer {
         let topo = ClusterTopology::a100_cluster(cfg.num_hosts, cfg.gpus_per_host);
         let h = cfg.num_hosts;
         let n = ds.num_nodes();
-        let (assignment, host_nodes): (Vec<u32>, Vec<Vec<NodeId>>) = if h == 1 {
-            (vec![0; n], vec![(0..n as NodeId).collect()])
+        let (host_nodes, assignment): (Vec<Vec<NodeId>>, Vec<u32>) = if h == 1 {
+            (vec![(0..n as NodeId).collect()], vec![0; n])
         } else {
-            let mut prng = Rng::new(cfg.partition_seed);
-            let p = partition_ldg(&ds.graph, h, &mut prng);
-            let clusters = p.clusters();
-            (p.assignment, clusters)
+            let p = partition_ldg(&ds.graph, h, &mut Rng::new(cfg.partition_seed));
+            (p.clusters(), p.assignment)
         };
 
         let mut shards = Vec::with_capacity(h);
@@ -191,16 +271,15 @@ impl ClusterTrainer {
                 cfg.train.clone(),
                 host_seed(seed, host),
             );
-            let sup = Supervisor::new(SupervisorConfig {
-                max_rollbacks: cfg.max_rollbacks,
-                guard: GuardConfig::default(),
-            });
             shards.push(HostShard {
                 ds: shard_ds,
                 global_ids,
                 trainer,
                 opt: Adam::new(cfg.lr),
-                sup,
+                sup: Supervisor::new(SupervisorConfig {
+                    max_rollbacks: cfg.max_rollbacks,
+                    guard: GuardConfig::default(),
+                }),
                 batches: Vec::new(),
                 cursor: 0,
                 losses: Vec::new(),
@@ -245,15 +324,14 @@ impl ClusterTrainer {
     pub fn inject_cluster_faults(&mut self, plan: ClusterFaultPlan) -> Result<(), FgnnError> {
         plan.validate(self.cfg.num_hosts)
             .map_err(|e| FgnnError::Config(e.to_string()))?;
-        if let Some(ev) = plan.events().first() {
-            // Any event still fires on a fresh cluster (the loop starts
-            // at round 1 and applies events `<= round`).
-            if self.round > 0 && ev.round <= self.round {
-                return Err(FgnnError::Config(format!(
-                    "fault plan starts at round {} but the cluster is already at round {}",
-                    ev.round, self.round
-                )));
-            }
+        // Any event still fires on a fresh cluster (the loop starts at
+        // round 1 and applies events `<= round`).
+        let first = plan.events().first();
+        if let Some(ev) = first.filter(|ev| self.round > 0 && ev.round <= self.round) {
+            return Err(FgnnError::Config(format!(
+                "fault plan starts at round {} but the cluster is already at round {}",
+                ev.round, self.round
+            )));
         }
         self.plan = plan;
         self.next_event = 0;
@@ -310,8 +388,19 @@ impl ClusterTrainer {
     /// done) until its scheduled restart lets it recover and catch up.
     /// Errors if the schedule wedges the cluster (a host is down with no
     /// restart left in the plan — [`ClusterFaultPlan::validate`] makes
-    /// that unreachable for validated plans).
+    /// that unreachable for validated plans — or one so late that a host
+    /// still has batches left at round `u64::MAX`).
+    ///
+    /// Each round's hosts train at once, one per core. A host error is
+    /// returned in host order, as from one host after another, but every
+    /// other ready host of that round has trained its batch by then.
     pub fn train(&mut self, epochs: u32) -> Result<ClusterReport, FgnnError> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.train_on(epochs, threads)
+    }
+
+    /// [`ClusterTrainer::train`] on at most `threads` threads per round.
+    fn train_on(&mut self, epochs: u32, threads: usize) -> Result<ClusterReport, FgnnError> {
         if epochs == 0 {
             return Ok(self.report());
         }
@@ -332,28 +421,30 @@ impl ClusterTrainer {
             .max()
             .unwrap_or(1) as u64;
         let last_event = self.plan.events().last().map_or(0, |e| e.round);
-        // Worst case: every epoch fully re-executed once per rollback,
-        // plus the tail of the fault schedule, plus slack.
-        let round_cap = self.round
-            + (target as u64) * max_batches * (2 + self.cfg.max_rollbacks as u64)
-            + last_event
-            + 64;
+        // Worst case: every epoch fully re-executed once per rollback, plus
+        // the tail of the fault schedule (as late as `u64::MAX`), plus slack.
+        let work = (target as u64 * max_batches).saturating_mul(2 + self.cfg.max_rollbacks as u64);
+        let round_cap = [work, last_event, 64]
+            .into_iter()
+            .fold(self.round, u64::saturating_add);
 
         while !self.all_done(target) {
-            self.round += 1;
-            if self.round > round_cap {
+            self.skip_idle_rounds(target);
+            let Some(round) = self.round.checked_add(1).filter(|&r| r <= round_cap) else {
                 return Err(FgnnError::Config(format!(
                     "cluster wedged: round cap {round_cap} exceeded (a host cannot finish \
                      epoch {target} under the injected schedule)"
                 )));
-            }
+            };
+            self.round = round;
             self.apply_fault_events()?;
             let alive: Vec<bool> = self.shards.iter().map(|s| s.alive).collect();
             self.detector.tick(self.round, &alive);
             let nic_before = self.comms.nic_seconds + self.comms.retry_seconds;
-            for h in 0..self.shards.len() {
-                self.step_host(h, target)?;
-            }
+            let ready: Vec<bool> = (0..self.shards.len())
+                .map(|h| self.prepare_host(h, target))
+                .collect();
+            train_hosts(&mut self.shards, &ready, self.round, threads)?;
             let nic_after = self.comms.nic_seconds + self.comms.retry_seconds;
             self.obs.clock.advance_secs(nic_after - nic_before);
         }
@@ -377,9 +468,7 @@ impl ClusterTrainer {
     }
 
     fn all_done(&self, target: u32) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.alive && s.epoch_id >= target && s.cursor >= s.batches.len())
+        self.shards.iter().all(|s| s.alive && s.done(target))
     }
 
     /// Fire every scheduled fault event at or before the current round.
@@ -451,33 +540,35 @@ impl ClusterTrainer {
         Ok(())
     }
 
-    /// One host's share of one round: catch up on epoch bookkeeping, then
-    /// fetch the halo and train exactly one batch under the host's guard.
-    fn step_host(&mut self, h: usize, target: u32) -> Result<(), FgnnError> {
-        if !self.shards[h].alive {
-            return Ok(());
+    /// Jump to just before the next fault event while no live host has a
+    /// batch left and the view is settled: those rounds would only move
+    /// heartbeats, so a far-off restart costs no spinning.
+    fn skip_idle_rounds(&mut self, target: u32) {
+        let Some(next) = self.plan.events().get(self.next_event) else {
+            return;
+        };
+        let to = next.round.saturating_sub(1);
+        let idle = self.shards.iter().all(|s| !s.alive || s.done(target));
+        let alive: Vec<bool> = self.shards.iter().map(|s| s.alive).collect();
+        if idle && to > self.round && self.detector.skip_settled(self.round, to, &alive) {
+            self.round = to;
         }
-        if self.shards[h].cursor >= self.shards[h].batches.len() {
-            if self.shards[h].epoch_id >= target {
-                return Ok(()); // fully done; idling while others catch up
-            }
+    }
+
+    /// Host `h`'s share of a round that runs in host order, before any
+    /// host trains: epoch bookkeeping, then the halo of its next batch.
+    /// False when the host is down, or done and idling.
+    fn prepare_host(&mut self, h: usize, target: u32) -> bool {
+        let s = &self.shards[h];
+        if !s.alive || s.done(target) {
+            return false;
+        }
+        if s.cursor >= s.batches.len() {
             self.complete_host_epoch(h);
             self.begin_host_epoch(h);
         }
-        self.exchange_halo(h)?;
-        let s = &mut self.shards[h];
-        let batch = s.batches[s.cursor..=s.cursor].to_vec();
-        let (stats, fault) = s
-            .trainer
-            .train_guarded(&s.ds, batch, &mut s.opt, &mut s.sup);
-        match fault {
-            Some(fault) => self.numeric_rollback(h, fault),
-            None => {
-                s.losses.push(stats.mean_loss);
-                s.cursor += 1;
-                Ok(())
-            }
-        }
+        self.exchange_halo(h);
+        true
     }
 
     /// Close out host `h`'s finished epoch plan. Idempotent per epoch —
@@ -516,37 +607,10 @@ impl ClusterTrainer {
         s.losses.clear();
     }
 
-    /// Guard-trip recovery: the driver's rollback arm restores the epoch
-    /// baseline, then the completed prefix *plus* the faulted batch replay
-    /// inside this round, unguarded. The replay is local — comms for those
-    /// batches were already charged — so only training compute is redone.
-    fn numeric_rollback(&mut self, h: usize, fault: NumericFault) -> Result<(), FgnnError> {
-        let round = self.round;
-        let s = &mut self.shards[h];
-        s.trainer
-            .roll_back(&mut s.opt, &mut s.sup, fault)
-            .map_err(|e| match e {
-                FgnnError::Numeric(why) => {
-                    FgnnError::Numeric(format!("host {h} at round {round}: {why}"))
-                }
-                e => e,
-            })?;
-        s.batches = s.trainer.plan_epoch_batches(&s.ds);
-        s.losses.clear();
-        for i in 0..=s.cursor {
-            let stats = s
-                .trainer
-                .train_on_batches(&s.ds, &s.batches[i..=i], &mut s.opt);
-            s.losses.push(stats.mean_loss);
-        }
-        s.cursor += 1;
-        Ok(())
-    }
-
     /// Fetch the remote halo of host `h`'s next batch: the deduplicated
     /// out-of-shard 1-hop neighbors of the batch seeds in the full graph,
     /// batched into one active message per owning host.
-    fn exchange_halo(&mut self, h: usize) -> Result<(), FgnnError> {
+    fn exchange_halo(&mut self, h: usize) {
         let embed_bytes = (self.cfg.hidden * 4) as u64;
         let transfers: Vec<AmTransfer> = {
             let s = &self.shards[h];
@@ -561,7 +625,7 @@ impl ClusterTrainer {
                 }
             }
             if remote.is_empty() {
-                return Ok(());
+                return;
             }
             for &u in &remote {
                 self.batcher
@@ -570,13 +634,12 @@ impl ClusterTrainer {
             self.batcher.flush()
         };
         for t in transfers {
-            self.serve_remote_fetch(h, t)?;
+            self.serve_remote_fetch(h, t);
         }
-        Ok(())
     }
 
     /// Route one batched active message from reader `h` to owner `t.dst`.
-    fn serve_remote_fetch(&mut self, h: usize, t: AmTransfer) -> Result<(), FgnnError> {
+    fn serve_remote_fetch(&mut self, h: usize, t: AmTransfer) {
         let dst = t.dst;
         let reader_nic = self.shards[h].nic;
         if self.shards[dst].alive {
@@ -597,7 +660,7 @@ impl ClusterTrainer {
             self.comms.nic_seconds += batched;
             self.comms.num_transfers += 1;
             self.ledger.remote_reads += t.messages;
-            return Ok(());
+            return;
         }
         if self.detector.view().status[dst] != HostStatus::Dead {
             // Crashed but not yet declared: burn the retry ladder first.
@@ -619,21 +682,16 @@ impl ClusterTrainer {
 
     /// Serve a dead owner's shard from a surviving peer: stale within the
     /// `t_stale` budget, raw-feature fallback past it.
-    fn degraded_serve(&mut self, h: usize, t: AmTransfer) -> Result<(), FgnnError> {
+    fn degraded_serve(&mut self, h: usize, t: AmTransfer) {
         let dst = t.dst;
         let num_hosts = self.shards.len();
         // The dead host's shard state is reconstructable from its
         // epoch-start baseline, which every peer can re-derive — model the
-        // replica as the next live host in ring order.
+        // replica as the next live host in ring order (the reader at latest).
         let replica = (1..num_hosts)
             .map(|d| (dst + d) % num_hosts)
             .find(|&r| self.shards[r].alive)
-            .ok_or_else(|| {
-                FgnnError::Config(format!(
-                    "no live replica for host {dst}'s shard at round {}",
-                    self.round
-                ))
-            })?;
+            .expect("the reading host is a live replica");
         let staleness = self.round.saturating_sub(self.shards[dst].baseline_round);
         let reader_nic = self.shards[h].nic;
         if self.ledger.budget > 0 && staleness <= self.ledger.budget {
@@ -669,43 +727,24 @@ impl ClusterTrainer {
                 self.comms.num_transfers += 1;
             }
         }
-        Ok(())
     }
 
     fn sync_obs_metrics(&mut self) {
+        let exact = [
+            ("cluster.rounds", self.round),
+            ("cluster.nic.bytes", self.comms.nic_bytes),
+            ("cluster.retries", self.comms.retries),
+            ("cluster.reads.remote", self.ledger.remote_reads),
+            ("cluster.reads.degraded", self.ledger.degraded_reads),
+            ("cluster.reads.fallback", self.ledger.fallback_reads),
+            ("cluster.staleness.max", self.ledger.max_staleness),
+        ];
         let m = &mut self.obs.metrics;
-        m.counter_set("cluster.rounds", MetricClass::Exact, self.round);
-        m.counter_set(
-            "cluster.nic.bytes",
-            MetricClass::Exact,
-            self.comms.nic_bytes,
-        );
-        m.counter_set("cluster.retries", MetricClass::Exact, self.comms.retries);
-        m.counter_set(
-            "cluster.reads.remote",
-            MetricClass::Exact,
-            self.ledger.remote_reads,
-        );
-        m.counter_set(
-            "cluster.reads.degraded",
-            MetricClass::Exact,
-            self.ledger.degraded_reads,
-        );
-        m.counter_set(
-            "cluster.reads.fallback",
-            MetricClass::Exact,
-            self.ledger.fallback_reads,
-        );
-        m.counter_set(
-            "cluster.staleness.max",
-            MetricClass::Exact,
-            self.ledger.max_staleness,
-        );
-        m.gauge_set(
-            "cluster.membership.version",
-            MetricClass::Exact,
-            self.detector.view().version as f64,
-        );
+        for (name, value) in exact {
+            m.counter_set(name, MetricClass::Exact, value);
+        }
+        let version = self.detector.view().version as f64;
+        m.gauge_set("cluster.membership.version", MetricClass::Exact, version);
     }
 
     /// Snapshot the run into a [`ClusterReport`].
@@ -810,5 +849,112 @@ fn shard_dataset(ds: &Dataset, nodes: &[NodeId]) -> Dataset {
         train_nodes,
         val_nodes,
         test_nodes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::export::metrics_jsonl;
+    use crate::FreshGnnConfig;
+    use fgnn_graph::datasets::arxiv_spec;
+
+    /// Four hosts over 256 nodes, four or five batches per host epoch.
+    fn four_hosts(max_rollbacks: u32, seed: u64) -> ClusterTrainer {
+        let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(16), 42);
+        let train = FreshGnnConfig {
+            p_grad: 0.9,
+            t_stale: 50,
+            fanouts: vec![4, 4],
+            batch_size: 8,
+            ..Default::default()
+        };
+        let cfg = ClusterConfig {
+            num_hosts: 4,
+            max_rollbacks,
+            train,
+            ..Default::default()
+        };
+        ClusterTrainer::new(&ds, cfg, seed).unwrap()
+    }
+
+    /// What a finished run committed or recorded, as bytes: the report
+    /// (its Debug form prints every float round-trip exact), the
+    /// membership log, the cluster's Exact metrics, and per host the
+    /// checkpoint and the Exact metrics.
+    fn fingerprint(ct: &mut ClusterTrainer) -> Vec<Vec<u8>> {
+        let mut parts = vec![
+            format!("{:?}", ct.report()).into_bytes(),
+            format!("{:?}", ct.membership_log()).into_bytes(),
+            metrics_jsonl("cluster", &ct.obs.metrics, false).into_bytes(),
+        ];
+        for h in 0..ct.shards.len() {
+            let mut ckpt = ct.checkpoint_host(h);
+            // Sampling and pruning wall times are measured, not committed.
+            ckpt.counters.sample_seconds = 0.0;
+            ckpt.counters.prune_seconds = 0.0;
+            parts.push(ckpt.to_bytes());
+            parts.push(metrics_jsonl("host", &ct.trainer(h).obs.metrics, false).into_bytes());
+        }
+        parts
+    }
+
+    /// A round's hosts train on 1, 2 or 4 threads (0, 1 or 3 helpers)
+    /// through a crash and restart, a NaN rollback and a degraded NIC, and
+    /// every committed and recorded bit is the same.
+    #[test]
+    fn the_helper_count_changes_no_bit() {
+        let run = |threads: usize| {
+            let mut ct = four_hosts(3, 19);
+            let plan = ClusterFaultPlan::none()
+                .with_crash(2, 1)
+                .with_restart(5, 1)
+                .with_nic_degradation(1, 3, 4.0)
+                .with_nic_restore(4, 3);
+            ct.inject_cluster_faults(plan).unwrap();
+            ct.trainer_mut(2).inject_nan_at([2]);
+            let report = ct.train_on(2, threads).unwrap();
+            assert_eq!((report.crashes, report.restarts), (1, 1));
+            let rollbacks = ct.trainer(2).obs.metrics.counter("resilience.rollbacks");
+            assert_eq!(rollbacks, Some(1));
+            fingerprint(&mut ct)
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            let parts = run(threads);
+            assert_eq!(parts.len(), serial.len());
+            for (i, (got, want)) in parts.iter().zip(&serial).enumerate() {
+                assert!(got == want, "{threads} threads: part {i} diverged");
+            }
+        }
+    }
+
+    /// Hosts 0 and 2 exhaust their rollback budget in the same round; the
+    /// error is host 0's at any helper count, as the serial loop's was,
+    /// and the failed round leaves every host in the same state.
+    #[test]
+    fn same_round_errors_come_back_in_host_order() {
+        let fail = |nan_hosts: &[usize], threads: usize| {
+            let mut ct = four_hosts(1, 41);
+            for &h in nan_hosts {
+                ct.trainer_mut(h).inject_nan_at([1, 2]);
+            }
+            match ct.train_on(1, threads) {
+                Err(FgnnError::Numeric(why)) => (why, fingerprint(&mut ct)),
+                other => panic!("expected a numeric error, got {other:?}"),
+            }
+        };
+        let (_, serial) = fail(&[0, 2], 1);
+        for threads in [1, 2, 4] {
+            // Alone, each host fails at round 3.
+            assert!(fail(&[2], threads).0.starts_with("host 2 at round 3: "));
+            let (why, parts) = fail(&[0, 2], threads);
+            assert!(why.starts_with("host 0 at round 3: "), "{threads}: {why}");
+            assert!(why.contains("rollback budget exhausted"), "{why}");
+            assert!(
+                parts == serial,
+                "{threads} threads: the failed round diverged"
+            );
+        }
     }
 }

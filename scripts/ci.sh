@@ -101,7 +101,9 @@ FGNN_PROP_CASES=256 cargo test -q --test chaos
 # Cluster chaos suite at the elevated case count: random crash/restart/NIC
 # schedules must leave the committed training quantities byte-identical to
 # the fault-free run (deterministic shard recovery), degraded reads must
-# respect the t_stale budget.
+# respect the t_stale budget, and hostile fault plans (hosts past the
+# cluster, rounds near u64::MAX, invalid NIC factors) must never panic
+# validation and, once accepted, must train to the fault-free quantities.
 FGNN_PROP_CASES=256 cargo test -q --test cluster
 
 # Runtime determinism suite at the elevated case count: seeded adversarial

@@ -478,3 +478,140 @@ fn invalid_cluster_fault_plans_are_rejected() {
     let msg = format!("{err:?}");
     assert!(msg.contains("restart"), "unhelpful error: {msg}");
 }
+
+/// A plan may schedule its events as late as `u64::MAX`: a crash at
+/// `u64::MAX - 1` with its restart at `u64::MAX` passes `validate`, and the
+/// round cap saturates instead of overflowing. The events never fire.
+#[test]
+fn fault_events_at_the_last_rounds_do_not_overflow_the_round_cap() {
+    let ds = tiny();
+    let hosts = 2;
+    let seed = 47;
+    let mut clean = ClusterTrainer::new(&ds, cluster_cfg(hosts), seed).unwrap();
+    clean.train(1).unwrap();
+
+    let mut late = ClusterTrainer::new(&ds, cluster_cfg(hosts), seed).unwrap();
+    late.inject_cluster_faults(
+        ClusterFaultPlan::none()
+            .with_crash(u64::MAX - 1, 0)
+            .with_restart(u64::MAX, 0),
+    )
+    .unwrap();
+    let report = late.train(1).unwrap();
+    assert_eq!(report.crashes, 0);
+    assert_eq!(report.rounds, clean.report().rounds);
+    assert_eq!(committed(&mut late, hosts), committed(&mut clean, hosts));
+}
+
+/// While every live host is done and a crashed one waits for a far-off
+/// restart, the loop jumps to it instead of spinning through each round;
+/// a restart so late that the host's epoch cannot end by round
+/// `u64::MAX` is a wedge error, not an overflow.
+#[test]
+fn a_far_restart_is_reached_without_spinning() {
+    let ds = tiny();
+    let hosts = 2;
+    let seed = 53;
+    let mut clean = ClusterTrainer::new(&ds, cluster_cfg(hosts), seed).unwrap();
+    clean.train(1).unwrap();
+    let batches = clean.report().rounds;
+    assert!(batches >= 2, "every host needs two rounds or more");
+
+    let restart = u64::MAX - batches;
+    let mut far = ClusterTrainer::new(&ds, cluster_cfg(hosts), seed).unwrap();
+    far.inject_cluster_faults(
+        ClusterFaultPlan::none()
+            .with_crash(1, 0)
+            .with_restart(restart, 0),
+    )
+    .unwrap();
+    let report = far.train(1).unwrap();
+    assert_eq!(report.restarts, 1);
+    assert!(report.rounds > restart, "{}", report.rounds);
+    assert_eq!(committed(&mut far, hosts), committed(&mut clean, hosts));
+    let log = far.membership_log();
+    assert_eq!(
+        log.last().map(|t| (t.round, t.to)),
+        Some((restart, HostStatus::Alive))
+    );
+
+    let mut too_far = ClusterTrainer::new(&ds, cluster_cfg(hosts), seed).unwrap();
+    too_far
+        .inject_cluster_faults(
+            ClusterFaultPlan::none()
+                .with_crash(1, 0)
+                .with_restart(u64::MAX, 0),
+        )
+        .unwrap();
+    let err = too_far.train(1).unwrap_err();
+    assert!(
+        matches!(&err, FgnnError::Config(why) if why.contains("wedged")),
+        "{err:?}"
+    );
+}
+
+/// Property: hostile fault plans — hosts past the cluster, events at
+/// rounds 0, 1, `u64::MAX - 1` and `u64::MAX`, a crash and a restart in
+/// the same round, NaN, infinite and sub-1 NIC factors — never panic
+/// `validate`, and every plan it accepts trains a 3-host cluster to the
+/// fault-free committed quantities. One batch per host epoch, so a host
+/// restarted at round `u64::MAX` still finishes.
+#[test]
+fn hostile_fault_plans_never_panic_and_train_when_accepted() {
+    const ROUNDS: [u64; 4] = [0, 1, u64::MAX - 1, u64::MAX];
+    const FACTORS: [f64; 5] = [f64::NAN, f64::INFINITY, 0.5, 1.0, 4.0];
+    let ds = tiny();
+    let hosts = 3;
+    let seed = 59;
+    let cfg = || {
+        let mut cfg = cluster_cfg(hosts);
+        cfg.train.batch_size = 128;
+        cfg
+    };
+    let mut clean = ClusterTrainer::new(&ds, cfg(), seed).unwrap();
+    clean.train(1).unwrap();
+    assert_eq!(clean.report().rounds, 1, "a host epoch is one batch");
+    let expect = committed(&mut clean, hosts);
+
+    common::for_cases("cluster_hostile_plans", |rng| {
+        let mut plan = ClusterFaultPlan::none();
+        let mut pick = |n: u64| rng.next_u64() % n;
+        for _ in 0..1 + pick(3) {
+            let round = ROUNDS[pick(4) as usize];
+            // Now and then one of the two hosts past the cluster.
+            let past = 2 * u64::from(pick(4) == 0);
+            let host = pick(hosts as u64 + past) as usize;
+            plan = match pick(8) {
+                0 => plan.with_crash(round, host),
+                1 => plan.with_restart(round, host),
+                // A crash and a restart in the same round.
+                2 => plan.with_crash(round, host).with_restart(round, host),
+                3 => plan.with_nic_restore(round, host),
+                4 => {
+                    let factor = FACTORS[pick(5) as usize];
+                    match plan.clone().try_with_nic_degradation(round, host, factor) {
+                        Ok(plan) => plan,
+                        Err(_) => {
+                            assert!(!(factor >= 1.0 && factor.is_finite()), "{factor}");
+                            plan
+                        }
+                    }
+                }
+                _ => {
+                    let restart = ROUNDS[pick(4) as usize];
+                    plan.with_crash(round, host).with_restart(restart, host)
+                }
+            };
+        }
+        if plan.validate(hosts).is_err() {
+            return;
+        }
+        let mut ct = ClusterTrainer::new(&ds, cfg(), seed).unwrap();
+        ct.inject_cluster_faults(plan.clone()).unwrap();
+        let report = ct
+            .train(1)
+            .unwrap_or_else(|e| panic!("{plan:?} failed: {e}"));
+        assert_eq!(committed(&mut ct, hosts), expect, "{plan:?}");
+        assert!(report.ledger.max_staleness <= report.ledger.budget);
+    });
+}
