@@ -2,7 +2,7 @@
 //!
 //! A [`Suite`] is a row type plus a `const` slice of [`Column`]s — the JSON
 //! key, a [`Role`] and a getter — and a few constants. From that table
-//! derive the one writer ([`write`]), the one reader ([`read`]), the one
+//! derive the one writer ([`write()`]), the one reader ([`read`]), the one
 //! drift comparison ([`compare`], which also applies `--inject-regression`)
 //! and the one structural gate ([`invariance_checks`]): a new baseline is a
 //! row struct, its column table and a sweep loop; a new column is one line.

@@ -25,7 +25,7 @@ pub struct StaticFeatureCache {
 
 impl StaticFeatureCache {
     /// Cache the features of the `rows` highest-degree nodes of `graph`.
-    pub fn by_degree(graph: &Csr, rows: usize) -> Self {
+    pub(crate) fn by_degree(graph: &Csr, rows: usize) -> Self {
         let mut resident = vec![false; graph.num_nodes()];
         let order = degree::nodes_by_degree(graph);
         let len = rows.min(order.len());
@@ -52,7 +52,7 @@ impl StaticFeatureCache {
 
     /// Whether `node`'s features are resident on the compute device.
     #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         let hit = self.resident[node as usize];
         if hit {
             self.hits.set(self.hits.get() + 1);
@@ -64,41 +64,36 @@ impl StaticFeatureCache {
 
     /// Membership-test hits recorded so far (observability only; resets on
     /// checkpoint restore).
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Membership-test misses recorded so far (observability only; resets
     /// on checkpoint restore).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 
     /// Number of cached rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Size of the node ID space this cache covers.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.resident.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Serializable residency bitmap (for checkpointing — the selection is
     /// deterministic given the graph, but saving it avoids recomputing the
     /// degree order on resume and keeps the restore self-contained).
-    pub fn export(&self) -> Vec<bool> {
+    pub(crate) fn export(&self) -> Vec<bool> {
         self.resident.clone()
     }
 
     /// Rebuild from [`StaticFeatureCache::export`]. Telemetry counters
     /// restart at zero (they are not part of the checkpoint format).
-    pub fn import(resident: Vec<bool>) -> Self {
+    pub(crate) fn import(resident: Vec<bool>) -> Self {
         let len = resident.iter().filter(|&&r| r).count();
         StaticFeatureCache {
             resident,
@@ -138,7 +133,7 @@ mod tests {
     #[test]
     fn disabled_cache_contains_nothing() {
         let c = StaticFeatureCache::disabled(4);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert!(!(0..4).any(|v| c.contains(v)));
     }
 }

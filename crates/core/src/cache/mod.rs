@@ -7,9 +7,9 @@ pub mod ring;
 
 pub use feature_cache::StaticFeatureCache;
 pub use policy::{
-    apply_policy, frequency_policy, gradient_policy, inverted_gradient_policy, CachePolicy,
-    CoarseRefreshPolicy, FrequencyPolicy, GradientPolicy, InverseGradientPolicy, PolicyInput,
-    PolicyKind, PredictivePolicy, RandomPolicy, StalenessWeightedPolicy, Verdict,
+    gradient_policy, inverted_gradient_policy, CachePolicy, CoarseRefreshPolicy, FrequencyPolicy,
+    GradientPolicy, InverseGradientPolicy, PolicyInput, PolicyKind, PredictivePolicy, RandomPolicy,
+    StalenessWeightedPolicy, Verdict,
 };
 pub use ring::{RingCache, RingSnapshot};
 
@@ -95,7 +95,8 @@ impl HistoricalCache {
     /// Build a cache for an `L`-layer model.
     ///
     /// `dims[l-1]` is the embedding dimension of level `l` (the model's
-    /// hidden/output dims). `initial_capacity = 0` auto-sizes: tables start
+    /// hidden/output dims). The top level `L` (the logits) is never cached:
+    /// interior reuse reads levels `1..L` only. `initial_capacity = 0` auto-sizes: tables start
     /// at 1024 rows and grow on demand (§4.2's "initialize the cache table
     /// with a fixed size and reallocate it on-demand").
     pub fn new(
@@ -103,7 +104,6 @@ impl HistoricalCache {
         dims: &[usize],
         t_stale: u32,
         initial_capacity: usize,
-        cache_top_layer: bool,
         enabled: bool,
     ) -> Self {
         let num_levels = dims.len();
@@ -116,8 +116,7 @@ impl HistoricalCache {
             .iter()
             .enumerate()
             .map(|(i, &dim)| {
-                let is_top = i + 1 == num_levels;
-                if enabled && (!is_top || cache_top_layer) {
+                if enabled && i + 1 < num_levels {
                     Some(RingCache::new(num_nodes, cap, dim))
                 } else {
                     None
@@ -141,8 +140,8 @@ impl HistoricalCache {
 
     /// Enable per-entry update-delta history on every cached level (needed
     /// by policies whose [`CachePolicy::wants_history`] is true). Idempotent;
-    /// re-applied automatically after [`HistoricalCache::restore`] and
-    /// [`HistoricalCache::clear`].
+    /// re-applied automatically after `HistoricalCache::restore` and
+    /// `HistoricalCache::clear`.
     pub fn enable_history(&mut self) {
         self.history = true;
         for c in self.levels.iter_mut().flatten() {
@@ -155,34 +154,19 @@ impl HistoricalCache {
     /// [`HistoricalCache::apply_verdicts`] is a no-op. The flag is
     /// transient — it is not part of [`CacheSnapshot`] and survives
     /// neither `snapshot`/`restore` nor checkpointing.
-    pub fn set_bypass(&mut self, bypass: bool) {
+    pub(crate) fn set_bypass(&mut self, bypass: bool) {
         self.bypass = bypass;
     }
 
-    /// Whether degraded-mode bypass is currently engaged.
-    pub fn bypassed(&self) -> bool {
-        self.bypass
-    }
-
-    /// Whether level `l` (1-based) has a cache.
-    pub fn level_enabled(&self, level: usize) -> bool {
-        level >= 1 && level <= self.levels.len() && self.levels[level - 1].is_some()
-    }
-
-    /// Look up `node` at `level` for iteration `now` under the baseline
-    /// refresh schedule (none) — see [`HistoricalCache::lookup_with`].
-    pub fn lookup(&mut self, level: usize, node: NodeId, now: u32) -> Option<u32> {
-        self.lookup_with(level, node, now, &GradientPolicy)
-    }
-
-    /// Policy-aware lookup: like [`HistoricalCache::lookup`], but a live,
-    /// in-bound entry whose age the policy's [`CachePolicy::refresh_due`]
-    /// schedule flags is *declined* — the lookup reports a miss **without
+    /// Look up `node` at `level` for iteration `now`: the entry's slot if
+    /// it is live and within `t_stale`. A live, in-bound entry whose age
+    /// the policy's [`CachePolicy::refresh_due`] schedule flags is
+    /// *declined* — the lookup reports a miss **without
     /// evicting the entry**, so the caller recomputes the node and, if it
     /// is still stable, re-admits it over the live entry: a refresh in
     /// place, which also records the update delta feeding
-    /// [`CachePolicy::wants_history`] extrapolation. Under the baseline
-    /// (no schedule) this is exactly [`HistoricalCache::lookup`].
+    /// [`CachePolicy::wants_history`] extrapolation. The baseline
+    /// [`GradientPolicy`] has no schedule.
     pub fn lookup_with(
         &mut self,
         level: usize,
@@ -227,7 +211,7 @@ impl HistoricalCache {
     /// history ([`CachePolicy::wants_history`]) and/or scale it by a
     /// staleness weight ([`CachePolicy::read_weight`]). `now` is the
     /// current iteration; `slot` must come from a successful
-    /// [`HistoricalCache::lookup`] at the same `now`, so the entry's age
+    /// [`HistoricalCache::lookup_with`] at the same `now`, so the entry's age
     /// is within `t_stale` by construction. Under the baseline policy this
     /// is byte-identical to [`HistoricalCache::fetch_into`].
     pub fn read_into(
@@ -360,7 +344,7 @@ impl HistoricalCache {
     /// identically-configured cache. The level layout (which levels are
     /// enabled) must match the current configuration; contents and
     /// counters are restored verbatim.
-    pub fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), String> {
         if snapshot.levels.len() != self.levels.len() {
             return Err(format!(
                 "cache snapshot has {} levels, config expects {}",
@@ -414,7 +398,7 @@ impl HistoricalCache {
     /// `iter`; returns the number dropped. Called after restoring a
     /// checkpoint older than the cache contents so the `t_stale` bound
     /// holds over the restored iteration counter (see
-    /// [`RingCache::evict_newer_than`]).
+    /// `RingCache::evict_newer_than`).
     pub fn evict_newer_than(&mut self, iter: u32) -> u64 {
         self.levels
             .iter_mut()
@@ -426,7 +410,7 @@ impl HistoricalCache {
     /// Drop all cached entries and counters, keeping the configuration
     /// (used for graceful degradation when a checkpoint's cache segment is
     /// missing or corrupt: training resumes correct but cold).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for c in self.levels.iter_mut().flatten() {
             *c = RingCache::new(c.num_nodes(), c.capacity(), c.dim());
             if self.history {
@@ -465,22 +449,22 @@ mod tests {
     use super::*;
 
     fn cache() -> HistoricalCache {
-        HistoricalCache::new(100, &[4, 4, 3], 50, 8, false, true)
+        HistoricalCache::new(100, &[4, 4, 3], 50, 8, true)
     }
 
     #[test]
-    fn top_level_not_cached_by_default() {
+    fn top_level_is_never_cached() {
         let c = cache();
-        assert!(c.level_enabled(1));
-        assert!(c.level_enabled(2));
-        assert!(!c.level_enabled(3));
+        assert!(c.levels[0].is_some());
+        assert!(c.levels[1].is_some());
+        assert!(c.levels[2].is_none());
     }
 
     #[test]
     fn disabled_cache_always_misses_silently() {
-        let mut c = HistoricalCache::new(100, &[4, 4], 50, 8, false, false);
-        assert!(!c.level_enabled(1));
-        assert!(c.lookup(1, 5, 0).is_none());
+        let mut c = HistoricalCache::new(100, &[4, 4], 50, 8, false);
+        assert!(c.levels.iter().all(Option::is_none));
+        assert!(c.lookup_with(1, 5, 0, &GradientPolicy).is_none());
         // Disabled levels do not count lookups.
         assert_eq!(c.stats().misses, 0);
     }
@@ -499,7 +483,9 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &inputs, &h, 1);
-        let slot = c.lookup(1, 7, 2).expect("hit after admit");
+        let slot = c
+            .lookup_with(1, 7, 2, &GradientPolicy)
+            .expect("hit after admit");
         let mut row = [0.0f32; 4];
         c.fetch_into(1, slot, &mut row);
         assert_eq!(row, [2.0, 2.0, 2.0, 2.0]);
@@ -522,7 +508,7 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(2, &admit, &h, 0);
-        assert!(c.lookup(2, 3, 1).is_some());
+        assert!(c.lookup_with(2, 3, 1, &GradientPolicy).is_some());
         let evict = vec![(
             PolicyInput {
                 node: 3,
@@ -533,7 +519,7 @@ mod tests {
             Verdict::Evict,
         )];
         c.apply_verdicts(2, &evict, &h, 1);
-        assert!(c.lookup(2, 3, 1).is_none());
+        assert!(c.lookup_with(2, 3, 1, &GradientPolicy).is_none());
         assert_eq!(c.stats().grad_evictions, 1);
     }
 
@@ -551,8 +537,8 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        assert!(c.lookup(1, 9, 0).is_some());
-        assert!(c.lookup(2, 9, 0).is_none());
+        assert!(c.lookup_with(1, 9, 0, &GradientPolicy).is_some());
+        assert!(c.lookup_with(2, 9, 0, &GradientPolicy).is_none());
     }
 
     #[test]
@@ -569,15 +555,21 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        assert!(c.lookup(1, 5, 1).is_some());
+        assert!(c.lookup_with(1, 5, 1, &GradientPolicy).is_some());
         let stats_before = c.stats();
         c.set_bypass(true);
-        assert!(c.bypassed());
-        assert!(c.lookup(1, 5, 1).is_none(), "bypass misses");
+        assert!(c.bypass);
+        assert!(
+            c.lookup_with(1, 5, 1, &GradientPolicy).is_none(),
+            "bypass misses"
+        );
         c.apply_verdicts(1, &admit, &h, 1);
         assert_eq!(c.stats(), stats_before, "no counters move under bypass");
         c.set_bypass(false);
-        assert!(c.lookup(1, 5, 2).is_some(), "entry intact after bypass");
+        assert!(
+            c.lookup_with(1, 5, 2, &GradientPolicy).is_some(),
+            "entry intact after bypass"
+        );
     }
 
     #[test]
@@ -600,8 +592,8 @@ mod tests {
         }
         assert_eq!(c.evict_newer_than(4), 2, "one future entry per level");
         for level in 1..=2usize {
-            assert!(c.lookup(level, 1, 4).is_some());
-            assert!(c.lookup(level, 2, 4).is_none());
+            assert!(c.lookup_with(level, 1, 4, &GradientPolicy).is_some());
+            assert!(c.lookup_with(level, 2, 4, &GradientPolicy).is_none());
         }
     }
 
@@ -636,7 +628,10 @@ mod tests {
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(c.lookups(), s.hits + s.misses, "obs invariant holds");
-        assert!(c.lookup(1, 7, 10).is_some(), "entry not evicted");
+        assert!(
+            c.lookup_with(1, 7, 10, &GradientPolicy).is_some(),
+            "entry not evicted"
+        );
         // The forced recompute re-admits in place, recording the update
         // delta and restarting the entry's age.
         let (h2, v2) = admit(3.0);
@@ -668,10 +663,16 @@ mod tests {
         )];
         c.apply_verdicts(1, &v, &h, 0);
         for now in 1..=50 {
-            assert!(c.lookup(1, 3, now).is_some(), "in-bound hit at {now}");
+            assert!(
+                c.lookup_with(1, 3, now, &GradientPolicy).is_some(),
+                "in-bound hit at {now}"
+            );
         }
         assert_eq!(c.stats().scheduled_refreshes, 0);
-        assert!(c.lookup(1, 3, 51).is_none(), "t_stale bound still evicts");
+        assert!(
+            c.lookup_with(1, 3, 51, &GradientPolicy).is_none(),
+            "t_stale bound still evicts"
+        );
     }
 
     #[test]
@@ -688,8 +689,8 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        c.lookup(1, 1, 1); // hit
-        c.lookup(1, 2, 1); // miss
+        c.lookup_with(1, 1, 1, &GradientPolicy); // hit
+        c.lookup_with(1, 2, 1, &GradientPolicy); // miss
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 }

@@ -157,22 +157,12 @@ pub enum Verdict {
 
 impl Verdict {
     /// Stable numeric code for span attributes and metric export.
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             Verdict::Admit => 0,
             Verdict::Keep => 1,
             Verdict::Evict => 2,
             Verdict::Skip => 3,
-        }
-    }
-
-    /// Stable lowercase name for logs and exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Verdict::Admit => "admit",
-            Verdict::Keep => "keep",
-            Verdict::Evict => "evict",
-            Verdict::Skip => "skip",
         }
     }
 }
@@ -349,7 +339,7 @@ pub struct PredictivePolicy {
 impl PredictivePolicy {
     /// Refresh at half the staleness bound (at least 1): one delta
     /// observation per window, leaving the second half to extrapolate.
-    pub fn for_t_stale(t_stale: u32) -> Self {
+    pub(crate) fn for_t_stale(t_stale: u32) -> Self {
         PredictivePolicy {
             refresh_age: (t_stale / 2).max(1),
         }
@@ -384,7 +374,7 @@ pub struct CoarseRefreshPolicy {
 impl CoarseRefreshPolicy {
     /// A quarter of the staleness bound (at least 1): entries refresh a
     /// few times per staleness window instead of once at expiry.
-    pub fn for_t_stale(t_stale: u32) -> Self {
+    pub(crate) fn for_t_stale(t_stale: u32) -> Self {
         CoarseRefreshPolicy {
             period: (t_stale / 4).max(1),
         }
@@ -466,8 +456,9 @@ fn rank_key(norm: f32, node: NodeId) -> u64 {
 /// callers see their own values. Ties break by node ID either way.
 ///
 /// This is the one place the negate-then-rank trick lives;
-/// [`frequency_policy`], [`InverseGradientPolicy`] and
-/// [`FrequencyPolicy`] are all this combinator.
+/// [`InverseGradientPolicy`] and [`FrequencyPolicy`] (where `grad_norm`
+/// carries the observed request count and the *top* fraction is
+/// admitted/kept) are both this combinator.
 pub fn inverted_gradient_policy(inputs: &[PolicyInput], p: f32) -> Vec<(PolicyInput, Verdict)> {
     let flipped: Vec<PolicyInput> = inputs
         .iter()
@@ -490,13 +481,6 @@ pub fn inverted_gradient_policy(inputs: &[PolicyInput], p: f32) -> Vec<(PolicyIn
         .collect()
 }
 
-/// Serving-time admission by request frequency — see [`FrequencyPolicy`].
-/// `grad_norm` carries the observed request count and the *top* `p_hot`
-/// fraction is admitted/kept.
-pub fn frequency_policy(inputs: &[PolicyInput], p_hot: f32) -> Vec<(PolicyInput, Verdict)> {
-    inverted_gradient_policy(inputs, p_hot)
-}
-
 /// The random criterion: replace every score with a uniform draw, then
 /// rank. The returned `grad_norm` is the surrogate score (verdict
 /// application only consumes `node`/`local`/`was_cached`).
@@ -509,26 +493,6 @@ fn randomized_policy(inputs: &[PolicyInput], p: f32, rng: &mut Rng) -> Vec<(Poli
         })
         .collect();
     gradient_policy(&randomized, p)
-}
-
-/// Apply the chosen kind's *admission* rule (compat shim over the
-/// [`CachePolicy`] trait — the trait adds the read/refresh hooks on top
-/// of exactly these verdicts). `rng` is only consumed by
-/// [`PolicyKind::Random`].
-pub fn apply_policy(
-    kind: PolicyKind,
-    inputs: &[PolicyInput],
-    p: f32,
-    rng: &mut Rng,
-) -> Vec<(PolicyInput, Verdict)> {
-    match kind {
-        PolicyKind::Gradient
-        | PolicyKind::StalenessWeighted
-        | PolicyKind::Predictive
-        | PolicyKind::CoarseRefresh => gradient_policy(inputs, p),
-        PolicyKind::InverseGradient | PolicyKind::Frequency => inverted_gradient_policy(inputs, p),
-        PolicyKind::Random => randomized_policy(inputs, p, rng),
-    }
 }
 
 #[cfg(test)]
@@ -546,6 +510,27 @@ mod tests {
 
     fn verdict_of(out: &[(PolicyInput, Verdict)], node: NodeId) -> Verdict {
         out.iter().find(|(x, _)| x.node == node).unwrap().1
+    }
+
+    /// The reference table of each kind's *admission* rule: the
+    /// [`CachePolicy`] trait adds the read/refresh hooks on top of exactly
+    /// these verdicts. `rng` is only consumed by [`PolicyKind::Random`].
+    fn apply_policy(
+        kind: PolicyKind,
+        inputs: &[PolicyInput],
+        p: f32,
+        rng: &mut Rng,
+    ) -> Vec<(PolicyInput, Verdict)> {
+        match kind {
+            PolicyKind::Gradient
+            | PolicyKind::StalenessWeighted
+            | PolicyKind::Predictive
+            | PolicyKind::CoarseRefresh => gradient_policy(inputs, p),
+            PolicyKind::InverseGradient | PolicyKind::Frequency => {
+                inverted_gradient_policy(inputs, p)
+            }
+            PolicyKind::Random => randomized_policy(inputs, p, rng),
+        }
     }
 
     #[test]
@@ -615,7 +600,9 @@ mod tests {
     fn random_policy_admits_requested_fraction() {
         let inputs: Vec<PolicyInput> = (0..100).map(|i| input(i, i as f32, false)).collect();
         let mut rng = fgnn_tensor::Rng::new(5);
-        let out = apply_policy(PolicyKind::Random, &inputs, 0.7, &mut rng);
+        let out = PolicyKind::Random
+            .build(20)
+            .verdicts(&inputs, 0.7, &mut rng);
         let admitted = out.iter().filter(|(_, v)| *v == Verdict::Admit).count();
         assert_eq!(admitted, 70);
     }
@@ -624,7 +611,9 @@ mod tests {
     fn inverse_policy_admits_largest_norms() {
         let inputs = vec![input(0, 0.1, false), input(1, 9.0, false)];
         let mut rng = fgnn_tensor::Rng::new(5);
-        let out = apply_policy(PolicyKind::InverseGradient, &inputs, 0.5, &mut rng);
+        let out = PolicyKind::InverseGradient
+            .build(20)
+            .verdicts(&inputs, 0.5, &mut rng);
         assert_eq!(verdict_of(&out, 1), Verdict::Admit);
         assert_eq!(verdict_of(&out, 0), Verdict::Skip);
     }
@@ -640,7 +629,7 @@ mod tests {
             input(4, 25.0, false),
             input(5, 3.0, false),
         ];
-        let out = frequency_policy(&inputs, 0.5);
+        let out = FrequencyPolicy.verdicts(&inputs, 0.5, &mut Rng::new(0));
         assert_eq!(verdict_of(&out, 0), Verdict::Admit);
         assert_eq!(verdict_of(&out, 2), Verdict::Keep);
         assert_eq!(verdict_of(&out, 4), Verdict::Admit);
@@ -655,7 +644,7 @@ mod tests {
     #[test]
     fn frequency_ties_break_by_node_id() {
         let inputs = vec![input(9, 5.0, false), input(4, 5.0, false)];
-        let out = frequency_policy(&inputs, 0.5);
+        let out = FrequencyPolicy.verdicts(&inputs, 0.5, &mut Rng::new(0));
         assert_eq!(verdict_of(&out, 4), Verdict::Admit);
         assert_eq!(verdict_of(&out, 9), Verdict::Skip);
     }
@@ -664,7 +653,9 @@ mod tests {
     fn gradient_kind_matches_direct_call() {
         let inputs = vec![input(0, 0.1, true), input(1, 5.0, false)];
         let mut rng = fgnn_tensor::Rng::new(5);
-        let via_kind = apply_policy(PolicyKind::Gradient, &inputs, 0.5, &mut rng);
+        let via_kind = PolicyKind::Gradient
+            .build(20)
+            .verdicts(&inputs, 0.5, &mut rng);
         let direct = gradient_policy(&inputs, 0.5);
         for ((a, va), (b, vb)) in via_kind.iter().zip(&direct) {
             assert_eq!(a.node, b.node);

@@ -98,7 +98,7 @@ impl RingCache {
     /// Start recording per-slot update deltas (idempotent). Enabled by
     /// history-wanting policies ([`crate::cache::policy::CachePolicy::wants_history`]);
     /// costs one extra `capacity x dim` matrix.
-    pub fn enable_history(&mut self) {
+    pub(crate) fn enable_history(&mut self) {
         if self.history.is_none() {
             self.history = Some(RingHistory {
                 delta: Matrix::zeros(self.capacity(), self.dim),
@@ -110,7 +110,7 @@ impl RingCache {
     /// Admission stamp of `node`'s live entry (`None` when absent or
     /// dangling). Lets refresh scheduling ask "how old is the copy I would
     /// overwrite?" without touching the lookup counters.
-    pub fn stamp_of(&self, node: NodeId) -> Option<u32> {
+    pub(crate) fn stamp_of(&self, node: NodeId) -> Option<u32> {
         let slot = self.slot_of[node as usize];
         if slot == INVALID || self.node_of[slot as usize] != node {
             return None;
@@ -123,7 +123,7 @@ impl RingCache {
     /// `dst += delta * min(age / gap, MAX_EXTRAPOLATION)`. Returns whether
     /// any prediction was applied (history disabled or no recorded
     /// refresh ⇒ `false`, `dst` untouched).
-    pub fn extrapolate_into(&self, slot: u32, age: u32, dst: &mut [f32]) -> bool {
+    pub(crate) fn extrapolate_into(&self, slot: u32, age: u32, dst: &mut [f32]) -> bool {
         let Some(hist) = &self.history else {
             return false;
         };
@@ -166,37 +166,32 @@ impl RingCache {
     }
 
     /// Age histogram (iterations since admission) of every hit served.
-    pub fn hit_age_histogram(&self) -> &Histogram {
+    pub(crate) fn hit_age_histogram(&self) -> &Histogram {
         &self.hit_age
     }
 
     /// Embedding dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Current table rows.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.node_of.len()
     }
 
     /// Size of the node ID space this cache maps.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.slot_of.len()
     }
 
     /// Number of live entries (O(capacity); used by tests/metrics only).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.node_of
             .iter()
             .enumerate()
             .filter(|&(s, &n)| n != INVALID && self.slot_of[n as usize] == s as u32)
             .count()
-    }
-
-    /// Whether the cache holds no live entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Look up `node` at iteration `now` under staleness bound `t_stale`.
@@ -235,7 +230,7 @@ impl RingCache {
     /// every embedding it serves so the per-request staleness budget — the
     /// serving analogue of the training `t_stale` invariant — is provable
     /// rather than assumed.
-    pub fn age_of(&self, slot: u32, now: u32) -> u32 {
+    pub(crate) fn age_of(&self, slot: u32, now: u32) -> u32 {
         now.saturating_sub(self.stamp[slot as usize])
     }
 
@@ -285,7 +280,7 @@ impl RingCache {
     /// still fresh. The serving engine uses this so cache capacity stays a
     /// real experiment knob under any admission burst; training keeps the
     /// §4.2 grow-on-demand semantics of [`RingCache::admit`].
-    pub fn admit_fixed(&mut self, node: NodeId, row: &[f32], now: u32) {
+    pub(crate) fn admit_fixed(&mut self, node: NodeId, row: &[f32], now: u32) {
         debug_assert_eq!(row.len(), self.dim);
         let existing = self.slot_of[node as usize];
         if existing != INVALID && self.node_of[existing as usize] == node {
@@ -330,7 +325,7 @@ impl RingCache {
     /// whose contents ran past it: a future-stamped entry would otherwise
     /// report `age = now.saturating_sub(stamp) = 0` forever and silently
     /// violate the `t_stale` bound after the rollback.
-    pub fn evict_newer_than(&mut self, iter: u32) -> u64 {
+    pub(crate) fn evict_newer_than(&mut self, iter: u32) -> u64 {
         let mut dropped = 0u64;
         for s in 0..self.node_of.len() {
             let node = self.node_of[s];
@@ -394,7 +389,7 @@ impl RingCache {
     /// Rebuild a cache from a [`RingSnapshot`], validating structural
     /// consistency (a corrupt-but-checksum-passing snapshot must not
     /// produce out-of-bounds slots later).
-    pub fn from_snapshot(s: RingSnapshot) -> Result<RingCache, String> {
+    pub(crate) fn from_snapshot(s: RingSnapshot) -> Result<RingCache, String> {
         let cap = s.table.rows();
         if cap == 0 {
             return Err("ring snapshot with empty table".into());
@@ -744,9 +739,9 @@ mod tests {
         // Dim validation lives in HistoricalCache::restore (the ring takes
         // its dim from the snapshot's table): a snapshot whose embedding
         // width disagrees with the configured cache must be rejected.
-        let donor = crate::cache::HistoricalCache::new(10, &[3, 3], 5, 4, true, true);
+        let donor = crate::cache::HistoricalCache::new(10, &[3, 3], 5, 4, true);
         let snapshot = donor.snapshot();
-        let mut wrong_dim = crate::cache::HistoricalCache::new(10, &[4, 4], 5, 4, true, true);
+        let mut wrong_dim = crate::cache::HistoricalCache::new(10, &[4, 4], 5, 4, true);
         let err = wrong_dim.restore(snapshot).unwrap_err();
         assert!(err.contains("dim"), "{err}");
     }

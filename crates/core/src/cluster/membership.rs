@@ -22,17 +22,6 @@ pub enum HostStatus {
     Dead,
 }
 
-impl HostStatus {
-    /// Stable lowercase name for logs and exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            HostStatus::Alive => "alive",
-            HostStatus::Suspect => "suspect",
-            HostStatus::Dead => "dead",
-        }
-    }
-}
-
 /// One recorded membership transition.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MembershipTransition {
@@ -81,7 +70,7 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// A detector for `num_hosts` hosts, all initially alive with a beat
     /// at round 0.
-    pub fn new(
+    pub(crate) fn new(
         num_hosts: usize,
         heartbeat_every: u64,
         suspect_after: u64,
@@ -121,7 +110,7 @@ impl FailureDetector {
     /// Advance one lock-step round: hosts in `alive` beat if the round is
     /// on their heartbeat schedule; silent hosts accrue missed beats and
     /// transition Suspect → Dead at the configured thresholds.
-    pub fn tick(&mut self, round: u64, alive: &[bool]) {
+    pub(crate) fn tick(&mut self, round: u64, alive: &[bool]) {
         for (host, &up) in alive.iter().enumerate() {
             if up {
                 // A beat restores the host in the view; a restarted host
@@ -168,12 +157,12 @@ impl FailureDetector {
     }
 
     /// The current view.
-    pub fn view(&self) -> &MembershipView {
+    pub(crate) fn view(&self) -> &MembershipView {
         &self.view
     }
 
     /// Every transition the detector made, in round order.
-    pub fn log(&self) -> &[MembershipTransition] {
+    pub(crate) fn log(&self) -> &[MembershipTransition] {
         &self.log
     }
 }

@@ -83,7 +83,7 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Check the knobs for internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.num_hosts == 0 {
             return Err("num_hosts must be >= 1".into());
         }

@@ -30,7 +30,7 @@ use super::ClusterConfig;
 use crate::checkpoint::Checkpoint;
 use crate::error::FgnnError;
 use crate::obs::{MetricClass, Obs};
-use crate::resilience::{GuardConfig, HealthState, NumericFault, Supervisor, SupervisorConfig};
+use crate::resilience::{HealthState, NumericFault, Supervisor, SupervisorConfig};
 use crate::trainer::Trainer;
 use fgnn_graph::datasets::Dataset;
 use fgnn_graph::partition::{induced_subgraph, partition_ldg};
@@ -278,7 +278,6 @@ impl ClusterTrainer {
                 opt: Adam::new(cfg.lr),
                 sup: Supervisor::new(SupervisorConfig {
                     max_rollbacks: cfg.max_rollbacks,
-                    guard: GuardConfig::default(),
                 }),
                 batches: Vec::new(),
                 cursor: 0,
@@ -670,7 +669,8 @@ impl ClusterTrainer {
             let mut waste = 0.0;
             for k in 0..attempts {
                 waste += self.topo.nic.latency
-                    + self.retry.base_backoff * self.retry.multiplier.powi(k as i32);
+                    + fgnn_memsim::fault::BASE_BACKOFF
+                        * fgnn_memsim::fault::BACKOFF_MULTIPLIER.powi(k as i32);
             }
             self.comms.retries += attempts as u64;
             self.comms.retry_seconds += waste;

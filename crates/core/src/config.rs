@@ -34,20 +34,12 @@ pub struct FreshGnnConfig {
     pub feature_cache_rows: usize,
     /// Transfer mode for feature loading.
     pub load_mode: LoadMode,
-    /// Whether to cache the top (output) layer too. Algorithm 1 updates
-    /// every layer's cache; interior reuse only ever reads layers
-    /// `1..L-1`, so this defaults to false.
-    pub cache_top_layer: bool,
     /// Cache policy — [`crate::cache::PolicyKind::Gradient`] is the
     /// paper's admission criterion; the others cover the ablation study
     /// (`exp_ablation_policy`) and the staleness-control literature swept
     /// by `exp_ext_policy_frontier` (DESIGN.md §11). Instantiated once per
     /// trainer via [`FreshGnnConfig::build_policy`].
     pub policy: crate::cache::PolicyKind,
-    /// How many times an async sampler worker re-samples a batch whose
-    /// sampling panicked before the epoch errors out (same `(seed, batch)`
-    /// RNG each attempt, so recovery never changes the stream).
-    pub sampler_retries: u32,
 }
 
 impl Default for FreshGnnConfig {
@@ -60,9 +52,7 @@ impl Default for FreshGnnConfig {
             cache_capacity: 0,
             feature_cache_rows: 0,
             load_mode: LoadMode::OneSided,
-            cache_top_layer: false,
             policy: crate::cache::PolicyKind::Gradient,
-            sampler_retries: crate::sampler::DEFAULT_SAMPLER_RETRIES,
         }
     }
 }
@@ -75,7 +65,7 @@ impl FreshGnnConfig {
     }
 
     /// Number of GNN layers implied by the fanouts.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.fanouts.len()
     }
 
@@ -99,7 +89,7 @@ impl FreshGnnConfig {
     }
 
     /// Validate invariants; called by the trainer.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.p_grad) {
             return Err(format!("p_grad {} outside [0, 1]", self.p_grad));
         }

@@ -359,7 +359,6 @@ impl<W: Workload> Driver<W> {
             &dims[1..],
             cfg.t_stale,
             cfg.cache_capacity,
-            cfg.cache_top_layer,
             cfg.cache_enabled(),
         );
         if policy.wants_history() {
@@ -647,7 +646,7 @@ impl<W: Workload> Driver<W> {
             let runtime = RuntimeConfig {
                 workers,
                 queue_capacity,
-                max_retries: self.cfg.sampler_retries,
+                max_retries: crate::sampler::DEFAULT_SAMPLER_RETRIES,
                 chaos: self.sampler_chaos,
             };
             let (graph, init_graph) = (graph.clone(), graph.clone());
@@ -756,7 +755,7 @@ impl<W: Workload> Driver<W> {
     /// Train one epoch under the health supervisor: every batch loss is
     /// fed through `sup`'s [`NumericGuard`], and a tripped guard (NaN/Inf
     /// loss, or a loss spike past the z-score threshold) aborts the epoch
-    /// and [`Driver::roll_back`]s to the supervisor's last-known-good
+    /// and `Driver::roll_back`s to the supervisor's last-known-good
     /// baseline, then replays the epoch. The rollback restores the RNG, so
     /// the replay walks the exact same batch schedule.
     ///
@@ -899,7 +898,8 @@ impl<W: Workload> Driver<W> {
     /// stream before the epoch starts and batches are consumed in index
     /// order, so losses, counters and every `Exact` metric are
     /// byte-identical at any `num_threads`, `0` included, and across worker
-    /// panics recovered by re-sampling (`cfg.sampler_retries`).
+    /// panics recovered by re-sampling
+    /// ([`crate::sampler::DEFAULT_SAMPLER_RETRIES`] times).
     ///
     /// Returns an error when a batch could not be produced even after
     /// retries ([`SampleError::BatchPanicked`]) or the workers died

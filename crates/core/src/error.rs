@@ -38,24 +38,6 @@ pub enum FgnnError {
     Io(std::io::Error),
 }
 
-impl FgnnError {
-    /// Short stable name of the failure domain (used in supervisor
-    /// transition-log causes).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FgnnError::Checkpoint(_) => "checkpoint",
-            FgnnError::Sample(_) => "sample",
-            FgnnError::Cache(_) => "cache",
-            FgnnError::Load(_) => "load",
-            FgnnError::Config(_) => "config",
-            FgnnError::Numeric(_) => "numeric",
-            FgnnError::Serve(_) => "serve",
-            FgnnError::Overload(_) => "overload",
-            FgnnError::Io(_) => "io",
-        }
-    }
-}
-
 impl fmt::Display for FgnnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -121,21 +103,19 @@ mod tests {
     }
 
     #[test]
-    fn kind_and_display_are_stable() {
+    fn display_is_stable() {
         let e = FgnnError::Cache("snapshot level 2 dim 3 != configured 4".into());
-        assert_eq!(e.kind(), "cache");
         assert!(e.to_string().contains("cache error"));
         let e: FgnnError = CheckpointError::Truncated.into();
-        assert_eq!(e.kind(), "checkpoint");
         assert!(e.to_string().contains("truncated"));
     }
 
-    /// Exhaustive display/kind round-trip: one instance of *every*
-    /// variant (the match below fails to compile when a variant is added
-    /// without extending this list), each checked for a stable `kind()`
-    /// and a display string that leads with its domain.
+    /// Exhaustive display check: one instance of *every* variant (the
+    /// match below fails to compile when a variant is added without
+    /// extending this list), each checked for a display string that leads
+    /// with its own domain.
     #[test]
-    fn every_variant_displays_and_round_trips_its_kind() {
+    fn every_variant_displays_its_domain() {
         let variants: Vec<FgnnError> = vec![
             FgnnError::Checkpoint(CheckpointError::BadMagic),
             FgnnError::Sample(SampleError::BatchPanicked {
@@ -169,11 +149,9 @@ mod tests {
                 shown.starts_with(prefix),
                 "{shown:?} should start with {prefix:?}"
             );
-            assert!(seen.insert(e.kind()), "duplicate kind {:?}", e.kind());
+            assert!(seen.insert(prefix), "duplicate domain {prefix:?}");
         }
         assert_eq!(seen.len(), variants.len());
-        // The serving-side kinds the supervisor matches on are pinned.
-        assert!(seen.contains("serve") && seen.contains("overload"));
     }
 
     #[test]

@@ -507,7 +507,7 @@ mod tests {
             .iter()
             .map(|r| (r.src_type, r.dst_type))
             .collect();
-        let mut cache = HistoricalCache::new(400, &[16, 4], 50, 8, false, true);
+        let mut cache = HistoricalCache::new(400, &[16, 4], 50, 8, true);
         let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 0, &GradientPolicy);
         assert!(out.cached.iter().all(Vec::is_empty));
         // All target dst computed.
@@ -534,14 +534,8 @@ mod tests {
 
         // Baseline pruning with an empty cache.
         let mut mb_plain = sampler.sample(&ds.graph, 0, &seeds, &[3, 3], &mut rng);
-        let mut empty = HistoricalCache::new(
-            ds.graph.node_counts[0],
-            &[16, ds.num_classes],
-            50,
-            8,
-            false,
-            true,
-        );
+        let mut empty =
+            HistoricalCache::new(ds.graph.node_counts[0], &[16, ds.num_classes], 50, 8, true);
         let base = prune_hetero_with(&mut mb_plain, &rel_types, &mut empty, 0, 0, &GradientPolicy);
         let base_needed: usize = base
             .needed_input
@@ -553,14 +547,8 @@ mod tests {
         let mut sampler2 = HeteroSampler::new(&ds.graph);
         let mut rng2 = Rng::new(7);
         let mut mb = sampler2.sample(&ds.graph, 0, &seeds, &[3, 3], &mut rng2);
-        let mut cache = HistoricalCache::new(
-            ds.graph.node_counts[0],
-            &[16, ds.num_classes],
-            50,
-            64,
-            false,
-            true,
-        );
+        let mut cache =
+            HistoricalCache::new(ds.graph.node_counts[0], &[16, ds.num_classes], 50, 64, true);
         let h = Matrix::zeros(1, 16);
         for &node in &mb.blocks[0].dst[0] {
             cache.apply_verdicts(

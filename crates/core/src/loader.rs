@@ -52,7 +52,7 @@ impl<'a> FeatureLoader<'a> {
     ///
     /// Panics on an out-of-range node or a mask-length mismatch — the
     /// sampler only ever hands the loader in-range nodes, so either is a
-    /// logic bug. Use [`FeatureLoader::try_load`] for the checked form.
+    /// logic bug. Use `FeatureLoader::try_load` for the checked form.
     pub fn load(
         &self,
         nodes: &[NodeId],
@@ -70,7 +70,7 @@ impl<'a> FeatureLoader<'a> {
     /// [`FgnnError::Load`](crate::error::FgnnError::Load) instead of
     /// panicking when a node index falls outside the feature matrix or the
     /// `needed` mask disagrees with `nodes` in length.
-    pub fn try_load(
+    pub(crate) fn try_load(
         &self,
         nodes: &[NodeId],
         needed: Option<&[bool]>,
@@ -89,7 +89,7 @@ impl<'a> FeatureLoader<'a> {
     /// `needed` is false keeps whatever `out` held — the step reads no such
     /// row — and moves no bytes.
     #[allow(clippy::too_many_arguments)]
-    pub fn try_load_into(
+    pub(crate) fn try_load_into(
         &self,
         nodes: &[NodeId],
         needed: Option<&[bool]>,
@@ -150,7 +150,7 @@ impl<'a> FeatureLoader<'a> {
     /// from each peer, given `owner(node) = node % num_gpus` round-robin
     /// placement. Returns one demand row per peer GPU (self-column zero)
     /// plus the rows served locally.
-    pub fn partition_demand(
+    pub(crate) fn partition_demand(
         &self,
         gpu: usize,
         num_gpus: usize,

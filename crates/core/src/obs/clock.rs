@@ -15,11 +15,6 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// New clock at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current simulated time in nanoseconds since the clock's origin.
     pub fn now_ns(&self) -> u64 {
         self.now_ns
@@ -28,7 +23,7 @@ impl SimClock {
     /// Advance by `seconds` of exact simulated time (negative or NaN input
     /// is clamped to zero) and return the whole-nanosecond increment
     /// actually applied.
-    pub fn advance_secs(&mut self, seconds: f64) -> u64 {
+    pub(crate) fn advance_secs(&mut self, seconds: f64) -> u64 {
         let secs = if seconds.is_finite() && seconds > 0.0 {
             seconds
         } else {
@@ -46,7 +41,7 @@ mod tests {
 
     #[test]
     fn advances_by_rounded_nanoseconds() {
-        let mut c = SimClock::new();
+        let mut c = SimClock::default();
         assert_eq!(c.advance_secs(1.5e-9), 2); // rounds, not truncates
         assert_eq!(c.advance_secs(0.001), 1_000_000);
         assert_eq!(c.now_ns(), 1_000_002);
@@ -54,7 +49,7 @@ mod tests {
 
     #[test]
     fn clamps_garbage_input() {
-        let mut c = SimClock::new();
+        let mut c = SimClock::default();
         assert_eq!(c.advance_secs(-1.0), 0);
         assert_eq!(c.advance_secs(f64::NAN), 0);
         assert_eq!(c.now_ns(), 0);

@@ -93,7 +93,7 @@ pub fn metrics_jsonl(section: &str, m: &Metrics, include_measured: bool) -> Stri
 
 /// One span as a `kind:"span"` JSONL line (the serving trace stream's
 /// span shape; DESIGN.md §12).
-pub fn span_jsonl_line(section: &str, span: &Span) -> String {
+pub(crate) fn span_jsonl_line(section: &str, span: &Span) -> String {
     let mut args = String::new();
     for (i, (k, v)) in span.args.iter().enumerate() {
         if i > 0 {
@@ -116,17 +116,11 @@ pub fn span_jsonl_line(section: &str, span: &Span) -> String {
 /// (`chrome://tracing` / Perfetto). Each `(label, tracer)` section becomes
 /// its own thread (`tid`), named by a metadata event; spans become `ph:"X"`
 /// complete events with microsecond timestamps off the sim clock. Stamped
-/// with the default [`SCHEMA_VERSION`].
+/// with [`SCHEMA_VERSION`].
 pub fn chrome_trace(sections: &[(&str, &Tracer)]) -> String {
-    chrome_trace_tagged(SCHEMA_VERSION, sections)
-}
-
-/// [`chrome_trace`] under an explicit schema tag (the serving trace export
-/// stamps [`crate::obs::schema::SERVE_TRACE_V1`]).
-pub fn chrome_trace_tagged(schema: &str, sections: &[(&str, &Tracer)]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"schemaVersion\":\"{schema}\",\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+        "{{\"schemaVersion\":\"{SCHEMA_VERSION}\",\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
     ));
     let mut first = true;
     let mut push = |line: String, first: &mut bool| {
@@ -215,13 +209,6 @@ mod tests {
         assert!(line.contains("\"name\":\"request\""));
         assert!(line.contains("\"startNs\":100,\"durNs\":150"));
         assert!(line.contains("\"args\":{\"id\":7,\"hit\":1}"));
-    }
-
-    #[test]
-    fn chrome_trace_tagged_stamps_the_given_schema() {
-        let t = Tracer::new();
-        let doc = chrome_trace_tagged(crate::obs::schema::SERVE_TRACE_V1, &[("s", &t)]);
-        assert!(doc.starts_with("{\"schemaVersion\":\"fgnn-serve-trace-v1\""));
     }
 
     #[test]

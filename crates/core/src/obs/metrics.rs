@@ -21,7 +21,7 @@ pub enum MetricClass {
 
 impl MetricClass {
     /// Lower-case name used in exports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MetricClass::Exact => "exact",
             MetricClass::Measured => "measured",
@@ -34,7 +34,7 @@ impl MetricClass {
 ///
 /// `Exact`-class histograms must only observe integer-valued quantities
 /// (ages in iterations, depths): then `sum` stays exactly representable
-/// and [`Histogram::subtract`] is exact, which the differential
+/// and `Histogram::subtract` is exact, which the differential
 /// checkpoint test relies on.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Histogram {
@@ -46,7 +46,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// New histogram over ascending `bounds`.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "bounds not ascending"
@@ -62,7 +62,7 @@ impl Histogram {
     /// Rebuild from externally-accumulated bucket `counts` (e.g. atomics
     /// shared with worker threads). `counts` must be one longer than
     /// `bounds` (the overflow bucket); `sum` is the sum of raw values.
-    pub fn from_parts(bounds: &[f64], counts: &[u64], sum: f64) -> Self {
+    pub(crate) fn from_parts(bounds: &[f64], counts: &[u64], sum: f64) -> Self {
         assert_eq!(counts.len(), bounds.len() + 1, "counts/bounds mismatch");
         Histogram {
             bounds: bounds.to_vec(),
@@ -73,7 +73,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let i = self
             .bounds
             .iter()
@@ -133,7 +133,7 @@ impl Histogram {
     }
 
     /// Add another histogram with identical bounds into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         if self.count == 0 && self.bounds.is_empty() {
             *self = other.clone();
             return;
@@ -147,7 +147,7 @@ impl Histogram {
     }
 
     /// Subtract an earlier snapshot of this histogram (per-epoch deltas).
-    pub fn subtract(&mut self, earlier: &Histogram) {
+    pub(crate) fn subtract(&mut self, earlier: &Histogram) {
         assert_eq!(
             self.bounds, earlier.bounds,
             "subtracting mismatched histograms"
@@ -179,17 +179,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// New empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// True when no metric has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Add `v` to the counter `name`, creating it at zero.
-    pub fn counter_add(&mut self, name: &str, class: MetricClass, v: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, class: MetricClass, v: u64) {
         match self
             .map
             .entry(name.to_string())
@@ -201,45 +196,27 @@ impl Metrics {
     }
 
     /// Overwrite the counter `name` with an externally-accumulated total.
-    pub fn counter_set(&mut self, name: &str, class: MetricClass, v: u64) {
+    pub(crate) fn counter_set(&mut self, name: &str, class: MetricClass, v: u64) {
         self.map
             .insert(name.to_string(), (class, MetricValue::Counter(v)));
     }
 
     /// Set the gauge `name`.
-    pub fn gauge_set(&mut self, name: &str, class: MetricClass, v: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, class: MetricClass, v: f64) {
         self.map
             .insert(name.to_string(), (class, MetricValue::Gauge(v)));
     }
 
-    /// Record one observation into the histogram `name`, creating it over
-    /// `bounds` on first use.
-    pub fn hist_observe(&mut self, name: &str, class: MetricClass, bounds: &[f64], v: f64) {
-        match self
-            .map
-            .entry(name.to_string())
-            .or_insert_with(|| (class, MetricValue::Histogram(Histogram::new(bounds))))
-        {
-            (_, MetricValue::Histogram(h)) => h.observe(v),
-            slot => {
-                let mut h = Histogram::new(bounds);
-                h.observe(v);
-                *slot = (class, MetricValue::Histogram(h));
-            }
-        }
-    }
-
     /// Overwrite the histogram `name` with an externally-accumulated one.
-    pub fn hist_set(&mut self, name: &str, class: MetricClass, h: Histogram) {
+    pub(crate) fn hist_set(&mut self, name: &str, class: MetricClass, h: Histogram) {
         self.map
             .insert(name.to_string(), (class, MetricValue::Histogram(h)));
     }
 
     /// Add an externally-accumulated histogram into `name`, creating it on
     /// first use. An empty `h` records nothing, so a name nobody observed
-    /// stays absent — what per-observation [`Metrics::hist_observe`] calls
-    /// would have left.
-    pub fn hist_merge(&mut self, name: &str, class: MetricClass, h: Histogram) {
+    /// stays absent.
+    pub(crate) fn hist_merge(&mut self, name: &str, class: MetricClass, h: Histogram) {
         if h.count() == 0 {
             return;
         }
@@ -274,7 +251,7 @@ impl Metrics {
     }
 
     /// Iterate all metrics in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, MetricClass, &MetricValue)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, MetricClass, &MetricValue)> {
         self.map.iter().map(|(k, (c, v))| (k.as_str(), *c, v))
     }
 
@@ -389,11 +366,16 @@ mod tests {
     fn delta_subtracts_counters_and_histograms() {
         let mut m = Metrics::new();
         m.counter_add("c", MetricClass::Exact, 5);
-        m.hist_observe("h", MetricClass::Exact, &[1.0], 0.0);
+        let one = |v| {
+            let mut h = Histogram::new(&[1.0]);
+            h.observe(v);
+            h
+        };
+        m.hist_merge("h", MetricClass::Exact, one(0.0));
         m.gauge_set("g", MetricClass::Exact, 1.0);
         let snap = m.snapshot();
         m.counter_add("c", MetricClass::Exact, 2);
-        m.hist_observe("h", MetricClass::Exact, &[1.0], 5.0);
+        m.hist_merge("h", MetricClass::Exact, one(5.0));
         m.gauge_set("g", MetricClass::Exact, 9.0);
         m.counter_add("new", MetricClass::Exact, 1);
         let d = m.delta_since(&snap);
@@ -407,18 +389,18 @@ mod tests {
 
     #[test]
     fn hist_merge_equals_observing_one_by_one() {
-        let (mut merged, mut observed) = (Metrics::new(), Metrics::new());
+        let (mut merged, mut observed) = (Metrics::new(), Histogram::new(&[1.0, 4.0]));
         merged.hist_merge("h", MetricClass::Exact, Histogram::new(&[1.0, 4.0]));
-        assert!(merged.is_empty(), "an empty histogram creates no name");
+        assert!(merged.map.is_empty(), "an empty histogram creates no name");
         for round in [[0.0, 2.0], [3.0, 9.0]] {
             let mut local = Histogram::new(&[1.0, 4.0]);
             for v in round {
                 local.observe(v);
-                observed.hist_observe("h", MetricClass::Exact, &[1.0, 4.0], v);
+                observed.observe(v);
             }
             merged.hist_merge("h", MetricClass::Exact, local);
         }
-        assert_eq!(merged.histogram("h"), observed.histogram("h"));
+        assert_eq!(merged.histogram("h"), Some(&observed));
         assert_eq!(merged.histogram("h").unwrap().counts(), &[1, 2, 1]);
     }
 

@@ -32,7 +32,7 @@ pub use clock::SimClock;
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metrics::{Histogram, MetricClass, MetricValue, Metrics};
 pub use span::{Span, Tracer};
-pub use window::{AlertEvent, BurnRule, EventWindow, SloConfig, SloMonitor, WindowedSketch};
+pub use window::{AlertEvent, BurnRule, EventWindow, SloMonitor, WindowedSketch};
 
 /// Bucket edges (iterations) for cache entry-age histograms.
 pub const AGE_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
@@ -58,7 +58,7 @@ pub struct Obs {
 
 impl Obs {
     /// New empty observability state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }

@@ -34,22 +34,27 @@ pub struct Tracer {
 
 impl Tracer {
     /// New tracer with no spans.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Open a span at `now_ns`.
-    pub fn begin(&mut self, name: impl Into<Cow<'static, str>>, cat: &'static str, now_ns: u64) {
+    pub(crate) fn begin(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        cat: &'static str,
+        now_ns: u64,
+    ) {
         self.open.push((name.into(), cat, now_ns));
     }
 
     /// Close the innermost open span at `now_ns`.
-    pub fn end(&mut self, now_ns: u64) {
+    pub(crate) fn end(&mut self, now_ns: u64) {
         self.end_with(now_ns, Vec::new());
     }
 
     /// Close the innermost open span at `now_ns`, attaching `args`.
-    pub fn end_with(&mut self, now_ns: u64, args: Vec<(&'static str, u64)>) {
+    pub(crate) fn end_with(&mut self, now_ns: u64, args: Vec<(&'static str, u64)>) {
         let (name, cat, start_ns) = self.open.pop().expect("end without matching begin");
         self.spans.push(Span {
             name,

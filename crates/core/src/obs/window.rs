@@ -14,7 +14,7 @@
 //! * [`WindowedSketch`] — a sliding latency quantile sketch: time is cut
 //!   into fixed slices, each slice is an ordinary fixed-bucket
 //!   [`Histogram`], and the window quantile merges the live slices
-//!   ([`Histogram::merge`]) — mergeable by construction, O(slices) space;
+//!   (`Histogram::merge`) — mergeable by construction, O(slices) space;
 //! * [`SloMonitor`] — the Google-SRE-style multi-window, multi-burn-rate
 //!   alerter: *burn* is the windowed bad-event rate divided by the error
 //!   budget, and a rule fires only when **both** its long and its short
@@ -42,7 +42,7 @@ pub struct EventWindow {
 
 impl EventWindow {
     /// An empty window spanning `window_ns` nanoseconds.
-    pub fn new(window_ns: u64) -> Self {
+    pub(crate) fn new(window_ns: u64) -> Self {
         EventWindow {
             window_ns: window_ns.max(1),
             events: VecDeque::new(),
@@ -52,7 +52,7 @@ impl EventWindow {
 
     /// Record one event at `now_ns` and evict everything that fell out of
     /// the window.
-    pub fn record(&mut self, now_ns: u64, is_bad: bool) {
+    pub(crate) fn record(&mut self, now_ns: u64, is_bad: bool) {
         debug_assert!(
             self.events.back().is_none_or(|&(t, _)| t <= now_ns),
             "events must arrive in time order"
@@ -65,7 +65,7 @@ impl EventWindow {
     }
 
     /// Evict events older than `now_ns - window_ns` without recording.
-    pub fn advance(&mut self, now_ns: u64) {
+    pub(crate) fn advance(&mut self, now_ns: u64) {
         let cutoff = now_ns.saturating_sub(self.window_ns);
         while let Some(&(t, b)) = self.events.front() {
             if t >= cutoff {
@@ -79,17 +79,12 @@ impl EventWindow {
     }
 
     /// Events currently inside the window.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.events.len() as u64
     }
 
-    /// Bad events currently inside the window.
-    pub fn bad(&self) -> u64 {
-        self.bad
-    }
-
     /// Bad fraction over the window (0 when empty).
-    pub fn bad_fraction(&self) -> f64 {
+    pub(crate) fn bad_fraction(&self) -> f64 {
         if self.events.is_empty() {
             0.0
         } else {
@@ -112,7 +107,7 @@ pub struct WindowedSketch {
 impl WindowedSketch {
     /// A sketch whose window is `num_slices` slices of `slice_ns` each,
     /// over histogram `bounds`.
-    pub fn new(bounds: &[f64], slice_ns: u64, num_slices: usize) -> Self {
+    pub(crate) fn new(bounds: &[f64], slice_ns: u64, num_slices: usize) -> Self {
         WindowedSketch {
             bounds: bounds.to_vec(),
             slice_ns: slice_ns.max(1),
@@ -122,7 +117,7 @@ impl WindowedSketch {
     }
 
     /// Record one observation at `now_ns`.
-    pub fn observe(&mut self, now_ns: u64, v: f64) {
+    pub(crate) fn observe(&mut self, now_ns: u64, v: f64) {
         let idx = now_ns / self.slice_ns;
         match self.slices.back_mut() {
             Some((last, h)) if *last == idx => h.observe(v),
@@ -145,7 +140,7 @@ impl WindowedSketch {
     }
 
     /// Merge the live slices into one histogram over the window.
-    pub fn merged(&self) -> Histogram {
+    pub(crate) fn merged(&self) -> Histogram {
         let mut out = Histogram::new(&self.bounds);
         for (_, h) in &self.slices {
             out.merge(h);
@@ -156,13 +151,8 @@ impl WindowedSketch {
     /// The `q`-quantile over the window ([`Histogram::percentile`]
     /// semantics: conservative upper bucket edge), or `None` when the
     /// window holds no observations.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn percentile(&self, q: f64) -> Option<f64> {
         self.merged().percentile(q)
-    }
-
-    /// Observations currently inside the window.
-    pub fn count(&self) -> u64 {
-        self.slices.iter().map(|(_, h)| h.count()).sum()
     }
 }
 
@@ -180,50 +170,38 @@ pub struct BurnRule {
     pub burn: f64,
 }
 
-/// SLO monitor configuration.
-#[derive(Clone, Debug)]
-pub struct SloConfig {
-    /// Error budget: the tolerated bad-event fraction (e.g. `0.05` means
-    /// up to 5% of requests may be shed/violating before burn = 1).
-    pub error_budget: f64,
-    /// Burn-rate rules, evaluated independently.
-    pub rules: Vec<BurnRule>,
-    /// Minimum events in a rule's long window before it may fire (keeps
-    /// the first bad request of a run from paging).
-    pub min_events: u64,
-    /// Latency-sketch slice width (nanoseconds).
-    pub sketch_slice_ns: u64,
-    /// Latency-sketch slices (window = slices × slice width).
-    pub sketch_slices: usize,
-}
+/// Error budget: the tolerated bad-event fraction (up to 5% of requests
+/// may be shed/violating before burn = 1).
+const ERROR_BUDGET: f64 = 0.05;
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            error_budget: 0.05,
-            rules: vec![
-                // Page-grade: a hard burn sustained across a 50 ms long
-                // window with a 12.5 ms short window confirming it.
-                BurnRule {
-                    label: "fast-burn",
-                    long_ns: 50_000_000,
-                    short_ns: 12_500_000,
-                    burn: 6.0,
-                },
-                // Ticket-grade: a slower burn over 200 ms.
-                BurnRule {
-                    label: "slow-burn",
-                    long_ns: 200_000_000,
-                    short_ns: 50_000_000,
-                    burn: 3.0,
-                },
-            ],
-            min_events: 16,
-            sketch_slice_ns: 12_500_000,
-            sketch_slices: 8,
-        }
-    }
-}
+/// Burn-rate rules, evaluated independently.
+const BURN_RULES: [BurnRule; 2] = [
+    // Page-grade: a hard burn sustained across a 50 ms long window with a
+    // 12.5 ms short window confirming it.
+    BurnRule {
+        label: "fast-burn",
+        long_ns: 50_000_000,
+        short_ns: 12_500_000,
+        burn: 6.0,
+    },
+    // Ticket-grade: a slower burn over 200 ms.
+    BurnRule {
+        label: "slow-burn",
+        long_ns: 200_000_000,
+        short_ns: 50_000_000,
+        burn: 3.0,
+    },
+];
+
+/// Minimum events in a rule's long window before it may fire (keeps the
+/// first bad request of a run from paging).
+const MIN_EVENTS: u64 = 16;
+
+/// Latency-sketch slice width (nanoseconds).
+const SKETCH_SLICE_NS: u64 = 12_500_000;
+
+/// Latency-sketch slices (window = slices × slice width).
+const SKETCH_SLICES: usize = 8;
 
 /// A fired or resolved alert, on the sim clock.
 #[derive(Clone, Debug, PartialEq)]
@@ -244,14 +222,13 @@ pub struct AlertEvent {
 
 /// The multi-window SLO burn-rate monitor over the serving event stream.
 ///
-/// Feed every request outcome ([`SloMonitor::record_served`]) and every
-/// shed decision ([`SloMonitor::record_shed`]) in sim-time order; alerts
+/// Feed every request outcome (`SloMonitor::record_served`) and every
+/// shed decision (`SloMonitor::record_shed`) in sim-time order; alerts
 /// accumulate in [`SloMonitor::alerts`] and the current windowed latency
 /// quantiles are always available from the sketch.
 #[derive(Clone, Debug)]
 pub struct SloMonitor {
-    cfg: SloConfig,
-    /// `(long, short)` windows per rule, index-aligned with `cfg.rules`.
+    /// `(long, short)` windows per rule, index-aligned with `BURN_RULES`.
     windows: Vec<(EventWindow, EventWindow)>,
     active: Vec<bool>,
     sketch: WindowedSketch,
@@ -260,18 +237,15 @@ pub struct SloMonitor {
 }
 
 impl SloMonitor {
-    /// A monitor under `cfg`, with the latency sketch over
-    /// `latency_bounds_ns`.
-    pub fn new(cfg: SloConfig, latency_bounds_ns: &[f64]) -> Self {
-        let windows = cfg
-            .rules
+    /// A monitor with the latency sketch over `latency_bounds_ns`.
+    pub(crate) fn new(latency_bounds_ns: &[f64]) -> Self {
+        let windows = BURN_RULES
             .iter()
             .map(|r| (EventWindow::new(r.long_ns), EventWindow::new(r.short_ns)))
             .collect();
-        let active = vec![false; cfg.rules.len()];
-        let sketch = WindowedSketch::new(latency_bounds_ns, cfg.sketch_slice_ns, cfg.sketch_slices);
+        let active = vec![false; BURN_RULES.len()];
+        let sketch = WindowedSketch::new(latency_bounds_ns, SKETCH_SLICE_NS, SKETCH_SLICES);
         SloMonitor {
-            cfg,
             windows,
             active,
             sketch,
@@ -279,21 +253,16 @@ impl SloMonitor {
         }
     }
 
-    /// The monitor's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// A served request completing at `now_ns` with `latency_ns`; `bad`
     /// marks an SLO-violating serve (deadline miss or staleness
     /// violation).
-    pub fn record_served(&mut self, now_ns: u64, latency_ns: u64, bad: bool) {
+    pub(crate) fn record_served(&mut self, now_ns: u64, latency_ns: u64, bad: bool) {
         self.sketch.observe(now_ns, latency_ns as f64);
         self.record(now_ns, bad);
     }
 
     /// A shed decision at `now_ns` — always a bad event against the SLO.
-    pub fn record_shed(&mut self, now_ns: u64) {
+    pub(crate) fn record_shed(&mut self, now_ns: u64) {
         self.record(now_ns, true);
     }
 
@@ -306,13 +275,12 @@ impl SloMonitor {
     }
 
     fn evaluate(&mut self, now_ns: u64) {
-        for (i, rule) in self.cfg.rules.iter().enumerate() {
+        for (i, rule) in BURN_RULES.iter().enumerate() {
             let (long, short) = &self.windows[i];
-            let burn_long = long.bad_fraction() / self.cfg.error_budget;
-            let burn_short = short.bad_fraction() / self.cfg.error_budget;
-            let firing = long.total() >= self.cfg.min_events
-                && burn_long > rule.burn
-                && burn_short > rule.burn;
+            let burn_long = long.bad_fraction() / ERROR_BUDGET;
+            let burn_short = short.bad_fraction() / ERROR_BUDGET;
+            let firing =
+                long.total() >= MIN_EVENTS && burn_long > rule.burn && burn_short > rule.burn;
             if firing != self.active[i] {
                 self.active[i] = firing;
                 // The window quantile merges every live slice, and only an
@@ -337,7 +305,7 @@ impl SloMonitor {
     }
 
     /// Rules currently in the fired state.
-    pub fn active_count(&self) -> u64 {
+    pub(crate) fn active_count(&self) -> u64 {
         self.active.iter().filter(|&&a| a).count() as u64
     }
 }
@@ -353,11 +321,11 @@ mod tests {
         let mut w = EventWindow::new(10 * MS);
         w.record(0, true);
         w.record(5 * MS, false);
-        assert_eq!((w.total(), w.bad()), (2, 1));
+        assert_eq!((w.total(), w.bad), (2, 1));
         assert!((w.bad_fraction() - 0.5).abs() < 1e-12);
         // 0 falls out at t = 11ms (cutoff 1ms).
         w.record(11 * MS, false);
-        assert_eq!((w.total(), w.bad()), (2, 0));
+        assert_eq!((w.total(), w.bad), (2, 0));
         assert_eq!(w.bad_fraction(), 0.0);
     }
 
@@ -367,64 +335,60 @@ mod tests {
         s.observe(0, 5.0);
         s.observe(MS, 5.0);
         assert_eq!(s.percentile(0.99), Some(10.0));
-        assert_eq!(s.count(), 2);
+        assert_eq!(s.merged().count(), 2);
         // Jump 10 slices forward: both old slices evict.
         s.observe(10 * MS, 50.0);
-        assert_eq!(s.count(), 1);
+        assert_eq!(s.merged().count(), 1);
         assert_eq!(s.percentile(0.5), Some(100.0));
         let empty = WindowedSketch::new(&[1.0], MS, 2);
         assert_eq!(empty.percentile(0.5), None);
     }
 
-    fn monitor(budget: f64, burn: f64) -> SloMonitor {
-        SloMonitor::new(
-            SloConfig {
-                error_budget: budget,
-                rules: vec![BurnRule {
-                    label: "test",
-                    long_ns: 20 * MS,
-                    short_ns: 5 * MS,
-                    burn,
-                }],
-                min_events: 4,
-                sketch_slice_ns: 5 * MS,
-                sketch_slices: 4,
-            },
-            &[MS as f64, (10 * MS) as f64],
-        )
+    fn monitor() -> SloMonitor {
+        SloMonitor::new(&[MS as f64, (10 * MS) as f64])
     }
 
     #[test]
     fn monitor_fires_on_sustained_burn_and_resolves() {
-        let mut m = monitor(0.1, 2.0);
+        let mut m = monitor();
         // Healthy traffic: no alert.
-        for i in 0..8u64 {
+        for i in 0..32u64 {
             m.record_served(i * MS, MS, false);
         }
         assert!(m.alerts.is_empty());
-        // Sustained shedding: both windows burn past 2× the 10% budget.
-        for i in 8..14u64 {
+        // Sustained shedding: every rule's windows burn past its threshold.
+        for i in 32..64u64 {
             m.record_shed(i * MS);
         }
-        let fire = m.alerts.first().expect("fired");
-        assert!(fire.fired && fire.rule == "test");
-        assert!(fire.burn_long > 2.0 && fire.burn_short > 2.0);
-        assert_eq!(m.active_count(), 1);
-        // Recovery: good traffic drains the short window first.
-        for i in 14..40u64 {
+        assert_eq!(m.active_count(), BURN_RULES.len() as u64);
+        for rule in &BURN_RULES {
+            let fire = m
+                .alerts
+                .iter()
+                .find(|a| a.rule == rule.label)
+                .expect("fired");
+            assert!(fire.fired);
+            assert!(fire.burn_long > rule.burn && fire.burn_short > rule.burn);
+        }
+        // Recovery: good traffic drains every window.
+        for i in 64..400u64 {
             m.record_served(i * MS, MS, false);
         }
-        let resolve = m.alerts.last().expect("resolved");
-        assert!(!resolve.fired);
+        assert!(!m.alerts.last().expect("resolved").fired);
         assert_eq!(m.active_count(), 0);
-        assert_eq!(m.alerts.len(), 2, "one fire edge, one resolve edge");
+        assert_eq!(
+            m.alerts.len(),
+            2 * BURN_RULES.len(),
+            "one fire edge, one resolve edge per rule"
+        );
     }
 
     #[test]
     fn monitor_needs_min_events_before_firing() {
-        let mut m = monitor(0.1, 2.0);
-        m.record_shed(0);
-        m.record_shed(MS);
+        let mut m = monitor();
+        for i in 0..MIN_EVENTS - 1 {
+            m.record_shed(i * MS);
+        }
         assert!(
             m.alerts.is_empty(),
             "100% bad but below min_events: no page"
@@ -436,14 +400,13 @@ mod tests {
 
     /// The monitor as it stood before the windowed p99 became lazy, kept as
     /// the reference: the quantile is formed on every event, edge or not.
-    fn eager_alerts(cfg: &SloConfig, bounds: &[f64], events: &[Event]) -> Vec<AlertEvent> {
-        let mut windows: Vec<(EventWindow, EventWindow)> = cfg
-            .rules
+    fn eager_alerts(bounds: &[f64], events: &[Event]) -> Vec<AlertEvent> {
+        let mut windows: Vec<(EventWindow, EventWindow)> = BURN_RULES
             .iter()
             .map(|r| (EventWindow::new(r.long_ns), EventWindow::new(r.short_ns)))
             .collect();
-        let mut active = vec![false; cfg.rules.len()];
-        let mut sketch = WindowedSketch::new(bounds, cfg.sketch_slice_ns, cfg.sketch_slices);
+        let mut active = vec![false; BURN_RULES.len()];
+        let mut sketch = WindowedSketch::new(bounds, SKETCH_SLICE_NS, SKETCH_SLICES);
         let mut alerts = Vec::new();
         for &(now_ns, served) in events {
             if let Some((latency_ns, _)) = served {
@@ -455,15 +418,14 @@ mod tests {
                 Some(v) if v.is_finite() => v as u64,
                 Some(_) => u64::MAX,
             };
-            for (i, rule) in cfg.rules.iter().enumerate() {
+            for (i, rule) in BURN_RULES.iter().enumerate() {
                 let (long, short) = &mut windows[i];
                 long.record(now_ns, bad);
                 short.record(now_ns, bad);
-                let burn_long = long.bad_fraction() / cfg.error_budget;
-                let burn_short = short.bad_fraction() / cfg.error_budget;
-                let fired = long.total() >= cfg.min_events
-                    && burn_long > rule.burn
-                    && burn_short > rule.burn;
+                let burn_long = long.bad_fraction() / ERROR_BUDGET;
+                let burn_short = short.bad_fraction() / ERROR_BUDGET;
+                let fired =
+                    long.total() >= MIN_EVENTS && burn_long > rule.burn && burn_short > rule.burn;
                 if fired != active[i] {
                     active[i] = fired;
                     alerts.push(AlertEvent {
@@ -480,8 +442,8 @@ mod tests {
         alerts
     }
 
-    /// Property: over random rule sets and event streams that swing between
-    /// healthy and burning phases, the monitor's alert stream equals the
+    /// Property: over random event streams that swing between healthy and
+    /// burning phases, the monitor's alert stream equals the
     /// eager reference's field for field, `windowed_p99_ns` included.
     /// `FGNN_PROP_CASES` scales the case count (`scripts/ci.sh` runs 256).
     #[test]
@@ -493,25 +455,6 @@ mod tests {
         let mut edges = 0usize;
         for case in 0..cases {
             let mut rng = fgnn_tensor::Rng::new(0x0A1E_27ED ^ case.wrapping_mul(0x9E37_79B9));
-            let rules = ["a", "b", "c"][..1 + rng.below(3)]
-                .iter()
-                .map(|&label| {
-                    let short_ns = (1 + rng.below(20) as u64) * MS;
-                    BurnRule {
-                        label,
-                        long_ns: short_ns * (1 + rng.below(6) as u64),
-                        short_ns,
-                        burn: 1.0 + rng.below(5) as f64,
-                    }
-                })
-                .collect();
-            let cfg = SloConfig {
-                error_budget: [0.02, 0.05, 0.1][rng.below(3)],
-                rules,
-                min_events: rng.below(24) as u64,
-                sketch_slice_ns: (1 + rng.below(10) as u64) * MS,
-                sketch_slices: 1 + rng.below(8),
-            };
             // No finite edge at all makes the quantile infinite: the
             // `u64::MAX` arm of the conversion is part of the contract.
             let bounds: &[f64] = if rng.below(8) == 0 {
@@ -539,14 +482,14 @@ mod tests {
                 })
                 .collect();
 
-            let mut m = SloMonitor::new(cfg.clone(), bounds);
+            let mut m = SloMonitor::new(bounds);
             for &(t, served) in &events {
                 match served {
                     Some((latency_ns, bad)) => m.record_served(t, latency_ns, bad),
                     None => m.record_shed(t),
                 }
             }
-            assert_eq!(m.alerts, eager_alerts(&cfg, bounds, &events), "case {case}");
+            assert_eq!(m.alerts, eager_alerts(bounds, &events), "case {case}");
             edges += m.alerts.len();
         }
         assert!(edges as u64 >= cases, "the streams cross alert edges");
@@ -555,7 +498,7 @@ mod tests {
     #[test]
     fn monitor_is_deterministic() {
         let run = || {
-            let mut m = monitor(0.05, 3.0);
+            let mut m = monitor();
             for i in 0..50u64 {
                 if i % 3 == 0 {
                     m.record_shed(i * MS / 2);

@@ -9,7 +9,7 @@
 //! [`crate::driver::Driver`], whose epoch loop is this engine's only
 //! caller. This module is the single implementation of that shape:
 //!
-//! * [`Engine::run_epoch`] owns the epoch skeleton: build the
+//! * `Engine::run_epoch` owns the epoch skeleton: build the
 //!   [`TransferEngine`] from the trainer's optional
 //!   [`FaultPlan`](fgnn_memsim::fault::FaultPlan)
 //!   (threading the plan's RNG stream back out afterwards so a run is one
@@ -18,7 +18,7 @@
 //!   assemble the [`EpochStats`] — counter delta, per-stage
 //!   [`StageTimings`], mean loss.
 //! * [`PipelineCtx`] is handed to the per-batch step function; its
-//!   [`PipelineCtx::stage`] scopes are how trainers declare *which* stage
+//!   `PipelineCtx::stage` scopes are how trainers declare *which* stage
 //!   the enclosed work belongs to. A scope snapshots the traffic ledger,
 //!   runs the stage body (with access to the epoch's transfer engine),
 //!   and attributes the ledger delta plus the measured wall time to the
@@ -47,7 +47,7 @@ use fgnn_memsim::topology::Topology;
 use fgnn_memsim::{TrafficCounters, TransferEngine};
 use std::time::Instant;
 
-/// Statistics of one training epoch, produced by [`Engine::run_epoch`].
+/// Statistics of one training epoch, produced by `Engine::run_epoch`.
 #[derive(Clone, Debug)]
 pub struct EpochStats {
     /// Mean mini-batch loss.
@@ -87,7 +87,7 @@ pub struct BatchOutput {
 
 impl BatchOutput {
     /// A batch that only has a loss to report (cache-less trainers).
-    pub fn loss_only(loss: f32) -> Self {
+    pub(crate) fn loss_only(loss: f32) -> Self {
         BatchOutput {
             loss,
             cache_reads: 0,
@@ -127,7 +127,7 @@ impl<'t> PipelineCtx<'t> {
     /// advances by the scope's *exact* ledger delta (transfer + retry +
     /// compute seconds — never the measured sample/prune wall time), so
     /// span timestamps are bit-reproducible across runs.
-    pub fn stage<R>(
+    pub(crate) fn stage<R>(
         &mut self,
         kind: StageKind,
         counters: &mut TrafficCounters,
@@ -162,7 +162,7 @@ impl<'t> PipelineCtx<'t> {
     /// Trainers consult this at the top of each batch to decide whether to
     /// run the batch in degraded mode (bypass the ring cache, fetch raw
     /// features).
-    pub fn breaker_open(&self) -> bool {
+    pub(crate) fn breaker_open(&self) -> bool {
         self.transfer.breaker_open()
     }
 }
@@ -190,7 +190,7 @@ impl Engine {
     /// `obs` is taken for the duration of the epoch and restored — with
     /// the epoch/batch/stage span tree appended and the per-stage and
     /// per-link metrics flushed — before returning.
-    pub fn run_epoch<'t, U>(
+    pub(crate) fn run_epoch<'t, U>(
         topo: &'t Topology,
         faults: &mut FaultState,
         counters: &mut TrafficCounters,

@@ -1,6 +1,6 @@
 //! Measurement probes behind the paper's analysis figures.
 //!
-//! * [`estimation_error`] — Fig 1: mean L2 distance between embeddings
+//! * `estimation_error` — Fig 1: mean L2 distance between embeddings
 //!   computed *with* historical overrides and the authentic embeddings of
 //!   the same mini-batch computed exactly;
 //! * [`EmbeddingStabilityProbe`] — Fig 3: distribution of cosine
@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 /// that the cache would serve (as produced by the pruner on a *clone* of
 /// the batch; the batch passed here must be un-pruned so the exact pass
 /// sees full aggregation).
-pub fn estimation_error(
+pub(crate) fn estimation_error(
     model: &Model,
     mb: &MiniBatch,
     h0: &Matrix,
@@ -75,17 +75,12 @@ impl EmbeddingStabilityProbe {
             None
         }
     }
-
-    /// Snapshots currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.history.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{PolicyInput, Verdict};
+    use crate::cache::{GradientPolicy, PolicyInput, Verdict};
     use fgnn_graph::sample::NeighborSampler;
     use fgnn_graph::Csr;
     use fgnn_nn::model::Arch;
@@ -99,7 +94,7 @@ mod tests {
         let mb = s.sample(&g, &[2], &[4, 4], &mut rng);
         let model = Model::new(Arch::Gcn, &[4, 4, 3], &mut rng);
         let h0 = rng.normal_matrix(mb.input_nodes().len(), 4, 1.0);
-        let cache = HistoricalCache::new(8, &[4, 3], 100, 8, false, true);
+        let cache = HistoricalCache::new(8, &[4, 3], 100, 8, true);
         let err = estimation_error(&model, &mb, &h0, &cache, &[vec![], vec![]]);
         assert_eq!(err, 0.0);
     }
@@ -112,7 +107,7 @@ mod tests {
         let mb = s.sample(&g, &[2], &[4, 4], &mut rng);
         let model = Model::new(Arch::Gcn, &[4, 4, 3], &mut rng);
         let h0 = rng.normal_matrix(mb.input_nodes().len(), 4, 1.0);
-        let mut cache = HistoricalCache::new(8, &[4, 3], 100, 8, false, true);
+        let mut cache = HistoricalCache::new(8, &[4, 3], 100, 8, true);
         // Admit a deliberately wrong embedding for the first level-1 dst.
         let node = mb.blocks[0].dst_global[0];
         let bogus = Matrix::full(1, 4, 7.0);
@@ -130,7 +125,7 @@ mod tests {
             &bogus,
             0,
         );
-        let slot = cache.lookup(1, node, 0).unwrap();
+        let slot = cache.lookup_with(1, node, 0, &GradientPolicy).unwrap();
         let err = estimation_error(&model, &mb, &h0, &cache, &[vec![(0, slot)], vec![]]);
         assert!(err > 0.0, "override must perturb the output");
     }
@@ -144,7 +139,7 @@ mod tests {
         let sims = p.record(Matrix::full(2, 4, 4.0)).expect("lag reached");
         // Constant-positive rows are perfectly aligned.
         assert!(sims.iter().all(|&s| (s - 1.0).abs() < 1e-6));
-        assert_eq!(p.buffered(), 3);
+        assert_eq!(p.history.len(), 3);
     }
 
     #[test]

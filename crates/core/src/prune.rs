@@ -126,7 +126,7 @@ mod tests {
     }
 
     fn empty_cache(dims: &[usize]) -> HistoricalCache {
-        HistoricalCache::new(16, dims, 100, 8, false, true)
+        HistoricalCache::new(16, dims, 100, 8, true)
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn disabled_cache_prunes_nothing() {
         let mut mb = sample_path();
-        let mut cache = HistoricalCache::new(16, &[4, 4], 0, 8, false, false);
+        let mut cache = HistoricalCache::new(16, &[4, 4], 0, 8, false);
         let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &GradientPolicy);
         assert_eq!(out.pruned_nodes, 0);
         assert!(out.cached.iter().all(Vec::is_empty));

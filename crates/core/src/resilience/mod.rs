@@ -45,7 +45,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// Stable numeric code for metric export (`0`/`1`/`2`).
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             HealthState::Healthy => 0,
             HealthState::Degraded => 1,
@@ -69,28 +69,14 @@ impl fmt::Display for HealthState {
     }
 }
 
-/// Tunables for the [`NumericGuard`].
-#[derive(Clone, Copy, Debug)]
-pub struct GuardConfig {
-    /// Trailing losses kept for the z-score window.
-    pub window: usize,
-    /// A loss more than this many window standard deviations above the
-    /// window mean counts as a spike.
-    pub z_threshold: f64,
-    /// Minimum window occupancy before spike detection engages (NaN/Inf
-    /// detection is always on).
-    pub min_samples: usize,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            window: 16,
-            z_threshold: 6.0,
-            min_samples: 8,
-        }
-    }
-}
+/// Trailing losses the [`NumericGuard`] keeps for its z-score window.
+const LOSS_WINDOW: usize = 16;
+/// A loss more than this many window standard deviations above the window
+/// mean counts as a spike.
+const SPIKE_Z: f64 = 6.0;
+/// Minimum window occupancy before spike detection engages (NaN/Inf
+/// detection is always on).
+const MIN_SAMPLES: usize = 8;
 
 /// What the [`NumericGuard`] detected.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -111,14 +97,14 @@ pub enum NumericFault {
 
 impl NumericFault {
     /// Iteration at which the fault fired.
-    pub fn iter(&self) -> u32 {
+    pub(crate) fn iter(&self) -> u32 {
         match *self {
             NumericFault::NonFinite { iter } | NumericFault::LossSpike { iter, .. } => iter,
         }
     }
 
     /// Short stable cause string for the transition log.
-    pub fn cause(&self) -> String {
+    pub(crate) fn cause(&self) -> String {
         match *self {
             NumericFault::NonFinite { iter } => format!("non-finite-loss@{iter}"),
             NumericFault::LossSpike { iter, .. } => format!("loss-spike@{iter}"),
@@ -132,28 +118,26 @@ impl NumericFault {
 /// detections are pure functions of it.
 #[derive(Clone, Debug)]
 pub struct NumericGuard {
-    cfg: GuardConfig,
     window: VecDeque<f64>,
 }
 
 impl NumericGuard {
-    /// An empty guard under `cfg`.
-    pub fn new(cfg: GuardConfig) -> Self {
+    /// An empty guard.
+    pub(crate) fn new() -> Self {
         NumericGuard {
-            cfg,
-            window: VecDeque::with_capacity(cfg.window.max(1)),
+            window: VecDeque::with_capacity(LOSS_WINDOW),
         }
     }
 
     /// Feed one batch loss; returns the fault it trips, if any. A faulty
     /// loss is *not* admitted into the window (the window only ever holds
     /// healthy history).
-    pub fn observe(&mut self, iter: u32, loss: f32) -> Option<NumericFault> {
+    pub(crate) fn observe(&mut self, iter: u32, loss: f32) -> Option<NumericFault> {
         if !loss.is_finite() {
             return Some(NumericFault::NonFinite { iter });
         }
         let loss = loss as f64;
-        if self.window.len() >= self.cfg.min_samples.max(2) {
+        if self.window.len() >= MIN_SAMPLES {
             let n = self.window.len() as f64;
             let mean = self.window.iter().sum::<f64>() / n;
             let var = self
@@ -165,12 +149,12 @@ impl NumericGuard {
             let std = var.sqrt();
             if std > 0.0 {
                 let z = (loss - mean) / std;
-                if z > self.cfg.z_threshold {
+                if z > SPIKE_Z {
                     return Some(NumericFault::LossSpike { iter, z });
                 }
             }
         }
-        if self.window.len() == self.cfg.window.max(1) {
+        if self.window.len() == LOSS_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(loss);
@@ -179,13 +163,8 @@ impl NumericGuard {
 
     /// Clear the window (issued after a rollback: the replayed epoch's
     /// losses start a fresh history).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.window.clear();
-    }
-
-    /// Current window occupancy (tests/metrics).
-    pub fn samples(&self) -> usize {
-        self.window.len()
     }
 }
 
@@ -210,16 +189,11 @@ pub struct Transition {
 pub struct SupervisorConfig {
     /// Rollbacks allowed before a numeric fault becomes a hard error.
     pub max_rollbacks: u32,
-    /// Numeric-guard tunables.
-    pub guard: GuardConfig,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            max_rollbacks: 3,
-            guard: GuardConfig::default(),
-        }
+        SupervisorConfig { max_rollbacks: 3 }
     }
 }
 
@@ -241,7 +215,7 @@ impl Supervisor {
     pub fn new(cfg: SupervisorConfig) -> Self {
         Supervisor {
             state: HealthState::Healthy,
-            guard: NumericGuard::new(cfg.guard),
+            guard: NumericGuard::new(),
             transitions: Vec::new(),
             rollbacks: 0,
             baseline: None,
@@ -265,7 +239,7 @@ impl Supervisor {
     }
 
     /// Whether the rollback budget still has room.
-    pub fn can_roll_back(&self) -> bool {
+    pub(crate) fn can_roll_back(&self) -> bool {
         self.rollbacks < self.cfg.max_rollbacks
     }
 
@@ -275,19 +249,19 @@ impl Supervisor {
     }
 
     /// Install (or refresh) the last-known-good baseline.
-    pub fn set_baseline(&mut self, ckpt: Checkpoint) {
+    pub(crate) fn set_baseline(&mut self, ckpt: Checkpoint) {
         self.baseline = Some(ckpt);
     }
 
     /// Borrow the baseline for a restore.
-    pub fn baseline(&self) -> Option<&Checkpoint> {
+    pub(crate) fn baseline(&self) -> Option<&Checkpoint> {
         self.baseline.as_ref()
     }
 
     /// Count a rollback against the budget and reset the numeric guard
     /// (the replayed epoch starts a fresh loss history). Also emits the
     /// `resilience.rollbacks` Exact counter.
-    pub fn record_rollback(&mut self, obs: &mut Obs) {
+    pub(crate) fn record_rollback(&mut self, obs: &mut Obs) {
         self.rollbacks += 1;
         self.guard.reset();
         obs.metrics
@@ -299,7 +273,7 @@ impl Supervisor {
     /// and in the Exact `resilience.state` / `resilience.transitions`
     /// metrics. Zero-duration spans never advance the sim clock, so
     /// arming the supervisor cannot perturb span timestamps.
-    pub fn transition(
+    pub(crate) fn transition(
         &mut self,
         to: HealthState,
         iter: u32,
@@ -396,7 +370,7 @@ mod tests {
 
     #[test]
     fn guard_flags_non_finite_immediately() {
-        let mut g = NumericGuard::new(GuardConfig::default());
+        let mut g = NumericGuard::new();
         assert_eq!(
             g.observe(3, f32::NAN),
             Some(NumericFault::NonFinite { iter: 3 })
@@ -405,33 +379,29 @@ mod tests {
             g.observe(4, f32::INFINITY),
             Some(NumericFault::NonFinite { iter: 4 })
         );
-        assert_eq!(g.samples(), 0, "faulty losses never enter the window");
+        assert_eq!(g.window.len(), 0, "faulty losses never enter the window");
     }
 
     #[test]
     fn guard_flags_spikes_only_after_warmup() {
-        let cfg = GuardConfig {
-            window: 8,
-            z_threshold: 4.0,
-            min_samples: 4,
-        };
-        let mut g = NumericGuard::new(cfg);
+        let mut g = NumericGuard::new();
         // A wild value during warmup is tolerated (no established stats).
         assert_eq!(g.observe(0, 100.0), None);
         g.reset();
-        for i in 0..6u32 {
+        let warm = MIN_SAMPLES as u32;
+        for i in 0..warm {
             assert_eq!(g.observe(i, 1.0 + 0.01 * i as f32), None);
         }
-        let fault = g.observe(6, 50.0).expect("spike detected");
-        assert!(matches!(fault, NumericFault::LossSpike { iter: 6, .. }));
-        assert!(fault.cause().starts_with("loss-spike@6"));
+        let fault = g.observe(warm, 50.0).expect("spike detected");
+        assert!(matches!(fault, NumericFault::LossSpike { iter, .. } if iter == warm));
+        assert!(fault.cause().starts_with(&format!("loss-spike@{warm}")));
         // The spike is not admitted: the very next sane loss is clean.
-        assert_eq!(g.observe(7, 1.05), None);
+        assert_eq!(g.observe(warm + 1, 1.05), None);
     }
 
     #[test]
     fn guard_tolerates_gradual_drift() {
-        let mut g = NumericGuard::new(GuardConfig::default());
+        let mut g = NumericGuard::new();
         // A steadily decreasing loss (normal training) never trips.
         for i in 0..100u32 {
             let loss = 2.0 * (-0.01 * i as f32).exp();
@@ -475,10 +445,7 @@ mod tests {
 
     #[test]
     fn rollback_budget_is_enforced() {
-        let mut sup = Supervisor::new(SupervisorConfig {
-            max_rollbacks: 2,
-            guard: GuardConfig::default(),
-        });
+        let mut sup = Supervisor::new(SupervisorConfig { max_rollbacks: 2 });
         let mut obs = Obs::new();
         assert!(sup.can_roll_back());
         sup.record_rollback(&mut obs);

@@ -222,7 +222,7 @@ impl<R: Send + 'static> Pool<R> {
 
 impl<R> Pool<R> {
     /// Number of tasks this pool will produce results for.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.total
     }
 

@@ -44,17 +44,12 @@ impl<R, E: From<TaskError>> InOrder<R, E> {
         }
     }
 
-    /// Number of items this stream will yield in total.
-    pub fn total(&self) -> usize {
-        self.pool.total()
-    }
-
     /// Fold this run into the metrics registry under `sampler.*` (schema in
     /// DESIGN.md §8); totals accumulate across epochs. Items released and
     /// panic retries are properties of the tasks and `Exact`; per-worker
     /// counts, latency and queue depth vary run to run and are `Measured`.
     /// An in-line epoch publishes the two `Exact` counters itself.
-    pub fn flush_obs(&self, m: &mut Metrics) {
+    pub(crate) fn flush_obs(&self, m: &mut Metrics) {
         let r = self.pool.obs_report();
         m.counter_add("sampler.batches", MetricClass::Exact, self.next as u64);
         m.counter_add("sampler.resample_retries", MetricClass::Exact, r.retries);

@@ -27,7 +27,9 @@
 use crate::runtime::TaskError;
 use std::sync::Arc;
 
-/// Default number of *re*-sample attempts after a worker panic.
+/// How many times an async sampler worker re-samples a batch whose
+/// sampling panicked before the epoch errors out (same `(seed, batch)` RNG
+/// each attempt, so recovery never changes the stream).
 pub const DEFAULT_SAMPLER_RETRIES: u32 = 2;
 
 /// Why an epoch's batch stream could not be fully produced.

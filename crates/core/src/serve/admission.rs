@@ -34,7 +34,7 @@ impl ShedReason {
     }
 
     /// Stable numeric code for span attributes (`0`/`1`/`2`).
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             ShedReason::RateLimited => 0,
             ShedReason::QueueFull => 1,
@@ -75,7 +75,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A full bucket refilling at `rate` tokens/second up to `cap`.
-    pub fn new(rate: f64, cap: f64) -> Self {
+    pub(crate) fn new(rate: f64, cap: f64) -> Self {
         TokenBucket {
             rate,
             cap,
@@ -87,7 +87,7 @@ impl TokenBucket {
     /// Take one token at sim time `now_ns`; `false` means rate-limited.
     /// Refill is computed from exact nanosecond deltas, so the accept/
     /// reject sequence is a pure function of the arrival times.
-    pub fn try_take(&mut self, now_ns: u64) -> bool {
+    pub(crate) fn try_take(&mut self, now_ns: u64) -> bool {
         let dt = now_ns.saturating_sub(self.last_ns) as f64 * 1e-9;
         self.last_ns = now_ns;
         self.tokens = (self.tokens + dt * self.rate).min(self.cap);
@@ -122,7 +122,7 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A fresh controller under `cfg`.
-    pub fn new(cfg: AdmissionConfig) -> Self {
+    pub(crate) fn new(cfg: AdmissionConfig) -> Self {
         let bucket = TokenBucket::new(cfg.rate_rps, cfg.burst);
         AdmissionController {
             cfg,
@@ -150,7 +150,7 @@ impl AdmissionController {
     /// recorded in the shed ledger. A full queue sheds the *oldest
     /// lowest-priority* entry when the arrival outranks it — latency-
     /// critical traffic displaces best-effort traffic, never vice versa.
-    pub fn offer(&mut self, req: Request, now_ns: u64) -> bool {
+    pub(crate) fn offer(&mut self, req: Request, now_ns: u64) -> bool {
         if !self.bucket.try_take(now_ns) {
             self.shed(req.id, ShedReason::RateLimited);
             return false;
@@ -184,7 +184,7 @@ impl AdmissionController {
     /// (dispatch time plus the engine's running service estimate): work
     /// that cannot finish in time is dropped *before* burning service
     /// capacity on it.
-    pub fn shed_expired(&mut self, horizon_ns: u64) {
+    pub(crate) fn shed_expired(&mut self, horizon_ns: u64) {
         let mut kept = VecDeque::with_capacity(self.queue.len());
         while let Some(r) = self.queue.pop_front() {
             if r.deadline_ns < horizon_ns {
@@ -197,7 +197,7 @@ impl AdmissionController {
     }
 
     /// Total shed requests across all reasons.
-    pub fn shed_total(&self) -> u64 {
+    pub(crate) fn shed_total(&self) -> u64 {
         self.shed_rate_limited + self.shed_queue_full + self.shed_deadline
     }
 }

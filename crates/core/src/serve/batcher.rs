@@ -36,7 +36,7 @@ pub struct Batcher {
 
 impl Batcher {
     /// A batcher under `cfg`.
-    pub fn new(cfg: BatcherConfig) -> Self {
+    pub(crate) fn new(cfg: BatcherConfig) -> Self {
         Batcher { cfg }
     }
 
@@ -44,7 +44,7 @@ impl Batcher {
     /// empty queue: immediately once full (`server_free_ns` gating), else
     /// when the oldest member's delay budget runs out. Never earlier than
     /// `cursor_ns`, the event loop's current position.
-    pub fn dispatch_at(
+    pub(crate) fn dispatch_at(
         &self,
         queue: &VecDeque<Request>,
         server_free_ns: u64,
@@ -62,7 +62,7 @@ impl Batcher {
     /// Pop the head batch (up to `max_batch` requests, arrival order) into
     /// `batch`, replacing what it held: the caller's one buffer serves
     /// every batch of a run.
-    pub fn take(&self, queue: &mut VecDeque<Request>, batch: &mut Vec<Request>) {
+    pub(crate) fn take(&self, queue: &mut VecDeque<Request>, batch: &mut Vec<Request>) {
         let n = queue.len().min(self.cfg.max_batch);
         batch.clear();
         batch.extend(queue.drain(..n));

@@ -218,7 +218,7 @@ impl<'a> ServeEngine<'a> {
         dims.push(ds.spec.num_classes);
         let model = Model::new(Arch::Sage, &dims, &mut rng);
         let store = EmbedStore::new(ds.num_nodes(), ds.spec.num_classes, cfg.freshness.clone());
-        let slo = SloMonitor::new(cfg.telemetry.slo.clone(), &SERVE_LATENCY_BUCKETS_NS);
+        let slo = SloMonitor::new(&SERVE_LATENCY_BUCKETS_NS);
         Ok(ServeEngine {
             ds,
             model,

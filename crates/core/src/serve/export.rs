@@ -8,9 +8,7 @@
 //! out of a live `exp_serve` run.
 
 use super::engine::ServeReport;
-use crate::obs::export::{
-    chrome_trace_tagged, json_escape, json_f64, metrics_jsonl, span_jsonl_line,
-};
+use crate::obs::export::{json_escape, json_f64, metrics_jsonl, span_jsonl_line};
 use crate::obs::window::AlertEvent;
 use crate::obs::{Obs, Tracer};
 
@@ -57,12 +55,6 @@ pub fn serve_trace_jsonl(section: &str, req_tracer: &Tracer, alerts: &[AlertEven
         ));
     }
     out
-}
-
-/// Render request-span sections as a Chrome-trace document tagged with
-/// the serve-trace schema (loadable in `chrome://tracing` / Perfetto).
-pub fn serve_chrome_trace(sections: &[(&str, &Tracer)]) -> String {
-    chrome_trace_tagged(SERVE_TRACE_SCHEMA_VERSION, sections)
 }
 
 /// Render one serving run as a JSONL document:
@@ -198,15 +190,5 @@ mod tests {
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn serve_chrome_trace_stamps_the_trace_schema() {
-        let mut t = Tracer::new();
-        t.begin("request", "serve_req", 0);
-        t.end(10);
-        let doc = serve_chrome_trace(&[("serve", &t)]);
-        assert!(doc.contains("fgnn-serve-trace-v1"));
-        assert!(doc.contains("\"name\":\"request\""));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Training admits embeddings by gradient norm because stability predicts
 //! reuse value; serving has no gradients, so the surrogate is **request
-//! frequency** ([`crate::cache::policy::frequency_policy`]): a hot node's
+//! frequency** ([`crate::cache::FrequencyPolicy`]): a hot node's
 //! embedding amortizes its recompute over many requests. Staleness is
 //! measured in sim-clock *milliseconds* rather than training iterations,
 //! and the bound is per request: each [`Request`] carries its own budget.
@@ -177,7 +177,7 @@ impl EmbedStore {
     }
 
     /// Preload embeddings unconditionally (cache warm-up before a run).
-    pub fn warm<'r>(
+    pub(crate) fn warm<'r>(
         &mut self,
         nodes: &[NodeId],
         mut rows: impl FnMut(usize) -> &'r [f32],

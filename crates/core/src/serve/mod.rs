@@ -48,14 +48,12 @@ pub use admission::{AdmissionConfig, AdmissionController, ShedReason, TokenBucke
 pub use batcher::{Batcher, BatcherConfig};
 pub use engine::{ServeEngine, ServeReport};
 pub use export::{
-    serve_chrome_trace, serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION,
-    SERVE_TRACE_SCHEMA_VERSION,
+    serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION, SERVE_TRACE_SCHEMA_VERSION,
 };
 pub use freshness::{EmbedStore, FreshnessConfig};
 pub use trace::{generate_trace, Priority, Request, TraceConfig};
 
 use crate::error::FgnnError;
-use crate::obs::window::SloConfig;
 
 /// Bucket edges (nanoseconds) for the serving-latency histogram. Latency
 /// observations are integer nanoseconds off the sim clock, so the
@@ -70,8 +68,9 @@ pub const SERVE_AGE_BUCKETS_MS: [f64; 9] =
 pub const SERVE_QUEUE_BUCKETS: [f64; 7] = [0.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Per-request observability knobs (DESIGN.md §12): exemplar-sampled
-/// request tracing plus the windowed SLO monitor. Both are pure functions
-/// of the seed, so telemetry never perturbs the served numbers.
+/// request tracing. It is a pure function of the seed, as is the windowed
+/// SLO monitor (fixed burn-rate rules, `obs::window`), so telemetry never
+/// perturbs the served numbers.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Trace every ~Nth request as a full span-tree exemplar. `0`
@@ -80,16 +79,11 @@ pub struct TelemetryConfig {
     /// same requests are exemplars on every rerun (every request is still
     /// *counted*; only span emission is sampled).
     pub exemplar_every: u64,
-    /// Multi-window SLO burn-rate monitor settings.
-    pub slo: SloConfig,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig {
-            exemplar_every: 16,
-            slo: SloConfig::default(),
-        }
+        TelemetryConfig { exemplar_every: 16 }
     }
 }
 
@@ -130,7 +124,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Validate the configuration, naming the offending knob.
-    pub fn validate(&self) -> Result<(), FgnnError> {
+    pub(crate) fn validate(&self) -> Result<(), FgnnError> {
         let bad = |m: String| Err(FgnnError::Serve(m));
         if self.trace.num_requests == 0 {
             return bad("trace.num_requests must be positive".into());
@@ -185,12 +179,6 @@ impl ServeConfig {
         }
         if self.fanouts.is_empty() {
             return bad("at least one fanout layer is required".into());
-        }
-        let budget = self.telemetry.slo.error_budget;
-        if !(budget > 0.0 && budget <= 1.0) {
-            return bad(format!(
-                "telemetry.slo.error_budget must be in (0, 1], got {budget}"
-            ));
         }
         Ok(())
     }

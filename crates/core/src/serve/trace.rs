@@ -29,20 +29,11 @@ pub enum Priority {
 
 impl Priority {
     /// Stable numeric code for metric export (`0`/`1`/`2`).
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             Priority::Low => 0,
             Priority::Normal => 1,
             Priority::High => 2,
-        }
-    }
-
-    /// Stable lowercase name for logs and exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Low => "low",
-            Priority::Normal => "normal",
-            Priority::High => "high",
         }
     }
 }
@@ -67,6 +58,15 @@ pub struct Request {
     pub staleness_budget_ms: u32,
 }
 
+/// Burst cycle length (seconds): each cycle opens with a burst window.
+const BURST_PERIOD_SECS: f64 = 0.2;
+/// Burst window length (seconds) at the start of each cycle.
+const BURST_SECS: f64 = 0.05;
+/// Fraction of requests drawn as [`Priority::High`].
+const HIGH_FRAC: f32 = 0.1;
+/// Fraction of requests drawn as [`Priority::Low`].
+const LOW_FRAC: f32 = 0.2;
+
 /// Trace-generator knobs.
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
@@ -78,21 +78,13 @@ pub struct TraceConfig {
     pub zipf_exponent: f64,
     /// Base offered load, requests per simulated second.
     pub rate_rps: f64,
-    /// Burst cycle length (seconds): each cycle opens with a burst window.
-    pub burst_period_secs: f64,
-    /// Burst window length (seconds) at the start of each cycle; `0`
-    /// disables bursts.
-    pub burst_secs: f64,
-    /// Arrival-rate multiplier inside burst windows (`>= 1`).
+    /// Arrival-rate multiplier inside the burst window that opens each
+    /// `BURST_PERIOD_SECS` cycle (`>= 1`; `1` disables bursts).
     pub burst_factor: f64,
     /// Response deadline, milliseconds after arrival.
     pub deadline_ms: u32,
     /// Inclusive range of per-request staleness budgets (milliseconds).
     pub budget_ms: (u32, u32),
-    /// Fraction of requests drawn as [`Priority::High`].
-    pub high_frac: f32,
-    /// Fraction of requests drawn as [`Priority::Low`].
-    pub low_frac: f32,
 }
 
 impl Default for TraceConfig {
@@ -102,13 +94,9 @@ impl Default for TraceConfig {
             num_nodes: 1024,
             zipf_exponent: 0.8,
             rate_rps: 2000.0,
-            burst_period_secs: 0.2,
-            burst_secs: 0.05,
             burst_factor: 2.0,
             deadline_ms: 100,
             budget_ms: (100, 400),
-            high_frac: 0.1,
-            low_frac: 0.2,
         }
     }
 }
@@ -141,9 +129,7 @@ pub fn generate_trace(cfg: &TraceConfig, seed: u64) -> Vec<Request> {
     for id in 0..cfg.num_requests as u64 {
         // Open-loop arrival: exponential inter-arrival at the current
         // (possibly bursting) rate.
-        let bursting = cfg.burst_secs > 0.0
-            && cfg.burst_period_secs > 0.0
-            && (t_secs % cfg.burst_period_secs) < cfg.burst_secs;
+        let bursting = (t_secs % BURST_PERIOD_SECS) < BURST_SECS;
         let rate = if bursting {
             cfg.rate_rps * cfg.burst_factor
         } else {
@@ -159,9 +145,9 @@ pub fn generate_trace(cfg: &TraceConfig, seed: u64) -> Vec<Request> {
         let node = rank_to_node[rank];
 
         let p = rng.uniform();
-        let priority = if p < cfg.high_frac {
+        let priority = if p < HIGH_FRAC {
             Priority::High
-        } else if p < cfg.high_frac + cfg.low_frac {
+        } else if p < HIGH_FRAC + LOW_FRAC {
             Priority::Low
         } else {
             Priority::Normal
@@ -240,24 +226,25 @@ mod tests {
         let cfg = TraceConfig {
             num_requests: 6000,
             rate_rps: 1000.0,
-            burst_period_secs: 1.0,
-            burst_secs: 0.5,
             burst_factor: 4.0,
             ..Default::default()
         };
         let trace = generate_trace(&cfg, 5);
         let (mut in_burst, mut outside) = (0u64, 0u64);
         for r in &trace {
-            let phase = (r.arrival_ns as f64 * 1e-9) % 1.0;
-            if phase < 0.5 {
+            let phase = (r.arrival_ns as f64 * 1e-9) % BURST_PERIOD_SECS;
+            if phase < BURST_SECS {
                 in_burst += 1;
             } else {
                 outside += 1;
             }
         }
+        // Arrivals per second of window time, inside and outside bursts.
+        let burst_rate = in_burst as f64 / BURST_SECS;
+        let steady_rate = outside as f64 / (BURST_PERIOD_SECS - BURST_SECS);
         assert!(
-            in_burst > 2 * outside,
-            "burst {in_burst} vs steady {outside}"
+            burst_rate > 2.0 * steady_rate,
+            "burst {burst_rate} vs steady {steady_rate} arrivals per window second"
         );
     }
 }

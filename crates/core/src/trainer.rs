@@ -41,8 +41,6 @@ use fgnn_nn::Optimizer;
 use fgnn_tensor::{Matrix, Rng};
 use std::sync::Arc;
 
-pub use crate::pipeline::EpochStats;
-
 /// The FreshGNN trainer: the epoch [`Driver`] over the [`Homogeneous`]
 /// workload.
 pub type Trainer = Driver<Homogeneous>;
@@ -248,9 +246,9 @@ impl Workload for Homogeneous {
             st.model.zero_grad();
             reset_policy_inputs(policy_inputs, num_levels);
             let cache_enabled = st.cfg.cache_enabled();
-            let cache_top = st.cfg.cache_top_layer;
             let hook = |level: usize, d: &mut Matrix| {
-                if !cache_enabled || (level == num_levels && !cache_top) {
+                // The top level (the logits) is never cached.
+                if !cache_enabled || level == num_levels {
                     return;
                 }
                 let b = level - 1;
@@ -596,7 +594,7 @@ mod tests {
     #[test]
     fn resilient_epoch_errors_when_rollback_budget_exhausted() {
         use crate::error::FgnnError;
-        use crate::resilience::{GuardConfig, Supervisor, SupervisorConfig};
+        use crate::resilience::{Supervisor, SupervisorConfig};
         let ds = tiny_dataset();
         let mut t = Trainer::new(
             &ds,
@@ -607,10 +605,7 @@ mod tests {
             8,
         );
         let mut opt = Adam::new(0.01);
-        let mut sup = Supervisor::new(SupervisorConfig {
-            max_rollbacks: 2,
-            guard: GuardConfig::default(),
-        });
+        let mut sup = Supervisor::new(SupervisorConfig { max_rollbacks: 2 });
         // Injections at the same post-rollback iteration re-fire on every
         // replay: a persistent divergence.
         t.inject_nan_at([0, 1, 2, 3]);

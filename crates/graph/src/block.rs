@@ -10,7 +10,7 @@ use crate::{Csr2, NodeId};
 
 /// One bipartite layer of a sampled mini-batch.
 ///
-/// Invariants (checked by [`Block::validate`]):
+/// Invariants (checked by `Block::validate`):
 /// * `src_global[i] == dst_global[i]` for `i < dst_global.len()` — every
 ///   destination is also a source so its own previous-layer representation
 ///   is available (self term of GCN/SAGE updates);
@@ -47,7 +47,7 @@ impl Block {
     }
 
     /// Check the structural invariants; used by tests and debug assertions.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.adj.num_nodes() != self.num_dst() {
             return Err(format!(
                 "adjacency has {} rows but block has {} dst nodes",

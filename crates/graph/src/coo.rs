@@ -13,18 +13,9 @@ pub const TOMBSTONE: NodeId = NodeId::MAX;
 pub struct Coo {
     src: Vec<NodeId>,
     dst: Vec<NodeId>,
-    n: usize,
 }
 
 impl Coo {
-    /// Build from directed edges, sorting by destination.
-    pub fn from_directed_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut pairs: Vec<(NodeId, NodeId)> = edges.to_vec();
-        pairs.sort_unstable_by_key(|&(s, d)| (d, s));
-        let (src, dst) = pairs.into_iter().unzip();
-        Coo { src, dst, n }
-    }
-
     /// Convert from CSR (preserves the by-destination grouping).
     pub fn from_csr(csr: &Csr) -> Self {
         let mut src = Vec::with_capacity(csr.num_edges());
@@ -35,51 +26,7 @@ impl Coo {
                 dst.push(v);
             }
         }
-        Coo {
-            src,
-            dst,
-            n: csr.num_nodes(),
-        }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edge slots, including tombstones.
-    #[inline]
-    pub fn num_edge_slots(&self) -> usize {
-        self.src.len()
-    }
-
-    /// Number of live (non-tombstoned) edges.
-    pub fn num_live_edges(&self) -> usize {
-        self.src.iter().filter(|&&s| s != TOMBSTONE).count()
-    }
-
-    /// Source endpoints (by-destination order; tombstoned entries are
-    /// [`TOMBSTONE`]).
-    #[inline]
-    pub fn src(&self) -> &[NodeId] {
-        &self.src
-    }
-
-    /// Destination endpoints.
-    #[inline]
-    pub fn dst(&self) -> &[NodeId] {
-        &self.dst
-    }
-
-    /// Live in-neighbors of `v` (allocates; COO is not the hot-path format).
-    pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let (lo, hi) = self.edge_range(v);
-        self.src[lo..hi]
-            .iter()
-            .copied()
-            .filter(|&s| s != TOMBSTONE)
-            .collect()
+        Coo { src, dst }
     }
 
     /// Binary-search the contiguous edge range of destination `v`:
@@ -118,22 +65,17 @@ mod tests {
     use super::*;
 
     fn sample() -> Coo {
-        Coo::from_directed_edges(4, &[(1, 3), (0, 1), (2, 3), (0, 2), (3, 0)])
+        Coo::from_csr(&Csr::from_directed_edges(
+            4,
+            &[(1, 3), (0, 1), (2, 3), (0, 2), (3, 0)],
+        ))
     }
 
     #[test]
     fn sorted_by_destination() {
         let c = sample();
-        assert!(c.dst().windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(c.num_edge_slots(), 5);
-    }
-
-    #[test]
-    fn neighbors_match_edges() {
-        let c = sample();
-        assert_eq!(c.neighbors(3), vec![1, 2]);
-        assert_eq!(c.neighbors(0), vec![3]);
-        assert_eq!(c.neighbors(1), vec![0]);
+        assert!(c.dst.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(c.bytes(), 2 * 5 * std::mem::size_of::<NodeId>());
     }
 
     #[test]
@@ -141,23 +83,24 @@ mod tests {
         let mut c = sample();
         let removed = c.prune_neighbors(3);
         assert_eq!(removed, 2);
-        assert!(c.neighbors(3).is_empty());
-        assert_eq!(c.neighbors(0), vec![3]);
-        assert_eq!(c.num_live_edges(), 3);
-        // Double prune is a no-op.
+        assert_eq!(c.src.iter().filter(|&&s| s != TOMBSTONE).count(), 3);
+        // Double prune is a no-op, and the other ranges are intact.
         assert_eq!(c.prune_neighbors(3), 0);
+        assert_eq!(c.prune_neighbors(0), 1);
     }
 
     #[test]
     fn from_csr_round_trips_neighbor_sets() {
         let csr = Csr::from_directed_edges(4, &[(1, 3), (0, 1), (2, 3), (0, 2)]);
-        let coo = Coo::from_csr(&csr);
+        let mut coo = Coo::from_csr(&csr);
         for v in 0..4 {
-            let mut a = coo.neighbors(v);
+            let (lo, hi) = coo.edge_range(v);
+            let mut a = coo.src[lo..hi].to_vec();
             a.sort_unstable();
             let mut b = csr.neighbors(v).to_vec();
             b.sort_unstable();
             assert_eq!(a, b, "node {v}");
+            assert_eq!(coo.prune_neighbors(v), csr.degree(v), "node {v}");
         }
     }
 
@@ -165,7 +108,7 @@ mod tests {
     fn prune_node_with_no_edges() {
         let mut c = sample();
         assert_eq!(c.prune_neighbors(2), 1); // node 2 has in-edge from 0
-        let mut c2 = Coo::from_directed_edges(3, &[(0, 1)]);
+        let mut c2 = Coo::from_csr(&Csr::from_directed_edges(3, &[(0, 1)]));
         assert_eq!(c2.prune_neighbors(2), 0);
     }
 }

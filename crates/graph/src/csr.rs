@@ -89,13 +89,13 @@ impl Csr {
 
     /// Raw offset array (n+1 entries).
     #[inline]
-    pub fn indptr(&self) -> &[usize] {
+    pub(crate) fn indptr(&self) -> &[usize] {
         &self.indptr
     }
 
     /// Raw neighbor array.
     #[inline]
-    pub fn indices(&self) -> &[NodeId] {
+    pub(crate) fn indices(&self) -> &[NodeId] {
         &self.indices
     }
 

@@ -73,12 +73,6 @@ impl Csr2 {
         self.start.iter().zip(&self.end).map(|(&s, &e)| e - s).sum()
     }
 
-    /// Total edge slots in the column array, including pruned ones.
-    #[inline]
-    pub fn num_edge_slots(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Live neighbors of node `i`.
     #[inline]
     pub fn neighbors(&self, i: usize) -> &[NodeId] {
@@ -148,7 +142,7 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.num_live_edges(), 3);
         // The column array is untouched — only offsets changed.
-        assert_eq!(g.num_edge_slots(), 6);
+        assert_eq!(g.indices.len(), 6);
     }
 
     #[test]
@@ -185,7 +179,7 @@ mod tests {
     fn storage_accounting_matches_table1_shape() {
         let g = sample();
         let v = g.num_nodes();
-        let e = g.num_edge_slots();
+        let e = g.indices.len();
         assert_eq!(
             g.bytes(),
             2 * v * std::mem::size_of::<usize>() + e * std::mem::size_of::<NodeId>()

@@ -48,12 +48,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Override the node count (keeps everything else).
-    pub fn with_nodes(mut self, n: usize) -> Self {
-        self.num_nodes = n;
-        self
-    }
-
     /// Override the feature dimension (for quick experiments).
     pub fn with_dim(mut self, dim: usize) -> Self {
         self.feature_dim = dim;

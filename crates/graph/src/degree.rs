@@ -1,15 +1,8 @@
-//! Degree utilities: distributions and the degree-ordered node ranking used
+//! Degree utilities: the average degree and the degree-ordered node ranking used
 //! by the raw-feature cache (GNNLab-style and FreshGNN's empty-slot
 //! backfill, §4.2).
 
 use crate::{Csr, NodeId};
-
-/// In-degrees of every node.
-pub fn degrees(graph: &Csr) -> Vec<usize> {
-    (0..graph.num_nodes() as NodeId)
-        .map(|v| graph.degree(v))
-        .collect()
-}
 
 /// Node IDs sorted by descending degree (ties broken by ID for
 /// determinism). `nodes_by_degree(g)[0]` is the hottest node.
@@ -17,25 +10,6 @@ pub fn nodes_by_degree(graph: &Csr) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = (0..graph.num_nodes() as NodeId).collect();
     order.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
     order
-}
-
-/// log2-bucketed degree histogram: `hist[k]` counts nodes with degree in
-/// `[2^k, 2^{k+1})`; `hist[0]` also counts degree-0 and degree-1 nodes.
-pub fn degree_histogram(graph: &Csr) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for v in 0..graph.num_nodes() as NodeId {
-        let d = graph.degree(v);
-        let bucket = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - d.leading_zeros()) as usize
-        };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
 }
 
 /// Average degree.
@@ -56,25 +30,11 @@ mod tests {
     }
 
     #[test]
-    fn degrees_of_star() {
-        let d = degrees(&star());
-        assert_eq!(d, vec![4, 1, 1, 1, 1]);
-    }
-
-    #[test]
     fn hub_ranks_first() {
         let order = nodes_by_degree(&star());
         assert_eq!(order[0], 0);
         // Ties broken by node ID.
         assert_eq!(&order[1..], &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = degree_histogram(&star());
-        // Four degree-1 nodes in bucket 0, one degree-4 node in bucket 2.
-        assert_eq!(h[0], 4);
-        assert_eq!(h[2], 1);
     }
 
     #[test]

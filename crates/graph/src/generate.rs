@@ -10,7 +10,7 @@
 //!   redrawn *within the source's community* with probability `homophily`,
 //!   otherwise drawn globally — giving the label-correlated structure GNN
 //!   accuracy experiments need (labels = communities, see
-//!   [`planted_features`]).
+//!   `planted_features`).
 //!
 //! Node weights are shuffled relative to communities so hubs appear in every
 //! community, as in real citation/social graphs.
@@ -161,7 +161,7 @@ pub struct PlantedSignal {
 /// moderate `s` the raw features are weakly informative and message passing
 /// over homophilous edges genuinely helps — the regime where
 /// historical-embedding error shows up as accuracy loss (Fig 2 / Table 3).
-pub fn planted_features(
+pub(crate) fn planted_features(
     communities: &[u16],
     num_communities: usize,
     dim: usize,
@@ -195,7 +195,7 @@ pub fn planted_features(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::{average_degree, degree_histogram};
+    use crate::degree::{average_degree, nodes_by_degree};
 
     fn small_config() -> GraphConfig {
         GraphConfig {
@@ -219,9 +219,9 @@ mod tests {
     fn degree_distribution_has_heavy_tail() {
         let mut rng = Rng::new(8);
         let g = generate(&small_config(), &mut rng);
-        let hist = degree_histogram(&g.graph);
-        // Power law: some nodes land several buckets above the mean bucket.
-        assert!(hist.len() >= 5, "histogram too narrow: {hist:?}");
+        let max = g.graph.degree(nodes_by_degree(&g.graph)[0]);
+        // Power law: some nodes land several log2 buckets above the mean.
+        assert!(max >= 16, "max degree {max}");
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub struct HeteroGraph {
     pub relations: Vec<Relation>,
 }
 
-impl HeteroGraph {
-    /// Index of a node type by name. Panics if absent.
-    pub fn type_id(&self, name: &str) -> usize {
-        self.type_names
-            .iter()
-            .position(|&n| n == name)
-            .unwrap_or_else(|| panic!("unknown node type {name}"))
-    }
-}
-
 /// One typed bipartite layer of a sampled heterogeneous mini-batch.
 #[derive(Clone, Debug)]
 pub struct HeteroBlock {
@@ -301,7 +291,7 @@ mod tests {
         assert_eq!(ds.features[0].rows(), 300);
         assert_eq!(ds.features[1].rows(), ds.graph.node_counts[1]);
         assert_eq!(ds.labels.len(), 300);
-        assert_eq!(ds.graph.type_id("author"), 1);
+        assert_eq!(ds.graph.type_names[1], "author");
     }
 
     #[test]

@@ -58,30 +58,17 @@ impl NodeMapper {
         }
     }
 
-    /// Look up `global` without inserting.
-    #[inline]
-    pub fn get(&self, global: NodeId) -> Option<u32> {
-        let (stamp, local) = self.slots[global as usize];
-        (stamp == self.generation).then_some(local)
-    }
-
     /// Start loading `global`'s slot into cache ahead of a lookup (a hint:
     /// no mapping changes).
     #[inline]
-    pub fn prefetch(&self, global: NodeId) {
+    pub(crate) fn prefetch(&self, global: NodeId) {
         fgnn_tensor::prefetch(&self.slots, global as usize);
     }
 
     /// Number of mapped nodes this generation.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
-    }
-
-    /// Whether nothing is mapped.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
     }
 
     /// Global IDs in local-ID order.
@@ -95,6 +82,12 @@ impl NodeMapper {
 mod tests {
     use super::*;
 
+    /// `global`'s local ID if it is mapped this generation.
+    fn get(m: &NodeMapper, global: NodeId) -> Option<u32> {
+        let (stamp, local) = m.slots[global as usize];
+        (stamp == m.generation).then_some(local)
+    }
+
     #[test]
     fn assigns_sequential_locals() {
         let mut m = NodeMapper::new(10);
@@ -106,22 +99,13 @@ mod tests {
     }
 
     #[test]
-    fn get_does_not_insert() {
-        let mut m = NodeMapper::new(4);
-        assert_eq!(m.get(2), None);
-        m.get_or_insert(2);
-        assert_eq!(m.get(2), Some(0));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
     fn reset_is_logical_clear() {
         let mut m = NodeMapper::new(4);
         m.get_or_insert(1);
         m.get_or_insert(2);
         m.reset();
-        assert!(m.is_empty());
-        assert_eq!(m.get(1), None);
+        assert!(m.globals().is_empty());
+        assert_eq!(get(&m, 1), None);
         assert_eq!(m.get_or_insert(2), 0);
     }
 
@@ -144,20 +128,20 @@ mod tests {
         m.get_or_insert(5);
         m.generation = u32::MAX - 1;
         m.order.clear();
-        assert_eq!(m.get(5), None);
+        assert_eq!(get(&m, 5), None);
         assert_eq!(m.get_or_insert(1), 0);
-        assert_eq!(m.get(1), Some(0));
+        assert_eq!(get(&m, 1), Some(0));
         m.reset(); // u32::MAX
-        assert_eq!(m.get(1), None);
+        assert_eq!(get(&m, 1), None);
         assert_eq!(m.get_or_insert(2), 0);
         assert_eq!(m.get_or_insert(4), 1);
         m.reset(); // wraps: full clear, generation 1
         assert_eq!(m.generation, 1);
         assert!(m.slots.iter().all(|&slot| slot == (0, 0)), "{:?}", m.slots);
-        assert!(m.is_empty());
+        assert!(m.globals().is_empty());
         for g in 0..6 {
             assert_eq!(
-                m.get(g),
+                get(&m, g),
                 None,
                 "stale stamp on {g} aliases the new generation"
             );
@@ -165,7 +149,10 @@ mod tests {
         assert_eq!(m.get_or_insert(4), 0);
         assert_eq!(m.get_or_insert(5), 1);
         assert_eq!(m.get_or_insert(4), 0);
-        assert_eq!((m.get(4), m.get(5), m.get(1)), (Some(0), Some(1), None));
+        assert_eq!(
+            (get(&m, 4), get(&m, 5), get(&m, 1)),
+            (Some(0), Some(1), None)
+        );
         assert_eq!(m.globals(), &[4, 5]);
     }
 }

@@ -30,25 +30,6 @@ impl Partitioning {
         }
         out
     }
-
-    /// Fraction of (directed) edges whose endpoints share a partition.
-    pub fn edge_locality(&self, graph: &Csr) -> f64 {
-        let mut within = 0usize;
-        let mut total = 0usize;
-        for v in 0..graph.num_nodes() as NodeId {
-            for &u in graph.neighbors(v) {
-                total += 1;
-                if self.assignment[u as usize] == self.assignment[v as usize] {
-                    within += 1;
-                }
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            within as f64 / total as f64
-        }
-    }
 }
 
 /// LDG streaming partitioning into `k` balanced parts.
@@ -142,6 +123,25 @@ mod tests {
     use super::*;
     use crate::generate::{generate, GraphConfig};
 
+    /// Fraction of (directed) edges whose endpoints share a partition.
+    fn edge_locality(p: &Partitioning, graph: &Csr) -> f64 {
+        let mut within = 0usize;
+        let mut total = 0usize;
+        for v in 0..graph.num_nodes() as NodeId {
+            for &u in graph.neighbors(v) {
+                total += 1;
+                if p.assignment[u as usize] == p.assignment[v as usize] {
+                    within += 1;
+                }
+            }
+        }
+        if total == 0 {
+            1.0
+        } else {
+            within as f64 / total as f64
+        }
+    }
+
     fn two_cliques() -> Csr {
         // Nodes 0-3 form a clique, 4-7 form a clique, one bridge edge.
         let mut edges = Vec::new();
@@ -162,9 +162,9 @@ mod tests {
         let mut rng = Rng::new(1);
         let p = partition_ldg(&g, 2, &mut rng);
         assert!(
-            p.edge_locality(&g) > 0.9,
+            edge_locality(&p, &g) > 0.9,
             "locality {}",
-            p.edge_locality(&g)
+            edge_locality(&p, &g)
         );
         // Balanced: 4 + 4.
         let sizes: Vec<usize> = p.clusters().iter().map(Vec::len).collect();
@@ -204,9 +204,9 @@ mod tests {
         let p = partition_ldg(&g, 8, &mut rng);
         // Random assignment into 8 parts has locality ~1/8.
         assert!(
-            p.edge_locality(&g) > 0.3,
+            edge_locality(&p, &g) > 0.3,
             "locality {}",
-            p.edge_locality(&g)
+            edge_locality(&p, &g)
         );
     }
 
@@ -244,7 +244,7 @@ mod tests {
         let p = partition_ldg(&g, 4, &mut rng);
         assert_total_assignment(&p, 0, 4);
         assert!(p.clusters().iter().all(Vec::is_empty));
-        assert_eq!(p.edge_locality(&g), 1.0);
+        assert_eq!(edge_locality(&p, &g), 1.0);
     }
 
     #[test]

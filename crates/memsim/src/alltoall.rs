@@ -23,7 +23,7 @@ use crate::topology::{Node, Topology};
 /// link direction. 1–2 flows: full bandwidth (full duplex). More: PCIe
 /// arbitration loses ~35% aggregate throughput — the congestion the paper
 /// observed with NCCL all-to-all.
-pub fn congestion_factor(flows: usize) -> f64 {
+pub(crate) fn congestion_factor(flows: usize) -> f64 {
     if flows <= 2 {
         1.0
     } else {

@@ -41,7 +41,7 @@ pub struct NicSpec {
 
 impl NicSpec {
     /// 200 Gb/s ConnectX-6-class RDMA NIC, ~2 µs one-sided read latency.
-    pub fn connectx6() -> Self {
+    pub(crate) fn connectx6() -> Self {
         NicSpec {
             bandwidth: 25.0 * GB,
             latency: 2e-6,
@@ -68,7 +68,7 @@ pub struct ClusterTopology {
 impl ClusterTopology {
     /// Build a cluster of `num_hosts` failure domains with `gpus_per_host`
     /// GPUs each behind PCIe, linked by `nic` through a switch.
-    pub fn new(
+    pub(crate) fn new(
         num_hosts: usize,
         gpus_per_host: usize,
         nic: NicSpec,
@@ -92,7 +92,7 @@ impl ClusterTopology {
     }
 
     /// Effective cross-host bandwidth: the NIC capped by the switch.
-    pub fn effective_bandwidth(&self) -> f64 {
+    pub(crate) fn effective_bandwidth(&self) -> f64 {
         self.nic.bandwidth.min(self.switch_bandwidth)
     }
 
@@ -300,11 +300,6 @@ impl ClusterFaultPlan {
         &self.events
     }
 
-    /// Whether the plan schedules anything at all.
-    pub fn is_active(&self) -> bool {
-        !self.events.is_empty()
-    }
-
     /// Check the schedule against a cluster of `num_hosts`: hosts in
     /// range, no crash of an already-down host (or restart of an up one),
     /// and **every crash paired with a later restart** — an unmatched
@@ -429,11 +424,6 @@ impl AmBatcher {
         self.total_messages += 1;
     }
 
-    /// Bytes currently queued for `dst`.
-    pub fn pending_bytes(&self, dst: usize) -> u64 {
-        self.pending[dst].0
-    }
-
     /// Drain the queue: one [`AmTransfer`] per destination with pending
     /// traffic, in ascending destination order (deterministic).
     pub fn flush(&mut self) -> Vec<AmTransfer> {
@@ -494,7 +484,6 @@ mod tests {
             "naive {naive} vs batched {batched}"
         );
         // Flush drained everything.
-        assert_eq!(b.pending_bytes(1), 0);
         assert!(b.flush().is_empty());
         assert_eq!(b.total_messages, 1000);
         assert_eq!(b.total_flushes, 1);

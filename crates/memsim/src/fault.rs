@@ -17,16 +17,13 @@
 //!   after a backoff;
 //! * a **stalled** attempt still delivers, but the stall is capped by the
 //!   policy timeout — a stall past the timeout counts as a failure;
-//! * a **degraded** link multiplies transfer time on every route through
-//!   it; a **down** link fails every attempt routed over it;
 //! * when the retry budget is exhausted the engine falls back to a final
 //!   reliable (re-routed/two-sided) transfer that always completes, and
 //!   records the event in `failed_transfers` — training never wedges on a
 //!   lost transfer, it just pays for it.
 
-use std::collections::HashMap;
-
-/// Health of a single link (by index into `Topology::links()`).
+/// Health of a host's NIC link in the cluster simulator
+/// ([`crate::cluster`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LinkHealth {
     /// Fully operational.
@@ -62,8 +59,6 @@ pub enum FaultPlanError {
     },
     /// A stall duration was negative (or NaN).
     NegativeStall(f64),
-    /// A link-degradation factor was not a finite slowdown `>= 1`.
-    BadDegradationFactor(f64),
 }
 
 impl std::fmt::Display for FaultPlanError {
@@ -78,11 +73,6 @@ impl std::fmt::Display for FaultPlanError {
                     "negative stall of {s} seconds (stalls add time, they cannot remove it)"
                 )
             }
-            FaultPlanError::BadDegradationFactor(x) => write!(
-                f,
-                "degradation factor {x} must be a finite slowdown >= 1 \
-                 (a link runs at 1/factor of nominal speed)"
-            ),
         }
     }
 }
@@ -120,7 +110,7 @@ impl SplitMix64 {
 /// A deterministic, seed-driven schedule of interconnect faults.
 ///
 /// Built with the builder methods; consulted by the transfer engine once
-/// per attempt. With all probabilities zero (see [`FaultPlan::none`]) the
+/// per attempt. With all probabilities zero (see [`FaultPlan::new`]) the
 /// plan never fires and adds no overhead worth measuring.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
@@ -131,16 +121,9 @@ pub struct FaultPlan {
     stall_prob: f64,
     /// Stall duration in seconds when a stall fires.
     stall_seconds: f64,
-    /// Per-link health overrides; absent links are `Up`.
-    links: HashMap<usize, LinkHealth>,
 }
 
 impl FaultPlan {
-    /// A plan with no faults at all.
-    pub fn none() -> Self {
-        Self::new(0)
-    }
-
     /// A fault-free plan seeded for later builder calls.
     pub fn new(seed: u64) -> Self {
         FaultPlan {
@@ -148,7 +131,6 @@ impl FaultPlan {
             fail_prob: 0.0,
             stall_prob: 0.0,
             stall_seconds: 0.0,
-            links: HashMap::new(),
         }
     }
 
@@ -200,66 +182,15 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Degrade link `link` (index into `Topology::links()`) to `1/factor`
-    /// of its nominal bandwidth (`factor >= 1.0`).
-    ///
-    /// Panics on invalid input; use [`FaultPlan::try_with_degraded_link`]
-    /// to handle the error instead.
-    pub fn with_degraded_link(self, link: usize, factor: f64) -> Self {
-        self.try_with_degraded_link(link, factor)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::with_degraded_link`]: rejects a
-    /// factor that is not a finite slowdown `>= 1` (so `<= 0`, sub-unit
-    /// "speed-ups", NaN and infinities all fail) with a
-    /// [`FaultPlanError`].
-    pub fn try_with_degraded_link(
-        mut self,
-        link: usize,
-        factor: f64,
-    ) -> Result<Self, FaultPlanError> {
-        if !factor.is_finite() || factor < 1.0 {
-            return Err(FaultPlanError::BadDegradationFactor(factor));
-        }
-        self.links.insert(link, LinkHealth::Degraded(factor));
-        Ok(self)
-    }
-
-    /// Take link `link` hard down: every attempt routed over it fails.
-    pub fn with_down_link(mut self, link: usize) -> Self {
-        self.links.insert(link, LinkHealth::Down);
-        self
-    }
-
     /// Whether this plan can ever produce a fault (used by the engine to
     /// skip the draw entirely on the fault-free fast path).
-    pub fn is_active(&self) -> bool {
-        self.fail_prob > 0.0 || self.stall_prob > 0.0 || !self.links.is_empty()
-    }
-
-    /// Health of `link` under this plan.
-    pub fn link_health(&self, link: usize) -> LinkHealth {
-        self.links.get(&link).copied().unwrap_or(LinkHealth::Up)
-    }
-
-    /// Combined slowdown factor over a route (product of per-link
-    /// degradations), or `None` if any link on the route is down.
-    pub fn route_slowdown(&self, route: &[usize]) -> Option<f64> {
-        let mut factor = 1.0;
-        for &l in route {
-            match self.link_health(l) {
-                LinkHealth::Up => {}
-                LinkHealth::Degraded(f) => factor *= f,
-                LinkHealth::Down => return None,
-            }
-        }
-        Some(factor)
+    pub(crate) fn is_active(&self) -> bool {
+        self.fail_prob > 0.0 || self.stall_prob > 0.0
     }
 
     /// Draw the outcome of one attempt. Consumes plan RNG state, so the
     /// sequence of outcomes is a pure function of `(seed, call index)`.
-    pub fn draw_outcome(&mut self) -> AttemptOutcome {
+    pub(crate) fn draw_outcome(&mut self) -> AttemptOutcome {
         if self.fail_prob > 0.0 && self.rng.uniform() < self.fail_prob {
             return AttemptOutcome::Fail;
         }
@@ -267,15 +198,6 @@ impl FaultPlan {
             return AttemptOutcome::Stall(self.stall_seconds);
         }
         AttemptOutcome::Deliver
-    }
-
-    /// Draw a jitter multiplier in `[1, 1 + frac)` for retry backoff.
-    pub fn draw_jitter(&mut self, frac: f64) -> f64 {
-        if frac <= 0.0 {
-            1.0
-        } else {
-            1.0 + frac * self.rng.uniform()
-        }
     }
 }
 
@@ -320,15 +242,6 @@ impl BreakerState {
             BreakerState::HalfOpen => 2,
         }
     }
-
-    /// Stable lowercase name for logs and exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 /// Deterministic circuit breaker over the transfer fallback path.
@@ -357,7 +270,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker under `policy`.
-    pub fn new(policy: BreakerPolicy) -> Self {
+    pub(crate) fn new(policy: BreakerPolicy) -> Self {
         CircuitBreaker {
             policy,
             state: BreakerState::Closed,
@@ -375,14 +288,14 @@ impl CircuitBreaker {
 
     /// Whether the breaker is open (transfers fail fast; the pipeline's
     /// degraded mode keys off this).
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         self.state == BreakerState::Open
     }
 
     /// Called by the engine before a transfer's attempt loop. Returns
     /// `true` when the transfer must fail fast (breaker open), counting
     /// the fast-fail and ticking the cooldown toward half-open.
-    pub fn fail_fast(&mut self) -> bool {
+    pub(crate) fn fail_fast(&mut self) -> bool {
         if self.state != BreakerState::Open {
             return false;
         }
@@ -395,7 +308,7 @@ impl CircuitBreaker {
     }
 
     /// A transfer delivered within its retry budget.
-    pub fn record_success(&mut self) {
+    pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.state = BreakerState::Closed;
@@ -453,19 +366,20 @@ impl FaultState {
     }
 }
 
-/// Bounded-retry policy for faulted transfers.
+/// Backoff before the first retry, in simulated seconds.
+pub const BASE_BACKOFF: f64 = 1e-3;
+/// Exponential backoff growth per retry.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Jitter fraction: a backoff is scaled by `[1, 1 + BACKOFF_JITTER_FRAC)`
+/// drawn from the fault plan's RNG (deterministic).
+const BACKOFF_JITTER_FRAC: f64 = 0.25;
+
+/// Bounded-retry policy for faulted transfers. The backoff before retry
+/// `k` (0-based) is `BASE_BACKOFF * BACKOFF_MULTIPLIER^k * jitter`.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (total attempts = `1 + max_retries`).
     pub max_retries: u32,
-    /// Backoff before retry `k` (0-based) is
-    /// `base_backoff * multiplier^k * jitter`.
-    pub base_backoff: f64,
-    /// Exponential backoff growth per retry.
-    pub multiplier: f64,
-    /// Jitter fraction: the backoff is scaled by `[1, 1 + jitter_frac)`
-    /// drawn from the fault plan's RNG (deterministic).
-    pub jitter_frac: f64,
     /// Per-attempt wall-time budget in simulated seconds; an attempt whose
     /// time (including stall) exceeds this counts as failed and charges
     /// exactly the timeout.
@@ -476,9 +390,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 3,
-            base_backoff: 1e-3,
-            multiplier: 2.0,
-            jitter_frac: 0.25,
             timeout: 1.0,
         }
     }
@@ -486,8 +397,9 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Backoff (seconds) before 0-based retry `k`, jittered via `plan`.
-    pub fn backoff(&self, k: u32, plan: &mut FaultPlan) -> f64 {
-        self.base_backoff * self.multiplier.powi(k as i32) * plan.draw_jitter(self.jitter_frac)
+    pub(crate) fn backoff(&self, k: u32, plan: &mut FaultPlan) -> f64 {
+        let jitter = 1.0 + BACKOFF_JITTER_FRAC * plan.rng.uniform();
+        BASE_BACKOFF * BACKOFF_MULTIPLIER.powi(k as i32) * jitter
     }
 }
 
@@ -497,7 +409,7 @@ mod tests {
 
     #[test]
     fn fault_free_plan_always_delivers() {
-        let mut p = FaultPlan::none();
+        let mut p = FaultPlan::new(0);
         assert!(!p.is_active());
         for _ in 0..100 {
             assert_eq!(p.draw_outcome(), AttemptOutcome::Deliver);
@@ -526,29 +438,9 @@ mod tests {
     }
 
     #[test]
-    fn link_health_and_route_slowdown() {
-        let p = FaultPlan::new(0)
-            .with_degraded_link(1, 4.0)
-            .with_down_link(3);
-        assert_eq!(p.link_health(0), LinkHealth::Up);
-        assert_eq!(p.link_health(1), LinkHealth::Degraded(4.0));
-        assert_eq!(p.link_health(3), LinkHealth::Down);
-        assert_eq!(p.route_slowdown(&[0, 2]), Some(1.0));
-        assert_eq!(p.route_slowdown(&[0, 1]), Some(4.0));
-        assert_eq!(p.route_slowdown(&[1, 1]), Some(16.0));
-        assert_eq!(p.route_slowdown(&[0, 3]), None);
-    }
-
-    #[test]
     fn backoff_grows_exponentially_with_bounded_jitter() {
         let mut plan = FaultPlan::new(9);
-        let pol = RetryPolicy {
-            max_retries: 5,
-            base_backoff: 1e-3,
-            multiplier: 2.0,
-            jitter_frac: 0.25,
-            timeout: 1.0,
-        };
+        let pol = RetryPolicy::default();
         for k in 0..5u32 {
             let b = pol.backoff(k, &mut plan);
             let nominal = 1e-3 * 2f64.powi(k as i32);
@@ -638,12 +530,6 @@ mod tests {
         let err = FaultPlan::new(1).try_with_stalls(0.5, -1.0).unwrap_err();
         assert_eq!(err, FaultPlanError::NegativeStall(-1.0));
 
-        for bad in [0.0, -2.0, 0.5, f64::NAN, f64::INFINITY] {
-            let err = FaultPlan::new(1)
-                .try_with_degraded_link(0, bad)
-                .unwrap_err();
-            assert!(err.to_string().contains("slowdown >= 1"), "{err}");
-        }
         // NaN probabilities are rejected, never silently accepted.
         assert!(FaultPlan::new(1).try_with_fail_prob(f64::NAN).is_err());
         assert!(FaultPlan::new(1).try_with_stalls(f64::NAN, 0.0).is_err());
@@ -656,11 +542,8 @@ mod tests {
             .try_with_fail_prob(0.25)
             .unwrap()
             .try_with_stalls(0.1, 2.0)
-            .unwrap()
-            .try_with_degraded_link(3, 4.0)
             .unwrap();
         assert!(plan.is_active());
-        assert_eq!(plan.link_health(3), LinkHealth::Degraded(4.0));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   seeded crash/restart schedule ([`ClusterFaultPlan`]), and
 //!   active-message batching ([`AmBatcher`]) that amortizes per-transfer
 //!   latency over many small embedding fetches;
-//! * [`fault`] — deterministic seed-driven fault injection (degraded or
-//!   down links, transient failures, stalls) with a bounded
+//! * [`fault`] — deterministic seed-driven fault injection (transient
+//!   failures, stalls) with a bounded
 //!   retry/backoff/timeout policy, so robustness experiments reproduce
 //!   exactly (see DESIGN.md "Fault model & recovery");
 //! * [`counters`] — the byte/time ledger every experiment reads;

@@ -34,7 +34,7 @@ impl GpuSpec {
     }
 
     /// NVIDIA V100-16GB (multi-GPU p3.16xlarge experiments).
-    pub fn v100_16gb() -> Self {
+    pub(crate) fn v100_16gb() -> Self {
         GpuSpec {
             peak_flops: 15.7e12,
             utilization: 0.12,
@@ -79,16 +79,6 @@ impl Machine {
             topology: Topology::pcie_tree(num_gpus, 2, 16.0 * GB),
         }
     }
-
-    /// NVLink machine approximating p3.16xlarge: V100s with 50 GB/s
-    /// peer links plus PCIe to the host.
-    pub fn nvlink_v100(num_gpus: usize) -> Self {
-        Machine {
-            name: "V100s / NVLink",
-            gpu: GpuSpec::v100_16gb(),
-            topology: Topology::nvlink_clique(num_gpus, 50.0 * GB, 16.0 * GB),
-        }
-    }
 }
 
 /// FLOPs of one dense layer application: `2 * rows * in_dim * out_dim`
@@ -121,8 +111,6 @@ mod tests {
         let p = Machine::pcie_v100(8);
         assert_eq!(p.topology.num_gpus, 8);
         assert!(p.gpu.memory_bytes < m.gpu.memory_bytes);
-        let n = Machine::nvlink_v100(4);
-        assert!(n.topology.same_switch(0, 3));
     }
 
     #[test]

@@ -112,13 +112,13 @@ impl Topology {
     }
 
     /// The switch a GPU hangs off (PCIe trees).
-    pub fn switch_of(&self, gpu: usize) -> usize {
+    pub(crate) fn switch_of(&self, gpu: usize) -> usize {
         gpu / self.gpus_per_switch
     }
 
     /// Whether two GPUs share a PCIe switch (always true for cliques —
     /// every pair is "local" over its direct link).
-    pub fn same_switch(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same_switch(&self, a: usize, b: usize) -> bool {
         self.direct || self.switch_of(a) == self.switch_of(b)
     }
 
@@ -171,7 +171,7 @@ impl Topology {
     }
 
     /// The narrowest bandwidth along a route (bytes/s).
-    pub fn bottleneck(&self, route: &[usize]) -> f64 {
+    pub(crate) fn bottleneck(&self, route: &[usize]) -> f64 {
         route
             .iter()
             .map(|&l| self.links[l].bandwidth)

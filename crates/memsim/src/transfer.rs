@@ -127,9 +127,10 @@ impl<'a> TransferEngine<'a> {
 
     /// Run the attempt/retry state machine for one logical transfer whose
     /// fault-free cost is `nominal` seconds, committing each `(route, t)`
-    /// pair of busy time (scaled by the delivery slowdown) on the attempt
-    /// that finally lands. Returns the delivered-transfer seconds to charge
-    /// to `transfer_seconds`; fault losses go straight into `counters`.
+    /// pair of busy time (scaled by the fallback penalty if the transfer
+    /// fell back) once it lands. Returns the delivered-transfer seconds to
+    /// charge to `transfer_seconds`; fault losses go straight into
+    /// `counters`.
     fn deliver(
         &mut self,
         commits: &[(Vec<usize>, f64)],
@@ -146,39 +147,29 @@ impl<'a> TransferEngine<'a> {
         }
         let (mut plan, policy) = self.faults.take().expect("checked active above");
 
-        let slowdown = commits.iter().try_fold(1.0f64, |acc, (route, _)| {
-            plan.route_slowdown(route).map(|f| acc * f)
-        });
         // Open breaker: skip the attempt loop entirely and take the
         // reliable fallback path — no retries or backoff are charged for a
         // link already known bad.
         let fast_fail = self.breaker.as_mut().is_some_and(|b| b.fail_fast());
         if fast_fail {
             counters.failed_transfers += 1;
-            let f = FALLBACK_PENALTY * slowdown.unwrap_or(1.0);
             for (route, base) in commits {
-                self.commit(route, base * f);
+                self.commit(route, base * FALLBACK_PENALTY);
             }
             self.faults = Some((plan, policy));
-            return nominal * f;
+            return nominal * FALLBACK_PENALTY;
         }
-        let mut delivered = None;
+        let mut delivered = false;
         for attempt in 0..=policy.max_retries {
-            let outcome = match slowdown {
-                // A hard-down link fails the attempt before any draw.
-                None => AttemptOutcome::Fail,
-                Some(_) => plan.draw_outcome(),
-            };
-            let eff = nominal * slowdown.unwrap_or(1.0);
-            match outcome {
-                AttemptOutcome::Deliver if eff <= policy.timeout => {
-                    delivered = Some(eff);
+            match plan.draw_outcome() {
+                AttemptOutcome::Deliver if nominal <= policy.timeout => {
+                    delivered = true;
                     break;
                 }
-                AttemptOutcome::Stall(s) if eff + s <= policy.timeout => {
+                AttemptOutcome::Stall(s) if nominal + s <= policy.timeout => {
                     // Stall is fault-induced delay on a successful attempt.
                     counters.retry_seconds += s;
-                    delivered = Some(eff);
+                    delivered = true;
                     break;
                 }
                 // Outright failure, or a stall/transfer that blew the
@@ -191,7 +182,7 @@ impl<'a> TransferEngine<'a> {
                             self.link_retries[l] += 1;
                         }
                     }
-                    counters.retry_seconds += eff.min(policy.timeout);
+                    counters.retry_seconds += nominal.min(policy.timeout);
                     if attempt < policy.max_retries {
                         counters.retry_seconds += policy.backoff(attempt, &mut plan);
                     }
@@ -199,26 +190,24 @@ impl<'a> TransferEngine<'a> {
             }
         }
         if let Some(b) = self.breaker.as_mut() {
-            if delivered.is_some() {
+            if delivered {
                 b.record_success();
             } else {
                 b.record_failure();
             }
         }
-        let (factor, t) = match delivered {
-            Some(eff) => (slowdown.unwrap_or(1.0), eff),
-            None => {
-                // Budget exhausted: reliable fallback always lands.
-                counters.failed_transfers += 1;
-                let f = FALLBACK_PENALTY * slowdown.unwrap_or(1.0);
-                (f, nominal * f)
-            }
+        let factor = if delivered {
+            1.0
+        } else {
+            // Budget exhausted: reliable fallback always lands.
+            counters.failed_transfers += 1;
+            FALLBACK_PENALTY
         };
         for (route, base) in commits {
             self.commit(route, base * factor);
         }
         self.faults = Some((plan, policy));
-        t
+        nominal * factor
     }
 
     /// One-sided read of `bytes` from `storage` into `compute`.
@@ -373,7 +362,7 @@ mod tests {
         let topo = Topology::pcie_tree(1, 1, 16.0 * GB);
         let mut plain = TransferEngine::new(&topo);
         let mut faulty =
-            TransferEngine::with_faults(&topo, FaultPlan::none(), RetryPolicy::default());
+            TransferEngine::with_faults(&topo, FaultPlan::new(0), RetryPolicy::default());
         let mut c1 = TrafficCounters::new();
         let mut c2 = TrafficCounters::new();
         let t1 = plain.one_sided_read(Node::Host, Node::Gpu(0), 5_000_000, &mut c1);
@@ -430,22 +419,9 @@ mod tests {
     }
 
     #[test]
-    fn degraded_link_slows_but_does_not_retry() {
+    fn exhausted_retries_force_fallback_path() {
         let topo = Topology::pcie_tree(1, 1, 16.0 * GB);
-        // Link 0 is GPU0<->Switch0: on the host->GPU route.
-        let plan = FaultPlan::new(0).with_degraded_link(0, 4.0);
-        let mut eng = TransferEngine::with_faults(&topo, plan, RetryPolicy::default());
-        let mut c = TrafficCounters::new();
-        let t = eng.one_sided_read(Node::Host, Node::Gpu(0), 16_000_000, &mut c);
-        assert!((t - 4e-3).abs() < 1e-9, "4x slowdown, t={t}");
-        assert_eq!(c.retries, 0);
-        assert_eq!(c.failed_transfers, 0);
-    }
-
-    #[test]
-    fn down_link_forces_fallback_path() {
-        let topo = Topology::pcie_tree(1, 1, 16.0 * GB);
-        let plan = FaultPlan::new(0).with_down_link(0);
+        let plan = FaultPlan::new(0).with_fail_prob(1.0);
         let policy = RetryPolicy {
             max_retries: 1,
             ..Default::default()
@@ -478,7 +454,6 @@ mod tests {
         let policy = RetryPolicy {
             max_retries: 1,
             timeout: 0.5,
-            ..Default::default()
         };
         let mut eng = TransferEngine::with_faults(&topo, plan, policy);
         let mut c = TrafficCounters::new();
@@ -525,8 +500,8 @@ mod tests {
     fn breaker_half_open_probe_closes_on_recovery() {
         use crate::fault::{BreakerPolicy, BreakerState};
         let topo = Topology::pcie_tree(1, 1, 16.0 * GB);
-        // Deterministic alternation via a down link we remove by swapping
-        // plans: first plan fails everything, second is clean.
+        // Deterministic alternation by swapping plans: the first fails
+        // everything, the second is clean.
         let plan = FaultPlan::new(5).with_fail_prob(1.0);
         let policy = RetryPolicy {
             max_retries: 0,

@@ -59,7 +59,7 @@ pub struct GatCtx {
 
 impl GatLayer {
     /// Glorot-initialized layer.
-    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
         GatLayer {
             weight: Param::new(rng.glorot_matrix(in_dim, out_dim)),
             attn_src: Param::new(rng.normal_matrix(1, out_dim, (1.0 / out_dim as f32).sqrt())),
@@ -70,19 +70,19 @@ impl GatLayer {
     }
 
     /// Input dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.weight.value.rows()
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.weight.value.cols()
     }
 
     /// Forward over a block into `out` (reshaped to `num_dst x out_dim`,
     /// every row written) and `ctx`; `W h_u` is computed only for the src
     /// rows a `live` dst (`None` = all) attends to.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         block: &Block,
         h_src: &Matrix,
@@ -167,7 +167,7 @@ impl GatLayer {
     ///
     /// `h_src` and `live` must be what [`GatLayer::forward`] was given
     /// (`h_src` for the weight gradient `dW = h_srcᵀ · d_Wh`).
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         ctx: &GatCtx,
         h_src: &Matrix,
@@ -194,7 +194,7 @@ impl GatLayer {
     /// pre-activation gradient in place, accumulates every parameter
     /// gradient and writes `d_Wh` into `d_wh`. All the input layer of a
     /// training step needs. Rows of `d_out` that are not live must be zero.
-    pub fn backward_params(
+    pub(crate) fn backward_params(
         &mut self,
         ctx: &GatCtx,
         h_src: &Matrix,
@@ -276,7 +276,7 @@ impl GatLayer {
     }
 
     /// Mutable parameter references (stable order).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![
             &mut self.weight,
             &mut self.attn_src,

@@ -31,7 +31,7 @@ pub struct GcnCtx {
 
 impl GcnLayer {
     /// Glorot-initialized layer.
-    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
         GcnLayer {
             weight: Param::new(rng.glorot_matrix(in_dim, out_dim)),
             bias: Param::new(Matrix::zeros(1, out_dim)),
@@ -40,12 +40,12 @@ impl GcnLayer {
     }
 
     /// Input dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.weight.value.rows()
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.weight.value.cols()
     }
 
@@ -53,7 +53,7 @@ impl GcnLayer {
     /// `out` (reshaped to `num_dst x out_dim`) and `ctx`, both reused across
     /// calls. Only the `live` dst rows (`None` = all) are aggregated and
     /// transformed; the others keep whatever the buffers held.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         block: &Block,
         h_src: &Matrix,
@@ -72,7 +72,7 @@ impl GcnLayer {
     /// Backward: accumulates parameter gradients and writes `d_h_src`
     /// (reshaped to `num_src x in_dim`). `d_out` is consumed: it leaves as
     /// the pre-activation gradient.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         block: &Block,
         ctx: &GcnCtx,
@@ -96,7 +96,12 @@ impl GcnLayer {
     /// pre-activation gradient in place and accumulates `dW`/`db` from it.
     /// All the input layer of a training step needs. Rows of `d_out` that
     /// are not live must be zero.
-    pub fn backward_params(&mut self, ctx: &GcnCtx, d_out: &mut Matrix, live: Option<&[bool]>) {
+    pub(crate) fn backward_params(
+        &mut self,
+        ctx: &GcnCtx,
+        d_out: &mut Matrix,
+        live: Option<&[bool]>,
+    ) {
         debug_assert_dead_rows_zero(d_out, live);
         self.act.backward_rows(d_out, live, &ctx.mask);
         ops::matmul_at_b_rows_acc(&ctx.agg, d_out, live, &mut self.weight.grad).expect("gcn dW");
@@ -104,7 +109,7 @@ impl GcnLayer {
     }
 
     /// Mutable references to this layer's parameters (stable order).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
 }

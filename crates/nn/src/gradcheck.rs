@@ -32,7 +32,7 @@ pub struct GradCheckReport {
 
 impl GradCheckReport {
     /// Conventional pass criterion used by the test-suite.
-    pub fn passes(&self) -> bool {
+    pub(crate) fn passes(&self) -> bool {
         self.min_cosine > 0.99 && self.max_abs_err < 0.05
     }
 }
@@ -44,7 +44,7 @@ const EPS: f32 = 1e-3;
 ///
 /// Checks every `stride`-th scalar of every parameter tensor; cosine is
 /// computed per tensor over the checked entries.
-pub fn check_parameter_gradients(
+pub(crate) fn check_parameter_gradients(
     model: &mut Model,
     mb: &MiniBatch,
     h0: &Matrix,
@@ -102,7 +102,7 @@ pub fn check_parameter_gradients(
 
 /// Check the gradient w.r.t. the *input features* — the same machinery that
 /// produces the per-node embedding gradients the cache policy uses.
-pub fn check_input_gradients(
+pub(crate) fn check_input_gradients(
     model: &mut Model,
     mb: &MiniBatch,
     h0: &Matrix,

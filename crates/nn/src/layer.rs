@@ -16,24 +16,19 @@ pub struct Param {
 
 impl Param {
     /// Wrap an initial value with a zero gradient.
-    pub fn new(value: Matrix) -> Self {
+    pub(crate) fn new(value: Matrix) -> Self {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Param { value, grad }
     }
 
     /// Reset the gradient to zero (keeps the allocation).
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.fill_zero();
     }
 
     /// Number of scalar parameters.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.value.rows() * self.value.cols()
-    }
-
-    /// Whether the parameter is empty (never true in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -74,7 +69,7 @@ impl Activation {
     /// `mask` what [`Activation::backward_rows`] needs. Rows that are not
     /// live are left alone, in `z` and in `mask`. An entry passes when it is
     /// `> 0.0`; every other one (`-0.0` and NaN included) becomes `+0.0`.
-    pub fn forward_rows(self, z: &mut Matrix, live: Option<&[bool]>, mask: &mut ActMask) {
+    pub(crate) fn forward_rows(self, z: &mut Matrix, live: Option<&[bool]>, mask: &mut ActMask) {
         if self != Activation::Relu {
             return;
         }
@@ -98,7 +93,7 @@ impl Activation {
     /// Chain rule through the activation on the live rows of `grad`, in
     /// place, given the `mask` the forward pass recorded with the same
     /// `live`: a gradient whose entry did not pass becomes `+0.0`.
-    pub fn backward_rows(self, grad: &mut Matrix, live: Option<&[bool]>, mask: &ActMask) {
+    pub(crate) fn backward_rows(self, grad: &mut Matrix, live: Option<&[bool]>, mask: &ActMask) {
         if self != Activation::Relu {
             return;
         }
@@ -145,7 +140,12 @@ pub(crate) fn debug_assert_dead_rows_zero(d: &Matrix, live: Option<&[bool]>) {
 ///
 /// Relies on the block invariant that destination `v`'s own previous-layer
 /// row is `h_src` row `v`.
-pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>, out: &mut Matrix) {
+pub(crate) fn mean_agg_with_self(
+    block: &Block,
+    h_src: &Matrix,
+    live: Option<&[bool]>,
+    out: &mut Matrix,
+) {
     out.resize(block.num_dst(), h_src.cols());
     for v in (0..block.num_dst()).filter(|&v| is_live(live, v)) {
         let nbrs = block.adj.neighbors(v);
@@ -165,7 +165,7 @@ pub fn mean_agg_with_self(block: &Block, h_src: &Matrix, live: Option<&[bool]>, 
 
 /// Backward of [`mean_agg_with_self`]: scatter the live rows of `d_agg`
 /// (rows = dst) into `d_h_src` (rows = src), accumulating.
-pub fn mean_agg_with_self_backward(
+pub(crate) fn mean_agg_with_self_backward(
     block: &Block,
     d_agg: &Matrix,
     d_h_src: &mut Matrix,
@@ -193,7 +193,7 @@ pub fn mean_agg_with_self_backward(
 /// Neighbor-only mean `mean_{u∈nbrs} h_u` written into `out` — zero when
 /// there are no (unpruned) neighbors. The GraphSAGE / R-SAGE aggregator,
 /// straight into the caller's row.
-pub fn mean_neighbors_into(out: &mut [f32], nbrs: &[u32], h_src: &Matrix) {
+pub(crate) fn mean_neighbors_into(out: &mut [f32], nbrs: &[u32], h_src: &Matrix) {
     out.fill(0.0);
     if nbrs.is_empty() {
         return;
@@ -211,7 +211,7 @@ pub fn mean_neighbors_into(out: &mut [f32], nbrs: &[u32], h_src: &Matrix) {
 
 /// Backward of [`mean_neighbors_into`]: spread `g` over the neighbors' rows
 /// of `d_h_src`, accumulating.
-pub fn mean_neighbors_backward(g: &[f32], nbrs: &[u32], d_h_src: &mut Matrix) {
+pub(crate) fn mean_neighbors_backward(g: &[f32], nbrs: &[u32], d_h_src: &mut Matrix) {
     if nbrs.is_empty() {
         return;
     }

@@ -20,11 +20,12 @@
 //!   heterogeneous extension.
 //!
 //! Every layer is gradient-checked against finite differences in tests
-//! (see [`gradcheck`]).
+//! (the test-only `gradcheck` module).
 
 pub mod gat;
 pub mod gcn;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod layer;
 pub mod loss;
 pub mod metrics;
@@ -35,4 +36,4 @@ pub mod sage;
 
 pub use layer::{Activation, Param};
 pub use model::{Arch, Model, Parameters};
-pub use optim::{Adam, Optimizer, OptimizerState, Sgd};
+pub use optim::{Adam, Optimizer, OptimizerState};

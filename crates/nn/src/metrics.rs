@@ -17,7 +17,7 @@ pub fn accuracy(logits: &Matrix, labels: &[u16]) -> f64 {
 }
 
 /// Index of the maximum entry (first on ties).
-pub fn argmax(row: &[f32]) -> usize {
+pub(crate) fn argmax(row: &[f32]) -> usize {
     let mut best = 0;
     let mut best_v = f32::NEG_INFINITY;
     for (i, &v) in row.iter().enumerate() {
@@ -27,35 +27,6 @@ pub fn argmax(row: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Exponential moving average helper for smoothed training curves.
-#[derive(Clone, Debug)]
-pub struct Ema {
-    value: Option<f64>,
-    alpha: f64,
-}
-
-impl Ema {
-    /// `alpha` is the weight of the new observation.
-    pub fn new(alpha: f64) -> Self {
-        Ema { value: None, alpha }
-    }
-
-    /// Fold in an observation and return the smoothed value.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value.
-    pub fn get(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -73,15 +44,5 @@ mod tests {
     fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 1.0, 0.5]), 0);
         assert_eq!(argmax(&[-3.0, -1.0, -2.0]), 1);
-    }
-
-    #[test]
-    fn ema_converges_toward_constant_input() {
-        let mut e = Ema::new(0.5);
-        assert_eq!(e.update(10.0), 10.0);
-        for _ in 0..20 {
-            e.update(0.0);
-        }
-        assert!(e.get().unwrap() < 0.01);
     }
 }

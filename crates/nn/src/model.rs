@@ -170,7 +170,7 @@ impl Layer {
     }
 
     /// Mutable parameter references (stable order).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
             Layer::Gcn(l) => l.params_mut(),
             Layer::Sage(l) => l.params_mut(),
@@ -262,7 +262,7 @@ impl Model {
     }
 
     /// Number of layers.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.layers.len()
     }
 

@@ -1,11 +1,11 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The Adam optimizer.
 //!
 //! State is keyed by parameter *position*, so the caller must pass
 //! parameters in the same stable order every step — `Model::params_mut`
 //! guarantees this.
 
 use crate::layer::Param;
-use fgnn_tensor::{ops, Matrix};
+use fgnn_tensor::Matrix;
 
 /// Serializable optimizer state (for checkpoint/resume).
 ///
@@ -38,74 +38,6 @@ pub trait Optimizer {
     /// count mismatch — that indicates a config/checkpoint mix-up the
     /// caller should have rejected.
     fn import_state(&mut self, state: OptimizerState);
-}
-
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.momentum == 0.0 {
-            for p in params.iter_mut() {
-                ops::axpy(&mut p.value, -self.lr, &p.grad).expect("sgd step");
-            }
-            return;
-        }
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
-                .collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "param list changed");
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            ops::scale(v, self.momentum);
-            ops::add_assign(v, &p.grad).expect("sgd velocity");
-            ops::axpy(&mut p.value, -self.lr, v).expect("sgd step");
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            counters: Vec::new(),
-            tensors: self.velocity.clone(),
-        }
-    }
-
-    fn import_state(&mut self, state: OptimizerState) {
-        assert!(state.counters.is_empty(), "SGD has no counter state");
-        self.velocity = state.tensors;
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -216,18 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let x = run(&mut Sgd::new(0.1), 100);
-        assert!(x.abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_minimizes_quadratic() {
-        let x = run(&mut Sgd::with_momentum(0.05, 0.9), 200);
-        assert!(x.abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
     fn adam_minimizes_quadratic() {
         let x = run(&mut Adam::new(0.2), 300);
         assert!(x.abs() < 1e-2, "x = {x}");
@@ -272,11 +192,6 @@ mod tests {
     #[test]
     fn adam_state_round_trip_is_bitwise() {
         state_round_trip(Adam::new(0.1), Adam::new(0.1));
-    }
-
-    #[test]
-    fn sgd_momentum_state_round_trip_is_bitwise() {
-        state_round_trip(Sgd::with_momentum(0.05, 0.9), Sgd::with_momentum(0.05, 0.9));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct RSageCtx {
 
 impl RSageLayer {
     /// Build a layer matching `graph`'s type/relation structure.
-    pub fn new(
+    pub(crate) fn new(
         graph: &HeteroGraph,
         in_dim: usize,
         out_dim: usize,
@@ -81,16 +81,11 @@ impl RSageLayer {
         }
     }
 
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.w_self[0].value.cols()
-    }
-
     /// Forward over a typed block into the per-type `out` and `ctx`, both
     /// reused across calls. `h_src[t]` has one row per src node of type `t`.
     /// Only the dst rows `live[t]` marks (`None` = all) are aggregated and
     /// transformed; the others keep whatever the buffers held.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         block: &HeteroBlock,
         h_src: &[Matrix],
@@ -140,7 +135,7 @@ impl RSageLayer {
     /// Backward; accumulates parameter grads and writes the per-type
     /// `d_h_src`. `live` must be what [`RSageLayer::forward`] was given;
     /// `d_out` is consumed (it leaves as the pre-activation gradients).
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         block: &HeteroBlock,
         ctx: &RSageCtx,
@@ -190,7 +185,7 @@ impl RSageLayer {
     /// into the pre-activation gradient in place and accumulates every
     /// `dW`/`db` from them. All the input layer of a training step needs.
     /// Rows of `d_out[t]` that are not live must be zero.
-    pub fn backward_params(
+    pub(crate) fn backward_params(
         &mut self,
         ctx: &RSageCtx,
         d_out: &mut [Matrix],
@@ -221,7 +216,7 @@ impl RSageLayer {
     }
 
     /// Mutable parameter references (stable order).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         self.w_self
             .iter_mut()
             .chain(self.w_rel.iter_mut())
@@ -300,7 +295,7 @@ impl RSageModel {
     }
 
     /// [`RSageModel::forward_into`] on a fresh [`RSageTrace`] holding `h0`.
-    pub fn forward_with(
+    pub(crate) fn forward_with(
         &self,
         mb: &HeteroMiniBatch,
         h0: Vec<Matrix>,
@@ -353,7 +348,7 @@ impl RSageModel {
 
     /// [`RSageModel::backward_into`] on fresh [`RSageGrads`] holding
     /// `d_logits`.
-    pub fn backward_with(
+    pub(crate) fn backward_with(
         &mut self,
         mb: &HeteroMiniBatch,
         trace: &RSageTrace,

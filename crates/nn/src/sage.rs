@@ -30,7 +30,7 @@ pub struct SageCtx {
 
 impl SageLayer {
     /// Glorot-initialized layer.
-    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut Rng) -> Self {
         SageLayer {
             weight: Param::new(rng.glorot_matrix(2 * in_dim, out_dim)),
             bias: Param::new(Matrix::zeros(1, out_dim)),
@@ -39,13 +39,8 @@ impl SageLayer {
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.weight.value.cols()
     }
 
@@ -53,7 +48,7 @@ impl SageLayer {
     /// `ctx`, both reused across calls. Only the `live` dst rows (`None` =
     /// all) are aggregated and transformed; the others keep whatever the
     /// buffers held.
-    pub fn forward(
+    pub(crate) fn forward(
         &self,
         block: &Block,
         h_src: &Matrix,
@@ -80,7 +75,7 @@ impl SageLayer {
     /// Backward: accumulates parameter gradients and writes `d_h_src`
     /// (reshaped to `num_src x in_dim`). `d_out` is consumed: it leaves as
     /// the pre-activation gradient.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         block: &Block,
         ctx: &SageCtx,
@@ -117,7 +112,12 @@ impl SageLayer {
     /// pre-activation gradient in place and accumulates `dW`/`db` from it.
     /// All the input layer of a training step needs. Rows of `d_out` that
     /// are not live must be zero.
-    pub fn backward_params(&mut self, ctx: &SageCtx, d_out: &mut Matrix, live: Option<&[bool]>) {
+    pub(crate) fn backward_params(
+        &mut self,
+        ctx: &SageCtx,
+        d_out: &mut Matrix,
+        live: Option<&[bool]>,
+    ) {
         debug_assert_dead_rows_zero(d_out, live);
         self.act.backward_rows(d_out, live, &ctx.mask);
         ops::matmul_at_b_rows_acc(&ctx.cat, d_out, live, &mut self.weight.grad).expect("sage dW");
@@ -125,7 +125,7 @@ impl SageLayer {
     }
 
     /// Mutable parameter references (stable order).
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
 }

@@ -76,13 +76,6 @@ pub enum TensorError {
         /// Which operation detected the mismatch.
         op: &'static str,
     },
-    /// A row/column index was out of bounds.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The container length it was checked against.
-        len: usize,
-    },
 }
 
 impl std::fmt::Display for TensorError {
@@ -93,9 +86,6 @@ impl std::fmt::Display for TensorError {
                 "shape mismatch in {op}: lhs {}x{} vs rhs {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
-            TensorError::IndexOutOfBounds { index, len } => {
-                write!(f, "index {index} out of bounds (len {len})")
-            }
         }
     }
 }

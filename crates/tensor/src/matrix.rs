@@ -101,18 +101,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Checked row access.
-    pub fn try_row(&self, r: usize) -> Result<&[f32]> {
-        if r < self.rows {
-            Ok(self.row(r))
-        } else {
-            Err(TensorError::IndexOutOfBounds {
-                index: r,
-                len: self.rows,
-            })
-        }
-    }
-
     /// Entry `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -185,7 +173,7 @@ impl Matrix {
     }
 
     /// The transpose written into `out`, which is reshaped to fit.
-    pub fn transpose_into(&self, out: &mut Matrix) {
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         out.resize(self.cols, self.rows);
         for r in 0..self.rows {
             let row = self.row(r);
@@ -258,16 +246,6 @@ mod tests {
         m.set_row(1, &[7.0, 8.0, 9.0]);
         assert_eq!(m.row(1), &[7.0, 8.0, 9.0]);
         assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn try_row_rejects_out_of_bounds() {
-        let m = Matrix::zeros(2, 2);
-        assert!(m.try_row(1).is_ok());
-        assert_eq!(
-            m.try_row(2),
-            Err(TensorError::IndexOutOfBounds { index: 2, len: 2 })
-        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub fn is_live(live: Option<&[bool]>, row: usize) -> bool {
 /// `C = A * B` (`m x k` times `k x n`).
 ///
 /// The single hottest kernel in the workspace (every GNN layer is one or two
-/// of these). All three products run on one register-tiled body, [`tile`]:
-/// a strip of up to [`STRIP`] columns of two or four output rows is held in
+/// of these). All three products run on one register-tiled body, `tile`:
+/// a strip of up to `STRIP` columns of two or four output rows is held in
 /// vector registers across the whole contraction and stored once; column
 /// strips are outermost, so the `k x strip` panel of `B` stays in L1 while
 /// the rows of `A` stream past it.
@@ -78,7 +78,7 @@ pub fn matmul_rows_into(
 /// `C = A^T * B` (`k x m`^T times `k x n` -> `m x n`).
 ///
 /// Used by weight gradients: `dW = H^T * dOut`. The contraction runs in
-/// blocks of [`P_BLOCK`] rows, so a strip of `C` is loaded and stored once
+/// blocks of `P_BLOCK` rows, so a strip of `C` is loaded and stored once
 /// per block rather than once per product. Bit-level contract and non-finite
 /// behaviour: see [`matmul`].
 pub fn matmul_at_b(a: &Matrix, b: &Matrix) -> Result<Matrix> {
@@ -413,15 +413,6 @@ fn dispatch(op: impl Strips) {
     run_baseline(op)
 }
 
-/// `A += B`.
-pub fn add_assign(a: &mut Matrix, b: &Matrix) -> Result<()> {
-    a.check_same_shape(b, "add_assign")?;
-    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += y;
-    }
-    Ok(())
-}
-
 /// `A += B` on the live rows (`None` = all).
 pub fn add_assign_rows(a: &mut Matrix, b: &Matrix, live: Option<&[bool]>) -> Result<()> {
     a.check_same_shape(b, "add_assign_rows")?;
@@ -451,18 +442,6 @@ pub fn sub_assign(a: &mut Matrix, b: &Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Elementwise product `A ⊙ B` into a new matrix.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    a.check_same_shape(b, "hadamard")?;
-    let data = a
-        .as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| x * y)
-        .collect();
-    Ok(Matrix::from_vec(a.rows(), a.cols(), data))
-}
-
 /// `A *= alpha`.
 pub fn scale(a: &mut Matrix, alpha: f32) {
     a.as_mut_slice().iter_mut().for_each(|x| *x *= alpha);
@@ -488,13 +467,6 @@ pub fn column_sums_acc(a: &Matrix, acc: &mut [f32]) {
             *o += v;
         }
     }
-}
-
-/// Per-row L2 norms.
-pub fn row_norms(m: &Matrix) -> Vec<f32> {
-    (0..m.rows())
-        .map(|r| m.row(r).iter().map(|&x| x * x).sum::<f32>().sqrt())
-        .collect()
 }
 
 #[cfg(test)]
@@ -631,22 +603,12 @@ mod tests {
     fn add_sub_axpy_roundtrip() {
         let mut a = m(1, 3, &[1.0, 2.0, 3.0]);
         let b = m(1, 3, &[10.0, 20.0, 30.0]);
-        add_assign(&mut a, &b).unwrap();
+        add_assign_rows(&mut a, &b, None).unwrap();
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
         sub_assign(&mut a, &b).unwrap();
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0]);
         axpy(&mut a, 0.5, &b).unwrap();
         assert_eq!(a.as_slice(), &[6.0, 12.0, 18.0]);
-    }
-
-    #[test]
-    fn hadamard_multiplies_entrywise() {
-        let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = m(2, 2, &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(
-            hadamard(&a, &b).unwrap().as_slice(),
-            &[5.0, 12.0, 21.0, 32.0]
-        );
     }
 
     #[test]
@@ -659,13 +621,5 @@ mod tests {
         let mut sums = [0.5, 0.0];
         column_sums_acc(&a, &mut sums);
         assert_eq!(sums, [4.5, -2.0]);
-    }
-
-    #[test]
-    fn row_norms_match_manual() {
-        let a = m(2, 2, &[3.0, 4.0, 0.0, 2.0]);
-        let n = row_norms(&a);
-        assert!((n[0] - 5.0).abs() < 1e-6);
-        assert!((n[1] - 2.0).abs() < 1e-6);
     }
 }

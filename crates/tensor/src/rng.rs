@@ -109,17 +109,9 @@ impl Rng {
     }
 
     /// Sample `k` items without replacement from `0..n` (a shuffled prefix
-    /// when `k` is a large fraction of `n`, otherwise Floyd's algorithm).
+    /// when `k` is a large fraction of `n`, otherwise Floyd's algorithm)
+    /// into a reused buffer: `out` is cleared and receives the `k` picks.
     /// Returned order is unspecified but deterministic.
-    pub fn sample_without_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.sample_without_replacement_into(n, k, &mut out);
-        out
-    }
-
-    /// [`Rng::sample_without_replacement`] into a reused buffer: `out` is
-    /// cleared and receives the `k` picks. The same draws in the same order
-    /// as the allocating form, so the two are interchangeable mid-stream.
     pub fn sample_without_replacement_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} from {n} without replacement");
         out.clear();
@@ -232,10 +224,8 @@ mod tests {
     fn sample_without_replacement_unique_and_in_range() {
         let mut r = Rng::new(11);
         for &(n, k) in &[(10usize, 10usize), (100, 5), (50, 40), (1, 1), (5, 0)] {
-            let mut into = vec![7; 3];
-            r.clone().sample_without_replacement_into(n, k, &mut into);
-            let s = r.sample_without_replacement(n, k);
-            assert_eq!(s, into, "the two forms draw alike");
+            let mut s = vec![7; 3];
+            r.sample_without_replacement_into(n, k, &mut s);
             assert_eq!(s.len(), k);
             let set: std::collections::HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), k, "duplicates for n={n} k={k}");

@@ -3,23 +3,6 @@
 
 use crate::Matrix;
 
-/// Row-wise softmax, in place, with the usual max-subtraction for stability.
-pub fn softmax_rows_inplace(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        let inv = 1.0 / sum;
-        for x in row.iter_mut() {
-            *x *= inv;
-        }
-    }
-}
-
 /// Row-wise log-softmax, in place.
 pub fn log_softmax_rows_inplace(m: &mut Matrix) {
     for r in 0..m.rows() {
@@ -84,11 +67,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn softmax_rows_sum_to_one() {
+    fn log_softmax_rows_exponentiate_to_one() {
         let mut m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        softmax_rows_inplace(&mut m);
+        log_softmax_rows_inplace(&mut m);
         for r in 0..2 {
-            let s: f32 = m.row(r).iter().sum();
+            let s: f32 = m.row(r).iter().map(|x| x.exp()).sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
         // Larger logits get larger probabilities.
@@ -96,22 +79,23 @@ mod tests {
     }
 
     #[test]
-    fn softmax_stable_for_large_logits() {
+    fn log_softmax_stable_for_large_logits() {
         let mut m = Matrix::from_vec(1, 2, vec![1000.0, 1001.0]);
-        softmax_rows_inplace(&mut m);
+        log_softmax_rows_inplace(&mut m);
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
-        assert!((m.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        // Exact up to the rounding of `log_sum` ≈ 1001 (ulp ≈ 6e-5).
+        assert!((m.row(0).iter().map(|x| x.exp()).sum::<f32>() - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn log_softmax_matches_log_of_softmax() {
-        let logits = vec![0.5, -1.5, 2.0, 0.0];
-        let mut a = Matrix::from_vec(1, 4, logits.clone());
-        let mut b = Matrix::from_vec(1, 4, logits);
-        softmax_rows_inplace(&mut a);
+        let logits = [0.5_f32, -1.5, 2.0, 0.0];
+        let mut b = Matrix::from_vec(1, 4, logits.to_vec());
         log_softmax_rows_inplace(&mut b);
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((x.ln() - y).abs() < 1e-5);
+        let sum: f64 = logits.iter().map(|&x| (x as f64).exp()).sum();
+        for (&x, &y) in logits.iter().zip(b.as_slice()) {
+            let softmax = (x as f64).exp() / sum;
+            assert!((softmax.ln() as f32 - y).abs() < 1e-5);
         }
     }
 

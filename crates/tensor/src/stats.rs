@@ -84,7 +84,7 @@ pub fn fraction_above(values: &[f32], threshold: f32) -> f32 {
 }
 
 /// Arithmetic mean; 0 for empty input.
-pub fn mean(values: &[f32]) -> f32 {
+pub(crate) fn mean(values: &[f32]) -> f32 {
     if values.is_empty() {
         0.0
     } else {

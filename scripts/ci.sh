@@ -62,8 +62,23 @@ if [ -n "$unaudited" ] || [ "$(printf '%s\n' "$unsafe_sites" | grep -c .)" -ne 2
     exit 1
 fi
 
+# The library crates' public surface is what other code calls: a `pub fn`
+# whose name appears nowhere outside its crate (not in another crate,
+# tests/, examples/, src/ or perf/) is surface rustc's dead_code lint cannot
+# see. Narrow it to `pub(crate)`, and delete it if dead_code then flags it.
+unused_pub="$(LOC_LIST_UNUSED=1 ./scripts/loc.sh | grep -E '^(core|graph|memsim|nn|tensor): ' || true)"
+if [ -n "$unused_pub" ]; then
+    echo "ci: pub fn with no caller outside its crate:" >&2
+    printf '%s\n' "$unused_pub" >&2
+    exit 1
+fi
+
 cargo build --release --workspace
 cargo test -q --workspace
+
+# Public docs must not link to private items (narrowing an item must take
+# its doc links with it) or to nothing.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 # The wall-clock benchmark is a workspace of its own (perf/) that compiles
 # against crates/*: its gate — fmt, clippy, its tests, a smoke run of every
@@ -82,12 +97,13 @@ cargo test -q --workspace
 FGNN_PROP_CASES=256 cargo test -q --release \
     --test kernel_bits --test backward_equivalence --test alloc_budget
 
-# Property, decoder no-panic and observability-invariant suites again at a
-# higher case count (FGNN_PROP_CASES overrides the in-tree default of 64),
-# and the committed golden trace must carry the current export schema
-# version.
+# Property, no-panic (checkpoint and JSON decoders, FaultPlan builders, the
+# BENCH_*.json reader) and observability-invariant suites again at a higher
+# case count (FGNN_PROP_CASES overrides the in-tree default of 64), and the
+# committed golden trace must carry the current export schema version.
 FGNN_PROP_CASES=256 cargo test -q --test property_tests --test decoder_fuzz \
     --test obs_invariants
+FGNN_PROP_CASES=256 cargo test -q -p fgnn-bench --test table_fuzz
 grep -q '"schemaVersion":"fgnn-obs-v1"' tests/golden/sync_trainer_2epoch.trace.json
 
 # The policy-equivalence suite pins the trait refactor to the pre-trait

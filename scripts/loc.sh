@@ -5,23 +5,41 @@
 # training, the serving engine with the telemetry it feeds, and the baseline
 # sweeps with their table and gate)
 # total lines,
-# lines before the first `#[cfg(test)]` of each file, and `pub fn`
-# declarations in that non-test part. Run from anywhere; pass a checkout root
-# to measure another tree (e.g. a clone of the parent commit).
+# non-test lines (every item behind `#[cfg(test)]` is skipped by brace depth,
+# wherever in the file it sits), and `pub fn` declarations in that non-test
+# part. A last table counts, per library crate, the `pub fn` names that
+# appear nowhere outside that crate: not in another crate, `tests/`,
+# `examples/`, `src/` or `perf/`. Run from anywhere; pass a checkout root to
+# measure another tree (e.g. a clone of the parent commit).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
+
+# non_test FILE... -> the files' lines outside `#[cfg(test)]` items, each
+# prefixed with its file name and a tab.
+non_test() {
+    awk '
+        FNR == 1 { skip = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        skip {
+            n = gsub(/\{/, "{"); m = gsub(/\}/, "}"); depth += n - m
+            if (n) opened = 1
+            if ((opened && depth <= 0) || (!opened && /;[[:space:]]*$/)) skip = 0
+            next
+        }
+        { print FILENAME "\t" $0 }
+    ' "$@"
+}
 
 # row LABEL FILE... -> "label total non_test pub_fn"
 row() {
     local label=$1
     shift
-    awk -v label="$label" '
-        FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
-        { total++ }
-        !in_test { non_test++; if ($0 ~ /pub fn /) pub_fn++ }
+    local total
+    total=$(cat "$@" | wc -l)
+    non_test "$@" | awk -v label="$label" -v total="$total" '
+        { non_test++; if ($0 ~ /pub fn /) pub_fn++ }
         END { printf "%-34s %7d %9d %7d\n", label, total, non_test, pub_fn }
-    ' "$@"
+    '
 }
 
 printf "%-34s %7s %9s %7s\n" "" total non-test "pub fn"
@@ -45,3 +63,28 @@ row "core/serve+obs" crates/core/src/serve/*.rs crates/core/src/obs/*.rs
 gate_files=(crates/bench/src/trajectory.rs crates/bench/src/bin/exp_report.rs)
 [ -f crates/bench/src/table.rs ] && gate_files+=(crates/bench/src/table.rs)
 row "bench/trajectory+table+exp_report" "${gate_files[@]}"
+
+# unused_pub CRATE -> the crate's non-test `pub fn` names that no file
+# outside it mentions, one a line.
+unused_pub() {
+    local crate=$1
+    # shellcheck disable=SC2046
+    non_test $(find "crates/$crate/src" -name '*.rs' | sort) |
+        sed -nE 's/.*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' | sort -u >"$tmp/defined"
+    find crates tests examples src perf -name '*.rs' \
+        -not -path "crates/$crate/*" -not -path '*/target/*' -print0 |
+        xargs -0 grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/outside"
+    comm -23 "$tmp/defined" "$tmp/outside"
+}
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+printf "\n%-34s %7s\n" "" "pub fn no outside caller"
+for crate in core graph memsim nn tensor; do
+    printf "%-34s %7d\n" "$crate" "$(unused_pub "$crate" | grep -c . || true)"
+done
+if [ "${LOC_LIST_UNUSED:-0}" = 1 ]; then
+    for crate in core graph memsim nn tensor; do
+        unused_pub "$crate" | sed "s/^/$crate: /"
+    done
+fi

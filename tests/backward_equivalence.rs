@@ -82,7 +82,7 @@ fn warm_cache<'a>(
 }
 
 fn new_cache(num_nodes: usize, dims: &[usize]) -> HistoricalCache {
-    HistoricalCache::new(num_nodes, &dims[1..], 100, 32, false, true)
+    HistoricalCache::new(num_nodes, &dims[1..], 100, 32, true)
 }
 
 fn homo_batch(rng: &mut Rng) -> (MiniBatch, Matrix, Vec<u16>) {

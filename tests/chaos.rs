@@ -9,7 +9,7 @@ mod common;
 
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::obs::export::metrics_jsonl;
-use freshgnn_repro::core::resilience::{GuardConfig, HealthState, Supervisor, SupervisorConfig};
+use freshgnn_repro::core::resilience::{HealthState, Supervisor, SupervisorConfig};
 use freshgnn_repro::core::runtime::ChaosPolicy;
 use freshgnn_repro::core::sampler::FaultHook;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
@@ -225,10 +225,7 @@ fn chaos_reaction_is_byte_identical_across_reruns() {
                 t.enable_breaker(BreakerPolicy::default());
             }
             let mut opt = Adam::new(0.01);
-            let mut sup = Supervisor::new(SupervisorConfig {
-                max_rollbacks: 8,
-                guard: GuardConfig::default(),
-            });
+            let mut sup = Supervisor::new(SupervisorConfig { max_rollbacks: 8 });
             let mut outcome = String::new();
             for epoch in 0..2 {
                 if epoch == 1 && with_nan {

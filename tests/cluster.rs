@@ -11,7 +11,7 @@
 mod common;
 
 use freshgnn_repro::core::cluster::{ClusterConfig, ClusterTrainer, HostStatus};
-use freshgnn_repro::core::resilience::{GuardConfig, Supervisor, SupervisorConfig};
+use freshgnn_repro::core::resilience::{Supervisor, SupervisorConfig};
 use freshgnn_repro::core::{FgnnError, FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
@@ -371,7 +371,6 @@ fn one_host_cluster_with_a_nan_matches_the_resilient_single_host_run() {
     let mut opt = Adam::new(cfg.lr);
     let mut sup = Supervisor::new(SupervisorConfig {
         max_rollbacks: cfg.max_rollbacks,
-        guard: GuardConfig::default(),
     });
     let single_losses: Vec<u64> = (0..epochs)
         .map(|_| {

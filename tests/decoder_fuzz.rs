@@ -12,6 +12,11 @@
 //!   serve round-trip), on random bytes, every prefix of a real exported
 //!   document and that document with single bytes flipped. Bytes that are
 //!   not UTF-8 reach it as `from_utf8_lossy` has them, since it takes `&str`.
+//! - The fallible `FaultPlan` builders, on hostile probabilities and stall
+//!   lengths (NaN, ±∞, negative, just past 1): `try_with_fail_prob` and
+//!   `try_with_stalls` never panic and reject exactly the out-of-range
+//!   values, the panicking forms panic with the same message, and an
+//!   accepted plan drives transfers to a finite ledger.
 
 mod common;
 
@@ -21,7 +26,9 @@ use freshgnn_repro::core::obs::parse_json;
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::Dataset;
+use freshgnn_repro::memsim::fault::{FaultPlan, FaultPlanError, RetryPolicy};
 use freshgnn_repro::memsim::presets::Machine;
+use freshgnn_repro::memsim::{Node, Topology, TrafficCounters, TransferEngine};
 use freshgnn_repro::nn::model::Arch;
 use freshgnn_repro::nn::Adam;
 use freshgnn_repro::tensor::Rng;
@@ -222,5 +229,108 @@ fn json_single_byte_flips_never_panic() {
         parse(&bytes, || {
             format!("byte {at} flipped to {:#04x}", bytes[at])
         });
+    });
+}
+
+/// The edges a probability or a stall length must be checked against.
+const EDGES: [f64; 14] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0,
+    -f64::MIN_POSITIVE,
+    -0.0,
+    0.0,
+    f64::MIN_POSITIVE,
+    0.5,
+    1.0,
+    1.0 + f64::EPSILON,
+    2.0,
+    f64::MAX,
+    f64::MIN,
+];
+
+/// An edge value or an arbitrary `f64` bit pattern.
+fn hostile(rng: &mut Rng) -> f64 {
+    match rng.below(EDGES.len() + 1) {
+        i if i < EDGES.len() => EDGES[i],
+        _ => f64::from_bits(rng.next_u64()),
+    }
+}
+
+/// Build with the fallible form and the panicking one: the first must not
+/// panic, and the second must panic exactly when the first errs, with the
+/// error's message.
+fn both_forms(
+    fallible: impl FnOnce() -> Result<FaultPlan, FaultPlanError>,
+    panicking: impl FnOnce() -> FaultPlan,
+    what: &str,
+) -> Result<FaultPlan, FaultPlanError> {
+    let tried = catch_unwind(AssertUnwindSafe(fallible))
+        .unwrap_or_else(|_| panic!("the fallible form panicked on {what}"));
+    let built = catch_unwind(AssertUnwindSafe(panicking));
+    match (&tried, built) {
+        (Ok(_), Ok(_)) => {}
+        (Err(e), Err(payload)) => {
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some(e.to_string().as_str()), "{what}");
+        }
+        (Ok(_), Err(_)) => panic!("only the panicking form rejected {what}"),
+        (Err(e), Ok(_)) => panic!("the panicking form accepted {what} ({e})"),
+    }
+    tried
+}
+
+/// Both builders on one hostile triple: each accepts exactly the in-range
+/// values, and an accepted plan drives transfers to a finite ledger.
+fn check_builders(topo: &Topology, seed: u64, fail: f64, stall_p: f64, stall_s: f64) {
+    let in_unit = |p: f64| (0.0..=1.0).contains(&p);
+    let what = format!("fail {fail:?}, stalls ({stall_p:?}, {stall_s:?})");
+
+    let plan = both_forms(
+        || FaultPlan::new(seed).try_with_fail_prob(fail),
+        || FaultPlan::new(seed).with_fail_prob(fail),
+        &what,
+    );
+    assert_eq!(plan.is_ok(), in_unit(fail), "{what}");
+    let plan = plan.unwrap_or_else(|_| FaultPlan::new(seed));
+
+    let stalled = both_forms(
+        || plan.clone().try_with_stalls(stall_p, stall_s),
+        || plan.clone().with_stalls(stall_p, stall_s),
+        &what,
+    );
+    let valid_stall = in_unit(stall_p) && stall_s >= 0.0;
+    assert_eq!(stalled.is_ok(), valid_stall, "{what}");
+    let Ok(plan) = stalled else { return };
+
+    // An accepted plan schedules faults the engine can always absorb.
+    let mut engine = TransferEngine::with_faults(topo, plan, RetryPolicy::default());
+    let mut c = TrafficCounters::new();
+    for _ in 0..8 {
+        engine.one_sided_read(Node::Host, Node::Gpu(0), 1 << 20, &mut c);
+    }
+    assert!(
+        c.transfer_seconds.is_finite() && c.retry_seconds.is_finite(),
+        "{what}: {c:?}"
+    );
+}
+
+/// Every triple of edge values, then seeded triples that mix edges with
+/// arbitrary bit patterns.
+#[test]
+fn fault_plan_builders_reject_exactly_the_out_of_range_values() {
+    let topo = Topology::pcie_tree(2, 1, 16e9);
+    for fail in EDGES {
+        for stall_p in EDGES {
+            for stall_s in EDGES {
+                check_builders(&topo, 0, fail, stall_p, stall_s);
+            }
+        }
+    }
+    for_cases("fault_plan_builders", |rng| {
+        let seed = rng.next_u64();
+        let (fail, stall_p, stall_s) = (hostile(rng), hostile(rng), hostile(rng));
+        check_builders(&topo, seed, fail, stall_p, stall_s);
     });
 }

@@ -6,7 +6,7 @@
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
 use freshgnn_repro::core::multi_gpu::{profile_system, profile_system_faulted, SystemKind};
 use freshgnn_repro::core::runtime::{InOrder, Pool, RuntimeConfig};
-use freshgnn_repro::core::sampler::{FaultHook, SampleError};
+use freshgnn_repro::core::sampler::{FaultHook, SampleError, DEFAULT_SAMPLER_RETRIES};
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::block::MiniBatch;
 use freshgnn_repro::graph::datasets::arxiv_spec;
@@ -174,7 +174,7 @@ fn persistent_panic_is_an_error_not_a_short_epoch() {
             attempts,
         } => {
             assert_eq!(batch_index, 2);
-            assert_eq!(attempts, cfg().sampler_retries + 1);
+            assert_eq!(attempts, DEFAULT_SAMPLER_RETRIES + 1);
         }
         other => panic!("unexpected error {other:?}"),
     }

@@ -214,7 +214,7 @@ fn policy_cache_respects_staleness_bound() {
         let t_stale = rng.below(16) as u32 + 1;
         let kind = PolicyKind::ALL[rng.below(PolicyKind::ALL.len())];
         let policy = kind.build(t_stale);
-        let mut cache = HistoricalCache::new(40, &[4, 4], t_stale, 8, false, true);
+        let mut cache = HistoricalCache::new(40, &[4, 4], t_stale, 8, true);
         if policy.wants_history() {
             cache.enable_history();
         }

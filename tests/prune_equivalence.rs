@@ -60,7 +60,7 @@ fn pruned_forward_matches_unpruned_forward_with_overrides() {
 
         // Populate the cache with random embeddings for a random subset of
         // interior nodes at levels 1 and 2.
-        let mut cache = HistoricalCache::new(300, &dims[1..], 100, 32, false, true);
+        let mut cache = HistoricalCache::new(300, &dims[1..], 100, 32, true);
         for level in 1..=2usize {
             let dst = &mb.blocks[level - 1].dst_global;
             for &node in dst.iter() {
@@ -135,7 +135,7 @@ fn prune_partitions_destinations() {
     let mut sampler = NeighborSampler::new(200);
     let mb = sampler.sample(&g, &[0, 5, 9], &[3, 3], &mut rng);
     let dims = [4usize, 6, 3];
-    let mut cache = HistoricalCache::new(200, &dims[1..], 100, 16, false, true);
+    let mut cache = HistoricalCache::new(200, &dims[1..], 100, 16, true);
     for &node in mb.blocks[0].dst_global.iter().take(10) {
         let row = rng.normal_matrix(1, dims[1], 1.0);
         admit(&mut cache, 1, node, &row, 0);
