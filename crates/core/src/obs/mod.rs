@@ -15,10 +15,10 @@
 //! by `tests/obs_invariants.rs` plus a committed golden trace.
 //!
 //! The serving/trajectory layer (DESIGN.md §12) adds [`schema`] (the one
-//! home of every `fgnn-*-v1` tag), [`window`] (sim-time sliding windows,
-//! a mergeable latency sketch and the multi-window SLO burn-rate
-//! [`SloMonitor`]) and [`json`] (a minimal parser so the trajectory gate
-//! can read committed `BENCH_*.json` baselines back).
+//! home of every `fgnn-*-v1` tag), the crate-private `window` (sim-time
+//! sliding windows, a mergeable latency sketch and the SLO burn-rate
+//! monitor that raises [`AlertEvent`]s) and [`json`] (a minimal parser so
+//! the trajectory gate can read committed `BENCH_*.json` baselines back).
 
 pub mod clock;
 pub mod export;
@@ -26,13 +26,13 @@ pub mod json;
 pub mod metrics;
 pub mod schema;
 pub mod span;
-pub mod window;
+pub(crate) mod window;
 
 pub use clock::SimClock;
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use metrics::{Histogram, MetricClass, MetricValue, Metrics};
 pub use span::{Span, Tracer};
-pub use window::{AlertEvent, BurnRule, EventWindow, SloMonitor, WindowedSketch};
+pub use window::AlertEvent;
 
 /// Bucket edges (iterations) for cache entry-age histograms.
 pub const AGE_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 /// event loop guarantees this); each is either good or bad, and the
 /// window reports totals over the trailing `window_ns`.
 #[derive(Clone, Debug)]
-pub struct EventWindow {
+pub(crate) struct EventWindow {
     window_ns: u64,
     events: VecDeque<(u64, bool)>,
     bad: u64,
@@ -96,7 +96,7 @@ impl EventWindow {
 /// A sliding quantile sketch: fixed time slices, one fixed-bucket
 /// [`Histogram`] per slice, window quantiles by merging live slices.
 #[derive(Clone, Debug)]
-pub struct WindowedSketch {
+pub(crate) struct WindowedSketch {
     bounds: Vec<f64>,
     slice_ns: u64,
     num_slices: usize,
@@ -159,15 +159,15 @@ impl WindowedSketch {
 /// One multi-window burn-rate rule: fire when *both* the long and the
 /// short window burn exceed `burn`.
 #[derive(Clone, Copy, Debug)]
-pub struct BurnRule {
+pub(crate) struct BurnRule {
     /// Stable rule label (exported in alert events).
-    pub label: &'static str,
+    label: &'static str,
     /// Long window span (nanoseconds) — filters noise.
-    pub long_ns: u64,
+    long_ns: u64,
     /// Short window span (nanoseconds) — fast resolve.
-    pub short_ns: u64,
+    short_ns: u64,
     /// Burn-rate threshold (1.0 = burning the budget exactly).
-    pub burn: f64,
+    burn: f64,
 }
 
 /// Error budget: the tolerated bad-event fraction (up to 5% of requests
@@ -208,7 +208,7 @@ const SKETCH_SLICES: usize = 8;
 pub struct AlertEvent {
     /// Sim time of the edge.
     pub at_ns: u64,
-    /// The [`BurnRule`] label.
+    /// The burn-rate rule's label (`fast-burn` or `slow-burn`).
     pub rule: &'static str,
     /// `true` on the fire edge, `false` on the resolve edge.
     pub fired: bool,
@@ -227,13 +227,13 @@ pub struct AlertEvent {
 /// accumulate in [`SloMonitor::alerts`] and the current windowed latency
 /// quantiles are always available from the sketch.
 #[derive(Clone, Debug)]
-pub struct SloMonitor {
+pub(crate) struct SloMonitor {
     /// `(long, short)` windows per rule, index-aligned with `BURN_RULES`.
     windows: Vec<(EventWindow, EventWindow)>,
     active: Vec<bool>,
     sketch: WindowedSketch,
     /// Fire/resolve edges, in sim-time order.
-    pub alerts: Vec<AlertEvent>,
+    pub(crate) alerts: Vec<AlertEvent>,
 }
 
 impl SloMonitor {

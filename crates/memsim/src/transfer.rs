@@ -391,6 +391,7 @@ mod tests {
         );
         assert_eq!(c.retries, 3, "three wasted attempts");
         assert_eq!(c.failed_transfers, 1);
+        assert_eq!(c.host_to_gpu_bytes, 16_000_000, "bytes still delivered");
         assert!(c.retry_seconds > 0.0);
         // Wasted attempts: 3 x 1ms plus two backoffs of >= 1ms and >= 2ms.
         assert!(
@@ -416,23 +417,6 @@ mod tests {
             c.failed_transfers
         );
         assert_eq!(c.num_transfers, 200);
-    }
-
-    #[test]
-    fn exhausted_retries_force_fallback_path() {
-        let topo = Topology::pcie_tree(1, 1, 16.0 * GB);
-        let plan = FaultPlan::new(0).with_fail_prob(1.0);
-        let policy = RetryPolicy {
-            max_retries: 1,
-            ..Default::default()
-        };
-        let mut eng = TransferEngine::with_faults(&topo, plan, policy);
-        let mut c = TrafficCounters::new();
-        let t = eng.one_sided_read(Node::Host, Node::Gpu(0), 16_000_000, &mut c);
-        assert!((t - FALLBACK_PENALTY * 1e-3).abs() < 1e-9, "t={t}");
-        assert_eq!(c.failed_transfers, 1);
-        assert_eq!(c.retries, 2);
-        assert_eq!(c.host_to_gpu_bytes, 16_000_000, "bytes still delivered");
     }
 
     #[test]

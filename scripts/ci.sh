@@ -63,10 +63,12 @@ if [ -n "$unaudited" ] || [ "$(printf '%s\n' "$unsafe_sites" | grep -c .)" -ne 2
 fi
 
 # The library crates' public surface is what other code calls: a `pub fn`
-# whose name appears nowhere outside its crate (not in another crate,
+# whose name appears in no code outside its crate (not in another crate,
 # tests/, examples/, src/ or perf/) is surface rustc's dead_code lint cannot
 # see. Narrow it to `pub(crate)`, and delete it if dead_code then flags it.
-unused_pub="$(LOC_LIST_UNUSED=1 ./scripts/loc.sh | grep -E '^(core|graph|memsim|nn|tensor): ' || true)"
+# loc.sh lists each as a `crate: name` line; a failing loc.sh fails here.
+loc="$(./scripts/loc.sh)"
+unused_pub="$(printf '%s\n' "$loc" | grep -E '^(core|graph|memsim|nn|tensor): ' || true)"
 if [ -n "$unused_pub" ]; then
     echo "ci: pub fn with no caller outside its crate:" >&2
     printf '%s\n' "$unused_pub" >&2

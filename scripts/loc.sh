@@ -8,9 +8,11 @@
 # non-test lines (every item behind `#[cfg(test)]` is skipped by brace depth,
 # wherever in the file it sits), and `pub fn` declarations in that non-test
 # part. A last table counts, per library crate, the `pub fn` names that
-# appear nowhere outside that crate: not in another crate, `tests/`,
-# `examples/`, `src/` or `perf/`. Run from anywhere; pass a checkout root to
-# measure another tree (e.g. a clone of the parent commit).
+# appear in no code outside that crate (not in another crate, `tests/`,
+# `examples/`, `src/` or `perf/`; `//` comment lines do not count), then
+# lists them as `crate: name` lines. It checks names only: a `pub fn new`
+# passes as long as any outside code says `new`. Run from anywhere; pass a
+# checkout root to measure another tree (e.g. a clone of the parent commit).
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -64,7 +66,7 @@ gate_files=(crates/bench/src/trajectory.rs crates/bench/src/bin/exp_report.rs)
 [ -f crates/bench/src/table.rs ] && gate_files+=(crates/bench/src/table.rs)
 row "bench/trajectory+table+exp_report" "${gate_files[@]}"
 
-# unused_pub CRATE -> the crate's non-test `pub fn` names that no file
+# unused_pub CRATE -> the crate's non-test `pub fn` names that no code
 # outside it mentions, one a line.
 unused_pub() {
     local crate=$1
@@ -73,18 +75,21 @@ unused_pub() {
         sed -nE 's/.*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' | sort -u >"$tmp/defined"
     find crates tests examples src perf -name '*.rs' \
         -not -path "crates/$crate/*" -not -path '*/target/*' -print0 |
-        xargs -0 grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/outside"
+        xargs -0 cat | grep -v '^[[:space:]]*//' |
+        grep -owE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/outside"
     comm -23 "$tmp/defined" "$tmp/outside"
 }
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-printf "\n%-34s %7s\n" "" "pub fn no outside caller"
-for crate in core graph memsim nn tensor; do
-    printf "%-34s %7d\n" "$crate" "$(unused_pub "$crate" | grep -c . || true)"
+libs=(core graph memsim nn tensor)
+for crate in "${libs[@]}"; do
+    unused_pub "$crate" >"$tmp/unused_$crate"
 done
-if [ "${LOC_LIST_UNUSED:-0}" = 1 ]; then
-    for crate in core graph memsim nn tensor; do
-        unused_pub "$crate" | sed "s/^/$crate: /"
-    done
-fi
+printf "\n%-34s %7s\n" "" "pub fn no outside caller"
+for crate in "${libs[@]}"; do
+    printf "%-34s %7d\n" "$crate" "$(wc -l <"$tmp/unused_$crate")"
+done
+for crate in "${libs[@]}"; do
+    sed "s/^/$crate: /" "$tmp/unused_$crate"
+done
