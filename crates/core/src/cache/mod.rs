@@ -239,7 +239,9 @@ impl HistoricalCache {
 
     /// Apply a policy's verdicts for one level: admit fresh rows out of
     /// `h` (the level's representation matrix), evict unstable cached
-    /// entries, refresh stamps of kept entries. An admit over a still-live
+    /// entries, count kept entries. A keep touches neither the entry nor
+    /// its stamp, so a kept entry still goes stale `t_stale` iterations
+    /// after its admission, as the staleness bound needs. An admit over a still-live
     /// entry (the [`HistoricalCache::lookup_with`] refresh-schedule path)
     /// refreshes it in place, recording the update delta when history is
     /// enabled.
@@ -521,6 +523,30 @@ mod tests {
         c.apply_verdicts(2, &evict, &h, 1);
         assert!(c.lookup_with(2, 3, 1, &GradientPolicy).is_none());
         assert_eq!(c.stats().grad_evictions, 1);
+    }
+
+    #[test]
+    fn a_keep_does_not_refresh_the_stamp() {
+        // t_stale 50: admitted at 0, a hit through iteration 50, stale at 51.
+        let mut c = cache();
+        let h = Matrix::zeros(1, 4);
+        let verdict = |v| {
+            let input = PolicyInput {
+                node: 6,
+                local: 0,
+                grad_norm: 0.0,
+                was_cached: v == Verdict::Keep,
+            };
+            vec![(input, v)]
+        };
+        c.apply_verdicts(1, &verdict(Verdict::Admit), &h, 0);
+        c.apply_verdicts(1, &verdict(Verdict::Keep), &h, 10);
+        assert_eq!(c.stats().keeps, 1);
+        assert!(c.lookup_with(1, 6, 50, &GradientPolicy).is_some());
+        assert!(
+            c.lookup_with(1, 6, 51, &GradientPolicy).is_none(),
+            "a keep at 10 refreshed the stamp"
+        );
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! the fault-free run; only the cluster comms/retry ledger records what the
 //! faults cost.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::resume_unwind;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use super::membership::{FailureDetector, HostStatus, MembershipTransition, MembershipView};
 use super::ClusterConfig;
@@ -34,7 +34,7 @@ use crate::resilience::{HealthState, NumericFault, Supervisor, SupervisorConfig}
 use crate::trainer::Trainer;
 use fgnn_graph::datasets::Dataset;
 use fgnn_graph::partition::{induced_subgraph, partition_ldg};
-use fgnn_graph::NodeId;
+use fgnn_graph::{Csr, NodeId};
 use fgnn_memsim::cluster::{AmBatcher, AmTransfer, ClusterEventKind, ClusterTopology};
 use fgnn_memsim::fault::LinkHealth;
 use fgnn_memsim::presets::{GpuSpec, Machine};
@@ -217,8 +217,11 @@ pub struct ClusterTrainer {
     cfg: ClusterConfig,
     topo: ClusterTopology,
     /// Full-graph adjacency for halo discovery (in a real deployment this
-    /// is the immutable partition book every host holds).
-    full: Dataset,
+    /// is the immutable partition book every host holds), shared with the
+    /// dataset it came from.
+    graph: Arc<Csr>,
+    /// Bytes of one raw feature row, what a fallback halo read re-fetches.
+    feature_row_bytes: u64,
     /// Global node → owning host.
     assignment: Vec<u32>,
     shards: Vec<HostShard>,
@@ -230,6 +233,8 @@ pub struct ClusterTrainer {
     comms: TrafficCounters,
     ledger: StalenessLedger,
     batcher: AmBatcher,
+    /// Reused buffer of one batch's remote halo.
+    halo: Vec<NodeId>,
     am_saving_seconds: f64,
     crashes: u64,
     restarts: u64,
@@ -298,9 +303,11 @@ impl ClusterTrainer {
         Ok(ClusterTrainer {
             cfg,
             topo,
-            full: ds.clone(),
+            graph: Arc::clone(&ds.graph),
+            feature_row_bytes: ds.spec.feature_row_bytes() as u64,
             assignment,
             batcher: AmBatcher::new(h),
+            halo: Vec::new(),
             shards,
             detector,
             plan: ClusterFaultPlan::none(),
@@ -614,19 +621,23 @@ impl ClusterTrainer {
         let transfers: Vec<AmTransfer> = {
             let s = &self.shards[h];
             let batch = &s.batches[s.cursor];
-            let mut remote: BTreeSet<NodeId> = BTreeSet::new();
+            let remote = &mut self.halo;
+            remote.clear();
             for &local in batch {
                 let g = s.global_ids[local as usize];
-                for &u in self.full.graph.neighbors(g) {
+                for &u in self.graph.neighbors(g) {
                     if self.assignment[u as usize] as usize != h {
-                        remote.insert(u);
+                        remote.push(u);
                     }
                 }
             }
             if remote.is_empty() {
                 return;
             }
-            for &u in &remote {
+            // Ascending and deduplicated: the order the batcher sees.
+            remote.sort_unstable();
+            remote.dedup();
+            for &u in remote.iter() {
                 self.batcher
                     .enqueue(self.assignment[u as usize] as usize, embed_bytes);
             }
@@ -713,7 +724,7 @@ impl ClusterTrainer {
             // Budget exceeded (or cache disabled): re-fetch raw features
             // at the fallback penalty. Staleness served is zero, so the
             // t_stale invariant holds by construction.
-            let raw_bytes = t.messages * self.full.spec.feature_row_bytes() as u64;
+            let raw_bytes = t.messages * self.feature_row_bytes;
             self.ledger.fallback_reads += t.messages;
             if replica != h {
                 let health = combine_health(reader_nic, self.shards[replica].nic);

@@ -38,14 +38,38 @@ impl Csr {
     /// Build from undirected edges: every `(u, v)` contributes both `u -> v`
     /// and `v -> u`. Self-loops contribute a single entry.
     pub fn from_undirected_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut directed = Vec::with_capacity(edges.len() * 2);
-        for &(u, v) in edges {
-            directed.push((u, v));
+        Csr::from_undirected_pairs(n, edges.iter().copied())
+    }
+
+    /// [`Csr::from_undirected_edges`] over any re-iterable pair source, in
+    /// one counting pass and one filling pass: pair by pair in input order,
+    /// `u` joins `v`'s list and then `v` joins `u`'s, the order the directed
+    /// list `(u, v), (v, u), …` would give them, without building that list.
+    pub(crate) fn from_undirected_pairs(
+        n: usize,
+        pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+    ) -> Self {
+        let mut indptr = vec![0usize; n + 1];
+        for (u, v) in pairs.clone() {
+            indptr[v as usize + 1] += 1;
             if u != v {
-                directed.push((v, u));
+                indptr[u as usize + 1] += 1;
             }
         }
-        Csr::from_directed_edges(n, &directed)
+        for i in 0..n {
+            indptr[i + 1] += indptr[i];
+        }
+        let mut cursor = indptr[..n].to_vec();
+        let mut indices = vec![0 as NodeId; indptr[n]];
+        for (u, v) in pairs {
+            indices[cursor[v as usize]] = u;
+            cursor[v as usize] += 1;
+            if u != v {
+                indices[cursor[u as usize]] = v;
+                cursor[u as usize] += 1;
+            }
+        }
+        Csr { indptr, indices }
     }
 
     /// Build directly from raw CSR arrays. Panics on malformed input.
@@ -131,6 +155,45 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The construction `from_undirected_edges` replaces: both directions of
+    /// every pair in one doubled list, then the directed build.
+    fn doubled_list_reference(n: usize, edges: &[(NodeId, NodeId)]) -> Csr {
+        let mut directed = Vec::with_capacity(edges.len() * 2);
+        for &(u, v) in edges {
+            directed.push((u, v));
+            if u != v {
+                directed.push((v, u));
+            }
+        }
+        Csr::from_directed_edges(n, &directed)
+    }
+
+    #[test]
+    fn undirected_build_equals_the_doubled_list_build() {
+        let mut rng = fgnn_tensor::Rng::new(11);
+        for case in 0..32 {
+            let n = 1 + rng.below(200);
+            let edges: Vec<(NodeId, NodeId)> = (0..rng.below(2_000))
+                .map(|_| {
+                    let u = rng.below(n) as NodeId;
+                    // One pair in eight a self-loop; small n makes duplicates.
+                    let v = if rng.below(8) == 0 {
+                        u
+                    } else {
+                        rng.below(n) as NodeId
+                    };
+                    (u, v)
+                })
+                .collect();
+            assert_eq!(
+                Csr::from_undirected_edges(n, &edges),
+                doubled_list_reference(n, &edges),
+                "case {case}: n {n}, {} pairs",
+                edges.len()
+            );
+        }
+    }
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 (directed), stored by dst.

@@ -302,4 +302,88 @@ mod tests {
         let frac = ds.train_nodes.len() as f64 / ds.num_nodes() as f64;
         assert!((frac - 0.011).abs() < 0.002, "train fraction {frac}");
     }
+
+    /// FNV-1a, 64-bit, over little-endian words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Self {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+
+        fn words(&mut self, ws: impl IntoIterator<Item = u64>) {
+            let mut len = 0u64;
+            for w in ws {
+                self.word(w);
+                len += 1;
+            }
+            self.word(len);
+        }
+
+        fn csr(&mut self, g: &Csr) {
+            self.words(g.indptr().iter().map(|&p| p as u64));
+            self.words(g.indices().iter().map(|&v| v as u64));
+        }
+
+        fn matrix(&mut self, m: &Matrix) {
+            self.words(m.as_slice().iter().map(|x| x.to_bits() as u64));
+        }
+
+        fn ids(&mut self, ids: &[NodeId]) {
+            self.words(ids.iter().map(|&v| v as u64));
+        }
+    }
+
+    fn fingerprint(ds: &Dataset) -> u64 {
+        let mut h = Fnv::new();
+        h.csr(&ds.graph);
+        h.matrix(&ds.features);
+        h.words(ds.labels.iter().map(|&l| l as u64));
+        h.ids(&ds.train_nodes);
+        h.ids(&ds.val_nodes);
+        h.ids(&ds.test_nodes);
+        h.0
+    }
+
+    /// Every preset, at node counts that put 8 to 15 bits in each end of an
+    /// edge key (and one just past a power of two), and the heterogeneous
+    /// MAG stand-in, hash to what the binary-search, comparison-sort,
+    /// doubled-edge-list generator produced: the generator's speed-ups
+    /// change no byte of any dataset.
+    #[test]
+    fn materialized_datasets_match_their_pinned_fingerprints() {
+        let cases: [(DatasetSpec, usize, u64, u64); 6] = [
+            (arxiv_spec(0.0), 20_000, 1, 0xc8f7_5980_800a_2e10),
+            (products_spec(0.0), 3_000, 2, 0xd37f_5b17_857a_9432),
+            (papers100m_spec(0.0), 5_000, 3, 0xbb81_a131_5a58_cecf),
+            (mag240m_spec(0.0), 256, 4, 0x18d9_7e74_3d74_57b2),
+            (twitter_spec(0.0), 1_000, 5, 0xdb87_ab7b_80b7_d84a),
+            (friendster_spec(0.0), 2_049, 6, 0x8b87_3793_25ce_0220),
+        ];
+        for (spec, num_nodes, seed, pinned) in cases {
+            let name = spec.name;
+            let spec = DatasetSpec { num_nodes, ..spec }.with_dim(8);
+            let got = fingerprint(&Dataset::materialize(spec, seed));
+            assert_eq!(got, pinned, "{name}: {got:#018x}");
+        }
+
+        let ds = crate::hetero::mag_hetero(3_000, 8, 8, 7);
+        let mut h = Fnv::new();
+        for rel in &ds.graph.relations {
+            h.csr(&rel.graph);
+        }
+        for m in &ds.features {
+            h.matrix(m);
+        }
+        h.words(ds.labels.iter().map(|&l| l as u64));
+        h.ids(&ds.train_nodes);
+        h.ids(&ds.test_nodes);
+        assert_eq!(h.0, 0xc880_f9f4_93c5_93d1, "hetero: {:#018x}", h.0);
+    }
 }

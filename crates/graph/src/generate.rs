@@ -56,10 +56,26 @@ pub struct GeneratedGraph {
 }
 
 /// Cumulative-weight sampler over a set of members.
+///
+/// A pick draws one 24-bit uniform `u` and returns the first member whose
+/// cumulative weight reaches `u · total` (a `partition_point`). The search
+/// runs only over `cumulative[guide[b]..guide[b + 1]]`, where `b` is the
+/// top `⌈log2 m⌉` bits of `u` (capped at 24): `guide[b]` is the answer for
+/// the smallest uniform in bucket `b`, and the answer is monotone in `u`,
+/// so every uniform in the bucket lands in that range. Same index as the
+/// search over all of `cumulative`, in O(1) expected probes.
 struct WeightedPicker {
     members: Vec<NodeId>,
     cumulative: Vec<f64>,
+    total: f64,
+    guide: Vec<u32>,
+    /// `24 − bits`: a uniform's 24-bit numerator shifted right by this is
+    /// its bucket.
+    shift: u32,
 }
+
+/// Bits in a uniform's numerator ([`Rng::uniform`] is `k / 2^24`).
+const UNIFORM_BITS: u32 = 24;
 
 impl WeightedPicker {
     fn new(members: Vec<NodeId>, weights: &[f64]) -> Self {
@@ -69,21 +85,123 @@ impl WeightedPicker {
             acc += weights[m as usize];
             cumulative.push(acc);
         }
+        let total = acc;
+        let bits = ceil_log2(members.len()).min(UNIFORM_BITS);
+        let buckets = 1usize << bits;
+        // One sweep: each bucket's lowest uniform, computed exactly as
+        // `index` computes it, advances a shared cursor.
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut idx = 0;
+        for b in 0..buckets {
+            let x = (b as f32 * (1.0 / buckets as f32)) as f64 * total;
+            while idx < cumulative.len() && cumulative[idx] < x {
+                idx += 1;
+            }
+            guide.push(idx as u32);
+        }
+        guide.push(cumulative.len() as u32);
         WeightedPicker {
             members,
             cumulative,
+            total,
+            guide,
+            shift: UNIFORM_BITS - bits,
         }
     }
 
-    fn total(&self) -> f64 {
-        *self.cumulative.last().unwrap_or(&0.0)
+    /// Bucket of uniform `u`: the top `bits` bits of its numerator.
+    #[inline]
+    fn bucket(&self, u: f32) -> usize {
+        ((u * (1u32 << UNIFORM_BITS) as f32) as u32 >> self.shift) as usize
     }
 
-    fn pick(&self, rng: &mut Rng) -> NodeId {
-        let x = rng.uniform() as f64 * self.total();
-        let idx = self.cumulative.partition_point(|&c| c < x);
-        self.members[idx.min(self.members.len() - 1)]
+    /// Position in `members` that uniform `u` picks.
+    #[inline]
+    fn index(&self, u: f32) -> usize {
+        let x = u as f64 * self.total;
+        let b = self.bucket(u);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let idx = lo + self.cumulative[lo..hi].partition_point(|&c| c < x);
+        idx.min(self.members.len() - 1)
     }
+
+    #[inline]
+    fn pick(&self, u: f32) -> NodeId {
+        self.members[self.index(u)]
+    }
+
+    /// Start loading the guide slot `u` reads first.
+    #[inline]
+    fn prefetch_guide(&self, u: f32) {
+        fgnn_tensor::prefetch(&self.guide, self.bucket(u));
+    }
+
+    /// Start loading the cumulative and member slots `u`'s search begins
+    /// at (its guide slot should already be cached).
+    #[inline]
+    fn prefetch_search(&self, u: f32) {
+        let lo = self.guide[self.bucket(u)] as usize;
+        fgnn_tensor::prefetch(&self.cumulative, lo);
+        fgnn_tensor::prefetch(&self.members, lo);
+    }
+}
+
+/// `⌈log2 m⌉` (0 for `m ≤ 1`).
+fn ceil_log2(m: usize) -> u32 {
+    usize::BITS - m.saturating_sub(1).leading_zeros()
+}
+
+/// Sort `keys` ascending by an LSD radix sort over their low `bits` bits;
+/// every higher bit must be zero. Each pass sorts one digit of at most 11
+/// bits, so its counts (16 KiB) stay in L1; one scratch buffer of the same
+/// length alternates with `keys` as the pass's destination.
+fn radix_sort(keys: &mut Vec<u64>, bits: u32) {
+    const MAX_DIGIT_BITS: u32 = 11;
+    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    if passes == 0 || keys.len() < 2 {
+        return;
+    }
+    let digit_bits = bits.div_ceil(passes);
+    let radix = 1usize << digit_bits;
+    let mask = radix as u64 - 1;
+    // Every pass's histogram in one read of the input.
+    let mut counts = vec![0usize; passes as usize * radix];
+    for &k in keys.iter() {
+        for (p, c) in counts.chunks_exact_mut(radix).enumerate() {
+            c[((k >> (p as u32 * digit_bits)) & mask) as usize] += 1;
+        }
+    }
+    let mut scratch = vec![0u64; keys.len()];
+    for (p, c) in counts.chunks_exact_mut(radix).enumerate() {
+        let shift = p as u32 * digit_bits;
+        let mut next = 0;
+        for slot in c.iter_mut() {
+            let n = *slot;
+            *slot = next;
+            next += n;
+        }
+        for &k in keys.iter() {
+            let d = ((k >> shift) & mask) as usize;
+            scratch[c[d]] = k;
+            c[d] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+/// Attempts [`generate`] resolves together (see its edge loop).
+const RESOLVE_AHEAD: usize = 64;
+
+/// One edge attempt in flight: its three uniforms, then what they resolve to.
+#[derive(Clone, Copy, Default)]
+struct Attempt {
+    source_u: f32,
+    coin: f32,
+    target_u: f32,
+    source: NodeId,
+    /// Community whose picker draws the target, or `usize::MAX` for the
+    /// global one.
+    picker: usize,
 }
 
 /// Generate a community-structured power-law graph.
@@ -120,28 +238,78 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
         .map(|m| WeightedPicker::new(m, &weights))
         .collect();
 
+    const GLOBAL: usize = usize::MAX;
+    let picker = |p: usize| {
+        if p == GLOBAL {
+            &global
+        } else {
+            &per_community[p]
+        }
+    };
+    // Each accepted pair as one key, `min` above `max`: ascending keys are
+    // ascending `(min, max)` pairs.
+    let id_bits = ceil_log2(n);
     let target_edges = ((n as f64) * config.avg_degree / 2.0) as usize;
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(target_edges);
+    let mut keys: Vec<u64> = Vec::with_capacity(target_edges);
     let mut attempts = 0usize;
     let max_attempts = target_edges * 4 + 64;
-    while edges.len() < target_edges && attempts < max_attempts {
-        attempts += 1;
-        let u = global.pick(rng);
-        let v = if (rng.uniform() as f64) < config.homophily {
-            per_community[communities[u as usize] as usize].pick(rng)
-        } else {
-            global.pick(rng)
-        };
-        if u != v {
-            edges.push((u.min(v), u.max(v)));
+    // An attempt draws three uniforms — its source's pick, the homophily
+    // coin, its target's pick — and costs a chain of dependent cache
+    // misses (guide, cumulative, member, community, then the same in the
+    // target's picker). Attempts are resolved a block at a time, one link
+    // of the chain per sweep over the block, each sweep prefetching what
+    // the next reads, so the misses of a block overlap. A block never
+    // holds more attempts than there are edges still wanted, so every
+    // attempt drawn is an attempt made, in order: the same draws, the same
+    // edges as one attempt at a time.
+    let mut block = [Attempt::default(); RESOLVE_AHEAD];
+    while keys.len() < target_edges && attempts < max_attempts {
+        let len = RESOLVE_AHEAD
+            .min(target_edges - keys.len())
+            .min(max_attempts - attempts);
+        attempts += len;
+        let block = &mut block[..len];
+        for a in block.iter_mut() {
+            a.source_u = rng.uniform();
+            a.coin = rng.uniform();
+            a.target_u = rng.uniform();
+            global.prefetch_guide(a.source_u);
+        }
+        for a in block.iter() {
+            global.prefetch_search(a.source_u);
+        }
+        for a in block.iter_mut() {
+            a.source = global.pick(a.source_u);
+            fgnn_tensor::prefetch(&communities, a.source as usize);
+        }
+        for a in block.iter_mut() {
+            a.picker = if (a.coin as f64) < config.homophily {
+                communities[a.source as usize] as usize
+            } else {
+                GLOBAL
+            };
+            picker(a.picker).prefetch_guide(a.target_u);
+        }
+        for a in block.iter() {
+            picker(a.picker).prefetch_search(a.target_u);
+        }
+        for a in block.iter() {
+            let (u, v) = (a.source, picker(a.picker).pick(a.target_u));
+            if u != v {
+                keys.push(((u.min(v) as u64) << id_bits) | u.max(v) as u64);
+            }
         }
     }
     // Deduplicate parallel edges.
-    edges.sort_unstable();
-    edges.dedup();
+    radix_sort(&mut keys, 2 * id_bits);
+    keys.dedup();
+    let mask = (1u64 << id_bits) - 1;
+    let pairs = keys
+        .iter()
+        .map(|&k| ((k >> id_bits) as NodeId, (k & mask) as NodeId));
 
     GeneratedGraph {
-        graph: Csr::from_undirected_edges(n, &edges),
+        graph: Csr::from_undirected_pairs(n, pairs),
         communities,
     }
 }
@@ -304,6 +472,97 @@ mod tests {
         let frac = flipped as f64 / 2000.0;
         // 30% noise, but 1/4 of flips land on the original label.
         assert!(frac > 0.15 && frac < 0.30, "flip fraction {frac}");
+    }
+
+    /// The binary search over all of `cumulative` the guide table narrows.
+    fn reference_index(p: &WeightedPicker, u: f32) -> usize {
+        let x = u as f64 * p.total;
+        p.cumulative
+            .partition_point(|&c| c < x)
+            .min(p.members.len() - 1)
+    }
+
+    fn picker(weights: &[f64]) -> WeightedPicker {
+        WeightedPicker::new((0..weights.len() as NodeId).collect(), weights)
+    }
+
+    fn pareto_weights(m: usize, rng: &mut Rng) -> Vec<f64> {
+        (0..m)
+            .map(|_| (1.0 - rng.uniform() as f64).max(1e-12).powf(-1.0 / 1.3))
+            .collect()
+    }
+
+    #[test]
+    fn guide_pick_equals_the_full_search_for_every_uniform() {
+        let mut rng = Rng::new(3);
+        let mut hub = vec![1.0; 40];
+        hub[17] = 50.0;
+        let pickers: Vec<WeightedPicker> = [
+            vec![2.5],
+            vec![0.0, 0.0, 1.0, 0.0, 2.0, 0.0],
+            pareto_weights(15, &mut rng),
+            pareto_weights(16, &mut rng),
+            pareto_weights(17, &mut rng),
+            hub,
+        ]
+        .iter()
+        .map(|w| picker(w))
+        .collect();
+        for k in 0..1u32 << UNIFORM_BITS {
+            let u = k as f32 * (1.0 / (1u32 << UNIFORM_BITS) as f32);
+            for (i, p) in pickers.iter().enumerate() {
+                let (got, want) = (p.index(u), reference_index(p, u));
+                if got != want {
+                    panic!("picker {i}, uniform {k}/2^24: guide {got}, search {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn guide_pick_equals_the_full_search_on_large_pickers() {
+        for seed in 0..8 {
+            let mut rng = Rng::new(seed);
+            let m = 1 + rng.below(300_000);
+            let mut weights = pareto_weights(m, &mut rng);
+            // Zero-weight runs make equal cumulative values.
+            for _ in 0..m / 10 {
+                weights[rng.below(m)] = 0.0;
+            }
+            let p = picker(&weights);
+            for _ in 0..20_000 {
+                let u = rng.uniform();
+                assert_eq!(p.index(u), reference_index(&p, u), "seed {seed}, m {m}");
+            }
+            for u in [0.0, 1.0 - 1.0 / (1u32 << UNIFORM_BITS) as f32] {
+                assert_eq!(p.index(u), reference_index(&p, u), "seed {seed}, m {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn radix_sort_equals_a_comparison_sort() {
+        let mut rng = Rng::new(5);
+        for case in 0..24 {
+            let len = rng.below(5_000);
+            // Narrow ranges make duplicates; the widest reaches u32::MAX.
+            let id_bits = 1 + rng.below(32) as u32;
+            let max = u32::MAX >> (32 - id_bits);
+            let mut keys: Vec<u64> = (0..len)
+                .map(|_| {
+                    let mut id = || match rng.below(8) {
+                        0 => max,
+                        _ => (rng.next_u64() as u32) & max,
+                    };
+                    let (u, v) = (id(), id());
+                    ((u.min(v) as u64) << id_bits) | u.max(v) as u64
+                })
+                .collect();
+            let mut want = keys.clone();
+            want.sort_unstable();
+            radix_sort(&mut keys, 2 * id_bits);
+            assert_eq!(keys, want, "case {case}: {len} keys of {id_bits}-bit ids");
+        }
     }
 
     #[test]
