@@ -227,6 +227,37 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
         .collect();
     rng.shuffle(&mut communities);
 
+    // Each accepted pair as one key, `min` above `max`: ascending keys are
+    // ascending `(min, max)` pairs.
+    let id_bits = ceil_log2(n);
+    let mut keys = edge_keys(config, weights, &communities, id_bits, rng);
+    // Deduplicate parallel edges.
+    radix_sort(&mut keys, 2 * id_bits);
+    keys.dedup();
+    let mask = (1u64 << id_bits) - 1;
+    let pairs = keys
+        .iter()
+        .map(|&k| ((k >> id_bits) as NodeId, (k & mask) as NodeId));
+
+    GeneratedGraph {
+        graph: Csr::from_undirected_pairs(n, pairs),
+        communities,
+    }
+}
+
+/// The edge loop of [`generate`]: `n · avg_degree / 2` accepted pairs (or
+/// as many as four times that many attempts give), each packed as
+/// `min << id_bits | max`. Takes `weights` by value so that they and the
+/// pickers built from them are freed before the sort and the CSR build
+/// allocate, and cannot add to set-up's memory peak.
+fn edge_keys(
+    config: &GraphConfig,
+    weights: Vec<f64>,
+    communities: &[u16],
+    id_bits: u32,
+    rng: &mut Rng,
+) -> Vec<u64> {
+    let n = config.num_nodes;
     // Pickers: one global, one per community.
     let global = WeightedPicker::new((0..n as NodeId).collect(), &weights);
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); config.num_communities];
@@ -246,9 +277,6 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
             &per_community[p]
         }
     };
-    // Each accepted pair as one key, `min` above `max`: ascending keys are
-    // ascending `(min, max)` pairs.
-    let id_bits = ceil_log2(n);
     let target_edges = ((n as f64) * config.avg_degree / 2.0) as usize;
     let mut keys: Vec<u64> = Vec::with_capacity(target_edges);
     let mut attempts = 0usize;
@@ -280,7 +308,7 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
         }
         for a in block.iter_mut() {
             a.source = global.pick(a.source_u);
-            fgnn_tensor::prefetch(&communities, a.source as usize);
+            fgnn_tensor::prefetch(communities, a.source as usize);
         }
         for a in block.iter_mut() {
             a.picker = if (a.coin as f64) < config.homophily {
@@ -300,18 +328,7 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
             }
         }
     }
-    // Deduplicate parallel edges.
-    radix_sort(&mut keys, 2 * id_bits);
-    keys.dedup();
-    let mask = (1u64 << id_bits) - 1;
-    let pairs = keys
-        .iter()
-        .map(|&k| ((k >> id_bits) as NodeId, (k & mask) as NodeId));
-
-    GeneratedGraph {
-        graph: Csr::from_undirected_pairs(n, pairs),
-        communities,
-    }
+    keys
 }
 
 /// Planted node features and labels for a generated graph.
