@@ -84,9 +84,10 @@ run() {
             --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
         tail -n 1)"
     record="$dir/out-$sha/$workload.untraced.json"
-    exact="$(grep -o '"exact":\[[^]]*\]' "$record" | md5sum | cut -c1-12)"
-    loss="$(grep -o '"name":"loss-finite","ok":[a-z]*,"detail":"[^"]*"' "$record" |
-        md5sum | cut -c1-12)"
+    # Workloads without a loss-finite check (serve) hash an empty match.
+    exact="$({ grep -o '"exact":\[[^]]*\]' "$record" || true; } | md5sum | cut -c1-12)"
+    loss="$({ grep -o '"name":"loss-finite","ok":[a-z]*,"detail":"[^"]*"' "$record" ||
+        true; } | md5sum | cut -c1-12)"
     echo "$side $line exact=$exact loss=$loss"
 }
 
