@@ -241,10 +241,10 @@ impl HistoricalCache {
     /// `h` (the level's representation matrix), evict unstable cached
     /// entries, count kept entries. A keep touches neither the entry nor
     /// its stamp, so a kept entry still goes stale `t_stale` iterations
-    /// after its admission, as the staleness bound needs. An admit over a still-live
-    /// entry (the [`HistoricalCache::lookup_with`] refresh-schedule path)
-    /// refreshes it in place, recording the update delta when history is
-    /// enabled.
+    /// after its admission, as the staleness bound needs. An admit over a
+    /// still-live entry (the [`HistoricalCache::lookup_with`]
+    /// refresh-schedule path) refreshes it in place, recording the update
+    /// delta when history is enabled.
     pub fn apply_verdicts(
         &mut self,
         level: usize,
