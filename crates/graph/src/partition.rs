@@ -100,21 +100,22 @@ pub fn partition_ldg(graph: &Csr, k: usize, rng: &mut Rng) -> Partitioning {
 /// copied). Edges to nodes outside the set are dropped — exactly
 /// ClusterGCN's approximation.
 pub fn induced_subgraph(graph: &Csr, nodes: &[NodeId]) -> (Csr, Vec<NodeId>) {
-    // Local ID + 1 per global ID, 0 outside the set: a zeroed allocation,
-    // indexed directly.
-    let mut local_of = vec![0 as NodeId; graph.num_nodes()];
+    let mut local_of = std::collections::HashMap::with_capacity(nodes.len() * 2);
     for (l, &g) in nodes.iter().enumerate() {
-        local_of[g as usize] = l as NodeId + 1;
+        local_of.insert(g, l as NodeId);
     }
-    let mut indptr = Vec::with_capacity(nodes.len() + 1);
-    let mut indices = Vec::new();
-    indptr.push(0);
-    for &g in nodes {
-        let kept = graph.neighbors(g).iter();
-        indices.extend(kept.filter_map(|&u| local_of[u as usize].checked_sub(1)));
-        indptr.push(indices.len());
+    let mut edges = Vec::new();
+    for (l, &g) in nodes.iter().enumerate() {
+        for &u in graph.neighbors(g) {
+            if let Some(&lu) = local_of.get(&u) {
+                edges.push((lu, l as NodeId));
+            }
+        }
     }
-    (Csr::from_parts(indptr, indices), nodes.to_vec())
+    (
+        Csr::from_directed_edges(nodes.len(), &edges),
+        nodes.to_vec(),
+    )
 }
 
 #[cfg(test)]
@@ -265,40 +266,6 @@ mod tests {
         assert_total_assignment(&p, 1, 1);
         let p = partition_ldg(&g, 5, &mut rng);
         assert_total_assignment(&p, 1, 5);
-    }
-
-    /// The hash-map relabeling and directed-edge build `induced_subgraph`
-    /// replaces.
-    fn induced_subgraph_reference(graph: &Csr, nodes: &[NodeId]) -> Csr {
-        let mut local_of = std::collections::HashMap::new();
-        for (l, &g) in nodes.iter().enumerate() {
-            local_of.insert(g, l as NodeId);
-        }
-        let mut edges = Vec::new();
-        for (l, &g) in nodes.iter().enumerate() {
-            for &u in graph.neighbors(g) {
-                if let Some(&lu) = local_of.get(&u) {
-                    edges.push((lu, l as NodeId));
-                }
-            }
-        }
-        Csr::from_directed_edges(nodes.len(), &edges)
-    }
-
-    #[test]
-    fn induced_subgraph_equals_the_hash_map_build() {
-        let g = generate(&GraphConfig::default(), &mut Rng::new(4)).graph;
-        let mut rng = Rng::new(5);
-        let n = g.num_nodes();
-        for _ in 0..16 {
-            let mut nodes = Vec::new();
-            let k = rng.below(n);
-            rng.sample_without_replacement_into(n, k, &mut nodes);
-            let nodes: Vec<NodeId> = nodes.into_iter().map(|v| v as NodeId).collect();
-            let (sub, map) = induced_subgraph(&g, &nodes);
-            assert_eq!(sub, induced_subgraph_reference(&g, &nodes));
-            assert_eq!(map, nodes);
-        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Alternating pairs of one benchmark workload between two revisions.
 #
-#   scripts/perf_pairs.sh <rev-a> <rev-b> --workload W --pairs N
-#       [--seed S] [--seconds T] [--dir D]
+#   scripts/perf_pairs.sh <rev-a> <rev-b> --workload W --pairs N [--seed S]
 #
 # A is the base (the parent), B the change. Each revision is exported with
-# `git archive` into its own directory under D (default target/perf_pairs)
-# and its fgnn-perf is built there, offline, into its own target dir; a
-# revision already built there is reused. Then N pairs run one after the
-# other, A first on odd pairs and B first on even ones, each run
-# `fgnn-perf --workload W --seed S --seconds T --trace 0` (S 42, T 10 by
-# default) in its own process. Nothing else should run meanwhile.
+# `git archive` into its own directory under target/perf_pairs and its
+# fgnn-perf is built there, offline, into its own target dir; a revision
+# already built there is reused. Then N pairs run one after the other, A
+# first on odd pairs and B first on even ones, each run
+# `fgnn-perf --workload W --seed S --trace 0` (S 42 by default; the run
+# length is the binary's own default, the benchmark's) in its own process.
+# Nothing else should run meanwhile.
 #
 # Output: one line per run, in run order — side, the run's result object,
 # md5 prefixes of its `exact` fingerprint and of its per-pass losses (the
@@ -24,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <rev-a> <rev-b> --workload W --pairs N [--seed S] [--seconds T] [--dir D]" >&2
+    echo "usage: $0 <rev-a> <rev-b> --workload W --pairs N [--seed S]" >&2
     exit 2
 }
 
@@ -35,16 +35,12 @@ shift 2
 workload=""
 pairs=""
 seed=42
-seconds=10
-dir=target/perf_pairs
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
         --workload) workload=$2 ;;
         --pairs) pairs=$2 ;;
         --seed) seed=$2 ;;
-        --seconds) seconds=$2 ;;
-        --dir) dir=$2 ;;
         *) usage ;;
     esac
     shift 2
@@ -60,8 +56,8 @@ sha_b="$(git rev-parse --verify --quiet "$rev_b^{commit}")" || {
     echo "perf_pairs: no revision $rev_b" >&2
     exit 2
 }
-mkdir -p "$dir"
-dir="$(cd "$dir" && pwd)"
+mkdir -p target/perf_pairs
+dir="$(cd target/perf_pairs && pwd)"
 rustc_version="$(rustc -V 2>/dev/null || echo unknown)"
 
 # Export and build one revision unless its binary is already there.
@@ -81,7 +77,7 @@ run() {
     line="$(cd "$dir/src-$sha" &&
         FGNN_PERF_OUT="$dir/out-$sha" FGNN_PERF_COMMIT="${sha:0:7}" \
             FGNN_PERF_RUSTC="$rustc_version" "$dir/target-$sha/release/fgnn-perf" \
-            --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+            --workload "$workload" --seed "$seed" --trace 0 |
         tail -n 1)"
     record="$dir/out-$sha/$workload.untraced.json"
     # Workloads without a loss-finite check (serve) hash an empty match.
@@ -106,7 +102,7 @@ metrics="$(awk '
 ' BENCHMARK.json)"
 
 echo "perf pairs: A = $rev_a (${sha_a:0:7}), B = $rev_b (${sha_b:0:7}); fgnn-perf --workload $workload" \
-    "--seed $seed --seconds $seconds --trace 0; $pairs pairs, A first on odd pairs; nproc $(nproc)"
+    "--seed $seed --trace 0; $pairs pairs, A first on odd pairs; nproc $(nproc)"
 runs="$(mktemp)"
 names="$(mktemp)"
 trap 'rm -f "$runs" "$names"' EXIT
