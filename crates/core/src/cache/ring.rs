@@ -863,4 +863,94 @@ mod tests {
         assert_eq!(restored.lookups, 0);
         assert_eq!(restored.hit_age_histogram().count(), 0);
     }
+
+    /// The cache's contract, independent of slots and rings: every node's
+    /// latest admitted row and its stamp, dropped when the node is evicted
+    /// by gradient or found stale.
+    #[derive(Default)]
+    struct Model {
+        latest: std::collections::HashMap<NodeId, (Vec<f32>, u32)>,
+    }
+
+    impl Model {
+        fn admit(&mut self, node: NodeId, row: &[f32], now: u32) {
+            self.latest.insert(node, (row.to_vec(), now));
+        }
+
+        fn evict(&mut self, node: NodeId) {
+            self.latest.remove(&node);
+        }
+
+        /// What a lookup must serve: the latest row while it is at most
+        /// `t_stale` old; a stale entry is dropped and misses from then on.
+        fn lookup(&mut self, node: NodeId, now: u32, t_stale: u32) -> Option<(Vec<f32>, u32)> {
+            let (row, stamp) = self.latest.get(&node)?.clone();
+            if now - stamp > t_stale {
+                self.latest.remove(&node);
+                return None;
+            }
+            Some((row, now - stamp))
+        }
+    }
+
+    /// Property: random admits, lookups and gradient evictions at
+    /// non-decreasing iterations, on tables small enough that the ring
+    /// wraps and grows, give the reference model's answer to every lookup:
+    /// a hit serves the latest admitted row at its true age (never above
+    /// `t_stale`), a stale or evicted node misses until re-admitted, and a
+    /// re-admission after a wrap serves that iteration's row. Growth keeps
+    /// every fresh entry, so the ring may never miss what the model holds.
+    /// `FGNN_PROP_CASES` scales the case count (`scripts/ci.sh` runs 256).
+    #[test]
+    fn ring_cache_answers_every_lookup_like_the_reference_model() {
+        let cases = std::env::var("FGNN_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64u64);
+        let (mut grew, mut overwrote, mut stale_misses) = (0, 0, 0);
+        for case in 0..cases {
+            let mut rng = fgnn_tensor::Rng::new(0x51DE_CA5E ^ case.wrapping_mul(0x9E37_79B9));
+            let num_nodes = 4 + rng.below(40);
+            let capacity = 1 + rng.below(6);
+            let t_stale = rng.below(6) as u32;
+            let mut ring = RingCache::new(num_nodes, capacity, 3);
+            let mut model = Model::default();
+            let mut now = 0u32;
+            for step in 0..600u32 {
+                now += rng.below(3) as u32 / 2;
+                let node = rng.below(num_nodes) as NodeId;
+                match rng.below(20) {
+                    0..=9 => {
+                        // Unique per admission: which one a hit serves shows.
+                        let row = [node as f32, now as f32, step as f32];
+                        ring.admit(node, &row, now, t_stale);
+                        model.admit(node, &row, now);
+                    }
+                    10..=16 => {
+                        let want = model.lookup(node, now, t_stale);
+                        let got = ring.lookup(node, now, t_stale);
+                        let ctx = format!("case {case} step {step}: node {node} at {now}");
+                        match (got, want) {
+                            (Some(slot), Some((row, age))) => {
+                                assert_eq!(ring.fetch(slot), &row[..], "{ctx}");
+                                assert_eq!(ring.age_of(slot, now), age, "{ctx}");
+                                assert!(age <= t_stale, "{ctx}");
+                            }
+                            (None, None) => {}
+                            (got, want) => panic!("{ctx}: ring {got:?}, model {want:?}"),
+                        }
+                    }
+                    _ => {
+                        ring.evict(node);
+                        model.evict(node);
+                    }
+                }
+            }
+            grew += usize::from(ring.capacity() > capacity);
+            overwrote += usize::from(ring.overwrites > 0);
+            stale_misses += usize::from(ring.stale_evictions > 0);
+        }
+        // The cases reach the paths the property is about.
+        assert!(grew > 0 && overwrote > 0 && stale_misses > 0);
+    }
 }

@@ -21,15 +21,15 @@ impl SimClock {
     }
 
     /// Advance by `seconds` of exact simulated time (negative or NaN input
-    /// is clamped to zero) and return the whole-nanosecond increment
-    /// actually applied.
+    /// is clamped to zero; the clock stops at `u64::MAX` ns rather than
+    /// wrapping) and return the whole-nanosecond increment actually applied.
     pub(crate) fn advance_secs(&mut self, seconds: f64) -> u64 {
         let secs = if seconds.is_finite() && seconds > 0.0 {
             seconds
         } else {
             0.0
         };
-        let ns = (secs * 1e9).round() as u64;
+        let ns = ((secs * 1e9).round() as u64).min(u64::MAX - self.now_ns);
         self.now_ns += ns;
         ns
     }
@@ -53,5 +53,16 @@ mod tests {
         assert_eq!(c.advance_secs(-1.0), 0);
         assert_eq!(c.advance_secs(f64::NAN), 0);
         assert_eq!(c.now_ns(), 0);
+    }
+
+    #[test]
+    fn saturates_instead_of_overflowing() {
+        let mut c = SimClock::default();
+        assert_eq!(c.advance_secs(1e10), 10_000_000_000_000_000_000);
+        // 1e19 ns more would pass u64::MAX (≈1.8e19): only the rest applies.
+        assert_eq!(c.advance_secs(1e10), u64::MAX - 10_000_000_000_000_000_000);
+        assert_eq!(c.now_ns(), u64::MAX);
+        assert_eq!(c.advance_secs(1.0), 0);
+        assert_eq!(c.now_ns(), u64::MAX);
     }
 }

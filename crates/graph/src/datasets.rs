@@ -16,7 +16,7 @@
 //! the large graphs. DESIGN.md §2 documents why this preserves the paper's
 //! conclusions.
 
-use crate::generate::{generate, planted_features, GraphConfig};
+use crate::generate::{default_helpers, generate_with, planted_features, GraphConfig};
 use crate::{Csr, NodeId};
 use fgnn_tensor::{Matrix, Rng};
 use std::sync::Arc;
@@ -184,8 +184,15 @@ pub struct Dataset {
 
 impl Dataset {
     /// Materialize a spec: generate the graph, planted features/labels, and
-    /// train/val/test splits. Deterministic in `seed`.
+    /// train/val/test splits. Deterministic in `seed`. Uses a second core
+    /// where there is one; the bytes do not depend on it.
     pub fn materialize(spec: DatasetSpec, seed: u64) -> Dataset {
+        Self::materialize_with(spec, seed, default_helpers())
+    }
+
+    /// [`Dataset::materialize`] with the feature draws, the edge attempts
+    /// and the edge sort shared with `helpers` helper threads.
+    fn materialize_with(spec: DatasetSpec, seed: u64, helpers: usize) -> Dataset {
         let mut rng = Rng::new(seed);
         let cfg = GraphConfig {
             num_nodes: spec.num_nodes,
@@ -194,7 +201,7 @@ impl Dataset {
             homophily: spec.homophily,
             power_law_exponent: 2.3,
         };
-        let gen = generate(&cfg, &mut rng);
+        let gen = generate_with(&cfg, &mut rng, helpers);
         let signal = planted_features(
             &gen.communities,
             spec.num_classes,
@@ -202,6 +209,7 @@ impl Dataset {
             if spec.labeled { 1.0 } else { 0.0 },
             0.05,
             &mut rng,
+            helpers,
         );
 
         // Split: shuffle node IDs, take train_frac for train, then 10%/rest
@@ -354,8 +362,9 @@ mod tests {
     /// Every preset, at node counts that put 8 to 15 bits in each end of an
     /// edge key (and one just past a power of two), and the heterogeneous
     /// MAG stand-in, hash to what the binary-search, comparison-sort,
-    /// doubled-edge-list generator produced: the generator's speed-ups
-    /// change no byte of any dataset.
+    /// doubled-edge-list, single-threaded generator produced: the
+    /// generator's speed-ups change no byte of any dataset, with no helper
+    /// thread or with one or two.
     #[test]
     fn materialized_datasets_match_their_pinned_fingerprints() {
         let cases: [(DatasetSpec, usize, u64, u64); 6] = [
@@ -366,24 +375,46 @@ mod tests {
             (twitter_spec(0.0), 1_000, 5, 0xdb87_ab7b_80b7_d84a),
             (friendster_spec(0.0), 2_049, 6, 0x8b87_3793_25ce_0220),
         ];
-        for (spec, num_nodes, seed, pinned) in cases {
-            let name = spec.name;
-            let spec = DatasetSpec { num_nodes, ..spec }.with_dim(8);
-            let got = fingerprint(&Dataset::materialize(spec, seed));
-            assert_eq!(got, pinned, "{name}: {got:#018x}");
-        }
+        for helpers in 0..=2 {
+            for (spec, num_nodes, seed, pinned) in cases.clone() {
+                let name = spec.name;
+                let spec = DatasetSpec { num_nodes, ..spec }.with_dim(8);
+                let got = fingerprint(&Dataset::materialize_with(spec, seed, helpers));
+                assert_eq!(got, pinned, "{name}, {helpers} helpers: {got:#018x}");
+            }
 
-        let ds = crate::hetero::mag_hetero(3_000, 8, 8, 7);
-        let mut h = Fnv::new();
-        for rel in &ds.graph.relations {
-            h.csr(&rel.graph);
+            let ds = crate::hetero::mag_hetero_with(3_000, 8, 8, 7, helpers);
+            let mut h = Fnv::new();
+            for rel in &ds.graph.relations {
+                h.csr(&rel.graph);
+            }
+            for m in &ds.features {
+                h.matrix(m);
+            }
+            h.words(ds.labels.iter().map(|&l| l as u64));
+            h.ids(&ds.train_nodes);
+            h.ids(&ds.test_nodes);
+            assert_eq!(
+                h.0, 0xc880_f9f4_93c5_93d1,
+                "hetero, {helpers} helpers: {:#018x}",
+                h.0
+            );
         }
-        for m in &ds.features {
-            h.matrix(m);
+    }
+
+    /// A dataset several chunks long on every axis — feature rows, edge
+    /// attempts — hashes to what the single-threaded generator produced,
+    /// at 0, 1 and 2 helpers.
+    #[test]
+    fn a_many_chunk_dataset_matches_its_pinned_fingerprint() {
+        let spec = DatasetSpec {
+            num_nodes: 30_000,
+            ..papers100m_spec(0.0)
         }
-        h.words(ds.labels.iter().map(|&l| l as u64));
-        h.ids(&ds.train_nodes);
-        h.ids(&ds.test_nodes);
-        assert_eq!(h.0, 0xc880_f9f4_93c5_93d1, "hetero: {:#018x}", h.0);
+        .with_dim(20);
+        for helpers in 0..=2 {
+            let got = fingerprint(&Dataset::materialize_with(spec.clone(), 8, helpers));
+            assert_eq!(got, 0xea2f_bb9c_3a0e_34d0, "{helpers} helpers: {got:#018x}");
+        }
     }
 }

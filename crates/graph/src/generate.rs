@@ -17,6 +17,8 @@
 
 use crate::{Csr, NodeId};
 use fgnn_tensor::{Matrix, Rng};
+use std::panic::resume_unwind;
+use std::sync::{Mutex, PoisonError};
 
 /// Parameters of the synthetic generator.
 #[derive(Clone, Debug)]
@@ -153,25 +155,25 @@ fn ceil_log2(m: usize) -> u32 {
 
 /// Sort `keys` ascending by an LSD radix sort over their low `bits` bits;
 /// every higher bit must be zero. Each pass sorts one digit of at most 11
-/// bits, so its counts (16 KiB) stay in L1; one scratch buffer of the same
-/// length alternates with `keys` as the pass's destination.
-fn radix_sort(keys: &mut Vec<u64>, bits: u32) {
-    const MAX_DIGIT_BITS: u32 = 11;
-    let passes = bits.div_ceil(MAX_DIGIT_BITS);
-    if passes == 0 || keys.len() < 2 {
+/// bits, so its counts (16 KiB) stay in L1; `scratch`, of the same length,
+/// alternates with `keys` as the pass's destination. `counts` must be
+/// [`radix_counts`] long and zero. The sorted keys end in `scratch` when
+/// [`radix_passes`] is odd, else in `keys`.
+fn radix_sort(keys: &mut [u64], scratch: &mut [u64], counts: &mut [usize], bits: u32) {
+    let passes = radix_passes(bits);
+    if passes == 0 {
         return;
     }
     let digit_bits = bits.div_ceil(passes);
     let radix = 1usize << digit_bits;
     let mask = radix as u64 - 1;
     // Every pass's histogram in one read of the input.
-    let mut counts = vec![0usize; passes as usize * radix];
     for &k in keys.iter() {
         for (p, c) in counts.chunks_exact_mut(radix).enumerate() {
             c[((k >> (p as u32 * digit_bits)) & mask) as usize] += 1;
         }
     }
-    let mut scratch = vec![0u64; keys.len()];
+    let (mut src, mut dst) = (keys, scratch);
     for (p, c) in counts.chunks_exact_mut(radix).enumerate() {
         let shift = p as u32 * digit_bits;
         let mut next = 0;
@@ -180,16 +182,120 @@ fn radix_sort(keys: &mut Vec<u64>, bits: u32) {
             *slot = next;
             next += n;
         }
-        for &k in keys.iter() {
+        for &k in src.iter() {
             let d = ((k >> shift) & mask) as usize;
-            scratch[c[d]] = k;
+            dst[c[d]] = k;
             c[d] += 1;
         }
-        std::mem::swap(keys, &mut scratch);
+        std::mem::swap(&mut src, &mut dst);
     }
 }
 
-/// Attempts [`generate`] resolves together (see its edge loop).
+/// Digit passes [`radix_sort`] makes over `bits`-bit keys.
+fn radix_passes(bits: u32) -> u32 {
+    const MAX_DIGIT_BITS: u32 = 11;
+    bits.div_ceil(MAX_DIGIT_BITS)
+}
+
+/// Length of [`radix_sort`]'s `counts` for `bits`-bit keys.
+fn radix_counts(bits: u32) -> usize {
+    let passes = radix_passes(bits);
+    if passes == 0 {
+        return 0;
+    }
+    passes as usize * (1 << bits.div_ceil(passes))
+}
+
+/// Sort `keys` ascending and drop repeats; every bit above the low `bits`
+/// must be zero. The two halves are radix-sorted at once, on the calling
+/// thread and (with a helper) one helper, each in its own half of one
+/// scratch buffer; then one merge pass joins them and drops the repeats.
+/// Keys are plain `u64`s, so their sorted order is unique: the result is
+/// what one sort and a `dedup` give, whoever sorted which half.
+fn sort_dedup(keys: &mut Vec<u64>, bits: u32, helpers: usize) {
+    let mid = keys.len() / 2;
+    let mut scratch = vec![0u64; keys.len()];
+    let mut counts = vec![0usize; 2 * radix_counts(bits)];
+    {
+        let (key_halves, scratch_halves) = (keys.split_at_mut(mid), scratch.split_at_mut(mid));
+        let count_halves = counts.split_at_mut(radix_counts(bits));
+        let halves = [
+            (key_halves.0, scratch_halves.0, count_halves.0),
+            (key_halves.1, scratch_halves.1, count_halves.1),
+        ];
+        share(halves, helpers, |(k, s, c)| radix_sort(k, s, c, bits));
+    }
+    let len = if radix_passes(bits) % 2 == 1 {
+        merge_dedup(&scratch[..mid], &scratch[mid..], keys)
+    } else {
+        let len = merge_dedup(&keys[..mid], &keys[mid..], &mut scratch);
+        std::mem::swap(keys, &mut scratch);
+        len
+    };
+    keys.truncate(len);
+}
+
+/// Merge ascending `a` and `b` into the front of `out` (at least as long as
+/// both together), writing each distinct key once; returns how many.
+fn merge_dedup(a: &[u64], b: &[u64], out: &mut [u64]) -> usize {
+    let (mut i, mut j, mut len) = (0, 0, 0);
+    while i < a.len() || j < b.len() {
+        let key = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        if len == 0 || out[len - 1] != key {
+            out[len] = key;
+            len += 1;
+        }
+    }
+    len
+}
+
+/// Helper threads set-up runs beside the calling thread: one where the
+/// machine has a second core, else none.
+pub(crate) fn default_helpers() -> usize {
+    std::thread::available_parallelism().map_or(0, |p| usize::from(p.get() >= 2))
+}
+
+/// Run `work` on every unit, on the calling thread and up to `helpers`
+/// scoped helpers. Each thread starts at its own share of the units, then
+/// takes any still untaken (the slot-per-unit idiom of the cluster
+/// trainer's `train_hosts`), so a thread the machine stalls does fewer
+/// units instead of holding up the rest. Units share no mutable state, so
+/// no bit depends on which thread did which. A helper allocates nothing
+/// here, and `work` must not either: under a pinned malloc policy a
+/// helper's first allocation would open a second heap arena that is never
+/// returned. A helper's panic reaches the caller.
+fn share<T: Send>(units: impl IntoIterator<Item = T>, helpers: usize, work: impl Fn(T) + Sync) {
+    let slots: Vec<Mutex<Option<T>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    let n = slots.len();
+    let threads = (helpers + 1).min(n.max(1));
+    let take = |i: usize| {
+        slots[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    };
+    let run = |t: usize| {
+        (0..n)
+            .map(|i| (t * n / threads + i) % n)
+            .filter_map(take)
+            .for_each(&work)
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|t| scope.spawn(move || run(t))).collect();
+        run(0);
+        for t in spawned {
+            t.join().unwrap_or_else(|p| resume_unwind(p));
+        }
+    });
+}
+
+/// Attempts resolved together (see [`Attempts::make`]).
 const RESOLVE_AHEAD: usize = 64;
 
 /// One edge attempt in flight: its three uniforms, then what they resolve to.
@@ -206,6 +312,12 @@ struct Attempt {
 
 /// Generate a community-structured power-law graph.
 pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
+    generate_with(config, rng, default_helpers())
+}
+
+/// [`generate`] with the edge attempts and the edge sort shared with
+/// `helpers` helper threads; the graph is the same at any count.
+pub(crate) fn generate_with(config: &GraphConfig, rng: &mut Rng, helpers: usize) -> GeneratedGraph {
     let n = config.num_nodes;
     assert!(n >= 2, "need at least two nodes");
     assert!(config.num_communities >= 1);
@@ -230,10 +342,9 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
     // Each accepted pair as one key, `min` above `max`: ascending keys are
     // ascending `(min, max)` pairs.
     let id_bits = ceil_log2(n);
-    let mut keys = edge_keys(config, weights, &communities, id_bits, rng);
+    let mut keys = edge_keys(config, weights, &communities, id_bits, rng, helpers);
     // Deduplicate parallel edges.
-    radix_sort(&mut keys, 2 * id_bits);
-    keys.dedup();
+    sort_dedup(&mut keys, 2 * id_bits, helpers);
     let mask = (1u64 << id_bits) - 1;
     let pairs = keys
         .iter()
@@ -250,12 +361,22 @@ pub fn generate(config: &GraphConfig, rng: &mut Rng) -> GeneratedGraph {
 /// `min << id_bits | max`. Takes `weights` by value so that they and the
 /// pickers built from them are freed before the sort and the CSR build
 /// allocate, and cannot add to set-up's memory peak.
+///
+/// Every attempt takes three draws, and the first `target_edges` attempts
+/// are certain to be made (each accepts at most one pair). So those are
+/// split into chunks of [`EDGE_CHUNK`] attempts, shared with `helpers`
+/// helper threads: chunk `c` starts at the stream advanced by three draws
+/// per attempt before it, and writes its accepted keys to the front of its
+/// own window of the key buffer. One pass then closes the gaps between the
+/// windows, and the serial loop makes whatever attempts remain (those that
+/// replace self-loops), from the stream advanced past all of them.
 fn edge_keys(
     config: &GraphConfig,
     weights: Vec<f64>,
     communities: &[u16],
     id_bits: u32,
     rng: &mut Rng,
+    helpers: usize,
 ) -> Vec<u64> {
     let n = config.num_nodes;
     // Pickers: one global, one per community.
@@ -268,68 +389,123 @@ fn edge_keys(
         .into_iter()
         .map(|m| WeightedPicker::new(m, &weights))
         .collect();
-
-    const GLOBAL: usize = usize::MAX;
-    let picker = |p: usize| {
-        if p == GLOBAL {
-            &global
-        } else {
-            &per_community[p]
-        }
+    let attempts = Attempts {
+        global: &global,
+        per_community: &per_community,
+        communities,
+        homophily: config.homophily,
+        id_bits,
     };
+
     let target_edges = ((n as f64) * config.avg_degree / 2.0) as usize;
-    let mut keys: Vec<u64> = Vec::with_capacity(target_edges);
-    let mut attempts = 0usize;
     let max_attempts = target_edges * 4 + 64;
-    // An attempt draws three uniforms — its source's pick, the homophily
-    // coin, its target's pick — and costs a chain of dependent cache
-    // misses (guide, cumulative, member, community, then the same in the
-    // target's picker). Attempts are resolved a block at a time, one link
-    // of the chain per sweep over the block, each sweep prefetching what
-    // the next reads, so the misses of a block overlap. A block never
-    // holds more attempts than there are edges still wanted, so every
-    // attempt drawn is an attempt made, in order: the same draws, the same
-    // edges as one attempt at a time.
-    let mut block = [Attempt::default(); RESOLVE_AHEAD];
-    while keys.len() < target_edges && attempts < max_attempts {
+    let mut keys = vec![0u64; target_edges];
+    let mut accepted = vec![0usize; target_edges.div_ceil(EDGE_CHUNK)];
+    let start = rng.clone();
+    let chunks = keys.chunks_mut(EDGE_CHUNK).zip(accepted.iter_mut());
+    share(chunks.enumerate(), helpers, |(c, (window, accepted))| {
+        let mut rng = start.clone();
+        rng.advance(3 * (c * EDGE_CHUNK) as u64);
+        *accepted = attempts.make(&mut rng, window);
+    });
+    rng.advance(3 * target_edges as u64);
+    let mut len = 0;
+    for (c, &a) in accepted.iter().enumerate() {
+        keys.copy_within(c * EDGE_CHUNK..c * EDGE_CHUNK + a, len);
+        len += a;
+    }
+    keys.truncate(len);
+
+    let mut made = target_edges;
+    let mut block = [0u64; RESOLVE_AHEAD];
+    while keys.len() < target_edges && made < max_attempts {
         let len = RESOLVE_AHEAD
             .min(target_edges - keys.len())
-            .min(max_attempts - attempts);
-        attempts += len;
-        let block = &mut block[..len];
-        for a in block.iter_mut() {
-            a.source_u = rng.uniform();
-            a.coin = rng.uniform();
-            a.target_u = rng.uniform();
-            global.prefetch_guide(a.source_u);
-        }
-        for a in block.iter() {
-            global.prefetch_search(a.source_u);
-        }
-        for a in block.iter_mut() {
-            a.source = global.pick(a.source_u);
-            fgnn_tensor::prefetch(communities, a.source as usize);
-        }
-        for a in block.iter_mut() {
-            a.picker = if (a.coin as f64) < config.homophily {
-                communities[a.source as usize] as usize
-            } else {
-                GLOBAL
-            };
-            picker(a.picker).prefetch_guide(a.target_u);
-        }
-        for a in block.iter() {
-            picker(a.picker).prefetch_search(a.target_u);
-        }
-        for a in block.iter() {
-            let (u, v) = (a.source, picker(a.picker).pick(a.target_u));
-            if u != v {
-                keys.push(((u.min(v) as u64) << id_bits) | u.max(v) as u64);
-            }
-        }
+            .min(max_attempts - made);
+        made += len;
+        let a = attempts.make(rng, &mut block[..len]);
+        keys.extend_from_slice(&block[..a]);
     }
     keys
 }
+
+/// Edge attempts [`edge_keys`] gives one thread at a time.
+const EDGE_CHUNK: usize = 1 << 16;
+
+/// What an edge attempt reads: the pickers and the homophily coin's odds.
+struct Attempts<'a> {
+    global: &'a WeightedPicker,
+    per_community: &'a [WeightedPicker],
+    communities: &'a [u16],
+    homophily: f64,
+    id_bits: u32,
+}
+
+impl Attempts<'_> {
+    /// The picker an attempt's target comes from.
+    #[inline]
+    fn picker(&self, p: usize) -> &WeightedPicker {
+        if p == GLOBAL {
+            self.global
+        } else {
+            &self.per_community[p]
+        }
+    }
+
+    /// Make `out.len()` attempts from `rng`, writing the accepted keys to
+    /// the front of `out`, in order; returns how many.
+    ///
+    /// An attempt draws three uniforms — its source's pick, the homophily
+    /// coin, its target's pick — and costs a chain of dependent cache
+    /// misses (guide, cumulative, member, community, then the same in the
+    /// target's picker). Attempts are resolved a block at a time, one link
+    /// of the chain per sweep over the block, each sweep prefetching what
+    /// the next reads, so the misses of a block overlap. All of a block's
+    /// draws come first, in attempt order: the same draws, the same edges
+    /// as one attempt at a time.
+    fn make(&self, rng: &mut Rng, out: &mut [u64]) -> usize {
+        let mut accepted = 0;
+        let mut block = [Attempt::default(); RESOLVE_AHEAD];
+        for first in (0..out.len()).step_by(RESOLVE_AHEAD) {
+            let block = &mut block[..RESOLVE_AHEAD.min(out.len() - first)];
+            for a in block.iter_mut() {
+                a.source_u = rng.uniform();
+                a.coin = rng.uniform();
+                a.target_u = rng.uniform();
+                self.global.prefetch_guide(a.source_u);
+            }
+            for a in block.iter() {
+                self.global.prefetch_search(a.source_u);
+            }
+            for a in block.iter_mut() {
+                a.source = self.global.pick(a.source_u);
+                fgnn_tensor::prefetch(self.communities, a.source as usize);
+            }
+            for a in block.iter_mut() {
+                a.picker = if (a.coin as f64) < self.homophily {
+                    self.communities[a.source as usize] as usize
+                } else {
+                    GLOBAL
+                };
+                self.picker(a.picker).prefetch_guide(a.target_u);
+            }
+            for a in block.iter() {
+                self.picker(a.picker).prefetch_search(a.target_u);
+            }
+            for a in block.iter() {
+                let (u, v) = (a.source, self.picker(a.picker).pick(a.target_u));
+                if u != v {
+                    out[accepted] = ((u.min(v) as u64) << self.id_bits) | u.max(v) as u64;
+                    accepted += 1;
+                }
+            }
+        }
+        accepted
+    }
+}
+
+/// [`Attempt::picker`] of an attempt whose target the global picker draws.
+const GLOBAL: usize = usize::MAX;
 
 /// Planted node features and labels for a generated graph.
 pub struct PlantedSignal {
@@ -346,6 +522,8 @@ pub struct PlantedSignal {
 /// moderate `s` the raw features are weakly informative and message passing
 /// over homophilous edges genuinely helps — the regime where
 /// historical-embedding error shows up as accuracy loss (Fig 2 / Table 3).
+/// The noise is drawn on the calling thread and up to `helpers` helpers;
+/// the values are the same at any count.
 pub(crate) fn planted_features(
     communities: &[u16],
     num_communities: usize,
@@ -353,17 +531,27 @@ pub(crate) fn planted_features(
     signal_to_noise: f32,
     label_noise: f32,
     rng: &mut Rng,
+    helpers: usize,
 ) -> PlantedSignal {
     let centroids = rng.normal_matrix(num_communities, dim, 1.0);
     let n = communities.len();
     let mut features = Matrix::zeros(n, dim);
-    for (i, &c) in communities.iter().enumerate() {
-        let row = features.row_mut(i);
-        let centroid = centroids.row(c as usize);
-        for (x, &m) in row.iter_mut().zip(centroid) {
-            *x = m * signal_to_noise + rng.normal();
+    // A normal takes two draws, so the rows starting at `r` start `2·dim·r`
+    // draws into the stream: chunks of rows fill at once, on the caller and
+    // the helpers, each from its own point of the stream.
+    let rows = FEATURE_CHUNK.div_ceil(dim.max(1));
+    let start = rng.clone();
+    let chunks = features.as_mut_slice().chunks_mut((rows * dim).max(1));
+    share(chunks.enumerate(), helpers, |(c, chunk)| {
+        let mut rng = start.clone();
+        rng.advance((2 * c * rows * dim) as u64);
+        for (row, &comm) in chunk.chunks_exact_mut(dim).zip(&communities[c * rows..]) {
+            for (x, &m) in row.iter_mut().zip(centroids.row(comm as usize)) {
+                *x = m * signal_to_noise + rng.normal();
+            }
         }
-    }
+    });
+    rng.advance((2 * n * dim) as u64);
     let labels = communities
         .iter()
         .map(|&c| {
@@ -376,6 +564,10 @@ pub(crate) fn planted_features(
         .collect();
     PlantedSignal { features, labels }
 }
+
+/// Feature scalars (rounded up to whole rows) [`planted_features`] gives
+/// one thread at a time.
+const FEATURE_CHUNK: usize = 1 << 18;
 
 #[cfg(test)]
 mod tests {
@@ -445,7 +637,7 @@ mod tests {
     fn planted_features_separate_communities() {
         let mut rng = Rng::new(11);
         let g = generate(&small_config(), &mut rng);
-        let sig = planted_features(&g.communities, 4, 16, 2.0, 0.0, &mut rng);
+        let sig = planted_features(&g.communities, 4, 16, 2.0, 0.0, &mut rng, 1);
         assert_eq!(sig.features.shape(), (2000, 16));
         assert_eq!(sig.labels, g.communities);
         // Same-community features are closer than cross-community on average.
@@ -479,7 +671,7 @@ mod tests {
     fn label_noise_flips_some_labels() {
         let mut rng = Rng::new(12);
         let g = generate(&small_config(), &mut rng);
-        let sig = planted_features(&g.communities, 4, 4, 1.0, 0.3, &mut rng);
+        let sig = planted_features(&g.communities, 4, 4, 1.0, 0.3, &mut rng, 1);
         let flipped = sig
             .labels
             .iter()
@@ -557,28 +749,91 @@ mod tests {
         }
     }
 
+    /// Edge keys of `len` random pairs of `id_bits`-bit ids; narrow ranges
+    /// make duplicates, and one draw in eight takes the largest id.
+    fn random_keys(len: usize, id_bits: u32, rng: &mut Rng) -> Vec<u64> {
+        let max = u32::MAX >> (32 - id_bits);
+        (0..len)
+            .map(|_| {
+                let mut id = || match rng.below(8) {
+                    0 => max,
+                    _ => (rng.next_u64() as u32) & max,
+                };
+                let (u, v) = (id(), id());
+                ((u.min(v) as u64) << id_bits) | u.max(v) as u64
+            })
+            .collect()
+    }
+
     #[test]
     fn radix_sort_equals_a_comparison_sort() {
         let mut rng = Rng::new(5);
         for case in 0..24 {
             let len = rng.below(5_000);
-            // Narrow ranges make duplicates; the widest reaches u32::MAX.
+            // The widest ids reach u32::MAX.
             let id_bits = 1 + rng.below(32) as u32;
-            let max = u32::MAX >> (32 - id_bits);
-            let mut keys: Vec<u64> = (0..len)
-                .map(|_| {
-                    let mut id = || match rng.below(8) {
-                        0 => max,
-                        _ => (rng.next_u64() as u32) & max,
-                    };
-                    let (u, v) = (id(), id());
-                    ((u.min(v) as u64) << id_bits) | u.max(v) as u64
-                })
-                .collect();
+            let mut keys = random_keys(len, id_bits, &mut rng);
             let mut want = keys.clone();
             want.sort_unstable();
-            radix_sort(&mut keys, 2 * id_bits);
-            assert_eq!(keys, want, "case {case}: {len} keys of {id_bits}-bit ids");
+            let mut scratch = vec![0; len];
+            let mut counts = vec![0; radix_counts(2 * id_bits)];
+            radix_sort(&mut keys, &mut scratch, &mut counts, 2 * id_bits);
+            let got = if radix_passes(2 * id_bits) % 2 == 1 {
+                scratch
+            } else {
+                keys
+            };
+            assert_eq!(got, want, "case {case}: {len} keys of {id_bits}-bit ids");
+        }
+    }
+
+    #[test]
+    fn sort_dedup_equals_a_comparison_sort_and_dedup() {
+        let mut rng = Rng::new(6);
+        let mut inputs: Vec<(Vec<u64>, u32)> = vec![
+            (vec![], 8),
+            (vec![5], 8),
+            (vec![9; 7], 8),
+            (vec![3, 1, 2], 2),
+            (vec![7, 7, 1, 7, 7], 4),
+            (vec![0, 0, 0, 1], 1),
+        ];
+        for _ in 0..24 {
+            let len = rng.below(5_000) | 1;
+            let id_bits = 1 + rng.below(32) as u32;
+            inputs.push((random_keys(len, id_bits, &mut rng), 2 * id_bits));
+            inputs.push((random_keys(len + 1, id_bits, &mut rng), 2 * id_bits));
+        }
+        for (case, (keys, bits)) in inputs.into_iter().enumerate() {
+            let mut want = keys.clone();
+            want.sort_unstable();
+            want.dedup();
+            for helpers in 0..=2 {
+                let mut got = keys.clone();
+                sort_dedup(&mut got, bits, helpers);
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}, {} keys, {helpers} helpers",
+                    keys.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn merge_dedup_keeps_every_distinct_key_of_both_runs() {
+        let cases: [(&[u64], &[u64], &[u64]); 5] = [
+            (&[], &[], &[]),
+            (&[1, 1, 3], &[], &[1, 3]),
+            (&[], &[2, 2], &[2]),
+            (&[1, 4, 4], &[1, 2, 4, 9], &[1, 2, 4, 9]),
+            (&[6], &[6], &[6]),
+        ];
+        for (a, b, want) in cases {
+            let mut out = vec![0; a.len() + b.len()];
+            let len = merge_dedup(a, b, &mut out);
+            assert_eq!(&out[..len], want, "{a:?} + {b:?}");
         }
     }
 

@@ -171,7 +171,25 @@ pub struct HeteroDataset {
 /// Papers carry community-correlated features and labels; authors inherit
 /// the community of their papers; institutions aggregate authors.
 pub fn mag_hetero(num_papers: usize, num_classes: usize, dim: usize, seed: u64) -> HeteroDataset {
-    use crate::generate::{generate, planted_features, GraphConfig};
+    mag_hetero_with(
+        num_papers,
+        num_classes,
+        dim,
+        seed,
+        crate::generate::default_helpers(),
+    )
+}
+
+/// [`mag_hetero`] with set-up shared with `helpers` helper threads; the
+/// dataset is the same at any count.
+pub(crate) fn mag_hetero_with(
+    num_papers: usize,
+    num_classes: usize,
+    dim: usize,
+    seed: u64,
+    helpers: usize,
+) -> HeteroDataset {
+    use crate::generate::{generate_with, planted_features, GraphConfig};
     let mut rng = Rng::new(seed);
 
     // Paper citation graph with planted communities.
@@ -182,8 +200,16 @@ pub fn mag_hetero(num_papers: usize, num_classes: usize, dim: usize, seed: u64) 
         homophily: 0.8,
         power_law_exponent: 2.3,
     };
-    let gen = generate(&cfg, &mut rng);
-    let signal = planted_features(&gen.communities, num_classes, dim, 1.0, 0.05, &mut rng);
+    let gen = generate_with(&cfg, &mut rng, helpers);
+    let signal = planted_features(
+        &gen.communities,
+        num_classes,
+        dim,
+        1.0,
+        0.05,
+        &mut rng,
+        helpers,
+    );
 
     // Authors: ~half as many as papers; each author writes 1–5 papers,
     // biased toward one community.
@@ -251,7 +277,7 @@ pub fn mag_hetero(num_papers: usize, num_classes: usize, dim: usize, seed: u64) 
     ];
 
     // Author/institution features: weak community signal + noise.
-    let author_sig = planted_features(&author_comm, num_classes, dim, 0.5, 0.0, &mut rng);
+    let author_sig = planted_features(&author_comm, num_classes, dim, 0.5, 0.0, &mut rng, helpers);
     let inst_feats = rng.normal_matrix(num_insts, dim, 1.0);
 
     // Train/test split over papers.

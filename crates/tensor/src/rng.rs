@@ -3,10 +3,70 @@
 //! Everything random in the workspace — weight init, synthetic graph
 //! generation, neighbor sampling, the random selector in the SGC convergence
 //! experiment — flows through this xoshiro256++ generator so that every
-//! experiment is exactly reproducible from a single seed. (The `rand` crate
-//! is only used by examples for convenience; library crates use this.)
+//! experiment is exactly reproducible from a single seed. The workspace has
+//! no registry dependencies: examples, tests and benchmarks use this
+//! generator too.
+//!
+//! The engine's state update is linear over GF(2), so [`Rng::advance`] can
+//! move a stream forward by any number of draws in O(log k) time. A loop
+//! that takes a fixed number of draws per item can therefore be split into
+//! chunks, each started at its own point of one stream, and still produce
+//! exactly the values the serial loop produces.
 
 use crate::Matrix;
+
+/// The low 256 coefficients of the characteristic polynomial `P` of
+/// xoshiro256's state update (its `x^256` coefficient is 1), little-endian:
+/// bit `b` of word `w` is the coefficient of `x^(64w + b)`. The update `T`
+/// satisfies `P(T) = 0`, so `T^k = (x^k mod P)(T)`.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// A polynomial over GF(2) of degree below 256, in [`CHAR_POLY`]'s layout.
+type Poly = [u64; 4];
+
+/// `a · x mod P`.
+#[inline]
+fn mul_x(a: Poly) -> Poly {
+    // All ones when `x^255 · x` overflows into `x^256`, which reduces to
+    // `P − x^256`.
+    let reduce = (a[3] >> 63).wrapping_neg();
+    [
+        a[0] << 1 ^ CHAR_POLY[0] & reduce,
+        (a[1] << 1 | a[0] >> 63) ^ CHAR_POLY[1] & reduce,
+        (a[2] << 1 | a[1] >> 63) ^ CHAR_POLY[2] & reduce,
+        (a[3] << 1 | a[2] >> 63) ^ CHAR_POLY[3] & reduce,
+    ]
+}
+
+/// `a · b mod P`: Horner over `b`'s bits, highest first.
+fn mul_mod(a: Poly, b: Poly) -> Poly {
+    let mut r = [0; 4];
+    for i in (0..256).rev() {
+        r = mul_x(r);
+        let take = (b[i / 64] >> (i % 64) & 1).wrapping_neg();
+        for (w, x) in r.iter_mut().zip(a) {
+            *w ^= x & take;
+        }
+    }
+    r
+}
+
+/// `x^k mod P`, by square-and-multiply over `k`'s bits, highest first.
+fn x_pow_mod(k: u64) -> Poly {
+    let mut r = [1, 0, 0, 0];
+    for i in (0..u64::BITS - k.leading_zeros()).rev() {
+        r = mul_mod(r, r);
+        if k >> i & 1 == 1 {
+            r = mul_x(r);
+        }
+    }
+    r
+}
 
 /// xoshiro256++ PRNG seeded via SplitMix64.
 ///
@@ -49,6 +109,29 @@ impl Rng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
+    }
+
+    /// Move the state forward by exactly `k` draws, in O(log k) time: the
+    /// next output is the one `k` calls of [`Rng::next_u64`] would reach.
+    /// Computes `x^k mod P` and applies it the way the xoshiro reference
+    /// `jump()` applies its `JUMP` constant.
+    pub fn advance(&mut self, k: u64) {
+        self.apply(x_pow_mod(k));
+    }
+
+    /// Replace the state `s` by `poly(T) s`: 256 steps, XOR-ing in the state
+    /// at every step whose coefficient is set.
+    fn apply(&mut self, poly: Poly) {
+        let mut acc = [0u64; 4];
+        for i in 0..256 {
+            if poly[i / 64] >> (i % 64) & 1 == 1 {
+                for (a, s) in acc.iter_mut().zip(self.s) {
+                    *a ^= s;
+                }
+            }
+            self.next_u64();
+        }
+        self.s = acc;
     }
 
     /// Uniform in `[0, 1)`.
@@ -261,6 +344,69 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn advance_equals_stepping_for_every_small_count() {
+        let start = Rng::new(23);
+        let mut stepped = start.clone();
+        for k in 0..=1000u64 {
+            let mut jumped = start.clone();
+            jumped.advance(k);
+            assert_eq!(jumped.state(), stepped.state(), "k = {k}");
+            stepped.next_u64();
+        }
+    }
+
+    #[test]
+    fn advance_equals_stepping_for_seeded_large_counts() {
+        let mut pick = Rng::new(29);
+        for case in 0..6 {
+            let k = pick.below(1 << 22) as u64;
+            let mut stepped = Rng::new(case);
+            let mut jumped = stepped.clone();
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            jumped.advance(k);
+            assert_eq!(jumped.state(), stepped.state(), "case {case}, k = {k}");
+            assert_eq!(jumped.next_u64(), stepped.next_u64());
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        let mut once = Rng::new(31);
+        let mut twice = once.clone();
+        once.advance(3_000_000_123);
+        twice.advance(1_000_000_000);
+        twice.advance(2_000_000_123);
+        assert_eq!(once.state(), twice.state());
+    }
+
+    /// `x^(2^e) mod P`, by `e` squarings of `x`.
+    fn x_pow_pow2(e: u32) -> Poly {
+        (0..e).fold([2, 0, 0, 0], |r, _| mul_mod(r, r))
+    }
+
+    #[test]
+    fn the_polynomial_reproduces_the_reference_jump_constants() {
+        // `JUMP` (2^128 draws) and `LONG_JUMP` (2^192) of the xoshiro256
+        // reference implementation.
+        let jump = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        let long_jump = [
+            0x76e1_5d3e_fefd_cbbf,
+            0xc500_4e44_1c52_2fb3,
+            0x7771_0069_854e_e241,
+            0x3910_9bb0_2acb_e635,
+        ];
+        assert_eq!(x_pow_pow2(128), jump);
+        assert_eq!(x_pow_pow2(192), long_jump);
     }
 
     #[test]

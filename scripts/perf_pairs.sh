@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
 # Alternating pairs of one benchmark workload between two revisions.
 #
-#   scripts/perf_pairs.sh <rev-a> <rev-b> --workload W --pairs N [--seed S]
+#   scripts/perf_pairs.sh <rev-a> <rev-b> --workload W --pairs N [--seed S] [--trace 0|1]
 #
 # A is the base (the parent), B the change. Each revision is exported with
 # `git archive` into its own directory under target/perf_pairs and its
 # fgnn-perf is built there, offline, into its own target dir; a revision
 # already built there is reused. Then N pairs run one after the other, A
 # first on odd pairs and B first on even ones, each run
-# `fgnn-perf --workload W --seed S --trace 0` (S 42 by default; the run
-# length is the binary's own default, the benchmark's) in its own process.
-# Nothing else should run meanwhile.
+# `fgnn-perf --workload W --seed S --trace T` (S 42 and T 0 by default; the
+# run length is the binary's own default, the benchmark's) in its own
+# process. Nothing else should run meanwhile.
 #
 # Output: one line per run, in run order — side, the run's result object,
 # md5 prefixes of its `exact` fingerprint and of its per-pass losses (the
-# loss-finite check) — then, per end-to-end metric of BENCHMARK.json, each
+# loss-finite check) — then, per end-to-end metric of BENCHMARK.json (per
+# per-layer metric the workload reports, with `--trace 1`), each
 # side's median and quartiles, the ratio median A / median B, the pairs B
 # won (ties count for neither side) and a verdict. "resolved" needs B to win
 # (or lose) at least nine pairs in ten and the medians to differ by more
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    echo "usage: $0 <rev-a> <rev-b> --workload W --pairs N [--seed S]" >&2
+    echo "usage: $0 <rev-a> <rev-b> --workload W --pairs N [--seed S] [--trace 0|1]" >&2
     exit 2
 }
 
@@ -35,18 +36,26 @@ shift 2
 workload=""
 pairs=""
 seed=42
+trace=0
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
         --workload) workload=$2 ;;
         --pairs) pairs=$2 ;;
         --seed) seed=$2 ;;
+        --trace) trace=$2 ;;
         *) usage ;;
     esac
     shift 2
 done
 [ -n "$workload" ] || usage
 case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
+# Traced runs report the per-layer metrics and keep their own record.
+case "$trace" in
+    0) section=end_to_end record_kind=untraced ;;
+    1) section=per_layer record_kind=traced ;;
+    *) usage ;;
+esac
 
 sha_a="$(git rev-parse --verify --quiet "$rev_a^{commit}")" || {
     echo "perf_pairs: no revision $rev_a" >&2
@@ -71,15 +80,15 @@ build() {
         --manifest-path "$dir/src-$sha/perf/Cargo.toml" 1>&2
 }
 
-# One untraced run of one side: its output line.
+# One run of one side: its output line.
 run() {
     local side=$1 sha=$2 line record exact loss
     line="$(cd "$dir/src-$sha" &&
         FGNN_PERF_OUT="$dir/out-$sha" FGNN_PERF_COMMIT="${sha:0:7}" \
             FGNN_PERF_RUSTC="$rustc_version" "$dir/target-$sha/release/fgnn-perf" \
-            --workload "$workload" --seed "$seed" --trace 0 |
+            --workload "$workload" --seed "$seed" --trace "$trace" |
         tail -n 1)"
-    record="$dir/out-$sha/$workload.untraced.json"
+    record="$dir/out-$sha/$workload.$record_kind.json"
     # Workloads without a loss-finite check (serve) hash an empty match.
     exact="$({ grep -o '"exact":\[[^]]*\]' "$record" || true; } | md5sum | cut -c1-12)"
     loss="$({ grep -o '"name":"loss-finite","ok":[a-z]*,"detail":"[^"]*"' "$record" ||
@@ -90,9 +99,10 @@ run() {
 build "$sha_a"
 build "$sha_b"
 
-# `name better` of every end-to-end metric, one entry a line in BENCHMARK.json.
-metrics="$(awk '
-    /"end_to_end"/ { on = 1; next }
+# `name better` of every metric of the compared section, one entry a line in
+# BENCHMARK.json.
+metrics="$(awk -v section="\"$section\"" '
+    index($0, section) { on = 1; next }
     on && /^[[:space:]]*\]/ { on = 0 }
     on && match($0, /"name": *"[^"]*"/) {
         name = substr($0, RSTART, RLENGTH); sub(/^"name": *"/, "", name); sub(/"$/, "", name)
@@ -102,7 +112,7 @@ metrics="$(awk '
 ' BENCHMARK.json)"
 
 echo "perf pairs: A = $rev_a (${sha_a:0:7}), B = $rev_b (${sha_b:0:7}); fgnn-perf --workload $workload" \
-    "--seed $seed --trace 0; $pairs pairs, A first on odd pairs; nproc $(nproc)"
+    "--seed $seed --trace $trace; $pairs pairs, A first on odd pairs; nproc $(nproc)"
 runs="$(mktemp)"
 names="$(mktemp)"
 trap 'rm -f "$runs" "$names"' EXIT
@@ -145,14 +155,22 @@ awk -v pairs="$pairs" '
         k = seen[$1]++ + 1
         if ($0 !~ /"correct":true/) wrong++
         exact[$(NF - 1)] = 1; loss[$NF] = 1
-        for (i = 1; i <= nm; i++) v[$1, k, name[i]] = value($0, name[i])
+        for (i = 1; i <= nm; i++) {
+            x = value($0, name[i])
+            if (x == "") missing[name[i]] = 1
+            v[$1, k, name[i]] = x + 0
+        }
     }
     END {
         if (seen["A"] != pairs || seen["B"] != pairs) {
             print "perf_pairs: incomplete runs" > "/dev/stderr"; exit 1
         }
+        width = 12
+        for (i = 1; i <= nm; i++) if (length(name[i]) > width) width = length(name[i])
         for (i = 1; i <= nm; i++) {
             m = name[i]
+            # Per-layer metrics of other workloads.
+            if (m in missing) continue
             sorted("A", m, a); sorted("B", m, b)
             ma = quantile(a, pairs, 0.5); qa1 = quantile(a, pairs, 0.25); qa3 = quantile(a, pairs, 0.75)
             mb = quantile(b, pairs, 0.5); qb1 = quantile(b, pairs, 0.25); qb3 = quantile(b, pairs, 0.75)
@@ -167,7 +185,7 @@ awk -v pairs="$pairs" '
             verdict = "unresolved"
             if (gap > qa3 - qa1 && won * 10 >= 9 * pairs) verdict = "resolved: B better"
             if (gap > qa3 - qa1 && lost * 10 >= 9 * pairs) verdict = "resolved: B worse"
-            printf "%-12s A %.4g (%.4g-%.4g)  B %.4g (%.4g-%.4g)  ratio %s  B wins %d/%d  %s\n", \
+            printf "%-" width "s A %.4g (%.4g-%.4g)  B %.4g (%.4g-%.4g)  ratio %s  B wins %d/%d  %s\n", \
                 m, ma, qa1, qa3, mb, qb1, qb3, \
                 mb == 0 ? "-" : sprintf("%.3f", ma / mb), won, pairs, verdict
         }
