@@ -900,7 +900,7 @@ mod tests {
     /// `t_stale`), a stale or evicted node misses until re-admitted, and a
     /// re-admission after a wrap serves that iteration's row. Growth keeps
     /// every fresh entry, so the ring may never miss what the model holds.
-    /// `FGNN_PROP_CASES` scales the case count (`scripts/ci.sh` runs 256).
+    /// `FGNN_PROP_CASES` sets the case count (64 by default).
     #[test]
     fn ring_cache_answers_every_lookup_like_the_reference_model() {
         let cases = std::env::var("FGNN_PROP_CASES")

@@ -360,20 +360,22 @@ mod tests {
     }
 
     /// Every preset, at node counts that put 8 to 15 bits in each end of an
-    /// edge key (and one just past a power of two), and the heterogeneous
-    /// MAG stand-in, hash to what the binary-search, comparison-sort,
-    /// doubled-edge-list, single-threaded generator produced: the
-    /// generator's speed-ups change no byte of any dataset, with no helper
-    /// thread or with one or two.
+    /// edge key (and one just past a power of two), one dataset several
+    /// chunks long in both the feature rows and the edge attempts, and the
+    /// heterogeneous MAG stand-in, hash to what the binary-search,
+    /// comparison-sort, doubled-edge-list, single-threaded generator
+    /// produced: the generator's speed-ups change no byte of any dataset,
+    /// with no helper thread or with one or two.
     #[test]
     fn materialized_datasets_match_their_pinned_fingerprints() {
-        let cases: [(DatasetSpec, usize, u64, u64); 6] = [
+        let cases: [(DatasetSpec, usize, u64, u64); 7] = [
             (arxiv_spec(0.0), 20_000, 1, 0xc8f7_5980_800a_2e10),
             (products_spec(0.0), 3_000, 2, 0xd37f_5b17_857a_9432),
             (papers100m_spec(0.0), 5_000, 3, 0xbb81_a131_5a58_cecf),
             (mag240m_spec(0.0), 256, 4, 0x18d9_7e74_3d74_57b2),
             (twitter_spec(0.0), 1_000, 5, 0xdb87_ab7b_80b7_d84a),
             (friendster_spec(0.0), 2_049, 6, 0x8b87_3793_25ce_0220),
+            (papers100m_spec(0.0), 70_000, 8, 0x9a93_609b_aba5_f5cc),
         ];
         for helpers in 0..=2 {
             for (spec, num_nodes, seed, pinned) in cases.clone() {
@@ -399,22 +401,6 @@ mod tests {
                 "hetero, {helpers} helpers: {:#018x}",
                 h.0
             );
-        }
-    }
-
-    /// A dataset several chunks long on every axis — feature rows, edge
-    /// attempts — hashes to what the single-threaded generator produced,
-    /// at 0, 1 and 2 helpers.
-    #[test]
-    fn a_many_chunk_dataset_matches_its_pinned_fingerprint() {
-        let spec = DatasetSpec {
-            num_nodes: 30_000,
-            ..papers100m_spec(0.0)
-        }
-        .with_dim(20);
-        for helpers in 0..=2 {
-            let got = fingerprint(&Dataset::materialize_with(spec.clone(), 8, helpers));
-            assert_eq!(got, 0xea2f_bb9c_3a0e_34d0, "{helpers} helpers: {got:#018x}");
         }
     }
 }
