@@ -1,16 +1,12 @@
 //! The historical embedding cache (§4): per-layer ring buffers plus the
-//! pluggable gradient/staleness policy family (DESIGN.md §11).
+//! gradient/staleness policy family (DESIGN.md §11).
 
 pub mod feature_cache;
 pub mod policy;
 pub mod ring;
 
 pub use feature_cache::StaticFeatureCache;
-pub use policy::{
-    gradient_policy, inverted_gradient_policy, CachePolicy, CoarseRefreshPolicy, FrequencyPolicy,
-    GradientPolicy, InverseGradientPolicy, PolicyInput, PolicyKind, PredictivePolicy, RandomPolicy,
-    StalenessWeightedPolicy, Verdict,
-};
+pub use policy::{PolicyInput, PolicyKind, Verdict};
 pub use ring::{RingCache, RingSnapshot};
 
 use fgnn_graph::NodeId;
@@ -35,7 +31,7 @@ pub struct CacheStats {
     /// Ring-header overwrites.
     pub overwrites: u64,
     /// Live-entry hits declined by the policy's refresh schedule
-    /// ([`CachePolicy::refresh_due`]) so the node recomputes and refreshes
+    /// ([`PolicyKind::refresh_due`]) so the node recomputes and refreshes
     /// the entry in place. Always 0 under the baseline policy.
     pub scheduled_refreshes: u64,
     /// Cache reads scaled by a staleness weight ≠ 1.0. Always 0 under the
@@ -139,7 +135,7 @@ impl HistoricalCache {
     }
 
     /// Enable per-entry update-delta history on every cached level (needed
-    /// by policies whose [`CachePolicy::wants_history`] is true). Idempotent;
+    /// by policies whose [`PolicyKind::wants_history`] is true). Idempotent;
     /// re-applied automatically after `HistoricalCache::restore` and
     /// `HistoricalCache::clear`.
     pub fn enable_history(&mut self) {
@@ -160,19 +156,19 @@ impl HistoricalCache {
 
     /// Look up `node` at `level` for iteration `now`: the entry's slot if
     /// it is live and within `t_stale`. A live, in-bound entry whose age
-    /// the policy's [`CachePolicy::refresh_due`] schedule flags is
+    /// the policy's [`PolicyKind::refresh_due`] schedule flags is
     /// *declined* — the lookup reports a miss **without
     /// evicting the entry**, so the caller recomputes the node and, if it
     /// is still stable, re-admits it over the live entry: a refresh in
     /// place, which also records the update delta feeding
-    /// [`CachePolicy::wants_history`] extrapolation. The baseline
-    /// [`GradientPolicy`] has no schedule.
+    /// [`PolicyKind::wants_history`] extrapolation. The baseline
+    /// [`PolicyKind::Gradient`] has no schedule.
     pub fn lookup_with(
         &mut self,
         level: usize,
         node: NodeId,
         now: u32,
-        policy: &dyn CachePolicy,
+        policy: PolicyKind,
     ) -> Option<u32> {
         if self.bypass {
             return None;
@@ -208,8 +204,8 @@ impl HistoricalCache {
 
     /// Policy-aware read: copy slot `slot` into `dst`, then let `policy`
     /// post-process the stale entry — extrapolate it along its update
-    /// history ([`CachePolicy::wants_history`]) and/or scale it by a
-    /// staleness weight ([`CachePolicy::read_weight`]). `now` is the
+    /// history ([`PolicyKind::wants_history`]) and/or scale it by a
+    /// staleness weight ([`PolicyKind::read_weight`]). `now` is the
     /// current iteration; `slot` must come from a successful
     /// [`HistoricalCache::lookup_with`] at the same `now`, so the entry's age
     /// is within `t_stale` by construction. Under the baseline policy this
@@ -219,7 +215,7 @@ impl HistoricalCache {
         level: usize,
         slot: u32,
         now: u32,
-        policy: &dyn CachePolicy,
+        policy: PolicyKind,
         dst: &mut [f32],
     ) {
         let cache = self.levels[level - 1].as_ref().expect("level not cached");
@@ -343,10 +339,16 @@ impl HistoricalCache {
     }
 
     /// Replace this cache's state with a snapshot taken from an
-    /// identically-configured cache. The level layout (which levels are
-    /// enabled) must match the current configuration; contents and
-    /// counters are restored verbatim.
+    /// identically-configured cache. The staleness bound and the level
+    /// layout (which levels are enabled, at which dims) must match the
+    /// current configuration; contents and counters are restored verbatim.
     pub(crate) fn restore(&mut self, snapshot: CacheSnapshot) -> Result<(), String> {
+        if snapshot.t_stale != self.t_stale {
+            return Err(format!(
+                "cache snapshot t_stale {} != configured {}",
+                snapshot.t_stale, self.t_stale
+            ));
+        }
         if snapshot.levels.len() != self.levels.len() {
             return Err(format!(
                 "cache snapshot has {} levels, config expects {}",
@@ -378,7 +380,6 @@ impl HistoricalCache {
             }
         }
         self.levels = levels;
-        self.t_stale = snapshot.t_stale;
         self.hits = snapshot.hits;
         self.misses = snapshot.misses;
         self.admits = snapshot.admits;
@@ -466,7 +467,7 @@ mod tests {
     fn disabled_cache_always_misses_silently() {
         let mut c = HistoricalCache::new(100, &[4, 4], 50, 8, false);
         assert!(c.levels.iter().all(Option::is_none));
-        assert!(c.lookup_with(1, 5, 0, &GradientPolicy).is_none());
+        assert!(c.lookup_with(1, 5, 0, PolicyKind::Gradient).is_none());
         // Disabled levels do not count lookups.
         assert_eq!(c.stats().misses, 0);
     }
@@ -486,7 +487,7 @@ mod tests {
         )];
         c.apply_verdicts(1, &inputs, &h, 1);
         let slot = c
-            .lookup_with(1, 7, 2, &GradientPolicy)
+            .lookup_with(1, 7, 2, PolicyKind::Gradient)
             .expect("hit after admit");
         let mut row = [0.0f32; 4];
         c.fetch_into(1, slot, &mut row);
@@ -510,7 +511,7 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(2, &admit, &h, 0);
-        assert!(c.lookup_with(2, 3, 1, &GradientPolicy).is_some());
+        assert!(c.lookup_with(2, 3, 1, PolicyKind::Gradient).is_some());
         let evict = vec![(
             PolicyInput {
                 node: 3,
@@ -521,7 +522,7 @@ mod tests {
             Verdict::Evict,
         )];
         c.apply_verdicts(2, &evict, &h, 1);
-        assert!(c.lookup_with(2, 3, 1, &GradientPolicy).is_none());
+        assert!(c.lookup_with(2, 3, 1, PolicyKind::Gradient).is_none());
         assert_eq!(c.stats().grad_evictions, 1);
     }
 
@@ -542,9 +543,9 @@ mod tests {
         c.apply_verdicts(1, &verdict(Verdict::Admit), &h, 0);
         c.apply_verdicts(1, &verdict(Verdict::Keep), &h, 10);
         assert_eq!(c.stats().keeps, 1);
-        assert!(c.lookup_with(1, 6, 50, &GradientPolicy).is_some());
+        assert!(c.lookup_with(1, 6, 50, PolicyKind::Gradient).is_some());
         assert!(
-            c.lookup_with(1, 6, 51, &GradientPolicy).is_none(),
+            c.lookup_with(1, 6, 51, PolicyKind::Gradient).is_none(),
             "a keep at 10 refreshed the stamp"
         );
     }
@@ -563,8 +564,8 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        assert!(c.lookup_with(1, 9, 0, &GradientPolicy).is_some());
-        assert!(c.lookup_with(2, 9, 0, &GradientPolicy).is_none());
+        assert!(c.lookup_with(1, 9, 0, PolicyKind::Gradient).is_some());
+        assert!(c.lookup_with(2, 9, 0, PolicyKind::Gradient).is_none());
     }
 
     #[test]
@@ -581,19 +582,19 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        assert!(c.lookup_with(1, 5, 1, &GradientPolicy).is_some());
+        assert!(c.lookup_with(1, 5, 1, PolicyKind::Gradient).is_some());
         let stats_before = c.stats();
         c.set_bypass(true);
         assert!(c.bypass);
         assert!(
-            c.lookup_with(1, 5, 1, &GradientPolicy).is_none(),
+            c.lookup_with(1, 5, 1, PolicyKind::Gradient).is_none(),
             "bypass misses"
         );
         c.apply_verdicts(1, &admit, &h, 1);
         assert_eq!(c.stats(), stats_before, "no counters move under bypass");
         c.set_bypass(false);
         assert!(
-            c.lookup_with(1, 5, 2, &GradientPolicy).is_some(),
+            c.lookup_with(1, 5, 2, PolicyKind::Gradient).is_some(),
             "entry intact after bypass"
         );
     }
@@ -618,14 +619,15 @@ mod tests {
         }
         assert_eq!(c.evict_newer_than(4), 2, "one future entry per level");
         for level in 1..=2usize {
-            assert!(c.lookup_with(level, 1, 4, &GradientPolicy).is_some());
-            assert!(c.lookup_with(level, 2, 4, &GradientPolicy).is_none());
+            assert!(c.lookup_with(level, 1, 4, PolicyKind::Gradient).is_some());
+            assert!(c.lookup_with(level, 2, 4, PolicyKind::Gradient).is_none());
         }
     }
 
     #[test]
     fn scheduled_refresh_declines_hit_without_evicting() {
-        let mut c = cache(); // t_stale 50
+        // t_stale 40: the coarse-refresh period is 10.
+        let mut c = HistoricalCache::new(100, &[4, 4, 3], 40, 8, true);
         c.enable_history();
         let admit = |val: f32| {
             (
@@ -643,33 +645,33 @@ mod tests {
         };
         let (h, v) = admit(1.0);
         c.apply_verdicts(1, &v, &h, 0);
-        let policy = CoarseRefreshPolicy { period: 10 };
+        let policy = PolicyKind::CoarseRefresh;
         // Under the period: served normally.
-        assert!(c.lookup_with(1, 7, 5, &policy).is_some());
+        assert!(c.lookup_with(1, 7, 5, policy).is_some());
         // At the period: declined, counted as a miss + scheduled refresh,
         // but the entry stays live (the baseline still sees it).
-        assert!(c.lookup_with(1, 7, 10, &policy).is_none());
+        assert!(c.lookup_with(1, 7, 10, policy).is_none());
         let s = c.stats();
         assert_eq!(s.scheduled_refreshes, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(c.lookups(), s.hits + s.misses, "obs invariant holds");
         assert!(
-            c.lookup_with(1, 7, 10, &GradientPolicy).is_some(),
+            c.lookup_with(1, 7, 10, PolicyKind::Gradient).is_some(),
             "entry not evicted"
         );
         // The forced recompute re-admits in place, recording the update
         // delta and restarting the entry's age.
         let (h2, v2) = admit(3.0);
         c.apply_verdicts(1, &v2, &h2, 10);
-        let slot = c.lookup_with(1, 7, 12, &policy).expect("refreshed entry");
+        let slot = c.lookup_with(1, 7, 12, policy).expect("refreshed entry");
         let mut row = [0.0f32; 4];
         c.fetch_into(1, slot, &mut row);
         assert_eq!(row, [3.0; 4]);
         // History recorded: a predictive read at age 2 extrapolates along
         // the (3.0 - 1.0)/10 per-iteration delta.
         let mut pred = [0.0f32; 4];
-        c.read_into(1, slot, 12, &PredictivePolicy::for_t_stale(50), &mut pred);
+        c.read_into(1, slot, 12, PolicyKind::Predictive, &mut pred);
         assert!(pred[0] > 3.0, "extrapolated forward, got {}", pred[0]);
         assert_eq!(c.stats().predicted_reads, 1);
     }
@@ -690,13 +692,13 @@ mod tests {
         c.apply_verdicts(1, &v, &h, 0);
         for now in 1..=50 {
             assert!(
-                c.lookup_with(1, 3, now, &GradientPolicy).is_some(),
+                c.lookup_with(1, 3, now, PolicyKind::Gradient).is_some(),
                 "in-bound hit at {now}"
             );
         }
         assert_eq!(c.stats().scheduled_refreshes, 0);
         assert!(
-            c.lookup_with(1, 3, 51, &GradientPolicy).is_none(),
+            c.lookup_with(1, 3, 51, PolicyKind::Gradient).is_none(),
             "t_stale bound still evicts"
         );
     }
@@ -715,8 +717,8 @@ mod tests {
             Verdict::Admit,
         )];
         c.apply_verdicts(1, &admit, &h, 0);
-        c.lookup_with(1, 1, 1, &GradientPolicy); // hit
-        c.lookup_with(1, 2, 1, &GradientPolicy); // miss
+        c.lookup_with(1, 1, 1, PolicyKind::Gradient); // hit
+        c.lookup_with(1, 2, 1, PolicyKind::Gradient); // miss
         assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
     }
 }

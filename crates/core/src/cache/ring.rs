@@ -96,7 +96,7 @@ impl RingCache {
     }
 
     /// Start recording per-slot update deltas (idempotent). Enabled by
-    /// history-wanting policies ([`crate::cache::policy::CachePolicy::wants_history`]);
+    /// history-wanting policies ([`crate::cache::PolicyKind::wants_history`]);
     /// costs one extra `capacity x dim` matrix.
     pub(crate) fn enable_history(&mut self) {
         if self.history.is_none() {
@@ -239,40 +239,19 @@ impl RingCache {
     /// Grows the table when the ring header catches up with entries still
     /// inside the staleness window.
     pub fn admit(&mut self, node: NodeId, row: &[f32], now: u32, t_stale: u32) {
-        debug_assert_eq!(row.len(), self.dim);
-        // Refresh in place if already cached.
-        let existing = self.slot_of[node as usize];
-        if existing != INVALID && self.node_of[existing as usize] == node {
-            self.record_refresh_history(existing as usize, row, now);
-            self.table.set_row(existing as usize, row);
-            self.stamp[existing as usize] = now;
-            return;
-        }
-
-        // Grow if the header points at a still-fresh entry (corner case in
-        // §4.2; "reallocate on-demand").
-        let occupant = self.node_of[self.head];
-        if occupant != INVALID
-            && self.slot_of[occupant as usize] == self.head as u32
-            && now.saturating_sub(self.stamp[self.head]) <= t_stale
-        {
-            self.grow();
-        }
-
-        let h = self.head;
-        let occupant = self.node_of[h];
-        if occupant != INVALID {
-            if self.slot_of[occupant as usize] == h as u32 {
-                self.slot_of[occupant as usize] = INVALID;
+        // A node not cached yet takes the header row: grow first if that
+        // row holds a still-fresh entry (corner case in §4.2; "reallocate
+        // on-demand"). A cached one refreshes in place.
+        if self.stamp_of(node).is_none() {
+            let occupant = self.node_of[self.head];
+            if occupant != INVALID
+                && self.slot_of[occupant as usize] == self.head as u32
+                && now.saturating_sub(self.stamp[self.head]) <= t_stale
+            {
+                self.grow();
             }
-            self.overwrites += 1;
         }
-        self.reset_history(h);
-        self.table.set_row(h, row);
-        self.node_of[h] = node;
-        self.stamp[h] = now;
-        self.slot_of[node as usize] = h as u32;
-        self.head = (h + 1) % self.capacity();
+        self.admit_fixed(node, row, now);
     }
 
     /// Admit (or refresh) `node` with `row` at `now` **without ever

@@ -37,8 +37,8 @@ pub struct FreshGnnConfig {
     /// Cache policy — [`crate::cache::PolicyKind::Gradient`] is the
     /// paper's admission criterion; the others cover the ablation study
     /// (`exp_ablation_policy`) and the staleness-control literature swept
-    /// by `exp_ext_policy_frontier` (DESIGN.md §11). Instantiated once per
-    /// trainer via [`FreshGnnConfig::build_policy`].
+    /// by `exp_ext_policy_frontier` (DESIGN.md §11). Each step reads it
+    /// here; only its history switch is fixed at construction.
     pub policy: crate::cache::PolicyKind,
 }
 
@@ -69,11 +69,10 @@ impl FreshGnnConfig {
         self.fanouts.len()
     }
 
-    /// Instantiate the configured [`crate::cache::CachePolicy`]
-    /// (policy-specific knobs — e.g. the coarse-refresh period — derive
-    /// from `t_stale`).
-    pub fn build_policy(&self) -> Box<dyn crate::cache::CachePolicy> {
-        self.policy.build(self.t_stale)
+    /// The configured policy, borrowed: the `perf/` prune probe passes it
+    /// on to [`crate::prune::prune_with_cache_policy`] as `&*policy`.
+    pub fn build_policy(&self) -> &crate::cache::PolicyKind {
+        &self.policy
     }
 
     /// A configuration equivalent to vanilla neighbor sampling (the

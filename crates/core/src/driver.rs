@@ -18,7 +18,7 @@
 //! [`crate::baselines`] (GAS/GraphFM, ClusterGCN, layer- and graph-wise
 //! sampling) are its instantiations.
 
-use crate::cache::{CachePolicy, HistoricalCache, PolicyInput};
+use crate::cache::{HistoricalCache, PolicyInput};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::FreshGnnConfig;
 use crate::error::FgnnError;
@@ -84,7 +84,7 @@ pub trait Workload: Sized {
 
     /// Batch `iter`'s RNGs, drawn from the trainer stream `main` before
     /// the epoch: the one its sampling consumes, then the one its cache
-    /// update hands to a randomized [`CachePolicy`]. Rollback and resume
+    /// update hands to [`crate::cache::PolicyKind::Random`]. Rollback and resume
     /// replay a batch exactly only if both are functions of checkpointed
     /// state: forks of `main` (checkpointed), or of constants and `iter`.
     fn batch_rngs(&self, main: &mut Rng, iter: u32) -> (Rng, Rng);
@@ -188,9 +188,6 @@ pub struct Driver<W: Workload> {
     pub cfg: FreshGnnConfig,
     /// The historical embedding cache.
     pub cache: HistoricalCache,
-    /// The admission/read/refresh policy governing the cache, built from
-    /// `cfg.policy` at construction (DESIGN.md §11).
-    pub(crate) policy: Box<dyn CachePolicy>,
     /// Cumulative traffic/time ledger.
     pub counters: TrafficCounters,
     /// Simulated machine.
@@ -232,7 +229,6 @@ pub struct Driver<W: Workload> {
 pub struct Stages<'s, W: Workload> {
     pub(crate) model: &'s mut W::Model,
     pub(crate) cache: &'s mut HistoricalCache,
-    pub(crate) policy: &'s dyn CachePolicy,
     pub(crate) workload: &'s mut W,
     pub(crate) ws: &'s mut Workspace<W>,
     pub(crate) cfg: &'s FreshGnnConfig,
@@ -279,7 +275,10 @@ impl<W: Workload> Stages<'_, W> {
             if inputs.is_empty() {
                 continue;
             }
-            let verdicts = self.policy.verdicts(inputs, self.cfg.p_grad, policy_rng);
+            let verdicts = self
+                .cfg
+                .policy
+                .verdicts(inputs, self.cfg.p_grad, policy_rng);
             self.cache
                 .apply_verdicts(level, &verdicts, h(&self.ws.trace, level), now);
         }
@@ -353,7 +352,6 @@ impl<W: Workload> Driver<W> {
         let (model, workload) = build(&cfg, &dims, &mut rng);
         let sampler = W::sampler(&workload.graph(ds));
 
-        let policy = cfg.build_policy();
         let mut cache = HistoricalCache::new(
             cache_nodes,
             &dims[1..],
@@ -361,13 +359,12 @@ impl<W: Workload> Driver<W> {
             cfg.cache_capacity,
             cfg.cache_enabled(),
         );
-        if policy.wants_history() {
+        if cfg.policy.wants_history() {
             cache.enable_history();
         }
         Driver {
             model,
             cache,
-            policy,
             counters: TrafficCounters::new(),
             machine,
             timings: StageTimings::new(),
@@ -485,9 +482,9 @@ impl<W: Workload> Driver<W> {
     /// policy stream) also needs the same seed to replay exactly.
     ///
     /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
-    /// historical-cache segment was missing, corrupt, or incompatible, and
-    /// training resumed with an empty (cold) cache — correct, just slower
-    /// to re-warm. The degradation is also recorded in the next epoch's
+    /// historical-cache segment was missing, corrupt, or incompatible (other
+    /// level dims, another `t_stale`), and training resumed with an empty
+    /// (cold) cache — correct, just slower to re-warm. The degradation is also recorded in the next epoch's
     /// [`EpochStats::cache_degraded`]. Core-state mismatches are hard
     /// [`CheckpointError::ShapeMismatch`] errors.
     pub fn restore(
@@ -670,7 +667,6 @@ impl<W: Workload> Driver<W> {
             model,
             cfg,
             cache,
-            policy,
             counters,
             machine,
             obs,
@@ -687,7 +683,6 @@ impl<W: Workload> Driver<W> {
         let mut stages = Stages {
             model,
             cache,
-            policy: &**policy,
             workload,
             ws: workspace,
             cfg,

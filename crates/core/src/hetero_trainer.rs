@@ -14,7 +14,7 @@
 //! too would be a straightforward extension; the paper's experiment only
 //! needs the target type, where gradient feedback exists every iteration.)
 
-use crate::cache::{CachePolicy, HistoricalCache};
+use crate::cache::{HistoricalCache, PolicyKind};
 use crate::config::FreshGnnConfig;
 use crate::driver::{harvest_and_detach, reset_policy_inputs, Driver, Stages, Workload, Workspace};
 use crate::pipeline::{BatchOutput, EvalHarness, PipelineCtx};
@@ -140,7 +140,7 @@ impl Workload for Heterogeneous {
                 st.cache,
                 target,
                 now,
-                st.policy,
+                st.cfg.policy,
             )
         });
 
@@ -179,7 +179,7 @@ impl Workload for Heterogeneous {
         let computed = Some(&outcome.computed[..]);
         ctx.stage(StageKind::Forward, counters, |_engine, _c| {
             let cache = &*st.cache;
-            let policy = st.policy;
+            let policy = st.cfg.policy;
             let cached = &outcome.cached;
             st.model
                 .forward_into(&mb, &mut st.ws.trace, computed, |level, h| {
@@ -293,7 +293,7 @@ pub fn prune_hetero_with(
     cache: &mut HistoricalCache,
     target: usize,
     now: u32,
-    policy: &dyn CachePolicy,
+    policy: PolicyKind,
 ) -> HeteroPruneOutcome {
     let num_blocks = mb.blocks.len();
     let n_types = mb.blocks[0].dst.len();
@@ -373,7 +373,7 @@ pub fn prune_hetero_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{GradientPolicy, PolicyInput};
+    use crate::cache::PolicyInput;
     use fgnn_graph::hetero::mag_hetero;
     use fgnn_nn::Adam;
 
@@ -508,7 +508,7 @@ mod tests {
             .map(|r| (r.src_type, r.dst_type))
             .collect();
         let mut cache = HistoricalCache::new(400, &[16, 4], 50, 8, true);
-        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 0, &GradientPolicy);
+        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 0, PolicyKind::Gradient);
         assert!(out.cached.iter().all(Vec::is_empty));
         // All target dst computed.
         assert!(out.computed.last().unwrap()[0].iter().all(|&c| c));
@@ -536,7 +536,14 @@ mod tests {
         let mut mb_plain = sampler.sample(&ds.graph, 0, &seeds, &[3, 3], &mut rng);
         let mut empty =
             HistoricalCache::new(ds.graph.node_counts[0], &[16, ds.num_classes], 50, 8, true);
-        let base = prune_hetero_with(&mut mb_plain, &rel_types, &mut empty, 0, 0, &GradientPolicy);
+        let base = prune_hetero_with(
+            &mut mb_plain,
+            &rel_types,
+            &mut empty,
+            0,
+            0,
+            PolicyKind::Gradient,
+        );
         let base_needed: usize = base
             .needed_input
             .iter()
@@ -566,7 +573,7 @@ mod tests {
                 0,
             );
         }
-        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 1, &GradientPolicy);
+        let out = prune_hetero_with(&mut mb, &rel_types, &mut cache, 0, 1, PolicyKind::Gradient);
         assert!(!out.cached[0].is_empty(), "level-1 hits expected");
         let needed: usize = out
             .needed_input

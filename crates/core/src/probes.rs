@@ -80,7 +80,7 @@ impl EmbeddingStabilityProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{GradientPolicy, PolicyInput, Verdict};
+    use crate::cache::{PolicyInput, PolicyKind, Verdict};
     use fgnn_graph::sample::NeighborSampler;
     use fgnn_graph::Csr;
     use fgnn_nn::model::Arch;
@@ -125,7 +125,7 @@ mod tests {
             &bogus,
             0,
         );
-        let slot = cache.lookup_with(1, node, 0, &GradientPolicy).unwrap();
+        let slot = cache.lookup_with(1, node, 0, PolicyKind::Gradient).unwrap();
         let err = estimation_error(&model, &mb, &h0, &cache, &[vec![(0, slot)], vec![]]);
         assert!(err > 0.0, "override must perturb the output");
     }

@@ -9,7 +9,7 @@
 //! effect is why the paper's I/O saving exceeds the raw cache hit rate
 //! (§7.4).
 
-use crate::cache::{CachePolicy, HistoricalCache};
+use crate::cache::{HistoricalCache, PolicyKind};
 use fgnn_graph::block::MiniBatch;
 
 /// What the pruner decided for one mini-batch.
@@ -40,7 +40,8 @@ impl PruneOutcome {
 /// cache probe through `policy` ([`HistoricalCache::lookup_with`]): a live
 /// entry the policy's refresh schedule flags is declined — the node is
 /// recomputed this iteration so its re-admission refreshes the entry in
-/// place.
+/// place. `policy` is taken by reference because the `perf/` harness
+/// passes the borrow [`crate::FreshGnnConfig::build_policy`] returns.
 ///
 /// With a disabled cache this degenerates gracefully: everything is
 /// computed, nothing is pruned — plain neighbor sampling.
@@ -48,7 +49,7 @@ pub fn prune_with_cache_policy(
     mb: &mut MiniBatch,
     cache: &mut HistoricalCache,
     now: u32,
-    policy: &dyn CachePolicy,
+    policy: &PolicyKind,
 ) -> PruneOutcome {
     let num_blocks = mb.blocks.len();
     let mut cached: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_blocks];
@@ -77,7 +78,7 @@ pub fn prune_with_cache_policy(
             }
             let node = mb.blocks[b].dst_global[v];
             if !is_top {
-                if let Some(slot) = cache.lookup_with(level, node, now, policy) {
+                if let Some(slot) = cache.lookup_with(level, node, now, *policy) {
                     pruned_edges += mb.blocks[b].adj.prune(v);
                     pruned_nodes += 1;
                     cached[b].push((v as u32, slot));
@@ -112,7 +113,7 @@ pub fn prune_with_cache_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{GradientPolicy, PolicyInput, Verdict};
+    use crate::cache::{PolicyInput, Verdict};
     use fgnn_graph::sample::NeighborSampler;
     use fgnn_graph::Csr;
     use fgnn_tensor::{Matrix, Rng};
@@ -134,7 +135,7 @@ mod tests {
         let mut mb = sample_path();
         let edges_before = mb.total_edges();
         let mut cache = empty_cache(&[4, 4]);
-        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &GradientPolicy);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &PolicyKind::Gradient);
         assert_eq!(out.pruned_nodes, 0);
         assert_eq!(out.pruned_edges, 0);
         assert_eq!(mb.total_edges(), edges_before);
@@ -163,7 +164,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &PolicyKind::Gradient);
         // Node 1 at block 0 must be cache-read, not computed.
         let b0 = &mb.blocks[0];
         let local_1 = b0.dst_global.iter().position(|&g| g == 1).unwrap();
@@ -204,7 +205,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &PolicyKind::Gradient);
         let top = out.computed.last().unwrap();
         assert!(top.iter().all(|&c| c), "all seeds computed");
         assert!(out.cached.last().unwrap().is_empty());
@@ -236,7 +237,7 @@ mod tests {
             &h,
             0,
         );
-        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &GradientPolicy);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 1, &PolicyKind::Gradient);
         // One cache hit, but many input loads avoided.
         assert_eq!(out.cached[0].len(), 1);
         let needed = out.num_inputs_needed();
@@ -250,7 +251,7 @@ mod tests {
     fn disabled_cache_prunes_nothing() {
         let mut mb = sample_path();
         let mut cache = HistoricalCache::new(16, &[4, 4], 0, 8, false);
-        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &GradientPolicy);
+        let out = prune_with_cache_policy(&mut mb, &mut cache, 0, &PolicyKind::Gradient);
         assert_eq!(out.pruned_nodes, 0);
         assert!(out.cached.iter().all(Vec::is_empty));
     }

@@ -2,7 +2,7 @@
 //!
 //! Training admits embeddings by gradient norm because stability predicts
 //! reuse value; serving has no gradients, so the surrogate is **request
-//! frequency** ([`crate::cache::FrequencyPolicy`]): a hot node's
+//! frequency** ([`crate::cache::PolicyKind::Frequency`]): a hot node's
 //! embedding amortizes its recompute over many requests. Staleness is
 //! measured in sim-clock *milliseconds* rather than training iterations,
 //! and the bound is per request: each [`Request`] carries its own budget.
@@ -19,7 +19,7 @@
 //!   the invariant is that the counter stays zero.
 
 use super::trace::Request;
-use crate::cache::policy::{CachePolicy, FrequencyPolicy, PolicyInput, Verdict};
+use crate::cache::policy::{PolicyInput, PolicyKind, Verdict};
 use crate::cache::ring::RingCache;
 use fgnn_graph::NodeId;
 use fgnn_tensor::Rng;
@@ -50,13 +50,6 @@ impl Default for FreshnessConfig {
 pub struct EmbedStore {
     cache: RingCache,
     cfg: FreshnessConfig,
-    /// Admission policy. The default ([`FrequencyPolicy`]) scores by
-    /// request frequency; any [`CachePolicy`] can be swapped in at
-    /// construction via [`EmbedStore::with_policy`].
-    policy: Box<dyn CachePolicy>,
-    /// Fixed-seed side stream consumed only by randomized policies, so the
-    /// default store stays byte-identical to the pre-trait one.
-    policy_rng: Rng,
     /// Cumulative request count per node (the admission score).
     freq: Vec<u64>,
     /// Served embeddings older than their request's budget. Must stay 0 —
@@ -64,7 +57,7 @@ pub struct EmbedStore {
     pub sla_violations: u64,
     /// Cache reads served under the relaxed degraded bound.
     pub degraded_hits: u64,
-    /// The policy verdicts of the most recent [`EmbedStore::admit_fresh`]
+    /// The policy verdicts of the most recent `EmbedStore::admit_fresh`
     /// call, in verdict order — surfaced so the request tracer can attach
     /// each miss's admission verdict as a span attribute.
     pub last_verdicts: Vec<(NodeId, Verdict)>,
@@ -72,24 +65,10 @@ pub struct EmbedStore {
 
 impl EmbedStore {
     /// A store over `num_nodes` nodes with `dim`-wide embeddings, admitting
-    /// by request frequency (the serving default).
-    pub fn new(num_nodes: usize, dim: usize, cfg: FreshnessConfig) -> Self {
-        Self::with_policy(num_nodes, dim, cfg, Box::new(FrequencyPolicy))
-    }
-
-    /// A store with an explicit admission [`CachePolicy`] — frequency
-    /// admission is just the default instance. The policy scores each miss
-    /// batch over `PolicyInput.grad_norm = request frequency`.
-    pub fn with_policy(
-        num_nodes: usize,
-        dim: usize,
-        cfg: FreshnessConfig,
-        policy: Box<dyn CachePolicy>,
-    ) -> Self {
+    /// by request frequency.
+    pub(crate) fn new(num_nodes: usize, dim: usize, cfg: FreshnessConfig) -> Self {
         EmbedStore {
             cache: RingCache::new(num_nodes, cfg.cache_capacity, dim),
-            policy,
-            policy_rng: Rng::new(0x0053_4552_5645), // "SERVE": fixed side stream
             freq: vec![0; num_nodes],
             cfg,
             sla_violations: 0,
@@ -98,18 +77,13 @@ impl EmbedStore {
         }
     }
 
-    /// Display name of the admission policy in effect.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The underlying ring cache (hit/eviction counters, age histogram).
     pub fn cache(&self) -> &RingCache {
         &self.cache
     }
 
     /// Record one request against `node`'s frequency score.
-    pub fn note_request(&mut self, node: NodeId) {
+    pub(crate) fn note_request(&mut self, node: NodeId) {
         self.freq[node as usize] += 1;
     }
 
@@ -117,7 +91,7 @@ impl EmbedStore {
     /// exact age (milliseconds) of the served embedding on a hit. In
     /// degraded mode the bound relaxes from `min(t_sla, budget)` to the
     /// request's own `budget` — never beyond it.
-    pub fn try_hit(&mut self, req: &Request, now_ms: u32, degraded: bool) -> Option<u32> {
+    pub(crate) fn try_hit(&mut self, req: &Request, now_ms: u32, degraded: bool) -> Option<u32> {
         let bound = if degraded {
             req.staleness_budget_ms
         } else {
@@ -134,11 +108,12 @@ impl EmbedStore {
         Some(age)
     }
 
-    /// Admit freshly computed miss embeddings by request frequency: the
+    /// Admit freshly computed miss embeddings by request frequency
+    /// ([`PolicyKind::Frequency`] over `grad_norm = request count`): the
     /// hottest `admit_top_frac` of the batch goes into the ring, the rest
     /// is served once and dropped. `rows(i)` yields the embedding of
     /// `nodes[i]`.
-    pub fn admit_fresh<'r>(
+    pub(crate) fn admit_fresh<'r>(
         &mut self,
         nodes: &[NodeId],
         mut rows: impl FnMut(usize) -> &'r [f32],
@@ -159,9 +134,9 @@ impl EmbedStore {
             })
             .collect();
         let mut admitted = 0u64;
-        let verdicts = self
-            .policy
-            .verdicts(&inputs, self.cfg.admit_top_frac, &mut self.policy_rng);
+        // The frequency rank draws nothing from its RNG.
+        let verdicts =
+            PolicyKind::Frequency.verdicts(&inputs, self.cfg.admit_top_frac, &mut Rng::new(0));
         for (x, verdict) in verdicts {
             self.last_verdicts.push((x.node, verdict));
             if verdict == Verdict::Admit {
@@ -240,34 +215,6 @@ mod tests {
         // Age 80 > budget 60: still a miss — the budget is a hard wall.
         assert_eq!(s.try_hit(&req(2, 60), 80, true), None);
         assert_eq!(s.sla_violations, 0);
-    }
-
-    #[test]
-    fn with_policy_swaps_the_admission_criterion() {
-        use crate::cache::policy::GradientPolicy;
-        // GradientPolicy admits the *bottom* of the score distribution, so
-        // over frequency scores it keeps the cold half — the mirror image
-        // of the default store's behavior below.
-        let mut s = EmbedStore::with_policy(
-            16,
-            2,
-            FreshnessConfig {
-                cache_capacity: 8,
-                t_sla_ms: 100,
-                admit_top_frac: 0.5,
-            },
-            Box::new(GradientPolicy),
-        );
-        assert_eq!(s.policy_name(), "gradient");
-        for _ in 0..10 {
-            s.note_request(3);
-        }
-        s.note_request(5);
-        let rows = [[1.0f32, 1.0], [2.0, 2.0]];
-        let admitted = s.admit_fresh(&[3, 5], |i| &rows[i], 0);
-        assert_eq!(admitted, 1);
-        assert_eq!(s.try_hit(&req(5, 100), 0, false), Some(0), "cold admitted");
-        assert_eq!(s.try_hit(&req(3, 100), 0, false), None, "hot dropped");
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl Driver<Homogeneous> {
         // so the exact pass aggregates fully.
         let mut pruned = mb.clone();
         let outcome =
-            prune_with_cache_policy(&mut pruned, &mut self.cache, self.iter, &*self.policy);
+            prune_with_cache_policy(&mut pruned, &mut self.cache, self.iter, &self.cfg.policy);
         let ids: Vec<usize> = mb.input_nodes().iter().map(|&g| g as usize).collect();
         let h0 = ds.features.gather_rows(&ids);
         crate::probes::estimation_error(&self.model, &mb, &h0, &self.cache, &outcome.cached)
@@ -175,7 +175,7 @@ impl Workload for Homogeneous {
         // schedule acts here: a live entry it flags is declined so the
         // node recomputes and refreshes the entry in place.
         let outcome = ctx.stage(StageKind::Prune, counters, |_, _| {
-            prune_with_cache_policy(&mut mb, st.cache, now, st.policy)
+            prune_with_cache_policy(&mut mb, st.cache, now, &st.cfg.policy)
         });
 
         // 3. Load surviving raw features (simulated transfer) into the
@@ -215,7 +215,7 @@ impl Workload for Homogeneous {
         let computed = Some(&outcome.computed[..]);
         ctx.stage(StageKind::Forward, counters, |_, _| {
             let cache = &*st.cache;
-            let policy = st.policy;
+            let policy = st.cfg.policy;
             let cached = &outcome.cached;
             st.model
                 .forward_into(&mb, &mut st.ws.trace, computed, |level, h| {

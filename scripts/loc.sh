@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The roadmap's "cost of the contract", measured: per crate (and for the
 # trainer files of the one-driver refactor, the baseline trainers on that
-# driver, the cluster trainer and its module, the files behind overlapped
-# training, the serving engine with the telemetry it feeds, and the baseline
-# sweeps with their table and gate)
+# driver, the historical cache with its policies, the cluster trainer and its
+# module, the files behind overlapped training, the serving engine with the
+# telemetry it feeds, and the baseline sweeps with their table and gate)
 # total lines,
 # non-test lines (every item behind `#[cfg(test)]` is skipped by brace depth,
 # wherever in the file it sits), and `pub fn` declarations in that non-test
@@ -58,6 +58,7 @@ for f in "${trainer_files[@]}"; do
 done
 row "core/driver+trainer+hetero_trainer" "${trainer_files[@]}"
 row "core/baselines" crates/core/src/baselines/*.rs
+row "core/cache" crates/core/src/cache/*.rs
 row "core/cluster/trainer.rs" crates/core/src/cluster/trainer.rs
 row "core/cluster" crates/core/src/cluster/*.rs
 row "core/overlap" crates/core/src/runtime/*.rs crates/core/src/sampler.rs

@@ -10,7 +10,9 @@
 # first on odd pairs and B first on even ones, each run
 # `fgnn-perf --workload W --seed S --trace T` (S 42 and T 0 by default; the
 # run length is the binary's own default, the benchmark's) in its own
-# process. Nothing else should run meanwhile.
+# process. With `--trace 1` each side first makes one untraced run at the
+# same seed into its own out directory, which its traced runs read
+# `perf.trace_overhead_frac` against. Nothing else should run meanwhile.
 #
 # Output: one line per run, in run order — side, the run's result object,
 # md5 prefixes of its `exact` fingerprint and of its per-pass losses (the
@@ -80,14 +82,19 @@ build() {
         --manifest-path "$dir/src-$sha/perf/Cargo.toml" 1>&2
 }
 
+# fgnn_perf SHA TRACE -> the output of one fgnn-perf run of revision SHA on
+# the workload and seed (a subshell, so the `cd` stays in it).
+fgnn_perf() (
+    cd "$dir/src-$1" &&
+        FGNN_PERF_OUT="$dir/out-$1" FGNN_PERF_COMMIT="${1:0:7}" \
+            FGNN_PERF_RUSTC="$rustc_version" "$dir/target-$1/release/fgnn-perf" \
+            --workload "$workload" --seed "$seed" --trace "$2"
+)
+
 # One run of one side: its output line.
 run() {
     local side=$1 sha=$2 line record exact loss
-    line="$(cd "$dir/src-$sha" &&
-        FGNN_PERF_OUT="$dir/out-$sha" FGNN_PERF_COMMIT="${sha:0:7}" \
-            FGNN_PERF_RUSTC="$rustc_version" "$dir/target-$sha/release/fgnn-perf" \
-            --workload "$workload" --seed "$seed" --trace "$trace" |
-        tail -n 1)"
+    line="$(fgnn_perf "$sha" "$trace" | tail -n 1)"
     record="$dir/out-$sha/$workload.$record_kind.json"
     # Workloads without a loss-finite check (serve) hash an empty match.
     exact="$({ grep -o '"exact":\[[^]]*\]' "$record" || true; } | md5sum | cut -c1-12)"
@@ -98,6 +105,10 @@ run() {
 
 build "$sha_a"
 build "$sha_b"
+if [ "$trace" = 1 ]; then
+    fgnn_perf "$sha_a" 0 > /dev/null
+    fgnn_perf "$sha_b" 0 > /dev/null
+fi
 
 # `name better` of every metric of the compared section, one entry a line in
 # BENCHMARK.json.

@@ -17,7 +17,7 @@
 mod common;
 
 use common::for_cases;
-use freshgnn_repro::core::cache::{GradientPolicy, HistoricalCache, PolicyInput, Verdict};
+use freshgnn_repro::core::cache::{HistoricalCache, PolicyInput, PolicyKind, Verdict};
 use freshgnn_repro::core::hetero_trainer::{prune_hetero_with, HeteroPruneOutcome};
 use freshgnn_repro::core::prune::prune_with_cache_policy;
 use freshgnn_repro::core::prune::PruneOutcome;
@@ -185,7 +185,7 @@ fn homo_case(
 ) -> HomoCase {
     let (mut mb, h0, labels) = homo_batch_of(rng, num_seeds);
     warm_cache(cache, dims, |level| &mb.blocks[level - 1].dst_global, rng);
-    let outcome = prune_with_cache_policy(&mut mb, cache, 1, &GradientPolicy);
+    let outcome = prune_with_cache_policy(&mut mb, cache, 1, &PolicyKind::Gradient);
     HomoCase {
         mb,
         h0,
@@ -375,7 +375,7 @@ fn pruned_hetero_case(
     let target = setup.ds.target_type;
     let mb = &mut case.mb;
     warm_cache(cache, dims, |level| &mb.blocks[level - 1].dst[target], rng);
-    let outcome = prune_hetero_with(mb, &setup.rel_types, cache, target, 1, &GradientPolicy);
+    let outcome = prune_hetero_with(mb, &setup.rel_types, cache, target, 1, PolicyKind::Gradient);
     (case, outcome)
 }
 

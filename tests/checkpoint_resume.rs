@@ -488,6 +488,38 @@ fn restore_evicts_cache_entries_stamped_after_the_checkpoint() {
     });
 }
 
+/// A cache snapshot taken under another `t_stale` is incompatible: the
+/// resume is cold and degraded, and the cache goes on enforcing the
+/// configured bound rather than the checkpoint's.
+#[test]
+fn restore_rejects_a_cache_snapshot_from_another_t_stale() {
+    let ds = tiny();
+    let trainer = |t_stale, seed| {
+        let cfg = FreshGnnConfig { t_stale, ..cfg() };
+        Trainer::new(&ds, Arch::Sage, 16, Machine::single_a100(), cfg, seed)
+    };
+    let mut donor = trainer(50, 1);
+    let mut opt = Adam::new(0.01);
+    donor.train_epoch(&ds, &mut opt);
+    donor.train_epoch(&ds, &mut opt);
+    let ckpt = donor.checkpoint(&opt);
+
+    let mut resumed = trainer(2, 2);
+    let mut opt2 = Adam::new(0.01);
+    let degraded = resumed.restore(&ckpt, &mut opt2).expect("shapes agree");
+    resumed.train_epoch(&ds, &mut opt2);
+    let ages = resumed.cache.hit_age_histogram();
+    assert_eq!(ages.bounds()[1], 2.0);
+    assert!(ages.count() > 0, "the resumed cache serves hits");
+    assert_eq!(
+        ages.counts()[2..].iter().sum::<u64>(),
+        0,
+        "hits older than the configured t_stale 2: {:?}",
+        ages.counts()
+    );
+    assert!(degraded, "a t_stale mismatch resumes cold");
+}
+
 fn assert_rejects<W: Workload>(mut wrong: Driver<W>, ckpt: &Checkpoint) {
     let mut opt = Adam::new(0.01);
     assert!(matches!(

@@ -1,19 +1,16 @@
 //! Policy-family equivalence suite (DESIGN.md §11).
 //!
-//! The `CachePolicy` trait refactor is required to be behavior-preserving
-//! under the baseline: an explicit `PolicyKind::Gradient` config must
-//! reproduce the default config bit for bit (the default itself is pinned
-//! against pre-refactor goldens in `tests/pipeline_equivalence.rs`), and
-//! the serving store's default construction must equal an explicit
-//! `FrequencyPolicy`. On top of that, every policy must be deterministic —
-//! same seed, same bits — and the non-baseline policies must actually
-//! exercise their hooks (counters move), so the frontier bench measures
-//! real mechanisms rather than silently degenerating to the baseline.
+//! The policy family must be behavior-preserving under the baseline: an
+//! explicit `PolicyKind::Gradient` config must reproduce the default
+//! config bit for bit (the default itself is pinned against goldens in
+//! `tests/pipeline_equivalence.rs`). On top of that, every policy must be
+//! deterministic — same seed, same bits — and the non-baseline policies
+//! must actually exercise their hooks (counters move), so the frontier
+//! bench measures real mechanisms rather than silently degenerating to the
+//! baseline.
 
-use freshgnn_repro::core::cache::{CacheStats, FrequencyPolicy, PolicyKind};
+use freshgnn_repro::core::cache::{CacheStats, PolicyKind};
 use freshgnn_repro::core::hetero_trainer::HeteroTrainer;
-use freshgnn_repro::core::serve::freshness::{EmbedStore, FreshnessConfig};
-use freshgnn_repro::core::serve::trace::{Priority, Request};
 use freshgnn_repro::core::{FreshGnnConfig, Trainer};
 use freshgnn_repro::graph::datasets::arxiv_spec;
 use freshgnn_repro::graph::hetero::mag_hetero;
@@ -59,7 +56,7 @@ fn run(kind: PolicyKind, t_stale: u32, epochs: usize) -> (Vec<u64>, u64, CacheSt
 fn explicit_gradient_policy_matches_the_default_config() {
     // `policy: Gradient` is the default; making it explicit must change
     // nothing. Together with `tests/pipeline_equivalence.rs` (which pins
-    // the default against pre-refactor goldens) this pins the whole trait
+    // the default against pre-refactor goldens) this pins the whole policy
     // wiring as a no-op under the baseline.
     let ds = arxiv16();
     let mut dflt = FreshGnnConfig {
@@ -163,49 +160,4 @@ fn hetero_trainer_runs_the_policy_family_deterministically() {
         "the schedule reaches the hetero prune path"
     );
     assert_eq!(run_het(PolicyKind::Gradient).2.scheduled_refreshes, 0);
-}
-
-#[test]
-fn default_embed_store_equals_explicit_frequency_policy() {
-    let req = |node, budget_ms| Request {
-        id: 0,
-        node,
-        arrival_ns: 0,
-        deadline_ns: 0,
-        priority: Priority::Normal,
-        staleness_budget_ms: budget_ms,
-    };
-    let fcfg = || FreshnessConfig {
-        cache_capacity: 8,
-        t_sla_ms: 100,
-        admit_top_frac: 0.5,
-    };
-    let mut dflt = EmbedStore::new(32, 2, fcfg());
-    let mut expl = EmbedStore::with_policy(32, 2, fcfg(), Box::new(FrequencyPolicy));
-    assert_eq!(dflt.policy_name(), expl.policy_name());
-    // Replay an identical request/admit sequence on both stores; every
-    // observable (hit ages, admit counts, ring counters) must agree.
-    let rows = [[1.0f32, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]];
-    for s in [&mut dflt, &mut expl] {
-        for node in 0..4u32 {
-            for _ in 0..=node {
-                s.note_request(node);
-            }
-        }
-    }
-    let a = dflt.admit_fresh(&[0, 1, 2, 3], |i| &rows[i], 0);
-    let b = expl.admit_fresh(&[0, 1, 2, 3], |i| &rows[i], 0);
-    assert_eq!(a, b, "same admissions");
-    for node in 0..4u32 {
-        for now in [10u32, 60, 120] {
-            assert_eq!(
-                dflt.try_hit(&req(node, 100), now, false),
-                expl.try_hit(&req(node, 100), now, false),
-                "node {node} at {now}"
-            );
-        }
-    }
-    assert_eq!(dflt.cache().hits, expl.cache().hits);
-    assert_eq!(dflt.cache().lookups, expl.cache().lookups);
-    assert_eq!(dflt.sla_violations, expl.sla_violations);
 }

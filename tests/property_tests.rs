@@ -11,9 +11,7 @@
 mod common;
 
 use common::for_cases;
-use freshgnn_repro::core::cache::{
-    gradient_policy, inverted_gradient_policy, PolicyInput, PolicyKind, RingCache, Verdict,
-};
+use freshgnn_repro::core::cache::{PolicyInput, PolicyKind, RingCache, Verdict};
 use freshgnn_repro::core::HistoricalCache;
 use freshgnn_repro::graph::hetero::{HeteroGraph, HeteroSampler, Relation};
 use freshgnn_repro::graph::mapper::NodeMapper;
@@ -99,7 +97,7 @@ fn gradient_policy_partitions_by_quantile() {
                 was_cached: i % 3 == 0,
             })
             .collect();
-        let out = gradient_policy(&inputs, p_grad);
+        let out = PolicyKind::Gradient.verdicts(&inputs, p_grad, &mut Rng::new(0));
         assert_eq!(out.len(), inputs.len());
         let n_stable = out
             .iter()
@@ -147,16 +145,15 @@ fn policy_family_is_deterministic_and_quantile_exact() {
         let p = rng.uniform();
         let seed = rng.below(1 << 30) as u64;
         for kind in PolicyKind::ALL {
-            let policy = kind.build(20);
-            let a = policy.verdicts(&inputs, p, &mut Rng::new(seed));
-            let b = policy.verdicts(&inputs, p, &mut Rng::new(seed));
+            let a = kind.verdicts(&inputs, p, &mut Rng::new(seed));
+            let b = kind.verdicts(&inputs, p, &mut Rng::new(seed));
             assert_eq!(a.len(), inputs.len(), "{kind}: total function");
             for ((xa, va), (xb, vb)) in a.iter().zip(&b) {
                 assert_eq!(xa.node, xb.node, "{kind}: same-seed determinism");
                 assert_eq!(va, vb, "{kind}: same-seed determinism");
             }
             for (p_edge, want_stable) in [(0.0f32, 0), (1.0, n)] {
-                let out = policy.verdicts(&inputs, p_edge, &mut Rng::new(seed));
+                let out = kind.verdicts(&inputs, p_edge, &mut Rng::new(seed));
                 let stable = out
                     .iter()
                     .filter(|(_, v)| matches!(v, Verdict::Admit | Verdict::Keep))
@@ -191,13 +188,12 @@ fn read_weights_are_bounded() {
         let t_stale = rng.below(64) as u32;
         let age = rng.below(128) as u32;
         for kind in PolicyKind::ALL {
-            let policy = kind.build(t_stale.max(1));
             assert_eq!(
-                policy.read_weight(0, t_stale),
+                kind.read_weight(0, t_stale),
                 1.0,
                 "{kind}: fresh reads untouched"
             );
-            let w = policy.read_weight(age, t_stale);
+            let w = kind.read_weight(age, t_stale);
             assert!(w > 0.0 && w <= 1.0, "{kind}: weight {w} outside (0, 1]");
         }
     });
@@ -213,9 +209,8 @@ fn policy_cache_respects_staleness_bound() {
     for_cases("policy_cache_respects_staleness_bound", |rng| {
         let t_stale = rng.below(16) as u32 + 1;
         let kind = PolicyKind::ALL[rng.below(PolicyKind::ALL.len())];
-        let policy = kind.build(t_stale);
         let mut cache = HistoricalCache::new(40, &[4, 4], t_stale, 8, true);
-        if policy.wants_history() {
+        if kind.wants_history() {
             cache.enable_history();
         }
         // Ground truth: last admission stamp per (level-1) node.
@@ -237,15 +232,20 @@ fn policy_cache_respects_staleness_bound() {
                 )];
                 cache.apply_verdicts(1, &v, &h, now);
                 truth.insert(node, now);
-            } else if let Some(slot) = cache.lookup_with(1, node, now, &*policy) {
+            } else if let Some(slot) = cache.lookup_with(1, node, now, kind) {
                 let stamp = truth.get(&node).expect("hit for a node never admitted");
                 assert!(
                     now - stamp <= t_stale,
                     "{kind}: served age {} beyond bound {t_stale}",
                     now - stamp
                 );
+                assert!(
+                    !kind.refresh_due(now - stamp, t_stale),
+                    "{kind}: served an entry due for refresh at age {}",
+                    now - stamp
+                );
                 let mut dst = [0.0f32; 4];
-                cache.read_into(1, slot, now, &*policy, &mut dst);
+                cache.read_into(1, slot, now, kind, &mut dst);
                 assert!(
                     dst.iter().all(|x| x.is_finite()),
                     "{kind}: non-finite served row"
@@ -627,8 +627,8 @@ fn two_phase_hetero_sampler_equals_the_one_pass_reference() {
     );
 }
 
-/// Today's comparator ranking from before the packed-key sort, verbatim:
-/// the reference `gradient_policy` must equal position by position.
+/// The comparator ranking from before the packed-key sort, verbatim:
+/// `PolicyKind::verdicts` must equal it position by position.
 fn comparator_gradient_policy(inputs: &[PolicyInput], p_grad: f32) -> Vec<(PolicyInput, Verdict)> {
     if inputs.is_empty() {
         return Vec::new();
@@ -658,7 +658,8 @@ fn comparator_gradient_policy(inputs: &[PolicyInput], p_grad: f32) -> Vec<(Polic
     out
 }
 
-/// Today's inverted combinator, over the comparator reference.
+/// The inverted combinator (negate, rank, un-negate), over the comparator
+/// reference.
 fn comparator_inverted_policy(inputs: &[PolicyInput], p: f32) -> Vec<(PolicyInput, Verdict)> {
     let flipped: Vec<PolicyInput> = inputs
         .iter()
@@ -703,10 +704,33 @@ fn awkward_norm(rng: &mut Rng) -> f32 {
     }
 }
 
-/// The packed-key rank equals the comparator sort at every position — node,
-/// local, norm bits, verdict — for both directions, on tied norms, signed
-/// zeros (a `+0.0` norm is `-0.0` inside `inverted_gradient_policy`),
-/// subnormals and infinities, with node IDs spread over all of `u32`.
+/// The random criterion: one uniform draw per input, in input order, ranked
+/// by the comparator reference; each verdict carries the caller's input.
+fn comparator_random_policy(
+    inputs: &[PolicyInput],
+    p: f32,
+    rng: &mut Rng,
+) -> Vec<(PolicyInput, Verdict)> {
+    let drawn: Vec<PolicyInput> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| PolicyInput {
+            grad_norm: rng.uniform(),
+            local: i as u32,
+            ..*x
+        })
+        .collect();
+    comparator_gradient_policy(&drawn, p)
+        .into_iter()
+        .map(|(x, v)| (inputs[x.local as usize], v))
+        .collect()
+}
+
+/// The packed-key rank of every `PolicyKind` equals its comparator
+/// reference at every position — node, local, norm bits, verdict — and
+/// leaves the RNG where the reference does: for both directions, on tied
+/// norms, signed zeros (a `+0.0` norm is `-0.0` when negated), subnormals
+/// and infinities, with node IDs spread over all of `u32`.
 #[test]
 fn packed_key_rank_equals_the_comparator_sort() {
     for_cases("packed_key_rank_equals_the_comparator_sort", |rng| {
@@ -723,25 +747,29 @@ fn packed_key_rank_equals_the_comparator_sort() {
             })
             .collect();
         let p = [0.0, 1.0, rng.uniform()][rng.below(3)];
-        let pairs = [
-            (
-                gradient_policy(&inputs, p),
-                comparator_gradient_policy(&inputs, p),
-            ),
-            (
-                inverted_gradient_policy(&inputs, p),
-                comparator_inverted_policy(&inputs, p),
-            ),
-        ];
-        for (got, want) in pairs {
-            assert_eq!(got.len(), want.len());
+        let seed = rng.next_u64();
+        for kind in PolicyKind::ALL {
+            let (mut got_rng, mut want_rng) = (Rng::new(seed), Rng::new(seed));
+            let got = kind.verdicts(&inputs, p, &mut got_rng);
+            let want = match kind {
+                PolicyKind::Gradient
+                | PolicyKind::StalenessWeighted
+                | PolicyKind::Predictive
+                | PolicyKind::CoarseRefresh => comparator_gradient_policy(&inputs, p),
+                PolicyKind::InverseGradient | PolicyKind::Frequency => {
+                    comparator_inverted_policy(&inputs, p)
+                }
+                PolicyKind::Random => comparator_random_policy(&inputs, p, &mut want_rng),
+            };
+            assert_eq!(got.len(), want.len(), "{kind}");
             for (rank, ((x, v), (y, w))) in got.iter().zip(&want).enumerate() {
                 assert_eq!(
                     (x.node, x.local, x.grad_norm.to_bits(), x.was_cached, v),
                     (y.node, y.local, y.grad_norm.to_bits(), y.was_cached, w),
-                    "rank {rank}"
+                    "{kind}: rank {rank}"
                 );
             }
+            assert_eq!(got_rng.state(), want_rng.state(), "{kind}: RNG end state");
         }
     });
 }
@@ -755,5 +783,5 @@ fn a_nan_norm_still_panics() {
         grad_norm,
         was_cached: false,
     };
-    gradient_policy(&[input(0, 1.0), input(1, f32::NAN)], 0.5);
+    PolicyKind::Gradient.verdicts(&[input(0, 1.0), input(1, f32::NAN)], 0.5, &mut Rng::new(0));
 }

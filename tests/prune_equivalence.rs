@@ -9,7 +9,7 @@
 //! *un-pruned* mini-batch with the same overrides: dead subtrees feed only
 //! overridden (cache-read) destinations, so removing them is lossless.
 
-use freshgnn_repro::core::cache::{GradientPolicy, HistoricalCache, PolicyInput, Verdict};
+use freshgnn_repro::core::cache::{HistoricalCache, PolicyInput, PolicyKind, Verdict};
 use freshgnn_repro::core::prune::prune_with_cache_policy;
 use freshgnn_repro::graph::generate::{generate, GraphConfig};
 use freshgnn_repro::graph::sample::NeighborSampler;
@@ -73,7 +73,7 @@ fn pruned_forward_matches_unpruned_forward_with_overrides() {
 
         // Prune a clone; keep the original for the reference pass.
         let mut pruned = mb.clone();
-        let outcome = prune_with_cache_policy(&mut pruned, &mut cache, 1, &GradientPolicy);
+        let outcome = prune_with_cache_policy(&mut pruned, &mut cache, 1, &PolicyKind::Gradient);
         let total_cached: usize = outcome.cached.iter().map(Vec::len).sum();
         assert!(total_cached > 0, "seed {seed}: cache produced no hits");
         assert!(outcome.pruned_edges > 0);
@@ -141,7 +141,7 @@ fn prune_partitions_destinations() {
         admit(&mut cache, 1, node, &row, 0);
     }
     let mut pruned = mb.clone();
-    let outcome = prune_with_cache_policy(&mut pruned, &mut cache, 1, &GradientPolicy);
+    let outcome = prune_with_cache_policy(&mut pruned, &mut cache, 1, &PolicyKind::Gradient);
     for (b, block) in pruned.blocks.iter().enumerate() {
         let mut cached_set = vec![false; block.num_dst()];
         for &(l, _) in &outcome.cached[b] {
