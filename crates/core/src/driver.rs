@@ -84,9 +84,10 @@ pub trait Workload: Sized {
 
     /// Batch `iter`'s RNGs, drawn from the trainer stream `main` before
     /// the epoch: the one its sampling consumes, then the one its cache
-    /// update hands to [`crate::cache::PolicyKind::Random`]. Rollback and resume
-    /// replay a batch exactly only if both are functions of checkpointed
-    /// state: forks of `main` (checkpointed), or of constants and `iter`.
+    /// update hands to [`crate::cache::PolicyKind::Random`]. Rollback and
+    /// resume replay a batch exactly only if both are functions of
+    /// checkpointed state: forks of `main` (checkpointed), or of constants
+    /// and `iter`.
     fn batch_rngs(&self, main: &mut Rng, iter: u32) -> (Rng, Rng);
 
     /// Steps 2–7 of Algorithm 1 on an already-sampled batch: prune, load,
@@ -484,7 +485,8 @@ impl<W: Workload> Driver<W> {
     /// Returns `Ok(degraded)`: `degraded = true` means the checkpoint's
     /// historical-cache segment was missing, corrupt, or incompatible (other
     /// level dims, another `t_stale`), and training resumed with an empty
-    /// (cold) cache — correct, just slower to re-warm. The degradation is also recorded in the next epoch's
+    /// (cold) cache — correct, just slower to re-warm. The degradation is
+    /// also recorded in the next epoch's
     /// [`EpochStats::cache_degraded`]. Core-state mismatches are hard
     /// [`CheckpointError::ShapeMismatch`] errors.
     pub fn restore(
