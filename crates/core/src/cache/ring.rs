@@ -512,10 +512,13 @@ mod tests {
     fn refresh_updates_in_place_without_consuming_a_slot() {
         let mut c = RingCache::new(10, 2, 2);
         c.admit(1, &row(1.0, 2), 0, 100);
-        c.admit(1, &row(9.0, 2), 3, 100);
-        let slot = c.lookup(1, 3, 100).unwrap();
+        c.admit(2, &row(2.0, 2), 0, 100);
+        // The ring is full of fresh entries and its header is back on node
+        // 1's row: refreshing node 2 rewrites node 2's own row, no growth.
+        c.admit(2, &row(9.0, 2), 3, 100);
+        let slot = c.lookup(2, 3, 100).unwrap();
         assert_eq!(c.fetch(slot), &[9.0, 9.0]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.len(), 2);
         assert_eq!(c.capacity(), 2, "no growth for refresh");
     }
 
