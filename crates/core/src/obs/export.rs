@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn span_jsonl_line_is_object_shaped() {
-        let mut t = Tracer::new();
+        let mut t = Tracer::default();
         t.begin("request", "serve_req", 100);
         t.end_with(250, vec![("id", 7), ("hit", 1)]);
         let line = span_jsonl_line("serve", &t.spans()[0]);
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_schema_and_thread_names() {
-        let mut t = Tracer::new();
+        let mut t = Tracer::default();
         t.begin("epoch", "pipeline", 0);
         t.end_with(1500, vec![("batches", 2)]);
         let doc = chrome_trace(&[("sys", &t)]);

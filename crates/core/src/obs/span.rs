@@ -33,11 +33,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// New tracer with no spans.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Open a span at `now_ns`.
     pub(crate) fn begin(
         &mut self,
@@ -83,7 +78,7 @@ mod tests {
 
     #[test]
     fn nesting_records_depth_and_close_order() {
-        let mut t = Tracer::new();
+        let mut t = Tracer::default();
         t.begin("epoch", "pipeline", 0);
         t.begin("batch", "pipeline", 0);
         t.begin("load", "stage", 0);
@@ -105,6 +100,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "end without matching begin")]
     fn unbalanced_end_panics() {
-        Tracer::new().end(0);
+        Tracer::default().end(0);
     }
 }

@@ -183,17 +183,22 @@ impl AdmissionController {
     /// Shed every queued request whose deadline precedes `horizon_ns`
     /// (dispatch time plus the engine's running service estimate): work
     /// that cannot finish in time is dropped *before* burning service
-    /// capacity on it.
+    /// capacity on it. Filters in place, logging the sheds in queue order.
     pub(crate) fn shed_expired(&mut self, horizon_ns: u64) {
-        let mut kept = VecDeque::with_capacity(self.queue.len());
-        while let Some(r) = self.queue.pop_front() {
-            if r.deadline_ns < horizon_ns {
-                self.shed(r.id, ShedReason::DeadlineExpired);
-            } else {
-                kept.push_back(r);
+        let Self {
+            queue,
+            shed_log,
+            shed_deadline,
+            ..
+        } = self;
+        queue.retain(|r| {
+            let keep = r.deadline_ns >= horizon_ns;
+            if !keep {
+                *shed_deadline += 1;
+                shed_log.push((r.id, ShedReason::DeadlineExpired));
             }
-        }
-        self.queue = kept;
+            keep
+        });
     }
 
     /// Total shed requests across all reasons.
@@ -256,6 +261,30 @@ mod tests {
         assert_eq!(a.queue.len(), 1, "only the expired request is shed");
         assert_eq!(a.shed_log, vec![(0, ShedReason::DeadlineExpired)]);
         assert_eq!(a.shed_total(), 1);
+
+        // Expired and kept requests interleaved across priorities: the
+        // survivors keep their queue order, the sheds are logged in it.
+        let mut a = AdmissionController::new(AdmissionConfig::default());
+        let (p, arrivals) = (
+            [Priority::High, Priority::Low, Priority::Normal],
+            [0, 90, 10, 95, 20, 30, 99, 5],
+        );
+        for (id, &ms) in arrivals.iter().enumerate() {
+            let r = req(10 + id as u64, ms * 1_000_000, p[id % 3]);
+            assert!(a.offer(r, ms * 1_000_000));
+        }
+        assert!(a.offer(req(1, 90_000_000, Priority::Low), 90_000_000));
+        // Deadlines are arrival + 100 ms: shed every arrival before 50 ms.
+        a.shed_expired(150_000_000);
+        let queue: Vec<u64> = a.queue.iter().map(|r| r.id).collect();
+        assert_eq!(queue, vec![11, 13, 16, 1]);
+        let log: Vec<u64> = a.shed_log.iter().map(|&(id, _)| id).collect();
+        assert_eq!(log, vec![10, 12, 14, 15, 17]);
+        assert!(a
+            .shed_log
+            .iter()
+            .all(|&(_, r)| r == ShedReason::DeadlineExpired));
+        assert_eq!((a.shed_deadline, a.shed_total()), (5, 5));
     }
 
     #[test]

@@ -21,13 +21,13 @@
 
 use super::admission::AdmissionController;
 use super::batcher::Batcher;
+use super::exemplar::{Exemplar, ExemplarLog};
 use super::freshness::EmbedStore;
 use super::trace::Request;
 use super::{ServeConfig, SERVE_AGE_BUCKETS_MS, SERVE_LATENCY_BUCKETS_NS, SERVE_QUEUE_BUCKETS};
-use crate::cache::policy::Verdict;
 use crate::error::FgnnError;
 use crate::obs::window::{AlertEvent, SloMonitor};
-use crate::obs::{Histogram, MetricClass, Obs, Tracer};
+use crate::obs::{Histogram, MetricClass, Obs};
 use fgnn_graph::sample::NeighborSampler;
 use fgnn_graph::{Dataset, NodeId};
 use fgnn_memsim::fault::{BreakerPolicy, BreakerState, FaultPlan, FaultState, RetryPolicy};
@@ -49,7 +49,7 @@ const EXEMPLAR_STREAM: u64 = 0x0E8E_3F4A_52C3_D94B;
 
 /// Cost breakdown of one served batch: the exact simulated seconds of
 /// each pipeline stage and the wire bytes it charged — what the request
-/// tracer needs to lay span boundaries without touching the service-time
+/// log needs to lay span boundaries without touching the service-time
 /// accumulation itself. The per-request hit ages stay behind in
 /// `ServeEngine::ages`, the miss verdicts in `EmbedStore::last_verdicts`.
 struct BatchOutcome {
@@ -172,16 +172,13 @@ pub struct ServeEngine<'a> {
     faults: FaultState,
     /// Observability state (sim clock, per-batch spans, `Exact` metrics).
     pub obs: Obs,
-    /// Exemplar request-span stream (separate from `obs.tracer`, which
-    /// carries the complete per-batch spans): each traced request is a
-    /// contiguous `admission → queue_wait → batch_assembly →
-    /// embed_lookup → recompute → respond` tree under a `request` parent.
-    req_tracer: Tracer,
+    /// Exemplar request log (separate from `obs.tracer`, which carries the
+    /// complete per-batch spans): one fixed-size record per traced request
+    /// or shed, expanded into its span tree only when read.
+    exemplars: ExemplarLog,
     /// The multi-window SLO burn-rate monitor, fed every completion and
     /// shed decision in sim-time order.
     slo: SloMonitor,
-    /// Requests whose span trees were emitted (exemplar count).
-    exemplars: u64,
     /// Miss-path workspace, shared by [`ServeEngine::warm`] and every batch.
     recompute: Recompute,
     /// The current batch's distinct miss nodes in first-request order
@@ -227,9 +224,8 @@ impl<'a> ServeEngine<'a> {
             store,
             faults: FaultState::none(),
             obs: Obs::new(),
-            req_tracer: Tracer::new(),
+            exemplars: ExemplarLog::default(),
             slo,
-            exemplars: 0,
             recompute: Recompute {
                 sampler: NeighborSampler::new(ds.num_nodes()),
                 trace: Trace::default(),
@@ -239,9 +235,10 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// The exemplar request-span stream (`fgnn-serve-trace-v1` payload).
-    pub fn request_tracer(&self) -> &Tracer {
-        &self.req_tracer
+    /// The exemplar request log, read as spans (`fgnn-serve-trace-v1`
+    /// payload).
+    pub fn request_tracer(&self) -> &ExemplarLog {
+        &self.exemplars
     }
 
     /// Alert fire/resolve edges emitted so far, in sim-time order.
@@ -455,7 +452,6 @@ impl<'a> ServeEngine<'a> {
                         }
                         pending_served.push_back((completion_ns, latency, late));
                         if self.is_exemplar(r.id) {
-                            self.exemplars += 1;
                             // Only a traced miss looks its verdict up, among
                             // the batch's (at most `max_batch`) miss nodes.
                             let verdict = match age {
@@ -467,14 +463,19 @@ impl<'a> ServeEngine<'a> {
                                     .find(|&&(node, _)| node == r.node)
                                     .map(|&(_, v)| v),
                             };
-                            self.emit_request_spans(
-                                r,
-                                (start_ns, b1, b2, b3, completion_ns),
+                            self.exemplars.push(Exemplar::Served {
+                                id: r.id,
+                                node: r.node,
+                                priority: r.priority,
+                                arrival_ns: r.arrival_ns,
+                                bounds: [start_ns, b1, b2, b3, completion_ns],
                                 degraded,
                                 age,
                                 verdict,
-                                &out,
-                            );
+                                batch_size: out.hits + out.misses,
+                                batch_misses: out.misses,
+                                wire_bytes: out.wire_bytes,
+                            });
                         }
                     }
                     self.obs.tracer.begin("batch", "serve", start_ns);
@@ -581,8 +582,8 @@ impl<'a> ServeEngine<'a> {
         m.gauge_set("serve.transfer.retry_seconds", e, counters.retry_seconds);
         m.counter_set("serve.slo.alerts", e, self.slo.alerts.len() as u64);
         m.gauge_set("serve.slo.firing", e, self.slo.active_count() as f64);
-        m.counter_set("serve.trace.exemplars", e, self.exemplars);
-        m.counter_set("serve.trace.spans", e, self.req_tracer.spans().len() as u64);
+        m.counter_set("serve.trace.exemplars", e, self.exemplars.records() as u64);
+        m.counter_set("serve.trace.spans", e, self.exemplars.spans().len() as u64);
         if let Some(b) = &self.faults.breaker {
             m.counter_set("serve.breaker.trips", e, b.trips);
             m.counter_set("serve.breaker.fast_fails", e, b.fast_fails);
@@ -683,71 +684,17 @@ impl<'a> ServeEngine<'a> {
     }
 
     /// Mirror new shed-ledger entries into telemetry: each shed counts
-    /// against the SLO error budget, and exemplar-sampled sheds emit a
-    /// zero-duration `shed` span carrying the request id and reason.
+    /// against the SLO error budget, and exemplar-sampled sheds are logged
+    /// (a zero-duration `shed` span carrying the request id and reason).
     fn note_sheds(&mut self, adm: &AdmissionController, shed_seen: &mut usize, cursor_ns: u64) {
         while *shed_seen < adm.shed_log.len() {
             let (id, reason) = adm.shed_log[*shed_seen];
             *shed_seen += 1;
             self.slo.record_shed(cursor_ns);
             if self.is_exemplar(id) {
-                self.exemplars += 1;
-                self.req_tracer.begin("shed", "serve_req", cursor_ns);
-                self.req_tracer
-                    .end_with(cursor_ns, vec![("id", id), ("reason", reason.code())]);
+                let at_ns = cursor_ns;
+                self.exemplars.push(Exemplar::Shed { id, at_ns, reason });
             }
         }
-    }
-
-    /// Emit one exemplar request's span tree. `bounds` is the monotone
-    /// boundary tuple `(start, b1, b2, b3, completion)` laid down by the
-    /// run loop; together with the zero-duration `admission` marker and
-    /// the `queue_wait` span from `arrival_ns` to `start`, the six
-    /// children tile `[arrival_ns, completion]` exactly — their durations
-    /// sum to the request's latency in integer nanoseconds.
-    fn emit_request_spans(
-        &mut self,
-        r: &Request,
-        bounds: (u64, u64, u64, u64, u64),
-        degraded: bool,
-        age: Option<u32>,
-        verdict: Option<Verdict>,
-        out: &BatchOutcome,
-    ) {
-        let (start_ns, b1, b2, b3, completion_ns) = bounds;
-        let t = &mut self.req_tracer;
-        t.begin("request", "serve_req", r.arrival_ns);
-        t.begin("admission", "serve_req", r.arrival_ns);
-        t.end(r.arrival_ns);
-        t.begin("queue_wait", "serve_req", r.arrival_ns);
-        t.end(start_ns);
-        t.begin("batch_assembly", "serve_req", start_ns);
-        t.end_with(b1, vec![("size", out.hits + out.misses)]);
-        t.begin("embed_lookup", "serve_req", b1);
-        let mut lookup_args = vec![("hit", age.is_some() as u64)];
-        match (age, verdict) {
-            (Some(a), _) => lookup_args.push(("age_ms", a as u64)),
-            (None, Some(v)) => lookup_args.push(("verdict", v.code())),
-            (None, None) => {}
-        }
-        t.end_with(b2, lookup_args);
-        t.begin("recompute", "serve_req", b2);
-        t.end_with(
-            b3,
-            vec![("wire_bytes", out.wire_bytes), ("batch_misses", out.misses)],
-        );
-        t.begin("respond", "serve_req", b3);
-        t.end(completion_ns);
-        t.end_with(
-            completion_ns,
-            vec![
-                ("id", r.id),
-                ("node", r.node as u64),
-                ("priority", r.priority.code()),
-                ("degraded", degraded as u64),
-                ("hit", age.is_some() as u64),
-                ("latency_ns", completion_ns - r.arrival_ns),
-            ],
-        );
     }
 }

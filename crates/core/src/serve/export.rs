@@ -8,9 +8,10 @@
 //! out of a live `exp_serve` run.
 
 use super::engine::ServeReport;
+use super::exemplar::ExemplarLog;
 use crate::obs::export::{json_escape, json_f64, metrics_jsonl, span_jsonl_line};
 use crate::obs::window::AlertEvent;
-use crate::obs::{Obs, Tracer};
+use crate::obs::Obs;
 
 /// Schema tag stamped on every serving export line.
 pub const SERVE_SCHEMA_VERSION: &str = crate::obs::schema::SERVE_V1;
@@ -21,7 +22,7 @@ pub const SERVE_TRACE_SCHEMA_VERSION: &str = crate::obs::schema::SERVE_TRACE_V1;
 /// Render the request-level trace of one serving run as a JSONL document:
 ///
 /// 1. a header line carrying the `fgnn-serve-trace-v1` schema tag;
-/// 2. one `span` line per closed request-tracer span, in close order
+/// 2. one `span` line per span of the exemplar log, in close order
 ///    (children before parents — each exemplar request's `admission →
 ///    queue_wait → batch_assembly → embed_lookup → recompute → respond`
 ///    children immediately precede their `request` parent);
@@ -29,14 +30,14 @@ pub const SERVE_TRACE_SCHEMA_VERSION: &str = crate::obs::schema::SERVE_TRACE_V1;
 ///
 /// Everything is `Exact`-class, so same-seed runs export byte-identical
 /// documents.
-pub fn serve_trace_jsonl(section: &str, req_tracer: &Tracer, alerts: &[AlertEvent]) -> String {
+pub fn serve_trace_jsonl(section: &str, exemplars: &ExemplarLog, alerts: &[AlertEvent]) -> String {
     let sec = json_escape(section);
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"schemaVersion\":\"{SERVE_TRACE_SCHEMA_VERSION}\",\"kind\":\"serve_trace\",\"section\":\"{sec}\"}}\n"
     ));
-    for span in req_tracer.spans() {
-        out.push_str(&span_jsonl_line(section, span));
+    for span in exemplars.spans() {
+        out.push_str(&span_jsonl_line(section, &span));
     }
     for a in alerts {
         out.push_str(&format!(
@@ -117,6 +118,8 @@ pub fn serve_jsonl(section: &str, report: &ServeReport, obs: &Obs) -> String {
 #[cfg(test)]
 mod tests {
     use super::super::admission::ShedReason;
+    use super::super::exemplar::Exemplar;
+    use super::super::trace::Priority;
     use super::*;
 
     fn report() -> ServeReport {
@@ -164,11 +167,20 @@ mod tests {
 
     #[test]
     fn trace_jsonl_carries_spans_then_alerts() {
-        let mut t = Tracer::new();
-        t.begin("request", "serve_req", 100);
-        t.begin("queue_wait", "serve_req", 100);
-        t.end(250);
-        t.end_with(400, vec![("id", 7)]);
+        let mut t = ExemplarLog::default();
+        t.push(Exemplar::Served {
+            id: 7,
+            node: 3,
+            priority: Priority::High,
+            arrival_ns: 100,
+            bounds: [250, 260, 270, 390, 400],
+            degraded: false,
+            age: Some(5),
+            verdict: None,
+            batch_size: 2,
+            batch_misses: 1,
+            wire_bytes: 512,
+        });
         let alerts = vec![AlertEvent {
             at_ns: 500,
             rule: "fast-burn",
@@ -181,12 +193,12 @@ mod tests {
         let lines: Vec<&str> = doc.lines().collect();
         assert!(lines[0].contains("\"schemaVersion\":\"fgnn-serve-trace-v1\""));
         assert!(lines[0].contains("\"kind\":\"serve_trace\""));
-        assert!(lines[1].contains("\"name\":\"queue_wait\""));
-        assert!(lines[2].contains("\"name\":\"request\""));
-        assert!(lines[2].contains("\"id\":7"));
-        assert!(lines[3].contains("\"kind\":\"alert\""));
-        assert!(lines[3].contains("\"rule\":\"fast-burn\""));
-        assert!(lines[3].contains("\"fired\":true"));
+        assert!(lines[2].contains("\"name\":\"queue_wait\""));
+        assert!(lines[7].contains("\"name\":\"request\""));
+        assert!(lines[7].contains("\"id\":7"));
+        assert!(lines[8].contains("\"kind\":\"alert\""));
+        assert!(lines[8].contains("\"rule\":\"fast-burn\""));
+        assert!(lines[8].contains("\"fired\":true"));
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }

@@ -25,6 +25,8 @@
 //!   cache misses recompute real embeddings through the model and charge
 //!   the `fgnn-memsim` interconnect (bounded retry/backoff, circuit
 //!   breaker and all), so same-seed runs are byte-identical;
+//! * [`exemplar`] — the exemplar request log: one fixed-size record per
+//!   traced request, expanded into its span tree only when read;
 //! * [`export`] — the schema-tagged `fgnn-serve-v1` JSONL export and the
 //!   `fgnn-serve-trace-v1` request trace.
 //!
@@ -40,6 +42,7 @@
 pub mod admission;
 pub mod batcher;
 pub mod engine;
+pub mod exemplar;
 pub mod export;
 pub mod freshness;
 pub mod trace;
@@ -47,6 +50,7 @@ pub mod trace;
 pub use admission::{AdmissionConfig, AdmissionController, ShedReason, TokenBucket};
 pub use batcher::{Batcher, BatcherConfig};
 pub use engine::{ServeEngine, ServeReport};
+pub use exemplar::ExemplarLog;
 pub use export::{
     serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION, SERVE_TRACE_SCHEMA_VERSION,
 };

@@ -132,7 +132,9 @@ FGNN_PROP_CASES=256 cargo test -q --test runtime
 
 # Serving acceptance + property suite at the elevated case count, and a
 # live exp_serve export must carry the fgnn-serve-v1 schema tag plus the
-# fgnn-serve-trace-v1 request-trace stream (exemplar spans + SLO alerts).
+# fgnn-serve-trace-v1 request-trace stream (exemplar spans + SLO alerts),
+# and both files must keep their bytes: the cksum values were recorded from
+# the eager span-tracer implementation the exemplar log replaced.
 FGNN_PROP_CASES=256 cargo test -q --test serve
 # The SLO monitor forms its windowed p99 only on alert edges; its alert
 # stream must equal an eager per-event reference's over random streams.
@@ -145,6 +147,12 @@ grep -q '"schemaVersion":"fgnn-serve-v1"' "$serve_out"
 grep -q '"kind":"serve"' "$serve_out"
 grep -q '"schemaVersion":"fgnn-serve-trace-v1"' "$trace_out"
 grep -q '"kind":"alert"' "$trace_out"
+if [ "$(cksum < "$serve_out")" != "4127148188 155014" ] ||
+    [ "$(cksum < "$trace_out")" != "768842260 341096" ]; then
+    echo "ci: exp_serve --requests 600 exported other bytes:" >&2
+    cksum "$serve_out" "$trace_out" >&2
+    exit 1
+fi
 rm -f "$serve_out" "$trace_out"
 
 # Performance-trajectory gate. Each sweep binary must write its committed

@@ -10,9 +10,11 @@
 # first on odd pairs and B first on even ones, each run
 # `fgnn-perf --workload W --seed S --trace T` (S 42 and T 0 by default; the
 # run length is the binary's own default, the benchmark's) in its own
-# process. With `--trace 1` each side first makes one untraced run at the
-# same seed into its own out directory, which its traced runs read
-# `perf.trace_overhead_frac` against. Nothing else should run meanwhile.
+# process. With `--trace 1` every traced run is immediately preceded by an
+# untraced run of the same side at the same seed into its own out directory,
+# which that traced run reads `perf.trace_overhead_frac` against, so load
+# drift between the two is seconds, not the length of the whole set; traced
+# pairs therefore take twice as long. Nothing else should run meanwhile.
 #
 # Output: one line per run, in run order — side, the run's result object,
 # md5 prefixes of its `exact` fingerprint and of its per-pass losses (the
@@ -91,9 +93,11 @@ fgnn_perf() (
             --workload "$workload" --seed "$seed" --trace "$2"
 )
 
-# One run of one side: its output line.
+# One run of one side (a traced one after its untraced reference): its
+# output line.
 run() {
     local side=$1 sha=$2 line record exact loss
+    [ "$trace" = 0 ] || fgnn_perf "$sha" 0 > /dev/null
     line="$(fgnn_perf "$sha" "$trace" | tail -n 1)"
     record="$dir/out-$sha/$workload.$record_kind.json"
     # Workloads without a loss-finite check (serve) hash an empty match.
@@ -105,10 +109,6 @@ run() {
 
 build "$sha_a"
 build "$sha_b"
-if [ "$trace" = 1 ]; then
-    fgnn_perf "$sha_a" 0 > /dev/null
-    fgnn_perf "$sha_b" 0 > /dev/null
-fi
 
 # `name better` of every metric of the compared section, one entry a line in
 # BENCHMARK.json.

@@ -305,6 +305,17 @@ fn with_serve_run<T>(
     exemplar_every: u64,
     f: impl FnOnce(&ServeEngine<'_>, &ServeReport) -> T,
 ) -> T {
+    with_serve_run_tripped(seed, exemplar_every, false, f)
+}
+
+/// [`with_serve_run`], with the transfer breaker forced open before the run
+/// when `tripped` (degraded serving: hits widen to each request's budget).
+fn with_serve_run_tripped<T>(
+    seed: u64,
+    exemplar_every: u64,
+    tripped: bool,
+    f: impl FnOnce(&ServeEngine<'_>, &ServeReport) -> T,
+) -> T {
     let ds = Dataset::materialize(arxiv_spec(0.0).with_dim(16), 42); // 256 nodes
     let mut cfg = ServeConfig {
         seed,
@@ -318,8 +329,53 @@ fn with_serve_run<T>(
     cfg.telemetry.exemplar_every = exemplar_every;
     let trace = generate_trace(&cfg.trace, seed);
     let mut eng = ServeEngine::new(&ds, 16, Machine::single_a100(), cfg).expect("valid config");
+    if tripped {
+        eng.trip_breaker();
+    }
     let report = eng.run(&trace).expect("overloaded run still serves");
     f(&eng, &report)
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `fgnn-serve-trace-v1` export is pinned byte for byte: its FNV-1a
+/// hash and length under every request and shed traced, every 4th, every
+/// 16th, and every request traced with the breaker open (degraded hits).
+/// The values were recorded from the eager span-tracer implementation the
+/// compact exemplar log replaced, so the log's expansion reproduces it.
+/// `serve.trace.spans` counts exactly what the export expands.
+#[test]
+fn serve_trace_export_bytes_are_pinned() {
+    let pinned: [(u64, bool, u64, usize); 4] = [
+        (1, false, 0x7b2f_6d58_dd8b_20f4, 259_449),
+        (4, false, 0x00e5_10d6_1a4e_481e, 69_165),
+        (16, false, 0x1647_b168_fd74_c85b, 17_123),
+        (1, true, 0xa76a_3387_7651_ba87, 259_449),
+    ];
+    for (every, tripped, hash, len) in pinned {
+        with_serve_run_tripped(7, every, tripped, |eng, _| {
+            let doc = serve_trace_jsonl("serve", eng.request_tracer(), eng.alerts());
+            let spans = eng.request_tracer().spans().len() as u64;
+            assert_eq!(eng.obs.metrics.counter("serve.trace.spans"), Some(spans));
+            if tripped {
+                let hits = eng.obs.metrics.counter("serve.degraded.hits");
+                assert!(
+                    hits.unwrap_or(0) > 0,
+                    "a tripped breaker serves degraded hits"
+                );
+            }
+            assert_eq!(
+                (fnv1a(doc.as_bytes()), doc.len()),
+                (hash, len),
+                "exemplar_every {every}, tripped {tripped}"
+            );
+        });
+    }
 }
 
 /// Child stages a traced request passes through, in span-emission order.
@@ -340,10 +396,9 @@ const REQUEST_STAGES: [&str; 6] = [
 fn serve_request_spans_tile_latency_exactly() {
     with_serve_run(3, 1, |eng, report| {
         let t = eng.request_tracer();
-        assert!(t.is_balanced(), "request tracer left spans open");
         let mut requests = 0u64;
         let mut sheds = 0u64;
-        let mut children: Vec<&Span> = Vec::new();
+        let mut children: Vec<Span> = Vec::new();
         for span in t.spans() {
             match (span.depth, span.name.as_ref()) {
                 (1, _) => children.push(span),
@@ -379,6 +434,7 @@ fn serve_request_spans_tile_latency_exactly() {
                 _ => panic!("unexpected request-tracer span {:?}", span.name),
             }
         }
+        assert!(children.is_empty(), "request tracer left spans open");
         assert_eq!(requests, report.served, "every served request is traced");
         assert_eq!(sheds, report.shed_total(), "every shed is traced");
         assert_eq!(
@@ -400,7 +456,6 @@ fn serve_exemplar_sampling_is_a_deterministic_subset() {
         with_serve_run(3, every, |eng, _| {
             eng.request_tracer()
                 .spans()
-                .iter()
                 .filter(|s| s.depth == 0)
                 .filter_map(|s| s.args.iter().find(|(k, _)| *k == "id").map(|&(_, v)| v))
                 .collect::<Vec<u64>>()
@@ -418,7 +473,7 @@ fn serve_exemplar_sampling_is_a_deterministic_subset() {
     );
     with_serve_run(3, 0, |eng, _| {
         assert!(
-            eng.request_tracer().spans().is_empty(),
+            eng.request_tracer().spans().next().is_none(),
             "0 disables tracing"
         );
     });
