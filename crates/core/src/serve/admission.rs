@@ -185,17 +185,11 @@ impl AdmissionController {
     /// that cannot finish in time is dropped *before* burning service
     /// capacity on it. Filters in place, logging the sheds in queue order.
     pub(crate) fn shed_expired(&mut self, horizon_ns: u64) {
-        let Self {
-            queue,
-            shed_log,
-            shed_deadline,
-            ..
-        } = self;
-        queue.retain(|r| {
+        self.queue.retain(|r| {
             let keep = r.deadline_ns >= horizon_ns;
             if !keep {
-                *shed_deadline += 1;
-                shed_log.push((r.id, ShedReason::DeadlineExpired));
+                self.shed_deadline += 1;
+                self.shed_log.push((r.id, ShedReason::DeadlineExpired));
             }
             keep
         });

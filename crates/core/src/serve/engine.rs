@@ -21,7 +21,7 @@
 
 use super::admission::AdmissionController;
 use super::batcher::Batcher;
-use super::exemplar::{Exemplar, ExemplarLog};
+use super::exemplar::{Exemplar, ExemplarLog, Served};
 use super::freshness::EmbedStore;
 use super::trace::Request;
 use super::{ServeConfig, SERVE_AGE_BUCKETS_MS, SERVE_LATENCY_BUCKETS_NS, SERVE_QUEUE_BUCKETS};
@@ -235,8 +235,7 @@ impl<'a> ServeEngine<'a> {
         })
     }
 
-    /// The exemplar request log, read as spans (`fgnn-serve-trace-v1`
-    /// payload).
+    /// The exemplar request log, read as `fgnn-serve-trace-v1` spans.
     pub fn request_tracer(&self) -> &ExemplarLog {
         &self.exemplars
     }
@@ -463,19 +462,18 @@ impl<'a> ServeEngine<'a> {
                                     .find(|&&(node, _)| node == r.node)
                                     .map(|&(_, v)| v),
                             };
-                            self.exemplars.push(Exemplar::Served {
+                            self.exemplars.push(Exemplar::Served(Served {
                                 id: r.id,
                                 node: r.node,
                                 priority: r.priority,
-                                arrival_ns: r.arrival_ns,
-                                bounds: [start_ns, b1, b2, b3, completion_ns],
+                                bounds: [r.arrival_ns, start_ns, b1, b2, b3, completion_ns],
                                 degraded,
                                 age,
                                 verdict,
                                 batch_size: out.hits + out.misses,
                                 batch_misses: out.misses,
                                 wire_bytes: out.wire_bytes,
-                            });
+                            }));
                         }
                     }
                     self.obs.tracer.begin("batch", "serve", start_ns);

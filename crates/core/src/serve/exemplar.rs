@@ -1,11 +1,7 @@
 //! The exemplar request log: what the serving engine keeps of each traced
-//! request, and the span trees it expands into when read.
-//!
-//! A traced request is one fixed-size, `Copy` [`Exemplar`] record rather
-//! than the seven [`Span`]s (each with its own `args` vector) of an eager
-//! tracer: ≈100 B instead of ≈0.95 kB, and no heap allocation per request.
-//! [`ExemplarLog::spans`] rebuilds the spans one at a time, in close order,
-//! exactly as an eager tracer would have recorded them (DESIGN.md §12).
+//! request. A traced request is one fixed-size `Copy` record, not the seven
+//! [`Span`]s (each with its own `args` vector) an eager tracer would hold;
+//! the spans are rebuilt one at a time when the log is read (DESIGN.md §12).
 
 use super::admission::ShedReason;
 use super::trace::Priority;
@@ -14,28 +10,28 @@ use crate::obs::Span;
 use fgnn_graph::NodeId;
 use std::borrow::Cow;
 
+/// A traced request that was served, and the batch that served it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Served {
+    pub(crate) id: u64,
+    pub(crate) node: NodeId,
+    pub(crate) priority: Priority,
+    /// Arrival, batch start, ends of assembly, lookup, recompute; completion.
+    pub(crate) bounds: [u64; 6],
+    pub(crate) degraded: bool,
+    /// `Some(age_ms)` on a cache hit.
+    pub(crate) age: Option<u32>,
+    /// A miss's admission verdict, when the store gave one.
+    pub(crate) verdict: Option<Verdict>,
+    pub(crate) batch_size: u64,
+    pub(crate) batch_misses: u64,
+    pub(crate) wire_bytes: u64,
+}
+
 /// One traced request: served (a seven-span tree) or shed (one marker).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Exemplar {
-    /// A served request and the batch that served it.
-    Served {
-        id: u64,
-        node: NodeId,
-        priority: Priority,
-        arrival_ns: u64,
-        /// `(start, b1, b2, b3, completion)`: the batch's monotone stage
-        /// boundaries, laid down by the run loop.
-        bounds: [u64; 5],
-        degraded: bool,
-        /// `Some(age_ms)` on a cache hit.
-        age: Option<u32>,
-        /// The admission verdict of a miss, when the store gave one.
-        verdict: Option<Verdict>,
-        batch_size: u64,
-        batch_misses: u64,
-        wire_bytes: u64,
-    },
-    /// A shed decision at `at_ns`.
+    Served(Served),
     Shed {
         id: u64,
         at_ns: u64,
@@ -46,15 +42,14 @@ pub(crate) enum Exemplar {
 impl Exemplar {
     fn span_count(&self) -> usize {
         match self {
-            Exemplar::Served { .. } => 7,
+            Exemplar::Served(_) => 7,
             Exemplar::Shed { .. } => 1,
         }
     }
 
-    /// Span `k` of this record's tree in close order: a served request's
-    /// `admission → queue_wait → batch_assembly → embed_lookup → recompute
-    /// → respond` children, which tile `[arrival, completion]`, then its
-    /// `request` parent; a shed's zero-duration `shed` marker.
+    /// Span `k` of this record's tree in close order: a served request's six
+    /// children, which tile `[arrival, completion]`, then its `request`
+    /// parent; a shed's zero-duration marker.
     fn span(&self, k: usize) -> Span {
         let span = |name, start_ns, end_ns: u64, depth, args| Span {
             name: Cow::Borrowed(name),
@@ -64,59 +59,44 @@ impl Exemplar {
             depth,
             args,
         };
-        match *self {
-            Exemplar::Shed { id, at_ns, reason } => span(
-                "shed",
-                at_ns,
-                at_ns,
-                0,
-                vec![("id", id), ("reason", reason.code())],
-            ),
-            Exemplar::Served {
-                id,
-                node,
-                priority,
-                arrival_ns: t0,
-                bounds: [start, b1, b2, b3, done],
-                degraded,
-                age,
-                verdict,
-                batch_size,
-                batch_misses,
-                wire_bytes,
-            } => {
-                let hit = age.is_some() as u64;
-                match k {
-                    0 => span("admission", t0, t0, 1, Vec::new()),
-                    1 => span("queue_wait", t0, start, 1, Vec::new()),
-                    2 => span("batch_assembly", start, b1, 1, vec![("size", batch_size)]),
-                    3 => {
-                        let detail = match (age, verdict) {
-                            (Some(a), _) => Some(("age_ms", a as u64)),
-                            (None, v) => v.map(|v| ("verdict", v.code())),
-                        };
-                        let args = [("hit", hit)].into_iter().chain(detail).collect();
-                        span("embed_lookup", b1, b2, 1, args)
-                    }
-                    4 => {
-                        let args = vec![("wire_bytes", wire_bytes), ("batch_misses", batch_misses)];
-                        span("recompute", b2, b3, 1, args)
-                    }
-                    5 => span("respond", b3, done, 1, Vec::new()),
-                    _ => {
-                        let args = vec![
-                            ("id", id),
-                            ("node", node as u64),
-                            ("priority", priority.code()),
-                            ("degraded", degraded as u64),
-                            ("hit", hit),
-                            ("latency_ns", done - t0),
-                        ];
-                        span("request", t0, done, 0, args)
-                    }
-                }
+        let (r, hit) = match *self {
+            Exemplar::Served(r) => (r, ("hit", r.age.is_some() as u64)),
+            Exemplar::Shed { id, at_ns, reason } => {
+                let args = vec![("id", id), ("reason", reason.code())];
+                return span("shed", at_ns, at_ns, 0, args);
             }
-        }
+        };
+        let b = r.bounds;
+        let (name, args) = match k {
+            0 => ("admission", Vec::new()),
+            1 => ("queue_wait", Vec::new()),
+            2 => ("batch_assembly", vec![("size", r.batch_size)]),
+            3 => match (r.age, r.verdict) {
+                (Some(a), _) => ("embed_lookup", vec![hit, ("age_ms", a as u64)]),
+                (None, Some(v)) => ("embed_lookup", vec![hit, ("verdict", v.code())]),
+                (None, None) => ("embed_lookup", vec![hit]),
+            },
+            4 => {
+                let args = vec![
+                    ("wire_bytes", r.wire_bytes),
+                    ("batch_misses", r.batch_misses),
+                ];
+                ("recompute", args)
+            }
+            5 => ("respond", Vec::new()),
+            _ => {
+                let args = vec![
+                    ("id", r.id),
+                    ("node", r.node as u64),
+                    ("priority", r.priority.code()),
+                    ("degraded", r.degraded as u64),
+                    hit,
+                    ("latency_ns", b[5] - b[0]),
+                ];
+                return span("request", b[0], b[5], 0, args);
+            }
+        };
+        span(name, b[k.saturating_sub(1)], b[k], 1, args)
     }
 }
 
@@ -139,46 +119,21 @@ impl ExemplarLog {
         self.records.len()
     }
 
-    /// The spans the log stands for, built one at a time in close order
-    /// (children before parents); `len()` is O(1).
-    pub fn spans(&self) -> ExemplarSpans<'_> {
-        ExemplarSpans {
-            records: &self.records,
-            k: 0,
-            left: self.spans,
-        }
+    /// The spans the log stands for, in close order (children before
+    /// parents), built one at a time; `len()` is O(1).
+    pub fn spans(&self) -> impl ExactSizeIterator<Item = Span> + '_ {
+        let (mut i, mut k) = (0, 0);
+        (0..self.spans).map(move |_| {
+            let e = &self.records[i];
+            let span = e.span(k);
+            k += 1;
+            if k == e.span_count() {
+                (i, k) = (i + 1, 0);
+            }
+            span
+        })
     }
 }
-
-/// Iterator over an [`ExemplarLog`]'s spans.
-#[derive(Clone, Debug)]
-pub struct ExemplarSpans<'a> {
-    records: &'a [Exemplar],
-    /// Index of the next span within `records[0]`'s tree.
-    k: usize,
-    left: usize,
-}
-
-impl Iterator for ExemplarSpans<'_> {
-    type Item = Span;
-
-    fn next(&mut self) -> Option<Span> {
-        let (rec, rest) = self.records.split_first()?;
-        let span = rec.span(self.k);
-        self.k += 1;
-        if self.k == rec.span_count() {
-            (self.records, self.k) = (rest, 0);
-        }
-        self.left -= 1;
-        Some(span)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl ExactSizeIterator for ExemplarSpans<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -189,47 +144,31 @@ mod tests {
     /// The eager emission the log replaced, verbatim: begin/end pairs on a
     /// span tracer.
     fn eager(t: &mut Tracer, e: &Exemplar) {
-        let (id, node, priority, arrival_ns, bounds, degraded, age, verdict, size, misses, wire) =
-            match *e {
-                Exemplar::Shed { id, at_ns, reason } => {
-                    t.begin("shed", "serve_req", at_ns);
-                    t.end_with(at_ns, vec![("id", id), ("reason", reason.code())]);
-                    return;
-                }
-                Exemplar::Served {
-                    id,
-                    node,
-                    priority,
-                    arrival_ns,
-                    bounds,
-                    degraded,
-                    age,
-                    verdict,
-                    batch_size,
-                    batch_misses,
-                    wire_bytes,
-                } => (
-                    id,
-                    node,
-                    priority,
-                    arrival_ns,
-                    bounds,
-                    degraded,
-                    age,
-                    verdict,
-                    batch_size,
-                    batch_misses,
-                    wire_bytes,
-                ),
-            };
-        let [start_ns, b1, b2, b3, completion_ns] = bounds;
+        let r = match *e {
+            Exemplar::Served(r) => r,
+            Exemplar::Shed { id, at_ns, reason } => {
+                t.begin("shed", "serve_req", at_ns);
+                t.end_with(at_ns, vec![("id", id), ("reason", reason.code())]);
+                return;
+            }
+        };
+        let Served {
+            id,
+            node,
+            priority,
+            degraded,
+            age,
+            verdict,
+            ..
+        } = r;
+        let [arrival_ns, start_ns, b1, b2, b3, completion_ns] = r.bounds;
         t.begin("request", "serve_req", arrival_ns);
         t.begin("admission", "serve_req", arrival_ns);
         t.end(arrival_ns);
         t.begin("queue_wait", "serve_req", arrival_ns);
         t.end(start_ns);
         t.begin("batch_assembly", "serve_req", start_ns);
-        t.end_with(b1, vec![("size", size)]);
+        t.end_with(b1, vec![("size", r.batch_size)]);
         t.begin("embed_lookup", "serve_req", b1);
         let mut lookup_args = vec![("hit", age.is_some() as u64)];
         match (age, verdict) {
@@ -239,7 +178,13 @@ mod tests {
         }
         t.end_with(b2, lookup_args);
         t.begin("recompute", "serve_req", b2);
-        t.end_with(b3, vec![("wire_bytes", wire), ("batch_misses", misses)]);
+        t.end_with(
+            b3,
+            vec![
+                ("wire_bytes", r.wire_bytes),
+                ("batch_misses", r.batch_misses),
+            ],
+        );
         t.begin("respond", "serve_req", b3);
         t.end(completion_ns);
         t.end_with(
@@ -277,19 +222,18 @@ mod tests {
         }
         let verdicts = [Verdict::Admit, Verdict::Keep, Verdict::Evict, Verdict::Skip];
         let hit = draw(2) == 0;
-        Exemplar::Served {
+        Exemplar::Served(Served {
             id: draw(1 << 40),
             node: draw(1 << 20) as NodeId,
             priority: [Priority::Low, Priority::Normal, Priority::High][draw(3) as usize],
-            arrival_ns: bounds[0],
-            bounds: [bounds[1], bounds[2], bounds[3], bounds[4], bounds[5]],
+            bounds,
             degraded: draw(2) == 0,
             age: hit.then(|| draw(1 << 16) as u32),
             verdict: (draw(3) != 0).then(|| verdicts[draw(4) as usize]),
             batch_size: 1 + draw(64),
             batch_misses: draw(64),
             wire_bytes: draw(1 << 30),
-        }
+        })
     }
 
     #[test]

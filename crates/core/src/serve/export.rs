@@ -118,7 +118,7 @@ pub fn serve_jsonl(section: &str, report: &ServeReport, obs: &Obs) -> String {
 #[cfg(test)]
 mod tests {
     use super::super::admission::ShedReason;
-    use super::super::exemplar::Exemplar;
+    use super::super::exemplar::{Exemplar, Served};
     use super::super::trace::Priority;
     use super::*;
 
@@ -168,19 +168,18 @@ mod tests {
     #[test]
     fn trace_jsonl_carries_spans_then_alerts() {
         let mut t = ExemplarLog::default();
-        t.push(Exemplar::Served {
+        t.push(Exemplar::Served(Served {
             id: 7,
             node: 3,
             priority: Priority::High,
-            arrival_ns: 100,
-            bounds: [250, 260, 270, 390, 400],
+            bounds: [100, 250, 260, 270, 390, 400],
             degraded: false,
             age: Some(5),
             verdict: None,
             batch_size: 2,
             batch_misses: 1,
             wire_bytes: 512,
-        });
+        }));
         let alerts = vec![AlertEvent {
             at_ns: 500,
             rule: "fast-burn",

@@ -50,7 +50,6 @@ pub mod trace;
 pub use admission::{AdmissionConfig, AdmissionController, ShedReason, TokenBucket};
 pub use batcher::{Batcher, BatcherConfig};
 pub use engine::{ServeEngine, ServeReport};
-pub use exemplar::ExemplarLog;
 pub use export::{
     serve_jsonl, serve_trace_jsonl, SERVE_SCHEMA_VERSION, SERVE_TRACE_SCHEMA_VERSION,
 };
