@@ -261,17 +261,18 @@ mod tests {
         let mut a = AdmissionController::new(AdmissionConfig::default());
         let (p, arrivals) = (
             [Priority::High, Priority::Low, Priority::Normal],
-            [0, 90, 10, 95, 20, 30, 99, 5],
+            [0, 90, 10, 95, 20, 30, 99, 5, 50],
         );
         for (id, &ms) in arrivals.iter().enumerate() {
             let r = req(10 + id as u64, ms * 1_000_000, p[id % 3]);
             assert!(a.offer(r, ms * 1_000_000));
         }
         assert!(a.offer(req(1, 90_000_000, Priority::Low), 90_000_000));
-        // Deadlines are arrival + 100 ms: shed every arrival before 50 ms.
+        // Deadlines are arrival + 100 ms: shed every arrival before 50 ms;
+        // the one at 50 ms can still finish at the horizon, and is kept.
         a.shed_expired(150_000_000);
         let queue: Vec<u64> = a.queue.iter().map(|r| r.id).collect();
-        assert_eq!(queue, vec![11, 13, 16, 1]);
+        assert_eq!(queue, vec![11, 13, 16, 18, 1]);
         let log: Vec<u64> = a.shed_log.iter().map(|&(id, _)| id).collect();
         assert_eq!(log, vec![10, 12, 14, 15, 17]);
         assert!(a
