@@ -580,7 +580,7 @@ impl<'a> ServeEngine<'a> {
         m.gauge_set("serve.transfer.retry_seconds", e, counters.retry_seconds);
         m.counter_set("serve.slo.alerts", e, self.slo.alerts.len() as u64);
         m.gauge_set("serve.slo.firing", e, self.slo.active_count() as f64);
-        m.counter_set("serve.trace.exemplars", e, self.exemplars.records() as u64);
+        m.counter_set("serve.trace.exemplars", e, self.exemplars.count() as u64);
         m.counter_set("serve.trace.spans", e, self.exemplars.spans().len() as u64);
         if let Some(b) = &self.faults.breaker {
             m.counter_set("serve.breaker.trips", e, b.trips);

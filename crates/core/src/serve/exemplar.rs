@@ -115,7 +115,7 @@ impl ExemplarLog {
     }
 
     /// Traced requests, served and shed.
-    pub(crate) fn records(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.records.len()
     }
 
@@ -247,7 +247,7 @@ mod tests {
             eager(&mut tracer, &e);
         }
         assert!(tracer.is_balanced());
-        assert_eq!(log.records(), 500);
+        assert_eq!(log.count(), 500);
         let mut spans = log.spans();
         assert_eq!(spans.len(), tracer.spans().len());
         for (i, want) in tracer.spans().iter().enumerate() {
