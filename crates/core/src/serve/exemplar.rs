@@ -121,19 +121,46 @@ impl ExemplarLog {
 
     /// The spans the log stands for, in close order (children before
     /// parents), built one at a time; `len()` is O(1).
-    pub fn spans(&self) -> impl ExactSizeIterator<Item = Span> + '_ {
-        let (mut i, mut k) = (0, 0);
-        (0..self.spans).map(move |_| {
-            let e = &self.records[i];
-            let span = e.span(k);
-            k += 1;
-            if k == e.span_count() {
-                (i, k) = (i + 1, 0);
-            }
-            span
-        })
+    pub fn spans(&self) -> ExemplarSpans<'_> {
+        ExemplarSpans {
+            records: &self.records,
+            k: 0,
+            left: self.spans,
+        }
     }
 }
+
+/// Iterator over an [`ExemplarLog`]'s spans. A named type, not `impl
+/// Iterator`: it holds no drop glue, so its borrow of the log ends with its
+/// last use even as a temporary.
+#[derive(Clone, Debug)]
+pub struct ExemplarSpans<'a> {
+    records: &'a [Exemplar],
+    /// Index of the next span within `records[0]`'s tree.
+    k: usize,
+    left: usize,
+}
+
+impl Iterator for ExemplarSpans<'_> {
+    type Item = Span;
+
+    fn next(&mut self) -> Option<Span> {
+        let (e, rest) = self.records.split_first()?;
+        let span = e.span(self.k);
+        self.k += 1;
+        if self.k == e.span_count() {
+            (self.records, self.k) = (rest, 0);
+        }
+        self.left -= 1;
+        Some(span)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for ExemplarSpans<'_> {}
 
 #[cfg(test)]
 mod tests {
